@@ -249,16 +249,15 @@ def cmd_converge(args):
 
 
 def cmd_solve(args):
+    t0 = time.perf_counter()
     mesh, family_info = parse_mesh_spec(args.mesh)
     problem = manufactured_problem(mesh, args.degree)
-
-    t0 = time.perf_counter()
     sc, sd, _ = problem.spaces()
-    t_bases = time.perf_counter() - t0
+    t_setup = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     system = assemble(problem, threads=args.threads)
-    t_model = time.perf_counter() - t0
+    t_assemble = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     field, potential = solve(system)
@@ -284,7 +283,8 @@ def cmd_solve(args):
             "err_hdiv": e_div,
             "err_hcurl_hdiv_rel": e_rel,
         }
-    print(f"bases {t_bases:.2f} s / model {t_model:.2f} s / solve {t_solve:.2f} s")
+    print(f"setup {t_setup:.2f} s / assemble {t_assemble:.2f} s / "
+          f"solve {t_solve:.2f} s")
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)

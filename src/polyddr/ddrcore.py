@@ -29,7 +29,13 @@ condition number above 1e12 abort.
 import numpy as np
 from scipy import sparse
 
-from .polyspaces import BasisBank, dim_P, space_dim, l2_project
+from .polyspaces import (
+    BasisBank,
+    dim_P,
+    integrate_products,
+    l2_project,
+    space_dim,
+)
 
 __all__ = [
     "DofSpace",
@@ -393,7 +399,7 @@ def op_grad_edge(space, e):
     B = tgt.eval(rule.points)
     G = rec.target.grad(rule.points)
     t = mesh.edge_tangents[e]
-    D = np.einsum("ip,jpx,x,p->ij", B, G, t, rule.weights)
+    D = integrate_products(B, G @ t, rule.weights)
     out = LocalOperator(("edge", e), rec.dofs, rec.layout, tgt, D @ rec.matrix)
     space._cache[key] = out
     return out
@@ -426,21 +432,18 @@ def op_grad_face(space, f):
     if k >= 1:
         sb = bank.scalars("face", f, k - 1)
         Dv = tgt.div(rule.points)
-        M[:, layout[("face", f)]] = -np.einsum(
-            "ip,jp,p->ij", Dv, sb.eval(rule.points), rule.weights
+        M[:, layout[("face", f)]] = -integrate_products(
+            Dv, sb.eval(rule.points), rule.weights,
         )
 
-    Tv = None
     for j, e in enumerate(mesh.face_edges[f]):
         e = int(e)
         rec = edge_reconstruct(space, e)
         erule = bank.rule("edge", e)
         nfe = mesh.face_edge_normals[f][j]
         sgn = mesh.face_edge_signs[f][j]
-        T = np.einsum(
-            "ipx,x,mp,p->im",
-            tgt.eval(erule.points),
-            nfe,
+        T = integrate_products(
+            tgt.eval(erule.points) @ nfe,
             rec.target.eval(erule.points),
             erule.weights,
         )
@@ -468,9 +471,8 @@ def op_scalar_trace(space, f):
     tests = bank.subspace("face", f, "curl_complement", k + 2)
     tgt = bank.scalars("face", f, k + 1)
     rule = bank.rule("face", f)
-    A = np.einsum(
-        "ip,jp,p->ij", tests.div(rule.points), tgt.eval(rule.points),
-        rule.weights,
+    A = integrate_products(
+        tests.div(rule.points), tgt.eval(rule.points), rule.weights,
     )
     R = -tests.coeff_matrix()[:, : gf.target.dim] @ gf.matrix
     for j, e in enumerate(mesh.face_edges[f]):
@@ -479,10 +481,8 @@ def op_scalar_trace(space, f):
         erule = bank.rule("edge", e, 2 * k + 4)
         nfe = mesh.face_edge_normals[f][j]
         sgn = mesh.face_edge_signs[f][j]
-        T = np.einsum(
-            "ipx,x,mp,p->im",
-            tests.eval(erule.points),
-            nfe,
+        T = integrate_products(
+            tests.eval(erule.points) @ nfe,
             rec.target.eval(erule.points),
             erule.weights,
         )
@@ -513,8 +513,8 @@ def op_curl_face(space, f):
     img = bank.subspace("face", f, "curl_image", k - 1)
     if img.dim:
         vrot = np.cross(tgt.grad(rule.points), n[None, None, :])
-        M[:, space.sub_slice(layout, "face", f, 0)] = np.einsum(
-            "ipx,mpx,p->im", vrot, img.eval(rule.points), rule.weights
+        M[:, space.sub_slice(layout, "face", f, 0)] = integrate_products(
+            vrot, img.eval(rule.points), rule.weights,
         )
 
     for j, e in enumerate(mesh.face_edges[f]):
@@ -522,11 +522,8 @@ def op_curl_face(space, f):
         erule = bank.rule("edge", e)
         eb = bank.scalars("edge", e, k)
         sgn = mesh.face_edge_signs[f][j]
-        T = np.einsum(
-            "ip,mp,p->im",
-            tgt.eval(erule.points),
-            eb.eval(erule.points),
-            erule.weights,
+        T = integrate_products(
+            tgt.eval(erule.points), eb.eval(erule.points), erule.weights,
         )
         M[:, layout[("edge", e)]] -= sgn * T
 
@@ -555,9 +552,7 @@ def op_tangential_trace(space, f):
     zm = bank.subspace("face", f, "zero_mean", k + 1)
     cc = bank.subspace("face", f, "curl_complement", k)
     vrot = np.cross(zm.grad(rule.points), n[None, None, :])
-    L1 = np.einsum(
-        "ipx,mpx,p->im", vrot, tgt.eval(rule.points), rule.weights
-    )
+    L1 = integrate_products(vrot, tgt.eval(rule.points), rule.weights)
     L = np.vstack([L1, cc.coeff_matrix()])
 
     R = np.zeros((tgt.dim, len(idx)))
@@ -567,11 +562,8 @@ def op_tangential_trace(space, f):
         erule = bank.rule("edge", e)
         eb = bank.scalars("edge", e, k)
         sgn = mesh.face_edge_signs[f][j]
-        T = np.einsum(
-            "ip,mp,p->im",
-            zm.eval(erule.points),
-            eb.eval(erule.points),
-            erule.weights,
+        T = integrate_products(
+            zm.eval(erule.points), eb.eval(erule.points), erule.weights,
         )
         R[: zm.dim, layout[("edge", e)]] += sgn * T
     if cc.dim:
@@ -605,9 +597,8 @@ def op_grad_cell(space, c):
 
     if k >= 1:
         sb = bank.scalars("cell", c, k - 1)
-        M[:, layout[("cell", c)]] = -np.einsum(
-            "ip,jp,p->ij", tgt.div(rule.points), sb.eval(rule.points),
-            rule.weights,
+        M[:, layout[("cell", c)]] = -integrate_products(
+            tgt.div(rule.points), sb.eval(rule.points), rule.weights,
         )
 
     for fi, f in enumerate(mesh.cells[c]):
@@ -616,10 +607,8 @@ def op_grad_cell(space, c):
         frule = bank.rule("face", f)
         n = mesh.face_normals[f]
         wtf = mesh.cell_face_signs[c][fi]
-        T = np.einsum(
-            "ipx,x,mp,p->im",
-            tgt.eval(frule.points),
-            n,
+        T = integrate_products(
+            tgt.eval(frule.points) @ n,
             tr.target.eval(frule.points),
             frule.weights,
         )
@@ -649,11 +638,8 @@ def op_curl_cell(space, c):
 
     img = bank.subspace("cell", c, "curl_image", k - 1)
     if img.dim:
-        M[:, space.sub_slice(layout, "cell", c, 0)] = np.einsum(
-            "ipx,mpx,p->im",
-            tgt.curl(rule.points),
-            img.eval(rule.points),
-            rule.weights,
+        M[:, space.sub_slice(layout, "cell", c, 0)] = integrate_products(
+            tgt.curl(rule.points), img.eval(rule.points), rule.weights,
         )
 
     for fi, f in enumerate(mesh.cells[c]):
@@ -663,8 +649,8 @@ def op_curl_cell(space, c):
         n = mesh.face_normals[f]
         wtf = mesh.cell_face_signs[c][fi]
         wxn = np.cross(tgt.eval(frule.points), n[None, None, :])
-        T = np.einsum(
-            "ipx,mpx,p->im", wxn, gt.target.eval(frule.points), frule.weights
+        T = integrate_products(
+            wxn, gt.target.eval(frule.points), frule.weights,
         )
         cols = [pos[int(g)] for g in gt.dofs]
         M[:, cols] += wtf * (T @ gt.matrix)
@@ -691,11 +677,8 @@ def op_div_cell(space, c):
 
     img = bank.subspace("cell", c, "grad_image", k - 1)
     if img.dim:
-        M[:, space.sub_slice(layout, "cell", c, 0)] = -np.einsum(
-            "ipx,mpx,p->im",
-            tgt.grad(rule.points),
-            img.eval(rule.points),
-            rule.weights,
+        M[:, space.sub_slice(layout, "cell", c, 0)] = -integrate_products(
+            tgt.grad(rule.points), img.eval(rule.points), rule.weights,
         )
 
     for fi, f in enumerate(mesh.cells[c]):
@@ -703,11 +686,8 @@ def op_div_cell(space, c):
         frule = bank.rule("face", f)
         fb = bank.scalars("face", f, k)
         wtf = mesh.cell_face_signs[c][fi]
-        T = np.einsum(
-            "ip,mp,p->im",
-            tgt.eval(frule.points),
-            fb.eval(frule.points),
-            frule.weights,
+        T = integrate_products(
+            tgt.eval(frule.points), fb.eval(frule.points), frule.weights,
         )
         M[:, layout[("face", f)]] += wtf * T
 
@@ -740,9 +720,8 @@ def op_potential(space, c):
         tests = bank.subspace("cell", c, "curl_complement", k + 2)
         tgt = bank.scalars("cell", c, k + 1)
         rule = bank.rule("cell", c)
-        A = np.einsum(
-            "ip,jp,p->ij", tests.div(rule.points), tgt.eval(rule.points),
-            rule.weights,
+        A = integrate_products(
+            tests.div(rule.points), tgt.eval(rule.points), rule.weights,
         )
         R = -tests.coeff_matrix()[:, : gc.target.dim] @ gc.matrix
         for fi, f in enumerate(mesh.cells[c]):
@@ -751,10 +730,8 @@ def op_potential(space, c):
             frule = bank.rule("face", f)
             n = mesh.face_normals[f]
             wtf = mesh.cell_face_signs[c][fi]
-            T = np.einsum(
-                "ipx,x,mp,p->im",
-                tests.eval(frule.points),
-                n,
+            T = integrate_products(
+                tests.eval(frule.points) @ n,
                 tr.target.eval(frule.points),
                 frule.weights,
             )
@@ -771,9 +748,8 @@ def op_potential(space, c):
         rule = bank.rule("cell", c)
         cg = bank.subspace("cell", c, "grad_complement", k + 1)
         cc = bank.subspace("cell", c, "curl_complement", k)
-        L1 = np.einsum(
-            "ipx,mpx,p->im", cg.curl(rule.points), tgt.eval(rule.points),
-            rule.weights,
+        L1 = integrate_products(
+            cg.curl(rule.points), tgt.eval(rule.points), rule.weights,
         )
         L = np.vstack([L1, cc.coeff_matrix()])
         R = np.zeros((tgt.dim, len(idx)))
@@ -785,9 +761,8 @@ def op_potential(space, c):
             n = mesh.face_normals[f]
             wtf = mesh.cell_face_signs[c][fi]
             wxn = np.cross(cg.eval(frule.points), n[None, None, :])
-            T = np.einsum(
-                "ipx,mpx,p->im", wxn, gt.target.eval(frule.points),
-                frule.weights,
+            T = integrate_products(
+                wxn, gt.target.eval(frule.points), frule.weights,
             )
             cols = [pos[int(g)] for g in gt.dofs]
             R[: cg.dim, cols] -= wtf * (T @ gt.matrix)
@@ -803,9 +778,8 @@ def op_potential(space, c):
         rule = bank.rule("cell", c)
         zm = bank.subspace("cell", c, "zero_mean", k + 1)
         cg = bank.subspace("cell", c, "grad_complement", k)
-        L1 = np.einsum(
-            "ipx,mpx,p->im", zm.grad(rule.points), tgt.eval(rule.points),
-            rule.weights,
+        L1 = integrate_products(
+            zm.grad(rule.points), tgt.eval(rule.points), rule.weights,
         )
         L = np.vstack([L1, cg.coeff_matrix()])
         R = np.zeros((tgt.dim, len(idx)))
@@ -815,11 +789,8 @@ def op_potential(space, c):
             frule = bank.rule("face", f)
             fb = bank.scalars("face", f, k)
             wtf = mesh.cell_face_signs[c][fi]
-            T = np.einsum(
-                "ip,mp,p->im",
-                zm.eval(frule.points),
-                fb.eval(frule.points),
-                frule.weights,
+            T = integrate_products(
+                zm.eval(frule.points), fb.eval(frule.points), frule.weights,
             )
             R[: zm.dim, layout[("face", f)]] += wtf * T
         if cg.dim:
@@ -962,9 +933,8 @@ def link_identities_check(space_grad, space_curl, space_div, c):
     gc = op_grad_cell(space_grad, c)
     pos_g = _positions(gc.dofs)
     ne = bank.subspace("cell", c, "nedelec", k + 1)
-    X = np.einsum(
-        "ipx,mpx,p->im", ne.curl(rule.points), gc.target.eval(rule.points),
-        rule.weights,
+    X = integrate_products(
+        ne.curl(rule.points), gc.target.eval(rule.points), rule.weights,
     )
     A = X @ gc.matrix
     for fi, f in enumerate(mesh.cells[c]):
@@ -974,8 +944,8 @@ def link_identities_check(space_grad, space_curl, space_div, c):
         n = mesh.face_normals[f]
         wtf = mesh.cell_face_signs[c][fi]
         zxn = np.cross(ne.eval(frule.points), n[None, None, :])
-        T = np.einsum(
-            "ipx,mpx,p->im", zxn, gf.target.eval(frule.points), frule.weights
+        T = integrate_products(
+            zxn, gf.target.eval(frule.points), frule.weights,
         )
         cols = [pos_g[int(g)] for g in gf.dofs]
         A[:, cols] += wtf * (T @ gf.matrix)
@@ -984,9 +954,8 @@ def link_identities_check(space_grad, space_curl, space_div, c):
     ct = op_curl_cell(space_curl, c)
     pos_c = _positions(ct.dofs)
     sb = bank.scalars("cell", c, k + 1)
-    X = np.einsum(
-        "ipx,mpx,p->im", sb.grad(rule.points), ct.target.eval(rule.points),
-        rule.weights,
+    X = integrate_products(
+        sb.grad(rule.points), ct.target.eval(rule.points), rule.weights,
     )
     A = X @ ct.matrix
     for fi, f in enumerate(mesh.cells[c]):
@@ -994,11 +963,8 @@ def link_identities_check(space_grad, space_curl, space_div, c):
         cf = op_curl_face(space_curl, f)
         frule = bank.rule("face", f)
         wtf = mesh.cell_face_signs[c][fi]
-        T = np.einsum(
-            "ip,mp,p->im",
-            sb.eval(frule.points),
-            cf.target.eval(frule.points),
-            frule.weights,
+        T = integrate_products(
+            sb.eval(frule.points), cf.target.eval(frule.points), frule.weights,
         )
         cols = [pos_c[int(g)] for g in cf.dofs]
         A[:, cols] -= wtf * (T @ cf.matrix)

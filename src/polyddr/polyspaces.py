@@ -2,11 +2,19 @@
 
 Scalar spaces use scaled monomials in local coordinates (x - x_Y)/h_Y (one
 variable along t_E on edges, two in the face frame, three on cells),
-orthonormalized by quadrature-weighted modified Gram-Schmidt with
-re-orthogonalization. The monomial order is graded, so the first dim P^m
-members of a degree-L basis are exactly an orthonormal basis of P^m: every
-lower-degree space is a prefix of a higher-degree one, which keeps all
-cross-degree bookkeeping consistent to roundoff.
+orthonormalized by a Householder QR factorization of the sqrt(weight)-scaled
+monomial matrix at the entity's quadrature points, with signs fixed so that
+R has a positive diagonal (the basis Gram-Schmidt would give). The monomial
+order is graded, so the first dim P^m members of a degree-L basis are
+exactly an orthonormal basis of P^m: every lower-degree space is a prefix
+of a higher-degree one, which keeps all cross-degree bookkeeping consistent
+to roundoff.
+
+Members are tabulated from one table of coordinate powers built by
+cumulative products: values and gradients are one matrix product each.
+integrate_products turns two tabulations into the matrix of their
+integrals with one weighted matrix product; every quadrature contraction of
+the discrete operators goes through it.
 
 Vector spaces are spanned by scalar members times frame axes (tangent axes
 on faces, Cartesian axes on cells) and inherit the prefix property. The
@@ -30,10 +38,12 @@ The two decompositions full = grad_image + grad_complement
 operator below reconstructs a field from its two orthogonal projections.
 """
 
+import functools
 import itertools
 import math
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .quadrature import entity_rule
 
@@ -45,6 +55,7 @@ __all__ = [
     "vector_basis",
     "subspace_basis",
     "l2_project",
+    "integrate_products",
     "recovery",
     "projection_overlap",
     "isomorphism_matrix",
@@ -98,23 +109,59 @@ def space_dim(family, l, d):
     raise ValueError(f"unknown family {family!r}")
 
 
-def _graded_exponents(L, d):
-    out = []
+@functools.cache
+def _monomial_tables(L, d):
+    """Graded exponents of the scaled monomials of degree <= L in d
+    variables, (nm, d); the rows exps * d + a of a (power, axis) table that
+    hold each monomial's factors; and the matrices of d/dxi_a in the
+    monomial basis, (d, nm, dim P^{L-1}): monomial i differentiates to
+    D[a, i] over the lower-degree prefix.  All depend on (L, d) only and
+    are read-only."""
+    exps = []
     for deg in range(L + 1):
         block = [
             e
             for e in itertools.product(range(deg + 1), repeat=d)
             if sum(e) == deg
         ]
-        out.extend(sorted(block, reverse=True))
-    return np.array(out, dtype=int).reshape(len(out), d)
+        exps.extend(sorted(block, reverse=True))
+    index = {e: i for i, e in enumerate(exps)}
+    D = np.zeros((d, len(exps), dim_P(L - 1, d)))
+    for i, e in enumerate(exps):
+        for a in range(d):
+            if e[a]:
+                lowered = e[:a] + (e[a] - 1,) + e[a + 1 :]
+                D[a, i, index[lowered]] = e[a]
+    exps = np.array(exps, dtype=int).reshape(len(exps), d)
+    rows = exps * d + np.arange(d)
+    for a in (exps, rows, D):
+        a.flags.writeable = False
+    return exps, rows, D
+
+
+def integrate_products(A, B, weights):
+    """Matrix of the integrals of A_i . B_j from tabulations at rule points.
+
+    A is (m, npts) or (m, npts, 3) and B the same kind with n rows; the
+    result is (m, n).  One matmul: the weights go on the operand with fewer
+    rows, so the weighted copy stays small.
+    """
+    w = weights if A.ndim == 2 else weights[:, None]
+    if len(A) <= len(B):
+        A = A * w
+    else:
+        B = B * w
+    cols = math.prod(A.shape[1:])
+    return A.reshape(len(A), cols) @ B.reshape(len(B), cols).T
 
 
 class _ScalarCore:
     """Orthonormal scalar basis of degree L on one entity.
 
     Stores the orthonormalization coefficients over scaled monomials, so
-    members and their gradients can be evaluated at arbitrary points.
+    members and their gradients can be evaluated at arbitrary points.  The
+    coefficients are lower triangular (member i uses monomials 0..i), so a
+    prefix of members needs only a prefix of the monomials.
     """
 
     def __init__(self, x0, h, frame, L, rule):
@@ -123,74 +170,60 @@ class _ScalarCore:
         self.frame = np.asarray(frame, dtype=float)  # (d, 3) rows
         self.L = L
         self.d = len(self.frame)
-        self.exps = _graded_exponents(L, self.d)
+        self.exps, self._rows, D = _monomial_tables(L, self.d)
         self.rule = rule
         nm = len(self.exps)
 
-        V = self._monomials(rule.points)
-        w = rule.weights
-        Q = np.empty_like(V)
-        C = np.eye(nm)
-        for i in range(nm):
-            v = V[i].copy()
-            c = C[i].copy()
-            base = math.sqrt(max(w @ (v * v), 0.0))
-            for _ in range(2):  # re-orthogonalization pass
-                for j in range(i):
-                    r = w @ (v * Q[j])
-                    v -= r * Q[j]
-                    c -= r * C[j]
-            nrm = math.sqrt(max(w @ (v * v), 0.0))
-            if nrm <= 1e-13 * max(base, 1.0):
-                raise ValueError(
-                    "degenerate entity geometry: monomials are numerically "
-                    "dependent under the quadrature inner product"
-                )
-            Q[i] = v / nrm
-            C[i] = c / nrm
-        self.coeffs = C
+        # Householder QR of the sqrt(w)-weighted monomial matrix: columns of
+        # A R^{-1} are orthonormal, so the members have coefficients R^{-T}.
+        A = (self._monomials(rule.points, nm) * np.sqrt(rule.weights)).T
+        R = np.linalg.qr(A, mode="r")
+        diag = np.abs(np.diag(R))
+        base = np.linalg.norm(A, axis=0)
+        if len(diag) < nm or not np.all(diag > 1e-13 * np.maximum(base, 1.0)):
+            raise ValueError(
+                "degenerate entity geometry: monomials are numerically "
+                "dependent under the quadrature inner product"
+            )
+        R *= np.sign(np.diag(R))[:, None]
+        self.coeffs = solve_triangular(R, np.eye(nm)).T
+        # coefficients of the member gradients' global components, (3, nm, .)
+        self._grad_coeffs = np.tensordot(
+            self.frame / self.h, self.coeffs @ D, axes=(0, 0)
+        )
 
-    def _local(self, pts):
-        return ((np.atleast_2d(pts) - self.x0) @ self.frame.T) / self.h
-
-    def _powers(self, xi):
-        # P[a][e] = xi_a ** e for e = 0..L
-        return [
-            np.vstack([xi[:, a] ** e for e in range(self.L + 1)])
-            for a in range(self.d)
-        ]
-
-    def _monomials(self, pts):
-        xi = self._local(pts)
-        P = self._powers(xi)
-        out = np.ones((len(self.exps), len(xi)))
-        for a in range(self.d):
-            out *= P[a][self.exps[:, a]]
+    def _monomials(self, pts, n):
+        """The first n scaled monomials at the points, (n, npts), read off
+        one table of coordinate powers built by cumulative products."""
+        xi = (((np.atleast_2d(pts) - self.x0) @ self.frame.T) / self.h).T
+        top = int(self.exps[n - 1].sum()) if n else 0  # graded order
+        P = np.empty((top + 1,) + xi.shape)
+        P[0] = 1.0
+        for e in range(top):
+            np.multiply(P[e], xi, out=P[e + 1])
+        P = P.reshape(-1, xi.shape[1])
+        rows = self._rows[:n]
+        out = P[rows[:, 0]]
+        for a in range(1, self.d):
+            out *= P[rows[:, a]]
         return out
 
     def eval(self, pts, nrows):
-        return self.coeffs[:nrows] @ self._monomials(pts)
+        return self.coeffs[:nrows, :nrows] @ self._monomials(pts, nrows)
 
     def grad(self, pts, nrows):
         """Gradients as global 3-vectors, shape (nrows, npts, 3)."""
-        xi = self._local(pts)
-        P = self._powers(xi)
-        npts = len(xi)
-        out = np.zeros((nrows, npts, 3))
-        for a in range(self.d):
-            dm = np.zeros((len(self.exps), npts))
-            e = self.exps[:, a]
-            nz = e > 0
-            if nz.any():
-                lowered = self.exps[nz].copy()
-                lowered[:, a] -= 1
-                vals = np.ones((nz.sum(), npts))
-                for b in range(self.d):
-                    vals *= P[b][lowered[:, b]]
-                dm[nz] = e[nz, None] * vals
-            dvals = self.coeffs[:nrows] @ dm
-            out += dvals[:, :, None] * self.frame[a][None, None, :] / self.h
-        return out
+        top = int(self.exps[nrows - 1].sum()) if nrows else 0
+        ncols = dim_P(top - 1, self.d)
+        G = self._grad_coeffs[:, :nrows, :ncols].reshape(3 * nrows, ncols)
+        M = self._monomials(pts, ncols)
+        return (G @ M).reshape(3, nrows, M.shape[1]).transpose(1, 2, 0)
+
+
+def _combine(W, V):
+    """Rows of W applied to vector tabulations V (n, npts, 3)."""
+    n, npts, _ = V.shape
+    return (W @ V.reshape(n, npts * 3)).reshape(len(W), npts, 3)
 
 
 class PolyBasis:
@@ -242,8 +275,7 @@ class PolyBasis:
         ns = self._scalar_rows()
         g = self._core.grad(pts, ns)
         na = len(self._axes)
-        out = np.einsum("mpx,ax->map", g, self._axes).reshape(ns * na, -1)
-        return out
+        return (g @ self._axes.T).transpose(0, 2, 1).reshape(ns * na, -1)
 
     def _vector_curl(self, pts):
         ns = self._scalar_rows()
@@ -263,7 +295,7 @@ class PolyBasis:
         V = self._vector_values(pts)
         if self._W is None:
             return V[: self.dim]
-        return np.einsum("sw,wpx->spx", self._W, V)
+        return _combine(self._W, V)
 
     def grad(self, pts):
         """Member gradients (scalar spaces only), shape (dim, npts, 3)."""
@@ -272,7 +304,7 @@ class PolyBasis:
         if self._W is None:
             return self._core.grad(pts, self.dim)
         rows = self._W.shape[1]
-        return np.einsum("sw,wpx->spx", self._W, self._core.grad(pts, rows))
+        return _combine(self._W, self._core.grad(pts, rows))
 
     def div(self, pts):
         """Member divergences; on faces this is the in-plane divergence."""
@@ -290,7 +322,7 @@ class PolyBasis:
         C = self._vector_curl(pts)
         if self._W is None:
             return C[: self.dim]
-        return np.einsum("sw,wpx->spx", self._W, C)
+        return _combine(self._W, C)
 
     def coeff_matrix(self):
         """Coefficients over the orthonormal parent basis (dim x width)."""
@@ -455,10 +487,10 @@ def subspace_basis(mesh, kind, index, family, l, core=None, rule=None):
                          0, True)
 
     gens = _subspace_generators(mesh, kind, index, family, l, core, rule)
-    parent = PolyBasis(kind, index, "vector", l, core, "vector", axes, None,
-                       width, True)
-    V = parent._vector_values(rule.points)[:width]
-    moments = np.einsum("gpx,wpx,p->gw", gens, V, rule.weights)
+    # moments against the parent members s_m * axes[a], in (m, a) order,
+    # without tabulating the parent vector basis
+    S = core.eval(rule.points, width // len(axes)) * rule.weights
+    moments = ((S @ gens) @ axes.T).reshape(len(gens), width)
     U, sing, Vt = np.linalg.svd(moments, full_matrices=False)
     rank = int((sing >= DROP_TOL * sing[0]).sum()) if len(sing) else 0
     if rank != dim:
@@ -490,10 +522,7 @@ def l2_project(basis, f, rule=None, mesh=None):
                                2 * max(basis.degree, 0) + 2)
     vals = f(rule.points) if callable(f) else np.asarray(f)
     B = basis.eval(rule.points)
-    if basis._mode == "scalar":
-        moments = B @ (rule.weights * vals)
-    else:
-        moments = np.einsum("spx,px,p->s", B, vals, rule.weights)
+    moments = integrate_products(B, np.asarray(vals)[None], rule.weights)[:, 0]
     if basis.orthonormal:
         return moments
     return np.linalg.solve(basis.gram(), moments)
@@ -569,10 +598,7 @@ def isomorphism_matrix(mesh, kind, index, which, l):
         vals = src.curl(rule.points)
     else:
         raise ValueError(f"unknown map {which!r}")
-    T = tgt.eval(rule.points)
-    if vals.ndim == 2:
-        return np.einsum("jp,ip,p->ij", vals, T, rule.weights)
-    return np.einsum("jpx,ipx,p->ij", vals, T, rule.weights)
+    return integrate_products(tgt.eval(rule.points), vals, rule.weights)
 
 
 # ----------------------------------------------------------------------

@@ -30,8 +30,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy import sparse
 
-from .polyspaces import dim_P, l2_project
+from .polyspaces import _combine, dim_P, integrate_products
 from .ddrcore import (
+    _positions,
     edge_reconstruct,
     op_scalar_trace,
     op_tangential_trace,
@@ -67,17 +68,9 @@ class LocalBilinearForm:
         return float(u @ self.matrix @ v)
 
 
-def _positions(idx):
-    return {int(g): i for i, g in enumerate(idx)}
-
-
 def _dof_values_scalar(op, pts):
-    """Per-dof values of a scalar reconstruction at points, (ndофs, np)."""
+    """Per-dof values of a scalar reconstruction at points, (ndofs, npts)."""
     return op.matrix.T @ op.target.eval(pts)
-
-
-def _dof_values_vector(op, pts):
-    return np.einsum("sn,spx->npx", op.matrix, op.target.eval(pts))
 
 
 # ----------------------------------------------------------------------
@@ -127,18 +120,18 @@ def _stab_curl(space, c):
         f = int(f)
         rule = bank.rule("face", f)
         nrm = mesh.face_normals[f]
-        V = _dof_values_vector(pc, rule.points)
-        R = V - np.einsum("npx,x,y->npy", V, nrm, nrm)
+        V = _combine(pc.matrix.T, pc.target.eval(rule.points))
+        R = V - (V @ nrm)[:, :, None] * nrm
         gt = op_tangential_trace(space, f)
         cols = [pos[int(g)] for g in gt.dofs]
-        R[cols] -= _dof_values_vector(gt, rule.points)
+        R[cols] -= _combine(gt.matrix.T, gt.target.eval(rule.points))
         hf = mesh.face_diameters[f]
-        S += hf * np.einsum("npx,mpx,p->nm", R, R, rule.weights)
+        S += hf * integrate_products(R, R, rule.weights)
 
     for e in [int(x) for x in mesh.cell_edges[c]]:
         rule = bank.rule("edge", e)
         t = mesh.edge_tangents[e]
-        R = np.einsum("npx,x->np", _dof_values_vector(pc, rule.points), t)
+        R = pc.matrix.T @ (pc.target.eval(rule.points) @ t)
         eb = bank.scalars("edge", e, space.k)
         sl = space.edge_dofs(e)
         cols = [pos[int(g)] for g in sl]
@@ -161,7 +154,7 @@ def _stab_div(space, c):
         f = int(f)
         rule = bank.rule("face", f)
         nrm = mesh.face_normals[f]
-        R = np.einsum("npx,x->np", _dof_values_vector(pd, rule.points), nrm)
+        R = pd.matrix.T @ (pd.target.eval(rule.points) @ nrm)
         fb = bank.scalars("face", f, space.k)
         cols = [pos[int(g)] for g in space.face_dofs(f)]
         R[cols] -= fb.eval(rule.points)
@@ -188,8 +181,7 @@ def _interp_matrix(space, c, pot):
             for e in [int(x) for x in mesh.cell_edges[c]]:
                 rule = bank.rule("edge", e)
                 eb = bank.scalars("edge", e, k - 1)
-                J[layout[("edge", e)]] = np.einsum(
-                    "ip,jp,p->ij",
+                J[layout[("edge", e)]] = integrate_products(
                     eb.eval(rule.points),
                     pot.target.eval(rule.points),
                     rule.weights,
@@ -197,8 +189,7 @@ def _interp_matrix(space, c, pot):
             for f in [int(x) for x in mesh.cells[c]]:
                 rule = bank.rule("face", f)
                 fb = bank.scalars("face", f, k - 1)
-                J[layout[("face", f)]] = np.einsum(
-                    "ip,jp,p->ij",
+                J[layout[("face", f)]] = integrate_products(
                     fb.eval(rule.points),
                     pot.target.eval(rule.points),
                     rule.weights,
@@ -211,11 +202,9 @@ def _interp_matrix(space, c, pot):
             rule = bank.rule("edge", e)
             t = mesh.edge_tangents[e]
             eb = bank.scalars("edge", e, k)
-            J[layout[("edge", e)]] = np.einsum(
-                "ip,jpx,x,p->ij",
+            J[layout[("edge", e)]] = integrate_products(
                 eb.eval(rule.points),
-                pot.target.eval(rule.points),
-                t,
+                pot.target.eval(rule.points) @ t,
                 rule.weights,
             )
         fams = space.face_families
@@ -224,11 +213,9 @@ def _interp_matrix(space, c, pot):
             rule = bank.rule("face", f)
             nrm = mesh.face_normals[f]
             fb = bank.scalars("face", f, k)
-            J[layout[("face", f)]] = np.einsum(
-                "ip,jpx,x,p->ij",
+            J[layout[("face", f)]] = integrate_products(
                 fb.eval(rule.points),
-                pot.target.eval(rule.points),
-                nrm,
+                pot.target.eval(rule.points) @ nrm,
                 rule.weights,
             )
         fams = None
@@ -242,8 +229,7 @@ def _interp_matrix(space, c, pot):
                 b = bank.subspace("face", f, fam, l)
                 if b.dim == 0:
                     continue
-                J[space.sub_slice(layout, "face", f, i)] = np.einsum(
-                    "ipx,jpx,p->ij",
+                J[space.sub_slice(layout, "face", f, i)] = integrate_products(
                     b.eval(rule.points),
                     pot.target.eval(rule.points),
                     rule.weights,

@@ -7,12 +7,24 @@ cube onto the simplex and its polynomial Jacobian is absorbed into Jacobi
 weights, so the rule is exact for the requested total degree by construction
 and all weights stay positive. Slightly more points than tabulated symmetric
 rules, but any degree is available without tables.
+
+The reference rules on [0, 1], the triangle and the tetrahedron are computed
+once per degree and cached as read-only arrays; each entity rule maps them
+onto its own fan.
 """
+
+import functools
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
 __all__ = ["QuadRule", "entity_rule", "integrate"]
+
+
+def _frozen(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 class QuadRule:
@@ -21,20 +33,18 @@ class QuadRule:
     __slots__ = ("points", "weights", "exactness_degree")
 
     def __init__(self, points, weights, exactness_degree):
-        self.points = points
-        self.weights = weights
+        self.points, self.weights = _frozen(points, weights)
         self.exactness_degree = exactness_degree
-        points.flags.writeable = False
-        weights.flags.writeable = False
 
     def __len__(self):
         return len(self.weights)
 
 
+@functools.cache
 def _gauss01(n):
     # Gauss-Legendre on [0, 1]
     x, w = roots_legendre(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    return _frozen(0.5 * (x + 1.0), 0.5 * w)
 
 
 def _jacobi01(n, alpha):
@@ -43,6 +53,7 @@ def _jacobi01(n, alpha):
     return 0.5 * (x + 1.0), w / 2.0 ** (alpha + 1)
 
 
+@functools.cache
 def _triangle_ref(degree):
     """Rule for f -> int over {a,b>=0, a+b<=1} f(a,b), exact to `degree`."""
     n = max(1, (degree + 2) // 2)
@@ -52,9 +63,10 @@ def _triangle_ref(degree):
     A = S
     B = T * (1.0 - S)
     W = np.outer(ws, wt)
-    return np.column_stack([A.ravel(), B.ravel()]), W.ravel()
+    return _frozen(np.column_stack([A.ravel(), B.ravel()]), W.ravel())
 
 
+@functools.cache
 def _tet_ref(degree):
     """Rule for the reference tetrahedron {a,b,c>=0, a+b+c<=1}."""
     n = max(1, (degree + 2) // 2)
@@ -66,7 +78,8 @@ def _tet_ref(degree):
     B = T * (1.0 - S)
     C = U * (1.0 - S) * (1.0 - T)
     W = ws[:, None, None] * wt[None, :, None] * wu[None, None, :]
-    return np.column_stack([A.ravel(), B.ravel(), C.ravel()]), W.ravel()
+    pts = np.column_stack([A.ravel(), B.ravel(), C.ravel()])
+    return _frozen(pts, W.ravel())
 
 
 def edge_rule(mesh, e, degree):
@@ -101,7 +114,7 @@ def cell_rule(mesh, c, degree):
     p0 = tets[:, 0]
     d = tets[:, 1:] - tets[:, :1]
     vol6 = np.linalg.det(d)
-    pts = p0[:, None, :] + np.einsum("rd,tdx->trx", ref, d)
+    pts = p0[:, None, :] + ref @ d
     wts = vol6[:, None] * wref[None, :]
     return QuadRule(pts.reshape(-1, 3), wts.ravel(), degree)
 

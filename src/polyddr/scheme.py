@@ -18,7 +18,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .polyspaces import BasisBank
+from .polyspaces import BasisBank, integrate_products
 from .ddrcore import (
     make_space,
     interpolate,
@@ -105,9 +105,10 @@ def _source_vector(problem, space_div, threads=None):
     def local(c):
         rule = bank.rule("cell", c, degree)
         pot = op_potential(space_div, c)
-        vals = np.einsum("sn,spx->npx", pot.matrix, pot.target.eval(rule.points))
-        src = problem.source(rule.points)
-        return pot.dofs, np.einsum("npx,px,p->n", vals, src, rule.weights)
+        src = problem.source(rule.points)[None]
+        moments = integrate_products(pot.target.eval(rule.points), src,
+                                     rule.weights)
+        return pot.dofs, pot.matrix.T @ moments[:, 0]
 
     for dofs, contrib in map_cells(local, mesh.num_cells, threads):
         out[dofs] += contrib

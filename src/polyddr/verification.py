@@ -360,6 +360,7 @@ def _local_interp(space, kind, index, target):
                     eb.eval(rule.points),
                     target.eval(rule.points),
                     rule.weights,
+                    optimize=True,
                 )
             else:
                 t = mesh.edge_tangents[i]
@@ -370,6 +371,7 @@ def _local_interp(space, kind, index, target):
                     target.eval(rule.points),
                     t,
                     rule.weights,
+                    optimize=True,
                 )
         elif ent == "face":
             rule = bank.rule("face", i)
@@ -380,6 +382,7 @@ def _local_interp(space, kind, index, target):
                     fb.eval(rule.points),
                     target.eval(rule.points),
                     rule.weights,
+                    optimize=True,
                 )
             elif space.which == "div":
                 nrm = mesh.face_normals[i]
@@ -390,6 +393,7 @@ def _local_interp(space, kind, index, target):
                     target.eval(rule.points),
                     nrm,
                     rule.weights,
+                    optimize=True,
                 )
             else:
                 for fi, (fam, l) in enumerate(space.face_families):
@@ -401,6 +405,7 @@ def _local_interp(space, kind, index, target):
                         b.eval(rule.points),
                         target.eval(rule.points),
                         rule.weights,
+                        optimize=True,
                     )
         else:
             rule = bank.rule("cell", i)
@@ -411,6 +416,7 @@ def _local_interp(space, kind, index, target):
                     cb.eval(rule.points),
                     target.eval(rule.points),
                     rule.weights,
+                    optimize=True,
                 )
             else:
                 for ci, (fam, l) in enumerate(space.cell_families):
@@ -422,6 +428,7 @@ def _local_interp(space, kind, index, target):
                         b.eval(rule.points),
                         target.eval(rule.points),
                         rule.weights,
+                        optimize=True,
                     )
     return J
 
@@ -477,9 +484,10 @@ def check_polynomial_consistency(mesh, k, seed=0, bank=None):
             rule = rule_cache.setdefault(f, bank.rule("face", f))
             nrm = mesh.face_normals[f]
             vals = ne.eval(rule.points)
-            tang = vals - np.einsum("jpx,x,y->jpy", vals, nrm, nrm)
+            tang = vals - (vals @ nrm)[:, :, None] * nrm
             proj = np.einsum(
-                "mpx,jpx,p->mj", tr.target.eval(rule.points), tang, rule.weights
+                "mpx,jpx,p->mj", tr.target.eval(rule.points), tang,
+                rule.weights, optimize=True,
             )
             scale = max(np.abs(proj).max(), 1e-30)
             resid = np.abs(tr.matrix @ Jf - proj).max() / scale

@@ -2,12 +2,15 @@
 CSV artifacts, and thread-count invariance of written outputs."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polyddr
 from polyddr.cli import ConfigError, build_parser, main, parse_mesh_spec
 
 
@@ -151,7 +154,7 @@ def test_solve_reports_dimensions_and_errors(capsys, tmp_path):
     assert "dim_xdiv = 36" in stdout
     assert "system dim = 90" in stdout
     assert "err_hcurl_hdiv_rel" in stdout
-    assert "bases" in stdout and "model" in stdout and "solve" in stdout
+    assert "setup" in stdout and "assemble" in stdout and "solve" in stdout
     payload = json.loads(out.read_text())
     assert payload["system_dim"] == 90
     assert payload["residual"] < 1e-10
@@ -225,11 +228,15 @@ def test_solve_outputs_thread_invariant(tmp_path):
 
 
 def test_module_entry_point_runs():
+    # the child must import the same package as this process
+    src = str(Path(polyddr.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "polyddr.cli", "verify", "--mesh", "cubic:1",
          "--degree", "0", "--suite", "complex"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert "[pass] complex(k=0)" in proc.stdout

@@ -8,7 +8,9 @@ from polyddr.mesh import Mesh, generate_cubic_mesh, generate_tet_mesh, agglomera
 from polyddr.quadrature import entity_rule, integrate
 from polyddr.polyspaces import (
     BasisBank,
+    _make_core,
     dim_P,
+    integrate_products,
     space_dim,
     scalar_basis,
     vector_basis,
@@ -114,10 +116,14 @@ def test_subspace_dims_realized(meshes, name, kind, idx, l):
 # orthonormality and prefix structure
 
 
-@pytest.mark.parametrize("name,kind,idx", ENTITIES)
-def test_scalar_gram_identity(meshes, name, kind, idx):
+@pytest.mark.parametrize(
+    "name,kind,idx,l",
+    [(*e, 3) for e in ENTITIES] + [(*e, 5) for e in ENTITIES],
+    ids=[f"{n}-{k}-{i}" for n, k, i in ENTITIES]
+    + [f"{n}-{k}-{i}-l5" for n, k, i in ENTITIES],
+)
+def test_scalar_gram_identity(meshes, name, kind, idx, l):
     mesh = meshes[name]
-    l = 3
     rule = entity_rule(mesh, kind, idx, 2 * l + 2)
     b = scalar_basis(mesh, kind, idx, l)
     V = b.eval(rule.points)
@@ -537,3 +543,27 @@ def test_degenerate_entity_raises():
     with pytest.raises(Exception):
         mesh = Mesh(verts, faces, [[0, 1, 2, 3, 4]])
         scalar_basis(mesh, "cell", 0, 3)
+
+
+def test_degenerate_core_geometry_raises(meshes):
+    # a cell core on the coplanar points of a face rule: the monomials in
+    # the normal direction collapse onto lower ones
+    mesh = meshes["cube"]
+    rule = entity_rule(mesh, "face", 0, 4)
+    with pytest.raises(ValueError, match="degenerate entity geometry"):
+        _make_core(mesh, "cell", 0, 2, rule=rule)
+
+
+@pytest.mark.parametrize("rows", [(3, 8), (8, 3)])
+@pytest.mark.parametrize("vector", [False, True])
+def test_integrate_products_matches_einsum(rows, vector):
+    rng = np.random.default_rng(7)
+    value = (13, 3) if vector else (13,)
+    A = rng.standard_normal((rows[0],) + value)
+    B = rng.standard_normal((rows[1],) + value)
+    w = rng.random(13)
+    spec = "ipx,jpx,p->ij" if vector else "ip,jp,p->ij"
+    ref = np.einsum(spec, A, B, w)
+    got = integrate_products(A, B, w)
+    assert got.shape == rows
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()

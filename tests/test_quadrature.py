@@ -4,7 +4,13 @@ import sympy as sp
 
 import oracles
 from polyddr.mesh import generate_cubic_mesh, generate_tet_mesh, agglomerate_pairs
-from polyddr.quadrature import entity_rule, integrate
+from polyddr.quadrature import (
+    _gauss01,
+    _tet_ref,
+    _triangle_ref,
+    entity_rule,
+    integrate,
+)
 
 
 def test_oracle_against_sympy():
@@ -177,3 +183,21 @@ def test_rule_immutable():
     r = entity_rule(m, "cell", 0, 2)
     with pytest.raises(ValueError):
         r.weights[0] = 0.0
+
+
+def test_reference_rules_are_cached_and_read_only():
+    for make, arg in ((_gauss01, 3), (_triangle_ref, 4), (_tet_ref, 4)):
+        points, weights = make(arg)
+        assert make(arg)[0] is points
+        for arr in (points, weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+
+def test_rules_of_one_degree_differ_between_entities(meshes):
+    m = meshes["tet"]
+    for kind in ("edge", "face", "cell"):
+        a = entity_rule(m, kind, 0, 4)
+        b = entity_rule(m, kind, 1, 4)
+        assert a.points.shape == b.points.shape
+        assert not np.allclose(a.points, b.points)
