@@ -2,9 +2,9 @@
 convergence studies of the magnetostatics scheme, and single solves.
 
 Result artifacts (CSV tables, JSON reports) are deterministic for a
-fixed configuration and seed: the worker count only parallelizes
-per-cell assembly, whose contributions merge in cell order.  Wall-clock
-timings are printed to the terminal but never written into artifacts.
+fixed configuration and seed.  All work is serial: --threads is accepted
+for compatibility and ignored.  Wall-clock timings are printed to the
+terminal but never written into artifacts.
 """
 
 import argparse
@@ -14,15 +14,10 @@ import time
 
 import numpy as np
 
-from .mesh import (
-    MeshError,
-    agglomerate_pairs,
-    generate_cubic_mesh,
-    generate_tet_mesh,
-    load_mesh,
-)
+from .mesh import MeshError, load_mesh
 from .scheme import assemble, error_norms, manufactured_problem, solve
 from .verification import (
+    mesh_family,
     check_adjoint_decay,
     check_commutation,
     check_complex,
@@ -89,16 +84,6 @@ def _levels_arg(text):
     return values
 
 
-def _family_builder(name):
-    if name == "cubic":
-        return generate_cubic_mesh
-    if name == "tet":
-        return generate_tet_mesh
-    if name == "agglo":
-        return lambda n, seed=0: agglomerate_pairs(generate_cubic_mesh(n), seed=seed)
-    raise ConfigError(f"unknown mesh family {name!r}")
-
-
 def parse_mesh_spec(spec):
     """Build a mesh from a builtin spec or load one from a file.
 
@@ -125,11 +110,11 @@ def parse_mesh_spec(spec):
                 seed = int(parts[2]) if len(parts) == 3 else 0
             except ValueError:
                 raise ConfigError(f"mesh spec {spec!r} has a non-integer seed")
-            mesh = agglomerate_pairs(generate_cubic_mesh(n), seed=seed)
+            mesh = mesh_family(parts[0])(n, seed=seed)
         else:
             if len(parts) > 2:
                 raise ConfigError(f"mesh spec {spec!r} has too many fields")
-            mesh = _family_builder(parts[0])(n)
+            mesh = mesh_family(parts[0])(n)
         return mesh, (parts[0], n)
     if explicit:
         raise ConfigError(f"unknown builtin mesh family {parts[0]!r}")
@@ -171,11 +156,7 @@ def cmd_verify(args):
             continue
         if suite == "poincare" and family_info is not None:
             name, n = family_info
-            refined = (
-                agglomerate_pairs(generate_cubic_mesh(2 * n), seed=0)
-                if name == "agglo"
-                else _family_builder(name)(2 * n)
-            )
+            refined = mesh_family(name)(2 * n)
             reports.append(check_poincare(mesh, args.degree, refined=refined))
             continue
         reports.extend(
@@ -196,7 +177,7 @@ def cmd_verify(args):
 
 
 def cmd_converge(args):
-    build = _family_builder(args.family)
+    build = mesh_family(args.family)
     lines = [
         "mesh_family,level,mesh_size_h,num_cells,dim_xcurl,dim_xdiv,"
         "err_hcurl_hdiv_rel,rate"
@@ -207,7 +188,7 @@ def cmd_converge(args):
         for n in args.levels:
             mesh = build(n)
             problem = manufactured_problem(mesh, k)
-            system = assemble(problem, threads=args.threads)
+            system = assemble(problem)
             try:
                 field, potential = solve(system)
             except RuntimeError as exc:
@@ -256,7 +237,7 @@ def cmd_solve(args):
     t_setup = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    system = assemble(problem, threads=args.threads)
+    system = assemble(problem)
     t_assemble = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -298,7 +279,8 @@ def cmd_solve(args):
 
 def _add_common(sub):
     sub.add_argument("--seed", type=_nonnegative_int, default=0)
-    sub.add_argument("--threads", type=_positive_int, default=1)
+    sub.add_argument("--threads", type=_positive_int, default=1,
+                     help="accepted for compatibility and ignored; all work is serial")
     sub.add_argument("--out", help="artifact path (CSV or JSON)")
 
 

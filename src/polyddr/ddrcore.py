@@ -26,16 +26,13 @@ reconstruction keeps the complement part of the data). Systems with
 condition number above 1e12 abort.
 """
 
+import functools
+import inspect
+
 import numpy as np
 from scipy import sparse
 
-from .polyspaces import (
-    BasisBank,
-    dim_P,
-    integrate_products,
-    l2_project,
-    space_dim,
-)
+from .polyspaces import BasisBank, dim_P, integrate_products, space_dim
 
 __all__ = [
     "DofSpace",
@@ -43,6 +40,7 @@ __all__ = [
     "LocalOperator",
     "make_space",
     "interpolate",
+    "entity_moments",
     "edge_reconstruct",
     "op_grad_edge",
     "op_grad_face",
@@ -69,6 +67,28 @@ def _solve_guarded(A, B, what):
             f"{COND_LIMIT:.0e}"
         )
     return np.linalg.solve(A, B)
+
+
+def _per_space(fn):
+    """Memoize fn(space, *args) in space._cache, keyed by the function name
+    and the arguments with defaults filled in, so that each local object is
+    built once per space."""
+    sig = inspect.signature(fn)
+    nargs = len(sig.parameters) - 1
+
+    @functools.wraps(fn)
+    def cached(space, *args, **kwargs):
+        if kwargs or len(args) != nargs:
+            bound = sig.bind(space, *args, **kwargs)
+            bound.apply_defaults()
+            args = tuple(bound.arguments.values())[1:]
+        key = (fn.__name__, *args)
+        out = space._cache.get(key)
+        if out is None:
+            out = space._cache[key] = fn(space, *args)
+        return out
+
+    return cached
 
 
 class LocalOperator:
@@ -210,14 +230,11 @@ class DofSpace:
 
     # -- local (entity plus boundary) collections --------------------------
 
+    @_per_space
     def local_dofs(self, kind, index):
         """Global indices of the dofs an entity's operators read, with a
         layout dict mapping ("vertex"|"edge"|"face"|"cell", id) to the
         local slice."""
-        key = ("local", kind, index)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
         mesh = self.mesh
         parts = []
         layout = {}
@@ -257,9 +274,7 @@ class DofSpace:
             raise ValueError(f"unknown entity kind {kind!r}")
 
         idx = np.concatenate(parts) if parts else np.zeros(0, dtype=int)
-        out = (idx, layout)
-        self._cache[key] = out
-        return out
+        return idx, layout
 
     def sub_slice(self, layout, kind, index, i):
         """Local slice of one family block inside an entity's block."""
@@ -277,94 +292,140 @@ def make_space(mesh, which, k, bank=None):
 # interpolation
 
 
+def entity_moments(space, kind, index, rule, vals):
+    """One entity's block of degrees of freedom from values at rule points.
+
+    vals tabulates m functions at the points of rule, (m, npts) scalar or
+    (m, npts, 3) vector; the result is (block width, m). A vertex block is
+    the value itself (vals at the vertex, rule unused). Edge blocks are
+    moments against the edge basis, of the tangential component in the
+    field space. Face blocks are moments of the normal component in the
+    flux space and family moments otherwise; cell blocks are family
+    moments. Every dof basis is orthonormal, so the moments are L2
+    projection coefficients.
+    """
+    if kind == "vertex":
+        return vals.T
+    mesh = space.mesh
+    if kind == "edge":
+        families = (("scalar", space.k - 1 if space.which == "grad" else space.k),)
+        if space.which == "curl":
+            vals = vals @ mesh.edge_tangents[index]
+    elif kind == "face":
+        families = space.face_families
+        if space.which == "div":
+            vals = vals @ mesh.face_normals[index]
+    else:
+        families = space.cell_families
+    blocks = [np.zeros((0, len(vals)))]
+    for fam, l in families:
+        if fam == "scalar":
+            b = space.bank.scalars(kind, index, l)
+        else:
+            b = space.bank.subspace(kind, index, fam, l)
+        if b.dim:
+            blocks.append(integrate_products(b.eval(rule.points), vals, rule.weights))
+    return np.concatenate(blocks)
+
+
 def interpolate(space, f, degree=None):
     """Degrees of freedom of a smooth field: point values on vertices for
     the scalar space, orthonormal-basis moments everywhere else. The
     default quadrature adds a margin over the space degree for
     non-polynomial fields."""
     mesh = space.mesh
-    k = space.k
-    bank = space.bank
     if degree is None:
-        degree = 2 * k + INTERP_DEGREE_MARGIN
+        degree = 2 * space.k + INTERP_DEGREE_MARGIN
     vals = np.zeros(space.dim)
-
-    if space.which == "grad":
-        vv = np.asarray(f(mesh.vertices), dtype=float)
-        vals[: mesh.num_vertices] = vv
-        if k >= 1:
-            for e in range(mesh.num_edges):
-                rule = bank.rule("edge", e, degree)
-                b = bank.scalars("edge", e, k - 1)
-                vals[space.edge_dofs(e)] = l2_project(b, f, rule=rule)
-            for fc in range(mesh.num_faces):
-                rule = bank.rule("face", fc, degree)
-                b = bank.scalars("face", fc, k - 1)
-                vals[space.face_dofs(fc)] = l2_project(b, f, rule=rule)
-            for c in range(mesh.num_cells):
-                rule = bank.rule("cell", c, degree)
-                b = bank.scalars("cell", c, k - 1)
-                vals[space.cell_dofs(c)] = l2_project(b, f, rule=rule)
-        return DofVector(space, vals)
-
-    if space.which == "curl":
-        for e in range(mesh.num_edges):
-            rule = bank.rule("edge", e, degree)
-            t = mesh.edge_tangents[e]
-            b = bank.scalars("edge", e, k)
-            vals[space.edge_dofs(e)] = l2_project(
-                b, lambda p: np.asarray(f(p)) @ t, rule=rule
-            )
-        ent_fams = space.face_families
-        for fc in range(mesh.num_faces):
-            rule = bank.rule("face", fc, degree)
-            for i, (fam, l) in enumerate(ent_fams):
-                b = bank.subspace("face", fc, fam, l)
-                if b.dim:
-                    vals[space.face_block(fc, i)] = l2_project(b, f, rule=rule)
-        for c in range(mesh.num_cells):
-            rule = bank.rule("cell", c, degree)
-            for i, (fam, l) in enumerate(space.cell_families):
-                b = bank.subspace("cell", c, fam, l)
-                if b.dim:
-                    vals[space.cell_block(c, i)] = l2_project(b, f, rule=rule)
-        return DofVector(space, vals)
-
-    if space.which == "div":
-        for fc in range(mesh.num_faces):
-            rule = bank.rule("face", fc, degree)
-            n = mesh.face_normals[fc]
-            b = bank.scalars("face", fc, k)
-            vals[space.face_dofs(fc)] = l2_project(
-                b, lambda p: np.asarray(f(p)) @ n, rule=rule
-            )
-        for c in range(mesh.num_cells):
-            rule = bank.rule("cell", c, degree)
-            for i, (fam, l) in enumerate(space.cell_families):
-                b = bank.subspace("cell", c, fam, l)
-                if b.dim:
-                    vals[space.cell_block(c, i)] = l2_project(b, f, rule=rule)
-        return DofVector(space, vals)
-
-    for c in range(mesh.num_cells):
-        rule = bank.rule("cell", c, degree)
-        b = bank.scalars("cell", c, k)
-        vals[space.cell_dofs(c)] = l2_project(b, f, rule=rule)
+    if space.vertex_width:
+        vals[: mesh.num_vertices] = f(mesh.vertices)
+    for kind, count, width, dofs in (
+        ("edge", mesh.num_edges, space.edge_width, space.edge_dofs),
+        ("face", mesh.num_faces, space.face_width, space.face_dofs),
+        ("cell", mesh.num_cells, space.cell_width, space.cell_dofs),
+    ):
+        if not width:
+            continue
+        for i in range(count):
+            rule = space.bank.rule(kind, i, degree)
+            fv = np.asarray(f(rule.points))[None]
+            vals[dofs(i)] = entity_moments(space, kind, i, rule, fv)[:, 0]
     return DofVector(space, vals)
+
+
+# ----------------------------------------------------------------------
+# integration by parts
+
+
+def _positions(idx):
+    return {int(g): i for i, g in enumerate(idx)}
+
+
+@_per_space
+def _edge_values(space, e):
+    """Field-space edge dofs as the identity onto the degree-k edge basis."""
+    return LocalOperator(("edge", e), space.edge_dofs(e), None,
+                         space.bank.scalars("edge", e, space.k),
+                         np.eye(space.edge_width))
+
+
+@_per_space
+def _face_values(space, f):
+    """Flux-space face dofs as the identity onto the degree-k face basis."""
+    return LocalOperator(("face", f), space.face_dofs(f), None,
+                         space.bank.scalars("face", f, space.k),
+                         np.eye(space.face_width))
+
+
+def _add_boundary_term(space, kind, index, M, idx, tests, trace, sign=1.0,
+                       degree=None):
+    """Add the boundary sum of integration by parts to M in place.
+
+    The columns of M belong to the global dofs idx. Over the edges of face
+    `index` (kind "face") or the faces of cell `index` (kind "cell"), with
+    rec = trace(space, j) the boundary reconstruction and omega the
+    relative orientation, adds sign * omega * int (test trace) . rec to
+    the columns of the dofs rec reads. The test trace follows from the
+    tabulations: the value of a scalar test, the normal component of a
+    vector test against a scalar reconstruction, and test x normal against
+    a vector one. Rules have the default degree unless degree is given.
+    """
+    mesh = space.mesh
+    if kind == "face":
+        sub, parts = "edge", mesh.face_edges[index]
+        signs, normals = mesh.face_edge_signs[index], mesh.face_edge_normals[index]
+    else:
+        sub, parts = "face", mesh.cells[index]
+        signs, normals = mesh.cell_face_signs[index], mesh.face_normals[parts]
+    blocks, dofs = [], []
+    for j, omega, n in zip(parts, signs, normals):
+        j = int(j)
+        rec = trace(space, j)
+        rule = space.bank.rule(sub, j, degree)
+        V = tests.eval(rule.points)
+        W = rec.target.eval(rule.points)
+        if V.ndim == 3:
+            V = np.cross(V, n) if W.ndim == 3 else V @ n
+        T = integrate_products(V, W, rule.weights)
+        blocks.append(omega * (T @ rec.matrix))
+        dofs.append(rec.dofs)
+    # One scatter for all entities: they share vertex and edge dofs, and
+    # bincount sums every block entry into its (row, column) of M.
+    order = np.argsort(idx)
+    cols = order[np.searchsorted(idx, np.concatenate(dofs), sorter=order)]
+    flat = (np.arange(len(M))[:, None] * M.shape[1] + cols).ravel()
+    M += sign * np.bincount(flat, np.hstack(blocks).ravel(), M.size).reshape(M.shape)
 
 
 # ----------------------------------------------------------------------
 # edge operators (scalar space)
 
 
+@_per_space
 def edge_reconstruct(space, e):
     """Degree-(k+1) edge polynomial matching both endpoint values and the
     degree-(k-1) edge moments; the base object for edge gradients and the
     scalar stabilization."""
-    key = ("edge_rec", e)
-    hit = space._cache.get(key)
-    if hit is not None:
-        return hit
     if space.which != "grad":
         raise ValueError("edge reconstruction lives on the scalar space")
     mesh = space.mesh
@@ -379,17 +440,12 @@ def edge_reconstruct(space, e):
     for i in range(k):
         M[2 + i, i] = 1.0
     matrix = _solve_guarded(M, np.eye(k + 2), f"edge reconstruction {e}")
-    out = LocalOperator(("edge", e), idx, layout, basis, matrix)
-    space._cache[key] = out
-    return out
+    return LocalOperator(("edge", e), idx, layout, basis, matrix)
 
 
+@_per_space
 def op_grad_edge(space, e):
     """Derivative of the reconstructed edge polynomial, degree k."""
-    key = ("grad_edge", e)
-    hit = space._cache.get(key)
-    if hit is not None:
-        return hit
     mesh = space.mesh
     k = space.k
     bank = space.bank
@@ -400,31 +456,20 @@ def op_grad_edge(space, e):
     G = rec.target.grad(rule.points)
     t = mesh.edge_tangents[e]
     D = integrate_products(B, G @ t, rule.weights)
-    out = LocalOperator(("edge", e), rec.dofs, rec.layout, tgt, D @ rec.matrix)
-    space._cache[key] = out
-    return out
+    return LocalOperator(("edge", e), rec.dofs, rec.layout, tgt, D @ rec.matrix)
 
 
 # ----------------------------------------------------------------------
 # face operators
 
 
-def _positions(idx):
-    return {int(g): i for i, g in enumerate(idx)}
-
-
+@_per_space
 def op_grad_face(space, f):
     """Face gradient in the full vector space of degree k, defined by
     integration by parts against all vector polynomials."""
-    key = ("grad_face", f)
-    hit = space._cache.get(key)
-    if hit is not None:
-        return hit
-    mesh = space.mesh
     k = space.k
     bank = space.bank
     idx, layout = space.local_dofs("face", f)
-    pos = _positions(idx)
     tgt = bank.vectors("face", f, k)
     rule = bank.rule("face", f)
     M = np.zeros((tgt.dim, len(idx)))
@@ -435,39 +480,18 @@ def op_grad_face(space, f):
         M[:, layout[("face", f)]] = -integrate_products(
             Dv, sb.eval(rule.points), rule.weights,
         )
-
-    for j, e in enumerate(mesh.face_edges[f]):
-        e = int(e)
-        rec = edge_reconstruct(space, e)
-        erule = bank.rule("edge", e)
-        nfe = mesh.face_edge_normals[f][j]
-        sgn = mesh.face_edge_signs[f][j]
-        T = integrate_products(
-            tgt.eval(erule.points) @ nfe,
-            rec.target.eval(erule.points),
-            erule.weights,
-        )
-        cols = [pos[int(g)] for g in rec.dofs]
-        M[:, cols] += sgn * (T @ rec.matrix)
-
-    out = LocalOperator(("face", f), idx, layout, tgt, M)
-    space._cache[key] = out
-    return out
+    _add_boundary_term(space, "face", f, M, idx, tgt, edge_reconstruct)
+    return LocalOperator(("face", f), idx, layout, tgt, M)
 
 
+@_per_space
 def op_scalar_trace(space, f):
     """Degree-(k+1) scalar face reconstruction whose in-plane divergence
     moments against the radial complement reproduce the face gradient."""
-    key = ("scalar_trace", f)
-    hit = space._cache.get(key)
-    if hit is not None:
-        return hit
-    mesh = space.mesh
     k = space.k
     bank = space.bank
     gf = op_grad_face(space, f)
     idx, layout = gf.dofs, gf.layout
-    pos = _positions(idx)
     tests = bank.subspace("face", f, "curl_complement", k + 2)
     tgt = bank.scalars("face", f, k + 1)
     rule = bank.rule("face", f)
@@ -475,39 +499,22 @@ def op_scalar_trace(space, f):
         tests.div(rule.points), tgt.eval(rule.points), rule.weights,
     )
     R = -tests.coeff_matrix()[:, : gf.target.dim] @ gf.matrix
-    for j, e in enumerate(mesh.face_edges[f]):
-        e = int(e)
-        rec = edge_reconstruct(space, e)
-        erule = bank.rule("edge", e, 2 * k + 4)
-        nfe = mesh.face_edge_normals[f][j]
-        sgn = mesh.face_edge_signs[f][j]
-        T = integrate_products(
-            tests.eval(erule.points) @ nfe,
-            rec.target.eval(erule.points),
-            erule.weights,
-        )
-        cols = [pos[int(g)] for g in rec.dofs]
-        R[:, cols] += sgn * (T @ rec.matrix)
+    _add_boundary_term(space, "face", f, R, idx, tests, edge_reconstruct,
+                       degree=2 * k + 4)
     matrix = _solve_guarded(A, R, f"scalar face trace {f}")
-    out = LocalOperator(("face", f), idx, layout, tgt, matrix)
-    space._cache[key] = out
-    return out
+    return LocalOperator(("face", f), idx, layout, tgt, matrix)
 
 
+@_per_space
 def op_curl_face(space, f):
     """Scalar face rotation of degree k from tangential edge values and
     the rotational-image face moments."""
-    key = ("curl_face", f)
-    hit = space._cache.get(key)
-    if hit is not None:
-        return hit
-    mesh = space.mesh
     k = space.k
     bank = space.bank
     idx, layout = space.local_dofs("face", f)
     tgt = bank.scalars("face", f, k)
     rule = bank.rule("face", f)
-    n = mesh.face_normals[f]
+    n = space.mesh.face_normals[f]
     M = np.zeros((tgt.dim, len(idx)))
 
     img = bank.subspace("face", f, "curl_image", k - 1)
@@ -516,38 +523,22 @@ def op_curl_face(space, f):
         M[:, space.sub_slice(layout, "face", f, 0)] = integrate_products(
             vrot, img.eval(rule.points), rule.weights,
         )
-
-    for j, e in enumerate(mesh.face_edges[f]):
-        e = int(e)
-        erule = bank.rule("edge", e)
-        eb = bank.scalars("edge", e, k)
-        sgn = mesh.face_edge_signs[f][j]
-        T = integrate_products(
-            tgt.eval(erule.points), eb.eval(erule.points), erule.weights,
-        )
-        M[:, layout[("edge", e)]] -= sgn * T
-
-    out = LocalOperator(("face", f), idx, layout, tgt, M)
-    space._cache[key] = out
-    return out
+    _add_boundary_term(space, "face", f, M, idx, tgt, _edge_values, sign=-1.0)
+    return LocalOperator(("face", f), idx, layout, tgt, M)
 
 
+@_per_space
 def op_tangential_trace(space, f):
     """Tangential face field of degree k: its rotated-gradient moments
     come from the face rotation and edge values by parts, its radial
     complement moments are kept from the data."""
-    key = ("tangential_trace", f)
-    hit = space._cache.get(key)
-    if hit is not None:
-        return hit
-    mesh = space.mesh
     k = space.k
     bank = space.bank
     cf = op_curl_face(space, f)
     idx, layout = cf.dofs, cf.layout
     tgt = bank.vectors("face", f, k)
     rule = bank.rule("face", f)
-    n = mesh.face_normals[f]
+    n = space.mesh.face_normals[f]
 
     zm = bank.subspace("face", f, "zero_mean", k + 1)
     cc = bank.subspace("face", f, "curl_complement", k)
@@ -557,40 +548,25 @@ def op_tangential_trace(space, f):
 
     R = np.zeros((tgt.dim, len(idx)))
     R[: zm.dim] = zm.coeff_matrix()[:, : dim_P(k, 2)] @ cf.matrix
-    for j, e in enumerate(mesh.face_edges[f]):
-        e = int(e)
-        erule = bank.rule("edge", e)
-        eb = bank.scalars("edge", e, k)
-        sgn = mesh.face_edge_signs[f][j]
-        T = integrate_products(
-            zm.eval(erule.points), eb.eval(erule.points), erule.weights,
-        )
-        R[: zm.dim, layout[("edge", e)]] += sgn * T
+    _add_boundary_term(space, "face", f, R[: zm.dim], idx, zm, _edge_values)
     if cc.dim:
         R[zm.dim :, space.sub_slice(layout, "face", f, 1)] = np.eye(cc.dim)
 
     matrix = _solve_guarded(L, R, f"tangential face trace {f}")
-    out = LocalOperator(("face", f), idx, layout, tgt, matrix)
-    space._cache[key] = out
-    return out
+    return LocalOperator(("face", f), idx, layout, tgt, matrix)
 
 
 # ----------------------------------------------------------------------
 # cell operators
 
 
+@_per_space
 def op_grad_cell(space, c):
     """Cell gradient in the full vector space of degree k, by parts
     against all vector polynomials using the scalar face traces."""
-    key = ("grad_cell", c)
-    hit = space._cache.get(key)
-    if hit is not None:
-        return hit
-    mesh = space.mesh
     k = space.k
     bank = space.bank
     idx, layout = space.local_dofs("cell", c)
-    pos = _positions(idx)
     tgt = bank.vectors("cell", c, k)
     rule = bank.rule("cell", c)
     M = np.zeros((tgt.dim, len(idx)))
@@ -600,38 +576,17 @@ def op_grad_cell(space, c):
         M[:, layout[("cell", c)]] = -integrate_products(
             tgt.div(rule.points), sb.eval(rule.points), rule.weights,
         )
-
-    for fi, f in enumerate(mesh.cells[c]):
-        f = int(f)
-        tr = op_scalar_trace(space, f)
-        frule = bank.rule("face", f)
-        n = mesh.face_normals[f]
-        wtf = mesh.cell_face_signs[c][fi]
-        T = integrate_products(
-            tgt.eval(frule.points) @ n,
-            tr.target.eval(frule.points),
-            frule.weights,
-        )
-        cols = [pos[int(g)] for g in tr.dofs]
-        M[:, cols] += wtf * (T @ tr.matrix)
-
-    out = LocalOperator(("cell", c), idx, layout, tgt, M)
-    space._cache[key] = out
-    return out
+    _add_boundary_term(space, "cell", c, M, idx, tgt, op_scalar_trace)
+    return LocalOperator(("cell", c), idx, layout, tgt, M)
 
 
+@_per_space
 def op_curl_cell(space, c):
     """Cell curl in the full vector space of degree k, by parts against
     all vector polynomials using the tangential face traces."""
-    key = ("curl_cell", c)
-    hit = space._cache.get(key)
-    if hit is not None:
-        return hit
-    mesh = space.mesh
     k = space.k
     bank = space.bank
     idx, layout = space.local_dofs("cell", c)
-    pos = _positions(idx)
     tgt = bank.vectors("cell", c, k)
     rule = bank.rule("cell", c)
     M = np.zeros((tgt.dim, len(idx)))
@@ -641,33 +596,14 @@ def op_curl_cell(space, c):
         M[:, space.sub_slice(layout, "cell", c, 0)] = integrate_products(
             tgt.curl(rule.points), img.eval(rule.points), rule.weights,
         )
-
-    for fi, f in enumerate(mesh.cells[c]):
-        f = int(f)
-        gt = op_tangential_trace(space, f)
-        frule = bank.rule("face", f)
-        n = mesh.face_normals[f]
-        wtf = mesh.cell_face_signs[c][fi]
-        wxn = np.cross(tgt.eval(frule.points), n[None, None, :])
-        T = integrate_products(
-            wxn, gt.target.eval(frule.points), frule.weights,
-        )
-        cols = [pos[int(g)] for g in gt.dofs]
-        M[:, cols] += wtf * (T @ gt.matrix)
-
-    out = LocalOperator(("cell", c), idx, layout, tgt, M)
-    space._cache[key] = out
-    return out
+    _add_boundary_term(space, "cell", c, M, idx, tgt, op_tangential_trace)
+    return LocalOperator(("cell", c), idx, layout, tgt, M)
 
 
+@_per_space
 def op_div_cell(space, c):
     """Cell divergence of degree k from normal face values and the
     gradient-image cell moments."""
-    key = ("div_cell", c)
-    hit = space._cache.get(key)
-    if hit is not None:
-        return hit
-    mesh = space.mesh
     k = space.k
     bank = space.bank
     idx, layout = space.local_dofs("cell", c)
@@ -680,22 +616,11 @@ def op_div_cell(space, c):
         M[:, space.sub_slice(layout, "cell", c, 0)] = -integrate_products(
             tgt.grad(rule.points), img.eval(rule.points), rule.weights,
         )
-
-    for fi, f in enumerate(mesh.cells[c]):
-        f = int(f)
-        frule = bank.rule("face", f)
-        fb = bank.scalars("face", f, k)
-        wtf = mesh.cell_face_signs[c][fi]
-        T = integrate_products(
-            tgt.eval(frule.points), fb.eval(frule.points), frule.weights,
-        )
-        M[:, layout[("face", f)]] += wtf * T
-
-    out = LocalOperator(("cell", c), idx, layout, tgt, M)
-    space._cache[key] = out
-    return out
+    _add_boundary_term(space, "cell", c, M, idx, tgt, _face_values)
+    return LocalOperator(("cell", c), idx, layout, tgt, M)
 
 
+@_per_space
 def op_potential(space, c):
     """Cell potential reconstruction one step richer than the dofs.
 
@@ -705,18 +630,12 @@ def op_potential(space, c):
     a degree-k vector whose gradient moments match the cell divergence
     and whose radial complement moments are kept.
     """
-    key = ("potential", c)
-    hit = space._cache.get(key)
-    if hit is not None:
-        return hit
-    mesh = space.mesh
     k = space.k
     bank = space.bank
 
     if space.which == "grad":
         gc = op_grad_cell(space, c)
         idx, layout = gc.dofs, gc.layout
-        pos = _positions(idx)
         tests = bank.subspace("cell", c, "curl_complement", k + 2)
         tgt = bank.scalars("cell", c, k + 1)
         rule = bank.rule("cell", c)
@@ -724,26 +643,13 @@ def op_potential(space, c):
             tests.div(rule.points), tgt.eval(rule.points), rule.weights,
         )
         R = -tests.coeff_matrix()[:, : gc.target.dim] @ gc.matrix
-        for fi, f in enumerate(mesh.cells[c]):
-            f = int(f)
-            tr = op_scalar_trace(space, f)
-            frule = bank.rule("face", f)
-            n = mesh.face_normals[f]
-            wtf = mesh.cell_face_signs[c][fi]
-            T = integrate_products(
-                tests.eval(frule.points) @ n,
-                tr.target.eval(frule.points),
-                frule.weights,
-            )
-            cols = [pos[int(g)] for g in tr.dofs]
-            R[:, cols] += wtf * (T @ tr.matrix)
+        _add_boundary_term(space, "cell", c, R, idx, tests, op_scalar_trace)
         matrix = _solve_guarded(A, R, f"scalar potential on cell {c}")
-        out = LocalOperator(("cell", c), idx, layout, tgt, matrix)
+        return LocalOperator(("cell", c), idx, layout, tgt, matrix)
 
-    elif space.which == "curl":
+    if space.which == "curl":
         ct = op_curl_cell(space, c)
         idx, layout = ct.dofs, ct.layout
-        pos = _positions(idx)
         tgt = bank.vectors("cell", c, k)
         rule = bank.rule("cell", c)
         cg = bank.subspace("cell", c, "grad_complement", k + 1)
@@ -754,24 +660,14 @@ def op_potential(space, c):
         L = np.vstack([L1, cc.coeff_matrix()])
         R = np.zeros((tgt.dim, len(idx)))
         R[: cg.dim] = cg.coeff_matrix()[:, : tgt.dim] @ ct.matrix
-        for fi, f in enumerate(mesh.cells[c]):
-            f = int(f)
-            gt = op_tangential_trace(space, f)
-            frule = bank.rule("face", f)
-            n = mesh.face_normals[f]
-            wtf = mesh.cell_face_signs[c][fi]
-            wxn = np.cross(cg.eval(frule.points), n[None, None, :])
-            T = integrate_products(
-                wxn, gt.target.eval(frule.points), frule.weights,
-            )
-            cols = [pos[int(g)] for g in gt.dofs]
-            R[: cg.dim, cols] -= wtf * (T @ gt.matrix)
+        _add_boundary_term(space, "cell", c, R[: cg.dim], idx, cg,
+                           op_tangential_trace, sign=-1.0)
         if cc.dim:
             R[cg.dim :, space.sub_slice(layout, "cell", c, 1)] = np.eye(cc.dim)
         matrix = _solve_guarded(L, R, f"field potential on cell {c}")
-        out = LocalOperator(("cell", c), idx, layout, tgt, matrix)
+        return LocalOperator(("cell", c), idx, layout, tgt, matrix)
 
-    elif space.which == "div":
+    if space.which == "div":
         dt = op_div_cell(space, c)
         idx, layout = dt.dofs, dt.layout
         tgt = bank.vectors("cell", c, k)
@@ -784,25 +680,13 @@ def op_potential(space, c):
         L = np.vstack([L1, cg.coeff_matrix()])
         R = np.zeros((tgt.dim, len(idx)))
         R[: zm.dim] = -(zm.coeff_matrix()[:, : dim_P(k, 3)] @ dt.matrix)
-        for fi, f in enumerate(mesh.cells[c]):
-            f = int(f)
-            frule = bank.rule("face", f)
-            fb = bank.scalars("face", f, k)
-            wtf = mesh.cell_face_signs[c][fi]
-            T = integrate_products(
-                zm.eval(frule.points), fb.eval(frule.points), frule.weights,
-            )
-            R[: zm.dim, layout[("face", f)]] += wtf * T
+        _add_boundary_term(space, "cell", c, R[: zm.dim], idx, zm, _face_values)
         if cg.dim:
             R[zm.dim :, space.sub_slice(layout, "cell", c, 1)] = np.eye(cg.dim)
         matrix = _solve_guarded(L, R, f"flux potential on cell {c}")
-        out = LocalOperator(("cell", c), idx, layout, tgt, matrix)
+        return LocalOperator(("cell", c), idx, layout, tgt, matrix)
 
-    else:
-        raise ValueError("potentials live on the grad, curl, and div spaces")
-
-    space._cache[key] = out
-    return out
+    raise ValueError("potentials live on the grad, curl, and div spaces")
 
 
 # ----------------------------------------------------------------------

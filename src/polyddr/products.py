@@ -23,17 +23,20 @@ entity-size factors (faces by their diameter, edges by face diameter
 times edge length; the scalar space measures edges through the
 reconstructed edge polynomial). Cellwise they define the broken norms
 used in the stability and convergence diagnostics.
-"""
 
-from concurrent.futures import ThreadPoolExecutor
+Global assembly is a serial loop over the cells in cell order; each local
+form is built once per space and kept in the space's cache.
+"""
 
 import numpy as np
 from scipy import sparse
 
-from .polyspaces import _combine, dim_P, integrate_products
+from .polyspaces import _combine, integrate_products
 from .ddrcore import (
+    _per_space,
     _positions,
     edge_reconstruct,
+    entity_moments,
     op_scalar_trace,
     op_tangential_trace,
     op_potential,
@@ -47,7 +50,6 @@ __all__ = [
     "component_gram",
     "component_norm",
     "assemble_product",
-    "map_cells",
     "graph_norms",
 ]
 
@@ -163,88 +165,7 @@ def _stab_div(space, c):
     return S, pd
 
 
-def _interp_matrix(space, c, pot):
-    """Local interpolation of the cell potential: maps the potential's
-    coefficients back to the local dofs."""
-    mesh = space.mesh
-    bank = space.bank
-    k = space.k
-    idx, layout = space.local_dofs("cell", c)
-    J = np.zeros((len(idx), pot.target.dim))
-
-    if space.which == "grad":
-        for v in [int(x) for x in mesh.cell_vertices[c]]:
-            J[layout[("vertex", v)]] = pot.target.eval(
-                mesh.vertices[v][None, :]
-            )[:, 0]
-        if k >= 1:
-            for e in [int(x) for x in mesh.cell_edges[c]]:
-                rule = bank.rule("edge", e)
-                eb = bank.scalars("edge", e, k - 1)
-                J[layout[("edge", e)]] = integrate_products(
-                    eb.eval(rule.points),
-                    pot.target.eval(rule.points),
-                    rule.weights,
-                )
-            for f in [int(x) for x in mesh.cells[c]]:
-                rule = bank.rule("face", f)
-                fb = bank.scalars("face", f, k - 1)
-                J[layout[("face", f)]] = integrate_products(
-                    fb.eval(rule.points),
-                    pot.target.eval(rule.points),
-                    rule.weights,
-                )
-            J[layout[("cell", c)], : dim_P(k - 1, 3)] = np.eye(dim_P(k - 1, 3))
-        return J
-
-    if space.which == "curl":
-        for e in [int(x) for x in mesh.cell_edges[c]]:
-            rule = bank.rule("edge", e)
-            t = mesh.edge_tangents[e]
-            eb = bank.scalars("edge", e, k)
-            J[layout[("edge", e)]] = integrate_products(
-                eb.eval(rule.points),
-                pot.target.eval(rule.points) @ t,
-                rule.weights,
-            )
-        fams = space.face_families
-    elif space.which == "div":
-        for f in [int(x) for x in mesh.cells[c]]:
-            rule = bank.rule("face", f)
-            nrm = mesh.face_normals[f]
-            fb = bank.scalars("face", f, k)
-            J[layout[("face", f)]] = integrate_products(
-                fb.eval(rule.points),
-                pot.target.eval(rule.points) @ nrm,
-                rule.weights,
-            )
-        fams = None
-    else:
-        raise ValueError("no interpolation stabilization for this space")
-
-    if space.which == "curl":
-        for f in [int(x) for x in mesh.cells[c]]:
-            rule = bank.rule("face", f)
-            for i, (fam, l) in enumerate(fams):
-                b = bank.subspace("face", f, fam, l)
-                if b.dim == 0:
-                    continue
-                J[space.sub_slice(layout, "face", f, i)] = integrate_products(
-                    b.eval(rule.points),
-                    pot.target.eval(rule.points),
-                    rule.weights,
-                )
-    for i, (fam, l) in enumerate(space.cell_families):
-        b = bank.subspace("cell", c, fam, l)
-        if b.dim == 0:
-            continue
-        W = b.coeff_matrix()
-        block = np.zeros((b.dim, pot.target.dim))
-        block[:, : W.shape[1]] = W
-        J[space.sub_slice(layout, "cell", c, i)] = block
-    return J
-
-
+@_per_space
 def stabilization(space, c, variant="trace"):
     """Stabilization form on one cell.
 
@@ -253,11 +174,6 @@ def stabilization(space, c, variant="trace"):
     against the interpolated potential, measured in the component
     product. Both vanish when the potential reproduces the data.
     """
-    key = ("stab", variant, c)
-    hit = space._cache.get(key)
-    if hit is not None:
-        return hit
-
     if variant == "trace":
         if space.which == "grad":
             S, pot = _stab_grad(space, c)
@@ -269,62 +185,54 @@ def stabilization(space, c, variant="trace"):
             S = np.zeros((space.cell_width, space.cell_width))
             pot = None
         dofs = pot.dofs if pot is not None else space.cell_dofs(c)
-        out = LocalBilinearForm(("cell", c), dofs, S)
-    elif variant == "interpolation":
+        return LocalBilinearForm(("cell", c), dofs, S)
+    if variant == "interpolation":
         if space.which == "l2":
-            out = LocalBilinearForm(
+            return LocalBilinearForm(
                 ("cell", c),
                 space.cell_dofs(c),
                 np.zeros((space.cell_width, space.cell_width)),
             )
-        else:
-            pot = op_potential(space, c)
-            J = _interp_matrix(space, c, pot)
-            R = np.eye(len(pot.dofs)) - J @ pot.matrix
-            C = component_gram(space, c)
-            S = R.T @ C @ R
-            out = LocalBilinearForm(("cell", c), pot.dofs, S)
-    else:
-        raise ValueError(f"unknown stabilization variant {variant!r}")
+        pot = op_potential(space, c)
+        J = np.zeros((len(pot.dofs), pot.target.dim))
+        for (kind, i), sl in pot.layout.items():
+            if kind == "vertex":
+                rule, pts = None, space.mesh.vertices[[i]]
+            else:
+                rule = space.bank.rule(kind, i)
+                pts = rule.points
+            J[sl] = entity_moments(space, kind, i, rule, pot.target.eval(pts))
+        R = np.eye(len(pot.dofs)) - J @ pot.matrix
+        C = component_gram(space, c)
+        return LocalBilinearForm(("cell", c), pot.dofs, R.T @ C @ R)
+    raise ValueError(f"unknown stabilization variant {variant!r}")
 
-    space._cache[key] = out
-    return out
 
-
+@_per_space
 def l2_product(space, c, variant="trace"):
     """Stabilized L2 product on one cell: potential Gram plus
     stabilization (orthonormal potential targets make the Gram a plain
     matrix product). The moment space's product is the identity."""
-    key = ("product", variant, c)
-    hit = space._cache.get(key)
-    if hit is not None:
-        return hit
     if space.which == "l2":
-        out = LocalBilinearForm(
+        return LocalBilinearForm(
             ("cell", c), space.cell_dofs(c), np.eye(space.cell_width)
         )
-    else:
-        stab = stabilization(space, c, variant)
-        pot = op_potential(space, c)
-        M = pot.matrix.T @ pot.matrix + stab.matrix
-        out = LocalBilinearForm(("cell", c), pot.dofs, M)
-    space._cache[key] = out
-    return out
+    stab = stabilization(space, c, variant)
+    pot = op_potential(space, c)
+    M = pot.matrix.T @ pot.matrix + stab.matrix
+    return LocalBilinearForm(("cell", c), pot.dofs, M)
 
 
 # ----------------------------------------------------------------------
 # component norms
 
 
+@_per_space
 def component_gram(space, c):
     """Quadratic form of the squared component norm on one cell's local
     dofs: block-diagonal coefficient norms scaled by entity sizes, with
     the scalar space's edge blocks measured through the reconstructed
     edge polynomial."""
-    key = ("component", c)
-    hit = space._cache.get(key)
-    if hit is not None:
-        return hit
     mesh = space.mesh
     idx, layout = space.local_dofs("cell", c)
     pos = _positions(idx)
@@ -336,7 +244,6 @@ def component_gram(space, c):
         C[sl.start : sl.stop, sl.start : sl.stop] = np.eye(cw)
 
     if space.which == "l2":
-        space._cache[key] = C
         return C
 
     for fi, f in enumerate(mesh.cells[c]):
@@ -361,7 +268,6 @@ def component_gram(space, c):
                 C[esl.start : esl.stop, esl.start : esl.stop] += (
                     hf * he * np.eye(ew)
                 )
-    space._cache[key] = C
     return C
 
 
@@ -382,28 +288,14 @@ def component_norm(space, values):
 # global assembly and graph norms
 
 
-def map_cells(fn, num_cells, threads=None):
-    """Apply a per-cell function, optionally on a thread pool.
-
-    Results always come back in cell order, so downstream reductions
-    are independent of the worker count."""
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(num_cells)))
-    return [fn(c) for c in range(num_cells)]
-
-
-def assemble_product(space, coeff=None, variant="trace", threads=None):
+def assemble_product(space, coeff=None, variant="trace"):
     """Global sparse matrix of the stabilized product, optionally with a
     per-cell scalar coefficient."""
-
-    def local(c):
-        form = l2_product(space, c, variant)
-        M = form.matrix if coeff is None else coeff[c] * form.matrix
-        return form.dofs, M
-
     rows, cols, vals = [], [], []
-    for dofs, M in map_cells(local, space.mesh.num_cells, threads):
+    for c in range(space.mesh.num_cells):
+        form = l2_product(space, c, variant)
+        dofs = form.dofs
+        M = form.matrix if coeff is None else coeff[c] * form.matrix
         rows.append(np.repeat(dofs, len(dofs)))
         cols.append(np.tile(dofs, len(dofs)))
         vals.append(M.ravel())

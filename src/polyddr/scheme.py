@@ -18,7 +18,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .polyspaces import BasisBank, integrate_products
+from .polyspaces import BasisBank, l2_project
 from .ddrcore import (
     make_space,
     interpolate,
@@ -26,7 +26,7 @@ from .ddrcore import (
     global_operator,
     INTERP_DEGREE_MARGIN,
 )
-from .products import assemble_product, graph_norms, map_cells
+from .products import assemble_product, graph_norms
 
 __all__ = [
     "MagnetostaticsProblem",
@@ -92,43 +92,36 @@ class SparseSystem:
         self.residual = None
 
 
-def _source_vector(problem, space_div, threads=None):
+def _source_vector(problem, space_div):
     """Load vector: the source integrated against the potential
     reconstruction of each test function, with oversampled quadrature."""
-    mesh = problem.mesh
     bank = space_div.bank
     degree = 2 * problem.degree + INTERP_DEGREE_MARGIN
     out = np.zeros(space_div.dim)
     if problem.source is None:
         return out
-
-    def local(c):
+    for c in range(problem.mesh.num_cells):
         rule = bank.rule("cell", c, degree)
         pot = op_potential(space_div, c)
-        src = problem.source(rule.points)[None]
-        moments = integrate_products(pot.target.eval(rule.points), src,
-                                     rule.weights)
-        return pot.dofs, pot.matrix.T @ moments[:, 0]
-
-    for dofs, contrib in map_cells(local, mesh.num_cells, threads):
-        out[dofs] += contrib
+        moments = l2_project(pot.target, problem.source, rule=rule)
+        out[pot.dofs] += pot.matrix.T @ moments
     return out
 
 
 def assemble(problem, threads=None):
     """Assemble the block system [[a, -b^T], [b, c]] and the load.
 
-    The worker count only parallelizes per-cell work; contributions are
-    merged in cell order, so the result is thread-count-invariant."""
+    threads is accepted for compatibility and ignored: all work is serial,
+    in cell order."""
     sc, sd, sl = problem.spaces()
-    a = assemble_product(sc, coeff=problem.mu, threads=threads)
-    md = assemble_product(sd, threads=threads)
+    a = assemble_product(sc, coeff=problem.mu)
+    md = assemble_product(sd)
     uC = global_operator(sc, sd)
     D = global_operator(sd, sl)
     b = (md @ uC).tocsr()
     c = (D.T @ D).tocsr()
     matrix = sparse.bmat([[a, -b.T], [b, c]], format="csr")
-    rhs = np.concatenate([np.zeros(sc.dim), _source_vector(problem, sd, threads)])
+    rhs = np.concatenate([np.zeros(sc.dim), _source_vector(problem, sd)])
     return SparseSystem(matrix, rhs, sc.dim, sd.dim)
 
 

@@ -136,7 +136,7 @@ def mesh_family(name):
     if name == "tet":
         return generate_tet_mesh
     if name == "agglo":
-        return lambda n: agglomerate_pairs(generate_cubic_mesh(n), seed=0)
+        return lambda n, seed=0: agglomerate_pairs(generate_cubic_mesh(n), seed=seed)
     raise ValueError(f"unknown mesh family {name!r}")
 
 
@@ -558,11 +558,12 @@ def check_traces(mesh, max_degree=3, seed=0):
                 worst_face_normal = num / den
                 offender["face_normal_trace"] = (f, l)
 
+    # the lowest-index cell holding each edge: later writes win, so go down
+    edge_cell = np.full(mesh.num_edges, -1)
+    for c in reversed(range(mesh.num_cells)):
+        edge_cell[mesh.cell_edges[c]] = c
     for e in range(mesh.num_edges):
-        cells_of_edge = [
-            c for c in range(mesh.num_cells) if e in set(int(x) for x in mesh.cell_edges[c])
-        ]
-        c = cells_of_edge[0]
+        c = int(edge_cell[e])
         t = mesh.edge_tangents[e]
         rule = bank.rule("edge", e)
         for l in range(1, max_degree + 1):

@@ -9,7 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from polyddr.mesh import Mesh, generate_cubic_mesh, generate_tet_mesh, agglomerate_pairs
 from polyddr.polyspaces import BasisBank, dim_P
-from polyddr.ddrcore import make_space, interpolate, global_operator
+from polyddr.ddrcore import (
+    make_space,
+    interpolate,
+    global_operator,
+    entity_moments,
+    op_potential,
+)
+from polyddr.verification import _local_interp
 from polyddr.products import (
     LocalBilinearForm,
     stabilization,
@@ -197,6 +204,27 @@ def test_stabilization_kernel_is_polynomial_interpolates(ctx, name, k, c, which,
     rank = int(np.sum(sv > 1e-8 * scale))
     kernel = dim_P(k + 1, 3) if which == "grad" else 3 * dim_P(k, 3)
     assert rank == n - kernel, (rank, n, kernel)
+
+
+@pytest.mark.parametrize("name", ["pyr", "tet", "agglo"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("which", WHICHES)
+def test_entity_moments_match_interpolation_oracle(ctx, name, k, which):
+    """Block by block, the moment routine interpolates a cell potential's
+    target as the independent quadrature oracle does."""
+    c = big_cell(ctx.meshes[name])
+    space = ctx.spaces(name, k)[which]
+    pot = op_potential(space, c)
+    J = np.zeros((len(pot.dofs), pot.target.dim))
+    for (kind, i), sl in pot.layout.items():
+        if kind == "vertex":
+            rule, pts = None, space.mesh.vertices[[i]]
+        else:
+            rule = space.bank.rule(kind, i)
+            pts = rule.points
+        J[sl] = entity_moments(space, kind, i, rule, pot.target.eval(pts))
+    want = _local_interp(space, "cell", c, pot.target)
+    assert np.abs(J - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_local_form_apply():
