@@ -32,7 +32,13 @@ import inspect
 import numpy as np
 from scipy import sparse
 
-from .polyspaces import BasisBank, dim_P, integrate_products, space_dim
+from .polyspaces import (
+    BasisBank,
+    _cross_matrix,
+    dim_P,
+    integrate_products,
+    space_dim,
+)
 
 __all__ = [
     "DofSpace",
@@ -405,7 +411,7 @@ def _add_boundary_term(space, kind, index, M, idx, tests, trace, sign=1.0,
         V = tests.eval(rule.points)
         W = rec.target.eval(rule.points)
         if V.ndim == 3:
-            V = np.cross(V, n) if W.ndim == 3 else V @ n
+            V = V @ (_cross_matrix(n) if W.ndim == 3 else n)
         T = integrate_products(V, W, rule.weights)
         blocks.append(omega * (T @ rec.matrix))
         dofs.append(rec.dofs)
@@ -519,7 +525,7 @@ def op_curl_face(space, f):
 
     img = bank.subspace("face", f, "curl_image", k - 1)
     if img.dim:
-        vrot = np.cross(tgt.grad(rule.points), n[None, None, :])
+        vrot = tgt.grad(rule.points) @ _cross_matrix(n)
         M[:, space.sub_slice(layout, "face", f, 0)] = integrate_products(
             vrot, img.eval(rule.points), rule.weights,
         )
@@ -542,7 +548,7 @@ def op_tangential_trace(space, f):
 
     zm = bank.subspace("face", f, "zero_mean", k + 1)
     cc = bank.subspace("face", f, "curl_complement", k)
-    vrot = np.cross(zm.grad(rule.points), n[None, None, :])
+    vrot = zm.grad(rule.points) @ _cross_matrix(n)
     L1 = integrate_products(vrot, tgt.eval(rule.points), rule.weights)
     L = np.vstack([L1, cc.coeff_matrix()])
 
@@ -701,48 +707,41 @@ def _pad_cols(W, width):
     return out
 
 
+def _project_families(space_out, kind, index, op):
+    """Yield (global output rows, local operator) for op projected onto
+    each nonempty family of space_out on one face or cell."""
+    if kind == "face":
+        families, block = space_out.face_families, space_out.face_block
+    else:
+        families, block = space_out.cell_families, space_out.cell_block
+    for i, (fam, l) in enumerate(families):
+        b = space_out.bank.subspace(kind, index, fam, l)
+        if b.dim:
+            W = _pad_cols(b.coeff_matrix(), op.target.dim)
+            yield block(index, i), LocalOperator(
+                op.entity, op.dofs, op.layout, b, W @ op.matrix
+            )
+
+
 def _complex_rows(space_in, space_out, edges, faces, cells):
     """Yield (global output rows, local operator) pieces of the discrete
     differential from space_in to space_out."""
     pair = (space_in.which, space_out.which)
-    bank = space_out.bank
     if pair == ("grad", "curl"):
         for e in edges:
             yield space_out.edge_dofs(e), op_grad_edge(space_in, e)
         for f in faces:
-            gf = op_grad_face(space_in, f)
-            for i, (fam, l) in enumerate(space_out.face_families):
-                b = bank.subspace("face", f, fam, l)
-                if b.dim == 0:
-                    continue
-                W = _pad_cols(b.coeff_matrix(), gf.target.dim)
-                yield space_out.face_block(f, i), LocalOperator(
-                    gf.entity, gf.dofs, gf.layout, b, W @ gf.matrix
-                )
+            yield from _project_families(space_out, "face", f,
+                                         op_grad_face(space_in, f))
         for c in cells:
-            gc = op_grad_cell(space_in, c)
-            for i, (fam, l) in enumerate(space_out.cell_families):
-                b = bank.subspace("cell", c, fam, l)
-                if b.dim == 0:
-                    continue
-                W = _pad_cols(b.coeff_matrix(), gc.target.dim)
-                yield space_out.cell_block(c, i), LocalOperator(
-                    gc.entity, gc.dofs, gc.layout, b, W @ gc.matrix
-                )
+            yield from _project_families(space_out, "cell", c,
+                                         op_grad_cell(space_in, c))
     elif pair == ("curl", "div"):
         for f in faces:
-            cf = op_curl_face(space_in, f)
-            yield space_out.face_dofs(f), cf
+            yield space_out.face_dofs(f), op_curl_face(space_in, f)
         for c in cells:
-            ct = op_curl_cell(space_in, c)
-            for i, (fam, l) in enumerate(space_out.cell_families):
-                b = bank.subspace("cell", c, fam, l)
-                if b.dim == 0:
-                    continue
-                W = _pad_cols(b.coeff_matrix(), ct.target.dim)
-                yield space_out.cell_block(c, i), LocalOperator(
-                    ct.entity, ct.dofs, ct.layout, b, W @ ct.matrix
-                )
+            yield from _project_families(space_out, "cell", c,
+                                         op_curl_cell(space_in, c))
     elif pair == ("div", "l2"):
         for c in cells:
             yield space_out.cell_dofs(c), op_div_cell(space_in, c)

@@ -136,6 +136,7 @@ class Mesh:
         self.face_areas = np.empty(nf)
         self.face_diameters = np.empty(nf)
         fans = []
+        fan_area2 = []
         signs = []
         normals_fe = []
         for f, loop in enumerate(self.faces):
@@ -165,8 +166,10 @@ class Mesh:
                 axis=1,
             )
             fans.append(tri)
-            cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-            self.face_areas[f] = 0.5 * (cross @ n).sum()
+            # doubled fan-triangle areas, positive for a star-shaped face
+            area2 = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]) @ n
+            fan_area2.append(area2)
+            self.face_areas[f] = 0.5 * area2.sum()
 
             t = self.edge_tangents[self.face_edges[f]]
             nfe = np.cross(n[None, :], t)
@@ -175,6 +178,7 @@ class Mesh:
             dots = ((mids - xf) * nfe).sum(axis=1)
             signs.append(np.sign(dots).astype(int))
         self.face_fans = tuple(fans)
+        self.face_fan_area2 = tuple(fan_area2)
         self.face_edge_normals = tuple(normals_fe)
         self.face_edge_signs = tuple(signs)
 
@@ -188,6 +192,7 @@ class Mesh:
         edge_sets = []
         signs = []
         fans = []
+        fan_vol6 = []
         face_cells = -np.ones((nf, 2), dtype=int)
         for c, cf in enumerate(self.cells):
             verts = np.unique(np.concatenate([self.faces[f] for f in cf]))
@@ -221,13 +226,15 @@ class Mesh:
                 tets.append(np.concatenate([apex, tri], axis=1))
             tets = np.concatenate(tets, axis=0)
             fans.append(tets)
-            d = tets[:, 1:] - tets[:, :1]
-            vols = np.linalg.det(d) / 6.0
-            self.cell_volumes[c] = vols.sum()
+            # six times the fan-tet volumes, positive for a star-shaped cell
+            vol6 = np.linalg.det(tets[:, 1:] - tets[:, :1])
+            fan_vol6.append(vol6)
+            self.cell_volumes[c] = (vol6 / 6.0).sum()
         self.cell_vertices = tuple(vert_sets)
         self.cell_edges = tuple(edge_sets)
         self.cell_face_signs = tuple(signs)
         self.cell_fans = tuple(fans)
+        self.cell_fan_vol6 = tuple(fan_vol6)
         self.face_cells = face_cells
         self.boundary_faces = np.flatnonzero(face_cells[:, 1] < 0)
 
@@ -241,10 +248,7 @@ class Mesh:
                     f"face {f} is non-planar: offset {off.max():.3e} "
                     f"exceeds {PLANARITY_RTOL:.0e} * h_F"
                 )
-            tri = self.face_fans[f]
-            cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-            areas2 = cross @ self.face_normals[f]
-            if areas2.min() <= SIGN_RTOL * h * h:
+            if self.face_fan_area2[f].min() <= SIGN_RTOL * h * h:
                 raise MeshError(f"face {f} is not star-shaped w.r.t. x_F")
             mids = self.edge_midpoints[self.face_edges[f]]
             dots = ((mids - self.face_centroids[f]) * self.face_edge_normals[f]).sum(
@@ -261,10 +265,7 @@ class Mesh:
             ).sum(axis=1)
             if np.abs(dots).min() <= SIGN_RTOL * h:
                 raise MeshError(f"cell {c}: ambiguous face orientation sign")
-            tets = self.cell_fans[c]
-            d = tets[:, 1:] - tets[:, :1]
-            vols = np.linalg.det(d) / 6.0
-            if vols.min() <= SIGN_RTOL * h**3:
+            if (self.cell_fan_vol6[c] / 6.0).min() <= SIGN_RTOL * h**3:
                 raise MeshError(f"cell {c} is not star-shaped w.r.t. x_T")
 
             # closed boundary: each edge of the cell lies in exactly two of
@@ -327,10 +328,12 @@ class Mesh:
             self.face_edge_signs,
             self.face_edge_normals,
             self.face_fans,
+            self.face_fan_area2,
             self.cell_vertices,
             self.cell_edges,
             self.cell_face_signs,
             self.cell_fans,
+            self.cell_fan_vol6,
         ):
             for arr in tup:
                 arr.flags.writeable = False
@@ -364,8 +367,7 @@ class Mesh:
         out = np.empty(self.num_cells)
         for c in range(self.num_cells):
             tets = self.cell_fans[c]
-            d = tets[:, 1:] - tets[:, :1]
-            vols = np.linalg.det(d) / 6.0
+            vols = self.cell_fan_vol6[c] / 6.0
             areas = np.zeros(len(tets))
             for i, j, k in ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)):
                 cr = np.cross(tets[:, j] - tets[:, i], tets[:, k] - tets[:, i])

@@ -10,18 +10,22 @@ exactly an orthonormal basis of P^m: every lower-degree space is a prefix
 of a higher-degree one, which keeps all cross-degree bookkeeping consistent
 to roundoff.
 
-Members are tabulated from one table of coordinate powers built by
-cumulative products: values and gradients are one matrix product each.
-integrate_products turns two tabulations into the matrix of their
-integrals with one weighted matrix product; every quadrature contraction of
-the discrete operators goes through it.
-
 Vector spaces are spanned by scalar members times frame axes (tangent axes
 on faces, Cartesian axes on cells) and inherit the prefix property. The
 differential-image and Koszul-complement subspaces are represented by
-coefficient matrices over that orthonormal vector basis, obtained by a
+coefficient matrices W over that orthonormal vector basis, obtained by a
 rank-revealing SVD of their natural generating sets; a rank different from
 the closed-form dimension is a hard error.
+
+Every basis, whatever its kind, is stored the same way: one coefficient
+array over its entity's scaled monomials, (dim, nm) for scalar spaces and
+(dim, 3, nm) in global components for vector spaces, built once from W and
+the orthonormalization coefficients. Gradient, divergence and curl arrays
+follow from a monomial derivative table, so values and derivatives are
+each one matrix product against one table of coordinate powers built by
+cumulative products. integrate_products turns two tabulations into the
+matrix of their integrals with one weighted matrix product; every
+quadrature contraction of the discrete operators goes through it.
 
 Families (naming by what the space is, not by any symbol):
 - "grad_image":       gradients of scalars of degree l+1
@@ -158,10 +162,11 @@ def integrate_products(A, B, weights):
 class _ScalarCore:
     """Orthonormal scalar basis of degree L on one entity.
 
-    Stores the orthonormalization coefficients over scaled monomials, so
-    members and their gradients can be evaluated at arbitrary points.  The
-    coefficients are lower triangular (member i uses monomials 0..i), so a
-    prefix of members needs only a prefix of the monomials.
+    Stores the orthonormalization coefficients over scaled monomials and the
+    monomial derivative table, so any polynomial given by its monomial
+    coefficients can be tabulated and differentiated.  The coefficients are
+    lower triangular (member i uses monomials 0..i), so a prefix of members
+    needs only a prefix of the monomials.
     """
 
     def __init__(self, x0, h, frame, L, rule):
@@ -170,7 +175,7 @@ class _ScalarCore:
         self.frame = np.asarray(frame, dtype=float)  # (d, 3) rows
         self.L = L
         self.d = len(self.frame)
-        self.exps, self._rows, D = _monomial_tables(L, self.d)
+        self.exps, self._rows, self._D = _monomial_tables(L, self.d)
         self.rule = rule
         nm = len(self.exps)
 
@@ -187,10 +192,6 @@ class _ScalarCore:
             )
         R *= np.sign(np.diag(R))[:, None]
         self.coeffs = solve_triangular(R, np.eye(nm)).T
-        # coefficients of the member gradients' global components, (3, nm, .)
-        self._grad_coeffs = np.tensordot(
-            self.frame / self.h, self.coeffs @ D, axes=(0, 0)
-        )
 
     def _monomials(self, pts, n):
         """The first n scaled monomials at the points, (n, npts), read off
@@ -208,26 +209,49 @@ class _ScalarCore:
             out *= P[rows[:, a]]
         return out
 
-    def eval(self, pts, nrows):
-        return self.coeffs[:nrows, :nrows] @ self._monomials(pts, nrows)
-
-    def grad(self, pts, nrows):
-        """Gradients as global 3-vectors, shape (nrows, npts, 3)."""
-        top = int(self.exps[nrows - 1].sum()) if nrows else 0
-        ncols = dim_P(top - 1, self.d)
-        G = self._grad_coeffs[:, :nrows, :ncols].reshape(3 * nrows, ncols)
-        M = self._monomials(pts, ncols)
-        return (G @ M).reshape(3, nrows, M.shape[1]).transpose(1, 2, 0)
+    def gradient(self, C):
+        """Monomial coefficients of the global gradients of the polynomials
+        with coefficients C (..., n): (..., 3, n') with n' the number of
+        monomials of one degree less than monomial n-1."""
+        n = C.shape[-1]
+        n1 = dim_P(int(self.exps[n - 1].sum()) - 1, self.d) if n else 0
+        CD = np.tensordot(C, self._D[:, :n, :n1], axes=(-1, 1))
+        return (self.frame.T / self.h) @ CD
 
 
-def _combine(W, V):
-    """Rows of W applied to vector tabulations V (n, npts, 3)."""
-    n, npts, _ = V.shape
-    return (W @ V.reshape(n, npts * 3)).reshape(len(W), npts, 3)
+def _tabulate(core, C, pts):
+    """Values at the points of the polynomials with monomial coefficients
+    C over the core: (m, npts) for scalar rows C (m, n), (m, npts, 3) for
+    vector rows C (m, 3, n) in global components.  One matmul."""
+    M = core._monomials(pts, C.shape[-1])
+    V = C.reshape(math.prod(C.shape[:-1]), C.shape[-1]) @ M
+    if C.ndim == 2:
+        return V
+    return V.reshape(len(C), 3, M.shape[1]).transpose(0, 2, 1)
+
+
+def _cross_matrix(v):
+    """The 3x3 matrix K with V @ K = V x v for any (..., 3) array V."""
+    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+
+
+# V @ _AXIS_CROSS[a] = V x e_a for the Cartesian axes
+_AXIS_CROSS = np.array([_cross_matrix(e) for e in np.eye(3)])
+_AXIS_CROSS.flags.writeable = False
 
 
 class PolyBasis:
     """Basis of a polynomial space on a mesh entity.
+
+    Every basis is one coefficient array over the scaled monomials of its
+    entity's core: (dim, nm) for scalar spaces and (dim, 3, nm) in global
+    components for vector spaces.  The constructor builds it from W, the
+    coefficients over the orthonormal parent basis of the same degree (the
+    scalar members s_m, or the vector members s_m times frame axis a in
+    (m, a) order), and the core's orthonormalization coefficients.  eval,
+    grad, div and curl each tabulate one such array with a single matmul;
+    the grad, div and curl arrays are derived once, on first use, from the
+    core's monomial derivative table.
 
     eval() returns (dim, npts) for scalar spaces and (dim, npts, 3) for
     vector spaces; members of face spaces are tangent fields expressed in
@@ -236,106 +260,68 @@ class PolyBasis:
     ("nedelec", "raviart_thomas") are L2-orthonormal on their entity.
     """
 
-    def __init__(self, entity_kind, entity_id, kind, degree, core, mode,
-                 axes, W, dim, orthonormal):
+    def __init__(self, entity_kind, entity_id, kind, degree, core, W,
+                 axes=None, orthonormal=True):
         self.entity_kind = entity_kind
         self.entity_id = entity_id
         self.kind = kind
         self.degree = degree
         self._core = core
-        self._mode = mode
-        self._axes = axes
         self._W = W
-        self.dim = dim
+        self.dim = len(W)
         self.orthonormal = orthonormal
-        if mode == "vector":
-            self.value_dim = len(axes)
+        self.value_dim = 1 if axes is None else len(axes)
+        ns = W.shape[1] // self.value_dim
+        S = core.coeffs[:ns, :ns]
+        if axes is None:
+            self._C = W @ S
         else:
-            self.value_dim = 1
+            Wam = W.reshape(self.dim, ns, len(axes)).transpose(0, 2, 1)
+            self._C = axes.T @ (Wam @ S)
 
-    # -- internal helpers ------------------------------------------------
+    @functools.cached_property
+    def _grad_map(self):
+        return self._core.gradient(self._C)
 
-    def _scalar_rows(self):
-        # number of scalar-core members backing the representation
-        w = self._W.shape[1] if self._W is not None else self.dim
-        if self._mode == "vector":
-            return w // len(self._axes)
-        return w
+    @functools.cached_property
+    def _div_map(self):
+        J = self._core.gradient(self._C)  # (dim, component, axis, n')
+        return J[:, 0, 0] + J[:, 1, 1] + J[:, 2, 2]
 
-    def _vector_values(self, pts):
-        ns = self._scalar_rows()
-        s = self._core.eval(pts, ns)
-        na = len(self._axes)
-        out = (
-            s[:, None, :, None] * self._axes[None, :, None, :]
-        ).reshape(ns * na, -1, 3)
-        return out
-
-    def _vector_div(self, pts):
-        ns = self._scalar_rows()
-        g = self._core.grad(pts, ns)
-        na = len(self._axes)
-        return (g @ self._axes.T).transpose(0, 2, 1).reshape(ns * na, -1)
-
-    def _vector_curl(self, pts):
-        ns = self._scalar_rows()
-        g = self._core.grad(pts, ns)
-        na = len(self._axes)
-        out = np.cross(g[:, None, :, :], self._axes[None, :, None, :])
-        return out.reshape(ns * na, -1, 3)
-
-    # -- public evaluation ----------------------------------------------
+    @functools.cached_property
+    def _curl_map(self):
+        J = self._core.gradient(self._C)
+        return np.stack([J[:, 2, 1] - J[:, 1, 2], J[:, 0, 2] - J[:, 2, 0],
+                         J[:, 1, 0] - J[:, 0, 1]], axis=1)
 
     def eval(self, pts):
-        if self._mode == "scalar":
-            if self._W is None:
-                return self._core.eval(pts, self.dim)
-            rows = self._W.shape[1]
-            return self._W @ self._core.eval(pts, rows)
-        V = self._vector_values(pts)
-        if self._W is None:
-            return V[: self.dim]
-        return _combine(self._W, V)
+        return _tabulate(self._core, self._C, pts)
 
     def grad(self, pts):
         """Member gradients (scalar spaces only), shape (dim, npts, 3)."""
-        if self._mode != "scalar":
+        if self.value_dim != 1:
             raise ValueError("grad is defined for scalar bases")
-        if self._W is None:
-            return self._core.grad(pts, self.dim)
-        rows = self._W.shape[1]
-        return _combine(self._W, self._core.grad(pts, rows))
+        return _tabulate(self._core, self._grad_map, pts)
 
     def div(self, pts):
         """Member divergences; on faces this is the in-plane divergence."""
-        if self._mode != "vector":
+        if self.value_dim == 1:
             raise ValueError("div is defined for vector bases")
-        D = self._vector_div(pts)
-        if self._W is None:
-            return D[: self.dim]
-        return self._W @ D
+        return _tabulate(self._core, self._div_map, pts)
 
     def curl(self, pts):
         """Member curls (cell vector spaces only), shape (dim, npts, 3)."""
-        if self._mode != "vector" or len(self._axes) != 3:
+        if self.value_dim != 3:
             raise ValueError("curl is defined for cell vector bases")
-        C = self._vector_curl(pts)
-        if self._W is None:
-            return C[: self.dim]
-        return _combine(self._W, C)
+        return _tabulate(self._core, self._curl_map, pts)
 
     def coeff_matrix(self):
         """Coefficients over the orthonormal parent basis (dim x width)."""
-        if self._W is not None:
-            return self._W
-        width = self.dim
-        eye = np.eye(width)
-        return eye
+        return self._W
 
     def gram(self):
         """Exact L2 Gram matrix from coefficient space."""
-        W = self.coeff_matrix()
-        return W @ W.T
+        return self._W @ self._W.T
 
 
 # ----------------------------------------------------------------------
@@ -371,9 +357,11 @@ def scalar_basis(mesh, kind, index, l, core=None):
     """Orthonormal basis of scalars of degree <= l on one entity."""
     if core is None:
         core = _make_core(mesh, kind, index, max(l, 0))
-    dim = dim_P(l, core.d)
-    return PolyBasis(kind, index, "scalar", l, core, "scalar", None, None,
-                     dim, True)
+    return PolyBasis(kind, index, "scalar", l, core, np.eye(dim_P(l, core.d)))
+
+
+def _axes(kind, core):
+    return np.eye(3) if kind == "cell" else core.frame
 
 
 def vector_basis(mesh, kind, index, l, core=None):
@@ -382,54 +370,37 @@ def vector_basis(mesh, kind, index, l, core=None):
         raise ValueError("vector bases live on faces and cells")
     if core is None:
         core = _make_core(mesh, kind, index, max(l, 0))
-    axes = np.eye(3) if kind == "cell" else np.asarray(core.frame)
-    dim = dim_P(l, core.d) * len(axes)
-    return PolyBasis(kind, index, "vector", l, core, "vector", axes, None,
-                     dim, True)
-
-
-def _radial_values(core, pts):
-    return np.atleast_2d(pts) - core.x0
+    axes = _axes(kind, core)
+    return PolyBasis(kind, index, "vector", l, core,
+                     np.eye(dim_P(l, core.d) * len(axes)), axes)
 
 
 def _subspace_generators(mesh, kind, index, family, l, core, rule):
     """Values of the natural generating set at the rule points, (ng,np,3)."""
     pts = rule.points
-    d = core.d
-    if family == "grad_image":
-        n = dim_P(l + 1, d)
-        return core.grad(pts, n)[1:]
-    if family == "curl_image":
+    if family.endswith("image"):
+        n = dim_P(l + 1, core.d)
+        g = _tabulate(core, core.gradient(core.coeffs[:n, :n]), pts)
+        if family == "grad_image":
+            return g[1:]  # the constant member has no gradient
         if kind == "face":
-            n = dim_P(l + 1, 2)
-            g = core.grad(pts, n)[1:]
-            nrm = mesh.face_normals[index]
-            return np.cross(g, nrm[None, None, :])
-        n = dim_P(l + 1, 3)
-        g = core.grad(pts, n)
-        gens = np.cross(g[:, None, :, :], np.eye(3)[None, :, None, :])
-        return gens.reshape(3 * n, -1, 3)
-    if family == "grad_complement":
-        n = dim_P(l - 1, d)
-        if n == 0:
-            return np.zeros((0, len(pts), 3))
-        s = core.eval(pts, n)
-        r = _radial_values(core, pts)
-        if kind == "face":
-            rot = np.cross(mesh.face_normals[index][None, :], r)
-            return s[:, :, None] * rot[None, :, :]
-        gens = np.cross(
-            r[None, None, :, :], np.eye(3)[None, :, None, :]
-        ) * s[:, None, :, None]
-        return gens.reshape(3 * n, -1, 3)
+            return g[1:] @ _cross_matrix(mesh.face_normals[index])
+        # grad s_m x e_a in (m, a) order
+        return (g[:, None] @ _AXIS_CROSS).reshape(3 * n, -1, 3)
+    n = dim_P(l - 1, core.d)
+    if n == 0:
+        return np.zeros((0, len(pts), 3))
+    s = _tabulate(core, core.coeffs[:n, :n], pts)
+    r = np.atleast_2d(pts) - core.x0
     if family == "curl_complement":
-        n = dim_P(l - 1, d)
-        if n == 0:
-            return np.zeros((0, len(pts), 3))
-        s = core.eval(pts, n)
-        r = _radial_values(core, pts)
         return s[:, :, None] * r[None, :, :]
-    raise ValueError(f"unknown vector family {family!r}")
+    if family != "grad_complement":
+        raise ValueError(f"unknown vector family {family!r}")
+    if kind == "face":
+        rot = -(r @ _cross_matrix(mesh.face_normals[index]))  # n x r
+        return s[:, :, None] * rot[None, :, :]
+    gens = s[:, None, :, None] * (r @ _AXIS_CROSS)[None]  # s_m (r x e_a)
+    return gens.reshape(3 * n, -1, 3)
 
 
 def subspace_basis(mesh, kind, index, family, l, core=None, rule=None):
@@ -440,56 +411,43 @@ def subspace_basis(mesh, kind, index, family, l, core=None, rule=None):
     """
     if kind == "edge":
         raise ValueError("subspace bases live on faces and cells")
-    x0, h, frame = _entity_frame(mesh, kind, index)
-    d = len(frame)
-
-    if family == "zero_mean":
-        if core is None:
-            core = _make_core(mesh, kind, index, max(l, 0), rule)
-        dim = space_dim("zero_mean", l, d)
-        W = np.eye(dim + 1)[1:] if dim else np.zeros((0, 1))
-        return PolyBasis(kind, index, family, l, core, "scalar", None, W,
-                         dim, True)
-
-    if family in ("nedelec", "raviart_thomas"):
-        sub = "grad" if family == "nedelec" else "curl"
-        if core is None:
-            core = _make_core(mesh, kind, index, max(l, 0), rule)
-        lo = subspace_basis(mesh, kind, index, f"{sub}_image", l - 1,
-                            core=core, rule=rule)
-        hi = subspace_basis(mesh, kind, index, f"{sub}_complement", l,
-                            core=core, rule=rule)
-        axes = np.eye(3) if kind == "cell" else np.asarray(core.frame)
-        width = dim_P(l, d) * len(axes)
-        Wlo = np.zeros((lo.dim, width))
-        if lo.dim:
-            Wlo[:, : lo._W.shape[1]] = lo._W
-        W = np.vstack([Wlo, hi._W])
-        return PolyBasis(kind, index, family, l, core, "vector", axes, W,
-                         lo.dim + hi.dim, False)
-
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-
     # generators need scalar degree l+1 for the image families
     need_L = l + 1 if family.endswith("image") else max(l, 0)
     if core is None or core.L < need_L:
         core = _make_core(mesh, kind, index, need_L, rule)
     if rule is None:
         rule = core.rule
+    d = core.d
+
+    if family == "zero_mean":
+        dim = space_dim("zero_mean", l, d)
+        W = np.eye(dim + 1)[1:] if dim else np.zeros((0, 1))
+        return PolyBasis(kind, index, family, l, core, W)
+
+    axes = _axes(kind, core)
+    width = dim_P(l, d) * len(axes)
+    if family in ("nedelec", "raviart_thomas"):
+        sub = "grad" if family == "nedelec" else "curl"
+        lo = subspace_basis(mesh, kind, index, f"{sub}_image", l - 1,
+                            core=core, rule=rule)
+        hi = subspace_basis(mesh, kind, index, f"{sub}_complement", l,
+                            core=core, rule=rule)
+        Wlo = np.zeros((lo.dim, width))
+        Wlo[:, : lo._W.shape[1]] = lo._W
+        return PolyBasis(kind, index, family, l, core,
+                         np.vstack([Wlo, hi._W]), axes, orthonormal=False)
 
     dim = space_dim(family, l, d)
-    axes = np.eye(3) if kind == "cell" else np.asarray(core.frame)
-    width = dim_P(l, d) * len(axes)
     if dim == 0:
-        W = np.zeros((0, width))
-        return PolyBasis(kind, index, family, l, core, "vector", axes, W,
-                         0, True)
-
+        return PolyBasis(kind, index, family, l, core, np.zeros((0, width)),
+                         axes)
     gens = _subspace_generators(mesh, kind, index, family, l, core, rule)
     # moments against the parent members s_m * axes[a], in (m, a) order,
     # without tabulating the parent vector basis
-    S = core.eval(rule.points, width // len(axes)) * rule.weights
+    ns = width // len(axes)
+    S = _tabulate(core, core.coeffs[:ns, :ns], rule.points) * rule.weights
     moments = ((S @ gens) @ axes.T).reshape(len(gens), width)
     U, sing, Vt = np.linalg.svd(moments, full_matrices=False)
     rank = int((sing >= DROP_TOL * sing[0]).sum()) if len(sing) else 0
@@ -498,9 +456,7 @@ def subspace_basis(mesh, kind, index, family, l, core=None, rule=None):
             f"rank of {family} generators on {kind} {index} is {rank}, "
             f"expected {dim}"
         )
-    W = Vt[:dim]
-    return PolyBasis(kind, index, family, l, core, "vector", axes, W,
-                     dim, True)
+    return PolyBasis(kind, index, family, l, core, Vt[:dim], axes)
 
 
 # ----------------------------------------------------------------------
@@ -583,8 +539,7 @@ def isomorphism_matrix(mesh, kind, index, which, l):
                              rule=rule)
         tgt = subspace_basis(mesh, "face", index, "curl_image", l - 1,
                              core=core, rule=rule)
-        g = src.grad(rule.points)
-        vals = np.cross(g, mesh.face_normals[index][None, None, :])
+        vals = src.grad(rule.points) @ _cross_matrix(mesh.face_normals[index])
     elif which in ("face_div", "cell_div"):
         src = subspace_basis(mesh, kind, index, "curl_complement", l,
                              core=core, rule=rule)

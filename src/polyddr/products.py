@@ -31,7 +31,7 @@ form is built once per space and kept in the space's cache.
 import numpy as np
 from scipy import sparse
 
-from .polyspaces import _combine, integrate_products
+from .polyspaces import integrate_products
 from .ddrcore import (
     _per_space,
     _positions,
@@ -70,9 +70,12 @@ class LocalBilinearForm:
         return float(u @ self.matrix @ v)
 
 
-def _dof_values_scalar(op, pts):
-    """Per-dof values of a scalar reconstruction at points, (ndofs, npts)."""
-    return op.matrix.T @ op.target.eval(pts)
+def _dof_values(op, pts):
+    """Per-dof values of a reconstruction at points: (ndofs, npts) for a
+    scalar target, (ndofs, npts, 3) for a vector one."""
+    V = op.target.eval(pts)
+    P = op.matrix.T @ V.reshape(len(V), -1)
+    return P.reshape(P.shape[:1] + V.shape[1:])
 
 
 # ----------------------------------------------------------------------
@@ -91,19 +94,19 @@ def _stab_grad(space, c):
     for fi, f in enumerate(mesh.cells[c]):
         f = int(f)
         rule = bank.rule("face", f)
-        R = _dof_values_scalar(pg, rule.points)
+        R = _dof_values(pg, rule.points)
         tr = op_scalar_trace(space, f)
         cols = [pos[int(g)] for g in tr.dofs]
-        R[cols] -= _dof_values_scalar(tr, rule.points)
+        R[cols] -= _dof_values(tr, rule.points)
         hf = mesh.face_diameters[f]
         S += hf * (R * rule.weights) @ R.T
 
     for e in [int(x) for x in mesh.cell_edges[c]]:
         rule = bank.rule("edge", e)
-        R = _dof_values_scalar(pg, rule.points)
+        R = _dof_values(pg, rule.points)
         rec = edge_reconstruct(space, e)
         cols = [pos[int(g)] for g in rec.dofs]
-        R[cols] -= _dof_values_scalar(rec, rule.points)
+        R[cols] -= _dof_values(rec, rule.points)
         he = mesh.edge_lengths[e]
         S += he ** 2 * (R * rule.weights) @ R.T
     return S, pg
@@ -122,11 +125,11 @@ def _stab_curl(space, c):
         f = int(f)
         rule = bank.rule("face", f)
         nrm = mesh.face_normals[f]
-        V = _combine(pc.matrix.T, pc.target.eval(rule.points))
+        V = _dof_values(pc, rule.points)
         R = V - (V @ nrm)[:, :, None] * nrm
         gt = op_tangential_trace(space, f)
         cols = [pos[int(g)] for g in gt.dofs]
-        R[cols] -= _combine(gt.matrix.T, gt.target.eval(rule.points))
+        R[cols] -= _dof_values(gt, rule.points)
         hf = mesh.face_diameters[f]
         S += hf * integrate_products(R, R, rule.weights)
 

@@ -97,14 +97,12 @@ def face_rule(mesh, f, degree):
     p0 = tris[:, 0]
     d1 = tris[:, 1] - tris[:, 0]
     d2 = tris[:, 2] - tris[:, 0]
-    # doubled triangle areas; fans are positively oriented by construction
-    area2 = np.cross(d1, d2) @ mesh.face_normals[f]
     pts = (
         p0[:, None, :]
         + ref[None, :, 0, None] * d1[:, None, :]
         + ref[None, :, 1, None] * d2[:, None, :]
     )
-    wts = area2[:, None] * wref[None, :]
+    wts = mesh.face_fan_area2[f][:, None] * wref[None, :]
     return QuadRule(pts.reshape(-1, 3), wts.ravel(), degree)
 
 
@@ -113,9 +111,8 @@ def cell_rule(mesh, c, degree):
     tets = mesh.cell_fans[c]
     p0 = tets[:, 0]
     d = tets[:, 1:] - tets[:, :1]
-    vol6 = np.linalg.det(d)
     pts = p0[:, None, :] + ref @ d
-    wts = vol6[:, None] * wref[None, :]
+    wts = mesh.cell_fan_vol6[c][:, None] * wref[None, :]
     return QuadRule(pts.reshape(-1, 3), wts.ravel(), degree)
 
 

@@ -3,6 +3,7 @@ CSV artifacts, and thread-count invariance of written outputs."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -224,19 +225,37 @@ def test_solve_outputs_thread_invariant(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# installed entry point
+# installed entry point and demos
 
 
-def test_module_entry_point_runs():
+def _run_child(args):
     # the child must import the same package as this process
     src = str(Path(polyddr.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "polyddr.cli", "verify", "--mesh", "cubic:1",
-         "--degree", "0", "--suite", "complex"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point_runs():
+    proc = _run_child(["-m", "polyddr.cli", "verify", "--mesh", "cubic:1",
+                       "--degree", "0", "--suite", "complex"])
     assert proc.returncode == 0, proc.stderr
     assert "[pass] complex(k=0)" in proc.stdout
+
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+@pytest.mark.parametrize("demo,last_line", [
+    ("spaces_and_operators.py",
+     r"stabilized energy of interpolated field: \d+\.\d+ \(> 0\)"),
+    ("verification_walkthrough.py", r"all checks passed"),
+])
+def test_demo_runs(demo, last_line):
+    proc = _run_child([str(DEMOS / demo)])
+    assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch(last_line, proc.stdout.splitlines()[-1])

@@ -181,51 +181,72 @@ def test_trimmed_gram_matches_quadrature(meshes):
 # derivative evaluations against finite differences
 
 
-def _fd_grad(f, pts, h=1e-6):
-    out = np.zeros((len(pts), 3))
-    for a in range(3):
-        e = np.zeros(3)
-        e[a] = h
-        out[:, a] = (f(pts + e) - f(pts - e)) / (2 * h)
-    return out
+def _fd_setup(mesh, kind, index, family, l, seed, npts):
+    """A pyramid basis, points near the entity's centroid (in its plane for
+    a face), and the axes to difference along: Cartesian on the cell, the
+    face frame on a face."""
+    if family == "scalar":
+        b = scalar_basis(mesh, kind, index, l)
+    elif family == "vector":
+        b = vector_basis(mesh, kind, index, l)
+    else:
+        b = subspace_basis(mesh, kind, index, family, l)
+    if kind == "cell":
+        x0, axes = mesh.cell_centroids[index], np.eye(3)
+    else:
+        x0, axes = mesh.face_centroids[index], mesh.face_frames[index]
+    rng = np.random.default_rng(seed)
+    pts = x0 + 0.15 * rng.standard_normal((npts, len(axes))) @ axes
+    return b, pts, axes
 
 
-def test_scalar_grad_matches_fd(meshes):
-    mesh = meshes["pyr"]
-    b = scalar_basis(mesh, "cell", 0, 3)
-    rng = np.random.default_rng(5)
-    pts = mesh.cell_centroids[0] + 0.15 * rng.standard_normal((5, 3))
-    g = b.grad(pts)
-    for i in range(b.dim):
-        fd = _fd_grad(lambda q, i=i: b.eval(q)[i], pts)
-        assert np.abs(g[i] - fd).max() < 1e-5
+def _fd_derivatives(b, pts, axes, h=1e-6):
+    """Central differences of every member along each axis,
+    (dim, npts, ..., naxes)."""
+    return np.stack(
+        [(b.eval(pts + h * e) - b.eval(pts - h * e)) / (2 * h) for e in axes],
+        axis=-1,
+    )
 
 
-def test_vector_div_curl_match_fd(meshes):
-    mesh = meshes["pyr"]
-    b = vector_basis(mesh, "cell", 0, 2)
-    rng = np.random.default_rng(6)
-    pts = mesh.cell_centroids[0] + 0.15 * rng.standard_normal((4, 3))
-    dv = b.div(pts)
-    cv = b.curl(pts)
-    h = 1e-6
-    for i in range(b.dim):
-        jac = np.zeros((len(pts), 3, 3))  # jac[p, component, axis]
-        for a in range(3):
-            e = np.zeros(3)
-            e[a] = h
-            jac[:, :, a] = (b.eval(pts + e)[i] - b.eval(pts - e)[i]) / (2 * h)
-        div_fd = jac[:, 0, 0] + jac[:, 1, 1] + jac[:, 2, 2]
+@pytest.mark.parametrize("kind,family,l", [
+    ("cell", "scalar", 3),
+    ("cell", "zero_mean", 3),
+    ("face", "zero_mean", 3),
+])
+def test_scalar_grad_matches_fd(meshes, kind, family, l):
+    index = 0 if kind == "cell" else 1  # pyramid face 1 is tilted
+    b, pts, axes = _fd_setup(meshes["pyr"], kind, index, family, l, 5, 5)
+    fd = _fd_derivatives(b, pts, axes)
+    assert np.abs(b.grad(pts) @ axes.T - fd).max() < 1e-5
+
+
+@pytest.mark.parametrize("kind,family,l", [
+    ("cell", "vector", 2),
+    ("cell", "grad_complement", 2),
+    ("cell", "curl_complement", 2),
+    ("cell", "curl_image", 1),
+    ("cell", "raviart_thomas", 2),
+    ("face", "curl_complement", 2),
+    ("face", "raviart_thomas", 2),
+])
+def test_vector_div_curl_match_fd(meshes, kind, family, l):
+    index = 0 if kind == "cell" else 1  # pyramid face 1 is tilted
+    b, pts, axes = _fd_setup(meshes["pyr"], kind, index, family, l, 6, 4)
+    # jac[i, p, component, a]: derivative along axes[a]
+    jac = _fd_derivatives(b, pts, axes)
+    div_fd = np.einsum("ipxa,ax->ip", jac, axes)
+    assert np.abs(b.div(pts) - div_fd).max() < 1e-5
+    if kind == "cell":
         curl_fd = np.stack(
             [
-                jac[:, 2, 1] - jac[:, 1, 2],
-                jac[:, 0, 2] - jac[:, 2, 0],
-                jac[:, 1, 0] - jac[:, 0, 1],
+                jac[:, :, 2, 1] - jac[:, :, 1, 2],
+                jac[:, :, 0, 2] - jac[:, :, 2, 0],
+                jac[:, :, 1, 0] - jac[:, :, 0, 1],
             ],
             axis=-1,
         )
-        assert np.abs(dv[i] - div_fd).max() < 1e-5
-        assert np.abs(cv[i] - curl_fd).max() < 1e-5
+        assert np.abs(b.curl(pts) - curl_fd).max() < 1e-5
 
 
 def test_face_members_are_tangent(meshes):
