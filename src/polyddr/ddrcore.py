@@ -17,13 +17,24 @@ one entity the image block precedes the complement block.
 
 Each reconstruction operator maps the degrees of freedom attached to an
 entity and its boundary to a polynomial on the entity. Edge gradients come
-from a reconstructed edge polynomial of degree k+1; face and cell
-gradients, curls, and divergences are defined by integration by parts
-against full polynomial test spaces; scalar and tangential face traces and
-the three cell potentials solve small square systems whose test spaces are
-the radial complements (plus complement-projection rows where the
-reconstruction keeps the complement part of the data). Systems with
-condition number above 1e12 abort.
+from a reconstructed edge polynomial of degree k+1. Every face and cell
+operator follows one of two patterns, each built by one routine:
+
+- a differential (`_differential`: face gradient and rotation, cell
+  gradient, curl and divergence) is defined by integration by parts
+  against its whole target space: a volume term pairing the adjoint
+  derivative of the target (div, rotated grad, curl or grad) with the
+  entity's first dof family, plus the boundary term over the
+  reconstructions on the entity's boundary;
+- a reconstruction (`_reconstruction`: scalar and tangential face traces,
+  the three cell potentials) solves one small square system: derivative
+  moments against radial-complement tests equal the tests against a
+  differential, plus the boundary term, with complement-projection rows
+  where the reconstruction keeps the complement part of the data.
+
+Both share one boundary term (`_add_boundary_term`). Systems with
+condition number above 1e12 abort with a message naming the operator, the
+entity and the condition number.
 """
 
 import functools
@@ -34,6 +45,7 @@ from scipy import sparse
 
 from .polyspaces import (
     BasisBank,
+    PolyBasis,
     _cross_matrix,
     dim_P,
     integrate_products,
@@ -298,6 +310,12 @@ def make_space(mesh, which, k, bank=None):
 # interpolation
 
 
+def _family_basis(space, kind, index, fam, l):
+    if fam == "scalar":
+        return space.bank.scalars(kind, index, l)
+    return space.bank.subspace(kind, index, fam, l)
+
+
 def entity_moments(space, kind, index, rule, vals):
     """One entity's block of degrees of freedom from values at rule points.
 
@@ -325,10 +343,7 @@ def entity_moments(space, kind, index, rule, vals):
         families = space.cell_families
     blocks = [np.zeros((0, len(vals)))]
     for fam, l in families:
-        if fam == "scalar":
-            b = space.bank.scalars(kind, index, l)
-        else:
-            b = space.bank.subspace(kind, index, fam, l)
+        b = _family_basis(space, kind, index, fam, l)
         if b.dim:
             blocks.append(integrate_products(b.eval(rule.points), vals, rule.weights))
     return np.concatenate(blocks)
@@ -466,71 +481,86 @@ def op_grad_edge(space, e):
 
 
 # ----------------------------------------------------------------------
-# face operators
+# face and cell operators
+
+
+def _rotated_grad(space, f):
+    """The in-plane rotated gradient grad x n_F on face f, as a
+    (basis, points) -> tabulation map."""
+    K = _cross_matrix(space.mesh.face_normals[f])
+    return lambda b, pts: b.grad(pts) @ K
+
+
+def _differential(space, kind, index, tgt, adjoint, sign, trace, trace_sign):
+    """Face or cell differential with values in tgt, by parts against all
+    of tgt: sign * int adjoint(tgt) . (first dof family) on the entity,
+    plus the boundary term of the reconstructions trace (sign trace_sign)."""
+    idx, layout = space.local_dofs(kind, index)
+    rule = space.bank.rule(kind, index)
+    M = np.zeros((tgt.dim, len(idx)))
+    fam, l = (space.face_families if kind == "face" else space.cell_families)[0]
+    first = _family_basis(space, kind, index, fam, l)
+    if first.dim:
+        M[:, space.sub_slice(layout, kind, index, 0)] = sign * integrate_products(
+            adjoint(tgt, rule.points), first.eval(rule.points), rule.weights,
+        )
+    _add_boundary_term(space, kind, index, M, idx, tgt, trace, sign=trace_sign)
+    return LocalOperator((kind, index), idx, layout, tgt, M)
+
+
+def _reconstruction(space, kind, index, op, tgt, tests, derivative, sign,
+                    trace, trace_sign, what, complement=None, degree=None):
+    """Polynomial tgt on a face or cell from the dofs op reads.
+
+    Its moments int derivative(tests) . tgt equal sign * (tests against
+    op's values) plus the boundary term of trace (sign trace_sign, rules of
+    the given degree). With a complement basis, the complement moments are
+    kept from the entity's second dof family. One guarded square solve.
+    """
+    idx, layout = op.dofs, op.layout
+    rule = space.bank.rule(kind, index)
+    A = integrate_products(
+        derivative(tests, rule.points), tgt.eval(rule.points), rule.weights,
+    )
+    R = sign * tests.coeff_matrix()[:, : op.target.dim] @ op.matrix
+    _add_boundary_term(space, kind, index, R, idx, tests, trace,
+                       sign=trace_sign, degree=degree)
+    if complement is not None:
+        A = np.vstack([A, complement.coeff_matrix()])
+        keep = np.zeros((complement.dim, len(idx)))
+        keep[:, space.sub_slice(layout, kind, index, 1)] = np.eye(complement.dim)
+        R = np.vstack([R, keep])
+    matrix = _solve_guarded(A, R, what)
+    return LocalOperator((kind, index), idx, layout, tgt, matrix)
 
 
 @_per_space
 def op_grad_face(space, f):
     """Face gradient in the full vector space of degree k, defined by
     integration by parts against all vector polynomials."""
-    k = space.k
-    bank = space.bank
-    idx, layout = space.local_dofs("face", f)
-    tgt = bank.vectors("face", f, k)
-    rule = bank.rule("face", f)
-    M = np.zeros((tgt.dim, len(idx)))
-
-    if k >= 1:
-        sb = bank.scalars("face", f, k - 1)
-        Dv = tgt.div(rule.points)
-        M[:, layout[("face", f)]] = -integrate_products(
-            Dv, sb.eval(rule.points), rule.weights,
-        )
-    _add_boundary_term(space, "face", f, M, idx, tgt, edge_reconstruct)
-    return LocalOperator(("face", f), idx, layout, tgt, M)
+    return _differential(space, "face", f, space.bank.vectors("face", f, space.k),
+                         PolyBasis.div, -1.0, edge_reconstruct, 1.0)
 
 
 @_per_space
 def op_scalar_trace(space, f):
     """Degree-(k+1) scalar face reconstruction whose in-plane divergence
     moments against the radial complement reproduce the face gradient."""
-    k = space.k
-    bank = space.bank
-    gf = op_grad_face(space, f)
-    idx, layout = gf.dofs, gf.layout
-    tests = bank.subspace("face", f, "curl_complement", k + 2)
-    tgt = bank.scalars("face", f, k + 1)
-    rule = bank.rule("face", f)
-    A = integrate_products(
-        tests.div(rule.points), tgt.eval(rule.points), rule.weights,
+    k, bank = space.k, space.bank
+    return _reconstruction(
+        space, "face", f, op_grad_face(space, f), bank.scalars("face", f, k + 1),
+        bank.subspace("face", f, "curl_complement", k + 2), PolyBasis.div,
+        -1.0, edge_reconstruct, 1.0, f"scalar face trace {f}",
+        degree=2 * k + 4,
     )
-    R = -tests.coeff_matrix()[:, : gf.target.dim] @ gf.matrix
-    _add_boundary_term(space, "face", f, R, idx, tests, edge_reconstruct,
-                       degree=2 * k + 4)
-    matrix = _solve_guarded(A, R, f"scalar face trace {f}")
-    return LocalOperator(("face", f), idx, layout, tgt, matrix)
 
 
 @_per_space
 def op_curl_face(space, f):
     """Scalar face rotation of degree k from tangential edge values and
     the rotational-image face moments."""
-    k = space.k
-    bank = space.bank
-    idx, layout = space.local_dofs("face", f)
-    tgt = bank.scalars("face", f, k)
-    rule = bank.rule("face", f)
-    n = space.mesh.face_normals[f]
-    M = np.zeros((tgt.dim, len(idx)))
-
-    img = bank.subspace("face", f, "curl_image", k - 1)
-    if img.dim:
-        vrot = tgt.grad(rule.points) @ _cross_matrix(n)
-        M[:, space.sub_slice(layout, "face", f, 0)] = integrate_products(
-            vrot, img.eval(rule.points), rule.weights,
-        )
-    _add_boundary_term(space, "face", f, M, idx, tgt, _edge_values, sign=-1.0)
-    return LocalOperator(("face", f), idx, layout, tgt, M)
+    return _differential(space, "face", f, space.bank.scalars("face", f, space.k),
+                         _rotated_grad(space, f), 1.0, _edge_values, -1.0)
 
 
 @_per_space
@@ -538,92 +568,37 @@ def op_tangential_trace(space, f):
     """Tangential face field of degree k: its rotated-gradient moments
     come from the face rotation and edge values by parts, its radial
     complement moments are kept from the data."""
-    k = space.k
-    bank = space.bank
-    cf = op_curl_face(space, f)
-    idx, layout = cf.dofs, cf.layout
-    tgt = bank.vectors("face", f, k)
-    rule = bank.rule("face", f)
-    n = space.mesh.face_normals[f]
-
-    zm = bank.subspace("face", f, "zero_mean", k + 1)
-    cc = bank.subspace("face", f, "curl_complement", k)
-    vrot = zm.grad(rule.points) @ _cross_matrix(n)
-    L1 = integrate_products(vrot, tgt.eval(rule.points), rule.weights)
-    L = np.vstack([L1, cc.coeff_matrix()])
-
-    R = np.zeros((tgt.dim, len(idx)))
-    R[: zm.dim] = zm.coeff_matrix()[:, : dim_P(k, 2)] @ cf.matrix
-    _add_boundary_term(space, "face", f, R[: zm.dim], idx, zm, _edge_values)
-    if cc.dim:
-        R[zm.dim :, space.sub_slice(layout, "face", f, 1)] = np.eye(cc.dim)
-
-    matrix = _solve_guarded(L, R, f"tangential face trace {f}")
-    return LocalOperator(("face", f), idx, layout, tgt, matrix)
-
-
-# ----------------------------------------------------------------------
-# cell operators
+    k, bank = space.k, space.bank
+    return _reconstruction(
+        space, "face", f, op_curl_face(space, f), bank.vectors("face", f, k),
+        bank.subspace("face", f, "zero_mean", k + 1), _rotated_grad(space, f),
+        1.0, _edge_values, 1.0, f"tangential face trace {f}",
+        complement=bank.subspace("face", f, "curl_complement", k),
+    )
 
 
 @_per_space
 def op_grad_cell(space, c):
     """Cell gradient in the full vector space of degree k, by parts
     against all vector polynomials using the scalar face traces."""
-    k = space.k
-    bank = space.bank
-    idx, layout = space.local_dofs("cell", c)
-    tgt = bank.vectors("cell", c, k)
-    rule = bank.rule("cell", c)
-    M = np.zeros((tgt.dim, len(idx)))
-
-    if k >= 1:
-        sb = bank.scalars("cell", c, k - 1)
-        M[:, layout[("cell", c)]] = -integrate_products(
-            tgt.div(rule.points), sb.eval(rule.points), rule.weights,
-        )
-    _add_boundary_term(space, "cell", c, M, idx, tgt, op_scalar_trace)
-    return LocalOperator(("cell", c), idx, layout, tgt, M)
+    return _differential(space, "cell", c, space.bank.vectors("cell", c, space.k),
+                         PolyBasis.div, -1.0, op_scalar_trace, 1.0)
 
 
 @_per_space
 def op_curl_cell(space, c):
     """Cell curl in the full vector space of degree k, by parts against
     all vector polynomials using the tangential face traces."""
-    k = space.k
-    bank = space.bank
-    idx, layout = space.local_dofs("cell", c)
-    tgt = bank.vectors("cell", c, k)
-    rule = bank.rule("cell", c)
-    M = np.zeros((tgt.dim, len(idx)))
-
-    img = bank.subspace("cell", c, "curl_image", k - 1)
-    if img.dim:
-        M[:, space.sub_slice(layout, "cell", c, 0)] = integrate_products(
-            tgt.curl(rule.points), img.eval(rule.points), rule.weights,
-        )
-    _add_boundary_term(space, "cell", c, M, idx, tgt, op_tangential_trace)
-    return LocalOperator(("cell", c), idx, layout, tgt, M)
+    return _differential(space, "cell", c, space.bank.vectors("cell", c, space.k),
+                         PolyBasis.curl, 1.0, op_tangential_trace, 1.0)
 
 
 @_per_space
 def op_div_cell(space, c):
     """Cell divergence of degree k from normal face values and the
     gradient-image cell moments."""
-    k = space.k
-    bank = space.bank
-    idx, layout = space.local_dofs("cell", c)
-    tgt = bank.scalars("cell", c, k)
-    rule = bank.rule("cell", c)
-    M = np.zeros((tgt.dim, len(idx)))
-
-    img = bank.subspace("cell", c, "grad_image", k - 1)
-    if img.dim:
-        M[:, space.sub_slice(layout, "cell", c, 0)] = -integrate_products(
-            tgt.grad(rule.points), img.eval(rule.points), rule.weights,
-        )
-    _add_boundary_term(space, "cell", c, M, idx, tgt, _face_values)
-    return LocalOperator(("cell", c), idx, layout, tgt, M)
+    return _differential(space, "cell", c, space.bank.scalars("cell", c, space.k),
+                         PolyBasis.grad, -1.0, _face_values, 1.0)
 
 
 @_per_space
@@ -636,62 +611,27 @@ def op_potential(space, c):
     a degree-k vector whose gradient moments match the cell divergence
     and whose radial complement moments are kept.
     """
-    k = space.k
-    bank = space.bank
-
+    k, bank = space.k, space.bank
     if space.which == "grad":
-        gc = op_grad_cell(space, c)
-        idx, layout = gc.dofs, gc.layout
-        tests = bank.subspace("cell", c, "curl_complement", k + 2)
-        tgt = bank.scalars("cell", c, k + 1)
-        rule = bank.rule("cell", c)
-        A = integrate_products(
-            tests.div(rule.points), tgt.eval(rule.points), rule.weights,
+        return _reconstruction(
+            space, "cell", c, op_grad_cell(space, c), bank.scalars("cell", c, k + 1),
+            bank.subspace("cell", c, "curl_complement", k + 2), PolyBasis.div,
+            -1.0, op_scalar_trace, 1.0, f"scalar potential on cell {c}",
         )
-        R = -tests.coeff_matrix()[:, : gc.target.dim] @ gc.matrix
-        _add_boundary_term(space, "cell", c, R, idx, tests, op_scalar_trace)
-        matrix = _solve_guarded(A, R, f"scalar potential on cell {c}")
-        return LocalOperator(("cell", c), idx, layout, tgt, matrix)
-
     if space.which == "curl":
-        ct = op_curl_cell(space, c)
-        idx, layout = ct.dofs, ct.layout
-        tgt = bank.vectors("cell", c, k)
-        rule = bank.rule("cell", c)
-        cg = bank.subspace("cell", c, "grad_complement", k + 1)
-        cc = bank.subspace("cell", c, "curl_complement", k)
-        L1 = integrate_products(
-            cg.curl(rule.points), tgt.eval(rule.points), rule.weights,
+        return _reconstruction(
+            space, "cell", c, op_curl_cell(space, c), bank.vectors("cell", c, k),
+            bank.subspace("cell", c, "grad_complement", k + 1), PolyBasis.curl,
+            1.0, op_tangential_trace, -1.0, f"field potential on cell {c}",
+            complement=bank.subspace("cell", c, "curl_complement", k),
         )
-        L = np.vstack([L1, cc.coeff_matrix()])
-        R = np.zeros((tgt.dim, len(idx)))
-        R[: cg.dim] = cg.coeff_matrix()[:, : tgt.dim] @ ct.matrix
-        _add_boundary_term(space, "cell", c, R[: cg.dim], idx, cg,
-                           op_tangential_trace, sign=-1.0)
-        if cc.dim:
-            R[cg.dim :, space.sub_slice(layout, "cell", c, 1)] = np.eye(cc.dim)
-        matrix = _solve_guarded(L, R, f"field potential on cell {c}")
-        return LocalOperator(("cell", c), idx, layout, tgt, matrix)
-
     if space.which == "div":
-        dt = op_div_cell(space, c)
-        idx, layout = dt.dofs, dt.layout
-        tgt = bank.vectors("cell", c, k)
-        rule = bank.rule("cell", c)
-        zm = bank.subspace("cell", c, "zero_mean", k + 1)
-        cg = bank.subspace("cell", c, "grad_complement", k)
-        L1 = integrate_products(
-            zm.grad(rule.points), tgt.eval(rule.points), rule.weights,
+        return _reconstruction(
+            space, "cell", c, op_div_cell(space, c), bank.vectors("cell", c, k),
+            bank.subspace("cell", c, "zero_mean", k + 1), PolyBasis.grad,
+            -1.0, _face_values, 1.0, f"flux potential on cell {c}",
+            complement=bank.subspace("cell", c, "grad_complement", k),
         )
-        L = np.vstack([L1, cg.coeff_matrix()])
-        R = np.zeros((tgt.dim, len(idx)))
-        R[: zm.dim] = -(zm.coeff_matrix()[:, : dim_P(k, 3)] @ dt.matrix)
-        _add_boundary_term(space, "cell", c, R[: zm.dim], idx, zm, _face_values)
-        if cg.dim:
-            R[zm.dim :, space.sub_slice(layout, "cell", c, 1)] = np.eye(cg.dim)
-        matrix = _solve_guarded(L, R, f"flux potential on cell {c}")
-        return LocalOperator(("cell", c), idx, layout, tgt, matrix)
-
     raise ValueError("potentials live on the grad, curl, and div spaces")
 
 

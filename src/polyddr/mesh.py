@@ -16,6 +16,7 @@ validation step rejects any face or cell that is not star-shaped with respect
 to them, since the simplicial fans used for quadrature hinge on that.
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -401,51 +402,12 @@ def load_mesh(path):
     return Mesh(data["vertices"], data["faces"], data["cells"])
 
 
-def generate_cubic_mesh(n):
-    """Uniform n x n x n hexahedral partition of the unit cube."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    coords = np.linspace(0.0, 1.0, n + 1)
-    vid = lambda i, j, k: (i * (n + 1) + j) * (n + 1) + k
-    vertices = np.array(
-        [[coords[i], coords[j], coords[k]]
-         for i in range(n + 1) for j in range(n + 1) for k in range(n + 1)]
-    )
-    faces = []
-    face_ids = {}
+def _grid_mesh(n, subcube_cells):
+    """Mesh of the unit cube on the (n+1)^3 vertex grid.
 
-    def add_face(loop):
-        key = frozenset(loop)
-        idx = face_ids.get(key)
-        if idx is None:
-            idx = len(faces)
-            faces.append(loop)
-            face_ids[key] = idx
-        return idx
-
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                c = lambda a, b, d: vid(i + a, j + b, k + d)
-                loops = [
-                    (c(0, 0, 0), c(0, 0, 1), c(0, 1, 1), c(0, 1, 0)),
-                    (c(1, 0, 0), c(1, 1, 0), c(1, 1, 1), c(1, 0, 1)),
-                    (c(0, 0, 0), c(1, 0, 0), c(1, 0, 1), c(0, 0, 1)),
-                    (c(0, 1, 0), c(0, 1, 1), c(1, 1, 1), c(1, 1, 0)),
-                    (c(0, 0, 0), c(0, 1, 0), c(1, 1, 0), c(1, 0, 0)),
-                    (c(0, 0, 1), c(1, 0, 1), c(1, 1, 1), c(0, 1, 1)),
-                ]
-                cells.append([add_face(lp) for lp in loops])
-    return Mesh(vertices, faces, cells)
-
-
-def generate_tet_mesh(n):
-    """Conforming tetrahedral mesh of the unit cube, six tets per subcube.
-
-    Every subcube is split along its main diagonal into the six tetrahedra
-    traced by the axis-step permutations, which makes neighbouring subcubes
-    agree on the shared-face diagonals.
+    subcube_cells(c) lists the cells of one subcube as lists of face loops,
+    with c(a, b, d) the vertex id of the subcube corner offset by (a, b, d)
+    in {0, 1}^3. Loops with the same vertex set are one shared face.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -455,41 +417,60 @@ def generate_tet_mesh(n):
         [[coords[i], coords[j], coords[k]]
          for i in range(n + 1) for j in range(n + 1) for k in range(n + 1)]
     )
-    perms = [
-        (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0),
-    ]
     faces = []
     face_ids = {}
-
-    def add_face(tri):
-        key = frozenset(tri)
-        idx = face_ids.get(key)
-        if idx is None:
-            idx = len(faces)
-            faces.append(tri)
-            face_ids[key] = idx
-        return idx
-
     cells = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                base = np.array([i, j, k])
-                for perm in perms:
-                    steps = [base.copy()]
-                    for axis in perm:
-                        nxt = steps[-1].copy()
-                        nxt[axis] += 1
-                        steps.append(nxt)
-                    ids = [vid(*s) for s in steps]
-                    tris = [
-                        (ids[0], ids[1], ids[2]),
-                        (ids[0], ids[1], ids[3]),
-                        (ids[0], ids[2], ids[3]),
-                        (ids[1], ids[2], ids[3]),
-                    ]
-                    cells.append([add_face(t) for t in tris])
+    for i, j, k in itertools.product(range(n), repeat=3):
+        corner = lambda a, b, d: vid(i + a, j + b, k + d)
+        for loops in subcube_cells(corner):
+            cell = []
+            for loop in loops:
+                key = frozenset(loop)
+                if key not in face_ids:
+                    face_ids[key] = len(faces)
+                    faces.append(loop)
+                cell.append(face_ids[key])
+            cells.append(cell)
     return Mesh(vertices, faces, cells)
+
+
+def _hexahedron(c):
+    return [[
+        (c(0, 0, 0), c(0, 0, 1), c(0, 1, 1), c(0, 1, 0)),
+        (c(1, 0, 0), c(1, 1, 0), c(1, 1, 1), c(1, 0, 1)),
+        (c(0, 0, 0), c(1, 0, 0), c(1, 0, 1), c(0, 0, 1)),
+        (c(0, 1, 0), c(0, 1, 1), c(1, 1, 1), c(1, 1, 0)),
+        (c(0, 0, 0), c(0, 1, 0), c(1, 1, 0), c(1, 0, 0)),
+        (c(0, 0, 1), c(1, 0, 1), c(1, 1, 1), c(0, 1, 1)),
+    ]]
+
+
+def _six_tetrahedra(c):
+    cells = []
+    for perm in itertools.permutations(range(3)):
+        step = [0, 0, 0]
+        ids = [c(*step)]
+        for axis in perm:
+            step[axis] += 1
+            ids.append(c(*step))
+        cells.append([(ids[0], ids[1], ids[2]), (ids[0], ids[1], ids[3]),
+                      (ids[0], ids[2], ids[3]), (ids[1], ids[2], ids[3])])
+    return cells
+
+
+def generate_cubic_mesh(n):
+    """Uniform n x n x n hexahedral partition of the unit cube."""
+    return _grid_mesh(n, _hexahedron)
+
+
+def generate_tet_mesh(n):
+    """Conforming tetrahedral mesh of the unit cube, six tets per subcube.
+
+    Every subcube is split along its main diagonal into the six tetrahedra
+    traced by the axis-step permutations, which makes neighbouring subcubes
+    agree on the shared-face diagonals.
+    """
+    return _grid_mesh(n, _six_tetrahedra)
 
 
 def _merged_cell_ok(mesh, faces_a, faces_b):

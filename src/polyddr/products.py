@@ -2,17 +2,18 @@
 
 The product on each cell is the L2 product of the potential
 reconstructions plus a stabilization penalizing the mismatch between the
-potential and the boundary reconstructions:
+potential and the boundary reconstructions. One routine (`_stab_trace`)
+builds it for every space: over the cell's faces, the face diameter times
+the squared L2 mismatch between the potential's trace and the face
+reconstruction; over the cell's edges, where the space has edge dofs, the
+squared edge length times the same on the edge. The trace follows from the
+tabulations:
 
-- scalar space: face terms weigh the difference between the cell
-  potential and the scalar face trace by the face diameter, edge terms
-  weigh the difference with the reconstructed edge polynomial by the
-  squared edge length;
-- field space: face terms compare the tangential part of the potential
-  with the tangential face trace, edge terms the tangential component
-  with the edge polynomial;
-- flux space: face terms compare the normal component with the face
-  values.
+- scalar space: the potential's value, against the scalar face trace and
+  the reconstructed edge polynomial;
+- field space: its tangential part against the tangential face trace, its
+  tangential component against the edge polynomial;
+- flux space: its normal component against the face values.
 
 An alternative stabilization compares the local dofs with the
 interpolate of the potential in the component product; both variants
@@ -33,6 +34,8 @@ from scipy import sparse
 
 from .polyspaces import integrate_products
 from .ddrcore import (
+    _edge_values,
+    _face_values,
     _per_space,
     _positions,
     edge_reconstruct,
@@ -70,11 +73,10 @@ class LocalBilinearForm:
         return float(u @ self.matrix @ v)
 
 
-def _dof_values(op, pts):
-    """Per-dof values of a reconstruction at points: (ndofs, npts) for a
-    scalar target, (ndofs, npts, 3) for a vector one."""
-    V = op.target.eval(pts)
-    P = op.matrix.T @ V.reshape(len(V), -1)
+def _dof_values(matrix, V):
+    """Per-dof values of a reconstruction from its target's tabulation V:
+    (ndofs, npts) for a scalar target, (ndofs, npts, 3) for a vector one."""
+    P = matrix.T @ V.reshape(len(V), -1)
     return P.reshape(P.shape[:1] + V.shape[1:])
 
 
@@ -82,90 +84,36 @@ def _dof_values(op, pts):
 # stabilizations
 
 
-def _stab_grad(space, c):
+def _stab_trace(space, c, face_trace, edge_trace=None):
+    """Trace stabilization on one cell: over the faces F of the cell, h_F
+    times the squared L2(F) mismatch between the potential's trace and
+    face_trace(space, F); with edge_trace, over the edges E, h_E^2 times
+    the squared L2(E) mismatch with edge_trace(space, E). The trace
+    follows from the tabulations: the value of a scalar potential, the
+    tangential part of a vector one against a vector reconstruction, and
+    its normal (face) or tangential (edge) component against a scalar one.
+    """
     mesh = space.mesh
-    bank = space.bank
-    pg = op_potential(space, c)
-    idx = pg.dofs
-    pos = _positions(idx)
-    n = len(idx)
-    S = np.zeros((n, n))
-
-    for fi, f in enumerate(mesh.cells[c]):
-        f = int(f)
-        rule = bank.rule("face", f)
-        R = _dof_values(pg, rule.points)
-        tr = op_scalar_trace(space, f)
-        cols = [pos[int(g)] for g in tr.dofs]
-        R[cols] -= _dof_values(tr, rule.points)
-        hf = mesh.face_diameters[f]
-        S += hf * (R * rule.weights) @ R.T
-
-    for e in [int(x) for x in mesh.cell_edges[c]]:
-        rule = bank.rule("edge", e)
-        R = _dof_values(pg, rule.points)
-        rec = edge_reconstruct(space, e)
-        cols = [pos[int(g)] for g in rec.dofs]
-        R[cols] -= _dof_values(rec, rule.points)
-        he = mesh.edge_lengths[e]
-        S += he ** 2 * (R * rule.weights) @ R.T
-    return S, pg
-
-
-def _stab_curl(space, c):
-    mesh = space.mesh
-    bank = space.bank
-    pc = op_potential(space, c)
-    idx = pc.dofs
-    pos = _positions(idx)
-    n = len(idx)
-    S = np.zeros((n, n))
-
-    for fi, f in enumerate(mesh.cells[c]):
-        f = int(f)
-        rule = bank.rule("face", f)
-        nrm = mesh.face_normals[f]
-        V = _dof_values(pc, rule.points)
-        R = V - (V @ nrm)[:, :, None] * nrm
-        gt = op_tangential_trace(space, f)
-        cols = [pos[int(g)] for g in gt.dofs]
-        R[cols] -= _dof_values(gt, rule.points)
-        hf = mesh.face_diameters[f]
-        S += hf * integrate_products(R, R, rule.weights)
-
-    for e in [int(x) for x in mesh.cell_edges[c]]:
-        rule = bank.rule("edge", e)
-        t = mesh.edge_tangents[e]
-        R = pc.matrix.T @ (pc.target.eval(rule.points) @ t)
-        eb = bank.scalars("edge", e, space.k)
-        sl = space.edge_dofs(e)
-        cols = [pos[int(g)] for g in sl]
-        R[cols] -= eb.eval(rule.points)
-        he = mesh.edge_lengths[e]
-        S += he ** 2 * (R * rule.weights) @ R.T
-    return S, pc
-
-
-def _stab_div(space, c):
-    mesh = space.mesh
-    bank = space.bank
-    pd = op_potential(space, c)
-    idx = pd.dofs
-    pos = _positions(idx)
-    n = len(idx)
-    S = np.zeros((n, n))
-
-    for fi, f in enumerate(mesh.cells[c]):
-        f = int(f)
-        rule = bank.rule("face", f)
-        nrm = mesh.face_normals[f]
-        R = pd.matrix.T @ (pd.target.eval(rule.points) @ nrm)
-        fb = bank.scalars("face", f, space.k)
-        cols = [pos[int(g)] for g in space.face_dofs(f)]
-        R[cols] -= fb.eval(rule.points)
-        hf = mesh.face_diameters[f]
-        S += hf * (R * rule.weights) @ R.T
-    return S, pd
+    pot = op_potential(space, c)
+    pos = _positions(pot.dofs)
+    S = np.zeros((len(pot.dofs), len(pot.dofs)))
+    parts = [("face", int(f), face_trace, mesh.face_diameters[f])
+             for f in mesh.cells[c]]
+    if edge_trace is not None:
+        parts += [("edge", int(e), edge_trace, mesh.edge_lengths[e] ** 2)
+                  for e in mesh.cell_edges[c]]
+    for kind, j, trace, h in parts:
+        rule = space.bank.rule(kind, j)
+        V = pot.target.eval(rule.points)
+        rec = trace(space, j)
+        W = rec.target.eval(rule.points)
+        if V.ndim == 3:
+            d = mesh.face_normals[j] if kind == "face" else mesh.edge_tangents[j]
+            V = V @ (np.eye(3) - np.outer(d, d)) if W.ndim == 3 else V @ d
+        R = _dof_values(pot.matrix, V)
+        R[[pos[int(g)] for g in rec.dofs]] -= _dof_values(rec.matrix, W)
+        S += h * integrate_products(R, R, rule.weights)
+    return LocalBilinearForm(("cell", c), pot.dofs, S)
 
 
 @_per_space
@@ -177,38 +125,32 @@ def stabilization(space, c, variant="trace"):
     against the interpolated potential, measured in the component
     product. Both vanish when the potential reproduces the data.
     """
+    if variant not in ("trace", "interpolation"):
+        raise ValueError(f"unknown stabilization variant {variant!r}")
+    if space.which == "l2":
+        return LocalBilinearForm(
+            ("cell", c),
+            space.cell_dofs(c),
+            np.zeros((space.cell_width, space.cell_width)),
+        )
     if variant == "trace":
         if space.which == "grad":
-            S, pot = _stab_grad(space, c)
-        elif space.which == "curl":
-            S, pot = _stab_curl(space, c)
-        elif space.which == "div":
-            S, pot = _stab_div(space, c)
+            return _stab_trace(space, c, op_scalar_trace, edge_reconstruct)
+        if space.which == "curl":
+            return _stab_trace(space, c, op_tangential_trace, _edge_values)
+        return _stab_trace(space, c, _face_values)
+    pot = op_potential(space, c)
+    J = np.zeros((len(pot.dofs), pot.target.dim))
+    for (kind, i), sl in pot.layout.items():
+        if kind == "vertex":
+            rule, pts = None, space.mesh.vertices[[i]]
         else:
-            S = np.zeros((space.cell_width, space.cell_width))
-            pot = None
-        dofs = pot.dofs if pot is not None else space.cell_dofs(c)
-        return LocalBilinearForm(("cell", c), dofs, S)
-    if variant == "interpolation":
-        if space.which == "l2":
-            return LocalBilinearForm(
-                ("cell", c),
-                space.cell_dofs(c),
-                np.zeros((space.cell_width, space.cell_width)),
-            )
-        pot = op_potential(space, c)
-        J = np.zeros((len(pot.dofs), pot.target.dim))
-        for (kind, i), sl in pot.layout.items():
-            if kind == "vertex":
-                rule, pts = None, space.mesh.vertices[[i]]
-            else:
-                rule = space.bank.rule(kind, i)
-                pts = rule.points
-            J[sl] = entity_moments(space, kind, i, rule, pot.target.eval(pts))
-        R = np.eye(len(pot.dofs)) - J @ pot.matrix
-        C = component_gram(space, c)
-        return LocalBilinearForm(("cell", c), pot.dofs, R.T @ C @ R)
-    raise ValueError(f"unknown stabilization variant {variant!r}")
+            rule = space.bank.rule(kind, i)
+            pts = rule.points
+        J[sl] = entity_moments(space, kind, i, rule, pot.target.eval(pts))
+    R = np.eye(len(pot.dofs)) - J @ pot.matrix
+    C = component_gram(space, c)
+    return LocalBilinearForm(("cell", c), pot.dofs, R.T @ C @ R)
 
 
 @_per_space
@@ -291,12 +233,12 @@ def component_norm(space, values):
 # global assembly and graph norms
 
 
-def assemble_product(space, coeff=None, variant="trace"):
+def assemble_product(space, coeff=None):
     """Global sparse matrix of the stabilized product, optionally with a
     per-cell scalar coefficient."""
     rows, cols, vals = [], [], []
     for c in range(space.mesh.num_cells):
-        form = l2_product(space, c, variant)
+        form = l2_product(space, c)
         dofs = form.dofs
         M = form.matrix if coeff is None else coeff[c] * form.matrix
         rows.append(np.repeat(dofs, len(dofs)))
@@ -310,7 +252,7 @@ def assemble_product(space, coeff=None, variant="trace"):
 
 
 def graph_norms(space_curl, space_div, space_l2, field_vals, flux_vals,
-                mu=None, variant="trace"):
+                mu=None):
     """Graph norms of a field/flux pair: the field norm adds the flux
     norm of its discrete curl, the flux norm adds the plain L2 norm of
     its discrete divergence."""
@@ -321,8 +263,8 @@ def graph_norms(space_curl, space_div, space_l2, field_vals, flux_vals,
     mesh = space_curl.mesh
     mu_arr = np.ones(mesh.num_cells) if mu is None else np.asarray(mu)
 
-    Mc = assemble_product(space_curl, coeff=mu_arr, variant=variant)
-    Md = assemble_product(space_div, variant=variant)
+    Mc = assemble_product(space_curl, coeff=mu_arr)
+    Md = assemble_product(space_div)
     uC = global_operator(space_curl, space_div)
     D = global_operator(space_div, space_l2)
 

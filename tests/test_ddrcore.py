@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from polyddr.mesh import Mesh, generate_cubic_mesh, generate_tet_mesh, agglomerate_pairs
+from polyddr import ddrcore
 from polyddr.polyspaces import BasisBank, dim_P, l2_project
 from polyddr.ddrcore import (
     make_space,
@@ -593,6 +594,37 @@ def test_flipped_face_sign_breaks_links():
     sd = make_space(hacked, "div", 1, bank=bank)
     links = link_identities_check(sg, scu, sd, 0)
     assert max(links["grad_link"], links["curl_link"]) > 1e-6
+
+
+# ----------------------------------------------------------------------
+# failures name the operator, the entity and the measured quantity
+
+
+GUARDED = [
+    ("grad", edge_reconstruct, None, "edge reconstruction"),
+    ("grad", op_scalar_trace, op_grad_face, "scalar face trace"),
+    ("curl", op_tangential_trace, op_curl_face, "tangential face trace"),
+    ("grad", op_potential, op_grad_cell, "scalar potential on cell"),
+    ("curl", op_potential, op_curl_cell, "field potential on cell"),
+    ("div", op_potential, op_div_cell, "flux potential on cell"),
+]
+
+
+@pytest.mark.parametrize("which,op,prerequisite,label", GUARDED,
+                         ids=[g[-1].replace(" ", "_") for g in GUARDED])
+def test_guarded_solve_names_operator(monkeypatch, which, op, prerequisite,
+                                      label):
+    space = make_space(generate_tet_mesh(1), which, 1)
+    index = 3
+    if prerequisite is not None:
+        prerequisite(space, index)
+    # every condition number is >= 1, so each guarded solve now fails
+    monkeypatch.setattr(ddrcore, "COND_LIMIT", 0.5)
+    with pytest.raises(RuntimeError) as err:
+        op(space, index)
+    msg = str(err.value)
+    assert msg.startswith(f"{label} {index}: "), msg
+    assert "condition number" in msg, msg
 
 
 # ----------------------------------------------------------------------

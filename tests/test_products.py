@@ -14,7 +14,10 @@ from polyddr.ddrcore import (
     interpolate,
     global_operator,
     entity_moments,
+    edge_reconstruct,
     op_potential,
+    op_scalar_trace,
+    op_tangential_trace,
 )
 from polyddr.verification import _local_interp
 from polyddr.products import (
@@ -225,6 +228,60 @@ def test_entity_moments_match_interpolation_oracle(ctx, name, k, which):
         J[sl] = entity_moments(space, kind, i, rule, pot.target.eval(pts))
     want = _local_interp(space, "cell", c, pot.target)
     assert np.abs(J - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name", ["pyr", "tet", "agglo"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("which", WHICHES)
+def test_trace_stabilization_matches_oracle(ctx, name, k, which):
+    """For a random dof vector, the trace stabilization equals h_F times
+    the squared L2(F) mismatch between the potential's face trace and the
+    face reconstruction, plus h_E^2 times the squared L2(E) mismatch
+    between its edge trace and the edge reconstruction, summed over the
+    cell's faces and edges."""
+    c = big_cell(ctx.meshes[name])
+    space = ctx.spaces(name, k)[which]
+    mesh, bank = space.mesh, space.bank
+    v = np.random.default_rng(17).standard_normal(space.dim)
+    pot = op_potential(space, c)
+    u = pot.apply(v)
+
+    def at(basis, coeffs, pts):
+        return np.tensordot(coeffs, basis.eval(pts), axes=1)
+
+    def sq_mismatch(kind, j, trace, basis, coeffs):
+        rule = bank.rule(kind, j)
+        d = trace(at(pot.target, u, rule.points)) - at(basis, coeffs, rule.points)
+        return float(np.sum(d.reshape(len(rule.weights), -1) ** 2, axis=1)
+                     @ rule.weights)
+
+    want = 0.0
+    for f in map(int, mesh.cells[c]):
+        n = mesh.face_normals[f]
+        if which == "grad":
+            tr = op_scalar_trace(space, f)
+            trace, rec = (lambda p: p), (tr.target, tr.apply(v))
+        elif which == "curl":
+            tr = op_tangential_trace(space, f)
+            trace = lambda p: p - np.outer(p @ n, n)
+            rec = (tr.target, tr.apply(v))
+        else:
+            trace = lambda p: p @ n
+            rec = (bank.scalars("face", f, k), v[space.face_dofs(f)])
+        want += mesh.face_diameters[f] * sq_mismatch("face", f, trace, *rec)
+    for e in map(int, mesh.cell_edges[c] if which != "div" else []):
+        if which == "grad":
+            er = edge_reconstruct(space, e)
+            trace, rec = (lambda p: p), (er.target, er.apply(v))
+        else:
+            t = mesh.edge_tangents[e]
+            trace = lambda p: p @ t
+            rec = (bank.scalars("edge", e, k), v[space.edge_dofs(e)])
+        want += mesh.edge_lengths[e] ** 2 * sq_mismatch("edge", e, trace, *rec)
+
+    got = stabilization(space, c).apply(v, v)
+    scale = l2_product(space, c).apply(v, v)
+    assert abs(got - want) <= 1e-12 * scale, (got, want, scale)
 
 
 def test_local_form_apply():
