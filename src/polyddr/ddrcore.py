@@ -368,7 +368,7 @@ def interpolate(space, f, degree=None):
         if not width:
             continue
         for i in range(count):
-            rule = space.bank.rule(kind, i, degree)
+            rule = space.bank.rule(kind, i, degree, data=True)
             fv = np.asarray(f(rule.points))[None]
             vals[dofs(i)] = entity_moments(space, kind, i, rule, fv)[:, 0]
     return DofVector(space, vals)

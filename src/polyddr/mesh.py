@@ -40,6 +40,19 @@ class MeshError(Exception):
     """Raised when mesh data violates a structural or geometric invariant."""
 
 
+def _cross(a, b):
+    """np.cross of 3-vectors (broadcasting), with the same products and
+    differences but without its per-call axis handling."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    first = a1 * b2 - a2 * b1
+    out = np.empty(first.shape + (3,))
+    out[..., 0] = first
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
+
+
 def _diameter(points):
     # max pairwise distance; entities are small so the N^2 cost is fine
     diff = points[:, None, :] - points[None, :, :]
@@ -101,24 +114,20 @@ class Mesh:
                 raise MeshError(f"cell {i} references a missing face")
 
     def _build_edges(self):
-        pairs = set()
+        # each loop's consecutive vertex pairs, sorted, closing pair last
+        loop_pairs = []
         for loop in self.faces:
-            for a, b in zip(loop, np.roll(loop, -1)):
-                if a == b:
-                    raise MeshError("degenerate edge (repeated vertex)")
-                pairs.add((min(int(a), int(b)), max(int(a), int(b))))
-        edges = np.array(sorted(pairs), dtype=int)
+            ids = loop.tolist()
+            loop_pairs.append(
+                [(min(a, b), max(a, b)) for a, b in zip(ids, ids[1:] + ids[:1])]
+            )
+        pairs = sorted({p for lp in loop_pairs for p in lp})
+        edges = np.array(pairs, dtype=int)
         self.edges = edges
-        lookup = {(int(a), int(b)): i for i, (a, b) in enumerate(edges)}
-
-        face_edges = []
-        for loop in self.faces:
-            ids = [
-                lookup[(min(int(a), int(b)), max(int(a), int(b)))]
-                for a, b in zip(loop, np.roll(loop, -1))
-            ]
-            face_edges.append(np.array(ids, dtype=int))
-        self.face_edges = tuple(face_edges)
+        lookup = {p: i for i, p in enumerate(pairs)}
+        self.face_edges = tuple(
+            np.array([lookup[p] for p in lp], dtype=int) for lp in loop_pairs
+        )
 
         vec = self.vertices[edges[:, 1]] - self.vertices[edges[:, 0]]
         self.edge_lengths = np.linalg.norm(vec, axis=1)
@@ -142,10 +151,11 @@ class Mesh:
         normals_fe = []
         for f, loop in enumerate(self.faces):
             pts = self.vertices[loop]
+            nxt = np.concatenate((pts[1:], pts[:1]))
             xf = pts.mean(axis=0)
             # Newell's formula: sum of cross products around the loop gives
             # twice the area vector, oriented by the loop direction
-            nvec = np.cross(pts, np.roll(pts, -1, axis=0)).sum(axis=0)
+            nvec = _cross(pts, nxt).sum(axis=0)
             nrm = np.linalg.norm(nvec)
             if nrm <= 0:
                 raise MeshError(f"face {f} has zero area vector")
@@ -158,22 +168,21 @@ class Mesh:
             axis[np.argmin(np.abs(n))] = 1.0
             e1 = axis - (axis @ n) * n
             e1 /= np.linalg.norm(e1)
-            e2 = np.cross(n, e1)
             self.face_frames[f, 0] = e1
-            self.face_frames[f, 1] = e2
+            self.face_frames[f, 1] = _cross(n, e1)
 
-            tri = np.stack(
-                [np.broadcast_to(xf, pts.shape), pts, np.roll(pts, -1, axis=0)],
-                axis=1,
-            )
+            tri = np.empty((len(pts), 3, 3))
+            tri[:, 0] = xf
+            tri[:, 1] = pts
+            tri[:, 2] = nxt
             fans.append(tri)
             # doubled fan-triangle areas, positive for a star-shaped face
-            area2 = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]) @ n
+            area2 = _cross(pts - xf, nxt - xf) @ n
             fan_area2.append(area2)
             self.face_areas[f] = 0.5 * area2.sum()
 
             t = self.edge_tangents[self.face_edges[f]]
-            nfe = np.cross(n[None, :], t)
+            nfe = _cross(n, t)
             normals_fe.append(nfe)
             mids = self.edge_midpoints[self.face_edges[f]]
             dots = ((mids - xf) * nfe).sum(axis=1)

@@ -469,13 +469,15 @@ def l2_project(basis, f, rule=None, mesh=None):
     f is a callable on an (npts, 3) array of points returning (npts,) for
     scalar bases or (npts, 3) for vector bases; 3-vector fields over faces
     are projected onto the tangent plane implicitly (members are tangent).
+    Without a rule, mesh selects the data rule of degree 2l+2 for a
+    non-polynomial f; with neither, the basis' own polynomial rule is used.
     """
     if rule is None:
         if mesh is None:
             rule = basis._core.rule
         else:
             rule = entity_rule(mesh, basis.entity_kind, basis.entity_id,
-                               2 * max(basis.degree, 0) + 2)
+                               2 * max(basis.degree, 0) + 2, data=True)
     vals = f(rule.points) if callable(f) else np.asarray(f)
     B = basis.eval(rule.points)
     moments = integrate_products(B, np.asarray(vals)[None], rule.weights)[:, 0]
@@ -567,7 +569,10 @@ class BasisBank:
     largest spaces the discrete operators touch are the degree-(k+2)
     radial complements used by the trace and potential systems. Default
     rules integrate degree 2k+4 on faces/cells and 2k+2 on edges exactly,
-    which covers every product of two represented polynomials.
+    which covers every product of two represented polynomials. Rules are
+    cached per (kind, index, degree, data): data=True selects the
+    centroid-fan rule for non-polynomial data, the default the vertex-fan
+    rule for polynomials (see quadrature).
     """
 
     def __init__(self, mesh, k):
@@ -579,13 +584,13 @@ class BasisBank:
         self._cores = {}
         self._bases = {}
 
-    def rule(self, kind, index, degree=None):
+    def rule(self, kind, index, degree=None, data=False):
         if degree is None:
             degree = 2 * self.k + (2 if kind == "edge" else 4)
-        key = (kind, index, degree)
+        key = (kind, index, degree, data)
         out = self._rules.get(key)
         if out is None:
-            out = entity_rule(self.mesh, kind, index, degree)
+            out = entity_rule(self.mesh, kind, index, degree, data=data)
             self._rules[key] = out
         return out
 

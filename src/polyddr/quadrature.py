@@ -1,12 +1,29 @@
 """Exact integration of polynomials over mesh entities.
 
-Edges get Gauss-Legendre rules. Faces and cells are cut into the simplicial
-fans anchored at their star points (already validated by the mesh), and each
-simplex carries a collapsed Gauss-Jacobi product rule: the Duffy map sends a
-cube onto the simplex and its polynomial Jacobian is absorbed into Jacobi
-weights, so the rule is exact for the requested total degree by construction
-and all weights stay positive. Slightly more points than tabulated symmetric
-rules, but any degree is available without tables.
+Edges get Gauss-Legendre rules. Faces and cells are cut into simplicial
+fans, and each simplex carries a collapsed Gauss-Jacobi product rule: the
+Duffy map sends a cube onto the simplex and its polynomial Jacobian is
+absorbed into Jacobi weights, so the rule is exact for the requested total
+degree by construction and all weights stay positive. Slightly more points
+than tabulated symmetric rules, but any degree is available without tables.
+
+Faces and cells have two rule kinds, fixed by the call site:
+
+- Polynomial integrands (the default; every operator, potential and
+  product) use the coarsest vertex fan. A face of n vertices is fanned
+  from its first vertex whose n-2 triangles all have doubled area above
+  SIGN_RTOL * h_F^2; a cell from its first vertex whose tetrahedra over the
+  face fans of the faces avoiding it all have 6 * volume above
+  SIGN_RTOL * h_T^3. A triangle or a tetrahedron is then one simplex, a
+  quad two, a hexahedron six. Where no vertex qualifies, the centroid fan
+  below is used. Any rule exact to the degree gives the same integrals up
+  to roundoff, so the coarsest one is taken.
+- Non-polynomial data (data=True: interpolation of smooth fields, the load
+  vector, errors against smooth fields) use the centroid fan the mesh
+  validates: x_F with the loop's edges on faces, x_T with the face fans on
+  cells. On such data a rule is not exact, and its error is part of the
+  computed numbers; the finer centroid fan keeps those numbers (pinned
+  solution errors among them) as they are.
 
 The reference rules on [0, 1], the triangle and the tetrahedron are computed
 once per degree and cached as read-only arrays; each entity rule maps them
@@ -17,6 +34,8 @@ import functools
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
+
+from .mesh import SIGN_RTOL, _cross
 
 __all__ = ["QuadRule", "entity_rule", "integrate"]
 
@@ -91,9 +110,69 @@ def edge_rule(mesh, e, degree):
     return QuadRule(pts, w * mesh.edge_lengths[e], degree)
 
 
-def face_rule(mesh, f, degree):
+def _face_fan(mesh, f):
+    """Triangles and doubled areas of the coarsest valid fan of face f.
+
+    The loop is fanned from its first vertex whose n-2 fan triangles all
+    have doubled area above SIGN_RTOL * h_F^2 along the face normal; with
+    no such vertex, from the centroid.
+    """
+    pts = mesh.vertices[mesh.faces[f]]
+    n = mesh.face_normals[f]
+    tol = SIGN_RTOL * mesh.face_diameters[f] ** 2
+    for a in range(len(pts)):
+        loop = np.concatenate((pts[a:], pts[:a]))
+        d = loop[1:] - loop[0]
+        area2 = _cross(d[:-1], d[1:]) @ n
+        if area2.min() > tol:
+            tris = np.empty((len(area2), 3, 3))
+            tris[:, 0] = loop[0]
+            tris[:, 1] = loop[1:-1]
+            tris[:, 2] = loop[2:]
+            return tris, area2
+    return mesh.face_fans[f], mesh.face_fan_area2[f]
+
+
+def _cell_fan(mesh, c):
+    """Tetrahedra and six times their volumes of the coarsest valid fan of
+    cell c.
+
+    The apex is the first cell vertex whose tetrahedra over the face fans
+    of the faces avoiding it all have 6 * volume above SIGN_RTOL * h_T^3;
+    with no such vertex, the cell's centroid fan over centroid face fans.
+    """
+    tol = SIGN_RTOL * mesh.cell_diameters[c] ** 3
+    faces = mesh.cells[c].tolist()
+    loops = [mesh.faces[f].tolist() for f in faces]
+    signs = mesh.cell_face_signs[c].tolist()
+    fans = {}
+    for v in mesh.cell_vertices[c].tolist():
+        apex = mesh.vertices[v]
+        tris = []
+        for f, loop, sign in zip(faces, loops, signs):
+            if v in loop:
+                continue
+            if f not in fans:
+                tri = _face_fan(mesh, f)[0]
+                # outward orientation makes apex-first volumes positive
+                fans[f] = tri if sign > 0 else tri[:, ::-1]
+            tris.append(fans[f])
+        tris = np.concatenate(tris)
+        vol6 = np.linalg.det(tris - apex)
+        if vol6.min() > tol:
+            tets = np.empty((len(tris), 4, 3))
+            tets[:, 0] = apex
+            tets[:, 1:] = tris
+            return tets, vol6
+    return mesh.cell_fans[c], mesh.cell_fan_vol6[c]
+
+
+def face_rule(mesh, f, degree, data=False):
     ref, wref = _triangle_ref(degree)
-    tris = mesh.face_fans[f]
+    if data:
+        tris, area2 = mesh.face_fans[f], mesh.face_fan_area2[f]
+    else:
+        tris, area2 = _face_fan(mesh, f)
     p0 = tris[:, 0]
     d1 = tris[:, 1] - tris[:, 0]
     d2 = tris[:, 2] - tris[:, 0]
@@ -102,33 +181,40 @@ def face_rule(mesh, f, degree):
         + ref[None, :, 0, None] * d1[:, None, :]
         + ref[None, :, 1, None] * d2[:, None, :]
     )
-    wts = mesh.face_fan_area2[f][:, None] * wref[None, :]
+    wts = area2[:, None] * wref[None, :]
     return QuadRule(pts.reshape(-1, 3), wts.ravel(), degree)
 
 
-def cell_rule(mesh, c, degree):
+def cell_rule(mesh, c, degree, data=False):
     ref, wref = _tet_ref(degree)
-    tets = mesh.cell_fans[c]
+    if data:
+        tets, vol6 = mesh.cell_fans[c], mesh.cell_fan_vol6[c]
+    else:
+        tets, vol6 = _cell_fan(mesh, c)
     p0 = tets[:, 0]
     d = tets[:, 1:] - tets[:, :1]
     pts = p0[:, None, :] + ref @ d
-    wts = mesh.cell_fan_vol6[c][:, None] * wref[None, :]
+    wts = vol6[:, None] * wref[None, :]
     return QuadRule(pts.reshape(-1, 3), wts.ravel(), degree)
 
 
-def entity_rule(mesh, kind, index, degree):
+def entity_rule(mesh, kind, index, degree, data=False):
     """Quadrature rule over one entity, exact for polynomials of `degree`.
 
     kind is "edge", "face", or "cell"; index is the entity id in the mesh.
+    The default rule lives on the coarsest vertex fan and serves polynomial
+    integrands. data=True gives the centroid-fan rule for non-polynomial
+    data (interpolation, load vectors, errors against smooth fields); edges
+    have one rule either way.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if kind == "edge":
         return edge_rule(mesh, index, degree)
     if kind == "face":
-        return face_rule(mesh, index, degree)
+        return face_rule(mesh, index, degree, data)
     if kind == "cell":
-        return cell_rule(mesh, index, degree)
+        return cell_rule(mesh, index, degree, data)
     raise ValueError(f"unknown entity kind {kind!r}")
 
 

@@ -101,7 +101,7 @@ def _source_vector(problem, space_div):
     if problem.source is None:
         return out
     for c in range(problem.mesh.num_cells):
-        rule = bank.rule("cell", c, degree)
+        rule = bank.rule("cell", c, degree, data=True)
         pot = op_potential(space_div, c)
         moments = l2_project(pot.target, problem.source, rule=rule)
         out[pot.dofs] += pot.matrix.T @ moments

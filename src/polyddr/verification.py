@@ -337,6 +337,15 @@ def check_commutation(mesh, k, seed=0, degree=None, bank=None):
 # polynomial consistency
 
 
+def _moments(tests, values, weights):
+    """(m, j) matrix of sum_p weights[p] tests[m, p, ...] . values[j, p, ...]
+    for tabulations with matching trailing axes; the oracle's own
+    contraction, kept apart from integrate_products."""
+    wt = tests * weights.reshape((-1,) + (1,) * (tests.ndim - 2))
+    axes = list(range(1, tests.ndim))
+    return np.tensordot(wt, values, axes=(axes, axes))
+
+
 def _local_interp(space, kind, index, target):
     """Local interpolation matrix: columns are the local dof vectors of
     the members of an arbitrary evaluable cell/face polynomial basis,
@@ -351,85 +360,30 @@ def _local_interp(space, kind, index, target):
         ent, i = key
         if ent == "vertex":
             J[sl] = target.eval(mesh.vertices[i][None, :])[:, 0]
-        elif ent == "edge":
-            rule = bank.rule("edge", i)
-            if space.which == "grad":
-                eb = bank.scalars("edge", i, k - 1)
-                J[sl] = np.einsum(
-                    "mp,jp,p->mj",
-                    eb.eval(rule.points),
-                    target.eval(rule.points),
-                    rule.weights,
-                    optimize=True,
-                )
-            else:
-                t = mesh.edge_tangents[i]
-                eb = bank.scalars("edge", i, k)
-                J[sl] = np.einsum(
-                    "mp,jpx,x,p->mj",
-                    eb.eval(rule.points),
-                    target.eval(rule.points),
-                    t,
-                    rule.weights,
-                    optimize=True,
-                )
-        elif ent == "face":
-            rule = bank.rule("face", i)
-            if space.which == "grad":
-                fb = bank.scalars("face", i, k - 1)
-                J[sl] = np.einsum(
-                    "mp,jp,p->mj",
-                    fb.eval(rule.points),
-                    target.eval(rule.points),
-                    rule.weights,
-                    optimize=True,
-                )
-            elif space.which == "div":
-                nrm = mesh.face_normals[i]
-                fb = bank.scalars("face", i, k)
-                J[sl] = np.einsum(
-                    "mp,jpx,x,p->mj",
-                    fb.eval(rule.points),
-                    target.eval(rule.points),
-                    nrm,
-                    rule.weights,
-                    optimize=True,
-                )
-            else:
-                for fi, (fam, l) in enumerate(space.face_families):
-                    b = bank.subspace("face", i, fam, l)
-                    if b.dim == 0:
-                        continue
-                    J[space.sub_slice(layout, "face", i, fi)] = np.einsum(
-                        "mpx,jpx,p->mj",
-                        b.eval(rule.points),
-                        target.eval(rule.points),
-                        rule.weights,
-                        optimize=True,
-                    )
+            continue
+        rule = bank.rule(ent, i)
+        if space.which == "grad":
+            # scalar moments of degree k-1 on edges, faces and cells
+            b = bank.scalars(ent, i, k - 1)
+            J[sl] = _moments(b.eval(rule.points), target.eval(rule.points),
+                             rule.weights)
+        elif ent == "edge" or (ent == "face" and space.which == "div"):
+            # tangential edge or normal face moments of degree k
+            axis = (mesh.edge_tangents[i] if ent == "edge"
+                    else mesh.face_normals[i])
+            b = bank.scalars(ent, i, k)
+            J[sl] = _moments(b.eval(rule.points),
+                             target.eval(rule.points) @ axis, rule.weights)
         else:
-            rule = bank.rule("cell", i)
-            if space.which == "grad":
-                cb = bank.scalars("cell", i, k - 1)
-                J[sl] = np.einsum(
-                    "mp,jp,p->mj",
-                    cb.eval(rule.points),
-                    target.eval(rule.points),
-                    rule.weights,
-                    optimize=True,
-                )
-            else:
-                for ci, (fam, l) in enumerate(space.cell_families):
-                    b = bank.subspace("cell", i, fam, l)
-                    if b.dim == 0:
-                        continue
-                    J[space.sub_slice(layout, "cell", i, ci)] = np.einsum(
-                        "mpx,jpx,p->mj",
-                        b.eval(rule.points),
-                        target.eval(rule.points),
-                        rule.weights,
-                        optimize=True,
-                    )
+            families = (space.face_families if ent == "face"
+                        else space.cell_families)
+            for fi, (fam, l) in enumerate(families):
+                b = bank.subspace(ent, i, fam, l)
+                if b.dim == 0:
+                    continue
+                J[space.sub_slice(layout, ent, i, fi)] = _moments(
+                    b.eval(rule.points), target.eval(rule.points),
+                    rule.weights)
     return J
 
 
@@ -485,10 +439,7 @@ def check_polynomial_consistency(mesh, k, seed=0, bank=None):
             nrm = mesh.face_normals[f]
             vals = ne.eval(rule.points)
             tang = vals - (vals @ nrm)[:, :, None] * nrm
-            proj = np.einsum(
-                "mpx,jpx,p->mj", tr.target.eval(rule.points), tang,
-                rule.weights, optimize=True,
-            )
+            proj = _moments(tr.target.eval(rule.points), tang, rule.weights)
             scale = max(np.abs(proj).max(), 1e-30)
             resid = np.abs(tr.matrix @ Jf - proj).max() / scale
             track("tangential_trace_trimmed", resid, ("face", f))
@@ -690,7 +641,7 @@ def check_primal_consistency(family, k, levels, seed=0):
         acc = dict.fromkeys(errs, 0.0)
         degree = 2 * k + 6
         for c in range(mesh.num_cells):
-            rule = bank.rule("cell", c, degree)
+            rule = bank.rule("cell", c, degree, data=True)
             w = rule.weights
 
             pot = op_potential(sg, c)
@@ -837,7 +788,7 @@ def check_adjoint_decay(family, k, levels, seed=0):
         v_int = interpolate(sc, v_eval).values
         total = float(v_int @ (Mc @ gq))
         for c in range(mesh.num_cells):
-            rule = bank.rule("cell", c, degree)
+            rule = bank.rule("cell", c, degree, data=True)
             pot = op_potential(sg, c)
             pvals = pot.apply(q_dofs) @ pot.target.eval(rule.points)
             total += float(np.sum(v_div(rule.points) * pvals * rule.weights))
@@ -849,7 +800,7 @@ def check_adjoint_decay(family, k, levels, seed=0):
         w_int = interpolate(sd, w_eval).values
         total = float(w_int @ (Md @ cv))
         for c in range(mesh.num_cells):
-            rule = bank.rule("cell", c, degree)
+            rule = bank.rule("cell", c, degree, data=True)
             pot = op_potential(sc, c)
             pvals = np.einsum(
                 "s,spx->px", pot.apply(v_dofs), pot.target.eval(rule.points)
@@ -866,7 +817,7 @@ def check_adjoint_decay(family, k, levels, seed=0):
         q_moments = interpolate(sl, q_eval).values
         total = float(q_moments @ (D @ vd_dofs))
         for c in range(mesh.num_cells):
-            rule = bank.rule("cell", c, degree)
+            rule = bank.rule("cell", c, degree, data=True)
             pot = op_potential(sd, c)
             pvals = np.einsum(
                 "s,spx->px", pot.apply(vd_dofs), pot.target.eval(rule.points)

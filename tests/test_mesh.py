@@ -219,3 +219,29 @@ def test_random_convex_polyhedron_valid(seed):
     m = Mesh(verts, faces, [list(range(len(faces)))])
     assert m.cell_volumes[0] == pytest.approx(hull.volume, rel=1e-10)
     assert m.shape_regularity()[0] > 0
+
+
+def test_face_geometry_matches_the_np_cross_formulas():
+    """Normals, frames, fan areas and edge normals equal, bit for bit, the
+    np.cross/np.roll formulas on a jittered mesh and an agglomerate."""
+    base = generate_tet_mesh(2)
+    rng = np.random.default_rng(5)
+    free = (base.vertices > 0.0) & (base.vertices < 1.0)
+    jitter = np.where(free, rng.uniform(-0.07, 0.07, base.vertices.shape), 0.0)
+    data = base.to_dict()
+    jittered = Mesh(base.vertices + jitter, data["faces"], data["cells"])
+    for m in (jittered, agglomerate_pairs(generate_cubic_mesh(3), seed=0)):
+        for f, loop in enumerate(m.faces):
+            pts = m.vertices[loop]
+            nxt = np.roll(pts, -1, axis=0)
+            nvec = np.cross(pts, nxt).sum(axis=0)
+            n = nvec / np.linalg.norm(nvec)
+            assert np.array_equal(m.face_normals[f], n)
+            assert np.array_equal(m.face_frames[f, 1],
+                                  np.cross(n, m.face_frames[f, 0]))
+            xf = m.face_centroids[f]
+            area2 = np.cross(pts - xf, nxt - xf) @ n
+            assert np.array_equal(m.face_fan_area2[f], area2)
+            t = m.edge_tangents[m.face_edges[f]]
+            assert np.array_equal(m.face_edge_normals[f],
+                                  np.cross(n[None, :], t))

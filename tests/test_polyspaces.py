@@ -548,6 +548,10 @@ def test_bank_rule_cache_degrees(meshes):
     r2 = bank.rule("cell", 0, 10)
     assert r2.exactness_degree >= 10
     assert bank.rule("cell", 0) is r1
+    # the rule kind is part of the key: data rules stay on the centroid fan
+    r3 = bank.rule("cell", 0, 10, data=True)
+    assert r3 is not r2 and len(r3) == 4 * len(r2)
+    assert bank.rule("cell", 0, 10, data=True) is r3
 
 
 def test_degenerate_entity_raises():

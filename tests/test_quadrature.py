@@ -3,7 +3,12 @@ import pytest
 import sympy as sp
 
 import oracles
-from polyddr.mesh import generate_cubic_mesh, generate_tet_mesh, agglomerate_pairs
+from polyddr.mesh import (
+    Mesh,
+    agglomerate_pairs,
+    generate_cubic_mesh,
+    generate_tet_mesh,
+)
 from polyddr.quadrature import (
     _gauss01,
     _tet_ref,
@@ -105,20 +110,23 @@ def test_edge_monomial_exactness(meshes, degree):
         assert got == pytest.approx(exact, rel=1e-12, abs=1e-14)
 
 
-def test_general_position_polyhedron():
+def convex_hull_mesh(rng):
     from scipy.spatial import ConvexHull
-    from polyddr.mesh import Mesh
 
-    rng = np.random.default_rng(42)
     pts = rng.standard_normal((14, 3))
     hull = ConvexHull(pts)
     used = np.unique(hull.simplices)
     remap = {int(v): i for i, v in enumerate(used)}
-    m = Mesh(
+    return Mesh(
         pts[used],
         [[remap[int(v)] for v in tri] for tri in hull.simplices],
         [list(range(len(hull.simplices)))],
     )
+
+
+def test_general_position_polyhedron():
+    rng = np.random.default_rng(42)
+    m = convex_hull_mesh(rng)
     p = oracles.Poly3.random(rng, 6)
     rule = entity_rule(m, "cell", 0, 6)
     exact = oracles.integrate_poly_cell(p, m, 0)
@@ -201,3 +209,126 @@ def test_rules_of_one_degree_differ_between_entities(meshes):
         b = entity_rule(m, kind, 1, 4)
         assert a.points.shape == b.points.shape
         assert not np.allclose(a.points, b.points)
+
+
+def pyramid_mesh():
+    verts = np.array(
+        [
+            [0.0, 0.0, 0.0],
+            [1.1, 0.0, 0.0],
+            [1.0, 1.2, 0.0],
+            [0.0, 0.9, 0.0],
+            [0.3, 0.4, 0.9],
+        ]
+    )
+    faces = [[0, 3, 2, 1], [0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]
+    return Mesh(verts, faces, [[0, 1, 2, 3, 4]])
+
+
+def pentagram_prism():
+    """Prism over a pentagram outline whose inner radius is below the
+    regular star's, so the polygon's kernel (a small central pentagon)
+    touches none of its ten vertices: no vertex fan is valid, while the
+    centroid fan is."""
+    ang = np.pi / 2 + np.pi / 5 * np.arange(10)
+    rad = np.where(np.arange(10) % 2 == 0, 1.0, 0.3)
+    ring = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
+    verts = np.vstack([np.column_stack([ring, np.zeros(10)]),
+                       np.column_stack([ring, np.ones(10)])])
+    faces = [list(range(10)), list(range(10, 20))]
+    faces += [[i, (i + 1) % 10, 10 + (i + 1) % 10, 10 + i] for i in range(10)]
+    return Mesh(verts, faces, [list(range(12))])
+
+
+POLY_MESHES = {
+    "tet1": lambda: generate_tet_mesh(1),
+    "cubic2": lambda: generate_cubic_mesh(2),
+    "agglo2": lambda: agglomerate_pairs(generate_cubic_mesh(2), seed=0),
+    "pyramid": pyramid_mesh,
+    "hull": lambda: convex_hull_mesh(np.random.default_rng(42)),
+}
+
+
+def _centroid_fan_rule(m, kind, i, degree):
+    """The centroid-fan rule written out with the arithmetic of the data
+    rules, as the bit-for-bit reference."""
+    if kind == "face":
+        ref, wref = _triangle_ref(degree)
+        tris = m.face_fans[i]
+        p0 = tris[:, 0]
+        d1 = tris[:, 1] - tris[:, 0]
+        d2 = tris[:, 2] - tris[:, 0]
+        pts = (
+            p0[:, None, :]
+            + ref[None, :, 0, None] * d1[:, None, :]
+            + ref[None, :, 1, None] * d2[:, None, :]
+        )
+        wts = m.face_fan_area2[i][:, None] * wref[None, :]
+    else:
+        ref, wref = _tet_ref(degree)
+        tets = m.cell_fans[i]
+        pts = tets[:, 0][:, None, :] + ref @ (tets[:, 1:] - tets[:, :1])
+        wts = m.cell_fan_vol6[i][:, None] * wref[None, :]
+    return pts.reshape(-1, 3), wts.ravel()
+
+
+@pytest.mark.parametrize("name", sorted(POLY_MESHES))
+@pytest.mark.parametrize("degree", [0, 2, 5])
+def test_polynomial_rules_are_exact_positive_and_coarse(name, degree):
+    m = POLY_MESHES[name]()
+    rng = np.random.default_rng(300 + degree)
+    ntri = len(_triangle_ref(degree)[1])
+    for kind in ("face", "cell"):
+        count = m.num_faces if kind == "face" else m.num_cells
+        for i in range(count):
+            rule = entity_rule(m, kind, i, degree)
+            assert (rule.weights > 0).all()
+            p = oracles.Poly3.random(rng, degree)
+            if kind == "face":
+                exact = oracles.integrate_poly_face(p, m, i)
+                assert len(rule) == ntri * (len(m.faces[i]) - 2)
+            else:
+                exact = oracles.integrate_poly_cell(p, m, i)
+                if len(m.cell_vertices[i]) == 4:
+                    assert len(rule) == len(_tet_ref(degree)[1])
+                assert len(rule) < len(m.cell_fans[i]) * len(_tet_ref(degree)[1])
+            got = integrate(rule, lambda q: p.eval(q))
+            assert got == pytest.approx(exact, rel=1e-12, abs=1e-14)
+
+
+def test_hexahedra_take_six_tetrahedra():
+    m = generate_cubic_mesh(2)
+    for c in range(m.num_cells):
+        assert len(entity_rule(m, "cell", c, 4)) == 6 * len(_tet_ref(4)[1])
+
+
+@pytest.mark.parametrize("degree", [0, 2, 7])
+def test_no_valid_vertex_fan_falls_back_to_the_centroid_fan(degree):
+    m = pentagram_prism()
+    rng = np.random.default_rng(400 + degree)
+    for kind, i, oracle in (("face", 0, oracles.integrate_poly_face),
+                            ("cell", 0, oracles.integrate_poly_cell)):
+        rule = entity_rule(m, kind, i, degree)
+        pts, wts = _centroid_fan_rule(m, kind, i, degree)
+        assert np.array_equal(rule.points, pts)
+        assert np.array_equal(rule.weights, wts)
+        p = oracles.Poly3.random(rng, degree)
+        got = integrate(rule, lambda q: p.eval(q))
+        assert got == pytest.approx(oracle(p, m, i), rel=1e-12, abs=1e-14)
+    # the side quads still have vertex fans
+    assert len(entity_rule(m, "face", 2, degree)) == 2 * len(
+        _triangle_ref(degree)[1])
+
+
+@pytest.mark.parametrize("name", ["tet1", "agglo2", "pyramid"])
+def test_data_rules_are_the_centroid_fan_rules(name):
+    m = POLY_MESHES[name]()
+    for degree in (0, 6, 9):
+        for kind, count in (("face", m.num_faces), ("cell", m.num_cells)):
+            for i in range(count):
+                rule = entity_rule(m, kind, i, degree, data=True)
+                pts, wts = _centroid_fan_rule(m, kind, i, degree)
+                assert np.array_equal(rule.points, pts)
+                assert np.array_equal(rule.weights, wts)
+    e = entity_rule(m, "edge", 0, 5, data=True)
+    assert np.array_equal(e.points, entity_rule(m, "edge", 0, 5).points)
