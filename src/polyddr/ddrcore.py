@@ -32,9 +32,22 @@ operator follows one of two patterns, each built by one routine:
   differential, plus the boundary term, with complement-projection rows
   where the reconstruction keeps the complement part of the data.
 
-Both share one boundary term (`_add_boundary_term`). Systems with
-condition number above 1e12 abort with a message naming the operator, the
-entity and the condition number.
+Both share one boundary term (`_add_boundary_term`). Volume terms pair two
+polynomials on the entity's own core in coefficient space; boundary terms
+tabulate the tests at the sub-entities' rule points.
+
+Every operator is built for a whole entity group at once (see
+polyspaces.BasisBank): the first request for one entity builds the stacked
+operators of its group, and each per-entity LocalOperator is a view into
+them. Boundary parts at one local position of a group share a group of
+their own, so each position is one gathered, stacked contraction, and the
+group's boundary term is one bincount scatter. Nested builds go through
+the per-entity entry points (op_*, edge_reconstruct) of the sub-groups'
+first entities. Square systems are solved as one stack; one above
+condition number 1e12 aborts with a message naming the operator, the
+entity (the one asked for if it fails, else the group's worst) and the
+condition number, and the worst condition number per operator is kept in
+DofSpace.worst_cond.
 """
 
 import functools
@@ -45,11 +58,11 @@ from scipy import sparse
 
 from .polyspaces import (
     BasisBank,
-    PolyBasis,
     _cross_matrix,
     dim_P,
     integrate_products,
     space_dim,
+    value_blocks,
 )
 
 __all__ = [
@@ -77,13 +90,27 @@ COND_LIMIT = 1e12
 INTERP_DEGREE_MARGIN = 6
 
 
-def _solve_guarded(A, B, what):
-    cond = np.linalg.cond(A) if A.size else 0.0
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise RuntimeError(
-            f"{what}: square system condition number {cond:.3e} exceeds "
-            f"{COND_LIMIT:.0e}"
-        )
+def _solve_guarded(space, A, B, what, group, want=None):
+    """Solve the stacked square systems A X = B of one entity group.
+
+    Every condition number is computed; the worst one and its entity are
+    kept per label in space.worst_cond. A system above COND_LIMIT (or not
+    finite) aborts, naming the entity at slot want if it fails there and
+    the worst failing entity of the group otherwise."""
+    cond = np.linalg.cond(A) if A.size else np.zeros(len(A))
+    score = np.where(np.isfinite(cond), cond, np.inf)
+    if len(score):
+        worst = int(np.argmax(score))
+        seen = space.worst_cond.get(what)
+        if seen is None or not score[worst] <= seen[0]:
+            space.worst_cond[what] = (float(cond[worst]), int(group.ids[worst]))
+        failing = ~(score <= COND_LIMIT)
+        if failing.any():
+            g = want if want is not None and failing[want] else worst
+            raise RuntimeError(
+                f"{what} {group.ids[g]}: square system condition number "
+                f"{cond[g]:.3e} exceeds {COND_LIMIT:.0e}"
+            )
     return np.linalg.solve(A, B)
 
 
@@ -109,6 +136,32 @@ def _per_space(fn):
     return cached
 
 
+def _entity(space, name, build, kind, index):
+    """The view of one entity into the stacked local objects of its group,
+    which build(space, group, want) makes once per space and caches under
+    name. want is the slot of the entity asked for, named by a failing
+    guarded solve; builds nested in another build have none."""
+    group, slot = space.bank.group(kind, index)
+    key = (name, kind, group.gid)
+    stack = space._cache.get(key)
+    if stack is None:
+        want = None if space._building else slot
+        space._building += 1
+        try:
+            stack = space._cache[key] = build(space, group, want)
+        finally:
+            space._building -= 1
+    return stack.take(slot, space)
+
+
+def _through(space, op, group):
+    """The stack of a whole group, requested through the per-entity
+    function op on the group's first entity, so that every kind of local
+    object is built inside its own entry point."""
+    op(space, int(group.ids[0]))
+    return space._cache[(op.__name__, group.kind, group.gid)]
+
+
 class LocalOperator:
     """A linear map from entity-local degrees of freedom to a polynomial.
 
@@ -130,6 +183,27 @@ class LocalOperator:
         return self.matrix @ values[self.dofs]
 
 
+class _Operators:
+    """The local operators of one entity group, stacked: dofs (G, n)
+    global indices, matrix (G, m, n), target the stacked target basis."""
+
+    def __init__(self, group, dofs, target, matrix):
+        self.group = group
+        self.dofs = dofs
+        self.target = target
+        self.matrix = matrix
+        self._views = {}
+
+    def take(self, g, space):
+        out = self._views.get(g)
+        if out is None:
+            entity = (self.group.kind, int(self.group.ids[g]))
+            out = self._views[g] = LocalOperator(
+                entity, self.dofs[g], space.local_dofs(*entity)[1],
+                self.target.take(g), self.matrix[g])
+        return out
+
+
 class DofVector:
     """Values of one discrete space's degrees of freedom."""
 
@@ -147,7 +221,11 @@ class DofVector:
 
 
 class DofSpace:
-    """Layout of one discrete space's degrees of freedom on a mesh."""
+    """Layout of one discrete space's degrees of freedom on a mesh.
+
+    worst_cond maps the label of each guarded local solve ("edge
+    reconstruction", "scalar face trace", ...) to the largest condition
+    number met so far and its entity, (cond, index)."""
 
     def __init__(self, mesh, which, k, bank=None):
         if k < 0:
@@ -215,12 +293,10 @@ class DofSpace:
         self.cell_start = self.face_start + nf * self.face_width
         self.dim = self.cell_start + nc * self.cell_width
         self._cache = {}
+        self._building = 0
+        self.worst_cond = {}
 
     # -- global index helpers ---------------------------------------------
-
-    def vertex_dofs(self, v):
-        w = self.vertex_width
-        return np.arange(self.vertex_start + v * w, self.vertex_start + (v + 1) * w)
 
     def edge_dofs(self, e):
         w = self.edge_width
@@ -234,71 +310,76 @@ class DofSpace:
         w = self.cell_width
         return np.arange(self.cell_start + c * w, self.cell_start + (c + 1) * w)
 
-    def face_block(self, f, i):
-        base = self.face_start + f * self.face_width
-        return np.arange(
-            base + self._face_offsets[i], base + self._face_offsets[i + 1]
-        )
-
-    def cell_block(self, c, i):
-        base = self.cell_start + c * self.cell_width
-        return np.arange(
-            base + self._cell_offsets[i], base + self._cell_offsets[i + 1]
-        )
+    def _blocks(self, kind, ents, offset=0, width=None):
+        """Global dofs (G, np * width) of the entities ents (G, np) of one
+        kind: each entity's block, or its width entries from offset."""
+        start, full = {
+            "vertex": (self.vertex_start, self.vertex_width),
+            "edge": (self.edge_start, self.edge_width),
+            "face": (self.face_start, self.face_width),
+            "cell": (self.cell_start, self.cell_width),
+        }[kind]
+        width = full if width is None else width
+        out = start + offset + ents[..., None] * full + np.arange(width)
+        return out.reshape(len(ents), -1)
 
     # -- local (entity plus boundary) collections --------------------------
+
+    def _local_parts(self, group):
+        """(kind, entities (G, np), width) of the blocks an entity's
+        operators read, in local order: vertices, edges and faces of its
+        boundary that carry dofs, then the entity itself."""
+        kind = group.kind
+        parts = [("vertex", group.vertices, self.vertex_width)]
+        if kind in ("face", "cell"):
+            parts.append(("edge", group.edges, self.edge_width))
+        if kind == "cell":
+            parts.append(("face", group.faces, self.face_width))
+        own = [p for p in parts if p[2]]
+        own.append((kind, group.ids[:, None],
+                    getattr(self, f"{kind}_width")))
+        return own
+
+    def group_dofs(self, group):
+        """Global indices (G, n) of the dofs each entity of a group reads,
+        in local order."""
+        key = ("group_dofs", group.kind, group.gid)
+        out = self._cache.get(key)
+        if out is None:
+            out = self._cache[key] = np.concatenate(
+                [self._blocks(kind, ents) for kind, ents, _ in
+                 self._local_parts(group)], axis=1)
+        return out
 
     @_per_space
     def local_dofs(self, kind, index):
         """Global indices of the dofs an entity's operators read, with a
         layout dict mapping ("vertex"|"edge"|"face"|"cell", id) to the
         local slice."""
-        mesh = self.mesh
-        parts = []
+        if kind not in ("edge", "face", "cell"):
+            raise ValueError(f"unknown entity kind {kind!r}")
+        group, slot = self.bank.group(kind, index)
         layout = {}
         n = 0
-
-        def push(key_, arr):
-            nonlocal n
-            layout[key_] = slice(n, n + len(arr))
-            parts.append(arr)
-            n += len(arr)
-
-        if kind == "edge":
-            if self.vertex_width:
-                for v in mesh.edges[index]:
-                    push(("vertex", int(v)), self.vertex_dofs(int(v)))
-            push(("edge", index), self.edge_dofs(index))
-        elif kind == "face":
-            if self.vertex_width:
-                for v in mesh.faces[index]:
-                    push(("vertex", int(v)), self.vertex_dofs(int(v)))
-            if self.edge_width:
-                for e in mesh.face_edges[index]:
-                    push(("edge", int(e)), self.edge_dofs(int(e)))
-            push(("face", index), self.face_dofs(index))
-        elif kind == "cell":
-            if self.vertex_width:
-                for v in mesh.cell_vertices[index]:
-                    push(("vertex", int(v)), self.vertex_dofs(int(v)))
-            if self.edge_width:
-                for e in mesh.cell_edges[index]:
-                    push(("edge", int(e)), self.edge_dofs(int(e)))
-            if self.face_width:
-                for f in mesh.cells[index]:
-                    push(("face", int(f)), self.face_dofs(int(f)))
-            push(("cell", index), self.cell_dofs(index))
-        else:
-            raise ValueError(f"unknown entity kind {kind!r}")
-
-        idx = np.concatenate(parts) if parts else np.zeros(0, dtype=int)
-        return idx, layout
+        for part, ents, width in self._local_parts(group):
+            for j in ents[slot].tolist():
+                layout[(part, j)] = slice(n, n + width)
+                n += width
+        return self.group_dofs(group)[slot], layout
 
     def sub_slice(self, layout, kind, index, i):
         """Local slice of one family block inside an entity's block."""
         base = layout[(kind, index)]
         offs = self._face_offsets if kind == "face" else self._cell_offsets
         return slice(base.start + offs[i], base.start + offs[i + 1])
+
+    def _own_slice(self, group, i):
+        """Local slice of family block i of the entity's own dofs, the
+        same for every entity of the group."""
+        n = self.group_dofs(group).shape[1]
+        width = self.face_width if group.kind == "face" else self.cell_width
+        offs = self._face_offsets if group.kind == "face" else self._cell_offsets
+        return slice(n - width + offs[i], n - width + offs[i + 1])
 
 
 def make_space(mesh, which, k, bank=None):
@@ -310,10 +391,10 @@ def make_space(mesh, which, k, bank=None):
 # interpolation
 
 
-def _family_basis(space, kind, index, fam, l):
-    if fam == "scalar":
-        return space.bank.scalars(kind, index, l)
-    return space.bank.subspace(kind, index, fam, l)
+def _families(space, kind):
+    if kind == "edge":
+        return (("scalar", space.k - 1 if space.which == "grad" else space.k),)
+    return space.face_families if kind == "face" else space.cell_families
 
 
 def entity_moments(space, kind, index, rule, vals):
@@ -331,19 +412,13 @@ def entity_moments(space, kind, index, rule, vals):
     if kind == "vertex":
         return vals.T
     mesh = space.mesh
-    if kind == "edge":
-        families = (("scalar", space.k - 1 if space.which == "grad" else space.k),)
-        if space.which == "curl":
-            vals = vals @ mesh.edge_tangents[index]
-    elif kind == "face":
-        families = space.face_families
-        if space.which == "div":
-            vals = vals @ mesh.face_normals[index]
-    else:
-        families = space.cell_families
+    if kind == "edge" and space.which == "curl":
+        vals = vals @ mesh.edge_tangents[index]
+    elif kind == "face" and space.which == "div":
+        vals = vals @ mesh.face_normals[index]
     blocks = [np.zeros((0, len(vals)))]
-    for fam, l in families:
-        b = _family_basis(space, kind, index, fam, l)
+    for fam, l in _families(space, kind):
+        b = space.bank.basis(fam, kind, index, l)
         if b.dim:
             blocks.append(integrate_products(b.eval(rule.points), vals, rule.weights))
     return np.concatenate(blocks)
@@ -351,26 +426,43 @@ def entity_moments(space, kind, index, rule, vals):
 
 def interpolate(space, f, degree=None):
     """Degrees of freedom of a smooth field: point values on vertices for
-    the scalar space, orthonormal-basis moments everywhere else. The
-    default quadrature adds a margin over the space degree for
-    non-polynomial fields."""
-    mesh = space.mesh
+    the scalar space, orthonormal-basis moments everywhere else, stacked
+    over each entity group and evaluated block by block of its entities
+    (polyspaces.value_blocks). The default quadrature adds a margin over
+    the space degree for non-polynomial fields."""
+    mesh, bank = space.mesh, space.bank
     if degree is None:
         degree = 2 * space.k + INTERP_DEGREE_MARGIN
     vals = np.zeros(space.dim)
     if space.vertex_width:
         vals[: mesh.num_vertices] = f(mesh.vertices)
-    for kind, count, width, dofs in (
-        ("edge", mesh.num_edges, space.edge_width, space.edge_dofs),
-        ("face", mesh.num_faces, space.face_width, space.face_dofs),
-        ("cell", mesh.num_cells, space.cell_width, space.cell_dofs),
-    ):
-        if not width:
+    for kind in ("edge", "face", "cell"):
+        if not getattr(space, f"{kind}_width"):
             continue
-        for i in range(count):
-            rule = space.bank.rule(kind, i, degree, data=True)
-            fv = np.asarray(f(rule.points))[None]
-            vals[dofs(i)] = entity_moments(space, kind, i, rule, fv)[:, 0]
+        if kind == "edge" and space.which == "curl":
+            direction = mesh.edge_tangents
+        elif kind == "face" and space.which == "div":
+            direction = mesh.face_normals
+        else:
+            direction = None
+        for group in bank.groups(kind):
+            rule = bank.group_rule(group, degree, data=True)
+            blocks, start = [], 0
+            for fam, l in _families(space, kind):
+                b = bank.group_basis(group, fam, l)
+                if b.dim:
+                    rows = space._blocks(kind, group.ids[:, None], start, b.dim)
+                    blocks.append((b, rows))
+                start += b.dim
+            for sl in value_blocks(*rule.weights.shape):
+                pts = rule.points[sl]
+                fv = np.asarray(f(pts.reshape(-1, 3)))
+                fv = fv.reshape(pts.shape[:2] + fv.shape[1:])
+                if direction is not None:
+                    d = direction[group.ids[sl]]
+                    fv = (fv @ d[:, :, None])[..., 0]
+                for b, rows in blocks:
+                    vals[rows[sl]] = b.moments(pts, fv, rule.weights[sl], sl)
     return DofVector(space, vals)
 
 
@@ -382,226 +474,317 @@ def _positions(idx):
     return {int(g): i for i, g in enumerate(idx)}
 
 
-@_per_space
+def _columns(idx, dofs):
+    """Positions (G, r) of the global dofs (G, r) within the rows of idx
+    (G, n), each row holding distinct indices."""
+    G, n = idx.shape
+    shift = (int(idx.max(initial=0)) + 1) * np.arange(G)[:, None]
+    key = (idx + shift).ravel()
+    order = np.argsort(key)
+    pos = order[np.searchsorted(key, (dofs + shift).ravel(), sorter=order)]
+    return pos.reshape(dofs.shape) - n * np.arange(G)[:, None]
+
+
+def _identity_values(space, group, want=None):
+    """The entity's own dofs as the identity onto its degree-k basis."""
+    dofs = space.group_dofs(group)
+    w = dofs.shape[1]
+    return _Operators(group, dofs,
+                      space.bank.group_basis(group, "scalar", space.k),
+                      np.broadcast_to(np.eye(w), (len(group), w, w)))
+
+
 def _edge_values(space, e):
     """Field-space edge dofs as the identity onto the degree-k edge basis."""
-    return LocalOperator(("edge", e), space.edge_dofs(e), None,
-                         space.bank.scalars("edge", e, space.k),
-                         np.eye(space.edge_width))
+    return _entity(space, "_edge_values", _identity_values, "edge", e)
 
 
-@_per_space
 def _face_values(space, f):
     """Flux-space face dofs as the identity onto the degree-k face basis."""
-    return LocalOperator(("face", f), space.face_dofs(f), None,
-                         space.bank.scalars("face", f, space.k),
-                         np.eye(space.face_width))
+    return _entity(space, "_face_values", _identity_values, "face", f)
 
 
-def _add_boundary_term(space, kind, index, M, idx, tests, trace, sign=1.0,
-                       degree=None):
-    """Add the boundary sum of integration by parts to M in place.
-
-    The columns of M belong to the global dofs idx. Over the edges of face
-    `index` (kind "face") or the faces of cell `index` (kind "cell"), with
-    rec = trace(space, j) the boundary reconstruction and omega the
-    relative orientation, adds sign * omega * int (test trace) . rec to
-    the columns of the dofs rec reads. The test trace follows from the
-    tabulations: the value of a scalar test, the normal component of a
-    vector test against a scalar reconstruction, and test x normal against
-    a vector one. Rules have the default degree unless degree is given.
-    """
-    mesh = space.mesh
-    if kind == "face":
-        sub, parts = "edge", mesh.face_edges[index]
-        signs, normals = mesh.face_edge_signs[index], mesh.face_edge_normals[index]
+def _boundary_parts(space, group):
+    """Yield, per local boundary position, (sub-entities (G,), their group,
+    their slots there, relative orientations (G,), normals (G, 3)): the
+    edges of faces with their in-plane normals, the faces of cells with
+    their unit normals. The sub-entities at one position share a group
+    because the signature fixes their shapes."""
+    mesh, bank = space.mesh, space.bank
+    if group.kind == "face":
+        sub, parts, normals = "edge", group.edges, group.edge_normals
     else:
-        sub, parts = "face", mesh.cells[index]
-        signs, normals = mesh.cell_face_signs[index], mesh.face_normals[parts]
+        sub, parts = "face", group.faces
+        normals = mesh.face_normals[parts]
+    for p in range(parts.shape[1]):
+        subgroup, slots = bank.locate(sub, parts[:, p])
+        yield parts[:, p], subgroup, slots, group.signs[:, p], normals[:, p]
+
+
+def _add_boundary_term(space, group, M, idx, tests, trace, sign=1.0,
+                       degree=None):
+    """Add the boundary sum of integration by parts to the stack M in place.
+
+    M (G, m, n) has columns over the global dofs idx (G, n) of the entities
+    of a face or cell group. Over their edges (faces) or faces (cells),
+    with rec the boundary reconstructions trace(space, j), stacked per
+    sub-entity group, and omega the relative orientation, adds
+    sign * omega * int (test trace) . rec to the columns of the dofs rec
+    reads. The test trace follows from the tabulations: the value of a
+    scalar test, the normal component of a vector test against a scalar
+    reconstruction, and test x normal against a vector one. Rules have the
+    default degree unless degree is given.
+    """
     blocks, dofs = [], []
-    for j, omega, n in zip(parts, signs, normals):
-        j = int(j)
-        rec = trace(space, j)
-        rule = space.bank.rule(sub, j, degree)
-        V = tests.eval(rule.points)
-        W = rec.target.eval(rule.points)
-        if V.ndim == 3:
-            V = V @ (_cross_matrix(n) if W.ndim == 3 else n)
-        T = integrate_products(V, W, rule.weights)
-        blocks.append(omega * (T @ rec.matrix))
-        dofs.append(rec.dofs)
-    # One scatter for all entities: they share vertex and edge dofs, and
-    # bincount sums every block entry into its (row, column) of M.
-    order = np.argsort(idx)
-    cols = order[np.searchsorted(idx, np.concatenate(dofs), sorter=order)]
-    flat = (np.arange(len(M))[:, None] * M.shape[1] + cols).ravel()
-    M += sign * np.bincount(flat, np.hstack(blocks).ravel(), M.size).reshape(M.shape)
+    for _, subgroup, slots, omega, n in _boundary_parts(space, group):
+        rec = _through(space, trace, subgroup)
+        rule = space.bank.group_rule(subgroup, degree)
+        pts = rule.points[slots]
+        V = tests.values(pts)
+        W = rec.target.values(pts, slots)
+        if V.ndim == 4:
+            if W.ndim == 4:
+                V = V @ _cross_matrix(n)[:, None]
+            else:
+                V = (V @ n[:, None, :, None])[..., 0]
+        T = integrate_products(V, W, rule.weights[slots])
+        blocks.append(omega[:, None, None] * (T @ rec.matrix[slots]))
+        dofs.append(rec.dofs[slots])
+    # One scatter for the group: boundary parts share vertex and edge dofs,
+    # and bincount sums every block entry into its (entity, row, column).
+    G, m, n = M.shape
+    cols = _columns(idx, np.concatenate(dofs, axis=1))
+    rows = np.arange(G * m).reshape(G, m, 1)
+    flat = (rows * n + cols[:, None, :]).ravel()
+    vals = np.concatenate(blocks, axis=2).ravel()
+    M += sign * np.bincount(flat, vals, M.size).reshape(M.shape)
+
+
+# ----------------------------------------------------------------------
+# derivative coefficient maps of stacked bases
+
+
+def _grad(b):
+    return b._grad_map
+
+
+def _div(b):
+    return b._div_map
+
+
+def _curl(b):
+    return b._curl_map
+
+
+def _rotated_grad(space, group):
+    """The in-plane rotated gradient grad x n_F on the faces of a group,
+    as a map from a stacked scalar basis to monomial coefficients."""
+    Kt = _cross_matrix(space.mesh.face_normals[group.ids]).transpose(0, 2, 1)
+    return lambda b: Kt[:, None] @ b._grad_map
 
 
 # ----------------------------------------------------------------------
 # edge operators (scalar space)
 
 
-@_per_space
+def _edge_reconstruct(space, group, want=None):
+    if space.which != "grad":
+        raise ValueError("edge reconstruction lives on the scalar space")
+    k = space.k
+    basis = space.bank.group_basis(group, "scalar", k + 1)
+    V = basis.values(space.mesh.vertices[group.vertices])
+    M = np.zeros((len(group), k + 2, k + 2))
+    M[:, :2] = V.transpose(0, 2, 1)
+    M[:, 2 + np.arange(k), np.arange(k)] = 1.0
+    matrix = _solve_guarded(space, M, np.eye(k + 2), "edge reconstruction",
+                            group, want)
+    return _Operators(group, space.group_dofs(group), basis, matrix)
+
+
 def edge_reconstruct(space, e):
     """Degree-(k+1) edge polynomial matching both endpoint values and the
     degree-(k-1) edge moments; the base object for edge gradients and the
     scalar stabilization."""
     if space.which != "grad":
         raise ValueError("edge reconstruction lives on the scalar space")
-    mesh = space.mesh
-    k = space.k
-    basis = space.bank.scalars("edge", e, k + 1)
-    idx, layout = space.local_dofs("edge", e)
-    pts = mesh.vertices[mesh.edges[e]]
-    V = basis.eval(pts)
-    M = np.zeros((k + 2, k + 2))
-    M[0] = V[:, 0]
-    M[1] = V[:, 1]
-    for i in range(k):
-        M[2 + i, i] = 1.0
-    matrix = _solve_guarded(M, np.eye(k + 2), f"edge reconstruction {e}")
-    return LocalOperator(("edge", e), idx, layout, basis, matrix)
+    return _entity(space, "edge_reconstruct", _edge_reconstruct, "edge", e)
 
 
-@_per_space
+def _grad_edge(space, group, want=None):
+    rec = _through(space, edge_reconstruct, group)
+    tgt = space.bank.group_basis(group, "scalar", space.k)
+    t = space.mesh.edge_tangents[group.ids]
+    dt = (t[:, None, None, :] @ rec.target._grad_map)[:, :, 0]
+    D = tgt._core.inner(tgt._Cs, dt)
+    return _Operators(group, rec.dofs, tgt, D @ rec.matrix)
+
+
 def op_grad_edge(space, e):
     """Derivative of the reconstructed edge polynomial, degree k."""
-    mesh = space.mesh
-    k = space.k
-    bank = space.bank
-    rec = edge_reconstruct(space, e)
-    tgt = bank.scalars("edge", e, k)
-    rule = bank.rule("edge", e)
-    B = tgt.eval(rule.points)
-    G = rec.target.grad(rule.points)
-    t = mesh.edge_tangents[e]
-    D = integrate_products(B, G @ t, rule.weights)
-    return LocalOperator(("edge", e), rec.dofs, rec.layout, tgt, D @ rec.matrix)
+    return _entity(space, "op_grad_edge", _grad_edge, "edge", e)
 
 
 # ----------------------------------------------------------------------
 # face and cell operators
 
 
-def _rotated_grad(space, f):
-    """The in-plane rotated gradient grad x n_F on face f, as a
-    (basis, points) -> tabulation map."""
-    K = _cross_matrix(space.mesh.face_normals[f])
-    return lambda b, pts: b.grad(pts) @ K
-
-
-def _differential(space, kind, index, tgt, adjoint, sign, trace, trace_sign):
+def _differential(space, group, tgt, adjoint, sign, trace, trace_sign):
     """Face or cell differential with values in tgt, by parts against all
     of tgt: sign * int adjoint(tgt) . (first dof family) on the entity,
-    plus the boundary term of the reconstructions trace (sign trace_sign)."""
-    idx, layout = space.local_dofs(kind, index)
-    rule = space.bank.rule(kind, index)
-    M = np.zeros((tgt.dim, len(idx)))
-    fam, l = (space.face_families if kind == "face" else space.cell_families)[0]
-    first = _family_basis(space, kind, index, fam, l)
+    plus the boundary term of the reconstructions trace (sign trace_sign).
+    The volume term is a same-core product in coefficient space."""
+    idx = space.group_dofs(group)
+    M = np.zeros((len(group), tgt.dim, idx.shape[1]))
+    fam, l = _families(space, group.kind)[0]
+    first = space.bank.group_basis(group, fam, l)
     if first.dim:
-        M[:, space.sub_slice(layout, kind, index, 0)] = sign * integrate_products(
-            adjoint(tgt, rule.points), first.eval(rule.points), rule.weights,
-        )
-    _add_boundary_term(space, kind, index, M, idx, tgt, trace, sign=trace_sign)
-    return LocalOperator((kind, index), idx, layout, tgt, M)
+        M[:, :, space._own_slice(group, 0)] = sign * tgt._core.inner(
+            adjoint(tgt), first._Cs)
+    _add_boundary_term(space, group, M, idx, tgt, trace, sign=trace_sign)
+    return _Operators(group, idx, tgt, M)
 
 
-def _reconstruction(space, kind, index, op, tgt, tests, derivative, sign,
-                    trace, trace_sign, what, complement=None, degree=None):
-    """Polynomial tgt on a face or cell from the dofs op reads.
+def _reconstruction(space, group, op, tgt, tests, derivative, sign, trace,
+                    trace_sign, what, want, complement=None, degree=None):
+    """Polynomial tgt on the faces or cells of a group from the dofs op
+    reads.
 
     Its moments int derivative(tests) . tgt equal sign * (tests against
     op's values) plus the boundary term of trace (sign trace_sign, rules of
     the given degree). With a complement basis, the complement moments are
-    kept from the entity's second dof family. One guarded square solve.
+    kept from the entity's second dof family. One guarded stacked solve.
     """
-    idx, layout = op.dofs, op.layout
-    rule = space.bank.rule(kind, index)
-    A = integrate_products(
-        derivative(tests, rule.points), tgt.eval(rule.points), rule.weights,
-    )
-    R = sign * tests.coeff_matrix()[:, : op.target.dim] @ op.matrix
-    _add_boundary_term(space, kind, index, R, idx, tests, trace,
-                       sign=trace_sign, degree=degree)
+    idx = op.dofs
+    A = tests._core.inner(derivative(tests), tgt._Cs)
+    R = sign * tests._Ws[:, :, : op.target.dim] @ op.matrix
+    _add_boundary_term(space, group, R, idx, tests, trace, sign=trace_sign,
+                       degree=degree)
     if complement is not None:
-        A = np.vstack([A, complement.coeff_matrix()])
-        keep = np.zeros((complement.dim, len(idx)))
-        keep[:, space.sub_slice(layout, kind, index, 1)] = np.eye(complement.dim)
-        R = np.vstack([R, keep])
-    matrix = _solve_guarded(A, R, what)
-    return LocalOperator((kind, index), idx, layout, tgt, matrix)
+        A = np.concatenate([A, complement._Ws], axis=1)
+        keep = np.zeros((len(group), complement.dim, idx.shape[1]))
+        keep[:, :, space._own_slice(group, 1)] = np.eye(complement.dim)
+        R = np.concatenate([R, keep], axis=1)
+    matrix = _solve_guarded(space, A, R, what, group, want)
+    return _Operators(group, idx, tgt, matrix)
 
 
-@_per_space
+def _grad_face(space, group, want=None):
+    return _differential(
+        space, group, space.bank.group_basis(group, "vector", space.k),
+        _div, -1.0, edge_reconstruct, 1.0)
+
+
 def op_grad_face(space, f):
     """Face gradient in the full vector space of degree k, defined by
     integration by parts against all vector polynomials."""
-    return _differential(space, "face", f, space.bank.vectors("face", f, space.k),
-                         PolyBasis.div, -1.0, edge_reconstruct, 1.0)
+    return _entity(space, "op_grad_face", _grad_face, "face", f)
 
 
-@_per_space
-def op_scalar_trace(space, f):
-    """Degree-(k+1) scalar face reconstruction whose in-plane divergence
-    moments against the radial complement reproduce the face gradient."""
-    k, bank = space.k, space.bank
+def _scalar_trace(space, group, want=None):
+    k, basis = space.k, space.bank.group_basis
     return _reconstruction(
-        space, "face", f, op_grad_face(space, f), bank.scalars("face", f, k + 1),
-        bank.subspace("face", f, "curl_complement", k + 2), PolyBasis.div,
-        -1.0, edge_reconstruct, 1.0, f"scalar face trace {f}",
+        space, group, _through(space, op_grad_face, group),
+        basis(group, "scalar", k + 1), basis(group, "curl_complement", k + 2),
+        _div, -1.0, edge_reconstruct, 1.0, "scalar face trace", want,
         degree=2 * k + 4,
     )
 
 
-@_per_space
+def op_scalar_trace(space, f):
+    """Degree-(k+1) scalar face reconstruction whose in-plane divergence
+    moments against the radial complement reproduce the face gradient."""
+    return _entity(space, "op_scalar_trace", _scalar_trace, "face", f)
+
+
+def _curl_face(space, group, want=None):
+    return _differential(
+        space, group, space.bank.group_basis(group, "scalar", space.k),
+        _rotated_grad(space, group), 1.0, _edge_values, -1.0)
+
+
 def op_curl_face(space, f):
     """Scalar face rotation of degree k from tangential edge values and
     the rotational-image face moments."""
-    return _differential(space, "face", f, space.bank.scalars("face", f, space.k),
-                         _rotated_grad(space, f), 1.0, _edge_values, -1.0)
+    return _entity(space, "op_curl_face", _curl_face, "face", f)
 
 
-@_per_space
+def _tangential_trace(space, group, want=None):
+    k, basis = space.k, space.bank.group_basis
+    return _reconstruction(
+        space, group, _through(space, op_curl_face, group),
+        basis(group, "vector", k), basis(group, "zero_mean", k + 1),
+        _rotated_grad(space, group), 1.0, _edge_values, 1.0,
+        "tangential face trace", want,
+        complement=basis(group, "curl_complement", k),
+    )
+
+
 def op_tangential_trace(space, f):
     """Tangential face field of degree k: its rotated-gradient moments
     come from the face rotation and edge values by parts, its radial
     complement moments are kept from the data."""
-    k, bank = space.k, space.bank
-    return _reconstruction(
-        space, "face", f, op_curl_face(space, f), bank.vectors("face", f, k),
-        bank.subspace("face", f, "zero_mean", k + 1), _rotated_grad(space, f),
-        1.0, _edge_values, 1.0, f"tangential face trace {f}",
-        complement=bank.subspace("face", f, "curl_complement", k),
-    )
+    return _entity(space, "op_tangential_trace", _tangential_trace, "face", f)
 
 
-@_per_space
+def _grad_cell(space, group, want=None):
+    return _differential(
+        space, group, space.bank.group_basis(group, "vector", space.k),
+        _div, -1.0, op_scalar_trace, 1.0)
+
+
 def op_grad_cell(space, c):
     """Cell gradient in the full vector space of degree k, by parts
     against all vector polynomials using the scalar face traces."""
-    return _differential(space, "cell", c, space.bank.vectors("cell", c, space.k),
-                         PolyBasis.div, -1.0, op_scalar_trace, 1.0)
+    return _entity(space, "op_grad_cell", _grad_cell, "cell", c)
 
 
-@_per_space
+def _curl_cell(space, group, want=None):
+    return _differential(
+        space, group, space.bank.group_basis(group, "vector", space.k),
+        _curl, 1.0, op_tangential_trace, 1.0)
+
+
 def op_curl_cell(space, c):
     """Cell curl in the full vector space of degree k, by parts against
     all vector polynomials using the tangential face traces."""
-    return _differential(space, "cell", c, space.bank.vectors("cell", c, space.k),
-                         PolyBasis.curl, 1.0, op_tangential_trace, 1.0)
+    return _entity(space, "op_curl_cell", _curl_cell, "cell", c)
 
 
-@_per_space
+def _div_cell(space, group, want=None):
+    return _differential(
+        space, group, space.bank.group_basis(group, "scalar", space.k),
+        _grad, -1.0, _face_values, 1.0)
+
+
 def op_div_cell(space, c):
     """Cell divergence of degree k from normal face values and the
     gradient-image cell moments."""
-    return _differential(space, "cell", c, space.bank.scalars("cell", c, space.k),
-                         PolyBasis.grad, -1.0, _face_values, 1.0)
+    return _entity(space, "op_div_cell", _div_cell, "cell", c)
 
 
-@_per_space
+def _potential(space, group, want=None):
+    k, basis = space.k, space.bank.group_basis
+    if space.which == "grad":
+        return _reconstruction(
+            space, group, _through(space, op_grad_cell, group),
+            basis(group, "scalar", k + 1), basis(group, "curl_complement", k + 2),
+            _div, -1.0, op_scalar_trace, 1.0, "scalar potential on cell", want,
+        )
+    if space.which == "curl":
+        return _reconstruction(
+            space, group, _through(space, op_curl_cell, group),
+            basis(group, "vector", k), basis(group, "grad_complement", k + 1),
+            _curl, 1.0, op_tangential_trace, -1.0, "field potential on cell",
+            want, complement=basis(group, "curl_complement", k),
+        )
+    return _reconstruction(
+        space, group, _through(space, op_div_cell, group),
+        basis(group, "vector", k), basis(group, "zero_mean", k + 1),
+        _grad, -1.0, _face_values, 1.0, "flux potential on cell", want,
+        complement=basis(group, "grad_complement", k),
+    )
+
+
 def op_potential(space, c):
     """Cell potential reconstruction one step richer than the dofs.
 
@@ -611,28 +794,9 @@ def op_potential(space, c):
     a degree-k vector whose gradient moments match the cell divergence
     and whose radial complement moments are kept.
     """
-    k, bank = space.k, space.bank
-    if space.which == "grad":
-        return _reconstruction(
-            space, "cell", c, op_grad_cell(space, c), bank.scalars("cell", c, k + 1),
-            bank.subspace("cell", c, "curl_complement", k + 2), PolyBasis.div,
-            -1.0, op_scalar_trace, 1.0, f"scalar potential on cell {c}",
-        )
-    if space.which == "curl":
-        return _reconstruction(
-            space, "cell", c, op_curl_cell(space, c), bank.vectors("cell", c, k),
-            bank.subspace("cell", c, "grad_complement", k + 1), PolyBasis.curl,
-            1.0, op_tangential_trace, -1.0, f"field potential on cell {c}",
-            complement=bank.subspace("cell", c, "curl_complement", k),
-        )
-    if space.which == "div":
-        return _reconstruction(
-            space, "cell", c, op_div_cell(space, c), bank.vectors("cell", c, k),
-            bank.subspace("cell", c, "zero_mean", k + 1), PolyBasis.grad,
-            -1.0, _face_values, 1.0, f"flux potential on cell {c}",
-            complement=bank.subspace("cell", c, "grad_complement", k),
-        )
-    raise ValueError("potentials live on the grad, curl, and div spaces")
+    if space.which not in ("grad", "curl", "div"):
+        raise ValueError("potentials live on the grad, curl, and div spaces")
+    return _entity(space, "op_potential", _potential, "cell", c)
 
 
 # ----------------------------------------------------------------------
@@ -640,73 +804,68 @@ def op_potential(space, c):
 
 
 def _pad_cols(W, width):
-    if W.shape[1] == width:
+    if W.shape[-1] == width:
         return W
-    out = np.zeros((W.shape[0], width))
-    out[:, : W.shape[1]] = W
+    out = np.zeros(W.shape[:-1] + (width,))
+    out[..., : W.shape[-1]] = W
     return out
 
 
-def _project_families(space_out, kind, index, op):
-    """Yield (global output rows, local operator) for op projected onto
-    each nonempty family of space_out on one face or cell."""
-    if kind == "face":
-        families, block = space_out.face_families, space_out.face_block
-    else:
-        families, block = space_out.cell_families, space_out.cell_block
-    for i, (fam, l) in enumerate(families):
-        b = space_out.bank.subspace(kind, index, fam, l)
-        if b.dim:
-            W = _pad_cols(b.coeff_matrix(), op.target.dim)
-            yield block(index, i), LocalOperator(
-                op.entity, op.dofs, op.layout, b, W @ op.matrix
-            )
-
-
-def _complex_rows(space_in, space_out, edges, faces, cells):
-    """Yield (global output rows, local operator) pieces of the discrete
-    differential from space_in to space_out."""
+def _complex_pieces(space_in, space_out):
+    """[(kind, group, output rows (G, r), dofs (G, n), matrix (G, r, n))]:
+    the discrete differential from space_in to space_out per entity group,
+    face and cell operators projected onto each nonempty family of
+    space_out. Built once per space pair, kept in space_in's cache."""
+    key = ("complex pieces", space_out.which)
+    out = space_in._cache.get(key)
+    if out is not None:
+        return out
     pair = (space_in.which, space_out.which)
-    if pair == ("grad", "curl"):
-        for e in edges:
-            yield space_out.edge_dofs(e), op_grad_edge(space_in, e)
-        for f in faces:
-            yield from _project_families(space_out, "face", f,
-                                         op_grad_face(space_in, f))
-        for c in cells:
-            yield from _project_families(space_out, "cell", c,
-                                         op_grad_cell(space_in, c))
-    elif pair == ("curl", "div"):
-        for f in faces:
-            yield space_out.face_dofs(f), op_curl_face(space_in, f)
-        for c in cells:
-            yield from _project_families(space_out, "cell", c,
-                                         op_curl_cell(space_in, c))
-    elif pair == ("div", "l2"):
-        for c in cells:
-            yield space_out.cell_dofs(c), op_div_cell(space_in, c)
-    else:
+    bank = space_in.bank
+    plan = {
+        ("grad", "curl"): (("edge", op_grad_edge, False),
+                           ("face", op_grad_face, True),
+                           ("cell", op_grad_cell, True)),
+        ("curl", "div"): (("face", op_curl_face, False),
+                          ("cell", op_curl_cell, True)),
+        ("div", "l2"): (("cell", op_div_cell, False),),
+    }.get(pair)
+    if plan is None:
         raise ValueError(f"no discrete differential maps {pair[0]} to {pair[1]}")
+    out = []
+    for kind, op, project in plan:
+        for group in bank.groups(kind):
+            ops = _through(space_in, op, group)
+            ids = group.ids[:, None]
+            if not project:
+                out.append((kind, group, space_out._blocks(kind, ids),
+                            ops.dofs, ops.matrix))
+                continue
+            start = 0
+            for fam, l in _families(space_out, kind):
+                b = space_out.bank.group_basis(group, fam, l)
+                if b.dim:
+                    W = _pad_cols(b._Ws, ops.target.dim)
+                    out.append((kind, group,
+                                space_out._blocks(kind, ids, start, b.dim),
+                                ops.dofs, W @ ops.matrix))
+                start += b.dim
+    space_in._cache[key] = out
+    return out
 
 
 def global_operator(space_in, space_out):
     """Sparse matrix of the discrete differential between two spaces."""
-    mesh = space_in.mesh
     if space_in.mesh is not space_out.mesh or space_in.k != space_out.k:
         raise ValueError("spaces must share one mesh and one degree")
     rows, cols, vals = [], [], []
-    for out_rows, op in _complex_rows(
-        space_in,
-        space_out,
-        range(mesh.num_edges),
-        range(mesh.num_faces),
-        range(mesh.num_cells),
-    ):
-        if len(out_rows) == 0 or len(op.dofs) == 0:
+    for _, _, out_rows, dofs, matrix in _complex_pieces(space_in, space_out):
+        r, n = out_rows.shape[1], dofs.shape[1]
+        if r == 0 or n == 0:
             continue
-        rows.append(np.repeat(out_rows, len(op.dofs)))
-        cols.append(np.tile(op.dofs, len(out_rows)))
-        vals.append(op.matrix.ravel())
+        rows.append(np.repeat(out_rows.ravel(), n))
+        cols.append(np.tile(dofs, (1, r)).ravel())
+        vals.append(matrix.ravel())
     if rows:
         rows = np.concatenate(rows)
         cols = np.concatenate(cols)
@@ -720,18 +879,25 @@ def global_operator(space_in, space_out):
 def local_complex_matrix(space_in, space_out, c):
     """Cell-local matrix of the discrete differential: output dofs of the
     cell and its boundary in local order versus input local dofs."""
-    mesh = space_in.mesh
+    mesh, bank = space_in.mesh, space_in.bank
     idx_out, _ = space_out.local_dofs("cell", c)
     idx_in, _ = space_in.local_dofs("cell", c)
     pos_out = _positions(idx_out)
     pos_in = _positions(idx_in)
     M = np.zeros((len(idx_out), len(idx_in)))
-    edges = [int(e) for e in mesh.cell_edges[c]] if space_out.edge_width else []
-    faces = [int(f) for f in mesh.cells[c]]
-    for out_rows, op in _complex_rows(space_in, space_out, edges, faces, [c]):
-        r = [pos_out[int(g)] for g in out_rows]
-        ci = [pos_in[int(g)] for g in op.dofs]
-        M[np.ix_(r, ci)] = op.matrix
+    entities = {
+        "edge": mesh.cell_edges[c].tolist() if space_out.edge_width else [],
+        "face": mesh.cells[c].tolist(),
+        "cell": [c],
+    }
+    for kind, group, out_rows, dofs, matrix in _complex_pieces(space_in,
+                                                               space_out):
+        for j in entities[kind]:
+            owner, slot = bank.group(kind, j)
+            if owner is group:
+                r = [pos_out[g] for g in out_rows[slot].tolist()]
+                ci = [pos_in[g] for g in dofs[slot].tolist()]
+                M[np.ix_(r, ci)] = matrix[slot]
     return M
 
 

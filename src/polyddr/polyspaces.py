@@ -24,8 +24,19 @@ the orthonormalization coefficients. Gradient, divergence and curl arrays
 follow from a monomial derivative table, so values and derivatives are
 each one matrix product against one table of coordinate powers built by
 cumulative products. integrate_products turns two tabulations into the
-matrix of their integrals with one weighted matrix product; every
-quadrature contraction of the discrete operators goes through it.
+matrix of their integrals with one weighted matrix product. Two
+polynomials on the same core need no tabulation at all: with R the QR
+factor of the core, C R^T are orthonormal coordinates, and the integral of
+a product is their dot product (_ScalarCore.inner).
+
+All of it is stacked over entity groups: the faces or cells whose local
+arrays have equal shapes (face valence and rule fan size; for cells the
+face valences and fan sizes in local order, the edge and vertex counts and
+the cell fan size; all edges form one group). Rules, cores and bases carry
+a leading group axis, and the QR factorizations, SVDs and tabulations run
+as numpy stacks over it. BasisBank builds the whole group on the first
+request for one of its entities; the per-entity objects it returns are
+views (take) into the stacks, and a basis built alone is a stack of one.
 
 Families (naming by what the space is, not by any symbol):
 - "grad_image":       gradients of scalars of degree l+1
@@ -49,7 +60,7 @@ import math
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .quadrature import entity_rule
+from .quadrature import QuadRule, entity_rule, vertex_fans
 
 __all__ = [
     "PolyBasis",
@@ -59,6 +70,7 @@ __all__ = [
     "vector_basis",
     "subspace_basis",
     "l2_project",
+    "value_blocks",
     "integrate_products",
     "recovery",
     "projection_overlap",
@@ -67,6 +79,21 @@ __all__ = [
 ]
 
 DROP_TOL = 1e-8
+
+# Bound on the values one block of stacked work at many points holds: a
+# field at data-rule points, generating sets or a stabilization's
+# mismatches at rule points. It bounds the temporaries, whose size would
+# otherwise grow with the group.
+BLOCK_VALUES = 32768
+
+
+def value_blocks(count, size):
+    """Slices of count items (entities or points) with `size` values each,
+    each slice holding at most BLOCK_VALUES values (and at least one
+    item)."""
+    step = max(1, BLOCK_VALUES // max(size, 1))
+    return [slice(s, min(s + step, count)) for s in range(0, count, step)]
+
 
 FAMILIES = (
     "grad_image",
@@ -116,11 +143,9 @@ def space_dim(family, l, d):
 @functools.cache
 def _monomial_tables(L, d):
     """Graded exponents of the scaled monomials of degree <= L in d
-    variables, (nm, d); the rows exps * d + a of a (power, axis) table that
-    hold each monomial's factors; and the matrices of d/dxi_a in the
-    monomial basis, (d, nm, dim P^{L-1}): monomial i differentiates to
-    D[a, i] over the lower-degree prefix.  All depend on (L, d) only and
-    are read-only."""
+    variables, (nm, d), and the matrices of d/dxi_a in the monomial basis,
+    (d, nm, dim P^{L-1}): monomial i differentiates to D[a, i] over the
+    lower-degree prefix.  Both depend on (L, d) only and are read-only."""
     exps = []
     for deg in range(L + 1):
         block = [
@@ -137,121 +162,183 @@ def _monomial_tables(L, d):
                 lowered = e[:a] + (e[a] - 1,) + e[a + 1 :]
                 D[a, i, index[lowered]] = e[a]
     exps = np.array(exps, dtype=int).reshape(len(exps), d)
-    rows = exps * d + np.arange(d)
-    for a in (exps, rows, D):
+    for a in (exps, D):
         a.flags.writeable = False
-    return exps, rows, D
+    return exps, D
 
 
 def integrate_products(A, B, weights):
     """Matrix of the integrals of A_i . B_j from tabulations at rule points.
 
     A is (m, npts) or (m, npts, 3) and B the same kind with n rows; the
-    result is (m, n).  One matmul: the weights go on the operand with fewer
-    rows, so the weighted copy stays small.
+    result is (m, n).  Over a group of entities, A, B and the weights carry
+    one more leading axis and the result is (G, m, n).  One matmul: the
+    weights go on the operand with fewer rows, so the weighted copy stays
+    small.
     """
-    w = weights if A.ndim == 2 else weights[:, None]
-    if len(A) <= len(B):
+    b = weights.ndim - 1
+    w = weights[..., None, :] if A.ndim == b + 2 else weights[..., None, :, None]
+    m, n = A.shape[b], B.shape[b]
+    if m <= n:
         A = A * w
     else:
         B = B * w
-    cols = math.prod(A.shape[1:])
-    return A.reshape(len(A), cols) @ B.reshape(len(B), cols).T
+    lead = A.shape[:b]
+    cols = math.prod(A.shape[b + 1 :])
+    return A.reshape(lead + (m, cols)) @ B.reshape(lead + (n, cols)).swapaxes(-1, -2)
 
 
 class _ScalarCore:
-    """Orthonormal scalar basis of degree L on one entity.
+    """Orthonormal scalar bases of degree L on a stack of G entities.
 
-    Stores the orthonormalization coefficients over scaled monomials and the
-    monomial derivative table, so any polynomial given by its monomial
-    coefficients can be tabulated and differentiated.  The coefficients are
-    lower triangular (member i uses monomials 0..i), so a prefix of members
-    needs only a prefix of the monomials.
+    x0 (G, 3), h (G,) and frame (G, d, 3) place each entity's scaled
+    monomials; R (G, nm, nm) is the positive-diagonal factor of the
+    Householder QR of the sqrt(weight)-scaled monomial matrix at the rule
+    points, and the orthonormalization coefficients R^{-T} are lower
+    triangular (member i uses monomials 0..i), so a prefix of members
+    needs only a prefix of the monomials.  The rule has one entity's points
+    (n, 3) for a core built alone, stacked points (G, n, 3) for a group.
+    take(g) views entity g as a stack of one.
     """
 
     def __init__(self, x0, h, frame, L, rule):
-        self.x0 = np.asarray(x0, dtype=float)
-        self.h = float(h)
-        self.frame = np.asarray(frame, dtype=float)  # (d, 3) rows
+        self.x0, self.h, self.frame = x0, h, frame
         self.L = L
-        self.d = len(self.frame)
-        self.exps, self._rows, self._D = _monomial_tables(L, self.d)
+        self.d = frame.shape[1]
+        self.exps, self._D = _monomial_tables(L, self.d)
         self.rule = rule
-        nm = len(self.exps)
+        self._views = {}
+        G, nm = len(x0), len(self.exps)
 
-        # Householder QR of the sqrt(w)-weighted monomial matrix: columns of
-        # A R^{-1} are orthonormal, so the members have coefficients R^{-T}.
-        A = (self._monomials(rule.points, nm) * np.sqrt(rule.weights)).T
+        # Householder QR of the sqrt(w)-weighted monomial matrices: columns
+        # of A R^{-1} are orthonormal, so the members have coefficients R^{-T}.
+        w = rule.weights.reshape(G, -1)
+        A = self._monomials(rule.points.reshape(G, -1, 3), nm)
+        A = (A * np.sqrt(w)[:, None, :]).transpose(0, 2, 1)
         R = np.linalg.qr(A, mode="r")
-        diag = np.abs(np.diag(R))
-        base = np.linalg.norm(A, axis=0)
-        if len(diag) < nm or not np.all(diag > 1e-13 * np.maximum(base, 1.0)):
+        diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+        base = np.linalg.norm(A, axis=1)
+        if R.shape[1] < nm or not np.all(diag > 1e-13 * np.maximum(base, 1.0)):
             raise ValueError(
                 "degenerate entity geometry: monomials are numerically "
                 "dependent under the quadrature inner product"
             )
-        R *= np.sign(np.diag(R))[:, None]
-        self.coeffs = solve_triangular(R, np.eye(nm)).T
+        R *= np.sign(np.diagonal(R, axis1=1, axis2=2))[..., None]
+        self.R = R
+        eye = np.broadcast_to(np.eye(nm), R.shape)
+        self.coeffs = solve_triangular(R, eye).transpose(0, 2, 1)
 
-    def _monomials(self, pts, n):
-        """The first n scaled monomials at the points, (n, npts), read off
-        one table of coordinate powers built by cumulative products."""
-        xi = (((np.atleast_2d(pts) - self.x0) @ self.frame.T) / self.h).T
-        top = int(self.exps[n - 1].sum()) if n else 0  # graded order
+    def part(self, sl):
+        """The entities sl (a slice) of the stack, with their rule."""
+        out = object.__new__(_ScalarCore)
+        out.x0, out.h, out.frame = self.x0[sl], self.h[sl], self.frame[sl]
+        out.L, out.d, out.exps, out._D = self.L, self.d, self.exps, self._D
+        out.R, out.coeffs = self.R[sl], self.coeffs[sl]
+        G = len(self.x0)
+        out.rule = QuadRule(self.rule.points.reshape(G, -1, 3)[sl],
+                            self.rule.weights.reshape(G, -1)[sl],
+                            self.rule.exactness_degree)
+        out._views = {}
+        return out
+
+    def take(self, g):
+        """Entity g of the stack as a stack of one, with its own rule."""
+        out = self._views.get(g)
+        if out is None:
+            out = self._views[g] = self.part(slice(g, g + 1))
+            out.rule = QuadRule(out.rule.points[0], out.rule.weights[0],
+                                out.rule.exactness_degree)
+        return out
+
+    def _monomials(self, pts, n, sel=None):
+        """The first n scaled monomials at stacked points (G, npts, 3) of
+        the entities sel of the stack (all by default), (G, n, npts), read
+        off one table of coordinate powers built by cumulative products."""
+        x0, frame, h = self.x0, self.frame, self.h
+        if sel is not None:
+            x0, frame, h = x0[sel], frame[sel], h[sel]
+        xi = ((pts - x0[:, None, :]) @ frame.transpose(0, 2, 1)) / h[:, None, None]
+        xi = xi.transpose(0, 2, 1)
+        exps = self.exps[:n]
+        top = int(exps[-1].sum()) if n else 0  # graded order
         P = np.empty((top + 1,) + xi.shape)
         P[0] = 1.0
         for e in range(top):
             np.multiply(P[e], xi, out=P[e + 1])
-        P = P.reshape(-1, xi.shape[1])
-        rows = self._rows[:n]
-        out = P[rows[:, 0]]
+        out = P[exps[:, 0], :, 0]
         for a in range(1, self.d):
-            out *= P[rows[:, a]]
-        return out
+            out *= P[exps[:, a], :, a]
+        return out.transpose(1, 0, 2)
 
     def gradient(self, C):
         """Monomial coefficients of the global gradients of the polynomials
-        with coefficients C (..., n): (..., 3, n') with n' the number of
-        monomials of one degree less than monomial n-1."""
+        with coefficients C (G, ..., n): (G, ..., 3, n') with n' the number
+        of monomials of one degree less than monomial n-1."""
         n = C.shape[-1]
         n1 = dim_P(int(self.exps[n - 1].sum()) - 1, self.d) if n else 0
         CD = np.tensordot(C, self._D[:, :n, :n1], axes=(-1, 1))
-        return (self.frame.T / self.h) @ CD
+        FT = self.frame.transpose(0, 2, 1) / self.h[:, None, None]
+        return FT.reshape((len(FT),) + (1,) * (CD.ndim - 3) + FT.shape[1:]) @ CD
+
+    def inner(self, A, B):
+        """Integrals over each entity of the products of the polynomials
+        with monomial coefficients A (G, m, [3,] na) and B (G, n, [3,] nb),
+        both scalar or both vector: (G, m, n).  No tabulation: the
+        orthonormal coordinates are C R^T, and the integral of a product is
+        their dot product (exact for degrees up to L)."""
+        k = min(A.shape[-1], B.shape[-1])
+
+        def ortho(C):
+            Rt = self.R[:, :k, : C.shape[-1]].transpose(0, 2, 1)
+            E = C.reshape(len(C), -1, C.shape[-1]) @ Rt
+            return E.reshape(len(C), C.shape[1], math.prod(C.shape[2:-1]) * k)
+
+        return ortho(A) @ ortho(B).transpose(0, 2, 1)
 
 
-def _tabulate(core, C, pts):
-    """Values at the points of the polynomials with monomial coefficients
-    C over the core: (m, npts) for scalar rows C (m, n), (m, npts, 3) for
-    vector rows C (m, 3, n) in global components.  One matmul."""
-    M = core._monomials(pts, C.shape[-1])
-    V = C.reshape(math.prod(C.shape[:-1]), C.shape[-1]) @ M
-    if C.ndim == 2:
+def _tabulate(core, C, pts, sel=None):
+    """Values at stacked points (G, npts, 3) of the polynomials with
+    monomial coefficients C over the core's entities (those in sel):
+    (G, m, npts) for scalar rows C (G, m, n), (G, m, npts, 3) for vector
+    rows C (G, m, 3, n) in global components.  One matmul."""
+    M = core._monomials(pts, C.shape[-1], sel)
+    G, n = len(C), C.shape[-1]
+    V = C.reshape(G, math.prod(C.shape[1:-1]), n) @ M
+    if C.ndim == 3:
         return V
-    return V.reshape(len(C), 3, M.shape[1]).transpose(0, 2, 1)
+    return V.reshape(G, C.shape[1], 3, M.shape[-1]).transpose(0, 1, 3, 2)
 
 
 def _cross_matrix(v):
-    """The 3x3 matrix K with V @ K = V x v for any (..., 3) array V."""
-    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+    """The 3x3 matrix K with V @ K = V x v for any (..., 3) array V; for
+    stacked vectors v (G, 3), the stacked matrices (G, 3, 3)."""
+    v = np.asarray(v)
+    K = np.zeros(v.shape[:-1] + (3, 3))
+    K[..., 0, 1], K[..., 0, 2] = -v[..., 2], v[..., 1]
+    K[..., 1, 0], K[..., 1, 2] = v[..., 2], -v[..., 0]
+    K[..., 2, 0], K[..., 2, 1] = -v[..., 1], v[..., 0]
+    return K
 
 
 # V @ _AXIS_CROSS[a] = V x e_a for the Cartesian axes
-_AXIS_CROSS = np.array([_cross_matrix(e) for e in np.eye(3)])
+_AXIS_CROSS = _cross_matrix(np.eye(3))
 _AXIS_CROSS.flags.writeable = False
 
 
 class PolyBasis:
-    """Basis of a polynomial space on a mesh entity.
+    """Basis of a polynomial space on a mesh entity, or stacked over the
+    entities ids of a group.
 
     Every basis is one coefficient array over the scaled monomials of its
     entity's core: (dim, nm) for scalar spaces and (dim, 3, nm) in global
-    components for vector spaces.  The constructor builds it from W, the
-    coefficients over the orthonormal parent basis of the same degree (the
-    scalar members s_m, or the vector members s_m times frame axis a in
-    (m, a) order), and the core's orthonormalization coefficients.  eval,
-    grad, div and curl each tabulate one such array with a single matmul;
-    the grad, div and curl arrays are derived once, on first use, from the
-    core's monomial derivative table.
+    components for vector spaces, with one leading axis over the stack.
+    The constructor builds it from W (G, dim, width), the coefficients over
+    the orthonormal parent basis of the same degree (the scalar members
+    s_m, or the vector members s_m times frame axis a in (m, a) order), and
+    the core's orthonormalization coefficients.  The grad, div and curl
+    arrays are derived on first use from the core's monomial derivative
+    table.  take(g) views entity g of a stack as a stack of one, the form
+    the per-entity methods work on.
 
     eval() returns (dim, npts) for scalar spaces and (dim, npts, 3) for
     vector spaces; members of face spaces are tangent fields expressed in
@@ -260,60 +347,113 @@ class PolyBasis:
     ("nedelec", "raviart_thomas") are L2-orthonormal on their entity.
     """
 
-    def __init__(self, entity_kind, entity_id, kind, degree, core, W,
-                 axes=None, orthonormal=True):
+    def __init__(self, entity_kind, ids, kind, degree, core, W, axes=None,
+                 orthonormal=True):
         self.entity_kind = entity_kind
-        self.entity_id = entity_id
+        self.ids = ids
         self.kind = kind
         self.degree = degree
         self._core = core
-        self._W = W
-        self.dim = len(W)
+        self._Ws = W
+        self.dim = W.shape[1]
         self.orthonormal = orthonormal
-        self.value_dim = 1 if axes is None else len(axes)
-        ns = W.shape[1] // self.value_dim
-        S = core.coeffs[:ns, :ns]
+        self.value_dim = 1 if axes is None else axes.shape[1]
+        self._views = {}
+        ns = W.shape[2] // self.value_dim
+        S = core.coeffs[:, :ns, :ns]
         if axes is None:
-            self._C = W @ S
+            # an identity W (the full scalar space) takes the coefficients as
+            # they are
+            self._Cs = S if kind == "scalar" else W @ S
         else:
-            Wam = W.reshape(self.dim, ns, len(axes)).transpose(0, 2, 1)
-            self._C = axes.T @ (Wam @ S)
+            Wam = W.reshape(len(W), self.dim, ns, len(axes[0])).transpose(0, 1, 3, 2)
+            self._Cs = axes.transpose(0, 2, 1)[:, None] @ (Wam @ S[:, None])
+
+    def take(self, g):
+        """Entity g of the stack as a stack of one."""
+        out = self._views.get(g)
+        if out is None:
+            out = object.__new__(PolyBasis)
+            for name in ("entity_kind", "kind", "degree", "dim", "orthonormal",
+                         "value_dim"):
+                setattr(out, name, getattr(self, name))
+            sl = slice(g, g + 1)
+            out.ids, out._Ws, out._Cs = self.ids[sl], self._Ws[sl], self._Cs[sl]
+            out._core = self._core.take(g)
+            out._views = {}
+            self._views[g] = out
+        return out
+
+    @property
+    def entity_id(self):
+        return int(self.ids[0])
+
+    @property
+    def _W(self):
+        return self._Ws[0]
+
+    @property
+    def _C(self):
+        return self._Cs[0]
 
     @functools.cached_property
     def _grad_map(self):
-        return self._core.gradient(self._C)
+        return self._core.gradient(self._Cs)
 
     @functools.cached_property
     def _div_map(self):
-        J = self._core.gradient(self._C)  # (dim, component, axis, n')
-        return J[:, 0, 0] + J[:, 1, 1] + J[:, 2, 2]
+        J = self._core.gradient(self._Cs)  # (G, dim, component, axis, n')
+        return J[:, :, 0, 0] + J[:, :, 1, 1] + J[:, :, 2, 2]
 
     @functools.cached_property
     def _curl_map(self):
-        J = self._core.gradient(self._C)
-        return np.stack([J[:, 2, 1] - J[:, 1, 2], J[:, 0, 2] - J[:, 2, 0],
-                         J[:, 1, 0] - J[:, 0, 1]], axis=1)
+        J = self._core.gradient(self._Cs)
+        return np.stack([J[:, :, 2, 1] - J[:, :, 1, 2], J[:, :, 0, 2] - J[:, :, 2, 0],
+                         J[:, :, 1, 0] - J[:, :, 0, 1]], axis=2)
+
+    def values(self, pts, sel=None):
+        """Member values at stacked points (G', npts, 3) of the entities
+        sel of the stack (all by default)."""
+        C = self._Cs if sel is None else self._Cs[sel]
+        return _tabulate(self._core, C, pts, sel)
+
+    def moments(self, pts, vals, weights, sel=None):
+        """Integrals (G, dim) of the members of the entities sel of the
+        stack (all by default) against values at their stacked rule
+        points, (G, npts) or (G, npts, 3): the monomials meet the weighted
+        values first, so no member is tabulated."""
+        C = self._Cs if sel is None else self._Cs[sel]
+        G, n = len(C), C.shape[-1]
+        wv = vals * (weights[..., None] if vals.ndim == 3 else weights)
+        F = self._core._monomials(pts, n, sel) @ wv.reshape(G, wv.shape[1], -1)
+        if C.ndim == 3:
+            return (C @ F)[..., 0]
+        F = F.transpose(0, 2, 1).reshape(G, -1, 1)
+        return (C.reshape(G, self.dim, -1) @ F)[..., 0]
+
+    def _at(self, C, pts):
+        return _tabulate(self._core, C, np.atleast_2d(pts)[None])[0]
 
     def eval(self, pts):
-        return _tabulate(self._core, self._C, pts)
+        return self._at(self._Cs, pts)
 
     def grad(self, pts):
         """Member gradients (scalar spaces only), shape (dim, npts, 3)."""
         if self.value_dim != 1:
             raise ValueError("grad is defined for scalar bases")
-        return _tabulate(self._core, self._grad_map, pts)
+        return self._at(self._grad_map, pts)
 
     def div(self, pts):
         """Member divergences; on faces this is the in-plane divergence."""
         if self.value_dim == 1:
             raise ValueError("div is defined for vector bases")
-        return _tabulate(self._core, self._div_map, pts)
+        return self._at(self._div_map, pts)
 
     def curl(self, pts):
         """Member curls (cell vector spaces only), shape (dim, npts, 3)."""
         if self.value_dim != 3:
             raise ValueError("curl is defined for cell vector bases")
-        return _tabulate(self._core, self._curl_map, pts)
+        return self._at(self._curl_map, pts)
 
     def coeff_matrix(self):
         """Coefficients over the orthonormal parent basis (dim x width)."""
@@ -328,83 +468,97 @@ class PolyBasis:
 # construction
 
 
-def _entity_frame(mesh, kind, index):
+def _entity_frame(mesh, kind, ids):
     if kind == "edge":
-        x0 = mesh.edge_midpoints[index]
-        h = mesh.edge_lengths[index]
-        frame = mesh.edge_tangents[index][None, :]
-    elif kind == "face":
-        x0 = mesh.face_centroids[index]
-        h = mesh.face_diameters[index]
-        frame = mesh.face_frames[index]
-    elif kind == "cell":
-        x0 = mesh.cell_centroids[index]
-        h = mesh.cell_diameters[index]
-        frame = np.eye(3)
-    else:
-        raise ValueError(f"unknown entity kind {kind!r}")
-    return x0, h, frame
+        return (mesh.edge_midpoints[ids], mesh.edge_lengths[ids],
+                mesh.edge_tangents[ids][:, None, :])
+    if kind == "face":
+        return (mesh.face_centroids[ids], mesh.face_diameters[ids],
+                mesh.face_frames[ids])
+    if kind == "cell":
+        return (mesh.cell_centroids[ids], mesh.cell_diameters[ids],
+                np.broadcast_to(np.eye(3), (len(ids), 3, 3)))
+    raise ValueError(f"unknown entity kind {kind!r}")
+
+
+def _ids(index):
+    return np.atleast_1d(np.asarray(index, dtype=int))
 
 
 def _make_core(mesh, kind, index, L, rule=None):
-    x0, h, frame = _entity_frame(mesh, kind, index)
+    """Core of degree L on one entity (index an id) or stacked over the
+    entities of a group (index a sequence of ids)."""
+    x0, h, frame = _entity_frame(mesh, kind, _ids(index))
     if rule is None:
         rule = entity_rule(mesh, kind, index, max(2 * L, 0))
     return _ScalarCore(x0, h, frame, L, rule)
 
 
+def _identity(G, n):
+    return np.broadcast_to(np.eye(n), (G, n, n))
+
+
 def scalar_basis(mesh, kind, index, l, core=None):
-    """Orthonormal basis of scalars of degree <= l on one entity."""
+    """Orthonormal basis of scalars of degree <= l on one entity; for a
+    sequence of ids (with their group core), the stack over them."""
     if core is None:
         core = _make_core(mesh, kind, index, max(l, 0))
-    return PolyBasis(kind, index, "scalar", l, core, np.eye(dim_P(l, core.d)))
-
-
-def _axes(kind, core):
-    return np.eye(3) if kind == "cell" else core.frame
+    ids = _ids(index)
+    return PolyBasis(kind, ids, "scalar", l, core,
+                     _identity(len(ids), dim_P(l, core.d)))
 
 
 def vector_basis(mesh, kind, index, l, core=None):
-    """Orthonormal basis of full vector polynomials of degree <= l."""
+    """Orthonormal basis of full vector polynomials of degree <= l (frame
+    axes: face tangents, Cartesian axes on cells); stacked as scalar_basis."""
     if kind == "edge":
         raise ValueError("vector bases live on faces and cells")
     if core is None:
         core = _make_core(mesh, kind, index, max(l, 0))
-    axes = _axes(kind, core)
-    return PolyBasis(kind, index, "vector", l, core,
-                     np.eye(dim_P(l, core.d) * len(axes)), axes)
+    ids = _ids(index)
+    return PolyBasis(kind, ids, "vector", l, core,
+                     _identity(len(ids), dim_P(l, core.d) * core.d), core.frame)
 
 
-def _subspace_generators(mesh, kind, index, family, l, core, rule):
-    """Values of the natural generating set at the rule points, (ng,np,3)."""
-    pts = rule.points
+def _subspace_generators(mesh, kind, ids, family, l, core, pts):
+    """Values of the natural generating sets at stacked points (G, npts, 3),
+    yielded as blocks (G, n, npts, 3): generator (m, b) is member m of
+    block b. On cells, b runs over the axes e_b the generators are crossed
+    with, so that one axis is held at a time."""
+    G = len(ids)
     if family.endswith("image"):
         n = dim_P(l + 1, core.d)
-        g = _tabulate(core, core.gradient(core.coeffs[:n, :n]), pts)
+        g = _tabulate(core, core.gradient(core.coeffs[:, :n, :n]), pts)
         if family == "grad_image":
-            return g[1:]  # the constant member has no gradient
-        if kind == "face":
-            return g[1:] @ _cross_matrix(mesh.face_normals[index])
-        # grad s_m x e_a in (m, a) order
-        return (g[:, None] @ _AXIS_CROSS).reshape(3 * n, -1, 3)
+            yield g[:, 1:]  # the constant member has no gradient
+        elif kind == "face":
+            yield g[:, 1:] @ _cross_matrix(mesh.face_normals[ids])[:, None]
+        else:
+            for K in _AXIS_CROSS:  # grad s_m x e_b
+                yield g @ K
+        return
     n = dim_P(l - 1, core.d)
     if n == 0:
-        return np.zeros((0, len(pts), 3))
-    s = _tabulate(core, core.coeffs[:n, :n], pts)
-    r = np.atleast_2d(pts) - core.x0
+        yield np.zeros((G, 0, pts.shape[1], 3))
+        return
+    s = _tabulate(core, core.coeffs[:, :n, :n], pts)
+    r = pts - core.x0[:, None, :]
     if family == "curl_complement":
-        return s[:, :, None] * r[None, :, :]
-    if family != "grad_complement":
+        yield s[..., None] * r[:, None]
+    elif family != "grad_complement":
         raise ValueError(f"unknown vector family {family!r}")
-    if kind == "face":
-        rot = -(r @ _cross_matrix(mesh.face_normals[index]))  # n x r
-        return s[:, :, None] * rot[None, :, :]
-    gens = s[:, None, :, None] * (r @ _AXIS_CROSS)[None]  # s_m (r x e_a)
-    return gens.reshape(3 * n, -1, 3)
+    elif kind == "face":
+        rot = -(r @ _cross_matrix(mesh.face_normals[ids]))  # n x r
+        yield s[..., None] * rot[:, None]
+    else:
+        for K in _AXIS_CROSS:  # s_m (r x e_b)
+            yield s[..., None] * (r @ K)[:, None]
 
 
 def subspace_basis(mesh, kind, index, family, l, core=None, rule=None):
-    """Orthonormal basis of one subspace family (or a trimmed concatenation).
+    """Orthonormal basis of one subspace family (or a trimmed concatenation)
+    on one entity; for a sequence of ids (with their group core and rule),
+    the stack over them.
 
     The basis is expressed over the orthonormal full-vector basis of the
     same degree, so its coefficient rows are exactly its L2 geometry.
@@ -419,44 +573,60 @@ def subspace_basis(mesh, kind, index, family, l, core=None, rule=None):
         core = _make_core(mesh, kind, index, need_L, rule)
     if rule is None:
         rule = core.rule
-    d = core.d
+    ids = _ids(index)
+    G, d = len(ids), core.d
 
     if family == "zero_mean":
         dim = space_dim("zero_mean", l, d)
         W = np.eye(dim + 1)[1:] if dim else np.zeros((0, 1))
-        return PolyBasis(kind, index, family, l, core, W)
+        return PolyBasis(kind, ids, family, l, core,
+                         np.broadcast_to(W, (G,) + W.shape))
 
-    axes = _axes(kind, core)
-    width = dim_P(l, d) * len(axes)
+    axes = core.frame
+    width = dim_P(l, d) * d
     if family in ("nedelec", "raviart_thomas"):
         sub = "grad" if family == "nedelec" else "curl"
         lo = subspace_basis(mesh, kind, index, f"{sub}_image", l - 1,
                             core=core, rule=rule)
         hi = subspace_basis(mesh, kind, index, f"{sub}_complement", l,
                             core=core, rule=rule)
-        Wlo = np.zeros((lo.dim, width))
-        Wlo[:, : lo._W.shape[1]] = lo._W
-        return PolyBasis(kind, index, family, l, core,
-                         np.vstack([Wlo, hi._W]), axes, orthonormal=False)
+        W = np.zeros((G, lo.dim + hi.dim, width))
+        W[:, : lo.dim, : lo._Ws.shape[2]] = lo._Ws
+        W[:, lo.dim :] = hi._Ws
+        return PolyBasis(kind, ids, family, l, core, W, axes, orthonormal=False)
 
     dim = space_dim(family, l, d)
     if dim == 0:
-        return PolyBasis(kind, index, family, l, core, np.zeros((0, width)),
+        return PolyBasis(kind, ids, family, l, core, np.zeros((G, 0, width)),
                          axes)
-    gens = _subspace_generators(mesh, kind, index, family, l, core, rule)
     # moments against the parent members s_m * axes[a], in (m, a) order,
-    # without tabulating the parent vector basis
-    ns = width // len(axes)
-    S = _tabulate(core, core.coeffs[:ns, :ns], rule.points) * rule.weights
-    moments = ((S @ gens) @ axes.T).reshape(len(gens), width)
+    # without tabulating the parent vector basis, block by block of entities
+    pts = rule.points.reshape(G, -1, 3)
+    weights = rule.weights.reshape(G, 1, 1, -1)
+    axes_t = axes.transpose(0, 2, 1)[:, None]
+    ns = width // d
+    members = dim_P(l + 1 if family.endswith("image") else l - 1, d)
+    moments = []
+    for sl in value_blocks(G, members * pts.shape[1]):
+        part = core.part(sl)
+        S = _tabulate(part, part.coeffs[:, :ns, :ns], pts[sl])[:, None] * weights[sl]
+        moments.append(np.stack(
+            [(S @ gens) @ axes_t[sl] for gens in
+             _subspace_generators(mesh, kind, ids[sl], family, l, part, pts[sl])],
+            axis=2))
+    moments = np.concatenate(moments).reshape(G, -1, width)
     U, sing, Vt = np.linalg.svd(moments, full_matrices=False)
-    rank = int((sing >= DROP_TOL * sing[0]).sum()) if len(sing) else 0
-    if rank != dim:
+    if sing.shape[1]:
+        rank = (sing >= DROP_TOL * sing[:, :1]).sum(axis=1)
+    else:
+        rank = np.zeros(G, dtype=int)
+    bad = np.flatnonzero(rank != dim)
+    if len(bad):
         raise ValueError(
-            f"rank of {family} generators on {kind} {index} is {rank}, "
-            f"expected {dim}"
+            f"rank of {family} generators on {kind} {ids[bad[0]]} is "
+            f"{rank[bad[0]]}, expected {dim}"
         )
-    return PolyBasis(kind, index, family, l, core, Vt[:dim], axes)
+    return PolyBasis(kind, ids, family, l, core, Vt[:, :dim].copy(), axes)
 
 
 # ----------------------------------------------------------------------
@@ -467,10 +637,13 @@ def l2_project(basis, f, rule=None, mesh=None):
     """Coefficients of the L2 projection of a field onto the basis.
 
     f is a callable on an (npts, 3) array of points returning (npts,) for
-    scalar bases or (npts, 3) for vector bases; 3-vector fields over faces
-    are projected onto the tangent plane implicitly (members are tangent).
-    Without a rule, mesh selects the data rule of degree 2l+2 for a
-    non-polynomial f; with neither, the basis' own polynomial rule is used.
+    scalar bases or (npts, 3) for vector bases, or those values; 3-vector
+    fields over faces are projected onto the tangent plane implicitly
+    (members are tangent). Without a rule, mesh selects the data rule of
+    degree 2l+2 for a non-polynomial f; with neither, the basis' own
+    polynomial rule is used. A group's stacked basis with a stacked rule
+    gives the coefficients of every entity, (G, dim), evaluating f block
+    by block of entities (value_blocks).
     """
     if rule is None:
         if mesh is None:
@@ -478,12 +651,25 @@ def l2_project(basis, f, rule=None, mesh=None):
         else:
             rule = entity_rule(mesh, basis.entity_kind, basis.entity_id,
                                2 * max(basis.degree, 0) + 2, data=True)
-    vals = f(rule.points) if callable(f) else np.asarray(f)
-    B = basis.eval(rule.points)
-    moments = integrate_products(B, np.asarray(vals)[None], rule.weights)[:, 0]
-    if basis.orthonormal:
-        return moments
-    return np.linalg.solve(basis.gram(), moments)
+    single = rule.points.ndim == 2
+    pts = rule.points[None] if single else rule.points
+    weights = rule.weights[None] if single else rule.weights
+    shape = (3,) if basis.value_dim > 1 else ()
+    if not callable(f):
+        given = np.asarray(f, dtype=float).reshape(pts.shape[:2] + shape)
+    moments = []
+    for sl in value_blocks(*weights.shape):
+        if callable(f):
+            vals = np.asarray(f(pts[sl].reshape(-1, 3)), dtype=float)
+            vals = vals.reshape(pts[sl].shape[:2] + shape)
+        else:
+            vals = given[sl]
+        moments.append(basis.moments(pts[sl], vals, weights[sl], sl))
+    moments = np.concatenate(moments)
+    if not basis.orthonormal:
+        W = basis._Ws
+        moments = np.linalg.solve(W @ W.transpose(0, 2, 1), moments[..., None])[..., 0]
+    return moments[0] if single else moments
 
 
 def recovery(basis_s, basis_sc, b, c):
@@ -559,7 +745,79 @@ def isomorphism_matrix(mesh, kind, index, which, l):
 
 
 # ----------------------------------------------------------------------
-# cached per-mesh bases
+# entity groups and the cached per-mesh bases
+
+
+def _signatures(mesh, kind):
+    """Per-entity keys that fix the shapes of every local array: face
+    valence and polynomial-rule fan size; for cells the face valences and
+    fan sizes in local order, the edge and vertex counts and the cell's
+    fan size.  Edges all share one."""
+    if kind == "edge":
+        return [()] * mesh.num_edges
+    if kind not in ("face", "cell"):
+        raise ValueError(f"unknown entity kind {kind!r}")
+    face_fans = vertex_fans(mesh, "face")
+    if kind == "face":
+        return [(len(loop), len(face_fans[f][1]))
+                for f, loop in enumerate(mesh.faces)]
+    cell_fans = vertex_fans(mesh, "cell")
+    return [
+        (tuple(len(mesh.faces[f]) for f in faces),
+         tuple(len(face_fans[f][1]) for f in faces),
+         len(mesh.cell_edges[c]), len(mesh.cell_vertices[c]),
+         len(cell_fans[c][1]))
+        for c, faces in enumerate(mesh.cells)
+    ]
+
+
+class EntityGroup:
+    """The entities of one kind with one signature, ids ascending: every
+    local object of theirs has the same shapes, so each is built for all
+    of them at once.  Incidence arrays are stacked from the mesh's
+    per-entity attributes on first use: vertices, edges and (on cells)
+    faces in local order, and the orientations of the boundary parts (the
+    edges of a face, the faces of a cell)."""
+
+    def __init__(self, mesh, kind, gid, ids):
+        self.mesh = mesh
+        self.kind = kind
+        self.gid = gid
+        self.ids = ids
+
+    def __len__(self):
+        return len(self.ids)
+
+    def _stack(self, per_entity):
+        return np.array([per_entity[i] for i in self.ids])
+
+    @functools.cached_property
+    def vertices(self):
+        mesh = self.mesh
+        if self.kind == "edge":
+            return mesh.edges[self.ids]
+        return self._stack(mesh.faces if self.kind == "face"
+                           else mesh.cell_vertices)
+
+    @functools.cached_property
+    def edges(self):
+        mesh = self.mesh
+        return self._stack(mesh.face_edges if self.kind == "face"
+                           else mesh.cell_edges)
+
+    @functools.cached_property
+    def faces(self):
+        return self._stack(self.mesh.cells)
+
+    @functools.cached_property
+    def signs(self):
+        mesh = self.mesh
+        return self._stack(mesh.face_edge_signs if self.kind == "face"
+                           else mesh.cell_face_signs)
+
+    @functools.cached_property
+    def edge_normals(self):
+        return self._stack(self.mesh.face_edge_normals)
 
 
 class BasisBank:
@@ -573,6 +831,10 @@ class BasisBank:
     cached per (kind, index, degree, data): data=True selects the
     centroid-fan rule for non-polynomial data, the default the vertex-fan
     rule for polynomials (see quadrature).
+
+    Everything is built per entity group (see EntityGroup): the first
+    request for one entity builds the stacked rule, core or basis of its
+    whole group, and the per-entity objects are views into it.
     """
 
     def __init__(self, mesh, k):
@@ -580,54 +842,118 @@ class BasisBank:
             raise ValueError("degree must be >= 0")
         self.mesh = mesh
         self.k = k
+        self._tables = {}
+        self._group_rules = {}
         self._rules = {}
         self._cores = {}
         self._bases = {}
 
-    def rule(self, kind, index, degree=None, data=False):
+    # -- groups ------------------------------------------------------------
+
+    def _table(self, kind):
+        table = self._tables.get(kind)
+        if table is None:
+            members = {}
+            for i, key in enumerate(_signatures(self.mesh, kind)):
+                members.setdefault(key, []).append(i)
+            groups = [EntityGroup(self.mesh, kind, gid, np.array(ids))
+                      for gid, ids in enumerate(members.values())]
+            count = sum(len(g) for g in groups)
+            gids = np.empty(count, dtype=int)
+            slots = np.empty(count, dtype=int)
+            for g in groups:
+                gids[g.ids] = g.gid
+                slots[g.ids] = np.arange(len(g))
+            table = self._tables[kind] = (groups, gids, slots)
+        return table
+
+    def groups(self, kind):
+        """The entity groups of one kind, in order of their first entity."""
+        return self._table(kind)[0]
+
+    def group(self, kind, index):
+        """(group, slot): the group of one entity and its position there."""
+        groups, gids, slots = self._table(kind)
+        return groups[gids[index]], int(slots[index])
+
+    def locate(self, kind, ids):
+        """(group, slots) of entities that share one group."""
+        groups, gids, slots = self._table(kind)
+        if np.any(gids[ids] != gids[ids[0]]):
+            raise ValueError(f"{kind}s {ids} do not share one group")
+        return groups[gids[ids[0]]], slots[ids]
+
+    # -- rules and cores ---------------------------------------------------
+
+    def _degree(self, kind, degree):
         if degree is None:
-            degree = 2 * self.k + (2 if kind == "edge" else 4)
+            return 2 * self.k + (2 if kind == "edge" else 4)
+        return degree
+
+    def group_rule(self, group, degree=None, data=False):
+        """The stacked rule of a group, (G, n, 3) points."""
+        key = (group.kind, group.gid, self._degree(group.kind, degree), data)
+        out = self._group_rules.get(key)
+        if out is None:
+            out = self._group_rules[key] = entity_rule(
+                self.mesh, group.kind, group.ids, key[2], data=data)
+        return out
+
+    def rule(self, kind, index, degree=None, data=False):
+        degree = self._degree(kind, degree)
         key = (kind, index, degree, data)
         out = self._rules.get(key)
         if out is None:
-            out = entity_rule(self.mesh, kind, index, degree, data=data)
-            self._rules[key] = out
+            group, slot = self.group(kind, index)
+            stack = self.group_rule(group, degree, data)
+            out = self._rules[key] = QuadRule(stack.points[slot],
+                                              stack.weights[slot], degree)
+        return out
+
+    def group_core(self, group):
+        key = (group.kind, group.gid)
+        out = self._cores.get(key)
+        if out is None:
+            L = self.k + 1 if group.kind == "edge" else self.k + 2
+            out = self._cores[key] = _make_core(
+                self.mesh, group.kind, group.ids, L, rule=self.group_rule(group))
         return out
 
     def core(self, kind, index):
-        key = (kind, index)
-        out = self._cores.get(key)
+        group, slot = self.group(kind, index)
+        return self.group_core(group).take(slot)
+
+    # -- bases ---------------------------------------------------------------
+
+    def group_basis(self, group, family, l):
+        """The stacked basis of a group: family "scalar", "vector" or a
+        subspace family."""
+        key = (family, group.kind, group.gid, l)
+        out = self._bases.get(key)
         if out is None:
-            L = self.k + 1 if kind == "edge" else self.k + 2
-            out = _make_core(self.mesh, kind, index, L,
-                             rule=self.rule(kind, index))
-            self._cores[key] = out
+            mesh, kind, ids = self.mesh, group.kind, group.ids
+            core = self.group_core(group)
+            if family == "scalar":
+                out = scalar_basis(mesh, kind, ids, l, core=core)
+            elif family == "vector":
+                out = vector_basis(mesh, kind, ids, l, core=core)
+            else:
+                out = subspace_basis(mesh, kind, ids, family, l, core=core,
+                                     rule=self.group_rule(group))
+            self._bases[key] = out
         return out
+
+    def basis(self, family, kind, index, l):
+        """One entity's basis: family "scalar", "vector" or a subspace
+        family."""
+        group, slot = self.group(kind, index)
+        return self.group_basis(group, family, l).take(slot)
 
     def scalars(self, kind, index, l):
-        key = ("scalar", kind, index, l)
-        out = self._bases.get(key)
-        if out is None:
-            out = scalar_basis(self.mesh, kind, index, l,
-                               core=self.core(kind, index))
-            self._bases[key] = out
-        return out
+        return self.basis("scalar", kind, index, l)
 
     def vectors(self, kind, index, l):
-        key = ("vector", kind, index, l)
-        out = self._bases.get(key)
-        if out is None:
-            out = vector_basis(self.mesh, kind, index, l,
-                               core=self.core(kind, index))
-            self._bases[key] = out
-        return out
+        return self.basis("vector", kind, index, l)
 
     def subspace(self, kind, index, family, l):
-        key = (family, kind, index, l)
-        out = self._bases.get(key)
-        if out is None:
-            out = subspace_basis(self.mesh, kind, index, family, l,
-                                 core=self.core(kind, index),
-                                 rule=self.rule(kind, index))
-            self._bases[key] = out
-        return out
+        return self.basis(family, kind, index, l)

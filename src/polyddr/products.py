@@ -25,19 +25,23 @@ times edge length; the scalar space measures edges through the
 reconstructed edge polynomial). Cellwise they define the broken norms
 used in the stability and convergence diagnostics.
 
-Global assembly is a serial loop over the cells in cell order; each local
-form is built once per space and kept in the space's cache.
+Local forms are built for a whole cell group at once, as stacked arrays
+with one leading axis over the group's cells (see ddrcore), and kept in
+the space's cache; global assembly scatters one stacked block per group.
 """
 
 import numpy as np
 from scipy import sparse
 
-from .polyspaces import integrate_products
+from .polyspaces import integrate_products, value_blocks
 from .ddrcore import (
+    _columns,
     _edge_values,
+    _entity,
     _face_values,
     _per_space,
     _positions,
+    _through,
     edge_reconstruct,
     entity_moments,
     op_scalar_trace,
@@ -73,47 +77,100 @@ class LocalBilinearForm:
         return float(u @ self.matrix @ v)
 
 
+class _Forms:
+    """The local forms of one cell group, stacked: dofs (G, n), matrix
+    (G, n, n)."""
+
+    def __init__(self, group, dofs, matrix):
+        self.group = group
+        self.dofs = dofs
+        self.matrix = matrix
+        self._views = {}
+
+    def take(self, g, space=None):
+        out = self._views.get(g)
+        if out is None:
+            out = self._views[g] = LocalBilinearForm(
+                ("cell", int(self.group.ids[g])), self.dofs[g], self.matrix[g])
+        return out
+
+
 def _dof_values(matrix, V):
-    """Per-dof values of a reconstruction from its target's tabulation V:
-    (ndofs, npts) for a scalar target, (ndofs, npts, 3) for a vector one."""
-    P = matrix.T @ V.reshape(len(V), -1)
-    return P.reshape(P.shape[:1] + V.shape[1:])
+    """Per-dof values of stacked reconstructions from their targets'
+    tabulations V: (G, ndofs, npts) for scalar targets, (G, ndofs, npts, 3)
+    for vector ones."""
+    P = matrix.transpose(0, 2, 1) @ V.reshape(V.shape[0], V.shape[1], -1)
+    return P.reshape(P.shape[:2] + V.shape[2:])
 
 
 # ----------------------------------------------------------------------
 # stabilizations
 
 
-def _stab_trace(space, c, face_trace, edge_trace=None):
-    """Trace stabilization on one cell: over the faces F of the cell, h_F
-    times the squared L2(F) mismatch between the potential's trace and
-    face_trace(space, F); with edge_trace, over the edges E, h_E^2 times
-    the squared L2(E) mismatch with edge_trace(space, E). The trace
-    follows from the tabulations: the value of a scalar potential, the
-    tangential part of a vector one against a vector reconstruction, and
-    its normal (face) or tangential (edge) component against a scalar one.
+def _stab_trace(space, group, face_trace, edge_trace=None):
+    """Trace stabilization on the cells of a group: over the faces F of
+    each cell, h_F times the squared L2(F) mismatch between the
+    potential's trace and face_trace(space, F); with edge_trace, over the
+    edges E, h_E^2 times the squared L2(E) mismatch with
+    edge_trace(space, E). The trace follows from the tabulations: the
+    value of a scalar potential, the tangential part of a vector one
+    against a vector reconstruction, and its normal (face) or tangential
+    (edge) component against a scalar one. The mismatches of all local
+    dofs are formed block by block of rule points (value_blocks).
     """
-    mesh = space.mesh
-    pot = op_potential(space, c)
-    pos = _positions(pot.dofs)
-    S = np.zeros((len(pot.dofs), len(pot.dofs)))
-    parts = [("face", int(f), face_trace, mesh.face_diameters[f])
-             for f in mesh.cells[c]]
+    mesh, bank = space.mesh, space.bank
+    pot = _through(space, op_potential, group)
+    G, n = pot.dofs.shape
+    S = np.zeros((G, n, n))
+    parts = [("face", group.faces, face_trace, mesh.face_diameters[group.faces])]
     if edge_trace is not None:
-        parts += [("edge", int(e), edge_trace, mesh.edge_lengths[e] ** 2)
-                  for e in mesh.cell_edges[c]]
-    for kind, j, trace, h in parts:
-        rule = space.bank.rule(kind, j)
-        V = pot.target.eval(rule.points)
-        rec = trace(space, j)
-        W = rec.target.eval(rule.points)
-        if V.ndim == 3:
+        parts.append(("edge", group.edges, edge_trace,
+                      mesh.edge_lengths[group.edges] ** 2))
+    vector = pot.target.value_dim > 1
+    for kind, ents, trace, h in parts:
+        for p in range(ents.shape[1]):
+            j = ents[:, p]
+            subgroup, slots = bank.locate(kind, j)
+            rule = bank.group_rule(subgroup)
+            rec = _through(space, trace, subgroup)
+            rows = _columns(pot.dofs, rec.dofs[slots])
             d = mesh.face_normals[j] if kind == "face" else mesh.edge_tangents[j]
-            V = V @ (np.eye(3) - np.outer(d, d)) if W.ndim == 3 else V @ d
-        R = _dof_values(pot.matrix, V)
-        R[[pos[int(g)] for g in rec.dofs]] -= _dof_values(rec.matrix, W)
-        S += h * integrate_products(R, R, rule.weights)
-    return LocalBilinearForm(("cell", c), pot.dofs, S)
+            npts = rule.weights.shape[1]
+            for q in value_blocks(npts, G * n * (3 if vector else 1)):
+                pts = rule.points[slots, q]
+                V = pot.target.values(pts)
+                W = rec.target.values(pts, slots)
+                if vector and W.ndim == 4:
+                    V = V @ (np.eye(3) - d[:, :, None] * d[:, None, :])[:, None]
+                elif vector:
+                    V = (V @ d[:, None, :, None])[..., 0]
+                R = _dof_values(pot.matrix, V)
+                R[np.arange(G)[:, None], rows] -= _dof_values(rec.matrix[slots], W)
+                S += h[:, p, None, None] * integrate_products(
+                    R, R, rule.weights[slots, q])
+    return _Forms(group, pot.dofs, S)
+
+
+def _stabilization(space, group, want=None):
+    if space.which == "l2":
+        w = space.cell_width
+        return _Forms(group, space.group_dofs(group), np.zeros((len(group), w, w)))
+    if space.which == "grad":
+        return _stab_trace(space, group, op_scalar_trace, edge_reconstruct)
+    if space.which == "curl":
+        return _stab_trace(space, group, op_tangential_trace, _edge_values)
+    return _stab_trace(space, group, _face_values)
+
+
+def _product(space, group, want=None):
+    if space.which == "l2":
+        w = space.cell_width
+        return _Forms(group, space.group_dofs(group),
+                      np.broadcast_to(np.eye(w), (len(group), w, w)))
+    stab = _through(space, stabilization, group)
+    pot = _through(space, op_potential, group)
+    return _Forms(group, pot.dofs,
+                  pot.matrix.transpose(0, 2, 1) @ pot.matrix + stab.matrix)
 
 
 @_per_space
@@ -127,18 +184,8 @@ def stabilization(space, c, variant="trace"):
     """
     if variant not in ("trace", "interpolation"):
         raise ValueError(f"unknown stabilization variant {variant!r}")
-    if space.which == "l2":
-        return LocalBilinearForm(
-            ("cell", c),
-            space.cell_dofs(c),
-            np.zeros((space.cell_width, space.cell_width)),
-        )
-    if variant == "trace":
-        if space.which == "grad":
-            return _stab_trace(space, c, op_scalar_trace, edge_reconstruct)
-        if space.which == "curl":
-            return _stab_trace(space, c, op_tangential_trace, _edge_values)
-        return _stab_trace(space, c, _face_values)
+    if variant == "trace" or space.which == "l2":
+        return _entity(space, "stabilization", _stabilization, "cell", c)
     pot = op_potential(space, c)
     J = np.zeros((len(pot.dofs), pot.target.dim))
     for (kind, i), sl in pot.layout.items():
@@ -158,10 +205,8 @@ def l2_product(space, c, variant="trace"):
     """Stabilized L2 product on one cell: potential Gram plus
     stabilization (orthonormal potential targets make the Gram a plain
     matrix product). The moment space's product is the identity."""
-    if space.which == "l2":
-        return LocalBilinearForm(
-            ("cell", c), space.cell_dofs(c), np.eye(space.cell_width)
-        )
+    if variant == "trace" or space.which == "l2":
+        return _entity(space, "l2_product", _product, "cell", c)
     stab = stabilization(space, c, variant)
     pot = op_potential(space, c)
     M = pot.matrix.T @ pot.matrix + stab.matrix
@@ -235,14 +280,16 @@ def component_norm(space, values):
 
 def assemble_product(space, coeff=None):
     """Global sparse matrix of the stabilized product, optionally with a
-    per-cell scalar coefficient."""
+    per-cell scalar coefficient; one scatter block per cell group."""
     rows, cols, vals = [], [], []
-    for c in range(space.mesh.num_cells):
-        form = l2_product(space, c)
-        dofs = form.dofs
-        M = form.matrix if coeff is None else coeff[c] * form.matrix
-        rows.append(np.repeat(dofs, len(dofs)))
-        cols.append(np.tile(dofs, len(dofs)))
+    for group in space.bank.groups("cell"):
+        form = _through(space, l2_product, group)
+        dofs, M = form.dofs, form.matrix
+        if coeff is not None:
+            M = np.asarray(coeff)[group.ids][:, None, None] * M
+        n = dofs.shape[1]
+        rows.append(np.repeat(dofs, n, axis=1).ravel())
+        cols.append(np.tile(dofs, (1, n)).ravel())
         vals.append(M.ravel())
     mat = sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),

@@ -27,10 +27,15 @@ Faces and cells have two rule kinds, fixed by the call site:
 
 The reference rules on [0, 1], the triangle and the tetrahedron are computed
 once per degree and cached as read-only arrays; each entity rule maps them
-onto its own fan.
+onto its own fan. The vertex fans are searched once per mesh, for all
+faces or cells at once, and serve every degree. A rule may also be asked
+for a sequence of entities whose fans have one size (an entity group, see
+polyspaces.BasisBank): it is then one stacked array over them, equal bit
+for bit to the per-entity rules.
 """
 
 import functools
+import weakref
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
@@ -47,7 +52,12 @@ def _frozen(*arrays):
 
 
 class QuadRule:
-    """Points, weights, and the guaranteed polynomial exactness degree."""
+    """Points, weights, and the guaranteed polynomial exactness degree.
+
+    A rule over one entity has points (n, 3) and weights (n,); a rule over
+    a group of entities stacks them, (G, n, 3) and (G, n). len() counts
+    the points of all entities.
+    """
 
     __slots__ = ("points", "weights", "exactness_degree")
 
@@ -56,7 +66,7 @@ class QuadRule:
         self.exactness_degree = exactness_degree
 
     def __len__(self):
-        return len(self.weights)
+        return self.weights.size
 
 
 @functools.cache
@@ -101,13 +111,13 @@ def _tet_ref(degree):
     return _frozen(pts, W.ravel())
 
 
-def edge_rule(mesh, e, degree):
+def edge_rule(mesh, ids, degree):
     n = max(1, (degree + 2) // 2)
     x, w = _gauss01(n)
-    v0 = mesh.vertices[mesh.edges[e, 0]]
-    v1 = mesh.vertices[mesh.edges[e, 1]]
-    pts = v0[None, :] + x[:, None] * (v1 - v0)[None, :]
-    return QuadRule(pts, w * mesh.edge_lengths[e], degree)
+    v0 = mesh.vertices[mesh.edges[ids, 0]]
+    v1 = mesh.vertices[mesh.edges[ids, 1]]
+    pts = v0[:, None, :] + x[None, :, None] * (v1 - v0)[:, None, :]
+    return pts, w[None, :] * mesh.edge_lengths[ids][:, None]
 
 
 def _face_fan(mesh, f):
@@ -145,6 +155,7 @@ def _cell_fan(mesh, c):
     faces = mesh.cells[c].tolist()
     loops = [mesh.faces[f].tolist() for f in faces]
     signs = mesh.cell_face_signs[c].tolist()
+    face_fans = vertex_fans(mesh, "face")
     fans = {}
     for v in mesh.cell_vertices[c].tolist():
         apex = mesh.vertices[v]
@@ -153,7 +164,7 @@ def _cell_fan(mesh, c):
             if v in loop:
                 continue
             if f not in fans:
-                tri = _face_fan(mesh, f)[0]
+                tri = face_fans[f][0]
                 # outward orientation makes apex-first volumes positive
                 fans[f] = tri if sign > 0 else tri[:, ::-1]
             tris.append(fans[f])
@@ -167,55 +178,88 @@ def _cell_fan(mesh, c):
     return mesh.cell_fans[c], mesh.cell_fan_vol6[c]
 
 
-def face_rule(mesh, f, degree, data=False):
+# mesh -> {"face": [...], "cell": [...]}: the vertex fans of every face or
+# cell, searched once per mesh and shared by all rule degrees
+_VERTEX_FANS = weakref.WeakKeyDictionary()
+
+
+def vertex_fans(mesh, kind):
+    """(simplices, measures) of the polynomial-rule fan of every face or
+    cell of the mesh, in entity order; searched on first use."""
+    fans = _VERTEX_FANS.setdefault(mesh, {})
+    out = fans.get(kind)
+    if out is None:
+        search, count = ((_face_fan, mesh.num_faces) if kind == "face"
+                         else (_cell_fan, mesh.num_cells))
+        out = fans[kind] = [search(mesh, i) for i in range(count)]
+    return out
+
+
+def _fans(mesh, kind, ids, data):
+    """Stacked simplices (G, ns, d+1, 3) and measures (G, ns) of the fans
+    of the entities ids; all must have the same number of simplices."""
+    if data:
+        simplices, measures = ((mesh.face_fans, mesh.face_fan_area2)
+                               if kind == "face"
+                               else (mesh.cell_fans, mesh.cell_fan_vol6))
+        pairs = [(simplices[i], measures[i]) for i in ids]
+    else:
+        fans = vertex_fans(mesh, kind)
+        pairs = [fans[i] for i in ids]
+    if len({len(m) for _, m in pairs}) > 1:
+        raise ValueError(f"{kind}s of one rule group need fans of one size")
+    return (np.stack([s for s, _ in pairs]), np.stack([m for _, m in pairs]))
+
+
+def face_rule(mesh, ids, degree, data=False):
     ref, wref = _triangle_ref(degree)
-    if data:
-        tris, area2 = mesh.face_fans[f], mesh.face_fan_area2[f]
-    else:
-        tris, area2 = _face_fan(mesh, f)
-    p0 = tris[:, 0]
-    d1 = tris[:, 1] - tris[:, 0]
-    d2 = tris[:, 2] - tris[:, 0]
+    tris, area2 = _fans(mesh, "face", ids, data)
+    p0 = tris[:, :, 0]
+    d1 = tris[:, :, 1] - tris[:, :, 0]
+    d2 = tris[:, :, 2] - tris[:, :, 0]
     pts = (
-        p0[:, None, :]
-        + ref[None, :, 0, None] * d1[:, None, :]
-        + ref[None, :, 1, None] * d2[:, None, :]
+        p0[:, :, None, :]
+        + ref[None, None, :, 0, None] * d1[:, :, None, :]
+        + ref[None, None, :, 1, None] * d2[:, :, None, :]
     )
-    wts = area2[:, None] * wref[None, :]
-    return QuadRule(pts.reshape(-1, 3), wts.ravel(), degree)
+    wts = area2[:, :, None] * wref[None, None, :]
+    return pts.reshape(len(ids), -1, 3), wts.reshape(len(ids), -1)
 
 
-def cell_rule(mesh, c, degree, data=False):
+def cell_rule(mesh, ids, degree, data=False):
     ref, wref = _tet_ref(degree)
-    if data:
-        tets, vol6 = mesh.cell_fans[c], mesh.cell_fan_vol6[c]
-    else:
-        tets, vol6 = _cell_fan(mesh, c)
-    p0 = tets[:, 0]
-    d = tets[:, 1:] - tets[:, :1]
-    pts = p0[:, None, :] + ref @ d
-    wts = vol6[:, None] * wref[None, :]
-    return QuadRule(pts.reshape(-1, 3), wts.ravel(), degree)
+    tets, vol6 = _fans(mesh, "cell", ids, data)
+    p0 = tets[:, :, 0]
+    d = tets[:, :, 1:] - tets[:, :, :1]
+    pts = p0[:, :, None, :] + ref @ d
+    wts = vol6[:, :, None] * wref[None, None, :]
+    return pts.reshape(len(ids), -1, 3), wts.reshape(len(ids), -1)
 
 
 def entity_rule(mesh, kind, index, degree, data=False):
     """Quadrature rule over one entity, exact for polynomials of `degree`.
 
-    kind is "edge", "face", or "cell"; index is the entity id in the mesh.
-    The default rule lives on the coarsest vertex fan and serves polynomial
-    integrands. data=True gives the centroid-fan rule for non-polynomial
-    data (interpolation, load vectors, errors against smooth fields); edges
-    have one rule either way.
+    kind is "edge", "face", or "cell"; index is the entity id in the mesh,
+    or a sequence of ids whose fans have equal sizes, which gives one
+    stacked rule over all of them. The default rule lives on the coarsest
+    vertex fan and serves polynomial integrands. data=True gives the
+    centroid-fan rule for non-polynomial data (interpolation, load
+    vectors, errors against smooth fields); edges have one rule either way.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
+    ids = np.atleast_1d(np.asarray(index, dtype=int))
     if kind == "edge":
-        return edge_rule(mesh, index, degree)
-    if kind == "face":
-        return face_rule(mesh, index, degree, data)
-    if kind == "cell":
-        return cell_rule(mesh, index, degree, data)
-    raise ValueError(f"unknown entity kind {kind!r}")
+        pts, wts = edge_rule(mesh, ids, degree)
+    elif kind == "face":
+        pts, wts = face_rule(mesh, ids, degree, data)
+    elif kind == "cell":
+        pts, wts = cell_rule(mesh, ids, degree, data)
+    else:
+        raise ValueError(f"unknown entity kind {kind!r}")
+    if np.ndim(index) == 0:
+        pts, wts = pts[0], wts[0]
+    return QuadRule(pts, wts, degree)
 
 
 def integrate(rule, f):

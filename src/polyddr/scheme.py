@@ -20,9 +20,10 @@ from scipy.sparse.linalg import splu
 
 from .polyspaces import BasisBank, l2_project
 from .ddrcore import (
+    _through,
     make_space,
-    interpolate,
     op_potential,
+    interpolate,
     global_operator,
     INTERP_DEGREE_MARGIN,
 )
@@ -94,17 +95,19 @@ class SparseSystem:
 
 def _source_vector(problem, space_div):
     """Load vector: the source integrated against the potential
-    reconstruction of each test function, with oversampled quadrature."""
+    reconstruction of each test function, with oversampled quadrature;
+    one stacked contraction and one scatter per cell group."""
     bank = space_div.bank
     degree = 2 * problem.degree + INTERP_DEGREE_MARGIN
     out = np.zeros(space_div.dim)
     if problem.source is None:
         return out
-    for c in range(problem.mesh.num_cells):
-        rule = bank.rule("cell", c, degree, data=True)
-        pot = op_potential(space_div, c)
+    for group in bank.groups("cell"):
+        rule = bank.group_rule(group, degree, data=True)
+        pot = _through(space_div, op_potential, group)
         moments = l2_project(pot.target, problem.source, rule=rule)
-        out[pot.dofs] += pot.matrix.T @ moments
+        load = (pot.matrix.transpose(0, 2, 1) @ moments[..., None])[..., 0]
+        out += np.bincount(pot.dofs.ravel(), load.ravel(), len(out))
     return out
 
 
@@ -112,7 +115,7 @@ def assemble(problem, threads=None):
     """Assemble the block system [[a, -b^T], [b, c]] and the load.
 
     threads is accepted for compatibility and ignored: all work is serial,
-    in cell order."""
+    one entity group after another."""
     sc, sd, sl = problem.spaces()
     a = assemble_product(sc, coeff=problem.mu)
     md = assemble_product(sd)

@@ -627,6 +627,147 @@ def test_guarded_solve_names_operator(monkeypatch, which, op, prerequisite,
     assert "condition number" in msg, msg
 
 
+def test_worst_condition_numbers_are_recorded():
+    mesh = generate_tet_mesh(1)
+    spaces = {w: make_space(mesh, w, 1) for w in ("grad", "curl", "div")}
+    for space in spaces.values():
+        op_potential(space, 2)
+    counts = {"edge": mesh.num_edges, "face": mesh.num_faces,
+              "cell": mesh.num_cells}
+    labels = {
+        "grad": {"edge reconstruction": "edge", "scalar face trace": "face",
+                 "scalar potential on cell": "cell"},
+        "curl": {"tangential face trace": "face",
+                 "field potential on cell": "cell"},
+        "div": {"flux potential on cell": "cell"},
+    }
+    for which, expected in labels.items():
+        worst = spaces[which].worst_cond
+        assert set(worst) == set(expected)
+        for label, kind in expected.items():
+            cond, entity = worst[label]
+            assert np.isfinite(cond) and cond >= 1.0, (label, cond)
+            assert isinstance(entity, int) and 0 <= entity < counts[kind]
+
+
+def _edge_reconstruction_conds(space):
+    """Condition numbers of the edge reconstruction systems, built in the
+    test from the public edge bases."""
+    mesh, k = space.mesh, space.k
+    conds = []
+    for e in range(mesh.num_edges):
+        V = space.bank.scalars("edge", e, k + 1).eval(mesh.vertices[mesh.edges[e]])
+        M = np.zeros((k + 2, k + 2))
+        M[:2] = V.T
+        M[2 + np.arange(k), np.arange(k)] = 1.0
+        conds.append(np.linalg.cond(M))
+    return np.array(conds)
+
+
+def _long_edge_first(mesh):
+    """The same mesh with its vertices renumbered so that edge 0 (edges
+    are numbered in sorted vertex-pair order) is a longest edge, whose
+    reconstruction is the best conditioned."""
+    a, b = mesh.edges[int(np.argmax(mesh.edge_lengths))]
+    order = [a, b] + [v for v in range(mesh.num_vertices) if v not in (a, b)]
+    new = np.empty(mesh.num_vertices, dtype=int)
+    new[order] = np.arange(mesh.num_vertices)
+    data = mesh.to_dict()
+    return Mesh(np.array(data["vertices"])[order],
+                [new[f].tolist() for f in data["faces"]], data["cells"])
+
+
+def test_group_guard_names_the_worst_failing_entity(monkeypatch):
+    mesh = _long_edge_first(generate_tet_mesh(2))
+    conds = _edge_reconstruction_conds(make_space(mesh, "grad", 1))
+    # edges of three lengths: three condition levels, apart beyond roundoff;
+    # the group's first edge is not among the worst
+    levels = np.unique(np.round(conds, 6))
+    assert len(levels) == 3 and levels[1] > 1.01 * levels[0]
+    assert conds[0] < levels[2] - 1e-3
+    limit = np.sqrt(levels[0] * levels[1])
+    passing = int(np.argmin(conds))
+    failing = int(np.flatnonzero(np.abs(conds - levels[1]) < 1e-5)[0])
+
+    recorded = make_space(mesh, "grad", 1)
+    edge_reconstruct(recorded, passing)
+    cond, worst = recorded.worst_cond["edge reconstruction"]
+    assert cond == pytest.approx(conds.max(), rel=1e-12)
+    assert conds[worst] == pytest.approx(conds.max(), rel=1e-12)
+
+    monkeypatch.setattr(ddrcore, "COND_LIMIT", limit)
+    with pytest.raises(RuntimeError) as err:
+        edge_reconstruct(make_space(mesh, "grad", 1), passing)
+    assert str(err.value).startswith(f"edge reconstruction {worst}: "), err.value
+    assert "condition number" in str(err.value)
+    # a failing request names itself, though it is not the worst
+    with pytest.raises(RuntimeError) as err:
+        edge_reconstruct(make_space(mesh, "grad", 1), failing)
+    assert str(err.value).startswith(f"edge reconstruction {failing}: "), err.value
+
+
+def _merged_cubic_mesh():
+    """generate_cubic_mesh(2) with cells 0 and 1 merged across their shared
+    face: one 1 x 1 x 2 box beside six hexahedra."""
+    data = generate_cubic_mesh(2).to_dict()
+    cells = [list(c) for c in data["cells"]]
+    shared = set(cells[0]) & set(cells[1])
+    assert len(shared) == 1
+    merged = [f for f in cells[0] + cells[1] if f not in shared]
+    cells = [merged] + cells[2:]
+    keep = [f for f in range(len(data["faces"])) if f not in shared]
+    renumber = {f: i for i, f in enumerate(keep)}
+    return Mesh(np.array(data["vertices"]), [data["faces"][f] for f in keep],
+                [[renumber[f] for f in c] for c in cells])
+
+
+MIXED = {
+    "merged_cubic2": _merged_cubic_mesh,
+    "agglo3": lambda: agglomerate_pairs(generate_cubic_mesh(3), seed=0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIXED))
+def test_mixed_signatures_keep_the_complex(name):
+    from polyddr.verification import check_complex, check_polynomial_consistency
+
+    mesh = MIXED[name]()
+    sizes = sorted(len(g) for g in BasisBank(mesh, 0).groups("cell"))
+    assert sizes == ([1, 6] if name == "merged_cubic2" else [3, 12])
+    for k in (0, 1, 2):
+        bank = BasisBank(mesh, k)
+        spaces = [make_space(mesh, w, k, bank=bank) for w in ("grad", "curl", "div")]
+        for c in range(mesh.num_cells):
+            for key, val in link_identities_check(*spaces, c).items():
+                assert val < 1e-10, (k, c, key, val)
+        assert check_polynomial_consistency(mesh, k, bank=bank).passed, k
+        assert check_complex(mesh, k, bank=bank).passed, k
+
+
+@pytest.mark.parametrize("name", sorted(MIXED))
+def test_first_touch_order_does_not_change_local_matrices(name):
+    from polyddr.products import stabilization
+
+    mesh = MIXED[name]()
+    last = mesh.num_cells - 1
+    for which in ("grad", "curl", "div"):
+        a = make_space(mesh, which, 1)
+        b = make_space(mesh, which, 1)
+        op_potential(a, 0)
+        stabilization(b, last)
+        if which != "div":
+            trace = op_scalar_trace if which == "grad" else op_tangential_trace
+            trace(b, mesh.num_faces - 1)
+        for c in range(mesh.num_cells):
+            for op in (op_potential, stabilization):
+                assert np.array_equal(op(a, c).matrix, op(b, c).matrix)
+        for f in range(mesh.num_faces):
+            op = {"grad": op_scalar_trace, "curl": op_tangential_trace,
+                  "div": None}[which]
+            if op is not None:
+                assert np.array_equal(op(a, f).matrix, op(b, f).matrix)
+
+
 # ----------------------------------------------------------------------
 # interpolation sanity
 

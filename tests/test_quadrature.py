@@ -332,3 +332,30 @@ def test_data_rules_are_the_centroid_fan_rules(name):
                 assert np.array_equal(rule.weights, wts)
     e = entity_rule(m, "edge", 0, 5, data=True)
     assert np.array_equal(e.points, entity_rule(m, "edge", 0, 5).points)
+
+
+@pytest.mark.parametrize("name", ["tet1", "agglo2", "hull", "pentagram"])
+def test_fans_are_searched_once_and_stacked_rules_are_bitwise(monkeypatch, name):
+    from polyddr import quadrature
+
+    calls = {"_face_fan": 0, "_cell_fan": 0}
+    for fn in calls:
+        def counted(mesh, i, _search=getattr(quadrature, fn), _fn=fn):
+            calls[_fn] += 1
+            return _search(mesh, i)
+        monkeypatch.setattr(quadrature, fn, counted)
+    m = pentagram_prism() if name == "pentagram" else POLY_MESHES[name]()
+    counts = {"face": m.num_faces, "cell": m.num_cells}
+    for degree in (0, 3, 6):
+        for kind, count in counts.items():
+            sizes = {}
+            for i in range(count):
+                rule = entity_rule(m, kind, i, degree)
+                sizes.setdefault(len(rule), []).append((i, rule))
+            # one stacked rule per fan size equals the per-entity rules
+            for same in sizes.values():
+                stack = entity_rule(m, kind, [i for i, _ in same], degree)
+                for g, (_, rule) in enumerate(same):
+                    assert np.array_equal(stack.points[g], rule.points)
+                    assert np.array_equal(stack.weights[g], rule.weights)
+    assert calls == {"_face_fan": m.num_faces, "_cell_fan": m.num_cells}
