@@ -14,10 +14,24 @@ Conventions fixed here and relied on by every other module:
 Star points x_F / x_T are the arithmetic means of the entity's vertices; the
 validation step rejects any face or cell that is not star-shaped with respect
 to them, since the simplicial fans used for quadrature hinge on that.
+
+Construction runs on numpy stacks, one per entity shape, with no Python
+loop over entities. Faces are grouped by valence; cells by face count,
+vertex and edge counts and the valences of their faces in local order.
+Edges are the sorted unique vertex pairs of all loops (one np.unique), and
+face_edges is its inverse. Geometry, fans, face_cells and every validation
+check are one expression per group, written with the arithmetic of one
+entity (a vector norm as sqrt(v . v) through matmul, sums and means along
+the entity's own axis), so each array equals bit for bit what an
+entity-by-entity loop gives. The per-entity tuples (faces, face_fans,
+cell_vertices, ...) are read-only row views of the frozen group stacks. A
+rejection names the first failing entity and check in the order: faces
+(planarity, star shape, edge signs), then cells, then interior faces.
 """
 
 import itertools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -53,10 +67,71 @@ def _cross(a, b):
     return out
 
 
-def _diameter(points):
-    # max pairwise distance; entities are small so the N^2 cost is fine
-    diff = points[:, None, :] - points[None, :, :]
-    return float(np.sqrt((diff**2).sum(axis=2)).max())
+def _dots(a, b):
+    """Row-wise a . b of (..., 3) stacks, each one dot product as
+    np.dot of two vectors computes it (np.linalg.norm of a vector is
+    sqrt(v . v))."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _diameters(points):
+    # max pairwise distance over the (..., n, 3) points of each entity;
+    # entities are small so the N^2 cost is fine
+    diff = points[..., :, None, :] - points[..., None, :, :]
+    return np.sqrt((diff**2).sum(axis=-1)).max(axis=(-2, -1))
+
+
+def _ragged(lists):
+    """One flat int array of a sequence of index lists, and the offsets
+    (n + 1,) of the lists in it."""
+    lists = list(lists)
+    offsets = np.zeros(len(lists) + 1, dtype=int)
+    np.cumsum(np.fromiter(map(len, lists), dtype=int, count=len(lists)),
+              out=offsets[1:])
+    flat = np.fromiter(itertools.chain.from_iterable(lists), dtype=int,
+                       count=offsets[-1])
+    return flat, offsets
+
+
+def _spans(offsets, ids):
+    """Flat positions of the lists ids, concatenated in order."""
+    starts = offsets[ids]
+    lens = offsets[ids + 1] - starts
+    return np.repeat(starts + lens - np.cumsum(lens), lens) + np.arange(lens.sum())
+
+
+def _groups(keys):
+    """(key, ids) of the rows of the (n, k) key matrix grouped by equal
+    rows, keys ascending and ids ascending in each group."""
+    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    order = np.argsort(inverse, kind="stable")
+    bounds = np.cumsum(np.bincount(inverse, minlength=len(uniq)))[:-1]
+    return list(zip(uniq.tolist(), np.split(order, bounds)))
+
+
+def _list_faults(flat, offsets, bound):
+    """Per list of a ragged id list: its length, whether it repeats an id,
+    whether it has an id outside [0, bound)."""
+    lens = np.diff(offsets)
+    owner = np.repeat(np.arange(len(lens)), lens)
+    order = np.lexsort((flat, owner))
+    so, sf = owner[order], flat[order]
+    repeats = np.zeros(len(lens), dtype=bool)
+    repeats[so[1:][(so[1:] == so[:-1]) & (sf[1:] == sf[:-1])]] = True
+    missing = np.zeros(len(lens), dtype=bool)
+    missing[owner[(flat < 0) | (flat >= bound)]] = True
+    return lens, repeats, missing
+
+
+def _raise_first(*checks):
+    """Raise the MeshError of the first entity failing any check, for its
+    first failing check. checks are (fault per entity, describe), in
+    check order; describe(index) gives the message."""
+    faults = np.stack([fault for fault, _ in checks])
+    failing = np.flatnonzero(faults.any(axis=0))
+    if len(failing):
+        i = int(failing[0])
+        raise MeshError(checks[int(np.argmax(faults[:, i]))][1](i))
 
 
 class Mesh:
@@ -70,15 +145,26 @@ class Mesh:
     cells : sequence of face-index lists, one per cell.
     validate : skip the geometric validation when False. Only tests use
         this, to build deliberately corrupted meshes as negative controls.
+
+    face_groups and cell_groups hold the entities of one shape: each group
+    has the ids (ascending) and, under the name of each per-entity
+    attribute (faces, face_fans, ...; cells, cell_vertices, ...), the
+    read-only stack of its rows; a cell group also has the valences of its
+    faces in local order. The per-entity tuples are views of the stacks.
     """
+
+    _FACE_ARRAYS = ("faces", "face_edges", "face_edge_signs",
+                    "face_edge_normals", "face_fans", "face_fan_area2")
+    _CELL_ARRAYS = ("cells", "cell_vertices", "cell_edges", "cell_face_signs",
+                    "cell_fans", "cell_fan_vol6")
 
     def __init__(self, vertices, faces, cells, validate=True):
         vertices = np.asarray(vertices, dtype=float)
         if vertices.ndim != 2 or vertices.shape[1] != 3:
             raise MeshError("vertices must be an (n, 3) array")
         self.vertices = vertices
-        self.faces = tuple(np.asarray(f, dtype=int) for f in faces)
-        self.cells = tuple(np.asarray(c, dtype=int) for c in cells)
+        self._loops, self._loop_offsets = _ragged(faces)
+        self._cell_faces, self._cell_offsets = _ragged(cells)
         self._check_indices()
         self._build_edges()
         self._build_face_geometry()
@@ -92,42 +178,37 @@ class Mesh:
 
     def _check_indices(self):
         nv = len(self.vertices)
+        loops = self._loops
         used = np.zeros(nv, dtype=bool)
-        for loop in self.faces:
-            used[loop] = True
+        used[loops[(loops >= 0) & (loops < nv)]] = True
         if not used.all():
             raise MeshError("mesh has vertices not referenced by any face")
-        for i, loop in enumerate(self.faces):
-            if len(loop) < 3:
-                raise MeshError(f"face {i} has fewer than 3 vertices")
-            if len(set(loop.tolist())) != len(loop):
-                raise MeshError(f"face {i} repeats a vertex")
-            if loop.min() < 0 or loop.max() >= nv:
-                raise MeshError(f"face {i} references a missing vertex")
-        nf = len(self.faces)
-        for i, cf in enumerate(self.cells):
-            if len(cf) < 4:
-                raise MeshError(f"cell {i} has fewer than 4 faces")
-            if len(set(cf.tolist())) != len(cf):
-                raise MeshError(f"cell {i} repeats a face")
-            if cf.min() < 0 or cf.max() >= nf:
-                raise MeshError(f"cell {i} references a missing face")
+        lens, repeats, missing = _list_faults(loops, self._loop_offsets, nv)
+        _raise_first(
+            (lens < 3, "face {} has fewer than 3 vertices".format),
+            (repeats, "face {} repeats a vertex".format),
+            (missing, "face {} references a missing vertex".format),
+        )
+        lens, repeats, missing = _list_faults(
+            self._cell_faces, self._cell_offsets, len(lens))
+        _raise_first(
+            (lens < 4, "cell {} has fewer than 4 faces".format),
+            (repeats, "cell {} repeats a face".format),
+            (missing, "cell {} references a missing face".format),
+        )
 
     def _build_edges(self):
-        # each loop's consecutive vertex pairs, sorted, closing pair last
-        loop_pairs = []
-        for loop in self.faces:
-            ids = loop.tolist()
-            loop_pairs.append(
-                [(min(a, b), max(a, b)) for a, b in zip(ids, ids[1:] + ids[:1])]
-            )
-        pairs = sorted({p for lp in loop_pairs for p in lp})
-        edges = np.array(pairs, dtype=int)
+        # each loop position's vertex pair with the next one, sorted; the
+        # sorted unique pairs are the edges
+        loops, off = self._loops, self._loop_offsets
+        nxt = np.arange(1, len(loops) + 1)
+        nxt[off[1:] - 1] = off[:-1]
+        nv = len(self.vertices)
+        lo = np.minimum(loops, loops[nxt])
+        hi = np.maximum(loops, loops[nxt])
+        keys, self._loop_edges = np.unique(lo * nv + hi, return_inverse=True)
+        edges = np.column_stack([keys // nv, keys % nv])
         self.edges = edges
-        lookup = {p: i for i, p in enumerate(pairs)}
-        self.face_edges = tuple(
-            np.array([lookup[p] for p in lp], dtype=int) for lp in loop_pairs
-        )
 
         vec = self.vertices[edges[:, 1]] - self.vertices[edges[:, 0]]
         self.edge_lengths = np.linalg.norm(vec, axis=1)
@@ -139,178 +220,230 @@ class Mesh:
         )
 
     def _build_face_geometry(self):
-        nf = len(self.faces)
+        off = self._loop_offsets
+        valence = np.diff(off)
+        nf = len(valence)
+        self.face_groups = []
+        self._face_group_of = {}
+        self._face_slot = np.empty(nf, dtype=int)
+        for (n,), ids in _groups(valence[:, None]):
+            cols = off[ids, None] + np.arange(n)
+            g = SimpleNamespace(ids=ids, faces=self._loops[cols])
+            self._face_slot[ids] = np.arange(len(ids))
+            self._face_group_of[n] = g
+            self.face_groups.append(g)
+
+        # Newell's formula: sum of cross products around the loop gives
+        # twice the area vector, oriented by the loop direction
+        nvec = np.empty((nf, 3))
+        for g in self.face_groups:
+            pts = self.vertices[g.faces]
+            nvec[g.ids] = _cross(pts, np.roll(pts, -1, axis=1)).sum(axis=1)
+        nrm = np.sqrt(_dots(nvec, nvec))
+        _raise_first((nrm <= 0, "face {} has zero area vector".format))
+        n = self.face_normals = nvec / nrm[:, None]
+
+        # in-plane frame: project the axis least aligned with n
+        axis = np.zeros((nf, 3))
+        axis[np.arange(nf), np.argmin(np.abs(n), axis=1)] = 1.0
+        e1 = axis - _dots(axis, n)[:, None] * n
+        e1 /= np.sqrt(_dots(e1, e1))[:, None]
+        self.face_frames = np.stack([e1, _cross(n, e1)], axis=1)
+
         self.face_centroids = np.empty((nf, 3))
-        self.face_normals = np.empty((nf, 3))
-        self.face_frames = np.empty((nf, 2, 3))
-        self.face_areas = np.empty(nf)
         self.face_diameters = np.empty(nf)
-        fans = []
-        fan_area2 = []
-        signs = []
-        normals_fe = []
-        for f, loop in enumerate(self.faces):
-            pts = self.vertices[loop]
-            nxt = np.concatenate((pts[1:], pts[:1]))
-            xf = pts.mean(axis=0)
-            # Newell's formula: sum of cross products around the loop gives
-            # twice the area vector, oriented by the loop direction
-            nvec = _cross(pts, nxt).sum(axis=0)
-            nrm = np.linalg.norm(nvec)
-            if nrm <= 0:
-                raise MeshError(f"face {f} has zero area vector")
-            n = nvec / nrm
-            self.face_centroids[f] = xf
-            self.face_normals[f] = n
-            self.face_diameters[f] = _diameter(pts)
-            # in-plane frame: project the axis least aligned with n
-            axis = np.zeros(3)
-            axis[np.argmin(np.abs(n))] = 1.0
-            e1 = axis - (axis @ n) * n
-            e1 /= np.linalg.norm(e1)
-            self.face_frames[f, 0] = e1
-            self.face_frames[f, 1] = _cross(n, e1)
-
-            tri = np.empty((len(pts), 3, 3))
-            tri[:, 0] = xf
-            tri[:, 1] = pts
-            tri[:, 2] = nxt
-            fans.append(tri)
+        self.face_areas = np.empty(nf)
+        for g in self.face_groups:
+            pts = self.vertices[g.faces]
+            nxt = np.roll(pts, -1, axis=1)
+            xf = pts.mean(axis=1)
+            self.face_centroids[g.ids] = xf
+            self.face_diameters[g.ids] = _diameters(pts)
+            tri = np.empty(pts.shape[:2] + (3, 3))
+            tri[:, :, 0] = xf[:, None]
+            tri[:, :, 1] = pts
+            tri[:, :, 2] = nxt
+            g.face_fans = tri
             # doubled fan-triangle areas, positive for a star-shaped face
-            area2 = _cross(pts - xf, nxt - xf) @ n
-            fan_area2.append(area2)
-            self.face_areas[f] = 0.5 * area2.sum()
+            xf = xf[:, None]
+            g.face_fan_area2 = (_cross(pts - xf, nxt - xf) @ n[g.ids, :, None])[..., 0]
+            self.face_areas[g.ids] = 0.5 * g.face_fan_area2.sum(axis=1)
 
-            t = self.edge_tangents[self.face_edges[f]]
-            nfe = _cross(n, t)
-            normals_fe.append(nfe)
-            mids = self.edge_midpoints[self.face_edges[f]]
-            dots = ((mids - xf) * nfe).sum(axis=1)
-            signs.append(np.sign(dots).astype(int))
-        self.face_fans = tuple(fans)
-        self.face_fan_area2 = tuple(fan_area2)
-        self.face_edge_normals = tuple(normals_fe)
-        self.face_edge_signs = tuple(signs)
+        # edge normals and signs at every loop position
+        owner = np.repeat(np.arange(nf), valence)
+        nfe = _cross(n[owner], self.edge_tangents[self._loop_edges])
+        mids = self.edge_midpoints[self._loop_edges]
+        self._loop_edge_dots = ((mids - self.face_centroids[owner]) * nfe).sum(axis=1)
+        signs = np.sign(self._loop_edge_dots).astype(int)
+        for g in self.face_groups:
+            cols = off[g.ids, None] + np.arange(g.faces.shape[1])
+            g.face_edges = self._loop_edges[cols]
+            g.face_edge_normals = nfe[cols]
+            g.face_edge_signs = signs[cols]
+        self._loop_edge_signs = signs
+
+    def face_rows(self, name, ids):
+        """The rows of the per-face attribute name (faces, face_fans, ...)
+        for the faces ids, which share one valence, as one stack."""
+        g = self._face_group_of[self._loop_offsets[ids[0] + 1]
+                                - self._loop_offsets[ids[0]]]
+        return getattr(g, name)[self._face_slot[ids]]
 
     def _build_cell_geometry(self):
-        nc = len(self.cells)
-        nf = len(self.faces)
+        cf, coff = self._cell_faces, self._cell_offsets
+        nc, nf, nv = len(coff) - 1, len(self._face_slot), len(self.vertices)
+        valence = np.diff(self._loop_offsets)
+        nfaces = np.diff(coff)
+        owner = np.repeat(np.arange(nc), nfaces)
+
+        # each cell's face uses, cell by cell: two per face at most
+        order = np.argsort(cf, kind="stable")
+        face = cf[order]
+        start = np.r_[True, face[1:] != face[:-1]]
+        rank = np.arange(len(face)) - np.maximum.accumulate(
+            np.where(start, np.arange(len(face)), 0))
+        third = order[rank == 2]
+        if len(third):
+            raise MeshError(
+                f"face {cf[third.min()]} belongs to more than two cells")
+        self._face_uses = -np.ones((nf, 2), dtype=int)
+        self._face_uses[face, rank] = order
+        face_cells = np.where(self._face_uses < 0, -1, owner[self._face_uses])
+
+        # the vertex and edge ids (sorted, unique) at the loop positions of
+        # each cell's faces
+        pos = _spans(self._loop_offsets, cf)
+        pos_owner = np.repeat(owner, valence[cf])
+        incident = {}
+        for name, ids, count in (("cell_vertices", self._loops, nv),
+                                 ("cell_edges", self._loop_edges,
+                                  len(self.edges))):
+            keys = np.unique(pos_owner * count + ids[pos])
+            incident[name] = (keys % count,
+                              np.bincount(keys // count, minlength=nc))
+
+        # cells of one shape: face count, vertex and edge counts, and the
+        # face valences in local order
+        shape = np.zeros((nc, 3 + nfaces.max(initial=0)), dtype=int)
+        shape[:, 0] = nfaces
+        shape[:, 1] = incident["cell_vertices"][1]
+        shape[:, 2] = incident["cell_edges"][1]
+        shape[owner, 3 + np.arange(len(cf)) - coff[owner]] = valence[cf]
+        self.cell_groups = []
+        for key, ids in _groups(shape):
+            m = key[0]
+            g = SimpleNamespace(ids=ids, valences=key[3:3 + m],
+                                cells=cf[coff[ids, None] + np.arange(m)])
+            for i, (name, (flat, counts)) in enumerate(incident.items()):
+                first = np.cumsum(counts) - counts
+                setattr(g, name, flat[first[ids, None] + np.arange(key[1 + i])])
+            self.cell_groups.append(g)
+
         self.cell_centroids = np.empty((nc, 3))
         self.cell_volumes = np.empty(nc)
         self.cell_diameters = np.empty(nc)
-        vert_sets = []
-        edge_sets = []
-        signs = []
-        fans = []
-        fan_vol6 = []
-        face_cells = -np.ones((nf, 2), dtype=int)
-        for c, cf in enumerate(self.cells):
-            verts = np.unique(np.concatenate([self.faces[f] for f in cf]))
-            vert_sets.append(verts)
-            edge_sets.append(
-                np.unique(np.concatenate([self.face_edges[f] for f in cf]))
-            )
-            pts = self.vertices[verts]
-            xt = pts.mean(axis=0)
-            self.cell_centroids[c] = xt
-            self.cell_diameters[c] = _diameter(pts)
-            dots = ((self.face_centroids[cf] - xt) * self.face_normals[cf]).sum(
-                axis=1
-            )
-            signs.append(np.sign(dots).astype(int))
-            for f in cf:
-                slot = 0 if face_cells[f, 0] < 0 else 1
-                if face_cells[f, slot] >= 0:
-                    raise MeshError(f"face {f} belongs to more than two cells")
-                face_cells[f, slot] = c
+        for g in self.cell_groups:
+            pts = self.vertices[g.cell_vertices]
+            xt = pts.mean(axis=1)
+            self.cell_centroids[g.ids] = xt
+            self.cell_diameters[g.ids] = _diameters(pts)
+            dots = ((self.face_centroids[g.cells] - xt[:, None])
+                    * self.face_normals[g.cells]).sum(axis=2)
+            g.cell_face_signs = np.sign(dots).astype(int)
 
-            # fan tetrahedra (x_T, x_F, a, b) over each face's fan triangles,
-            # with (a, b) ordered so the tet volume is positive for outward
-            # oriented faces
-            tets = []
-            for fi, f in enumerate(cf):
-                tri = self.face_fans[f]
-                if signs[c][fi] < 0:
-                    tri = tri[:, [0, 2, 1], :]
-                apex = np.broadcast_to(xt, (len(tri), 1, 3))
-                tets.append(np.concatenate([apex, tri], axis=1))
-            tets = np.concatenate(tets, axis=0)
-            fans.append(tets)
+            # fan tetrahedra (x_T, x_F, a, b) over each face's fan
+            # triangles, with (a, b) ordered so the tet volume is positive
+            # for outward oriented faces
+            tets = np.empty((len(g.ids), sum(g.valences), 4, 3))
+            tets[:, :, 0] = xt[:, None]
+            at = 0
+            for j, n in enumerate(g.valences):
+                tri = self.face_rows("face_fans", g.cells[:, j])
+                flip = (g.cell_face_signs[:, j] < 0)[:, None, None, None]
+                tets[:, at:at + n, 1:] = np.where(flip, tri[:, :, [0, 2, 1]], tri)
+                at += n
+            g.cell_fans = tets
             # six times the fan-tet volumes, positive for a star-shaped cell
-            vol6 = np.linalg.det(tets[:, 1:] - tets[:, :1])
-            fan_vol6.append(vol6)
-            self.cell_volumes[c] = (vol6 / 6.0).sum()
-        self.cell_vertices = tuple(vert_sets)
-        self.cell_edges = tuple(edge_sets)
-        self.cell_face_signs = tuple(signs)
-        self.cell_fans = tuple(fans)
-        self.cell_fan_vol6 = tuple(fan_vol6)
+            g.cell_fan_vol6 = np.linalg.det(tets[:, :, 1:] - tets[:, :, :1])
+            self.cell_volumes[g.ids] = (g.cell_fan_vol6 / 6.0).sum(axis=1)
         self.face_cells = face_cells
         self.boundary_faces = np.flatnonzero(face_cells[:, 1] < 0)
 
     def _validate(self):
-        for f, loop in enumerate(self.faces):
-            pts = self.vertices[loop]
-            h = self.face_diameters[f]
-            off = np.abs((pts - self.face_centroids[f]) @ self.face_normals[f])
-            if off.max() > PLANARITY_RTOL * h:
-                raise MeshError(
-                    f"face {f} is non-planar: offset {off.max():.3e} "
-                    f"exceeds {PLANARITY_RTOL:.0e} * h_F"
-                )
-            if self.face_fan_area2[f].min() <= SIGN_RTOL * h * h:
-                raise MeshError(f"face {f} is not star-shaped w.r.t. x_F")
-            mids = self.edge_midpoints[self.face_edges[f]]
-            dots = ((mids - self.face_centroids[f]) * self.face_edge_normals[f]).sum(
-                axis=1
-            )
-            if np.abs(dots).min() <= SIGN_RTOL * h:
-                raise MeshError(f"face {f}: ambiguous edge orientation sign")
+        nf = len(self._face_slot)
+        offset = np.empty(nf)
+        star = np.empty(nf, dtype=bool)
+        for g in self.face_groups:
+            pts = self.vertices[g.faces]
+            xf = self.face_centroids[g.ids, None]
+            off = np.abs((pts - xf) @ self.face_normals[g.ids, :, None])
+            offset[g.ids] = off.max(axis=(1, 2))
+            h = self.face_diameters[g.ids]
+            star[g.ids] = g.face_fan_area2.min(axis=1) <= SIGN_RTOL * h * h
+        h = self.face_diameters
+        edge_dot = np.minimum.reduceat(np.abs(self._loop_edge_dots),
+                                       self._loop_offsets[:-1])
+        _raise_first(
+            (offset > PLANARITY_RTOL * h, lambda f: (
+                f"face {f} is non-planar: offset {offset[f]:.3e} "
+                f"exceeds {PLANARITY_RTOL:.0e} * h_F")),
+            (star, "face {} is not star-shaped w.r.t. x_F".format),
+            (edge_dot <= SIGN_RTOL * h,
+             "face {}: ambiguous edge orientation sign".format),
+        )
 
-        for c, cf in enumerate(self.cells):
-            h = self.cell_diameters[c]
-            dots = (
-                (self.face_centroids[cf] - self.cell_centroids[c])
-                * self.face_normals[cf]
-            ).sum(axis=1)
-            if np.abs(dots).min() <= SIGN_RTOL * h:
-                raise MeshError(f"cell {c}: ambiguous face orientation sign")
-            if (self.cell_fan_vol6[c] / 6.0).min() <= SIGN_RTOL * h**3:
-                raise MeshError(f"cell {c} is not star-shaped w.r.t. x_T")
+        nc = len(self.cell_diameters)
+        faults = np.zeros((5, nc), dtype=bool)
+        bad_edge = np.empty(nc, dtype=int)
+        bad_uses = np.empty(nc, dtype=int)
+        face_signs = np.empty(len(self._cell_faces), dtype=int)
+        for g in self.cell_groups:
+            h = self.cell_diameters[g.ids]
+            xt = self.cell_centroids[g.ids, None]
+            dots = ((self.face_centroids[g.cells] - xt)
+                    * self.face_normals[g.cells]).sum(axis=2)
+            faults[0, g.ids] = np.abs(dots).min(axis=1) <= SIGN_RTOL * h
+            faults[1, g.ids] = (g.cell_fan_vol6 / 6.0).min(axis=1) <= SIGN_RTOL * h**3
 
             # closed boundary: each edge of the cell lies in exactly two of
-            # its faces, and the signed edge orientations cancel
-            edge_use = {}
-            for fi, f in enumerate(cf):
-                wtf = self.cell_face_signs[c][fi]
-                for ei, e in enumerate(self.face_edges[f]):
-                    edge_use.setdefault(int(e), []).append(
-                        wtf * int(self.face_edge_signs[f][ei])
-                    )
-            for e, uses in edge_use.items():
-                if len(uses) != 2:
-                    raise MeshError(
-                        f"cell {c}: edge {e} lies in {len(uses)} faces, not 2"
-                    )
-                if uses[0] + uses[1] != 0:
-                    raise MeshError(f"cell {c}: inconsistent orientation at edge {e}")
+            # its faces, and the signed edge orientations cancel. The first
+            # edge (in face and loop order) to fail either decides.
+            pos = _spans(self._loop_offsets, g.cells.ravel()).reshape(len(g.ids), -1)
+            edge = self._loop_edges[pos]
+            use = (np.repeat(g.cell_face_signs, g.valences, axis=1)
+                   * self._loop_edge_signs[pos])
+            same = edge[:, :, None] == edge[:, None, :]
+            count = same.sum(axis=2)
+            bad = (count != 2) | ((same * use[:, None, :]).sum(axis=2) != 0)
+            first = np.argmax(bad, axis=1)[:, None]
+            found = bad.any(axis=1)
+            bad_uses[g.ids] = uses = np.take_along_axis(count, first, axis=1)[:, 0]
+            bad_edge[g.ids] = np.take_along_axis(edge, first, axis=1)[:, 0]
+            faults[2, g.ids] = found & (uses != 2)
+            faults[3, g.ids] = found & (uses == 2)
 
-            flux = (
-                self.cell_face_signs[c][:, None]
-                * self.face_areas[cf, None]
-                * self.face_normals[cf]
-            ).sum(axis=0)
-            if np.linalg.norm(flux) > CLOSURE_RTOL * h * h * len(cf):
-                raise MeshError(f"cell {c}: boundary is not closed")
+            flux = (g.cell_face_signs[:, :, None]
+                    * self.face_areas[g.cells, None]
+                    * self.face_normals[g.cells]).sum(axis=1)
+            faults[4, g.ids] = (np.sqrt(_dots(flux, flux))
+                                > CLOSURE_RTOL * h * h * len(g.valences))
+            face_signs[self._cell_offsets[g.ids, None]
+                       + np.arange(len(g.valences))] = g.cell_face_signs
+        _raise_first(
+            (faults[0], "cell {}: ambiguous face orientation sign".format),
+            (faults[1], "cell {} is not star-shaped w.r.t. x_T".format),
+            (faults[2], lambda c: (f"cell {c}: edge {bad_edge[c]} lies in "
+                                   f"{bad_uses[c]} faces, not 2")),
+            (faults[3], lambda c: (f"cell {c}: inconsistent orientation at "
+                                   f"edge {bad_edge[c]}")),
+            (faults[4], "cell {}: boundary is not closed".format),
+        )
 
-        for f in range(len(self.faces)):
-            c0, c1 = self.face_cells[f]
-            if c1 < 0:
-                continue
-            s0 = self.cell_face_signs[c0][list(self.cells[c0]).index(f)]
-            s1 = self.cell_face_signs[c1][list(self.cells[c1]).index(f)]
-            if s0 + s1 != 0:
-                raise MeshError(f"interior face {f}: cells on the same side")
+        signs = face_signs[self._face_uses]
+        _raise_first((
+            (self._face_uses[:, 1] >= 0) & (signs.sum(axis=1) != 0),
+            "interior face {}: cells on the same side".format,
+        ))
 
     def _freeze(self):
         for arr in (
@@ -331,22 +464,21 @@ class Mesh:
             self.boundary_faces,
         ):
             arr.flags.writeable = False
-        for tup in (
-            self.faces,
-            self.cells,
-            self.face_edges,
-            self.face_edge_signs,
-            self.face_edge_normals,
-            self.face_fans,
-            self.face_fan_area2,
-            self.cell_vertices,
-            self.cell_edges,
-            self.cell_face_signs,
-            self.cell_fans,
-            self.cell_fan_vol6,
-        ):
-            for arr in tup:
-                arr.flags.writeable = False
+        for groups, names in ((self.face_groups, self._FACE_ARRAYS),
+                              (self.cell_groups, self._CELL_ARRAYS)):
+            rows = {name: [None] * sum(len(g.ids) for g in groups)
+                    for name in names}
+            for g in groups:
+                ids = g.ids.tolist()
+                for name in names:
+                    stack = getattr(g, name)
+                    stack.flags.writeable = False
+                    for i, row in zip(ids, stack):
+                        rows[name][i] = row
+            for name in names:
+                setattr(self, name, tuple(rows[name]))
+        self.face_groups = tuple(self.face_groups)
+        self.cell_groups = tuple(self.cell_groups)
 
     # ------------------------------------------------------------------
     # queries
@@ -375,14 +507,15 @@ class Mesh:
     def shape_regularity(self):
         """Per-cell min over fan tetrahedra of inradius / h_T (diagnostic)."""
         out = np.empty(self.num_cells)
-        for c in range(self.num_cells):
-            tets = self.cell_fans[c]
-            vols = self.cell_fan_vol6[c] / 6.0
-            areas = np.zeros(len(tets))
+        for g in self.cell_groups:
+            tets = g.cell_fans
+            vols = g.cell_fan_vol6 / 6.0
+            areas = np.zeros(vols.shape)
             for i, j, k in ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)):
-                cr = np.cross(tets[:, j] - tets[:, i], tets[:, k] - tets[:, i])
-                areas += 0.5 * np.linalg.norm(cr, axis=1)
-            out[c] = (3.0 * vols / areas).min() / self.cell_diameters[c]
+                cr = _cross(tets[:, :, j] - tets[:, :, i],
+                            tets[:, :, k] - tets[:, :, i])
+                areas += 0.5 * np.linalg.norm(cr, axis=-1)
+            out[g.ids] = (3.0 * vols / areas).min(axis=1) / self.cell_diameters[g.ids]
         return out
 
     def to_dict(self):
@@ -493,7 +626,7 @@ def _merged_cell_ok(mesh, faces_a, faces_b):
     merged = [f for f in list(faces_a) + list(faces_b) if f not in shared]
     verts = np.unique(np.concatenate([mesh.faces[f] for f in merged]))
     xt = mesh.vertices[verts].mean(axis=0)
-    h = _diameter(mesh.vertices[verts])
+    h = float(_diameters(mesh.vertices[verts]))
 
     edge_count = {}
     for f in merged:

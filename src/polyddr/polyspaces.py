@@ -58,7 +58,6 @@ import itertools
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .quadrature import QuadRule, entity_rule, vertex_fans
 
@@ -225,8 +224,7 @@ class _ScalarCore:
             )
         R *= np.sign(np.diagonal(R, axis1=1, axis2=2))[..., None]
         self.R = R
-        eye = np.broadcast_to(np.eye(nm), R.shape)
-        self.coeffs = solve_triangular(R, eye).transpose(0, 2, 1)
+        self.coeffs = np.linalg.inv(R).transpose(0, 2, 1)
 
     def part(self, sl):
         """The entities sl (a slice) of the stack, with their rule."""

@@ -27,8 +27,12 @@ Faces and cells have two rule kinds, fixed by the call site:
 
 The reference rules on [0, 1], the triangle and the tetrahedron are computed
 once per degree and cached as read-only arrays; each entity rule maps them
-onto its own fan. The vertex fans are searched once per mesh, for all
-faces or cells at once, and serve every degree. A rule may also be asked
+onto its own fan. The vertex fans are searched once per mesh and serve
+every degree. The search runs per mesh entity group (Mesh.face_groups,
+Mesh.cell_groups): one pass per candidate anchor over all faces of one
+valence, or per candidate apex over all cells of one shape, each taking
+the first candidate that qualifies, with the arithmetic of the one-entity
+search, so the fans are the same bit for bit. A rule may also be asked
 for a sequence of entities whose fans have one size (an entity group, see
 polyspaces.BasisBank): it is then one stacked array over them, equal bit
 for bit to the per-entity rules.
@@ -40,7 +44,7 @@ import weakref
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .mesh import SIGN_RTOL, _cross
+from .mesh import SIGN_RTOL, _cross, _groups
 
 __all__ = ["QuadRule", "entity_rule", "integrate"]
 
@@ -120,79 +124,135 @@ def edge_rule(mesh, ids, degree):
     return pts, w[None, :] * mesh.edge_lengths[ids][:, None]
 
 
-def _face_fan(mesh, f):
-    """Triangles and doubled areas of the coarsest valid fan of face f.
+def _fan_triangles(loop):
+    """The n-2 triangles (G, n-2, 3, 3) fanning the (G, n, 3) loops from
+    their first point."""
+    tris = np.empty(loop.shape[:1] + (loop.shape[1] - 2, 3, 3))
+    tris[:, :, 0] = loop[:, :1]
+    tris[:, :, 1] = loop[:, 1:-1]
+    tris[:, :, 2] = loop[:, 2:]
+    return tris
 
-    The loop is fanned from its first vertex whose n-2 fan triangles all
-    have doubled area above SIGN_RTOL * h_F^2 along the face normal; with
-    no such vertex, from the centroid.
+
+def _face_fan(mesh, group):
+    """Anchors, triangles and doubled areas of the coarsest valid fans of
+    the faces of one mesh face group (valence n).
+
+    A face is fanned from its first loop vertex whose n-2 fan triangles all
+    have doubled area above SIGN_RTOL * h_F^2 along the face normal. The
+    anchor is that vertex's loop position, -1 where none qualifies (the
+    face keeps its centroid fan, and its rows of the triangles (G, n-2, 3,
+    3) and areas (G, n-2) are left unset).
     """
-    pts = mesh.vertices[mesh.faces[f]]
-    n = mesh.face_normals[f]
-    tol = SIGN_RTOL * mesh.face_diameters[f] ** 2
-    for a in range(len(pts)):
-        loop = np.concatenate((pts[a:], pts[:a]))
-        d = loop[1:] - loop[0]
-        area2 = _cross(d[:-1], d[1:]) @ n
-        if area2.min() > tol:
-            tris = np.empty((len(area2), 3, 3))
-            tris[:, 0] = loop[0]
-            tris[:, 1] = loop[1:-1]
-            tris[:, 2] = loop[2:]
-            return tris, area2
-    return mesh.face_fans[f], mesh.face_fan_area2[f]
+    pts = mesh.vertices[group.faces]
+    size, n = group.faces.shape
+    normal = mesh.face_normals[group.ids, :, None]
+    tol = SIGN_RTOL * mesh.face_diameters[group.ids] ** 2
+    anchor = np.full(size, -1)
+    tris = np.empty((size, n - 2, 3, 3))
+    area2 = np.empty((size, n - 2))
+    for a in range(n):
+        loop = np.roll(pts, -a, axis=1)
+        d = loop[:, 1:] - loop[:, :1]
+        fan_area2 = (_cross(d[:, :-1], d[:, 1:]) @ normal)[..., 0]
+        new = (anchor < 0) & (fan_area2.min(axis=1) > tol)
+        anchor[new] = a
+        area2[new] = fan_area2[new]
+        tris[new] = _fan_triangles(loop[new])
+        if (anchor >= 0).all():
+            break
+    return anchor, tris, area2
 
 
-def _cell_fan(mesh, c):
-    """Tetrahedra and six times their volumes of the coarsest valid fan of
-    cell c.
+def _cell_fan(mesh, group):
+    """Tetrahedra and six times their volumes of the coarsest valid fans of
+    the cells of one mesh cell group, as a list in group order.
 
     The apex is the first cell vertex whose tetrahedra over the face fans
     of the faces avoiding it all have 6 * volume above SIGN_RTOL * h_T^3;
     with no such vertex, the cell's centroid fan over centroid face fans.
+    The volumes are taken for every face at once, and those of the faces
+    through the apex ignored.
     """
-    tol = SIGN_RTOL * mesh.cell_diameters[c] ** 3
-    faces = mesh.cells[c].tolist()
-    loops = [mesh.faces[f].tolist() for f in faces]
-    signs = mesh.cell_face_signs[c].tolist()
-    face_fans = vertex_fans(mesh, "face")
-    fans = {}
-    for v in mesh.cell_vertices[c].tolist():
-        apex = mesh.vertices[v]
-        tris = []
-        for f, loop, sign in zip(faces, loops, signs):
-            if v in loop:
-                continue
-            if f not in fans:
-                tri = face_fans[f][0]
-                # outward orientation makes apex-first volumes positive
-                fans[f] = tri if sign > 0 else tri[:, ::-1]
-            tris.append(fans[f])
-        tris = np.concatenate(tris)
-        vol6 = np.linalg.det(tris - apex)
-        if vol6.min() > tol:
-            tets = np.empty((len(tris), 4, 3))
-            tets[:, 0] = apex
-            tets[:, 1:] = tris
-            return tets, vol6
-    return mesh.cell_fans[c], mesh.cell_fan_vol6[c]
+    anchor = _VERTEX_FANS[mesh]["anchor"]
+    valences = np.array(group.valences)
+    fans = [None] * len(group.ids)
+    sizes = np.where(anchor[group.cells] >= 0, valences - 2, valences)
+    for key, rows in _groups(sizes):
+        cells, ids = group.cells[rows], group.ids[rows]
+        verts = group.cell_vertices[rows]
+        tol = SIGN_RTOL * mesh.cell_diameters[ids] ** 3
+        tris, contains = [], []
+        for j, n in enumerate(group.valences):
+            loops = mesh.face_rows("faces", cells[:, j])
+            if key[j] < n:
+                at = (anchor[cells[:, j], None] + np.arange(n)) % n
+                tri = _fan_triangles(
+                    mesh.vertices[np.take_along_axis(loops, at, axis=1)])
+            else:
+                tri = mesh.face_rows("face_fans", cells[:, j])
+            # outward orientation makes apex-first volumes positive
+            outward = group.cell_face_signs[rows, j] > 0
+            tris.append(np.where(outward[:, None, None, None], tri,
+                                 tri[:, :, ::-1]))
+            contains.append(np.repeat(
+                (verts[:, :, None] == loops[:, None, :]).any(axis=2)[:, :, None],
+                key[j], axis=2))
+        tris = np.concatenate(tris, axis=1)
+        contains = np.concatenate(contains, axis=2)
+        apex = np.full(len(rows), -1)
+        vol6 = np.empty(tris.shape[:2])
+        for k in range(verts.shape[1]):
+            at_k = np.linalg.det(tris - mesh.vertices[verts[:, k], None, None])
+            new = (apex < 0) & (
+                np.where(contains[:, k], np.inf, at_k).min(axis=1) > tol)
+            apex[new] = k
+            vol6[new] = at_k[new]
+            if (apex >= 0).all():
+                break
+        # each cell's tetrahedra over the faces avoiding its apex
+        at = np.arange(len(rows)), np.maximum(apex, 0)
+        tets = np.empty(tris.shape[:2] + (4, 3))
+        tets[:, :, 0] = mesh.vertices[verts[at], None]
+        tets[:, :, 1:] = tris
+        for r, k, t, v, avoid in zip(rows.tolist(), apex.tolist(), tets, vol6,
+                                     ~contains[at]):
+            i = group.ids[r]
+            fans[r] = ((t[avoid], v[avoid]) if k >= 0
+                       else (mesh.cell_fans[i], mesh.cell_fan_vol6[i]))
+    return fans
 
 
-# mesh -> {"face": [...], "cell": [...]}: the vertex fans of every face or
-# cell, searched once per mesh and shared by all rule degrees
+# mesh -> {"face": [...], "cell": [...], "anchor": (nf,)}: the vertex fans
+# of every face or cell, searched once per mesh and shared by all rule
+# degrees, and each face's fan anchor
 _VERTEX_FANS = weakref.WeakKeyDictionary()
 
 
 def vertex_fans(mesh, kind):
     """(simplices, measures) of the polynomial-rule fan of every face or
-    cell of the mesh, in entity order; searched on first use."""
+    cell of the mesh, in entity order; searched on first use, for one
+    mesh entity group at a time."""
     fans = _VERTEX_FANS.setdefault(mesh, {})
-    out = fans.get(kind)
-    if out is None:
-        search, count = ((_face_fan, mesh.num_faces) if kind == "face"
-                         else (_cell_fan, mesh.num_cells))
-        out = fans[kind] = [search(mesh, i) for i in range(count)]
-    return out
+    if "face" not in fans:
+        out = [None] * mesh.num_faces
+        fans["anchor"] = np.empty(mesh.num_faces, dtype=int)
+        for g in mesh.face_groups:
+            anchor, tris, area2 = _face_fan(mesh, g)
+            fans["anchor"][g.ids] = anchor
+            _frozen(tris, area2)
+            for i, a, t, w in zip(g.ids.tolist(), anchor.tolist(), tris, area2):
+                out[i] = ((t, w) if a >= 0
+                          else (mesh.face_fans[i], mesh.face_fan_area2[i]))
+        fans["face"] = out
+    if kind == "cell" and "cell" not in fans:
+        out = [None] * mesh.num_cells
+        for g in mesh.cell_groups:
+            for i, fan in zip(g.ids.tolist(), _cell_fan(mesh, g)):
+                _frozen(*fan)
+                out[i] = fan
+        fans["cell"] = out
+    return fans[kind]
 
 
 def _fans(mesh, kind, ids, data):

@@ -340,9 +340,9 @@ def test_fans_are_searched_once_and_stacked_rules_are_bitwise(monkeypatch, name)
 
     calls = {"_face_fan": 0, "_cell_fan": 0}
     for fn in calls:
-        def counted(mesh, i, _search=getattr(quadrature, fn), _fn=fn):
+        def counted(mesh, group, _search=getattr(quadrature, fn), _fn=fn):
             calls[_fn] += 1
-            return _search(mesh, i)
+            return _search(mesh, group)
         monkeypatch.setattr(quadrature, fn, counted)
     m = pentagram_prism() if name == "pentagram" else POLY_MESHES[name]()
     counts = {"face": m.num_faces, "cell": m.num_cells}
@@ -358,4 +358,6 @@ def test_fans_are_searched_once_and_stacked_rules_are_bitwise(monkeypatch, name)
                 for g, (_, rule) in enumerate(same):
                     assert np.array_equal(stack.points[g], rule.points)
                     assert np.array_equal(stack.weights[g], rule.weights)
-    assert calls == {"_face_fan": m.num_faces, "_cell_fan": m.num_cells}
+    # one search per mesh entity group, for all degrees
+    assert calls == {"_face_fan": len(m.face_groups),
+                     "_cell_fan": len(m.cell_groups)}
