@@ -32,9 +32,15 @@ operator follows one of two patterns, each built by one routine:
   differential, plus the boundary term, with complement-projection rows
   where the reconstruction keeps the complement part of the data.
 
-Both share one boundary term (`_add_boundary_term`). Volume terms pair two
-polynomials on the entity's own core in coefficient space; boundary terms
-tabulate the tests at the sub-entities' rule points.
+Both share one boundary term (`_add_boundary_term`), and no term tabulates
+a basis at points. Volume terms pair two polynomials on the entity's own
+core in coefficient space. Boundary terms pair them on each sub-entity:
+the tests' traces are their coefficients times the trace table of that
+boundary position (polyspaces.trace_table), orthonormal coordinates on the
+sub-entity, and meet the coordinates of the reconstructions there. The
+table's rule must be exact for the test degree plus the reconstruction
+degree; a build whose rule is not stops with a ValueError naming the
+operator and the degrees.
 
 Every operator is built for a whole entity group at once (see
 polyspaces.BasisBank): the first request for one entity builds the stacked
@@ -62,6 +68,7 @@ from .polyspaces import (
     dim_P,
     integrate_products,
     space_dim,
+    trace_table,
     value_blocks,
 )
 
@@ -454,6 +461,8 @@ def interpolate(space, f, degree=None):
                     rows = space._blocks(kind, group.ids[:, None], start, b.dim)
                     blocks.append((b, rows))
                 start += b.dim
+            core = bank.group_core(group)
+            width = max(b._Cs.shape[-1] for b, _ in blocks)
             for sl in value_blocks(*rule.weights.shape):
                 pts = rule.points[sl]
                 fv = np.asarray(f(pts.reshape(-1, 3)))
@@ -461,8 +470,10 @@ def interpolate(space, f, degree=None):
                 if direction is not None:
                     d = direction[group.ids[sl]]
                     fv = (fv @ d[:, :, None])[..., 0]
+                # one monomial table for every family; each takes its prefix
+                M = core._monomials(pts, width, sl)
                 for b, rows in blocks:
-                    vals[rows[sl]] = b.moments(pts, fv, rule.weights[sl], sl)
+                    vals[rows[sl]] = b.moments(pts, fv, rule.weights[sl], sl, M)
     return DofVector(space, vals)
 
 
@@ -521,7 +532,31 @@ def _boundary_parts(space, group):
         yield parts[:, p], subgroup, slots, group.signs[:, p], normals[:, p]
 
 
-def _add_boundary_term(space, group, M, idx, tests, trace, sign=1.0,
+def _trace_coords(C, core, rec, slots, rule, what, to_scalar, to_vector,
+                  norm=False):
+    """Traces on one boundary part per entity of the polynomials with
+    monomial coefficients C (G, m, [3,] n) on core's entities, and the
+    boundary reconstructions rec there (the sub-entities slots of rec's
+    stack), both as coordinates (G, ., [3,] k) over the orthonormal members
+    spanning rec's targets: the trace table (polyspaces.trace_table, with
+    the part's rule, checked for exactness under the operator name what)
+    applied to C, and C' R^T for the targets.  A vector trace meets a
+    scalar target through its component along to_scalar (G, 3) and a
+    vector target through the matrices to_vector (G, 3, 3) applied to its
+    values, both on the component axis."""
+    tgt = rec.target
+    sub, k = tgt._core, tgt._Cs.shape[-1]
+    T = trace_table(core, sub, slots, rule, C.shape[-1], k, what, norm)
+    V = C @ (T if C.ndim == 3 else T[:, None])
+    if V.ndim == 4:
+        if tgt._Cs.ndim == 4:
+            V = to_vector.transpose(0, 2, 1)[:, None] @ V
+        else:
+            V = (to_scalar[:, None, None, :] @ V)[:, :, 0]
+    return V, sub.coords(tgt._Cs[slots], k, slots)
+
+
+def _add_boundary_term(space, group, M, idx, tests, trace, what, sign=1.0,
                        degree=None):
     """Add the boundary sum of integration by parts to the stack M in place.
 
@@ -530,24 +565,20 @@ def _add_boundary_term(space, group, M, idx, tests, trace, sign=1.0,
     with rec the boundary reconstructions trace(space, j), stacked per
     sub-entity group, and omega the relative orientation, adds
     sign * omega * int (test trace) . rec to the columns of the dofs rec
-    reads. The test trace follows from the tabulations: the value of a
-    scalar test, the normal component of a vector test against a scalar
-    reconstruction, and test x normal against a vector one. Rules have the
-    default degree unless degree is given.
+    reads. The test trace is the value of a scalar test, the normal
+    component of a vector test against a scalar reconstruction, and test x
+    normal against a vector one; the integrals are dot products of
+    coordinates (_trace_coords). Rules have the default degree unless
+    degree is given; what names the operator if they are not exact.
     """
     blocks, dofs = [], []
     for _, subgroup, slots, omega, n in _boundary_parts(space, group):
         rec = _through(space, trace, subgroup)
-        rule = space.bank.group_rule(subgroup, degree)
-        pts = rule.points[slots]
-        V = tests.values(pts)
-        W = rec.target.values(pts, slots)
-        if V.ndim == 4:
-            if W.ndim == 4:
-                V = V @ _cross_matrix(n)[:, None]
-            else:
-                V = (V @ n[:, None, :, None])[..., 0]
-        T = integrate_products(V, W, rule.weights[slots])
+        V, W = _trace_coords(tests._Cs, tests._core, rec, slots,
+                             space.bank.group_rule(subgroup, degree), what,
+                             n, _cross_matrix(n))
+        G, m = V.shape[:2]
+        T = V.reshape(G, m, -1) @ W.reshape(G, W.shape[1], -1).transpose(0, 2, 1)
         blocks.append(omega[:, None, None] * (T @ rec.matrix[slots]))
         dofs.append(rec.dofs[slots])
     # One scatter for the group: boundary parts share vertex and edge dofs,
@@ -628,11 +659,12 @@ def op_grad_edge(space, e):
 # face and cell operators
 
 
-def _differential(space, group, tgt, adjoint, sign, trace, trace_sign):
+def _differential(space, group, tgt, adjoint, sign, trace, trace_sign, what):
     """Face or cell differential with values in tgt, by parts against all
     of tgt: sign * int adjoint(tgt) . (first dof family) on the entity,
     plus the boundary term of the reconstructions trace (sign trace_sign).
-    The volume term is a same-core product in coefficient space."""
+    The volume term is a same-core product in coefficient space; what
+    names the operator."""
     idx = space.group_dofs(group)
     M = np.zeros((len(group), tgt.dim, idx.shape[1]))
     fam, l = _families(space, group.kind)[0]
@@ -640,7 +672,7 @@ def _differential(space, group, tgt, adjoint, sign, trace, trace_sign):
     if first.dim:
         M[:, :, space._own_slice(group, 0)] = sign * tgt._core.inner(
             adjoint(tgt), first._Cs)
-    _add_boundary_term(space, group, M, idx, tgt, trace, sign=trace_sign)
+    _add_boundary_term(space, group, M, idx, tgt, trace, what, sign=trace_sign)
     return _Operators(group, idx, tgt, M)
 
 
@@ -657,8 +689,8 @@ def _reconstruction(space, group, op, tgt, tests, derivative, sign, trace,
     idx = op.dofs
     A = tests._core.inner(derivative(tests), tgt._Cs)
     R = sign * tests._Ws[:, :, : op.target.dim] @ op.matrix
-    _add_boundary_term(space, group, R, idx, tests, trace, sign=trace_sign,
-                       degree=degree)
+    _add_boundary_term(space, group, R, idx, tests, trace, what,
+                       sign=trace_sign, degree=degree)
     if complement is not None:
         A = np.concatenate([A, complement._Ws], axis=1)
         keep = np.zeros((len(group), complement.dim, idx.shape[1]))
@@ -671,7 +703,7 @@ def _reconstruction(space, group, op, tgt, tests, derivative, sign, trace,
 def _grad_face(space, group, want=None):
     return _differential(
         space, group, space.bank.group_basis(group, "vector", space.k),
-        _div, -1.0, edge_reconstruct, 1.0)
+        _div, -1.0, edge_reconstruct, 1.0, "face gradient")
 
 
 def op_grad_face(space, f):
@@ -699,7 +731,7 @@ def op_scalar_trace(space, f):
 def _curl_face(space, group, want=None):
     return _differential(
         space, group, space.bank.group_basis(group, "scalar", space.k),
-        _rotated_grad(space, group), 1.0, _edge_values, -1.0)
+        _rotated_grad(space, group), 1.0, _edge_values, -1.0, "face rotation")
 
 
 def op_curl_face(space, f):
@@ -729,7 +761,7 @@ def op_tangential_trace(space, f):
 def _grad_cell(space, group, want=None):
     return _differential(
         space, group, space.bank.group_basis(group, "vector", space.k),
-        _div, -1.0, op_scalar_trace, 1.0)
+        _div, -1.0, op_scalar_trace, 1.0, "cell gradient")
 
 
 def op_grad_cell(space, c):
@@ -741,7 +773,7 @@ def op_grad_cell(space, c):
 def _curl_cell(space, group, want=None):
     return _differential(
         space, group, space.bank.group_basis(group, "vector", space.k),
-        _curl, 1.0, op_tangential_trace, 1.0)
+        _curl, 1.0, op_tangential_trace, 1.0, "cell curl")
 
 
 def op_curl_cell(space, c):
@@ -753,7 +785,7 @@ def op_curl_cell(space, c):
 def _div_cell(space, group, want=None):
     return _differential(
         space, group, space.bank.group_basis(group, "scalar", space.k),
-        _grad, -1.0, _face_values, 1.0)
+        _grad, -1.0, _face_values, 1.0, "cell divergence")
 
 
 def op_div_cell(space, c):

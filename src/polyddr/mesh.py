@@ -162,7 +162,11 @@ class Mesh:
         vertices = np.asarray(vertices, dtype=float)
         if vertices.ndim != 2 or vertices.shape[1] != 3:
             raise MeshError("vertices must be an (n, 3) array")
+        bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+        if len(bad):
+            raise MeshError(f"vertex {bad[0]} has a non-finite coordinate")
         self.vertices = vertices
+        self._row_tuples = {}
         self._loops, self._loop_offsets = _ragged(faces)
         self._cell_faces, self._cell_offsets = _ragged(cells)
         self._check_indices()
@@ -282,12 +286,26 @@ class Mesh:
             g.face_edge_signs = signs[cols]
         self._loop_edge_signs = signs
 
+    def _rows(self, group, slots, name, ids):
+        given = self.__dict__.get(name)
+        if given is not None and given is not self._row_tuples[name]:
+            # a per-entity attribute assigned after construction (a test
+            # corrupting orientation data) is read as assigned
+            return np.array([given[i] for i in ids])
+        return getattr(group, name)[slots]
+
     def face_rows(self, name, ids):
         """The rows of the per-face attribute name (faces, face_fans, ...)
         for the faces ids, which share one valence, as one stack."""
         g = self._face_group_of[self._loop_offsets[ids[0] + 1]
                                 - self._loop_offsets[ids[0]]]
-        return getattr(g, name)[self._face_slot[ids]]
+        return self._rows(g, self._face_slot[ids], name, ids)
+
+    def cell_rows(self, name, ids):
+        """The rows of the per-cell attribute name (cells, cell_fans, ...)
+        for the cells ids, which share one cell group, as one stack."""
+        g = self.cell_groups[self._cell_group_of[ids[0]]]
+        return self._rows(g, self._cell_slot[ids], name, ids)
 
     def _build_cell_geometry(self):
         cf, coff = self._cell_faces, self._cell_offsets
@@ -330,7 +348,11 @@ class Mesh:
         shape[:, 2] = incident["cell_edges"][1]
         shape[owner, 3 + np.arange(len(cf)) - coff[owner]] = valence[cf]
         self.cell_groups = []
+        self._cell_group_of = np.empty(nc, dtype=int)
+        self._cell_slot = np.empty(nc, dtype=int)
         for key, ids in _groups(shape):
+            self._cell_group_of[ids] = len(self.cell_groups)
+            self._cell_slot[ids] = np.arange(len(ids))
             m = key[0]
             g = SimpleNamespace(ids=ids, valences=key[3:3 + m],
                                 cells=cf[coff[ids, None] + np.arange(m)])
@@ -476,7 +498,8 @@ class Mesh:
                     for i, row in zip(ids, stack):
                         rows[name][i] = row
             for name in names:
-                setattr(self, name, tuple(rows[name]))
+                self._row_tuples[name] = tuple(rows[name])
+                setattr(self, name, self._row_tuples[name])
         self.face_groups = tuple(self.face_groups)
         self.cell_groups = tuple(self.cell_groups)
 

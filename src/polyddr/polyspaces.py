@@ -26,8 +26,14 @@ each one matrix product against one table of coordinate powers built by
 cumulative products. integrate_products turns two tabulations into the
 matrix of their integrals with one weighted matrix product. Two
 polynomials on the same core need no tabulation at all: with R the QR
-factor of the core, C R^T are orthonormal coordinates, and the integral of
-a product is their dot product (_ScalarCore.inner).
+factor of the core, C R^T are orthonormal coordinates (_ScalarCore.coords),
+and the integral of a product is their dot product (_ScalarCore.inner).
+A polynomial on an entity meets one on a boundary part (an edge of a face,
+a face of a cell) through the trace table of that position (trace_table):
+the integrals over the part of the entity's monomials against the part's
+orthonormal members, taken once with the part's rule. C T are then the
+coordinates of the trace, exact when the rule integrates the degree of the
+polynomial plus that of the members.
 
 All of it is stacked over entity groups: the faces or cells whose local
 arrays have equal shapes (face valence and rule fan size; for cells the
@@ -59,6 +65,7 @@ import math
 
 import numpy as np
 
+from .mesh import _groups
 from .quadrature import QuadRule, entity_rule, vertex_fans
 
 __all__ = [
@@ -71,6 +78,7 @@ __all__ = [
     "l2_project",
     "value_blocks",
     "integrate_products",
+    "trace_table",
     "recovery",
     "projection_overlap",
     "isomorphism_matrix",
@@ -80,9 +88,8 @@ __all__ = [
 DROP_TOL = 1e-8
 
 # Bound on the values one block of stacked work at many points holds: a
-# field at data-rule points, generating sets or a stabilization's
-# mismatches at rule points. It bounds the temporaries, whose size would
-# otherwise grow with the group.
+# field at data-rule points or generating sets. It bounds the temporaries,
+# whose size would otherwise grow with the group.
 BLOCK_VALUES = 32768
 
 
@@ -278,20 +285,57 @@ class _ScalarCore:
         FT = self.frame.transpose(0, 2, 1) / self.h[:, None, None]
         return FT.reshape((len(FT),) + (1,) * (CD.ndim - 3) + FT.shape[1:]) @ CD
 
+    def coords(self, C, k, sel=None):
+        """Coordinates (G, m, [3,] k) over the first k orthonormal members
+        of the polynomials with monomial coefficients C (G, m, [3,] n) on
+        the entities sel of the stack (all by default): C R^T.  R is upper
+        triangular, so members past the n-th get coordinate 0 and the
+        coordinates are exact whenever the polynomials lie in the span of
+        the first k members."""
+        R = self.R if sel is None else self.R[sel]
+        Rt = R[:, :k, : C.shape[-1]].transpose(0, 2, 1)
+        E = C.reshape(len(C), -1, C.shape[-1]) @ Rt
+        return E.reshape(C.shape[:-1] + (k,))
+
     def inner(self, A, B):
         """Integrals over each entity of the products of the polynomials
         with monomial coefficients A (G, m, [3,] na) and B (G, n, [3,] nb),
-        both scalar or both vector: (G, m, n).  No tabulation: the
-        orthonormal coordinates are C R^T, and the integral of a product is
-        their dot product (exact for degrees up to L)."""
+        both scalar or both vector: (G, m, n).  No tabulation: the integral
+        of a product is the dot product of the orthonormal coordinates
+        (exact for degrees up to L)."""
         k = min(A.shape[-1], B.shape[-1])
+        EA, EB = self.coords(A, k), self.coords(B, k)
+        return (EA.reshape(len(A), A.shape[1], -1)
+                @ EB.reshape(len(B), B.shape[1], -1).transpose(0, 2, 1))
 
-        def ortho(C):
-            Rt = self.R[:, :k, : C.shape[-1]].transpose(0, 2, 1)
-            E = C.reshape(len(C), -1, C.shape[-1]) @ Rt
-            return E.reshape(len(C), C.shape[1], math.prod(C.shape[2:-1]) * k)
 
-        return ortho(A) @ ortho(B).transpose(0, 2, 1)
+def trace_table(core, sub, slots, rule, n, k, what, norm=False):
+    """Trace table of a stack of entities at one boundary position, (G, n, k).
+
+    Entry (g, i, j) is the integral over boundary part g of the first n
+    scaled monomials of core's entity g against the first k orthonormal
+    members of the part's core sub (its entities slots), with the part's
+    stacked rule: the monomials restricted to the part, in the part's
+    orthonormal coordinates.  A polynomial p with monomial coefficients C
+    has the trace coordinates C T, and its integral against a polynomial q
+    in the span of the k members is the dot product with the coordinates
+    of q (sub.coords).  That is exact when the rule integrates degree
+    deg p + L exactly, L the degree of the members; with norm, a squared L2
+    norm of p - q is the sum of squares of the coordinate differences,
+    which needs deg p <= L as well.  Both are checked, what naming the
+    operator in the error.
+    """
+    p, L = int(core.exps[n - 1].sum()), int(sub.exps[k - 1].sum())
+    if p + L > rule.exactness_degree or (norm and p > L):
+        need = f"degree {p} <= {L} and " if norm else ""
+        raise ValueError(
+            f"{what}: traces of degree {p} against degree-{L} members need "
+            f"{need}a rule exact to degree {p + L}; the rule is exact to "
+            f"degree {rule.exactness_degree}")
+    pts = rule.points[slots]
+    M = core._monomials(pts, n) * rule.weights[slots][:, None, :]
+    S = sub.coeffs[slots][:, :k, :k] @ sub._monomials(pts, k, slots)
+    return M @ S.transpose(0, 2, 1)
 
 
 def _tabulate(core, C, pts, sel=None):
@@ -415,15 +459,19 @@ class PolyBasis:
         C = self._Cs if sel is None else self._Cs[sel]
         return _tabulate(self._core, C, pts, sel)
 
-    def moments(self, pts, vals, weights, sel=None):
+    def moments(self, pts, vals, weights, sel=None, monomials=None):
         """Integrals (G, dim) of the members of the entities sel of the
         stack (all by default) against values at their stacked rule
         points, (G, npts) or (G, npts, 3): the monomials meet the weighted
-        values first, so no member is tabulated."""
+        values first, so no member is tabulated.  monomials are the core's
+        first scaled monomials at pts, (G, >= n, npts), when the caller
+        tabulated them once for several bases; their prefix is used."""
         C = self._Cs if sel is None else self._Cs[sel]
         G, n = len(C), C.shape[-1]
+        if monomials is None:
+            monomials = self._core._monomials(pts, n, sel)
         wv = vals * (weights[..., None] if vals.ndim == 3 else weights)
-        F = self._core._monomials(pts, n, sel) @ wv.reshape(G, wv.shape[1], -1)
+        F = monomials[:, :n] @ wv.reshape(G, wv.shape[1], -1)
         if C.ndim == 3:
             return (C @ F)[..., 0]
         F = F.transpose(0, 2, 1).reshape(G, -1, 1)
@@ -746,36 +794,34 @@ def isomorphism_matrix(mesh, kind, index, which, l):
 # entity groups and the cached per-mesh bases
 
 
-def _signatures(mesh, kind):
-    """Per-entity keys that fix the shapes of every local array: face
-    valence and polynomial-rule fan size; for cells the face valences and
-    fan sizes in local order, the edge and vertex counts and the cell's
-    fan size.  Edges all share one."""
+def _group_ids(mesh, kind):
+    """The ids (ascending) of the entities of one kind that share every
+    local array shape, group by group in order of their first entity:
+    faces of one valence and polynomial-rule fan size; cells of one mesh
+    cell group (Mesh.cell_groups) with the same fan sizes of their faces in
+    local order and the same fan size of their own.  Edges form one group."""
     if kind == "edge":
-        return [()] * mesh.num_edges
+        return [np.arange(mesh.num_edges)]
     if kind not in ("face", "cell"):
         raise ValueError(f"unknown entity kind {kind!r}")
-    face_fans = vertex_fans(mesh, "face")
+    face_fan = vertex_fans(mesh, "face").size
     if kind == "face":
-        return [(len(loop), len(face_fans[f][1]))
-                for f, loop in enumerate(mesh.faces)]
-    cell_fans = vertex_fans(mesh, "cell")
-    return [
-        (tuple(len(mesh.faces[f]) for f in faces),
-         tuple(len(face_fans[f][1]) for f in faces),
-         len(mesh.cell_edges[c]), len(mesh.cell_vertices[c]),
-         len(cell_fans[c][1]))
-        for c, faces in enumerate(mesh.cells)
-    ]
+        parts = [(g.ids, face_fan[g.ids, None]) for g in mesh.face_groups]
+    else:
+        cell_fan = vertex_fans(mesh, "cell").size
+        parts = [(g.ids, np.column_stack([face_fan[g.cells], cell_fan[g.ids]]))
+                 for g in mesh.cell_groups]
+    groups = [ids[rows] for ids, keys in parts for _, rows in _groups(keys)]
+    return sorted(groups, key=lambda ids: ids[0])
 
 
 class EntityGroup:
     """The entities of one kind with one signature, ids ascending: every
     local object of theirs has the same shapes, so each is built for all
-    of them at once.  Incidence arrays are stacked from the mesh's
-    per-entity attributes on first use: vertices, edges and (on cells)
-    faces in local order, and the orientations of the boundary parts (the
-    edges of a face, the faces of a cell)."""
+    of them at once.  Incidence arrays are gathered from the mesh's group
+    stacks on first use: vertices, edges and (on cells) faces in local
+    order, and the orientations of the boundary parts (the edges of a
+    face, the faces of a cell)."""
 
     def __init__(self, mesh, kind, gid, ids):
         self.mesh = mesh
@@ -786,36 +832,32 @@ class EntityGroup:
     def __len__(self):
         return len(self.ids)
 
-    def _stack(self, per_entity):
-        return np.array([per_entity[i] for i in self.ids])
+    def _rows(self, name):
+        rows = self.mesh.face_rows if self.kind == "face" else self.mesh.cell_rows
+        return rows(name, self.ids)
 
     @functools.cached_property
     def vertices(self):
-        mesh = self.mesh
         if self.kind == "edge":
-            return mesh.edges[self.ids]
-        return self._stack(mesh.faces if self.kind == "face"
-                           else mesh.cell_vertices)
+            return self.mesh.edges[self.ids]
+        return self._rows("faces" if self.kind == "face" else "cell_vertices")
 
     @functools.cached_property
     def edges(self):
-        mesh = self.mesh
-        return self._stack(mesh.face_edges if self.kind == "face"
-                           else mesh.cell_edges)
+        return self._rows("face_edges" if self.kind == "face" else "cell_edges")
 
     @functools.cached_property
     def faces(self):
-        return self._stack(self.mesh.cells)
+        return self._rows("cells")
 
     @functools.cached_property
     def signs(self):
-        mesh = self.mesh
-        return self._stack(mesh.face_edge_signs if self.kind == "face"
-                           else mesh.cell_face_signs)
+        return self._rows("face_edge_signs" if self.kind == "face"
+                          else "cell_face_signs")
 
     @functools.cached_property
     def edge_normals(self):
-        return self._stack(self.mesh.face_edge_normals)
+        return self._rows("face_edge_normals")
 
 
 class BasisBank:
@@ -851,11 +893,8 @@ class BasisBank:
     def _table(self, kind):
         table = self._tables.get(kind)
         if table is None:
-            members = {}
-            for i, key in enumerate(_signatures(self.mesh, kind)):
-                members.setdefault(key, []).append(i)
-            groups = [EntityGroup(self.mesh, kind, gid, np.array(ids))
-                      for gid, ids in enumerate(members.values())]
+            groups = [EntityGroup(self.mesh, kind, gid, ids)
+                      for gid, ids in enumerate(_group_ids(self.mesh, kind))]
             count = sum(len(g) for g in groups)
             gids = np.empty(count, dtype=int)
             slots = np.empty(count, dtype=int)

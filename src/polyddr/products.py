@@ -6,14 +6,21 @@ potential and the boundary reconstructions. One routine (`_stab_trace`)
 builds it for every space: over the cell's faces, the face diameter times
 the squared L2 mismatch between the potential's trace and the face
 reconstruction; over the cell's edges, where the space has edge dofs, the
-squared edge length times the same on the edge. The trace follows from the
-tabulations:
+squared edge length times the same on the edge. The trace is
 
 - scalar space: the potential's value, against the scalar face trace and
   the reconstructed edge polynomial;
 - field space: its tangential part against the tangential face trace, its
   tangential component against the edge polynomial;
 - flux space: its normal component against the face values.
+
+Nothing is tabulated at points: the potential's trace is its coefficients
+times the trace table of the face or edge position (polyspaces.trace_table),
+that is, coordinates over the orthonormal members spanning the
+reconstruction, and each dof's mismatch is a difference of coordinates. The
+potential's degree never exceeds the reconstruction's, so its trace lies in
+that span and a squared L2 mismatch is a sum of squares; the build checks
+this and the rule's exactness.
 
 An alternative stabilization compares the local dofs with the
 interpolate of the potential in the component product; both variants
@@ -33,7 +40,6 @@ the space's cache; global assembly scatters one stacked block per group.
 import numpy as np
 from scipy import sparse
 
-from .polyspaces import integrate_products, value_blocks
 from .ddrcore import (
     _columns,
     _edge_values,
@@ -42,6 +48,7 @@ from .ddrcore import (
     _per_space,
     _positions,
     _through,
+    _trace_coords,
     edge_reconstruct,
     entity_moments,
     op_scalar_trace,
@@ -96,9 +103,8 @@ class _Forms:
 
 
 def _dof_values(matrix, V):
-    """Per-dof values of stacked reconstructions from their targets'
-    tabulations V: (G, ndofs, npts) for scalar targets, (G, ndofs, npts, 3)
-    for vector ones."""
+    """Per-dof coordinates of stacked reconstructions from their targets'
+    coordinates V (G, ntarget, ...): (G, ndofs, ...)."""
     P = matrix.transpose(0, 2, 1) @ V.reshape(V.shape[0], V.shape[1], -1)
     return P.reshape(P.shape[:2] + V.shape[2:])
 
@@ -112,11 +118,12 @@ def _stab_trace(space, group, face_trace, edge_trace=None):
     each cell, h_F times the squared L2(F) mismatch between the
     potential's trace and face_trace(space, F); with edge_trace, over the
     edges E, h_E^2 times the squared L2(E) mismatch with
-    edge_trace(space, E). The trace follows from the tabulations: the
-    value of a scalar potential, the tangential part of a vector one
-    against a vector reconstruction, and its normal (face) or tangential
-    (edge) component against a scalar one. The mismatches of all local
-    dofs are formed block by block of rule points (value_blocks).
+    edge_trace(space, E). The trace is the value of a scalar potential,
+    the tangential part of a vector one against a vector reconstruction,
+    and its normal (face) or tangential (edge) component against a scalar
+    one. The mismatches of all local dofs are coordinates over the
+    orthonormal members spanning the reconstruction (ddrcore._trace_coords),
+    so each squared norm is a sum of squares.
     """
     mesh, bank = space.mesh, space.bank
     pot = _through(space, op_potential, group)
@@ -126,28 +133,22 @@ def _stab_trace(space, group, face_trace, edge_trace=None):
     if edge_trace is not None:
         parts.append(("edge", group.edges, edge_trace,
                       mesh.edge_lengths[group.edges] ** 2))
-    vector = pot.target.value_dim > 1
+    what = f"{space.which} space stabilization"
     for kind, ents, trace, h in parts:
         for p in range(ents.shape[1]):
             j = ents[:, p]
             subgroup, slots = bank.locate(kind, j)
-            rule = bank.group_rule(subgroup)
             rec = _through(space, trace, subgroup)
-            rows = _columns(pot.dofs, rec.dofs[slots])
             d = mesh.face_normals[j] if kind == "face" else mesh.edge_tangents[j]
-            npts = rule.weights.shape[1]
-            for q in value_blocks(npts, G * n * (3 if vector else 1)):
-                pts = rule.points[slots, q]
-                V = pot.target.values(pts)
-                W = rec.target.values(pts, slots)
-                if vector and W.ndim == 4:
-                    V = V @ (np.eye(3) - d[:, :, None] * d[:, None, :])[:, None]
-                elif vector:
-                    V = (V @ d[:, None, :, None])[..., 0]
-                R = _dof_values(pot.matrix, V)
-                R[np.arange(G)[:, None], rows] -= _dof_values(rec.matrix[slots], W)
-                S += h[:, p, None, None] * integrate_products(
-                    R, R, rule.weights[slots, q])
+            V, W = _trace_coords(pot.target._Cs, pot.target._core, rec, slots,
+                                 bank.group_rule(subgroup), what, d,
+                                 np.eye(3) - d[:, :, None] * d[:, None, :],
+                                 norm=True)
+            R = _dof_values(pot.matrix, V)
+            rows = _columns(pot.dofs, rec.dofs[slots])
+            R[np.arange(G)[:, None], rows] -= _dof_values(rec.matrix[slots], W)
+            R = R.reshape(G, n, -1)
+            S += h[:, p, None, None] * (R @ R.transpose(0, 2, 1))
     return _Forms(group, pot.dofs, S)
 
 

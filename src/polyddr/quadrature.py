@@ -32,10 +32,12 @@ every degree. The search runs per mesh entity group (Mesh.face_groups,
 Mesh.cell_groups): one pass per candidate anchor over all faces of one
 valence, or per candidate apex over all cells of one shape, each taking
 the first candidate that qualifies, with the arithmetic of the one-entity
-search, so the fans are the same bit for bit. A rule may also be asked
-for a sequence of entities whose fans have one size (an entity group, see
-polyspaces.BasisBank): it is then one stacked array over them, equal bit
-for bit to the per-entity rules.
+search, so the fans are the same bit for bit. The fans are kept as stacks
+of the entities of one mesh group with fans of one size, and the centroid
+fans as the mesh's own group stacks. A rule may also be asked for a
+sequence of entities whose fans have one size (an entity group, see
+polyspaces.BasisBank): its fans are gathered from those stacks, and it is
+one stacked array over them, equal bit for bit to the per-entity rules.
 """
 
 import functools
@@ -165,8 +167,8 @@ def _face_fan(mesh, group):
 
 
 def _cell_fan(mesh, group):
-    """Tetrahedra and six times their volumes of the coarsest valid fans of
-    the cells of one mesh cell group, as a list in group order.
+    """Stacks (ids, tetrahedra, six times their volumes) of the coarsest
+    valid fans of the cells of one mesh cell group, one per fan size.
 
     The apex is the first cell vertex whose tetrahedra over the face fans
     of the faces avoiding it all have 6 * volume above SIGN_RTOL * h_T^3;
@@ -176,7 +178,7 @@ def _cell_fan(mesh, group):
     """
     anchor = _VERTEX_FANS[mesh]["anchor"]
     valences = np.array(group.valences)
-    fans = [None] * len(group.ids)
+    out = []
     sizes = np.where(anchor[group.cells] >= 0, valences - 2, valences)
     for key, rows in _groups(sizes):
         cells, ids = group.cells[rows], group.ids[rows]
@@ -210,65 +212,107 @@ def _cell_fan(mesh, group):
             vol6[new] = at_k[new]
             if (apex >= 0).all():
                 break
-        # each cell's tetrahedra over the faces avoiding its apex
+        # each cell's tetrahedra over the faces avoiding its apex, stacked
+        # per count; cells without an apex keep their centroid fans
         at = np.arange(len(rows)), np.maximum(apex, 0)
         tets = np.empty(tris.shape[:2] + (4, 3))
         tets[:, :, 0] = mesh.vertices[verts[at], None]
         tets[:, :, 1:] = tris
-        for r, k, t, v, avoid in zip(rows.tolist(), apex.tolist(), tets, vol6,
-                                     ~contains[at]):
-            i = group.ids[r]
-            fans[r] = ((t[avoid], v[avoid]) if k >= 0
-                       else (mesh.cell_fans[i], mesh.cell_fan_vol6[i]))
-    return fans
+        avoid = ~contains[at]
+        count = np.where(apex >= 0, avoid.sum(axis=1), -1)
+        for (c,), part in _groups(count[:, None]):
+            if c < 0:
+                out.append((ids[part], mesh.cell_rows("cell_fans", ids[part]),
+                            mesh.cell_rows("cell_fan_vol6", ids[part])))
+            else:
+                mask = avoid[part]
+                out.append((ids[part], tets[part][mask].reshape(-1, c, 4, 3),
+                            vol6[part][mask].reshape(-1, c)))
+    return out
 
 
-# mesh -> {"face": [...], "cell": [...], "anchor": (nf,)}: the vertex fans
-# of every face or cell, searched once per mesh and shared by all rule
-# degrees, and each face's fan anchor
+class _FanTable:
+    """Fans of every face or cell of a mesh, stored as stacks of entities
+    with fans of one size: stacks[i] = (simplices, measures) of the
+    entities with gid i, at their slot; size is each entity's simplex
+    count."""
+
+    def __init__(self, count, parts):
+        self.gid = np.empty(count, dtype=int)
+        self.slot = np.empty(count, dtype=int)
+        self.size = np.empty(count, dtype=int)
+        self.stacks = []
+        for ids, simplices, measures in parts:
+            self.gid[ids] = len(self.stacks)
+            self.slot[ids] = np.arange(len(ids))
+            self.size[ids] = measures.shape[1]
+            self.stacks.append(_frozen(simplices, measures))
+        _frozen(self.gid, self.slot, self.size)
+
+    def gather(self, kind, ids):
+        """Stacked simplices (G, ns, d+1, 3) and measures (G, ns) of the
+        entities ids; all must have the same number of simplices."""
+        gid = self.gid[ids]
+        if (gid == gid[0]).all():
+            simplices, measures = self.stacks[gid[0]]
+            return simplices[self.slot[ids]], measures[self.slot[ids]]
+        if (self.size[ids] != self.size[ids[0]]).any():
+            raise ValueError(f"{kind}s of one rule group need fans of one size")
+        rows = [(self.stacks[g][0][s], self.stacks[g][1][s])
+                for g, s in zip(gid.tolist(), self.slot[ids].tolist())]
+        return np.stack([r[0] for r in rows]), np.stack([r[1] for r in rows])
+
+
+# mesh -> {"face": _FanTable, "cell": _FanTable, "anchor": (nf,), "data
+# face": ..., "data cell": ...}: the vertex fans of every face or cell,
+# searched once per mesh and shared by all rule degrees, each face's fan
+# anchor, and the centroid fans of the data rules
 _VERTEX_FANS = weakref.WeakKeyDictionary()
 
 
 def vertex_fans(mesh, kind):
-    """(simplices, measures) of the polynomial-rule fan of every face or
-    cell of the mesh, in entity order; searched on first use, for one
-    mesh entity group at a time."""
+    """The polynomial-rule fans of every face or cell of the mesh, as a
+    _FanTable; searched on first use, for one mesh entity group at a
+    time."""
     fans = _VERTEX_FANS.setdefault(mesh, {})
     if "face" not in fans:
-        out = [None] * mesh.num_faces
+        parts = []
         fans["anchor"] = np.empty(mesh.num_faces, dtype=int)
         for g in mesh.face_groups:
             anchor, tris, area2 = _face_fan(mesh, g)
             fans["anchor"][g.ids] = anchor
-            _frozen(tris, area2)
-            for i, a, t, w in zip(g.ids.tolist(), anchor.tolist(), tris, area2):
-                out[i] = ((t, w) if a >= 0
-                          else (mesh.face_fans[i], mesh.face_fan_area2[i]))
-        fans["face"] = out
+            ok = anchor >= 0
+            parts.append((g.ids[ok], tris[ok], area2[ok]))
+            parts.append((g.ids[~ok], g.face_fans[~ok], g.face_fan_area2[~ok]))
+        fans["face"] = _FanTable(mesh.num_faces, [p for p in parts if len(p[0])])
     if kind == "cell" and "cell" not in fans:
-        out = [None] * mesh.num_cells
-        for g in mesh.cell_groups:
-            for i, fan in zip(g.ids.tolist(), _cell_fan(mesh, g)):
-                _frozen(*fan)
-                out[i] = fan
-        fans["cell"] = out
+        fans["cell"] = _FanTable(mesh.num_cells, [
+            p for g in mesh.cell_groups for p in _cell_fan(mesh, g)])
     return fans[kind]
+
+
+def _centroid_fans(mesh, kind):
+    """The centroid fans of the mesh (the data rules'), as a _FanTable over
+    the mesh entity groups."""
+    fans = _VERTEX_FANS.setdefault(mesh, {})
+    key = "data " + kind
+    if key not in fans:
+        if kind == "face":
+            parts = [(g.ids, g.face_fans, g.face_fan_area2)
+                     for g in mesh.face_groups]
+        else:
+            parts = [(g.ids, g.cell_fans, g.cell_fan_vol6)
+                     for g in mesh.cell_groups]
+        fans[key] = _FanTable(mesh.num_faces if kind == "face"
+                              else mesh.num_cells, parts)
+    return fans[key]
 
 
 def _fans(mesh, kind, ids, data):
     """Stacked simplices (G, ns, d+1, 3) and measures (G, ns) of the fans
     of the entities ids; all must have the same number of simplices."""
-    if data:
-        simplices, measures = ((mesh.face_fans, mesh.face_fan_area2)
-                               if kind == "face"
-                               else (mesh.cell_fans, mesh.cell_fan_vol6))
-        pairs = [(simplices[i], measures[i]) for i in ids]
-    else:
-        fans = vertex_fans(mesh, kind)
-        pairs = [fans[i] for i in ids]
-    if len({len(m) for _, m in pairs}) > 1:
-        raise ValueError(f"{kind}s of one rule group need fans of one size")
-    return (np.stack([s for s, _ in pairs]), np.stack([m for _, m in pairs]))
+    table = _centroid_fans(mesh, kind) if data else vertex_fans(mesh, kind)
+    return table.gather(kind, ids)
 
 
 def face_rule(mesh, ids, degree, data=False):

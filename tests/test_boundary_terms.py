@@ -1,0 +1,236 @@
+"""Boundary integrals in coefficient space against the point-tabulation
+algorithm they replace.
+
+The oracle below builds the by-parts boundary terms and the trace
+stabilizations the direct way: it tabulates the tests, the potentials and
+the boundary reconstructions at the rule points of every boundary part and
+integrates the products with the rule weights. Swapped in for the library
+routines, it gives every boundary-term-bearing operator and every trace
+stabilization a second, independent value.
+"""
+
+import numpy as np
+import pytest
+
+from polyddr import ddrcore, products
+from polyddr.ddrcore import (
+    _boundary_parts,
+    _columns,
+    _through,
+    edge_reconstruct,
+    make_space,
+    op_curl_cell,
+    op_curl_face,
+    op_div_cell,
+    op_grad_cell,
+    op_grad_face,
+    op_potential,
+    op_scalar_trace,
+    op_tangential_trace,
+)
+from polyddr.mesh import Mesh, agglomerate_pairs, generate_cubic_mesh, generate_tet_mesh
+from polyddr.polyspaces import (
+    BasisBank,
+    PolyBasis,
+    _cross_matrix,
+    dim_P,
+    integrate_products,
+    trace_table,
+)
+from polyddr.products import _Forms, l2_product, stabilization
+
+
+def _boundary_term_at_points(space, group, M, idx, tests, trace, what,
+                             sign=1.0, degree=None):
+    """The boundary term of integration by parts from tabulations at the
+    boundary parts' rule points."""
+    blocks, dofs = [], []
+    for _, subgroup, slots, omega, n in _boundary_parts(space, group):
+        rec = _through(space, trace, subgroup)
+        rule = space.bank.group_rule(subgroup, degree)
+        pts = rule.points[slots]
+        V = tests.values(pts)
+        W = rec.target.values(pts, slots)
+        if V.ndim == 4:
+            if W.ndim == 4:
+                V = V @ _cross_matrix(n)[:, None]
+            else:
+                V = (V @ n[:, None, :, None])[..., 0]
+        T = integrate_products(V, W, rule.weights[slots])
+        blocks.append(omega[:, None, None] * (T @ rec.matrix[slots]))
+        dofs.append(rec.dofs[slots])
+    G, m, n = M.shape
+    cols = _columns(idx, np.concatenate(dofs, axis=1))
+    rows = np.arange(G * m).reshape(G, m, 1)
+    flat = (rows * n + cols[:, None, :]).ravel()
+    vals = np.concatenate(blocks, axis=2).ravel()
+    M += sign * np.bincount(flat, vals, M.size).reshape(M.shape)
+
+
+def _dof_values(matrix, V):
+    P = matrix.transpose(0, 2, 1) @ V.reshape(V.shape[0], V.shape[1], -1)
+    return P.reshape(P.shape[:2] + V.shape[2:])
+
+
+def _stab_trace_at_points(space, group, face_trace, edge_trace=None):
+    """The trace stabilization from the per-dof mismatches tabulated at the
+    boundary parts' rule points."""
+    mesh, bank = space.mesh, space.bank
+    pot = _through(space, op_potential, group)
+    G, n = pot.dofs.shape
+    S = np.zeros((G, n, n))
+    parts = [("face", group.faces, face_trace, mesh.face_diameters[group.faces])]
+    if edge_trace is not None:
+        parts.append(("edge", group.edges, edge_trace,
+                      mesh.edge_lengths[group.edges] ** 2))
+    vector = pot.target.value_dim > 1
+    for kind, ents, trace, h in parts:
+        for p in range(ents.shape[1]):
+            j = ents[:, p]
+            subgroup, slots = bank.locate(kind, j)
+            rule = bank.group_rule(subgroup)
+            rec = _through(space, trace, subgroup)
+            rows = _columns(pot.dofs, rec.dofs[slots])
+            d = mesh.face_normals[j] if kind == "face" else mesh.edge_tangents[j]
+            pts = rule.points[slots]
+            V = pot.target.values(pts)
+            W = rec.target.values(pts, slots)
+            if vector and W.ndim == 4:
+                V = V @ (np.eye(3) - d[:, :, None] * d[:, None, :])[:, None]
+            elif vector:
+                V = (V @ d[:, None, :, None])[..., 0]
+            R = _dof_values(pot.matrix, V)
+            R[np.arange(G)[:, None], rows] -= _dof_values(rec.matrix[slots], W)
+            S += h[:, p, None, None] * integrate_products(R, R, rule.weights[slots])
+    return _Forms(group, pot.dofs, S)
+
+
+def _jittered_tet_mesh(n, seed, amplitude=0.15):
+    """generate_tet_mesh(n) with seeded jitter of the interior coordinates
+    by up to amplitude * h; boundary vertices slide within their planes."""
+    data = generate_tet_mesh(n).to_dict()
+    vertices = np.array(data["vertices"])
+    offsets = np.random.default_rng(seed).uniform(
+        -amplitude / n, amplitude / n, size=vertices.shape)
+    free = (vertices > 0.0) & (vertices < 1.0)
+    return Mesh(vertices + np.where(free, offsets, 0.0), data["faces"],
+                data["cells"])
+
+
+CONFIGS = {
+    "tet1-k3": (lambda: generate_tet_mesh(1), 3),
+    "agglo2-k2": (lambda: agglomerate_pairs(generate_cubic_mesh(2), seed=0), 2),
+    "jittered-tet2-k0": (lambda: _jittered_tet_mesh(2, 5), 0),
+    "jittered-tet2-k1": (lambda: _jittered_tet_mesh(2, 5), 1),
+    "cubic2-k1": (lambda: generate_cubic_mesh(2), 1),
+}
+
+# every operator with a boundary term, per space, and the entities it acts on
+OPERATORS = {
+    "grad": ((op_grad_face, "face"), (op_scalar_trace, "face"),
+             (op_grad_cell, "cell"), (op_potential, "cell")),
+    "curl": ((op_curl_face, "face"), (op_tangential_trace, "face"),
+             (op_curl_cell, "cell"), (op_potential, "cell")),
+    "div": ((op_div_cell, "cell"), (op_potential, "cell")),
+}
+
+
+def _spaces(mesh, k):
+    """Fresh grad, curl and div spaces on one bank. Edge reconstructions
+    take point values at the vertices, not boundary integrals, so they are
+    built here, before the rest is watched."""
+    bank = BasisBank(mesh, k)
+    spaces = {which: make_space(mesh, which, k, bank=bank) for which in OPERATORS}
+    for e in range(mesh.num_edges):
+        edge_reconstruct(spaces["grad"], e)
+    return spaces
+
+
+def _build_all(spaces):
+    """Every boundary-term-bearing operator, stabilization and product:
+    {(space, name, entity): matrix}."""
+    out = {}
+    for which, ops in OPERATORS.items():
+        space = spaces[which]
+        mesh = space.mesh
+        for op, kind in ops:
+            count = mesh.num_faces if kind == "face" else mesh.num_cells
+            for i in range(count):
+                out[(which, op.__name__, i)] = op(space, i).matrix
+        for c in range(mesh.num_cells):
+            out[(which, "stabilization", c)] = stabilization(space, c).matrix
+            out[(which, "l2_product", c)] = l2_product(space, c).matrix
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_boundary_integrals_match_the_point_oracle(monkeypatch, name):
+    make, k = CONFIGS[name]
+    mesh = make()
+
+    # the library build tabulates no basis at boundary rule points
+    calls = []
+    values = PolyBasis.values
+
+    def watched(self, *args, **kwargs):
+        calls.append(self.kind)
+        return values(self, *args, **kwargs)
+
+    spaces = _spaces(mesh, k)
+    monkeypatch.setattr(PolyBasis, "values", watched)
+    got = _build_all(spaces)
+    assert calls == []
+
+    monkeypatch.setattr(ddrcore, "_add_boundary_term", _boundary_term_at_points)
+    monkeypatch.setattr(products, "_stab_trace", _stab_trace_at_points)
+    spaces = _spaces(mesh, k)
+    before = len(calls)
+    want = _build_all(spaces)
+    assert len(calls) > before  # the oracle did tabulate
+
+    assert got.keys() == want.keys()
+    for key, ref in want.items():
+        which, op, c = key
+        if op == "stabilization":
+            # the grad-space stabilization at k=0 on tets is pure roundoff,
+            # so stabilizations are measured against their product's scale
+            scale = np.abs(want[(which, "l2_product", c)]).max()
+        else:
+            scale = np.abs(ref).max()
+        err = np.abs(got[key] - ref).max() if ref.size else 0.0
+        assert err <= 1e-12 * scale, (key, err, scale)
+
+
+def test_inexact_boundary_rule_names_the_operator(monkeypatch):
+    """The scalar face trace integrates degree-(k+2) tests against the
+    degree-(k+1) edge reconstruction, so its edge rule must be exact to
+    degree 2k+3; with the default edge rule (2k+2) the build stops."""
+    default = BasisBank._degree
+    monkeypatch.setattr(BasisBank, "_degree",
+                        lambda self, kind, degree: default(self, kind, None))
+    space = make_space(generate_tet_mesh(1), "grad", 1)
+    op_grad_face(space, 0)  # degree 1 + 2 fits the default edge rule
+    with pytest.raises(ValueError) as err:
+        op_scalar_trace(space, 0)
+    assert str(err.value) == (
+        "scalar face trace: traces of degree 3 against degree-2 members need "
+        "a rule exact to degree 5; the rule is exact to degree 4")
+
+
+def test_trace_norm_needs_the_trace_in_the_member_span():
+    """A squared trace norm in coordinates needs the trace inside the span
+    of the members, whatever the rule."""
+    mesh = generate_tet_mesh(1)
+    bank = BasisBank(mesh, 1)
+    group = bank.groups("cell")[0]
+    core = bank.group_core(group)
+    subgroup, slots = bank.locate("face", group.faces[:, 0])
+    sub, rule = bank.group_core(subgroup), bank.group_rule(subgroup)
+    n, k = dim_P(2, 3), dim_P(1, 2)
+    T = trace_table(core, sub, slots, rule, n, k, "probe")
+    assert T.shape == (len(group), n, k)
+    with pytest.raises(ValueError) as err:
+        trace_table(core, sub, slots, rule, n, k, "probe", norm=True)
+    assert str(err.value) == (
+        "probe: traces of degree 2 against degree-1 members need degree "
+        "2 <= 1 and a rule exact to degree 3; the rule is exact to degree 6")

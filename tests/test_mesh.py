@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -350,6 +351,20 @@ def test_vertex_id_past_the_end_rejected():
     f[4] = f[4][:3] + [8]
     with pytest.raises(MeshError, match="^face 4 references a missing vertex$"):
         Mesh(v, f, c)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_vertex_rejected_before_geometry(bad):
+    """A NaN or infinite coordinate is named as such, before any geometry
+    (and so any floating-point warning) is computed."""
+    v, f, c = _cube_data()
+    v[5, 1] = bad
+    v[6, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeshError,
+                           match="^vertex 5 has a non-finite coordinate$"):
+            Mesh(v, f, c)
 
 
 @settings(max_examples=20, deadline=None)

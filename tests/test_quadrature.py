@@ -361,3 +361,56 @@ def test_fans_are_searched_once_and_stacked_rules_are_bitwise(monkeypatch, name)
     # one search per mesh entity group, for all degrees
     assert calls == {"_face_fan": len(m.face_groups),
                      "_cell_fan": len(m.cell_groups)}
+
+
+def _signature_groups(m, kind):
+    """Entity ids grouped by a per-entity signature, groups in order of
+    their first entity: face valence and polynomial-rule fan size; for
+    cells the valences and fan sizes of their faces in local order, their
+    edge and vertex counts and their own fan size. A degree-0 rule has one
+    point per fan simplex."""
+    def fan(kind, i):
+        return len(entity_rule(m, kind, i, 0))
+
+    if kind == "edge":
+        keys = [()] * m.num_edges
+    elif kind == "face":
+        keys = [(len(loop), fan("face", f)) for f, loop in enumerate(m.faces)]
+    else:
+        keys = [(tuple(len(m.faces[f]) for f in faces),
+                 tuple(fan("face", f) for f in faces),
+                 len(m.cell_edges[c]), len(m.cell_vertices[c]), fan("cell", c))
+                for c, faces in enumerate(m.cells)]
+    members = {}
+    for i, key in enumerate(keys):
+        members.setdefault(key, []).append(i)
+    return list(members.values())
+
+
+@pytest.mark.parametrize("name", sorted(POLY_MESHES) + ["agglo3", "pentagram"])
+def test_entity_groups_follow_the_per_entity_signatures(name):
+    from polyddr.polyspaces import BasisBank
+
+    if name == "pentagram":
+        m = pentagram_prism()
+    elif name == "agglo3":
+        m = agglomerate_pairs(generate_cubic_mesh(3), seed=0)
+    else:
+        m = POLY_MESHES[name]()
+    bank = BasisBank(m, 0)
+    per_entity = {
+        "face": {"vertices": m.faces, "edges": m.face_edges,
+                 "signs": m.face_edge_signs, "edge_normals": m.face_edge_normals},
+        "cell": {"vertices": m.cell_vertices, "edges": m.cell_edges,
+                 "faces": m.cells, "signs": m.cell_face_signs},
+    }
+    for kind in ("edge", "face", "cell"):
+        want = _signature_groups(m, kind)
+        groups = bank.groups(kind)
+        assert [g.ids.tolist() for g in groups] == want
+        for g in groups:
+            for slot, i in enumerate(g.ids.tolist()):
+                assert bank.group(kind, i) == (g, slot)
+            for attr, rows in per_entity.get(kind, {}).items():
+                stack = np.array([rows[i] for i in g.ids])
+                assert np.array_equal(getattr(g, attr), stack), (kind, attr)
