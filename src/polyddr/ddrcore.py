@@ -54,6 +54,10 @@ condition number 1e12 aborts with a message naming the operator, the
 entity (the one asked for if it fails, else the group's worst) and the
 condition number, and the worst condition number per operator is kept in
 DofSpace.worst_cond.
+
+`interpolate` gives the dofs of a smooth field, stacked per entity group
+with the data rules; `local_interpolation` those of the members of a
+polynomial basis on one face or cell, with the polynomial rules.
 """
 
 import functools
@@ -78,7 +82,7 @@ __all__ = [
     "LocalOperator",
     "make_space",
     "interpolate",
-    "entity_moments",
+    "local_interpolation",
     "edge_reconstruct",
     "op_grad_edge",
     "op_grad_face",
@@ -404,31 +408,38 @@ def _families(space, kind):
     return space.face_families if kind == "face" else space.cell_families
 
 
-def entity_moments(space, kind, index, rule, vals):
-    """One entity's block of degrees of freedom from values at rule points.
+def local_interpolation(space, kind, index, basis):
+    """Local interpolation of a polynomial basis on a face or cell: column
+    j is the local dof vector (in local_dofs order) of member j of basis.
 
-    vals tabulates m functions at the points of rule, (m, npts) scalar or
-    (m, npts, 3) vector; the result is (block width, m). A vertex block is
-    the value itself (vals at the vertex, rule unused). Edge blocks are
-    moments against the edge basis, of the tangential component in the
-    field space. Face blocks are moments of the normal component in the
-    flux space and family moments otherwise; cell blocks are family
-    moments. Every dof basis is orthonormal, so the moments are L2
-    projection coefficients.
+    A vertex block is the member's value. Edge blocks are moments against
+    the edge basis, of the tangential component in the field space. Face
+    blocks are moments of the normal component in the flux space and
+    family moments otherwise; cell blocks are family moments. Every dof
+    basis is orthonormal, so the moments are L2 projection coefficients,
+    here taken with each entity's polynomial rule, exact for the members
+    of the local potentials' targets.
     """
-    if kind == "vertex":
-        return vals.T
-    mesh = space.mesh
-    if kind == "edge" and space.which == "curl":
-        vals = vals @ mesh.edge_tangents[index]
-    elif kind == "face" and space.which == "div":
-        vals = vals @ mesh.face_normals[index]
-    blocks = [np.zeros((0, len(vals)))]
-    for fam, l in _families(space, kind):
-        b = space.bank.basis(fam, kind, index, l)
-        if b.dim:
-            blocks.append(integrate_products(b.eval(rule.points), vals, rule.weights))
-    return np.concatenate(blocks)
+    mesh, bank = space.mesh, space.bank
+    idx, layout = space.local_dofs(kind, index)
+    J = np.zeros((len(idx), basis.dim))
+    for (ent, i), sl in layout.items():
+        if sl.start == sl.stop:
+            continue
+        if ent == "vertex":
+            J[sl] = basis.eval(mesh.vertices[[i]]).T
+            continue
+        rule = bank.rule(ent, i)
+        vals = basis.eval(rule.points)
+        if ent == "edge" and space.which == "curl":
+            vals = vals @ mesh.edge_tangents[i]
+        elif ent == "face" and space.which == "div":
+            vals = vals @ mesh.face_normals[i]
+        J[sl] = np.concatenate([
+            integrate_products(b.eval(rule.points), vals, rule.weights)
+            for b in (bank.basis(fam, ent, i, l)
+                      for fam, l in _families(space, ent)) if b.dim])
+    return J
 
 
 def interpolate(space, f, degree=None):

@@ -679,24 +679,19 @@ def subspace_basis(mesh, kind, index, family, l, core=None, rule=None):
 # projections, recovery, diagnostics
 
 
-def l2_project(basis, f, rule=None, mesh=None):
+def l2_project(basis, f, rule=None):
     """Coefficients of the L2 projection of a field onto the basis.
 
     f is a callable on an (npts, 3) array of points returning (npts,) for
     scalar bases or (npts, 3) for vector bases, or those values; 3-vector
     fields over faces are projected onto the tangent plane implicitly
-    (members are tangent). Without a rule, mesh selects the data rule of
-    degree 2l+2 for a non-polynomial f; with neither, the basis' own
-    polynomial rule is used. A group's stacked basis with a stacked rule
-    gives the coefficients of every entity, (G, dim), evaluating f block
-    by block of entities (value_blocks).
+    (members are tangent). Without a rule, the basis' own polynomial rule
+    is used. A group's stacked basis with a stacked rule gives the
+    coefficients of every entity, (G, dim), evaluating f block by block of
+    entities (value_blocks).
     """
     if rule is None:
-        if mesh is None:
-            rule = basis._core.rule
-        else:
-            rule = entity_rule(mesh, basis.entity_kind, basis.entity_id,
-                               2 * max(basis.degree, 0) + 2, data=True)
+        rule = basis._core.rule
     single = rule.points.ndim == 2
     pts = rule.points[None] if single else rule.points
     weights = rule.weights[None] if single else rule.weights

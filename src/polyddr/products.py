@@ -35,11 +35,18 @@ used in the stability and convergence diagnostics.
 Local forms are built for a whole cell group at once, as stacked arrays
 with one leading axis over the group's cells (see ddrcore), and kept in
 the space's cache; global assembly scatters one stacked block per group.
+
+The load vector of a field (load_vector) pairs it with the potential of
+every dof: one stacked projection by the data rule and one scatter per
+cell group. It is the scheme's source term, the smooth part of the
+adjoint consistency functionals and the mean constraint of the scalar
+Poincaré constant.
 """
 
 import numpy as np
 from scipy import sparse
 
+from .polyspaces import l2_project
 from .ddrcore import (
     _columns,
     _edge_values,
@@ -50,7 +57,7 @@ from .ddrcore import (
     _through,
     _trace_coords,
     edge_reconstruct,
-    entity_moments,
+    local_interpolation,
     op_scalar_trace,
     op_tangential_trace,
     op_potential,
@@ -65,6 +72,7 @@ __all__ = [
     "component_norm",
     "assemble_product",
     "graph_norms",
+    "load_vector",
 ]
 
 
@@ -188,14 +196,7 @@ def stabilization(space, c, variant="trace"):
     if variant == "trace" or space.which == "l2":
         return _entity(space, "stabilization", _stabilization, "cell", c)
     pot = op_potential(space, c)
-    J = np.zeros((len(pot.dofs), pot.target.dim))
-    for (kind, i), sl in pot.layout.items():
-        if kind == "vertex":
-            rule, pts = None, space.mesh.vertices[[i]]
-        else:
-            rule = space.bank.rule(kind, i)
-            pts = rule.points
-        J[sl] = entity_moments(space, kind, i, rule, pot.target.eval(pts))
+    J = local_interpolation(space, "cell", c, pot.target)
     R = np.eye(len(pot.dofs)) - J @ pot.matrix
     C = component_gram(space, c)
     return LocalBilinearForm(("cell", c), pot.dofs, R.T @ C @ R)
@@ -321,3 +322,24 @@ def graph_norms(space_curl, space_div, space_l2, field_vals, flux_vals,
     dv = D @ flux_vals
     flux_sq = float(flux_vals @ (Md @ flux_vals)) + float(dv @ dv)
     return np.sqrt(field_sq), np.sqrt(flux_sq)
+
+
+# ----------------------------------------------------------------------
+# load vectors
+
+
+def load_vector(space, f, degree):
+    """Load vector of a field: entry i is the integral of f against the
+    potential reconstruction of dof i's basis vector, summed over cells.
+    f is a callable on (npts, 3) points, scalar for the scalar space and
+    a 3-vector otherwise, integrated by the data rule of the given degree;
+    one stacked projection and one scatter per cell group."""
+    bank = space.bank
+    out = np.zeros(space.dim)
+    for group in bank.groups("cell"):
+        rule = bank.group_rule(group, degree, data=True)
+        pot = _through(space, op_potential, group)
+        moments = l2_project(pot.target, f, rule=rule)
+        load = (pot.matrix.transpose(0, 2, 1) @ moments[..., None])[..., 0]
+        out += np.bincount(pot.dofs.ravel(), load.ravel(), len(out))
+    return out

@@ -7,6 +7,10 @@ paired with the potential; the second applies the discrete curl to the
 field and adds a divergence penalty that fixes the gauge. The assembled
 block matrix is [[a, -b^T], [b, c]] with a symmetric positive definite
 and c positive semidefinite, solved by a direct sparse factorization.
+The load is the source's load vector on the face-based space
+(products.load_vector). Non-finite permeabilities are rejected up front,
+and a solve whose relative residual is not below the limit, NaN included,
+raises.
 
 The bundled manufactured solution lives on the unit cube: the potential
 is the rotated gradient of a separable trigonometric scalar, so it is
@@ -18,16 +22,14 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .polyspaces import BasisBank, l2_project
+from .polyspaces import BasisBank
 from .ddrcore import (
-    _through,
     make_space,
-    op_potential,
     interpolate,
     global_operator,
     INTERP_DEGREE_MARGIN,
 )
-from .products import assemble_product, graph_norms
+from .products import assemble_product, graph_norms, load_vector
 
 __all__ = [
     "MagnetostaticsProblem",
@@ -59,6 +61,10 @@ class MagnetostaticsProblem:
             mu = np.full(mesh.num_cells, float(mu))
         if mu.shape != (mesh.num_cells,):
             raise ValueError("permeability must be scalar or per-cell")
+        bad = np.flatnonzero(~np.isfinite(mu))
+        if bad.size:
+            raise ValueError(
+                f"permeability of cell {bad[0]} is not finite ({mu[bad[0]]})")
         if not np.all(mu > 0):
             raise ValueError("permeability must be strictly positive")
         self.mu = mu
@@ -93,24 +99,6 @@ class SparseSystem:
         self.residual = None
 
 
-def _source_vector(problem, space_div):
-    """Load vector: the source integrated against the potential
-    reconstruction of each test function, with oversampled quadrature;
-    one stacked contraction and one scatter per cell group."""
-    bank = space_div.bank
-    degree = 2 * problem.degree + INTERP_DEGREE_MARGIN
-    out = np.zeros(space_div.dim)
-    if problem.source is None:
-        return out
-    for group in bank.groups("cell"):
-        rule = bank.group_rule(group, degree, data=True)
-        pot = _through(space_div, op_potential, group)
-        moments = l2_project(pot.target, problem.source, rule=rule)
-        load = (pot.matrix.transpose(0, 2, 1) @ moments[..., None])[..., 0]
-        out += np.bincount(pot.dofs.ravel(), load.ravel(), len(out))
-    return out
-
-
 def assemble(problem, threads=None):
     """Assemble the block system [[a, -b^T], [b, c]] and the load.
 
@@ -124,7 +112,12 @@ def assemble(problem, threads=None):
     b = (md @ uC).tocsr()
     c = (D.T @ D).tocsr()
     matrix = sparse.bmat([[a, -b.T], [b, c]], format="csr")
-    rhs = np.concatenate([np.zeros(sc.dim), _source_vector(problem, sd)])
+    if problem.source is None:
+        load = np.zeros(sd.dim)
+    else:
+        load = load_vector(sd, problem.source,
+                           2 * problem.degree + INTERP_DEGREE_MARGIN)
+    rhs = np.concatenate([np.zeros(sc.dim), load])
     return SparseSystem(matrix, rhs, sc.dim, sd.dim)
 
 
@@ -139,7 +132,7 @@ def solve(system):
     num = np.linalg.norm(system.matrix @ x - system.rhs)
     den = max(np.linalg.norm(system.rhs), 1e-30)
     residual = num / den
-    if residual > RESIDUAL_LIMIT:
+    if not residual <= RESIDUAL_LIMIT:
         pivot = np.abs(lu.U.diagonal()).min()
         raise RuntimeError(
             f"solver residual {residual:.3e} exceeds {RESIDUAL_LIMIT:.0e} "

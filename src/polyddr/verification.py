@@ -9,6 +9,14 @@ Each check returns a CheckReport carrying the measured quantities, the
 tolerances used, and per-entity failure notes. Rate checks fit slopes on
 the finest consecutive pair of levels and allow a 0.3 slack under the
 expected order, since desk-scale meshes are pre-asymptotic.
+
+Whole-mesh sums run over cell groups on the library's stacks: the primal
+L2 errors tabulate the group's polynomials at its data rule block by
+block of cells, the stabilization seminorms sum the stacked forms, and
+the smooth parts of the adjoint functionals and the Poincaré mean
+constraint are load vectors (products.load_vector) paired with dof
+vectors. Polynomial consistency compares each cell's local operators with
+its local interpolation (ddrcore.local_interpolation).
 """
 
 import json
@@ -18,17 +26,19 @@ import numpy as np
 import scipy.linalg as la
 
 from .mesh import generate_cubic_mesh, generate_tet_mesh, agglomerate_pairs
-from .polyspaces import BasisBank, dim_P, l2_project
+from .polyspaces import BasisBank, integrate_products, l2_project, value_blocks
 from .ddrcore import (
+    _through,
     make_space,
     interpolate,
+    local_interpolation,
     op_potential,
     op_tangential_trace,
     op_curl_cell,
     op_div_cell,
     global_operator,
 )
-from .products import stabilization, l2_product, assemble_product
+from .products import stabilization, l2_product, assemble_product, load_vector
 
 __all__ = [
     "CheckReport",
@@ -66,35 +76,24 @@ class CheckReport:
     def record(self, key, value):
         self.metrics[key] = value
 
-    def gate_below(self, key, value, tol, context=""):
+    def _gate(self, key, value, tolerance, held, failure, context):
         self.metrics[key] = value
-        self.tolerances[key] = f"< {tol:g}"
-        if not value < tol:
+        self.tolerances[key] = tolerance
+        if not held:
             self.passed = False
-            self.failures.append(
-                f"{key} = {value:.6g} not below {tol:g}"
-                + (f" ({context})" if context else "")
-            )
+            self.failures.append(failure + (f" ({context})" if context else ""))
+
+    def gate_below(self, key, value, tol, context=""):
+        self._gate(key, value, f"< {tol:g}", value < tol,
+                   f"{key} = {value:.6g} not below {tol:g}", context)
 
     def gate_at_least(self, key, value, bound, context=""):
-        self.metrics[key] = value
-        self.tolerances[key] = f">= {bound:g}"
-        if not value >= bound:
-            self.passed = False
-            self.failures.append(
-                f"{key} = {value:.6g} below {bound:g}"
-                + (f" ({context})" if context else "")
-            )
+        self._gate(key, value, f">= {bound:g}", value >= bound,
+                   f"{key} = {value:.6g} below {bound:g}", context)
 
     def gate_equal(self, key, value, expected, context=""):
-        self.metrics[key] = value
-        self.tolerances[key] = f"== {expected}"
-        if value != expected:
-            self.passed = False
-            self.failures.append(
-                f"{key} = {value} != {expected}"
-                + (f" ({context})" if context else "")
-            )
+        self._gate(key, value, f"== {expected}", value == expected,
+                   f"{key} = {value} != {expected}", context)
 
     @property
     def status(self):
@@ -337,56 +336,6 @@ def check_commutation(mesh, k, seed=0, degree=None, bank=None):
 # polynomial consistency
 
 
-def _moments(tests, values, weights):
-    """(m, j) matrix of sum_p weights[p] tests[m, p, ...] . values[j, p, ...]
-    for tabulations with matching trailing axes; the oracle's own
-    contraction, kept apart from integrate_products."""
-    wt = tests * weights.reshape((-1,) + (1,) * (tests.ndim - 2))
-    axes = list(range(1, tests.ndim))
-    return np.tensordot(wt, values, axes=(axes, axes))
-
-
-def _local_interp(space, kind, index, target):
-    """Local interpolation matrix: columns are the local dof vectors of
-    the members of an arbitrary evaluable cell/face polynomial basis,
-    computed by quadrature moments (independent of the operator code)."""
-    mesh = space.mesh
-    bank = space.bank
-    k = space.k
-    idx, layout = space.local_dofs(kind, index)
-    J = np.zeros((len(idx), target.dim))
-
-    for key, sl in layout.items():
-        ent, i = key
-        if ent == "vertex":
-            J[sl] = target.eval(mesh.vertices[i][None, :])[:, 0]
-            continue
-        rule = bank.rule(ent, i)
-        if space.which == "grad":
-            # scalar moments of degree k-1 on edges, faces and cells
-            b = bank.scalars(ent, i, k - 1)
-            J[sl] = _moments(b.eval(rule.points), target.eval(rule.points),
-                             rule.weights)
-        elif ent == "edge" or (ent == "face" and space.which == "div"):
-            # tangential edge or normal face moments of degree k
-            axis = (mesh.edge_tangents[i] if ent == "edge"
-                    else mesh.face_normals[i])
-            b = bank.scalars(ent, i, k)
-            J[sl] = _moments(b.eval(rule.points),
-                             target.eval(rule.points) @ axis, rule.weights)
-        else:
-            families = (space.face_families if ent == "face"
-                        else space.cell_families)
-            for fi, (fam, l) in enumerate(families):
-                b = bank.subspace(ent, i, fam, l)
-                if b.dim == 0:
-                    continue
-                J[space.sub_slice(layout, ent, i, fi)] = _moments(
-                    b.eval(rule.points), target.eval(rule.points),
-                    rule.weights)
-    return J
-
-
 def check_polynomial_consistency(mesh, k, seed=0, bank=None):
     """Potentials invert local interpolation on their target spaces; the
     flux potential and tangential face trace reduce to plain projections
@@ -412,44 +361,41 @@ def check_polynomial_consistency(mesh, k, seed=0, bank=None):
             offenders[key] = entity
 
     for c in range(mesh.num_cells):
+        pots = {w: op_potential(spaces[w], c) for w in spaces}
+        J = {w: local_interpolation(spaces[w], "cell", c, pots[w].target)
+             for w in spaces}
         for which, key in (("grad", "scalar_potential"), ("curl", "field_potential")):
-            space = spaces[which]
-            pot = op_potential(space, c)
-            J = _local_interp(space, "cell", c, pot.target)
-            resid = np.abs(pot.matrix @ J - np.eye(pot.target.dim)).max()
+            pot = pots[which]
+            resid = np.abs(pot.matrix @ J[which] - np.eye(pot.target.dim)).max()
             track(key, resid, ("cell", c))
 
-        space = spaces["div"]
-        pot = op_potential(space, c)
+        pot = pots["div"]
         rt = bank.subspace("cell", c, "raviart_thomas", k + 1)
-        J = _local_interp(space, "cell", c, rt)
+        Jrt = local_interpolation(spaces["div"], "cell", c, rt)
         proj = rt.coeff_matrix()[:, : pot.target.dim].T
-        resid = np.abs(pot.matrix @ J - proj).max() / max(
+        resid = np.abs(pot.matrix @ Jrt - proj).max() / max(
             np.abs(proj).max(), 1e-30
         )
         track("flux_potential_trimmed", resid, ("cell", c))
 
         space = spaces["curl"]
         ne = bank.subspace("cell", c, "nedelec", k + 1)
-        rule_cache = {}
         for f in [int(x) for x in mesh.cells[c]]:
             tr = op_tangential_trace(space, f)
-            Jf = _local_interp(space, "face", f, ne)
-            rule = rule_cache.setdefault(f, bank.rule("face", f))
+            Jf = local_interpolation(space, "face", f, ne)
+            rule = bank.rule("face", f)
             nrm = mesh.face_normals[f]
             vals = ne.eval(rule.points)
             tang = vals - (vals @ nrm)[:, :, None] * nrm
-            proj = _moments(tr.target.eval(rule.points), tang, rule.weights)
+            proj = integrate_products(tr.target.eval(rule.points), tang,
+                                      rule.weights)
             scale = max(np.abs(proj).max(), 1e-30)
             resid = np.abs(tr.matrix @ Jf - proj).max() / scale
             track("tangential_trace_trimmed", resid, ("face", f))
 
-        for which in ("grad", "curl", "div"):
-            space = spaces[which]
-            pot = op_potential(space, c)
-            J = _local_interp(space, "cell", c, pot.target)
-            a = rng.standard_normal(pot.target.dim)
-            vloc = J @ a
+        for which, space in spaces.items():
+            a = rng.standard_normal(pots[which].target.dim)
+            vloc = J[which] @ a
             s = stabilization(space, c).matrix
             m = l2_product(space, c).matrix
             num = abs(float(vloc @ s @ vloc))
@@ -595,6 +541,38 @@ def _pair_slope(hs, errs):
     return float(np.log(e0 / e1) / np.log(hs[-2] / hs[-1]))
 
 
+def _l2_error_sq(space, op, dofs, f, degree):
+    """Squared L2 distance over the mesh between the cell polynomials of
+    op (op_potential, op_curl_cell, ...) applied to the dof vector dofs and
+    the field f, by the data rule of the given degree: stacked over cell
+    groups and evaluated block by block of cells (value_blocks)."""
+    bank = space.bank
+    total = 0.0
+    for group in bank.groups("cell"):
+        rule = bank.group_rule(group, degree, data=True)
+        ops = _through(space, op, group)
+        u = (ops.matrix @ dofs[ops.dofs][..., None])[..., 0]
+        for sl in value_blocks(*rule.weights.shape):
+            pts = rule.points[sl]
+            diff = np.einsum("gm,gm...->g...", u[sl], ops.target.values(pts, sl))
+            diff -= np.asarray(f(pts.reshape(-1, 3))).reshape(diff.shape)
+            sq = diff ** 2 if diff.ndim == 2 else np.sum(diff ** 2, axis=2)
+            total += float(np.sum(sq * rule.weights[sl]))
+    return total
+
+
+def _stabilization_sq(space, dofs):
+    """Sum over the cells of the stabilization seminorms of a dof vector,
+    each clipped at zero against roundoff."""
+    total = 0.0
+    for group in space.bank.groups("cell"):
+        form = _through(space, stabilization, group)
+        u = dofs[form.dofs]
+        sq = np.einsum("gi,gij,gj->g", u, form.matrix, u)
+        total += float(np.sum(np.maximum(sq, 0.0)))
+    return total
+
+
 def check_primal_consistency(family, k, levels, seed=0):
     """Approximation rates of the potentials, the cell operators, and
     the stabilization seminorms on interpolates of fixed smooth fields.
@@ -605,82 +583,37 @@ def check_primal_consistency(family, k, levels, seed=0):
     report = CheckReport(f"primal_consistency({family},k={k})")
     build = mesh_family(family)
     rng = np.random.default_rng(seed)
-    fq = TrigScalar.random(rng)
-    fv = TrigVector.random(rng)
-    fw = TrigVector.random(rng)
-    scalar = fq.eval
-    vec = fv.eval
-    vec_curl = fv.curl().eval
-    wvec = fw.eval
-    wdiv = fw.div().eval
+    q = TrigScalar.random(rng)
+    v = TrigVector.random(rng)
+    w = TrigVector.random(rng)
 
     hs = []
-    errs = {
-        key: []
-        for key in (
-            "scalar_potential",
-            "field_potential",
-            "flux_potential",
-            "cell_curl",
-            "cell_divergence",
-            "stab_scalar",
-            "stab_field",
-            "stab_flux",
-        )
-    }
+    errs = {}
     for n in levels:
         mesh = build(n)
         bank = BasisBank(mesh, k)
         sg = make_space(mesh, "grad", k, bank=bank)
         sc = make_space(mesh, "curl", k, bank=bank)
         sd = make_space(mesh, "div", k, bank=bank)
-        vg = interpolate(sg, scalar).values
-        vc = interpolate(sc, vec).values
-        vd = interpolate(sd, wvec).values
+        vg = interpolate(sg, q.eval).values
+        vc = interpolate(sc, v.eval).values
+        vd = interpolate(sd, w.eval).values
 
-        acc = dict.fromkeys(errs, 0.0)
         degree = 2 * k + 6
-        for c in range(mesh.num_cells):
-            rule = bank.rule("cell", c, degree, data=True)
-            w = rule.weights
-
-            pot = op_potential(sg, c)
-            diff = pot.apply(vg) @ pot.target.eval(rule.points) - scalar(rule.points)
-            acc["scalar_potential"] += float(np.sum(diff ** 2 * w))
-
-            pot = op_potential(sc, c)
-            vals = np.einsum(
-                "s,spx->px", pot.apply(vc), pot.target.eval(rule.points)
-            ) - vec(rule.points)
-            acc["field_potential"] += float(np.einsum("px,px,p->", vals, vals, w))
-
-            pot = op_potential(sd, c)
-            vals = np.einsum(
-                "s,spx->px", pot.apply(vd), pot.target.eval(rule.points)
-            ) - wvec(rule.points)
-            acc["flux_potential"] += float(np.einsum("px,px,p->", vals, vals, w))
-
-            op = op_curl_cell(sc, c)
-            vals = np.einsum(
-                "s,spx->px", op.apply(vc), op.target.eval(rule.points)
-            ) - vec_curl(rule.points)
-            acc["cell_curl"] += float(np.einsum("px,px,p->", vals, vals, w))
-
-            op = op_div_cell(sd, c)
-            diff = op.apply(vd) @ op.target.eval(rule.points) - wdiv(rule.points)
-            acc["cell_divergence"] += float(np.sum(diff ** 2 * w))
-
-            for space, dofvals, key in (
-                (sg, vg, "stab_scalar"),
-                (sc, vc, "stab_field"),
-                (sd, vd, "stab_flux"),
-            ):
-                form = stabilization(space, c)
-                acc[key] += max(form.apply(dofvals, dofvals), 0.0)
-
+        sq = {
+            "scalar_potential": _l2_error_sq(sg, op_potential, vg, q.eval, degree),
+            "field_potential": _l2_error_sq(sc, op_potential, vc, v.eval, degree),
+            "flux_potential": _l2_error_sq(sd, op_potential, vd, w.eval, degree),
+            "cell_curl": _l2_error_sq(sc, op_curl_cell, vc, v.curl().eval, degree),
+            "cell_divergence": _l2_error_sq(sd, op_div_cell, vd, w.div().eval,
+                                            degree),
+            "stab_scalar": _stabilization_sq(sg, vg),
+            "stab_field": _stabilization_sq(sc, vc),
+            "stab_flux": _stabilization_sq(sd, vd),
+        }
         hs.append(mesh.h)
-        for key in errs:
-            errs[key].append(np.sqrt(acc[key]))
+        for key, value in sq.items():
+            errs.setdefault(key, []).append(np.sqrt(value))
 
     expected = {
         "scalar_potential": k + 2,
@@ -787,11 +720,7 @@ def check_adjoint_decay(family, k, levels, seed=0):
         gq = uG @ q_dofs
         v_int = interpolate(sc, v_eval).values
         total = float(v_int @ (Mc @ gq))
-        for c in range(mesh.num_cells):
-            rule = bank.rule("cell", c, degree, data=True)
-            pot = op_potential(sg, c)
-            pvals = pot.apply(q_dofs) @ pot.target.eval(rule.points)
-            total += float(np.sum(v_div(rule.points) * pvals * rule.weights))
+        total += float(q_dofs @ load_vector(sg, v_div, degree))
         denom = np.sqrt(float(gq @ (Mc @ gq)))
         vals["gradient"].append(abs(total) / denom)
 
@@ -799,15 +728,7 @@ def check_adjoint_decay(family, k, levels, seed=0):
         cv = uC @ v_dofs
         w_int = interpolate(sd, w_eval).values
         total = float(w_int @ (Md @ cv))
-        for c in range(mesh.num_cells):
-            rule = bank.rule("cell", c, degree, data=True)
-            pot = op_potential(sc, c)
-            pvals = np.einsum(
-                "s,spx->px", pot.apply(v_dofs), pot.target.eval(rule.points)
-            )
-            total -= float(
-                np.einsum("px,px,p->", w_curl(rule.points), pvals, rule.weights)
-            )
+        total -= float(v_dofs @ load_vector(sc, w_curl, degree))
         denom = np.sqrt(float(v_dofs @ (Mc @ v_dofs))) + np.sqrt(
             float(cv @ (Md @ cv))
         )
@@ -816,15 +737,7 @@ def check_adjoint_decay(family, k, levels, seed=0):
         vd_dofs = interpolate(sd, disc_vec.eval).values
         q_moments = interpolate(sl, q_eval).values
         total = float(q_moments @ (D @ vd_dofs))
-        for c in range(mesh.num_cells):
-            rule = bank.rule("cell", c, degree, data=True)
-            pot = op_potential(sd, c)
-            pvals = np.einsum(
-                "s,spx->px", pot.apply(vd_dofs), pot.target.eval(rule.points)
-            )
-            total += float(
-                np.einsum("px,px,p->", q_grad(rule.points), pvals, rule.weights)
-            )
+        total += float(vd_dofs @ load_vector(sd, q_grad, degree))
         denom = np.sqrt(float(vd_dofs @ (Md @ vd_dofs)))
         vals["divergence"].append(abs(total) / denom)
 
@@ -874,10 +787,7 @@ def _poincare_constants(mesh, k, bank=None):
     Gd = _component_gram_global(sd)
 
     # scalar space: mean of the potential vanishes
-    ell = np.zeros(sg.dim)
-    for c in range(mesh.num_cells):
-        pot = op_potential(sg, c)
-        ell[pot.dofs] += np.sqrt(mesh.cell_volumes[c]) * pot.matrix[0]
+    ell = load_vector(sg, lambda pts: np.ones(len(pts)), k + 1)
     Q = la.null_space(ell[None, :])
     num = Q.T @ Gg @ Q
     den = Q.T @ (uG.T @ Gc @ uG) @ Q

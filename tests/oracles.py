@@ -106,15 +106,33 @@ class Poly3:
         return max((sum(k) for k, v in self.coeffs.items() if v != 0), default=0)
 
     def affine_pullback(self, origin, jac):
-        """Polynomial q with q(u) = self(origin + jac @ u)."""
+        """Polynomial q with q(u) = self(origin + jac @ u).
+
+        Horner form in the three pulled-back variables: the polynomial is
+        nested as sum_a x^a (sum_b y^b (sum_c z^c coeff)), and each level
+        multiplies only by the linear polynomial its variable maps to."""
         subs = [
             Poly3.linear(origin[d], jac[d][0], jac[d][1], jac[d][2])
             for d in range(3)
         ]
-        out = Poly3()
-        for (a, b, c), v in self.coeffs.items():
-            out = out + v * (subs[0] ** a) * (subs[1] ** b) * (subs[2] ** c)
-        return out
+
+        def horner(coeffs, axis):
+            # coeffs maps exponents over the variables axis.. to values
+            if axis == 3:
+                return Poly3.constant(coeffs[()])
+            parts = {}
+            for exp, v in coeffs.items():
+                parts.setdefault(exp[0], {})[exp[1:]] = v
+            out = Poly3()
+            for e in range(max(parts), -1, -1):
+                out = out * subs[axis]
+                if e in parts:
+                    out = out + horner(parts[e], axis + 1)
+            return out
+
+        if not self.coeffs:
+            return Poly3()
+        return horner(self.coeffs, 0)
 
 
 class VecPoly3:

@@ -13,13 +13,12 @@ from polyddr.ddrcore import (
     make_space,
     interpolate,
     global_operator,
-    entity_moments,
     edge_reconstruct,
+    local_interpolation,
     op_potential,
     op_scalar_trace,
     op_tangential_trace,
 )
-from polyddr.verification import _local_interp
 from polyddr.products import (
     LocalBilinearForm,
     stabilization,
@@ -213,20 +212,16 @@ def test_stabilization_kernel_is_polynomial_interpolates(ctx, name, k, c, which,
 @pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize("which", WHICHES)
 def test_entity_moments_match_interpolation_oracle(ctx, name, k, which):
-    """Block by block, the moment routine interpolates a cell potential's
-    target as the independent quadrature oracle does."""
+    """The local interpolation of a cell potential's target equals, column
+    by column, the global interpolate of each member read at the cell's
+    dofs: a second route, stacked over entity groups with the data rules."""
     c = big_cell(ctx.meshes[name])
     space = ctx.spaces(name, k)[which]
     pot = op_potential(space, c)
-    J = np.zeros((len(pot.dofs), pot.target.dim))
-    for (kind, i), sl in pot.layout.items():
-        if kind == "vertex":
-            rule, pts = None, space.mesh.vertices[[i]]
-        else:
-            rule = space.bank.rule(kind, i)
-            pts = rule.points
-        J[sl] = entity_moments(space, kind, i, rule, pot.target.eval(pts))
-    want = _local_interp(space, "cell", c, pot.target)
+    J = local_interpolation(space, "cell", c, pot.target)
+    want = np.column_stack([
+        interpolate(space, lambda pts, m=m: pot.target.eval(pts)[m]).values
+        for m in range(pot.target.dim)])[pot.dofs]
     assert np.abs(J - want).max() <= 1e-12 * np.abs(want).max()
 
 

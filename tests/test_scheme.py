@@ -197,6 +197,18 @@ def test_mu_must_be_positive():
         MagnetostaticsProblem(mesh, 0, mu=np.array([-1.0]))
 
 
+def test_non_finite_mu_names_the_cell():
+    mesh = generate_cubic_mesh(2)
+    mu = np.ones(mesh.num_cells)
+    mu[3] = np.nan
+    with pytest.raises(ValueError,
+                       match=r"^permeability of cell 3 is not finite \(nan\)$"):
+        MagnetostaticsProblem(mesh, 0, mu=mu)
+    with pytest.raises(ValueError,
+                       match=r"^permeability of cell 0 is not finite \(inf\)$"):
+        MagnetostaticsProblem(mesh, 0, mu=np.inf)
+
+
 # ----------------------------------------------------------------------
 # solve and errors
 
@@ -265,3 +277,18 @@ def test_variable_mu_still_solvable():
     system = assemble(problem)
     solve(system)
     assert system.residual < 1e-10
+
+
+def test_nan_source_fails_the_residual_check():
+    fields = manufactured_solution()
+
+    def source(pts):
+        out = fields["source"](pts)
+        out[:, 2] = np.nan
+        return out
+
+    system = assemble(MagnetostaticsProblem(generate_cubic_mesh(2), 0, source=source))
+    with pytest.raises(RuntimeError,
+                       match=r"^solver residual nan exceeds 1e-10 \(smallest pivot "):
+        solve(system)
+    assert system.solution is None and system.residual is None
