@@ -79,6 +79,8 @@ def _degrees_arg(text):
 
 def _levels_arg(text):
     values = _int_list(text, 1, "levels")
+    if len(values) < 2:
+        raise argparse.ArgumentTypeError("a rate needs at least two levels")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise argparse.ArgumentTypeError("levels must be strictly increasing")
     return values

@@ -62,6 +62,7 @@ from .ddrcore import (
     op_tangential_trace,
     op_potential,
     global_operator,
+    INTERP_DEGREE_MARGIN,
 )
 
 __all__ = [
@@ -328,13 +329,14 @@ def graph_norms(space_curl, space_div, space_l2, field_vals, flux_vals,
 # load vectors
 
 
-def load_vector(space, f, degree):
+def load_vector(space, f):
     """Load vector of a field: entry i is the integral of f against the
     potential reconstruction of dof i's basis vector, summed over cells.
-    f is a callable on (npts, 3) points, scalar for the scalar space and
-    a 3-vector otherwise, integrated by the data rule of the given degree;
-    one stacked projection and one scatter per cell group."""
+    f is a callable on (npts, 3) points, scalar for the scalar space and a
+    3-vector otherwise, integrated by the data rule of degree 2k +
+    INTERP_DEGREE_MARGIN; one stacked projection and scatter per group."""
     bank = space.bank
+    degree = 2 * space.k + INTERP_DEGREE_MARGIN
     out = np.zeros(space.dim)
     for group in bank.groups("cell"):
         rule = bank.group_rule(group, degree, data=True)

@@ -27,7 +27,6 @@ from .ddrcore import (
     make_space,
     interpolate,
     global_operator,
-    INTERP_DEGREE_MARGIN,
 )
 from .products import assemble_product, graph_norms, load_vector
 
@@ -115,8 +114,7 @@ def assemble(problem, threads=None):
     if problem.source is None:
         load = np.zeros(sd.dim)
     else:
-        load = load_vector(sd, problem.source,
-                           2 * problem.degree + INTERP_DEGREE_MARGIN)
+        load = load_vector(sd, problem.source)
     rhs = np.concatenate([np.zeros(sc.dim), load])
     return SparseSystem(matrix, rhs, sc.dim, sd.dim)
 

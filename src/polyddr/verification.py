@@ -37,6 +37,7 @@ from .ddrcore import (
     op_curl_cell,
     op_div_cell,
     global_operator,
+    INTERP_DEGREE_MARGIN,
 )
 from .products import stabilization, l2_product, assemble_product, load_vector
 
@@ -532,6 +533,11 @@ def check_recovery(mesh, max_degree=3, seed=0):
 # rate checks
 
 
+def _require_two_levels(levels):
+    if len(levels) < 2:
+        raise ValueError(f"a rate needs at least two levels, got {tuple(levels)}")
+
+
 def _pair_slope(hs, errs):
     """Slope fitted on the finest consecutive pair; infinite when the
     finer error underflows to zero."""
@@ -541,12 +547,13 @@ def _pair_slope(hs, errs):
     return float(np.log(e0 / e1) / np.log(hs[-2] / hs[-1]))
 
 
-def _l2_error_sq(space, op, dofs, f, degree):
+def _l2_error_sq(space, op, dofs, f):
     """Squared L2 distance over the mesh between the cell polynomials of
     op (op_potential, op_curl_cell, ...) applied to the dof vector dofs and
-    the field f, by the data rule of the given degree: stacked over cell
-    groups and evaluated block by block of cells (value_blocks)."""
+    the field f, by the data rule of degree 2k + INTERP_DEGREE_MARGIN:
+    stacked over cell groups and evaluated block by block of cells."""
     bank = space.bank
+    degree = 2 * space.k + INTERP_DEGREE_MARGIN
     total = 0.0
     for group in bank.groups("cell"):
         rule = bank.group_rule(group, degree, data=True)
@@ -580,40 +587,13 @@ def check_primal_consistency(family, k, levels, seed=0):
     The fields are seeded random trigonometric combinations; fixed
     closed-form choices tend to have parities that cancel exactly on
     uniform meshes and would make the measured rates meaningless."""
+    _require_two_levels(levels)
     report = CheckReport(f"primal_consistency({family},k={k})")
     build = mesh_family(family)
     rng = np.random.default_rng(seed)
     q = TrigScalar.random(rng)
     v = TrigVector.random(rng)
     w = TrigVector.random(rng)
-
-    hs = []
-    errs = {}
-    for n in levels:
-        mesh = build(n)
-        bank = BasisBank(mesh, k)
-        sg = make_space(mesh, "grad", k, bank=bank)
-        sc = make_space(mesh, "curl", k, bank=bank)
-        sd = make_space(mesh, "div", k, bank=bank)
-        vg = interpolate(sg, q.eval).values
-        vc = interpolate(sc, v.eval).values
-        vd = interpolate(sd, w.eval).values
-
-        degree = 2 * k + 6
-        sq = {
-            "scalar_potential": _l2_error_sq(sg, op_potential, vg, q.eval, degree),
-            "field_potential": _l2_error_sq(sc, op_potential, vc, v.eval, degree),
-            "flux_potential": _l2_error_sq(sd, op_potential, vd, w.eval, degree),
-            "cell_curl": _l2_error_sq(sc, op_curl_cell, vc, v.curl().eval, degree),
-            "cell_divergence": _l2_error_sq(sd, op_div_cell, vd, w.div().eval,
-                                            degree),
-            "stab_scalar": _stabilization_sq(sg, vg),
-            "stab_field": _stabilization_sq(sc, vc),
-            "stab_flux": _stabilization_sq(sd, vd),
-        }
-        hs.append(mesh.h)
-        for key, value in sq.items():
-            errs.setdefault(key, []).append(np.sqrt(value))
 
     expected = {
         "scalar_potential": k + 2,
@@ -625,6 +605,32 @@ def check_primal_consistency(family, k, levels, seed=0):
         "stab_field": k + 1,
         "stab_flux": k + 1,
     }
+    hs = []
+    errs = {key: [] for key in expected}
+    for n in levels:
+        mesh = build(n)
+        bank = BasisBank(mesh, k)
+        sg = make_space(mesh, "grad", k, bank=bank)
+        sc = make_space(mesh, "curl", k, bank=bank)
+        sd = make_space(mesh, "div", k, bank=bank)
+        vg = interpolate(sg, q.eval).values
+        vc = interpolate(sc, v.eval).values
+        vd = interpolate(sd, w.eval).values
+
+        sq = {
+            "scalar_potential": _l2_error_sq(sg, op_potential, vg, q.eval),
+            "field_potential": _l2_error_sq(sc, op_potential, vc, v.eval),
+            "flux_potential": _l2_error_sq(sd, op_potential, vd, w.eval),
+            "cell_curl": _l2_error_sq(sc, op_curl_cell, vc, v.curl().eval),
+            "cell_divergence": _l2_error_sq(sd, op_div_cell, vd, w.div().eval),
+            "stab_scalar": _stabilization_sq(sg, vg),
+            "stab_field": _stabilization_sq(sc, vc),
+            "stab_flux": _stabilization_sq(sd, vd),
+        }
+        hs.append(mesh.h)
+        for key, value in sq.items():
+            errs[key].append(np.sqrt(value))
+
     for key, series in errs.items():
         slope = _pair_slope(hs, series)
         report.record(f"{key}_errors", [float(e) for e in series])
@@ -662,6 +668,7 @@ def check_adjoint_decay(family, k, levels, seed=0):
     integration by parts, and the random factor avoids parity
     cancellations on uniform meshes.  The discrete argument is the
     interpolate of a plain random trigonometric field."""
+    _require_two_levels(levels)
     report = CheckReport(f"adjoint_decay({family},k={k})")
     build = mesh_family(family)
     rng = np.random.default_rng(seed)
@@ -714,13 +721,12 @@ def check_adjoint_decay(family, k, levels, seed=0):
         D = global_operator(sd, sl)
         Mc = assemble_product(sc)
         Md = assemble_product(sd)
-        degree = 2 * k + 6
 
         q_dofs = interpolate(sg, disc_scalar.eval).values
         gq = uG @ q_dofs
         v_int = interpolate(sc, v_eval).values
         total = float(v_int @ (Mc @ gq))
-        total += float(q_dofs @ load_vector(sg, v_div, degree))
+        total += float(q_dofs @ load_vector(sg, v_div))
         denom = np.sqrt(float(gq @ (Mc @ gq)))
         vals["gradient"].append(abs(total) / denom)
 
@@ -728,7 +734,7 @@ def check_adjoint_decay(family, k, levels, seed=0):
         cv = uC @ v_dofs
         w_int = interpolate(sd, w_eval).values
         total = float(w_int @ (Md @ cv))
-        total -= float(v_dofs @ load_vector(sc, w_curl, degree))
+        total -= float(v_dofs @ load_vector(sc, w_curl))
         denom = np.sqrt(float(v_dofs @ (Mc @ v_dofs))) + np.sqrt(
             float(cv @ (Md @ cv))
         )
@@ -737,7 +743,7 @@ def check_adjoint_decay(family, k, levels, seed=0):
         vd_dofs = interpolate(sd, disc_vec.eval).values
         q_moments = interpolate(sl, q_eval).values
         total = float(q_moments @ (D @ vd_dofs))
-        total += float(vd_dofs @ load_vector(sd, q_grad, degree))
+        total += float(vd_dofs @ load_vector(sd, q_grad))
         denom = np.sqrt(float(vd_dofs @ (Md @ vd_dofs)))
         vals["divergence"].append(abs(total) / denom)
 
@@ -787,7 +793,7 @@ def _poincare_constants(mesh, k, bank=None):
     Gd = _component_gram_global(sd)
 
     # scalar space: mean of the potential vanishes
-    ell = load_vector(sg, lambda pts: np.ones(len(pts)), k + 1)
+    ell = load_vector(sg, lambda pts: np.ones(len(pts)))
     Q = la.null_space(ell[None, :])
     num = Q.T @ Gg @ Q
     den = Q.T @ (uG.T @ Gc @ uG) @ Q

@@ -91,6 +91,14 @@ def test_levels_must_increase():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["converge", "verify"])
+def test_levels_need_two(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        build_parser().parse_args([command, "--levels", "2"])
+    assert info.value.code == 2
+    assert "a rate needs at least two levels" in capsys.readouterr().err
+
+
 def test_threads_must_be_positive():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["solve", "--mesh", "cubic:1", "--threads", "0"])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import polyddr.verification as ver
-from polyddr.ddrcore import op_potential
+from polyddr.ddrcore import INTERP_DEGREE_MARGIN, op_potential
 from polyddr.mesh import agglomerate_pairs, generate_cubic_mesh, generate_tet_mesh
 from polyddr.products import stabilization
 from polyddr.verification import check_adjoint_decay, check_primal_consistency
@@ -27,10 +27,11 @@ CONFIGS = [
 IDS = [f"{fam}-k{k}" for fam, k, _ in CONFIGS]
 
 
-def _l2_error_sq_by_cells(space, op, dofs, f, degree):
+def _l2_error_sq_by_cells(space, op, dofs, f):
     total = 0.0
     for c in range(space.mesh.num_cells):
-        rule = space.bank.rule("cell", c, degree, data=True)
+        rule = space.bank.rule("cell", c, 2 * space.k + INTERP_DEGREE_MARGIN,
+                               data=True)
         loc = op(space, c)
         vals = np.tensordot(loc.apply(dofs), loc.target.eval(rule.points), axes=1)
         diff = (vals - f(rule.points)).reshape(len(rule.weights), -1)
@@ -43,10 +44,11 @@ def _stabilization_sq_by_cells(space, dofs):
                for c in range(space.mesh.num_cells))
 
 
-def _load_vector_by_cells(space, f, degree):
+def _load_vector_by_cells(space, f):
     out = np.zeros(space.dim)
     for c in range(space.mesh.num_cells):
-        rule = space.bank.rule("cell", c, degree, data=True)
+        rule = space.bank.rule("cell", c, 2 * space.k + INTERP_DEGREE_MARGIN,
+                               data=True)
         pot = op_potential(space, c)
         npts = len(rule.weights)
         vals = pot.target.eval(rule.points).reshape(pot.target.dim, npts, -1)
@@ -56,7 +58,7 @@ def _load_vector_by_cells(space, f, degree):
     return out
 
 
-def _mean_by_cells(space, f, degree):
+def _mean_by_cells(space, f):
     ell = np.zeros(space.dim)
     for c in range(space.mesh.num_cells):
         pot = op_potential(space, c)
@@ -122,3 +124,10 @@ def test_poincare_constants_match_cell_loop(monkeypatch, mesh, k):
         want = ver._poincare_constants(mesh, k)
     assert calls == ["load_vector"]
     assert np.all(np.abs(np.subtract(got, want)) <= 1e-10 * np.abs(want))
+
+
+@pytest.mark.parametrize("check", [check_primal_consistency, check_adjoint_decay])
+@pytest.mark.parametrize("levels", [(), (2,)])
+def test_rate_checks_reject_fewer_than_two_levels(check, levels):
+    with pytest.raises(ValueError, match="a rate needs at least two levels"):
+        check("cubic", 0, levels)
