@@ -60,9 +60,6 @@ with the data rules; `local_interpolation` those of the members of a
 polynomial basis on one face or cell, with the polynomial rules.
 """
 
-import functools
-import inspect
-
 import numpy as np
 from scipy import sparse
 
@@ -123,28 +120,6 @@ def _solve_guarded(space, A, B, what, group, want=None):
                 f"{cond[g]:.3e} exceeds {COND_LIMIT:.0e}"
             )
     return np.linalg.solve(A, B)
-
-
-def _per_space(fn):
-    """Memoize fn(space, *args) in space._cache, keyed by the function name
-    and the arguments with defaults filled in, so that each local object is
-    built once per space."""
-    sig = inspect.signature(fn)
-    nargs = len(sig.parameters) - 1
-
-    @functools.wraps(fn)
-    def cached(space, *args, **kwargs):
-        if kwargs or len(args) != nargs:
-            bound = sig.bind(space, *args, **kwargs)
-            bound.apply_defaults()
-            args = tuple(bound.arguments.values())[1:]
-        key = (fn.__name__, *args)
-        out = space._cache.get(key)
-        if out is None:
-            out = space._cache[key] = fn(space, *args)
-        return out
-
-    return cached
 
 
 def _entity(space, name, build, kind, index):
@@ -362,21 +337,24 @@ class DofSpace:
                  self._local_parts(group)], axis=1)
         return out
 
-    @_per_space
     def local_dofs(self, kind, index):
         """Global indices of the dofs an entity's operators read, with a
         layout dict mapping ("vertex"|"edge"|"face"|"cell", id) to the
         local slice."""
-        if kind not in ("edge", "face", "cell"):
-            raise ValueError(f"unknown entity kind {kind!r}")
-        group, slot = self.bank.group(kind, index)
-        layout = {}
-        n = 0
-        for part, ents, width in self._local_parts(group):
-            for j in ents[slot].tolist():
-                layout[(part, j)] = slice(n, n + width)
-                n += width
-        return self.group_dofs(group)[slot], layout
+        key = ("local_dofs", kind, index)
+        out = self._cache.get(key)
+        if out is None:
+            if kind not in ("edge", "face", "cell"):
+                raise ValueError(f"unknown entity kind {kind!r}")
+            group, slot = self.bank.group(kind, index)
+            layout = {}
+            n = 0
+            for part, ents, width in self._local_parts(group):
+                for j in ents[slot].tolist():
+                    layout[(part, j)] = slice(n, n + width)
+                    n += width
+            out = self._cache[key] = self.group_dofs(group)[slot], layout
+        return out
 
     def sub_slice(self, layout, kind, index, i):
         """Local slice of one family block inside an entity's block."""

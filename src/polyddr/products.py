@@ -22,15 +22,13 @@ potential's degree never exceeds the reconstruction's, so its trace lies in
 that span and a squared L2 mismatch is a sum of squares; the build checks
 this and the rule's exactness.
 
-An alternative stabilization compares the local dofs with the
-interpolate of the potential in the component product; both variants
-vanish on interpolates of polynomials the potentials reproduce.
-
 Component norms weigh the plain coefficient norms of the dof blocks by
-entity-size factors (faces by their diameter, edges by face diameter
-times edge length; the scalar space measures edges through the
-reconstructed edge polynomial). Cellwise they define the broken norms
-used in the stability and convergence diagnostics.
+entity-size factors (faces by their diameter, edges by their length times
+the diameters of the cell's two faces holding them; the scalar space
+measures edges through the reconstructed edge polynomial). Cellwise they
+define the broken norms used in the stability and convergence diagnostics
+and the Poincaré constants; their Gram matrices are group stacks like the
+products, assembled by the same scatter.
 
 Local forms are built for a whole cell group at once, as stacked arrays
 with one leading axis over the group's cells (see ddrcore), and kept in
@@ -48,16 +46,14 @@ from scipy import sparse
 
 from .polyspaces import l2_project
 from .ddrcore import (
+    DofVector,
     _columns,
     _edge_values,
     _entity,
     _face_values,
-    _per_space,
-    _positions,
     _through,
     _trace_coords,
     edge_reconstruct,
-    local_interpolation,
     op_scalar_trace,
     op_tangential_trace,
     op_potential,
@@ -183,110 +179,87 @@ def _product(space, group, want=None):
                   pot.matrix.transpose(0, 2, 1) @ pot.matrix + stab.matrix)
 
 
-@_per_space
-def stabilization(space, c, variant="trace"):
-    """Stabilization form on one cell.
-
-    variant "trace" penalizes potential-versus-boundary-reconstruction
-    mismatches; variant "interpolation" penalizes the dof-space residual
-    against the interpolated potential, measured in the component
-    product. Both vanish when the potential reproduces the data.
-    """
-    if variant not in ("trace", "interpolation"):
-        raise ValueError(f"unknown stabilization variant {variant!r}")
-    if variant == "trace" or space.which == "l2":
-        return _entity(space, "stabilization", _stabilization, "cell", c)
-    pot = op_potential(space, c)
-    J = local_interpolation(space, "cell", c, pot.target)
-    R = np.eye(len(pot.dofs)) - J @ pot.matrix
-    C = component_gram(space, c)
-    return LocalBilinearForm(("cell", c), pot.dofs, R.T @ C @ R)
+def stabilization(space, c):
+    """Stabilization form on one cell: the trace stabilization, which
+    penalizes potential-versus-boundary-reconstruction mismatches and
+    vanishes when the potential reproduces the data."""
+    return _entity(space, "stabilization", _stabilization, "cell", c)
 
 
-@_per_space
-def l2_product(space, c, variant="trace"):
+def l2_product(space, c):
     """Stabilized L2 product on one cell: potential Gram plus
     stabilization (orthonormal potential targets make the Gram a plain
     matrix product). The moment space's product is the identity."""
-    if variant == "trace" or space.which == "l2":
-        return _entity(space, "l2_product", _product, "cell", c)
-    stab = stabilization(space, c, variant)
-    pot = op_potential(space, c)
-    M = pot.matrix.T @ pot.matrix + stab.matrix
-    return LocalBilinearForm(("cell", c), pot.dofs, M)
+    return _entity(space, "l2_product", _product, "cell", c)
 
 
 # ----------------------------------------------------------------------
 # component norms
 
 
-@_per_space
+def _component(space, group, want=None):
+    """Component Gram matrices of a cell group: the identity on the cell
+    block, h_F times the identity on face blocks, and on each edge the
+    weight h_E times the sum of h_F over the cell's two faces holding it,
+    applied as the identity on the field space's edge blocks and as the
+    Gram of the reconstructed edge polynomial on the scalar space."""
+    mesh = space.mesh
+    dofs = space.group_dofs(group)
+    G, n = dofs.shape
+    hf = mesh.face_diameters[group.faces]
+    face_edges = [mesh.face_rows("face_edges", group.faces[:, p])
+                  for p in range(group.faces.shape[1])]
+    at = _columns(group.edges, np.concatenate(face_edges, axis=1))
+    hsum = np.zeros(group.edges.shape)
+    np.add.at(hsum, (np.arange(G)[:, None], at),
+              np.repeat(hf, [e.shape[1] for e in face_edges], axis=1))
+    w = mesh.edge_lengths[group.edges] * hsum
+    weight = {"vertex": 0.0, "edge": w if space.which == "curl" else 0.0,
+              "face": hf, "cell": 1.0}
+    diag = np.concatenate([
+        np.repeat(np.broadcast_to(weight[kind], ents.shape), width, axis=1)
+        for kind, ents, width in space._local_parts(group)], axis=1)
+    C = diag[:, :, None] * np.eye(n)
+    if space.which == "grad":
+        sub, slots = space.bank.locate("edge", group.edges.ravel())
+        rec = _through(space, edge_reconstruct, sub)
+        R = rec.matrix[slots]
+        B = w.reshape(-1, 1, 1) * (R.transpose(0, 2, 1) @ R)
+        # edges share vertex dofs: bincount sums every block entry into
+        # its (cell, row, column)
+        at = _columns(dofs, rec.dofs[slots].reshape(G, -1)).reshape(
+            w.shape + R.shape[2:])
+        rows = np.arange(G)[:, None, None, None] * n + at[..., :, None]
+        flat = rows * n + at[..., None, :]
+        C += np.bincount(flat.ravel(), B.ravel(), C.size).reshape(C.shape)
+    return _Forms(group, dofs, C)
+
+
 def component_gram(space, c):
     """Quadratic form of the squared component norm on one cell's local
     dofs: block-diagonal coefficient norms scaled by entity sizes, with
     the scalar space's edge blocks measured through the reconstructed
     edge polynomial."""
-    mesh = space.mesh
-    idx, layout = space.local_dofs("cell", c)
-    pos = _positions(idx)
-    n = len(idx)
-    C = np.zeros((n, n))
-    sl = layout.get(("cell", c))
-    if sl is not None:
-        cw = sl.stop - sl.start
-        C[sl.start : sl.stop, sl.start : sl.stop] = np.eye(cw)
-
-    if space.which == "l2":
-        return C
-
-    for fi, f in enumerate(mesh.cells[c]):
-        f = int(f)
-        hf = mesh.face_diameters[f]
-        fsl = layout.get(("face", f))
-        if fsl is not None:
-            fw = fsl.stop - fsl.start
-            C[fsl.start : fsl.stop, fsl.start : fsl.stop] += hf * np.eye(fw)
-        if space.which == "grad":
-            for e in [int(x) for x in mesh.face_edges[f]]:
-                he = mesh.edge_lengths[e]
-                rec = edge_reconstruct(space, e)
-                cols = [pos[int(g)] for g in rec.dofs]
-                B = rec.matrix.T @ rec.matrix
-                C[np.ix_(cols, cols)] += hf * he * B
-        elif space.which == "curl":
-            for e in [int(x) for x in mesh.face_edges[f]]:
-                he = mesh.edge_lengths[e]
-                esl = layout[("edge", e)]
-                ew = esl.stop - esl.start
-                C[esl.start : esl.stop, esl.start : esl.stop] += (
-                    hf * he * np.eye(ew)
-                )
-    return C
+    return _entity(space, "component_gram", _component, "cell", c).matrix
 
 
 def component_norm(space, values):
     """Broken component norm of a dof vector over the whole mesh."""
-    if hasattr(values, "values"):
-        values = values.values
-    values = np.asarray(values)
-    total = 0.0
-    for c in range(space.mesh.num_cells):
-        idx, _ = space.local_dofs("cell", c)
-        v = values[idx]
-        total += float(v @ component_gram(space, c) @ v)
-    return np.sqrt(total)
+    v = DofVector(space, getattr(values, "values", values)).values
+    return np.sqrt(float(v @ (_assemble(space, component_gram) @ v)))
 
 
 # ----------------------------------------------------------------------
 # global assembly and graph norms
 
 
-def assemble_product(space, coeff=None):
-    """Global sparse matrix of the stabilized product, optionally with a
-    per-cell scalar coefficient; one scatter block per cell group."""
+def _assemble(space, op, coeff=None):
+    """Global sparse matrix of the local forms op(space, c), optionally
+    scaled by a per-cell scalar coefficient; one scatter block per cell
+    group."""
     rows, cols, vals = [], [], []
     for group in space.bank.groups("cell"):
-        form = _through(space, l2_product, group)
+        form = _through(space, op, group)
         dofs, M = form.dofs, form.matrix
         if coeff is not None:
             M = np.asarray(coeff)[group.ids][:, None, None] * M
@@ -299,6 +272,12 @@ def assemble_product(space, coeff=None):
         shape=(space.dim, space.dim),
     )
     return mat.tocsr()
+
+
+def assemble_product(space, coeff=None):
+    """Global sparse matrix of the stabilized product, optionally with a
+    per-cell scalar coefficient."""
+    return _assemble(space, l2_product, coeff)
 
 
 def graph_norms(space_curl, space_div, space_l2, field_vals, flux_vals,

@@ -15,8 +15,10 @@ L2 errors tabulate the group's polynomials at its data rule block by
 block of cells, the stabilization seminorms sum the stacked forms, and
 the smooth parts of the adjoint functionals and the Poincaré mean
 constraint are load vectors (products.load_vector) paired with dof
-vectors. Polynomial consistency compares each cell's local operators with
-its local interpolation (ddrcore.local_interpolation).
+vectors; the Poincaré constants' component Grams are scatters of the
+stacked cell Grams (products.component_gram). Polynomial consistency
+compares each cell's local operators with its local interpolation
+(ddrcore.local_interpolation).
 """
 
 import json
@@ -39,7 +41,8 @@ from .ddrcore import (
     global_operator,
     INTERP_DEGREE_MARGIN,
 )
-from .products import stabilization, l2_product, assemble_product, load_vector
+from .products import (_assemble, assemble_product, component_gram,
+                       l2_product, load_vector, stabilization)
 
 __all__ = [
     "CheckReport",
@@ -763,17 +766,6 @@ def check_adjoint_decay(family, k, levels, seed=0):
 # Poincaré constants
 
 
-def _component_gram_global(space):
-    from .products import component_gram
-
-    n = space.dim
-    G = np.zeros((n, n))
-    for c in range(space.mesh.num_cells):
-        idx, _ = space.local_dofs("cell", c)
-        G[np.ix_(idx, idx)] += component_gram(space, c)
-    return G
-
-
 def _poincare_constants(mesh, k, bank=None):
     bank = bank if bank is not None else BasisBank(mesh, k)
     sg = make_space(mesh, "grad", k, bank=bank)
@@ -788,9 +780,7 @@ def _poincare_constants(mesh, k, bank=None):
     uG = global_operator(sg, sc).toarray()
     uC = global_operator(sc, sd).toarray()
     D = global_operator(sd, sl).toarray()
-    Gg = _component_gram_global(sg)
-    Gc = _component_gram_global(sc)
-    Gd = _component_gram_global(sd)
+    Gg, Gc, Gd = (_assemble(s, component_gram).toarray() for s in (sg, sc, sd))
 
     # scalar space: mean of the potential vanishes
     ell = load_vector(sg, lambda pts: np.ones(len(pts)))
@@ -834,7 +824,12 @@ def check_poincare(mesh, k, refined=None):
     report.gate_below("poincare_curl", cc, POINCARE_BOUND)
     report.gate_below("poincare_divergence", cd, POINCARE_BOUND)
     if refined is not None:
-        rg, rc, rd = _poincare_constants(refined, k)
+        try:
+            rg, rc, rd = _poincare_constants(refined, k)
+        except ValueError as exc:
+            report.passed = False
+            report.failures.append(f"refined mesh: {exc}")
+            return report
         report.record("poincare_gradient_refined", rg)
         report.record("poincare_curl_refined", rc)
         report.record("poincare_divergence_refined", rd)

@@ -105,6 +105,29 @@ def _cell_of(ctx, name, c):
     return big_cell(ctx.meshes[name]) if c is None else c
 
 
+def _stabilization(space, c, variant):
+    """The stabilization of one variant: "trace" is the library's; the
+    "interpolation" oracle penalizes the dof-space residual against the
+    interpolated potential, measured in the component product. Both vanish
+    when the potential reproduces the data."""
+    if variant == "trace" or space.which == "l2":
+        return stabilization(space, c)
+    pot = op_potential(space, c)
+    J = local_interpolation(space, "cell", c, pot.target)
+    R = np.eye(len(pot.dofs)) - J @ pot.matrix
+    return LocalBilinearForm(("cell", c), pot.dofs,
+                             R.T @ component_gram(space, c) @ R)
+
+
+def _l2_product(space, c, variant):
+    """Potential Gram plus the stabilization of one variant."""
+    if variant == "trace" or space.which == "l2":
+        return l2_product(space, c)
+    pot = op_potential(space, c)
+    S = _stabilization(space, c, variant).matrix
+    return LocalBilinearForm(("cell", c), pot.dofs, pot.matrix.T @ pot.matrix + S)
+
+
 def _random_field(which, k, rng):
     """An oracle polynomial the potential reconstruction reproduces, plus
     a callable for the interpolator."""
@@ -125,7 +148,7 @@ def _random_field(which, k, rng):
 def test_stabilization_symmetric_psd(ctx, name, k, c, which, variant):
     c = _cell_of(ctx, name, c)
     space = ctx.spaces(name, k)[which]
-    form = stabilization(space, c, variant)
+    form = _stabilization(space, c, variant)
     S = form.matrix
     assert np.allclose(S, S.T, atol=1e-12 * max(1.0, np.abs(S).max()))
     eigs = la.eigvalsh(0.5 * (S + S.T))
@@ -138,7 +161,7 @@ def test_stabilization_symmetric_psd(ctx, name, k, c, which, variant):
 def test_product_positive_definite(ctx, name, k, c, which, variant):
     c = _cell_of(ctx, name, c)
     space = ctx.spaces(name, k)[which]
-    M = l2_product(space, c, variant).matrix
+    M = _l2_product(space, c, variant).matrix
     eigs = la.eigvalsh(0.5 * (M + M.T))
     assert eigs.min() > 1e-10 * eigs.max(), (eigs.min(), eigs.max())
 
@@ -153,8 +176,8 @@ def test_stabilization_vanishes_on_interpolates(ctx, name, k, c, which, variant)
     rng = np.random.default_rng(17 * k + hash(name) % 101)
     _, fn = _random_field(which, k, rng)
     v = interpolate(space, fn).values
-    form = stabilization(space, c, variant)
-    prod = l2_product(space, c, variant)
+    form = _stabilization(space, c, variant)
+    prod = _l2_product(space, c, variant)
     err = abs(form.apply(v, v))
     scale = max(prod.apply(v, v), 1e-14)
     assert err <= 1e-10 * scale, (err, scale)
@@ -183,7 +206,7 @@ def test_product_matches_continuous_on_interpolates(ctx, name, k, c, which, vari
     vp = interpolate(space, fp).values
     vq = interpolate(space, fq).values
     got = sum(
-        l2_product(space, cc, variant).apply(vp, vq)
+        _l2_product(space, cc, variant).apply(vp, vq)
         for cc in range(mesh.num_cells)
     )
     want = sum(
@@ -199,9 +222,9 @@ def test_product_matches_continuous_on_interpolates(ctx, name, k, c, which, vari
 def test_stabilization_kernel_is_polynomial_interpolates(ctx, name, k, c, which, variant):
     c = _cell_of(ctx, name, c)
     space = ctx.spaces(name, k)[which]
-    S = stabilization(space, c, variant).matrix
+    S = _stabilization(space, c, variant).matrix
     n = S.shape[0]
-    scale = np.abs(l2_product(space, c, variant).matrix).max()
+    scale = np.abs(_l2_product(space, c, variant).matrix).max()
     sv = la.svdvals(0.5 * (S + S.T))
     rank = int(np.sum(sv > 1e-8 * scale))
     kernel = dim_P(k + 1, 3) if which == "grad" else 3 * dim_P(k, 3)
@@ -279,6 +302,12 @@ def test_trace_stabilization_matches_oracle(ctx, name, k, which):
     assert abs(got - want) <= 1e-12 * scale, (got, want, scale)
 
 
+def test_stabilization_has_no_variant(ctx):
+    space = ctx.spaces("cube", 0)["curl"]
+    with pytest.raises(TypeError):
+        stabilization(space, 0, "trace")
+
+
 def test_local_form_apply():
     M = np.array([[2.0, 1.0], [1.0, 3.0]])
     form = LocalBilinearForm(("cell", 0), np.array([4, 7]), M)
@@ -311,6 +340,14 @@ def test_component_norm_definite(ctx, name, k, which):
     v = rng.standard_normal(space.dim)
     assert component_norm(space, v) > 0
     assert component_norm(space, np.zeros(space.dim)) == 0.0
+
+
+@pytest.mark.parametrize("length", [11, 17])
+def test_component_norm_rejects_a_wrong_length(length):
+    space = make_space(generate_cubic_mesh(1), "curl", 0)
+    assert space.dim == 12
+    with pytest.raises(ValueError, match="does not match the space dimension"):
+        component_norm(space, np.ones(length))
 
 
 @pytest.mark.parametrize("name,k,c", CASES)

@@ -355,3 +355,14 @@ def test_poincare_fails_above_dense_limit(monkeypatch):
     rep = check_poincare(generate_cubic_mesh(1), 0)
     assert not rep.passed
     assert any("exceed" in f for f in rep.failures)
+
+
+def test_poincare_fails_when_the_refined_mesh_exceeds_the_dense_limit(
+        monkeypatch):
+    monkeypatch.setattr(ver, "DENSE_DOF_LIMIT", 100)
+    rep = check_poincare(generate_cubic_mesh(1), 0,
+                         refined=generate_cubic_mesh(2))
+    assert not rep.passed
+    assert "poincare_gradient" in rep.metrics
+    assert any(f.startswith("refined mesh:") and "exceed" in f
+               for f in rep.failures), rep.failures
