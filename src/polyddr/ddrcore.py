@@ -55,9 +55,9 @@ entity (the one asked for if it fails, else the group's worst) and the
 condition number, and the worst condition number per operator is kept in
 DofSpace.worst_cond.
 
-`interpolate` gives the dofs of a smooth field, stacked per entity group
-with the data rules; `local_interpolation` those of the members of a
-polynomial basis on one face or cell, with the polynomial rules.
+`interpolate` (a smooth field at the data rules) and `local_interpolation`
+(a stacked polynomial basis on the closures of a face or cell group, at
+the polynomial rules) share one moment routine, `_moments`.
 """
 
 import numpy as np
@@ -386,46 +386,66 @@ def _families(space, kind):
     return space.face_families if kind == "face" else space.cell_families
 
 
-def local_interpolation(space, kind, index, basis):
-    """Local interpolation of a polynomial basis on a face or cell: column
-    j is the local dof vector (in local_dofs order) of member j of basis.
+def _moments(space, group, sel, rule, vals):
+    """Dof blocks (G', width, r) of the entities sel of one group of edges,
+    faces or cells from r values per entity at their points of the group's
+    stacked rule: vals (G', r, npts) scalar or (G', r, npts, 3) vector. The
+    field space takes the tangential component on edges and the flux space
+    the normal component on faces; every family then takes its moments from
+    one table of the core's monomials at the points, each family reading
+    its prefix."""
+    pts, weights = rule.points[sel], rule.weights[sel]
+    d = {("edge", "curl"): space.mesh.edge_tangents,
+         ("face", "div"): space.mesh.face_normals}.get((group.kind, space.which))
+    if d is not None:
+        vals = (vals @ d[group.ids[sel]][:, None, :, None])[..., 0]
+    bases = [b for b in (space.bank.group_basis(group, fam, l)
+                         for fam, l in _families(space, group.kind)) if b.dim]
+    M = space.bank.group_core(group)._monomials(
+        pts, max(b._Cs.shape[-1] for b in bases), sel)
+    return np.concatenate([b.moments(pts, vals, weights, sel, M)
+                           for b in bases], axis=1)
 
-    A vertex block is the member's value. Edge blocks are moments against
-    the edge basis, of the tangential component in the field space. Face
-    blocks are moments of the normal component in the flux space and
-    family moments otherwise; cell blocks are family moments. Every dof
-    basis is orthonormal, so the moments are L2 projection coefficients,
-    here taken with each entity's polynomial rule, exact for the members
-    of the local potentials' targets.
+
+def local_interpolation(space, group, basis, slots=None):
+    """Local interpolation of a stacked polynomial basis on the closures of
+    the entities slots (all by default) of a face or cell group, basis
+    entity g on the closure of entity slots[g]: (G, n, basis.dim), column j
+    of entity g the local dof vector (group_dofs order) of member j.
+
+    Vertex blocks are the members' values. Every other block, at each local
+    position (edges, faces, the entity itself), comes from _moments at the
+    polynomial rule of the sub-entities there, exact for the members of the
+    local potentials' targets; every dof basis is orthonormal, so the
+    moments are L2 projection coefficients.
     """
-    mesh, bank = space.mesh, space.bank
-    idx, layout = space.local_dofs(kind, index)
-    J = np.zeros((len(idx), basis.dim))
-    for (ent, i), sl in layout.items():
-        if sl.start == sl.stop:
+    bank = space.bank
+    slots = np.arange(len(group)) if slots is None else np.asarray(slots)
+    J = []
+    for kind, ents, width in space._local_parts(group):
+        ents = ents[slots]
+        if kind == "vertex":
+            pts = space.mesh.vertices[ents]
+            J.append(np.concatenate([
+                basis.eval(pts[sl], sl).transpose(0, 2, 1)
+                for sl in value_blocks(len(slots), basis.dim * ents.shape[1])]))
             continue
-        if ent == "vertex":
-            J[sl] = basis.eval(mesh.vertices[[i]]).T
-            continue
-        rule = bank.rule(ent, i)
-        vals = basis.eval(rule.points)
-        if ent == "edge" and space.which == "curl":
-            vals = vals @ mesh.edge_tangents[i]
-        elif ent == "face" and space.which == "div":
-            vals = vals @ mesh.face_normals[i]
-        J[sl] = np.concatenate([
-            integrate_products(b.eval(rule.points), vals, rule.weights)
-            for b in (bank.basis(fam, ent, i, l)
-                      for fam, l in _families(space, ent)) if b.dim])
-    return J
+        for p in range(ents.shape[1] if width else 0):
+            sub, sel = bank.locate(kind, ents[:, p])
+            rule = bank.group_rule(sub)
+            J.append(np.concatenate([
+                _moments(space, sub, sel[sl], rule,
+                         basis.eval(rule.points[sel[sl]], sl))
+                for sl in value_blocks(len(slots), basis.dim * rule.points[0].size)]))
+    return np.concatenate(J, axis=1)
 
 
 def interpolate(space, f, degree=None):
     """Degrees of freedom of a smooth field: point values on vertices for
-    the scalar space, orthonormal-basis moments everywhere else, stacked
-    over each entity group and evaluated block by block of its entities
-    (polyspaces.value_blocks). The default quadrature adds a margin over
-    the space degree for non-polynomial fields."""
+    the scalar space, orthonormal-basis moments (_moments) everywhere else,
+    stacked over each entity group and evaluated block by block of its
+    entities (polyspaces.value_blocks). The default quadrature adds a margin
+    over the space degree for non-polynomial fields."""
     mesh, bank = space.mesh, space.bank
     if degree is None:
         degree = 2 * space.k + INTERP_DEGREE_MARGIN
@@ -435,34 +455,14 @@ def interpolate(space, f, degree=None):
     for kind in ("edge", "face", "cell"):
         if not getattr(space, f"{kind}_width"):
             continue
-        if kind == "edge" and space.which == "curl":
-            direction = mesh.edge_tangents
-        elif kind == "face" and space.which == "div":
-            direction = mesh.face_normals
-        else:
-            direction = None
         for group in bank.groups(kind):
             rule = bank.group_rule(group, degree, data=True)
-            blocks, start = [], 0
-            for fam, l in _families(space, kind):
-                b = bank.group_basis(group, fam, l)
-                if b.dim:
-                    rows = space._blocks(kind, group.ids[:, None], start, b.dim)
-                    blocks.append((b, rows))
-                start += b.dim
-            core = bank.group_core(group)
-            width = max(b._Cs.shape[-1] for b, _ in blocks)
             for sl in value_blocks(*rule.weights.shape):
                 pts = rule.points[sl]
                 fv = np.asarray(f(pts.reshape(-1, 3)))
-                fv = fv.reshape(pts.shape[:2] + fv.shape[1:])
-                if direction is not None:
-                    d = direction[group.ids[sl]]
-                    fv = (fv @ d[:, :, None])[..., 0]
-                # one monomial table for every family; each takes its prefix
-                M = core._monomials(pts, width, sl)
-                for b, rows in blocks:
-                    vals[rows[sl]] = b.moments(pts, fv, rule.weights[sl], sl, M)
+                fv = fv.reshape((len(pts), 1) + pts.shape[1:2] + fv.shape[1:])
+                vals[space._blocks(kind, group.ids[sl, None])] = _moments(
+                    space, group, sl, rule, fv)[..., 0]
     return DofVector(space, vals)
 
 
@@ -612,7 +612,7 @@ def _edge_reconstruct(space, group, want=None):
         raise ValueError("edge reconstruction lives on the scalar space")
     k = space.k
     basis = space.bank.group_basis(group, "scalar", k + 1)
-    V = basis.values(space.mesh.vertices[group.vertices])
+    V = basis.eval(space.mesh.vertices[group.vertices])
     M = np.zeros((len(group), k + 2, k + 2))
     M[:, :2] = V.transpose(0, 2, 1)
     M[:, 2 + np.arange(k), np.arange(k)] = 1.0

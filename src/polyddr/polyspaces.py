@@ -342,13 +342,20 @@ def _tabulate(core, C, pts, sel=None):
     """Values at stacked points (G, npts, 3) of the polynomials with
     monomial coefficients C over the core's entities (those in sel):
     (G, m, npts) for scalar rows C (G, m, n), (G, m, npts, 3) for vector
-    rows C (G, m, 3, n) in global components.  One matmul."""
-    M = core._monomials(pts, C.shape[-1], sel)
+    rows C (G, m, 3, n) in global components; at the points (npts, 3) of a
+    stack of one, without the stack axis.  One matmul."""
+    C = C if sel is None else C[sel]
+    single = np.ndim(pts) < 3
+    if single and len(C) != 1:
+        raise ValueError(f"points (npts, 3) name no entity of a stack of "
+                         f"{len(C)}; pass stacked points (G, npts, 3)")
+    M = core._monomials(np.atleast_2d(pts)[None] if single else pts,
+                        C.shape[-1], sel)
     G, n = len(C), C.shape[-1]
     V = C.reshape(G, math.prod(C.shape[1:-1]), n) @ M
-    if C.ndim == 3:
-        return V
-    return V.reshape(G, C.shape[1], 3, M.shape[-1]).transpose(0, 1, 3, 2)
+    if C.ndim == 4:
+        V = V.reshape(G, C.shape[1], 3, M.shape[-1]).transpose(0, 1, 3, 2)
+    return V[0] if single else V
 
 
 def _cross_matrix(v):
@@ -379,11 +386,10 @@ class PolyBasis:
     s_m, or the vector members s_m times frame axis a in (m, a) order), and
     the core's orthonormalization coefficients.  The grad, div and curl
     arrays are derived on first use from the core's monomial derivative
-    table.  take(g) views entity g of a stack as a stack of one, the form
-    the per-entity methods work on.
+    table.  take(g) views entity g of a stack as a stack of one.
 
-    eval() returns (dim, npts) for scalar spaces and (dim, npts, 3) for
-    vector spaces; members of face spaces are tangent fields expressed in
+    eval is the one tabulation method, and grad, div and curl tabulate
+    derivatives; members of face spaces are tangent fields expressed in
     global coordinates (value_dim 2 says tangent-plane, the evaluation is
     still a 3-vector). All kinds except the concatenated trimmed spaces
     ("nedelec", "raviart_thomas") are L2-orthonormal on their entity.
@@ -427,16 +433,8 @@ class PolyBasis:
         return out
 
     @property
-    def entity_id(self):
-        return int(self.ids[0])
-
-    @property
     def _W(self):
         return self._Ws[0]
-
-    @property
-    def _C(self):
-        return self._Cs[0]
 
     @functools.cached_property
     def _grad_map(self):
@@ -453,53 +451,51 @@ class PolyBasis:
         return np.stack([J[:, :, 2, 1] - J[:, :, 1, 2], J[:, :, 0, 2] - J[:, :, 2, 0],
                          J[:, :, 1, 0] - J[:, :, 0, 1]], axis=2)
 
-    def values(self, pts, sel=None):
-        """Member values at stacked points (G', npts, 3) of the entities
-        sel of the stack (all by default)."""
-        C = self._Cs if sel is None else self._Cs[sel]
-        return _tabulate(self._core, C, pts, sel)
-
     def moments(self, pts, vals, weights, sel=None, monomials=None):
-        """Integrals (G, dim) of the members of the entities sel of the
-        stack (all by default) against values at their stacked rule
-        points, (G, npts) or (G, npts, 3): the monomials meet the weighted
-        values first, so no member is tabulated.  monomials are the core's
-        first scaled monomials at pts, (G, >= n, npts), when the caller
-        tabulated them once for several bases; their prefix is used."""
+        """Integrals (G, dim, r) of the members of the entities sel of the
+        stack (all by default) against r values per entity at their stacked
+        rule points, vals (G, r, npts) or (G, r, npts, 3): the monomials
+        meet the weighted values first, so no member is tabulated.
+        monomials are the core's first scaled monomials at pts, (G, >= n,
+        npts), when the caller tabulated them once for several bases; their
+        prefix is used."""
         C = self._Cs if sel is None else self._Cs[sel]
-        G, n = len(C), C.shape[-1]
+        G, n, r = len(C), C.shape[-1], vals.shape[1]
         if monomials is None:
             monomials = self._core._monomials(pts, n, sel)
-        wv = vals * (weights[..., None] if vals.ndim == 3 else weights)
+        w = weights[:, None, :, None] if vals.ndim == 4 else weights[:, None]
+        wv = np.moveaxis(vals * w, 1, -1)
         F = monomials[:, :n] @ wv.reshape(G, wv.shape[1], -1)
         if C.ndim == 3:
-            return (C @ F)[..., 0]
-        F = F.transpose(0, 2, 1).reshape(G, -1, 1)
-        return (C.reshape(G, self.dim, -1) @ F)[..., 0]
+            return C @ F
+        F = F.reshape(G, n, 3, r).transpose(0, 2, 1, 3).reshape(G, 3 * n, r)
+        return C.reshape(G, self.dim, -1) @ F
 
-    def _at(self, C, pts):
-        return _tabulate(self._core, C, np.atleast_2d(pts)[None])[0]
-
-    def eval(self, pts):
-        return self._at(self._Cs, pts)
+    def eval(self, pts, sel=None):
+        """Member values at the points (npts, 3) of a stack of one, (dim,
+        npts[, 3]), or at stacked points (G', npts, 3) of the entities sel
+        of the stack (all by default), (G', dim, npts[, 3]); (npts, 3)
+        points on a larger stack raise a ValueError."""
+        return _tabulate(self._core, self._Cs, pts, sel)
 
     def grad(self, pts):
-        """Member gradients (scalar spaces only), shape (dim, npts, 3)."""
+        """Member gradients (scalar spaces only), points as in eval."""
         if self.value_dim != 1:
             raise ValueError("grad is defined for scalar bases")
-        return self._at(self._grad_map, pts)
+        return _tabulate(self._core, self._grad_map, pts)
 
     def div(self, pts):
-        """Member divergences; on faces this is the in-plane divergence."""
+        """Member divergences; on faces this is the in-plane divergence.
+        Points as in eval."""
         if self.value_dim == 1:
             raise ValueError("div is defined for vector bases")
-        return self._at(self._div_map, pts)
+        return _tabulate(self._core, self._div_map, pts)
 
     def curl(self, pts):
-        """Member curls (cell vector spaces only), shape (dim, npts, 3)."""
+        """Member curls (cell vector spaces only), points as in eval."""
         if self.value_dim != 3:
             raise ValueError("curl is defined for cell vector bases")
-        return self._at(self._curl_map, pts)
+        return _tabulate(self._core, self._curl_map, pts)
 
     def coeff_matrix(self):
         """Coefficients over the orthonormal parent basis (dim x width)."""
@@ -705,7 +701,7 @@ def l2_project(basis, f, rule=None):
             vals = vals.reshape(pts[sl].shape[:2] + shape)
         else:
             vals = given[sl]
-        moments.append(basis.moments(pts[sl], vals, weights[sl], sl))
+        moments.append(basis.moments(pts[sl], vals[:, None], weights[sl], sl)[..., 0])
     moments = np.concatenate(moments)
     if not basis.orthonormal:
         W = basis._Ws

@@ -17,8 +17,8 @@ the smooth parts of the adjoint functionals and the Poincaré mean
 constraint are load vectors (products.load_vector) paired with dof
 vectors; the Poincaré constants' component Grams are scatters of the
 stacked cell Grams (products.component_gram). Polynomial consistency
-compares each cell's local operators with its local interpolation
-(ddrcore.local_interpolation).
+compares each cell group's stacked local operators with the stacked local
+interpolation of their targets (ddrcore.local_interpolation).
 """
 
 import json
@@ -28,8 +28,9 @@ import numpy as np
 import scipy.linalg as la
 
 from .mesh import generate_cubic_mesh, generate_tet_mesh, agglomerate_pairs
-from .polyspaces import BasisBank, integrate_products, l2_project, value_blocks
+from .polyspaces import BasisBank, dim_P, integrate_products, l2_project, value_blocks
 from .ddrcore import (
+    _boundary_parts,
     _through,
     make_space,
     interpolate,
@@ -340,74 +341,75 @@ def check_commutation(mesh, k, seed=0, degree=None, bank=None):
 # polynomial consistency
 
 
+def _mismatch(A, B):
+    """Largest absolute entry of A - B per matrix of a stack, relative to
+    the largest of B."""
+    return np.abs(A - B).max(axis=(1, 2)) / np.maximum(
+        np.abs(B).max(axis=(1, 2)), 1e-30)
+
+
 def check_polynomial_consistency(mesh, k, seed=0, bank=None):
     """Potentials invert local interpolation on their target spaces; the
     flux potential and tangential face trace reduce to plain projections
     on the richer trimmed spaces; stabilizations vanish on interpolates.
-    All identities are checked as matrices, cell by cell."""
+    All identities are checked as matrices stacked over cell groups (face
+    traces per face position); a failure names the worst cell or face."""
     report = CheckReport(f"polynomial_consistency(k={k})")
     bank = bank if bank is not None else BasisBank(mesh, k)
     spaces = {w: make_space(mesh, w, k, bank=bank) for w in ("grad", "curl", "div")}
-    rng = np.random.default_rng(seed)
+    nc, width = mesh.num_cells, max(g.faces.shape[1] for g in bank.groups("cell"))
+    # a row per cell over its face positions or spaces, so argmax meets cells in order
+    resid = {key: np.zeros((nc, n)) for key, n in (
+        ("scalar_potential", 1), ("field_potential", 1),
+        ("flux_potential_trimmed", 1), ("tangential_trace_trimmed", width),
+        ("stabilization_on_interpolates", len(spaces)))}
+    dims = [dim_P(k + 1, 3), 3 * dim_P(k, 3), 3 * dim_P(k, 3)]  # of the potentials
+    draws = np.random.default_rng(seed).standard_normal((nc, sum(dims)))
+    draws = np.split(draws, np.cumsum(dims)[:-1], axis=1)
 
-    worst = {
-        "scalar_potential": 0.0,
-        "field_potential": 0.0,
-        "flux_potential_trimmed": 0.0,
-        "tangential_trace_trimmed": 0.0,
-        "stabilization_on_interpolates": 0.0,
-    }
-    offenders = {}
-
-    def track(key, value, entity):
-        if value > worst[key]:
-            worst[key] = value
-            offenders[key] = entity
-
-    for c in range(mesh.num_cells):
-        pots = {w: op_potential(spaces[w], c) for w in spaces}
-        J = {w: local_interpolation(spaces[w], "cell", c, pots[w].target)
-             for w in spaces}
+    for group in bank.groups("cell"):
+        ids = group.ids
+        pots = {w: _through(s, op_potential, group) for w, s in spaces.items()}
+        J = {w: local_interpolation(spaces[w], group, pots[w].target) for w in spaces}
         for which, key in (("grad", "scalar_potential"), ("curl", "field_potential")):
-            pot = pots[which]
-            resid = np.abs(pot.matrix @ J[which] - np.eye(pot.target.dim)).max()
-            track(key, resid, ("cell", c))
-
-        pot = pots["div"]
-        rt = bank.subspace("cell", c, "raviart_thomas", k + 1)
-        Jrt = local_interpolation(spaces["div"], "cell", c, rt)
-        proj = rt.coeff_matrix()[:, : pot.target.dim].T
-        resid = np.abs(pot.matrix @ Jrt - proj).max() / max(
-            np.abs(proj).max(), 1e-30
-        )
-        track("flux_potential_trimmed", resid, ("cell", c))
+            resid[key][ids, 0] = _mismatch(pots[which].matrix @ J[which],
+                                           np.eye(J[which].shape[2])[None])
+        rt = bank.group_basis(group, "raviart_thomas", k + 1)
+        resid["flux_potential_trimmed"][ids, 0] = _mismatch(
+            pots["div"].matrix @ local_interpolation(spaces["div"], group, rt),
+            rt._Ws[:, :, : dims[2]].transpose(0, 2, 1))
 
         space = spaces["curl"]
-        ne = bank.subspace("cell", c, "nedelec", k + 1)
-        for f in [int(x) for x in mesh.cells[c]]:
-            tr = op_tangential_trace(space, f)
-            Jf = local_interpolation(space, "face", f, ne)
-            rule = bank.rule("face", f)
-            nrm = mesh.face_normals[f]
-            vals = ne.eval(rule.points)
-            tang = vals - (vals @ nrm)[:, :, None] * nrm
-            proj = integrate_products(tr.target.eval(rule.points), tang,
-                                      rule.weights)
-            scale = max(np.abs(proj).max(), 1e-30)
-            resid = np.abs(tr.matrix @ Jf - proj).max() / scale
-            track("tangential_trace_trimmed", resid, ("face", f))
+        ne = bank.group_basis(group, "nedelec", k + 1)
+        for p, (_, sub, slots, _, nrm) in enumerate(_boundary_parts(space, group)):
+            tr = _through(space, op_tangential_trace, sub)
+            rule = bank.group_rule(sub)
+            proj = []
+            for sl in value_blocks(len(group), ne.dim * rule.points[0].size):
+                pts, n = rule.points[slots[sl]], nrm[sl, None, None, :]
+                vals = ne.eval(pts, sl)
+                tang = vals - (vals * n).sum(axis=3, keepdims=True) * n
+                proj.append(integrate_products(tr.target.eval(pts, slots[sl]),
+                                               tang, rule.weights[slots[sl]]))
+            resid["tangential_trace_trimmed"][ids, p] = _mismatch(
+                tr.matrix[slots] @ local_interpolation(space, sub, ne, slots),
+                np.concatenate(proj))
 
-        for which, space in spaces.items():
-            a = rng.standard_normal(pots[which].target.dim)
-            vloc = J[which] @ a
-            s = stabilization(space, c).matrix
-            m = l2_product(space, c).matrix
-            num = abs(float(vloc @ s @ vloc))
-            den = max(float(vloc @ m @ vloc), 1e-30)
-            track("stabilization_on_interpolates", num / den, ("cell", c, which))
+        for j, (which, space) in enumerate(spaces.items()):
+            v = (J[which] @ draws[j][ids, :, None])[..., 0]
+            s = _through(space, stabilization, group).matrix
+            m = _through(space, l2_product, group).matrix
+            resid["stabilization_on_interpolates"][ids, j] = np.abs(
+                np.einsum("gi,gij,gj->g", v, s, v)) / np.maximum(
+                np.einsum("gi,gij,gj->g", v, m, v), 1e-30)
 
-    for key, value in worst.items():
-        report.gate_below(key, value, 1e-9, context=str(offenders.get(key, "")))
+    names = {"tangential_trace_trimmed": lambda c, p: ("face", int(mesh.cells[c][p])),
+             "stabilization_on_interpolates": lambda c, p: ("cell", c, list(spaces)[p])}
+    for key, values in resid.items():
+        c, p = np.unravel_index(np.argmax(values), values.shape)
+        worst = float(values[c, p])
+        entity = names.get(key, lambda c, p: ("cell", c))(int(c), int(p))
+        report.gate_below(key, worst, 1e-9, context="" if worst <= 0 else str(entity))
     return report
 
 
@@ -564,7 +566,7 @@ def _l2_error_sq(space, op, dofs, f):
         u = (ops.matrix @ dofs[ops.dofs][..., None])[..., 0]
         for sl in value_blocks(*rule.weights.shape):
             pts = rule.points[sl]
-            diff = np.einsum("gm,gm...->g...", u[sl], ops.target.values(pts, sl))
+            diff = np.einsum("gm,gm...->g...", u[sl], ops.target.eval(pts, sl))
             diff -= np.asarray(f(pts.reshape(-1, 3))).reshape(diff.shape)
             sq = diff ** 2 if diff.ndim == 2 else np.sum(diff ** 2, axis=2)
             total += float(np.sum(sq * rule.weights[sl]))

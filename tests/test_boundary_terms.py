@@ -28,7 +28,7 @@ from polyddr.ddrcore import (
     op_scalar_trace,
     op_tangential_trace,
 )
-from polyddr.mesh import Mesh, agglomerate_pairs, generate_cubic_mesh, generate_tet_mesh
+from polyddr.mesh import agglomerate_pairs, generate_cubic_mesh, generate_tet_mesh
 from polyddr.polyspaces import (
     BasisBank,
     PolyBasis,
@@ -38,6 +38,8 @@ from polyddr.polyspaces import (
     trace_table,
 )
 from polyddr.products import _Forms, l2_product, stabilization
+
+from meshes import jittered_tet_mesh
 
 
 def _boundary_term_at_points(space, group, M, idx, tests, trace, what,
@@ -49,8 +51,8 @@ def _boundary_term_at_points(space, group, M, idx, tests, trace, what,
         rec = _through(space, trace, subgroup)
         rule = space.bank.group_rule(subgroup, degree)
         pts = rule.points[slots]
-        V = tests.values(pts)
-        W = rec.target.values(pts, slots)
+        V = tests.eval(pts)
+        W = rec.target.eval(pts, slots)
         if V.ndim == 4:
             if W.ndim == 4:
                 V = V @ _cross_matrix(n)[:, None]
@@ -93,8 +95,8 @@ def _stab_trace_at_points(space, group, face_trace, edge_trace=None):
             rows = _columns(pot.dofs, rec.dofs[slots])
             d = mesh.face_normals[j] if kind == "face" else mesh.edge_tangents[j]
             pts = rule.points[slots]
-            V = pot.target.values(pts)
-            W = rec.target.values(pts, slots)
+            V = pot.target.eval(pts)
+            W = rec.target.eval(pts, slots)
             if vector and W.ndim == 4:
                 V = V @ (np.eye(3) - d[:, :, None] * d[:, None, :])[:, None]
             elif vector:
@@ -105,23 +107,11 @@ def _stab_trace_at_points(space, group, face_trace, edge_trace=None):
     return _Forms(group, pot.dofs, S)
 
 
-def _jittered_tet_mesh(n, seed, amplitude=0.15):
-    """generate_tet_mesh(n) with seeded jitter of the interior coordinates
-    by up to amplitude * h; boundary vertices slide within their planes."""
-    data = generate_tet_mesh(n).to_dict()
-    vertices = np.array(data["vertices"])
-    offsets = np.random.default_rng(seed).uniform(
-        -amplitude / n, amplitude / n, size=vertices.shape)
-    free = (vertices > 0.0) & (vertices < 1.0)
-    return Mesh(vertices + np.where(free, offsets, 0.0), data["faces"],
-                data["cells"])
-
-
 CONFIGS = {
     "tet1-k3": (lambda: generate_tet_mesh(1), 3),
     "agglo2-k2": (lambda: agglomerate_pairs(generate_cubic_mesh(2), seed=0), 2),
-    "jittered-tet2-k0": (lambda: _jittered_tet_mesh(2, 5), 0),
-    "jittered-tet2-k1": (lambda: _jittered_tet_mesh(2, 5), 1),
+    "jittered-tet2-k0": (lambda: jittered_tet_mesh(2, 5), 0),
+    "jittered-tet2-k1": (lambda: jittered_tet_mesh(2, 5), 1),
     "cubic2-k1": (lambda: generate_cubic_mesh(2), 1),
 }
 
@@ -170,14 +160,14 @@ def test_boundary_integrals_match_the_point_oracle(monkeypatch, name):
 
     # the library build tabulates no basis at boundary rule points
     calls = []
-    values = PolyBasis.values
+    tabulate = PolyBasis.eval
 
     def watched(self, *args, **kwargs):
         calls.append(self.kind)
-        return values(self, *args, **kwargs)
+        return tabulate(self, *args, **kwargs)
 
     spaces = _spaces(mesh, k)
-    monkeypatch.setattr(PolyBasis, "values", watched)
+    monkeypatch.setattr(PolyBasis, "eval", watched)
     got = _build_all(spaces)
     assert calls == []
 

@@ -262,6 +262,30 @@ def test_face_members_are_tangent(meshes):
             assert np.abs(V @ n).max() < 1e-11
 
 
+def test_stacked_tabulation_needs_stacked_points():
+    """Points (npts, 3) name no entity of a stack of several: every
+    tabulation method raises, naming the stack size, where it used to return
+    the first entity's values. Stacked points give each entity its own."""
+    mesh = generate_tet_mesh(1)
+    bank = BasisBank(mesh, 1)
+    group, slot = bank.group("cell", 1)
+    assert len(group) > 1
+    pts = mesh.cell_centroids[[1]]
+    scalars = bank.group_basis(group, "scalar", 1)
+    vectors = bank.group_basis(group, "vector", 1)
+    for method in (scalars.eval, scalars.grad, vectors.eval, vectors.div,
+                   vectors.curl):
+        with pytest.raises(ValueError, match=f"stack of {len(group)};"):
+            method(pts)
+    stacked = np.broadcast_to(pts, (len(group), 1, 3))
+    for method, one in ((scalars.eval, scalars.take(slot).eval),
+                        (scalars.grad, scalars.take(slot).grad),
+                        (vectors.div, vectors.take(slot).div)):
+        assert np.array_equal(method(stacked)[slot], one(pts))
+    assert np.array_equal(scalars.eval(stacked[[slot]], [slot])[0],
+                          scalars.take(slot).eval(pts))
+
+
 # ----------------------------------------------------------------------
 # decompositions, hierarchy, recovery
 

@@ -105,6 +105,12 @@ def _cell_of(ctx, name, c):
     return big_cell(ctx.meshes[name]) if c is None else c
 
 
+def _local_interpolation(space, c, basis):
+    """The library's stacked local interpolation of one cell's basis."""
+    group, slot = space.bank.group("cell", c)
+    return local_interpolation(space, group, basis, [slot])[0]
+
+
 def _stabilization(space, c, variant):
     """The stabilization of one variant: "trace" is the library's; the
     "interpolation" oracle penalizes the dof-space residual against the
@@ -113,7 +119,7 @@ def _stabilization(space, c, variant):
     if variant == "trace" or space.which == "l2":
         return stabilization(space, c)
     pot = op_potential(space, c)
-    J = local_interpolation(space, "cell", c, pot.target)
+    J = _local_interpolation(space, c, pot.target)
     R = np.eye(len(pot.dofs)) - J @ pot.matrix
     return LocalBilinearForm(("cell", c), pot.dofs,
                              R.T @ component_gram(space, c) @ R)
@@ -241,7 +247,7 @@ def test_entity_moments_match_interpolation_oracle(ctx, name, k, which):
     c = big_cell(ctx.meshes[name])
     space = ctx.spaces(name, k)[which]
     pot = op_potential(space, c)
-    J = local_interpolation(space, "cell", c, pot.target)
+    J = _local_interpolation(space, c, pot.target)
     want = np.column_stack([
         interpolate(space, lambda pts, m=m: pot.target.eval(pts)[m]).values
         for m in range(pot.target.dim)])[pot.dofs]

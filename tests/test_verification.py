@@ -7,6 +7,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyddr.mesh import (
     Mesh,
@@ -30,6 +31,8 @@ from polyddr.verification import (
     check_adjoint_decay,
     check_poincare,
 )
+
+from meshes import jittered_tet_mesh
 
 
 def pyramid_mesh():
@@ -231,6 +234,21 @@ def test_polynomial_consistency_passes_on_agglomerated():
 def test_polynomial_consistency_fails_on_flipped_face_sign():
     rep = check_polynomial_consistency(flip_cell_face_sign(generate_cubic_mesh(1)), 0)
     assert not rep.passed
+    assert all("(('cell', 0" in line for line in rep.failures), rep.failures
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**16), amplitude=st.floats(0.0, 0.15),
+       k=st.integers(0, 2))
+def test_polynomial_consistency_on_jittered_tets(seed, amplitude, k):
+    """Distorted tets: interior vertices of tet:2 jittered by up to 0.15 h."""
+    rep = check_polynomial_consistency(jittered_tet_mesh(2, seed, amplitude), k)
+    assert rep.passed, rep.failures
+
+
+def test_polynomial_consistency_on_jittered_tets_at_degree_three():
+    rep = check_polynomial_consistency(jittered_tet_mesh(2, 11), 3)
+    assert rep.passed, rep.failures
 
 
 # ----------------------------------------------------------------------

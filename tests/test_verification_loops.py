@@ -6,16 +6,40 @@ paired with the dofs in the adjoint functionals, and the mean constraint of
 the scalar Poincaré constant (from the closed form of the first orthonormal
 member, 1/sqrt|T|). Swapped in for the stacked routines, they give every
 series and constant a second value.
+
+The polynomial-consistency check has two more: the local interpolation of
+one entity, which integrates each dof block against the tabulated family
+bases at that entity's own rule, and the check's per-cell body, which
+builds every identity of one cell (and of each of its faces) from the
+per-entity operators and that local interpolation.
 """
 
 import numpy as np
 import pytest
 
 import polyddr.verification as ver
-from polyddr.ddrcore import INTERP_DEGREE_MARGIN, op_potential
+from polyddr import ddrcore
+from polyddr.ddrcore import (
+    INTERP_DEGREE_MARGIN,
+    _boundary_parts,
+    _families,
+    _through,
+    local_interpolation,
+    make_space,
+    op_potential,
+    op_tangential_trace,
+)
 from polyddr.mesh import agglomerate_pairs, generate_cubic_mesh, generate_tet_mesh
-from polyddr.products import stabilization
-from polyddr.verification import check_adjoint_decay, check_primal_consistency
+from polyddr.polyspaces import BasisBank, integrate_products
+from polyddr.products import l2_product, stabilization
+from polyddr.verification import (
+    CheckReport,
+    check_adjoint_decay,
+    check_polynomial_consistency,
+    check_primal_consistency,
+)
+
+from meshes import jittered_tet_mesh
 
 CONFIGS = [
     ("cubic", 0, (2, 4, 8)),
@@ -131,3 +155,220 @@ def test_poincare_constants_match_cell_loop(monkeypatch, mesh, k):
 def test_rate_checks_reject_fewer_than_two_levels(check, levels):
     with pytest.raises(ValueError, match="a rate needs at least two levels"):
         check("cubic", 0, levels)
+
+
+# ----------------------------------------------------------------------
+# polynomial consistency
+
+
+def _local_interpolation_by_entity(space, kind, index, basis):
+    """Local interpolation of a polynomial basis on one face or cell:
+    column j is the local dof vector (local_dofs order) of member j. Each
+    block integrates the member values, tangential on field-space edges and
+    normal on flux-space faces, against the tabulated family bases at its
+    entity's polynomial rule."""
+    mesh, bank = space.mesh, space.bank
+    idx, layout = space.local_dofs(kind, index)
+    J = np.zeros((len(idx), basis.dim))
+    for (ent, i), sl in layout.items():
+        if sl.start == sl.stop:
+            continue
+        if ent == "vertex":
+            J[sl] = basis.eval(mesh.vertices[[i]]).T
+            continue
+        rule = bank.rule(ent, i)
+        vals = basis.eval(rule.points)
+        if ent == "edge" and space.which == "curl":
+            vals = vals @ mesh.edge_tangents[i]
+        elif ent == "face" and space.which == "div":
+            vals = vals @ mesh.face_normals[i]
+        J[sl] = np.concatenate([
+            integrate_products(b.eval(rule.points), vals, rule.weights)
+            for b in (bank.basis(fam, ent, i, l)
+                      for fam, l in _families(space, ent)) if b.dim])
+    return J
+
+
+def _local_interpolation_by_entities(space, group, basis, slots=None):
+    """The stacked local interpolation, one entity at a time."""
+    slots = range(len(group)) if slots is None else slots
+    return np.stack([
+        _local_interpolation_by_entity(space, group.kind, int(group.ids[s]),
+                                       basis.take(g))
+        for g, s in enumerate(slots)])
+
+
+def _consistency_by_cells(mesh, k, seed=0, bank=None):
+    """check_polynomial_consistency cell by cell, and face by face of each
+    cell, with the per-entity local interpolation."""
+    report = CheckReport(f"polynomial_consistency(k={k})")
+    bank = bank if bank is not None else BasisBank(mesh, k)
+    spaces = {w: make_space(mesh, w, k, bank=bank) for w in ("grad", "curl", "div")}
+    rng = np.random.default_rng(seed)
+    interp = _local_interpolation_by_entity
+    worst = dict.fromkeys(("scalar_potential", "field_potential",
+                           "flux_potential_trimmed", "tangential_trace_trimmed",
+                           "stabilization_on_interpolates"), 0.0)
+    offenders = {}
+
+    def track(key, value, entity):
+        if value > worst[key]:
+            worst[key] = value
+            offenders[key] = entity
+
+    for c in range(mesh.num_cells):
+        pots = {w: op_potential(spaces[w], c) for w in spaces}
+        J = {w: interp(spaces[w], "cell", c, pots[w].target) for w in spaces}
+        for which, key in (("grad", "scalar_potential"), ("curl", "field_potential")):
+            pot = pots[which]
+            resid = np.abs(pot.matrix @ J[which] - np.eye(pot.target.dim)).max()
+            track(key, resid, ("cell", c))
+
+        pot = pots["div"]
+        rt = bank.subspace("cell", c, "raviart_thomas", k + 1)
+        proj = rt.coeff_matrix()[:, : pot.target.dim].T
+        resid = np.abs(pot.matrix @ interp(spaces["div"], "cell", c, rt) - proj).max()
+        track("flux_potential_trimmed", resid / max(np.abs(proj).max(), 1e-30),
+              ("cell", c))
+
+        space = spaces["curl"]
+        ne = bank.subspace("cell", c, "nedelec", k + 1)
+        for f in [int(x) for x in mesh.cells[c]]:
+            tr = op_tangential_trace(space, f)
+            rule = bank.rule("face", f)
+            nrm = mesh.face_normals[f]
+            vals = ne.eval(rule.points)
+            tang = vals - (vals @ nrm)[:, :, None] * nrm
+            proj = integrate_products(tr.target.eval(rule.points), tang,
+                                      rule.weights)
+            resid = np.abs(tr.matrix @ interp(space, "face", f, ne) - proj).max()
+            track("tangential_trace_trimmed",
+                  resid / max(np.abs(proj).max(), 1e-30), ("face", f))
+
+        for which, space in spaces.items():
+            v = J[which] @ rng.standard_normal(pots[which].target.dim)
+            num = abs(float(v @ stabilization(space, c).matrix @ v))
+            den = max(float(v @ l2_product(space, c).matrix @ v), 1e-30)
+            track("stabilization_on_interpolates", num / den, ("cell", c, which))
+
+    for key, value in worst.items():
+        report.gate_below(key, value, 1e-9, context=str(offenders.get(key, "")))
+    return report
+
+
+CONSISTENCY_MESHES = {
+    "tet1": lambda: generate_tet_mesh(1),
+    "cubic2": lambda: generate_cubic_mesh(2),
+    "agglo2": lambda: agglomerate_pairs(generate_cubic_mesh(2), seed=1),
+    "agglo3": lambda: agglomerate_pairs(generate_cubic_mesh(3), seed=1),
+    "jittered-tet2": lambda: jittered_tet_mesh(2, 3),
+}
+
+
+def _assert_close_rel(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", sorted(CONSISTENCY_MESHES))
+def test_local_interpolation_matches_entity_oracle(name, k):
+    """The stacked local interpolation of every cell potential's target and
+    of the Raviart-Thomas basis on cell closures, and of the cell Nedelec
+    basis on the closure of each face position, against the per-entity
+    oracle."""
+    mesh = CONSISTENCY_MESHES[name]()
+    bank = BasisBank(mesh, k)
+    spaces = {w: make_space(mesh, w, k, bank=bank) for w in ("grad", "curl", "div")}
+    for group in bank.groups("cell"):
+        for which, space in spaces.items():
+            basis = _through(space, op_potential, group).target
+            _assert_close_rel(local_interpolation(space, group, basis),
+                              _local_interpolation_by_entities(space, group, basis))
+        rt = bank.group_basis(group, "raviart_thomas", k + 1)
+        _assert_close_rel(local_interpolation(spaces["div"], group, rt),
+                          _local_interpolation_by_entities(spaces["div"], group, rt))
+        ne = bank.group_basis(group, "nedelec", k + 1)
+        for _, sub, slots, _, _ in _boundary_parts(spaces["curl"], group):
+            _assert_close_rel(
+                local_interpolation(spaces["curl"], sub, ne, slots),
+                _local_interpolation_by_entities(spaces["curl"], sub, ne, slots))
+
+
+def _assert_reports_agree(got, want):
+    assert got.metrics.keys() == want.metrics.keys()
+    for key, value in want.metrics.items():
+        assert abs(got.metrics[key] - value) <= 1e-12, (key, got.metrics[key], value)
+    assert got.passed == want.passed
+
+
+@pytest.mark.parametrize("name,k", [
+    ("tet1", 0), ("tet1", 1), ("tet1", 2), ("tet1", 3), ("cubic2", 1),
+    ("agglo2", 1), ("agglo3", 1), ("jittered-tet2", 2),
+])
+def test_consistency_check_matches_cell_oracle(monkeypatch, name, k):
+    """Every metric of the stacked check agrees with the per-cell loop, and
+    with the stacked check running on the per-entity local interpolation."""
+    mesh = CONSISTENCY_MESHES[name]()
+    got = check_polynomial_consistency(mesh, k, seed=4)
+    _assert_reports_agree(got, _consistency_by_cells(mesh, k, seed=4))
+    with monkeypatch.context() as m:
+        calls = []
+        _swap(m, calls, "local_interpolation", _local_interpolation_by_entities)
+        swapped = check_polynomial_consistency(mesh, k, seed=4)
+    assert calls
+    _assert_reports_agree(swapped, got)
+
+
+def _corrupt(monkeypatch, build, which, kind, index, factor=1.0 + 1e-6):
+    """Scale the cached local operator of one entity in the stack that the
+    ddrcore stack function named build makes for the space which."""
+    original = getattr(ddrcore, build)
+
+    def corrupted(space, group, want=None):
+        out = original(space, group, want)
+        owner, slot = space.bank.group(kind, index)
+        if space.which == which and owner is group:
+            out.matrix[slot] *= factor
+        return out
+
+    monkeypatch.setattr(ddrcore, build, corrupted)
+
+
+def _failure(report, key):
+    lines = [line for line in report.failures if line.startswith(f"{key} =")]
+    assert len(lines) == 1, report.failures
+    return lines[0]
+
+
+@pytest.mark.parametrize("which,key", [("grad", "scalar_potential"),
+                                       ("curl", "field_potential")])
+def test_consistency_names_the_corrupted_cell(monkeypatch, which, key):
+    mesh, c = generate_tet_mesh(1), 3
+    _corrupt(monkeypatch, "_potential", which, "cell", c)
+    for check in (check_polynomial_consistency, _consistency_by_cells):
+        report = check(mesh, 1)
+        assert not report.passed
+        assert _failure(report, key).endswith(f"(('cell', {c}))")
+
+
+def test_consistency_names_the_corrupted_face(monkeypatch):
+    mesh = agglomerate_pairs(generate_cubic_mesh(2), seed=1)
+    f = mesh.num_faces // 2
+    _corrupt(monkeypatch, "_tangential_trace", "curl", "face", f)
+    for check in (check_polynomial_consistency, _consistency_by_cells):
+        report = check(mesh, 1)
+        assert not report.passed
+        assert _failure(report, "tangential_trace_trimmed").endswith(
+            f"(('face', {f}))")
+
+
+def test_consistency_fails_on_a_nan_potential(monkeypatch):
+    """A NaN residual fails the report and names its cell; the per-cell
+    loop's strict comparison skipped it and passed."""
+    mesh, c = generate_tet_mesh(1), 2
+    _corrupt(monkeypatch, "_potential", "grad", "cell", c, np.nan)
+    report = check_polynomial_consistency(mesh, 0)
+    assert not report.passed
+    assert _failure(report, "scalar_potential") == (
+        f"scalar_potential = nan not below 1e-09 (('cell', {c}))")
