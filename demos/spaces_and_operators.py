@@ -53,13 +53,15 @@ def main():
     print(f"max |curl(grad q_h)| = {np.abs(curl_of_grad).max():.3e}")
     print(f"max |div(curl v_h)|  = {np.abs(div_of_curl).max():.3e}")
 
-    # Per-cell potential reconstructions give polynomial representatives
-    # one step richer than the raw degrees of freedom.
-    pot = polyddr.op_potential(spaces["grad"], 0)
+    # Potential reconstructions give polynomial representatives one step
+    # richer than the raw degrees of freedom. They are built for a whole
+    # group of congruent cells at once; cell 0 is one slot of its group.
+    group, slot = spaces["grad"].bank.group("cell", 0)
+    pot = polyddr.op_potential(spaces["grad"], group)
     print(
-        "cell 0 scalar potential: "
-        f"{pot.matrix.shape[0]} polynomial coefficients "
-        f"from {pot.matrix.shape[1]} local dofs"
+        f"cell 0 scalar potential (slot {slot} of {len(group)} cells): "
+        f"{pot.matrix.shape[1]} polynomial coefficients "
+        f"from {pot.matrix.shape[2]} local dofs"
     )
 
     # The stabilized product gives a positive definite Gram matrix.

@@ -29,14 +29,12 @@ from .polyspaces import (
 from .ddrcore import (
     DofSpace,
     DofVector,
-    LocalOperator,
     make_space,
     interpolate,
     op_potential,
     global_operator,
 )
 from .products import (
-    LocalBilinearForm,
     stabilization,
     l2_product,
     component_gram,
@@ -85,12 +83,10 @@ __all__ = [
     "projection_overlap",
     "DofSpace",
     "DofVector",
-    "LocalOperator",
     "make_space",
     "interpolate",
     "op_potential",
     "global_operator",
-    "LocalBilinearForm",
     "stabilization",
     "l2_product",
     "component_gram",

@@ -43,22 +43,25 @@ degree; a build whose rule is not stops with a ValueError naming the
 operator and the degrees.
 
 Every operator is built for a whole entity group at once (see
-polyspaces.BasisBank): the first request for one entity builds the stacked
-operators of its group, and each per-entity LocalOperator is a view into
-them. Boundary parts at one local position of a group share a group of
-their own, so each position is one gathered, stacked contraction, and the
-group's boundary term is one bincount scatter. Nested builds go through
-the per-entity entry points (op_*, edge_reconstruct) of the sub-groups'
-first entities. Square systems are solved as one stack; one above
-condition number 1e12 aborts with a message naming the operator, the
-entity (the one asked for if it fails, else the group's worst) and the
-condition number, and the worst condition number per operator is kept in
-DofSpace.worst_cond.
+polyspaces.BasisBank), and the group stack is the only local API: each
+entry point (edge_reconstruct, op_*) takes (space, group) and returns the
+group's `_Operators` (dofs (G, n), matrix (G, m, n), stacked target),
+built on first request and cached in the space. Entity i of a group is
+slot `bank.group(kind, i)[1]` of each array. Boundary parts at one local
+position of a group share a group of their own, so each position is one
+gathered, stacked contraction through the sub-group's entry point, and the
+group's boundary term is one bincount scatter. Square systems are solved
+as one stack; one above condition number 1e12 aborts with a message naming
+the operator, the group's worst entity and its condition number, and the
+worst condition number per operator is kept in DofSpace.worst_cond.
 
 `interpolate` (a smooth field at the data rules) and `local_interpolation`
 (a stacked polynomial basis on the closures of a face or cell group, at
 the polynomial rules) share one moment routine, `_moments`.
 """
+
+import functools
+from collections import namedtuple
 
 import numpy as np
 from scipy import sparse
@@ -76,7 +79,6 @@ from .polyspaces import (
 __all__ = [
     "DofSpace",
     "DofVector",
-    "LocalOperator",
     "make_space",
     "interpolate",
     "local_interpolation",
@@ -98,13 +100,12 @@ COND_LIMIT = 1e12
 INTERP_DEGREE_MARGIN = 6
 
 
-def _solve_guarded(space, A, B, what, group, want=None):
+def _solve_guarded(space, A, B, what, group):
     """Solve the stacked square systems A X = B of one entity group.
 
     Every condition number is computed; the worst one and its entity are
     kept per label in space.worst_cond. A system above COND_LIMIT (or not
-    finite) aborts, naming the entity at slot want if it fails there and
-    the worst failing entity of the group otherwise."""
+    finite) aborts, naming the worst failing entity of the group."""
     cond = np.linalg.cond(A) if A.size else np.zeros(len(A))
     score = np.where(np.isfinite(cond), cond, np.inf)
     if len(score):
@@ -112,82 +113,42 @@ def _solve_guarded(space, A, B, what, group, want=None):
         seen = space.worst_cond.get(what)
         if seen is None or not score[worst] <= seen[0]:
             space.worst_cond[what] = (float(cond[worst]), int(group.ids[worst]))
-        failing = ~(score <= COND_LIMIT)
-        if failing.any():
-            g = want if want is not None and failing[want] else worst
+        if not score[worst] <= COND_LIMIT:
             raise RuntimeError(
-                f"{what} {group.ids[g]}: square system condition number "
-                f"{cond[g]:.3e} exceeds {COND_LIMIT:.0e}"
+                f"{what} {group.ids[worst]}: square system condition number "
+                f"{cond[worst]:.3e} exceeds {COND_LIMIT:.0e}"
             )
     return np.linalg.solve(A, B)
 
 
-def _entity(space, name, build, kind, index):
-    """The view of one entity into the stacked local objects of its group,
-    which build(space, group, want) makes once per space and caches under
-    name. want is the slot of the entity asked for, named by a failing
-    guarded solve; builds nested in another build have none."""
-    group, slot = space.bank.group(kind, index)
-    key = (name, kind, group.gid)
-    stack = space._cache.get(key)
-    if stack is None:
-        want = None if space._building else slot
-        space._building += 1
-        try:
-            stack = space._cache[key] = build(space, group, want)
-        finally:
-            space._building -= 1
-    return stack.take(slot, space)
+def _stack(kind):
+    """Make build(space, group) the entry point of one local object on the
+    entity groups of one kind: it rejects anything but such a group and
+    returns the group's stack, built once per space and cached under the
+    builder's name and the kind."""
+    def entry(build):
+        name = build.__name__
+
+        @functools.wraps(build)
+        def stack(space, group):
+            got = getattr(group, "kind", None)
+            if got != kind:
+                raise ValueError(
+                    f"{name} takes a {kind} group (BasisBank.groups({kind!r})), "
+                    f"not {f'a {got} group' if got else repr(group)}")
+            key = (name, kind, group.gid)
+            out = space._cache.get(key)
+            if out is None:
+                out = space._cache[key] = build(space, group)
+            return out
+        return stack
+    return entry
 
 
-def _through(space, op, group):
-    """The stack of a whole group, requested through the per-entity
-    function op on the group's first entity, so that every kind of local
-    object is built inside its own entry point."""
-    op(space, int(group.ids[0]))
-    return space._cache[(op.__name__, group.kind, group.gid)]
-
-
-class LocalOperator:
-    """A linear map from entity-local degrees of freedom to a polynomial.
-
-    dofs holds the global indices the operator reads, in the local order
-    used by the matrix columns; the rows are coefficients over target.
-    """
-
-    __slots__ = ("entity", "dofs", "layout", "target", "matrix")
-
-    def __init__(self, entity, dofs, layout, target, matrix):
-        self.entity = entity
-        self.dofs = dofs
-        self.layout = layout
-        self.target = target
-        self.matrix = matrix
-
-    def apply(self, values):
-        values = np.asarray(values)
-        return self.matrix @ values[self.dofs]
-
-
-class _Operators:
-    """The local operators of one entity group, stacked: dofs (G, n)
-    global indices, matrix (G, m, n), target the stacked target basis."""
-
-    def __init__(self, group, dofs, target, matrix):
-        self.group = group
-        self.dofs = dofs
-        self.target = target
-        self.matrix = matrix
-        self._views = {}
-
-    def take(self, g, space):
-        out = self._views.get(g)
-        if out is None:
-            entity = (self.group.kind, int(self.group.ids[g]))
-            out = self._views[g] = LocalOperator(
-                entity, self.dofs[g], space.local_dofs(*entity)[1],
-                self.target.take(g), self.matrix[g])
-        return out
+# The local operators of one entity group, stacked: dofs (G, n) global
+# indices in local order, matrix (G, m, n), and target, the stacked basis
+# whose coefficients the rows are.
+_Operators = namedtuple("_Operators", "dofs matrix target")
 
 
 class DofVector:
@@ -279,7 +240,6 @@ class DofSpace:
         self.cell_start = self.face_start + nf * self.face_width
         self.dim = self.cell_start + nc * self.cell_width
         self._cache = {}
-        self._building = 0
         self.worst_cond = {}
 
     # -- global index helpers ---------------------------------------------
@@ -485,23 +445,18 @@ def _columns(idx, dofs):
     return pos.reshape(dofs.shape) - n * np.arange(G)[:, None]
 
 
-def _identity_values(space, group, want=None):
-    """The entity's own dofs as the identity onto its degree-k basis."""
+def _identity_values(space, group):
+    """The entity's own dofs as the identity onto its degree-k basis: the
+    boundary values of the field space on edges and of the flux space on
+    faces."""
     dofs = space.group_dofs(group)
     w = dofs.shape[1]
-    return _Operators(group, dofs,
-                      space.bank.group_basis(group, "scalar", space.k),
-                      np.broadcast_to(np.eye(w), (len(group), w, w)))
+    return _Operators(dofs, np.broadcast_to(np.eye(w), (len(group), w, w)),
+                      space.bank.group_basis(group, "scalar", space.k))
 
 
-def _edge_values(space, e):
-    """Field-space edge dofs as the identity onto the degree-k edge basis."""
-    return _entity(space, "_edge_values", _identity_values, "edge", e)
-
-
-def _face_values(space, f):
-    """Flux-space face dofs as the identity onto the degree-k face basis."""
-    return _entity(space, "_face_values", _identity_values, "face", f)
+_edge_values = _stack("edge")(_identity_values)
+_face_values = _stack("face")(_identity_values)
 
 
 def _boundary_parts(space, group):
@@ -551,8 +506,8 @@ def _add_boundary_term(space, group, M, idx, tests, trace, what, sign=1.0,
 
     M (G, m, n) has columns over the global dofs idx (G, n) of the entities
     of a face or cell group. Over their edges (faces) or faces (cells),
-    with rec the boundary reconstructions trace(space, j), stacked per
-    sub-entity group, and omega the relative orientation, adds
+    with rec the boundary reconstructions trace(space, subgroup) of each
+    position's sub-entity group, and omega the relative orientation, adds
     sign * omega * int (test trace) . rec to the columns of the dofs rec
     reads. The test trace is the value of a scalar test, the normal
     component of a vector test against a scalar reconstruction, and test x
@@ -562,7 +517,7 @@ def _add_boundary_term(space, group, M, idx, tests, trace, what, sign=1.0,
     """
     blocks, dofs = [], []
     for _, subgroup, slots, omega, n in _boundary_parts(space, group):
-        rec = _through(space, trace, subgroup)
+        rec = trace(space, subgroup)
         V, W = _trace_coords(tests._Cs, tests._core, rec, slots,
                              space.bank.group_rule(subgroup, degree), what,
                              n, _cross_matrix(n))
@@ -607,7 +562,11 @@ def _rotated_grad(space, group):
 # edge operators (scalar space)
 
 
-def _edge_reconstruct(space, group, want=None):
+@_stack("edge")
+def edge_reconstruct(space, group):
+    """Degree-(k+1) edge polynomial matching both endpoint values and the
+    degree-(k-1) edge moments; the base object for edge gradients and the
+    scalar stabilization."""
     if space.which != "grad":
         raise ValueError("edge reconstruction lives on the scalar space")
     k = space.k
@@ -617,31 +576,19 @@ def _edge_reconstruct(space, group, want=None):
     M[:, :2] = V.transpose(0, 2, 1)
     M[:, 2 + np.arange(k), np.arange(k)] = 1.0
     matrix = _solve_guarded(space, M, np.eye(k + 2), "edge reconstruction",
-                            group, want)
-    return _Operators(group, space.group_dofs(group), basis, matrix)
+                            group)
+    return _Operators(space.group_dofs(group), matrix, basis)
 
 
-def edge_reconstruct(space, e):
-    """Degree-(k+1) edge polynomial matching both endpoint values and the
-    degree-(k-1) edge moments; the base object for edge gradients and the
-    scalar stabilization."""
-    if space.which != "grad":
-        raise ValueError("edge reconstruction lives on the scalar space")
-    return _entity(space, "edge_reconstruct", _edge_reconstruct, "edge", e)
-
-
-def _grad_edge(space, group, want=None):
-    rec = _through(space, edge_reconstruct, group)
+@_stack("edge")
+def op_grad_edge(space, group):
+    """Derivative of the reconstructed edge polynomial, degree k."""
+    rec = edge_reconstruct(space, group)
     tgt = space.bank.group_basis(group, "scalar", space.k)
     t = space.mesh.edge_tangents[group.ids]
     dt = (t[:, None, None, :] @ rec.target._grad_map)[:, :, 0]
     D = tgt._core.inner(tgt._Cs, dt)
-    return _Operators(group, rec.dofs, tgt, D @ rec.matrix)
-
-
-def op_grad_edge(space, e):
-    """Derivative of the reconstructed edge polynomial, degree k."""
-    return _entity(space, "op_grad_edge", _grad_edge, "edge", e)
+    return _Operators(rec.dofs, D @ rec.matrix, tgt)
 
 
 # ----------------------------------------------------------------------
@@ -662,11 +609,11 @@ def _differential(space, group, tgt, adjoint, sign, trace, trace_sign, what):
         M[:, :, space._own_slice(group, 0)] = sign * tgt._core.inner(
             adjoint(tgt), first._Cs)
     _add_boundary_term(space, group, M, idx, tgt, trace, what, sign=trace_sign)
-    return _Operators(group, idx, tgt, M)
+    return _Operators(idx, M, tgt)
 
 
 def _reconstruction(space, group, op, tgt, tests, derivative, sign, trace,
-                    trace_sign, what, want, complement=None, degree=None):
+                    trace_sign, what, complement=None, degree=None):
     """Polynomial tgt on the faces or cells of a group from the dofs op
     reads.
 
@@ -685,128 +632,84 @@ def _reconstruction(space, group, op, tgt, tests, derivative, sign, trace,
         keep = np.zeros((len(group), complement.dim, idx.shape[1]))
         keep[:, :, space._own_slice(group, 1)] = np.eye(complement.dim)
         R = np.concatenate([R, keep], axis=1)
-    matrix = _solve_guarded(space, A, R, what, group, want)
-    return _Operators(group, idx, tgt, matrix)
+    return _Operators(idx, _solve_guarded(space, A, R, what, group), tgt)
 
 
-def _grad_face(space, group, want=None):
+@_stack("face")
+def op_grad_face(space, group):
+    """Face gradient in the full vector space of degree k, defined by
+    integration by parts against all vector polynomials."""
     return _differential(
         space, group, space.bank.group_basis(group, "vector", space.k),
         _div, -1.0, edge_reconstruct, 1.0, "face gradient")
 
 
-def op_grad_face(space, f):
-    """Face gradient in the full vector space of degree k, defined by
-    integration by parts against all vector polynomials."""
-    return _entity(space, "op_grad_face", _grad_face, "face", f)
-
-
-def _scalar_trace(space, group, want=None):
+@_stack("face")
+def op_scalar_trace(space, group):
+    """Degree-(k+1) scalar face reconstruction whose in-plane divergence
+    moments against the radial complement reproduce the face gradient."""
     k, basis = space.k, space.bank.group_basis
     return _reconstruction(
-        space, group, _through(space, op_grad_face, group),
+        space, group, op_grad_face(space, group),
         basis(group, "scalar", k + 1), basis(group, "curl_complement", k + 2),
-        _div, -1.0, edge_reconstruct, 1.0, "scalar face trace", want,
+        _div, -1.0, edge_reconstruct, 1.0, "scalar face trace",
         degree=2 * k + 4,
     )
 
 
-def op_scalar_trace(space, f):
-    """Degree-(k+1) scalar face reconstruction whose in-plane divergence
-    moments against the radial complement reproduce the face gradient."""
-    return _entity(space, "op_scalar_trace", _scalar_trace, "face", f)
-
-
-def _curl_face(space, group, want=None):
+@_stack("face")
+def op_curl_face(space, group):
+    """Scalar face rotation of degree k from tangential edge values and
+    the rotational-image face moments."""
     return _differential(
         space, group, space.bank.group_basis(group, "scalar", space.k),
         _rotated_grad(space, group), 1.0, _edge_values, -1.0, "face rotation")
 
 
-def op_curl_face(space, f):
-    """Scalar face rotation of degree k from tangential edge values and
-    the rotational-image face moments."""
-    return _entity(space, "op_curl_face", _curl_face, "face", f)
-
-
-def _tangential_trace(space, group, want=None):
+@_stack("face")
+def op_tangential_trace(space, group):
+    """Tangential face field of degree k: its rotated-gradient moments
+    come from the face rotation and edge values by parts, its radial
+    complement moments are kept from the data."""
     k, basis = space.k, space.bank.group_basis
     return _reconstruction(
-        space, group, _through(space, op_curl_face, group),
+        space, group, op_curl_face(space, group),
         basis(group, "vector", k), basis(group, "zero_mean", k + 1),
         _rotated_grad(space, group), 1.0, _edge_values, 1.0,
-        "tangential face trace", want,
+        "tangential face trace",
         complement=basis(group, "curl_complement", k),
     )
 
 
-def op_tangential_trace(space, f):
-    """Tangential face field of degree k: its rotated-gradient moments
-    come from the face rotation and edge values by parts, its radial
-    complement moments are kept from the data."""
-    return _entity(space, "op_tangential_trace", _tangential_trace, "face", f)
-
-
-def _grad_cell(space, group, want=None):
+@_stack("cell")
+def op_grad_cell(space, group):
+    """Cell gradient in the full vector space of degree k, by parts
+    against all vector polynomials using the scalar face traces."""
     return _differential(
         space, group, space.bank.group_basis(group, "vector", space.k),
         _div, -1.0, op_scalar_trace, 1.0, "cell gradient")
 
 
-def op_grad_cell(space, c):
-    """Cell gradient in the full vector space of degree k, by parts
-    against all vector polynomials using the scalar face traces."""
-    return _entity(space, "op_grad_cell", _grad_cell, "cell", c)
-
-
-def _curl_cell(space, group, want=None):
+@_stack("cell")
+def op_curl_cell(space, group):
+    """Cell curl in the full vector space of degree k, by parts against
+    all vector polynomials using the tangential face traces."""
     return _differential(
         space, group, space.bank.group_basis(group, "vector", space.k),
         _curl, 1.0, op_tangential_trace, 1.0, "cell curl")
 
 
-def op_curl_cell(space, c):
-    """Cell curl in the full vector space of degree k, by parts against
-    all vector polynomials using the tangential face traces."""
-    return _entity(space, "op_curl_cell", _curl_cell, "cell", c)
-
-
-def _div_cell(space, group, want=None):
+@_stack("cell")
+def op_div_cell(space, group):
+    """Cell divergence of degree k from normal face values and the
+    gradient-image cell moments."""
     return _differential(
         space, group, space.bank.group_basis(group, "scalar", space.k),
         _grad, -1.0, _face_values, 1.0, "cell divergence")
 
 
-def op_div_cell(space, c):
-    """Cell divergence of degree k from normal face values and the
-    gradient-image cell moments."""
-    return _entity(space, "op_div_cell", _div_cell, "cell", c)
-
-
-def _potential(space, group, want=None):
-    k, basis = space.k, space.bank.group_basis
-    if space.which == "grad":
-        return _reconstruction(
-            space, group, _through(space, op_grad_cell, group),
-            basis(group, "scalar", k + 1), basis(group, "curl_complement", k + 2),
-            _div, -1.0, op_scalar_trace, 1.0, "scalar potential on cell", want,
-        )
-    if space.which == "curl":
-        return _reconstruction(
-            space, group, _through(space, op_curl_cell, group),
-            basis(group, "vector", k), basis(group, "grad_complement", k + 1),
-            _curl, 1.0, op_tangential_trace, -1.0, "field potential on cell",
-            want, complement=basis(group, "curl_complement", k),
-        )
-    return _reconstruction(
-        space, group, _through(space, op_div_cell, group),
-        basis(group, "vector", k), basis(group, "zero_mean", k + 1),
-        _grad, -1.0, _face_values, 1.0, "flux potential on cell", want,
-        complement=basis(group, "grad_complement", k),
-    )
-
-
-def op_potential(space, c):
+@_stack("cell")
+def op_potential(space, group):
     """Cell potential reconstruction one step richer than the dofs.
 
     Scalar space: a degree-(k+1) scalar from the cell gradient and face
@@ -815,9 +718,28 @@ def op_potential(space, c):
     a degree-k vector whose gradient moments match the cell divergence
     and whose radial complement moments are kept.
     """
-    if space.which not in ("grad", "curl", "div"):
-        raise ValueError("potentials live on the grad, curl, and div spaces")
-    return _entity(space, "op_potential", _potential, "cell", c)
+    k, basis = space.k, space.bank.group_basis
+    if space.which == "grad":
+        return _reconstruction(
+            space, group, op_grad_cell(space, group),
+            basis(group, "scalar", k + 1), basis(group, "curl_complement", k + 2),
+            _div, -1.0, op_scalar_trace, 1.0, "scalar potential on cell",
+        )
+    if space.which == "curl":
+        return _reconstruction(
+            space, group, op_curl_cell(space, group),
+            basis(group, "vector", k), basis(group, "grad_complement", k + 1),
+            _curl, 1.0, op_tangential_trace, -1.0, "field potential on cell",
+            complement=basis(group, "curl_complement", k),
+        )
+    if space.which == "div":
+        return _reconstruction(
+            space, group, op_div_cell(space, group),
+            basis(group, "vector", k), basis(group, "zero_mean", k + 1),
+            _grad, -1.0, _face_values, 1.0, "flux potential on cell",
+            complement=basis(group, "grad_complement", k),
+        )
+    raise ValueError("potentials live on the grad, curl, and div spaces")
 
 
 # ----------------------------------------------------------------------
@@ -856,7 +778,7 @@ def _complex_pieces(space_in, space_out):
     out = []
     for kind, op, project in plan:
         for group in bank.groups(kind):
-            ops = _through(space_in, op, group)
+            ops = op(space_in, group)
             ids = group.ids[:, None]
             if not project:
                 out.append((kind, group, space_out._blocks(kind, ids),
@@ -940,58 +862,64 @@ def link_identities_check(space_grad, space_curl, space_div, c):
     rule = bank.rule("cell", c)
     out = {}
 
-    gc = op_grad_cell(space_grad, c)
-    pos_g = _positions(gc.dofs)
+    def at(op, space, kind, i):
+        """(dofs, target, matrix) of entity i in its group's stack."""
+        group, slot = bank.group(kind, i)
+        ops = op(space, group)
+        return ops.dofs[slot], ops.target.take(slot), ops.matrix[slot]
+
+    dofs, target, gc = at(op_grad_cell, space_grad, "cell", c)
+    pos_g = _positions(dofs)
     ne = bank.subspace("cell", c, "nedelec", k + 1)
     X = integrate_products(
-        ne.curl(rule.points), gc.target.eval(rule.points), rule.weights,
+        ne.curl(rule.points), target.eval(rule.points), rule.weights,
     )
-    A = X @ gc.matrix
+    A = X @ gc
     for fi, f in enumerate(mesh.cells[c]):
         f = int(f)
-        gf = op_grad_face(space_grad, f)
+        dofs, target, gf = at(op_grad_face, space_grad, "face", f)
         frule = bank.rule("face", f)
         n = mesh.face_normals[f]
         wtf = mesh.cell_face_signs[c][fi]
         zxn = np.cross(ne.eval(frule.points), n[None, None, :])
         T = integrate_products(
-            zxn, gf.target.eval(frule.points), frule.weights,
+            zxn, target.eval(frule.points), frule.weights,
         )
-        cols = [pos_g[int(g)] for g in gf.dofs]
-        A[:, cols] += wtf * (T @ gf.matrix)
+        cols = [pos_g[int(g)] for g in dofs]
+        A[:, cols] += wtf * (T @ gf)
     out["grad_link"] = float(np.abs(A).max()) if A.size else 0.0
 
-    ct = op_curl_cell(space_curl, c)
-    pos_c = _positions(ct.dofs)
+    dofs, target, ct = at(op_curl_cell, space_curl, "cell", c)
+    pos_c = _positions(dofs)
     sb = bank.scalars("cell", c, k + 1)
     X = integrate_products(
-        sb.grad(rule.points), ct.target.eval(rule.points), rule.weights,
+        sb.grad(rule.points), target.eval(rule.points), rule.weights,
     )
-    A = X @ ct.matrix
+    A = X @ ct
     for fi, f in enumerate(mesh.cells[c]):
         f = int(f)
-        cf = op_curl_face(space_curl, f)
+        dofs, target, cf = at(op_curl_face, space_curl, "face", f)
         frule = bank.rule("face", f)
         wtf = mesh.cell_face_signs[c][fi]
         T = integrate_products(
-            sb.eval(frule.points), cf.target.eval(frule.points), frule.weights,
+            sb.eval(frule.points), target.eval(frule.points), frule.weights,
         )
-        cols = [pos_c[int(g)] for g in cf.dofs]
-        A[:, cols] -= wtf * (T @ cf.matrix)
+        cols = [pos_c[int(g)] for g in dofs]
+        A[:, cols] -= wtf * (T @ cf)
     out["curl_link"] = float(np.abs(A).max()) if A.size else 0.0
 
     uG = local_complex_matrix(space_grad, space_curl, c)
     uC = local_complex_matrix(space_curl, space_div, c)
-    pc = op_potential(space_curl, c)
-    pd = op_potential(space_div, c)
-    dt = op_div_cell(space_div, c)
+    pc = at(op_potential, space_curl, "cell", c)[2]
+    pd = at(op_potential, space_div, "cell", c)[2]
+    dt = at(op_div_cell, space_div, "cell", c)[2]
 
     out["field_potential_of_gradient"] = float(
-        np.abs(pc.matrix @ uG - gc.matrix).max()
+        np.abs(pc @ uG - gc).max()
     )
     out["flux_potential_of_curl"] = float(
-        np.abs(pd.matrix @ uC - ct.matrix).max()
+        np.abs(pd @ uC - ct).max()
     )
-    out["curl_of_gradient"] = float(np.abs(ct.matrix @ uG).max())
-    out["div_of_curl"] = float(np.abs(dt.matrix @ uC).max())
+    out["curl_of_gradient"] = float(np.abs(ct @ uG).max())
+    out["div_of_curl"] = float(np.abs(dt @ uC).max())
     return out

@@ -30,9 +30,11 @@ define the broken norms used in the stability and convergence diagnostics
 and the Poincaré constants; their Gram matrices are group stacks like the
 products, assembled by the same scatter.
 
-Local forms are built for a whole cell group at once, as stacked arrays
-with one leading axis over the group's cells (see ddrcore), and kept in
-the space's cache; global assembly scatters one stacked block per group.
+Local forms are group stacks like the operators of ddrcore: each entry
+point (stabilization, l2_product, component_gram) takes (space, cell
+group) and returns the group's `_Forms` (dofs (G, n), matrix (G, n, n)),
+built on first request and kept in the space's cache; global assembly
+scatters one stacked block per group.
 
 The load vector of a field (load_vector) pairs it with the potential of
 every dof: one stacked projection by the data rule and one scatter per
@@ -40,6 +42,8 @@ cell group. It is the scheme's source term, the smooth part of the
 adjoint consistency functionals and the mean constraint of the scalar
 Poincaré constant.
 """
+
+from collections import namedtuple
 
 import numpy as np
 from scipy import sparse
@@ -49,9 +53,8 @@ from .ddrcore import (
     DofVector,
     _columns,
     _edge_values,
-    _entity,
     _face_values,
-    _through,
+    _stack,
     _trace_coords,
     edge_reconstruct,
     op_scalar_trace,
@@ -62,7 +65,6 @@ from .ddrcore import (
 )
 
 __all__ = [
-    "LocalBilinearForm",
     "stabilization",
     "l2_product",
     "component_gram",
@@ -73,38 +75,9 @@ __all__ = [
 ]
 
 
-class LocalBilinearForm:
-    """Symmetric bilinear form over the local dofs of one cell."""
-
-    __slots__ = ("entity", "dofs", "matrix")
-
-    def __init__(self, entity, dofs, matrix):
-        self.entity = entity
-        self.dofs = dofs
-        self.matrix = matrix
-
-    def apply(self, u, v):
-        u = np.asarray(u)[self.dofs]
-        v = np.asarray(v)[self.dofs]
-        return float(u @ self.matrix @ v)
-
-
-class _Forms:
-    """The local forms of one cell group, stacked: dofs (G, n), matrix
-    (G, n, n)."""
-
-    def __init__(self, group, dofs, matrix):
-        self.group = group
-        self.dofs = dofs
-        self.matrix = matrix
-        self._views = {}
-
-    def take(self, g, space=None):
-        out = self._views.get(g)
-        if out is None:
-            out = self._views[g] = LocalBilinearForm(
-                ("cell", int(self.group.ids[g])), self.dofs[g], self.matrix[g])
-        return out
+# The local forms of one cell group, stacked: dofs (G, n) global indices
+# in local order, matrix (G, n, n).
+_Forms = namedtuple("_Forms", "dofs matrix")
 
 
 def _dof_values(matrix, V):
@@ -121,17 +94,18 @@ def _dof_values(matrix, V):
 def _stab_trace(space, group, face_trace, edge_trace=None):
     """Trace stabilization on the cells of a group: over the faces F of
     each cell, h_F times the squared L2(F) mismatch between the
-    potential's trace and face_trace(space, F); with edge_trace, over the
-    edges E, h_E^2 times the squared L2(E) mismatch with
-    edge_trace(space, E). The trace is the value of a scalar potential,
-    the tangential part of a vector one against a vector reconstruction,
-    and its normal (face) or tangential (edge) component against a scalar
-    one. The mismatches of all local dofs are coordinates over the
-    orthonormal members spanning the reconstruction (ddrcore._trace_coords),
-    so each squared norm is a sum of squares.
+    potential's trace and the face reconstruction (the stack
+    face_trace(space, group of F)); with edge_trace, over the edges E,
+    h_E^2 times the squared L2(E) mismatch with the edge one. The trace
+    is the value of a scalar potential, the tangential part of a vector
+    one against a vector reconstruction, and its normal (face) or
+    tangential (edge) component against a scalar one. The mismatches of
+    all local dofs are coordinates over the orthonormal members spanning
+    the reconstruction (ddrcore._trace_coords), so each squared norm is a
+    sum of squares.
     """
     mesh, bank = space.mesh, space.bank
-    pot = _through(space, op_potential, group)
+    pot = op_potential(space, group)
     G, n = pot.dofs.shape
     S = np.zeros((G, n, n))
     parts = [("face", group.faces, face_trace, mesh.face_diameters[group.faces])]
@@ -143,7 +117,7 @@ def _stab_trace(space, group, face_trace, edge_trace=None):
         for p in range(ents.shape[1]):
             j = ents[:, p]
             subgroup, slots = bank.locate(kind, j)
-            rec = _through(space, trace, subgroup)
+            rec = trace(space, subgroup)
             d = mesh.face_normals[j] if kind == "face" else mesh.edge_tangents[j]
             V, W = _trace_coords(pot.target._Cs, pot.target._core, rec, slots,
                                  bank.group_rule(subgroup), what, d,
@@ -154,13 +128,17 @@ def _stab_trace(space, group, face_trace, edge_trace=None):
             R[np.arange(G)[:, None], rows] -= _dof_values(rec.matrix[slots], W)
             R = R.reshape(G, n, -1)
             S += h[:, p, None, None] * (R @ R.transpose(0, 2, 1))
-    return _Forms(group, pot.dofs, S)
+    return _Forms(pot.dofs, S)
 
 
-def _stabilization(space, group, want=None):
+@_stack("cell")
+def stabilization(space, group):
+    """Stabilization forms on the cells of a group: the trace
+    stabilization, which penalizes potential-versus-boundary-reconstruction
+    mismatches and vanishes when the potential reproduces the data."""
     if space.which == "l2":
         w = space.cell_width
-        return _Forms(group, space.group_dofs(group), np.zeros((len(group), w, w)))
+        return _Forms(space.group_dofs(group), np.zeros((len(group), w, w)))
     if space.which == "grad":
         return _stab_trace(space, group, op_scalar_trace, edge_reconstruct)
     if space.which == "curl":
@@ -168,41 +146,33 @@ def _stabilization(space, group, want=None):
     return _stab_trace(space, group, _face_values)
 
 
-def _product(space, group, want=None):
-    if space.which == "l2":
-        w = space.cell_width
-        return _Forms(group, space.group_dofs(group),
-                      np.broadcast_to(np.eye(w), (len(group), w, w)))
-    stab = _through(space, stabilization, group)
-    pot = _through(space, op_potential, group)
-    return _Forms(group, pot.dofs,
-                  pot.matrix.transpose(0, 2, 1) @ pot.matrix + stab.matrix)
-
-
-def stabilization(space, c):
-    """Stabilization form on one cell: the trace stabilization, which
-    penalizes potential-versus-boundary-reconstruction mismatches and
-    vanishes when the potential reproduces the data."""
-    return _entity(space, "stabilization", _stabilization, "cell", c)
-
-
-def l2_product(space, c):
-    """Stabilized L2 product on one cell: potential Gram plus
+@_stack("cell")
+def l2_product(space, group):
+    """Stabilized L2 products on the cells of a group: potential Gram plus
     stabilization (orthonormal potential targets make the Gram a plain
     matrix product). The moment space's product is the identity."""
-    return _entity(space, "l2_product", _product, "cell", c)
+    if space.which == "l2":
+        w = space.cell_width
+        return _Forms(space.group_dofs(group),
+                      np.broadcast_to(np.eye(w), (len(group), w, w)))
+    stab = stabilization(space, group)
+    pot = op_potential(space, group)
+    return _Forms(pot.dofs,
+                  pot.matrix.transpose(0, 2, 1) @ pot.matrix + stab.matrix)
 
 
 # ----------------------------------------------------------------------
 # component norms
 
 
-def _component(space, group, want=None):
-    """Component Gram matrices of a cell group: the identity on the cell
-    block, h_F times the identity on face blocks, and on each edge the
-    weight h_E times the sum of h_F over the cell's two faces holding it,
-    applied as the identity on the field space's edge blocks and as the
-    Gram of the reconstructed edge polynomial on the scalar space."""
+@_stack("cell")
+def component_gram(space, group):
+    """Component Gram matrices of a cell group, the quadratic forms of the
+    squared component norm on each cell's local dofs: the identity on the
+    cell block, h_F times the identity on face blocks, and on each edge
+    the weight h_E times the sum of h_F over the cell's two faces holding
+    it, applied as the identity on the field space's edge blocks and as
+    the Gram of the reconstructed edge polynomial on the scalar space."""
     mesh = space.mesh
     dofs = space.group_dofs(group)
     G, n = dofs.shape
@@ -222,7 +192,7 @@ def _component(space, group, want=None):
     C = diag[:, :, None] * np.eye(n)
     if space.which == "grad":
         sub, slots = space.bank.locate("edge", group.edges.ravel())
-        rec = _through(space, edge_reconstruct, sub)
+        rec = edge_reconstruct(space, sub)
         R = rec.matrix[slots]
         B = w.reshape(-1, 1, 1) * (R.transpose(0, 2, 1) @ R)
         # edges share vertex dofs: bincount sums every block entry into
@@ -232,15 +202,7 @@ def _component(space, group, want=None):
         rows = np.arange(G)[:, None, None, None] * n + at[..., :, None]
         flat = rows * n + at[..., None, :]
         C += np.bincount(flat.ravel(), B.ravel(), C.size).reshape(C.shape)
-    return _Forms(group, dofs, C)
-
-
-def component_gram(space, c):
-    """Quadratic form of the squared component norm on one cell's local
-    dofs: block-diagonal coefficient norms scaled by entity sizes, with
-    the scalar space's edge blocks measured through the reconstructed
-    edge polynomial."""
-    return _entity(space, "component_gram", _component, "cell", c).matrix
+    return _Forms(dofs, C)
 
 
 def component_norm(space, values):
@@ -254,12 +216,12 @@ def component_norm(space, values):
 
 
 def _assemble(space, op, coeff=None):
-    """Global sparse matrix of the local forms op(space, c), optionally
+    """Global sparse matrix of the local forms op(space, group), optionally
     scaled by a per-cell scalar coefficient; one scatter block per cell
     group."""
     rows, cols, vals = [], [], []
     for group in space.bank.groups("cell"):
-        form = _through(space, op, group)
+        form = op(space, group)
         dofs, M = form.dofs, form.matrix
         if coeff is not None:
             M = np.asarray(coeff)[group.ids][:, None, None] * M
@@ -319,7 +281,7 @@ def load_vector(space, f):
     out = np.zeros(space.dim)
     for group in bank.groups("cell"):
         rule = bank.group_rule(group, degree, data=True)
-        pot = _through(space, op_potential, group)
+        pot = op_potential(space, group)
         moments = l2_project(pot.target, f, rule=rule)
         load = (pot.matrix.transpose(0, 2, 1) @ moments[..., None])[..., 0]
         out += np.bincount(pot.dofs.ravel(), load.ravel(), len(out))

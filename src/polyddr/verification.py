@@ -31,7 +31,6 @@ from .mesh import generate_cubic_mesh, generate_tet_mesh, agglomerate_pairs
 from .polyspaces import BasisBank, dim_P, integrate_products, l2_project, value_blocks
 from .ddrcore import (
     _boundary_parts,
-    _through,
     make_space,
     interpolate,
     local_interpolation,
@@ -369,7 +368,7 @@ def check_polynomial_consistency(mesh, k, seed=0, bank=None):
 
     for group in bank.groups("cell"):
         ids = group.ids
-        pots = {w: _through(s, op_potential, group) for w, s in spaces.items()}
+        pots = {w: op_potential(s, group) for w, s in spaces.items()}
         J = {w: local_interpolation(spaces[w], group, pots[w].target) for w in spaces}
         for which, key in (("grad", "scalar_potential"), ("curl", "field_potential")):
             resid[key][ids, 0] = _mismatch(pots[which].matrix @ J[which],
@@ -382,7 +381,7 @@ def check_polynomial_consistency(mesh, k, seed=0, bank=None):
         space = spaces["curl"]
         ne = bank.group_basis(group, "nedelec", k + 1)
         for p, (_, sub, slots, _, nrm) in enumerate(_boundary_parts(space, group)):
-            tr = _through(space, op_tangential_trace, sub)
+            tr = op_tangential_trace(space, sub)
             rule = bank.group_rule(sub)
             proj = []
             for sl in value_blocks(len(group), ne.dim * rule.points[0].size):
@@ -397,8 +396,8 @@ def check_polynomial_consistency(mesh, k, seed=0, bank=None):
 
         for j, (which, space) in enumerate(spaces.items()):
             v = (J[which] @ draws[j][ids, :, None])[..., 0]
-            s = _through(space, stabilization, group).matrix
-            m = _through(space, l2_product, group).matrix
+            s = stabilization(space, group).matrix
+            m = l2_product(space, group).matrix
             resid["stabilization_on_interpolates"][ids, j] = np.abs(
                 np.einsum("gi,gij,gj->g", v, s, v)) / np.maximum(
                 np.einsum("gi,gij,gj->g", v, m, v), 1e-30)
@@ -562,7 +561,7 @@ def _l2_error_sq(space, op, dofs, f):
     total = 0.0
     for group in bank.groups("cell"):
         rule = bank.group_rule(group, degree, data=True)
-        ops = _through(space, op, group)
+        ops = op(space, group)
         u = (ops.matrix @ dofs[ops.dofs][..., None])[..., 0]
         for sl in value_blocks(*rule.weights.shape):
             pts = rule.points[sl]
@@ -578,7 +577,7 @@ def _stabilization_sq(space, dofs):
     each clipped at zero against roundoff."""
     total = 0.0
     for group in space.bank.groups("cell"):
-        form = _through(space, stabilization, group)
+        form = stabilization(space, group)
         u = dofs[form.dofs]
         sq = np.einsum("gi,gij,gj->g", u, form.matrix, u)
         total += float(np.sum(np.maximum(sq, 0.0)))

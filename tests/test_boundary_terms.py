@@ -16,7 +16,6 @@ from polyddr import ddrcore, products
 from polyddr.ddrcore import (
     _boundary_parts,
     _columns,
-    _through,
     edge_reconstruct,
     make_space,
     op_curl_cell,
@@ -40,6 +39,7 @@ from polyddr.polyspaces import (
 from polyddr.products import _Forms, l2_product, stabilization
 
 from meshes import jittered_tet_mesh
+from stacks import entity
 
 
 def _boundary_term_at_points(space, group, M, idx, tests, trace, what,
@@ -48,7 +48,7 @@ def _boundary_term_at_points(space, group, M, idx, tests, trace, what,
     boundary parts' rule points."""
     blocks, dofs = [], []
     for _, subgroup, slots, omega, n in _boundary_parts(space, group):
-        rec = _through(space, trace, subgroup)
+        rec = trace(space, subgroup)
         rule = space.bank.group_rule(subgroup, degree)
         pts = rule.points[slots]
         V = tests.eval(pts)
@@ -78,7 +78,7 @@ def _stab_trace_at_points(space, group, face_trace, edge_trace=None):
     """The trace stabilization from the per-dof mismatches tabulated at the
     boundary parts' rule points."""
     mesh, bank = space.mesh, space.bank
-    pot = _through(space, op_potential, group)
+    pot = op_potential(space, group)
     G, n = pot.dofs.shape
     S = np.zeros((G, n, n))
     parts = [("face", group.faces, face_trace, mesh.face_diameters[group.faces])]
@@ -91,7 +91,7 @@ def _stab_trace_at_points(space, group, face_trace, edge_trace=None):
             j = ents[:, p]
             subgroup, slots = bank.locate(kind, j)
             rule = bank.group_rule(subgroup)
-            rec = _through(space, trace, subgroup)
+            rec = trace(space, subgroup)
             rows = _columns(pot.dofs, rec.dofs[slots])
             d = mesh.face_normals[j] if kind == "face" else mesh.edge_tangents[j]
             pts = rule.points[slots]
@@ -104,7 +104,7 @@ def _stab_trace_at_points(space, group, face_trace, edge_trace=None):
             R = _dof_values(pot.matrix, V)
             R[np.arange(G)[:, None], rows] -= _dof_values(rec.matrix[slots], W)
             S += h[:, p, None, None] * integrate_products(R, R, rule.weights[slots])
-    return _Forms(group, pot.dofs, S)
+    return _Forms(pot.dofs, S)
 
 
 CONFIGS = {
@@ -131,8 +131,8 @@ def _spaces(mesh, k):
     built here, before the rest is watched."""
     bank = BasisBank(mesh, k)
     spaces = {which: make_space(mesh, which, k, bank=bank) for which in OPERATORS}
-    for e in range(mesh.num_edges):
-        edge_reconstruct(spaces["grad"], e)
+    for group in bank.groups("edge"):
+        edge_reconstruct(spaces["grad"], group)
     return spaces
 
 
@@ -146,10 +146,10 @@ def _build_all(spaces):
         for op, kind in ops:
             count = mesh.num_faces if kind == "face" else mesh.num_cells
             for i in range(count):
-                out[(which, op.__name__, i)] = op(space, i).matrix
+                out[(which, op.__name__, i)] = entity(op, space, kind, i).matrix
         for c in range(mesh.num_cells):
-            out[(which, "stabilization", c)] = stabilization(space, c).matrix
-            out[(which, "l2_product", c)] = l2_product(space, c).matrix
+            for form in (stabilization, l2_product):
+                out[(which, form.__name__, c)] = entity(form, space, "cell", c).matrix
     return out
 
 
@@ -199,9 +199,9 @@ def test_inexact_boundary_rule_names_the_operator(monkeypatch):
     monkeypatch.setattr(BasisBank, "_degree",
                         lambda self, kind, degree: default(self, kind, None))
     space = make_space(generate_tet_mesh(1), "grad", 1)
-    op_grad_face(space, 0)  # degree 1 + 2 fits the default edge rule
+    entity(op_grad_face, space, "face", 0)  # degree 1 + 2 fits the default edge rule
     with pytest.raises(ValueError) as err:
-        op_scalar_trace(space, 0)
+        entity(op_scalar_trace, space, "face", 0)
     assert str(err.value) == (
         "scalar face trace: traces of degree 3 against degree-2 members need "
         "a rule exact to degree 5; the rule is exact to degree 4")

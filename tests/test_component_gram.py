@@ -19,6 +19,8 @@ from polyddr.polyspaces import BasisBank
 from polyddr.products import component_gram, component_norm
 from polyddr.verification import mesh_family
 
+from stacks import entity
+
 WHICHES = ("grad", "curl", "div", "l2")
 
 
@@ -39,7 +41,7 @@ def _gram_by_entities(space, c):
         for e in map(int, mesh.face_edges[f]):
             he = mesh.edge_lengths[e]
             if space.which == "grad":
-                rec = edge_reconstruct(space, e)
+                rec = entity(edge_reconstruct, space, "edge", e)
                 cols = [pos[int(g)] for g in rec.dofs]
                 C[np.ix_(cols, cols)] += hf * he * (rec.matrix.T @ rec.matrix)
             elif space.which == "curl":
@@ -93,7 +95,8 @@ def test_stacked_gram_matches_entity_build(gram_meshes, name, k):
     for which in WHICHES:
         space = make_space(mesh, which, k, bank=bank)
         for c in range(mesh.num_cells):
-            got, want = component_gram(space, c), _gram_by_entities(space, c)
+            got = entity(component_gram, space, "cell", c).matrix
+            want = _gram_by_entities(space, c)
             assert got.shape == want.shape
             assert _rel(got, want) <= 1e-12, (which, c, _rel(got, want))
 

@@ -29,6 +29,7 @@ from polyddr.ddrcore import (
 )
 
 from oracles import Poly3, VecPoly3
+from stacks import entity
 
 
 def pyramid_mesh():
@@ -169,10 +170,10 @@ def test_scalar_chain_consistency(ctx, name, k, c):
         e = int(e)
         rule = bank.rule("edge", e, 2 * k + 6)
         t = mesh.edge_tangents[e]
-        rec = edge_reconstruct(sg, e)
+        rec = entity(edge_reconstruct, sg, "edge", e)
         got = rec.apply(qi.values) @ rec.target.eval(rule.points)
         assert np.abs(got - q.eval(rule.points)).max() < 1e-11 * scale
-        ge = op_grad_edge(sg, e)
+        ge = entity(op_grad_edge, sg, "edge", e)
         got = ge.apply(qi.values) @ ge.target.eval(rule.points)
         assert np.abs(got - gq.eval(rule.points) @ t).max() < 1e-11 * scale
 
@@ -181,22 +182,22 @@ def test_scalar_chain_consistency(ctx, name, k, c):
         n = mesh.face_normals[f]
         gv = gq.eval(rule.points)
         gtan = gv - np.outer(gv @ n, n)
-        gf = op_grad_face(sg, f)
+        gf = entity(op_grad_face, sg, "face", f)
         got = np.einsum(
             "s,spx->px", gf.apply(qi.values), gf.target.eval(rule.points)
         )
         assert np.abs(got - gtan).max() < 1e-10 * scale
-        tr = op_scalar_trace(sg, f)
+        tr = entity(op_scalar_trace, sg, "face", f)
         got = tr.apply(qi.values) @ tr.target.eval(rule.points)
         assert np.abs(got - q.eval(rule.points)).max() < 1e-10 * scale
 
     rule = bank.rule("cell", c, 2 * k + 6)
-    gc = op_grad_cell(sg, c)
+    gc = entity(op_grad_cell, sg, "cell", c)
     got = np.einsum(
         "s,spx->px", gc.apply(qi.values), gc.target.eval(rule.points)
     )
     assert np.abs(got - gq.eval(rule.points)).max() < 1e-10 * scale
-    pg = op_potential(sg, c)
+    pg = entity(op_potential, sg, "cell", c)
     got = pg.apply(qi.values) @ pg.target.eval(rule.points)
     assert np.abs(got - q.eval(rule.points)).max() < 1e-10 * scale
 
@@ -208,7 +209,7 @@ def test_scalar_trace_keeps_face_moments(ctx, name, k):
     mesh = ctx.meshes[name]
     sg, _, _, _ = ctx.spaces(name, k)
     f = 0
-    tr = op_scalar_trace(sg, f)
+    tr = entity(op_scalar_trace, sg, "face", f)
     nkeep = dim_P(k - 1, 2)
     if nkeep == 0:
         return
@@ -223,7 +224,7 @@ def test_grad_potential_keeps_cell_moments(ctx, name, k):
     mesh = ctx.meshes[name]
     c = big_cell(mesh) if name == "agglo" else 0
     sg, _, _, _ = ctx.spaces(name, k)
-    pg = op_potential(sg, c)
+    pg = entity(op_potential, sg, "cell", c)
     nkeep = dim_P(k - 1, 3)
     want = np.zeros((nkeep, len(pg.dofs)))
     want[:, pg.layout[("cell", c)]] = np.eye(nkeep)
@@ -253,12 +254,12 @@ def test_field_chain_consistency(ctx, name, k, c):
         n = mesh.face_normals[f]
         # face rotation of the tangential part equals the normal
         # component of the curl
-        cf = op_curl_face(scu, f)
+        cf = entity(op_curl_face, scu, "face", f)
         got = cf.apply(vi.values) @ cf.target.eval(rule.points)
         want = cv.eval(rule.points) @ n
         assert np.abs(got - want).max() < 1e-10 * scale
         # tangential trace reproduces the tangential part
-        gt = op_tangential_trace(scu, f)
+        gt = entity(op_tangential_trace, scu, "face", f)
         got = np.einsum(
             "s,spx->px", gt.apply(vi.values), gt.target.eval(rule.points)
         )
@@ -267,12 +268,12 @@ def test_field_chain_consistency(ctx, name, k, c):
         assert np.abs(got - vtan).max() < 1e-10 * scale
 
     rule = bank.rule("cell", c, 2 * k + 6)
-    ct = op_curl_cell(scu, c)
+    ct = entity(op_curl_cell, scu, "cell", c)
     got = np.einsum(
         "s,spx->px", ct.apply(vi.values), ct.target.eval(rule.points)
     )
     assert np.abs(got - cv.eval(rule.points)).max() < 1e-10 * scale
-    pc = op_potential(scu, c)
+    pc = entity(op_potential, scu, "cell", c)
     got = np.einsum(
         "s,spx->px", pc.apply(vi.values), pc.target.eval(rule.points)
     )
@@ -294,7 +295,7 @@ def test_field_chain_on_trimmed_fields(ctx, name, k):
     vi = interpolate(scu, field)
 
     rule = bank.rule("cell", c, 2 * k + 6)
-    ct = op_curl_cell(scu, c)
+    ct = entity(op_curl_cell, scu, "cell", c)
     got = np.einsum(
         "s,spx->px", ct.apply(vi.values), ct.target.eval(rule.points)
     )
@@ -305,7 +306,7 @@ def test_field_chain_on_trimmed_fields(ctx, name, k):
     for f in [int(x) for x in mesh.cells[c][:3]]:
         frule = bank.rule("face", f, 2 * k + 6)
         n = mesh.face_normals[f]
-        gt = op_tangential_trace(scu, f)
+        gt = entity(op_tangential_trace, scu, "face", f)
         got = np.einsum(
             "s,spx->px", gt.apply(vi.values), gt.target.eval(frule.points)
         )
@@ -323,7 +324,7 @@ def test_field_potential_keeps_complement_moments(ctx, name, k):
     c = big_cell(mesh) if name == "agglo" else 0
     _, scu, _, _ = ctx.spaces(name, k)
     bank = scu.bank
-    pc = op_potential(scu, c)
+    pc = entity(op_potential, scu, "cell", c)
     cc = bank.subspace("cell", c, "curl_complement", k)
     if cc.dim == 0:
         return
@@ -343,8 +344,8 @@ def test_field_potential_parts_extension(ctx, name, k):
     bank = scu.bank
     rule = bank.rule("cell", c)
     ne = bank.subspace("cell", c, "nedelec", k + 1)
-    pc = op_potential(scu, c)
-    ct = op_curl_cell(scu, c)
+    pc = entity(op_potential, scu, "cell", c)
+    ct = entity(op_curl_cell, scu, "cell", c)
     pos = {int(g): i for i, g in enumerate(pc.dofs)}
 
     X1 = np.einsum(
@@ -355,7 +356,7 @@ def test_field_potential_parts_extension(ctx, name, k):
     rhs = ne.coeff_matrix()[:, : ct.target.dim] @ ct.matrix
     for fi, f in enumerate(mesh.cells[c]):
         f = int(f)
-        gt = op_tangential_trace(scu, f)
+        gt = entity(op_tangential_trace, scu, "face", f)
         frule = bank.rule("face", f)
         n = mesh.face_normals[f]
         wtf = mesh.cell_face_signs[c][fi]
@@ -387,7 +388,7 @@ def test_flux_chain_consistency(ctx, name, k, c):
     )
 
     rule = bank.rule("cell", c, 2 * k + 6)
-    dt = op_div_cell(sd, c)
+    dt = entity(op_div_cell, sd, "cell", c)
     got = dt.apply(wi.values) @ dt.target.eval(rule.points)
     sb = bank.scalars("cell", c, k)
     want = l2_project(sb, lambda p: dw.eval(p), rule=rule) @ sb.eval(rule.points)
@@ -407,7 +408,7 @@ def test_flux_potential_on_trimmed_fields(ctx, name, k):
     wi = interpolate(sd, field)
 
     rule = bank.rule("cell", c, 2 * k + 6)
-    pd = op_potential(sd, c)
+    pd = entity(op_potential, sd, "cell", c)
     got = np.einsum(
         "s,spx->px", pd.apply(wi.values), pd.target.eval(rule.points)
     )
@@ -424,7 +425,7 @@ def test_flux_potential_keeps_complement_moments(ctx, name, k):
     c = big_cell(mesh) if name == "agglo" else 0
     _, _, sd, _ = ctx.spaces(name, k)
     bank = sd.bank
-    pd = op_potential(sd, c)
+    pd = entity(op_potential, sd, "cell", c)
     cg = bank.subspace("cell", c, "grad_complement", k)
     if cg.dim == 0:
         return
@@ -455,12 +456,12 @@ def test_face_rotation_kills_gradients(ctx, name, k):
     mesh = ctx.meshes[name]
     sg, scu, _, _ = ctx.spaces(name, k)
     f = 1
-    gf = op_grad_face(sg, f)
+    gf = entity(op_grad_face, sg, "face", f)
     idx_c, lay_c = scu.local_dofs("face", f)
     pos = {int(g): i for i, g in enumerate(idx_c)}
     M = np.zeros((len(idx_c), len(gf.dofs)))
     for e in [int(x) for x in mesh.face_edges[f]]:
-        ge = op_grad_edge(sg, e)
+        ge = entity(op_grad_edge, sg, "edge", e)
         cols = [list(gf.dofs).index(g) for g in ge.dofs]
         M[np.ix_(range(*lay_c[("edge", e)].indices(len(idx_c))), cols)] = ge.matrix
     bank = scu.bank
@@ -473,9 +474,9 @@ def test_face_rotation_kills_gradients(ctx, name, k):
         sl = scu.sub_slice(lay_c, "face", f, i)
         M[sl] = W @ gf.matrix
 
-    cf = op_curl_face(scu, f)
+    cf = entity(op_curl_face, scu, "face", f)
     assert np.abs(cf.matrix @ M).max() < 1e-11
-    gt = op_tangential_trace(scu, f)
+    gt = entity(op_tangential_trace, scu, "face", f)
     assert np.abs(gt.matrix @ M - gf.matrix).max() < 1e-10
 
 
@@ -601,37 +602,42 @@ def test_flipped_face_sign_breaks_links():
 
 
 GUARDED = [
-    ("grad", edge_reconstruct, None, "edge reconstruction"),
-    ("grad", op_scalar_trace, op_grad_face, "scalar face trace"),
-    ("curl", op_tangential_trace, op_curl_face, "tangential face trace"),
-    ("grad", op_potential, op_grad_cell, "scalar potential on cell"),
-    ("curl", op_potential, op_curl_cell, "field potential on cell"),
-    ("div", op_potential, op_div_cell, "flux potential on cell"),
+    ("grad", "edge", edge_reconstruct, None, "edge reconstruction"),
+    ("grad", "face", op_scalar_trace, op_grad_face, "scalar face trace"),
+    ("curl", "face", op_tangential_trace, op_curl_face, "tangential face trace"),
+    ("grad", "cell", op_potential, op_grad_cell, "scalar potential on cell"),
+    ("curl", "cell", op_potential, op_curl_cell, "field potential on cell"),
+    ("div", "cell", op_potential, op_div_cell, "flux potential on cell"),
 ]
 
 
-@pytest.mark.parametrize("which,op,prerequisite,label", GUARDED,
+@pytest.mark.parametrize("which,kind,op,prerequisite,label", GUARDED,
                          ids=[g[-1].replace(" ", "_") for g in GUARDED])
-def test_guarded_solve_names_operator(monkeypatch, which, op, prerequisite,
-                                      label):
-    space = make_space(generate_tet_mesh(1), which, 1)
-    index = 3
+def test_guarded_solve_names_operator(monkeypatch, which, kind, op,
+                                      prerequisite, label):
+    mesh = generate_tet_mesh(1)
+    recorded = make_space(mesh, which, 1)
+    # tet:1 has one group per kind, so the recorded worst is its group's
+    (group,) = recorded.bank.groups(kind)
+    op(recorded, group)
+    cond, worst = recorded.worst_cond[label]
+    space = make_space(mesh, which, 1, bank=recorded.bank)
     if prerequisite is not None:
-        prerequisite(space, index)
+        prerequisite(space, group)
     # every condition number is >= 1, so each guarded solve now fails
     monkeypatch.setattr(ddrcore, "COND_LIMIT", 0.5)
     with pytest.raises(RuntimeError) as err:
-        op(space, index)
+        op(space, group)
     msg = str(err.value)
-    assert msg.startswith(f"{label} {index}: "), msg
-    assert "condition number" in msg, msg
+    assert msg.startswith(f"{label} {worst}: "), msg
+    assert f"condition number {cond:.3e} exceeds" in msg, msg
 
 
 def test_worst_condition_numbers_are_recorded():
     mesh = generate_tet_mesh(1)
     spaces = {w: make_space(mesh, w, 1) for w in ("grad", "curl", "div")}
     for space in spaces.values():
-        op_potential(space, 2)
+        entity(op_potential, space, "cell", 2)
     counts = {"edge": mesh.num_edges, "face": mesh.num_faces,
               "cell": mesh.num_cells}
     labels = {
@@ -645,9 +651,9 @@ def test_worst_condition_numbers_are_recorded():
         worst = spaces[which].worst_cond
         assert set(worst) == set(expected)
         for label, kind in expected.items():
-            cond, entity = worst[label]
+            cond, index = worst[label]
             assert np.isfinite(cond) and cond >= 1.0, (label, cond)
-            assert isinstance(entity, int) and 0 <= entity < counts[kind]
+            assert isinstance(index, int) and 0 <= index < counts[kind]
 
 
 def _edge_reconstruction_conds(space):
@@ -687,23 +693,18 @@ def test_group_guard_names_the_worst_failing_entity(monkeypatch):
     assert conds[0] < levels[2] - 1e-3
     limit = np.sqrt(levels[0] * levels[1])
     passing = int(np.argmin(conds))
-    failing = int(np.flatnonzero(np.abs(conds - levels[1]) < 1e-5)[0])
 
     recorded = make_space(mesh, "grad", 1)
-    edge_reconstruct(recorded, passing)
+    entity(edge_reconstruct, recorded, "edge", passing)
     cond, worst = recorded.worst_cond["edge reconstruction"]
     assert cond == pytest.approx(conds.max(), rel=1e-12)
     assert conds[worst] == pytest.approx(conds.max(), rel=1e-12)
 
     monkeypatch.setattr(ddrcore, "COND_LIMIT", limit)
     with pytest.raises(RuntimeError) as err:
-        edge_reconstruct(make_space(mesh, "grad", 1), passing)
+        entity(edge_reconstruct, make_space(mesh, "grad", 1), "edge", passing)
     assert str(err.value).startswith(f"edge reconstruction {worst}: "), err.value
     assert "condition number" in str(err.value)
-    # a failing request names itself, though it is not the worst
-    with pytest.raises(RuntimeError) as err:
-        edge_reconstruct(make_space(mesh, "grad", 1), failing)
-    assert str(err.value).startswith(f"edge reconstruction {failing}: "), err.value
 
 
 def _merged_cubic_mesh():
@@ -753,19 +754,21 @@ def test_first_touch_order_does_not_change_local_matrices(name):
     for which in ("grad", "curl", "div"):
         a = make_space(mesh, which, 1)
         b = make_space(mesh, which, 1)
-        op_potential(a, 0)
-        stabilization(b, last)
+        entity(op_potential, a, "cell", 0)
+        entity(stabilization, b, "cell", last)
         if which != "div":
             trace = op_scalar_trace if which == "grad" else op_tangential_trace
-            trace(b, mesh.num_faces - 1)
+            entity(trace, b, "face", mesh.num_faces - 1)
         for c in range(mesh.num_cells):
             for op in (op_potential, stabilization):
-                assert np.array_equal(op(a, c).matrix, op(b, c).matrix)
+                assert np.array_equal(entity(op, a, "cell", c).matrix,
+                                      entity(op, b, "cell", c).matrix)
         for f in range(mesh.num_faces):
             op = {"grad": op_scalar_trace, "curl": op_tangential_trace,
                   "div": None}[which]
             if op is not None:
-                assert np.array_equal(op(a, f).matrix, op(b, f).matrix)
+                assert np.array_equal(entity(op, a, "face", f).matrix,
+                                      entity(op, b, "face", f).matrix)
 
 
 # ----------------------------------------------------------------------

@@ -8,8 +8,9 @@ import scipy.linalg as la
 from hypothesis import given, settings, strategies as st
 
 from polyddr.mesh import Mesh, generate_cubic_mesh, generate_tet_mesh, agglomerate_pairs
-from polyddr.polyspaces import BasisBank, dim_P
+from polyddr.polyspaces import BasisBank, dim_P, integrate_products
 from polyddr.ddrcore import (
+    INTERP_DEGREE_MARGIN,
     make_space,
     interpolate,
     global_operator,
@@ -20,7 +21,6 @@ from polyddr.ddrcore import (
     op_tangential_trace,
 )
 from polyddr.products import (
-    LocalBilinearForm,
     stabilization,
     l2_product,
     component_gram,
@@ -30,6 +30,7 @@ from polyddr.products import (
 )
 
 from oracles import Poly3, VecPoly3, integrate_poly_cell
+from stacks import Local, entity
 
 
 def pyramid_mesh():
@@ -117,21 +118,21 @@ def _stabilization(space, c, variant):
     interpolated potential, measured in the component product. Both vanish
     when the potential reproduces the data."""
     if variant == "trace" or space.which == "l2":
-        return stabilization(space, c)
-    pot = op_potential(space, c)
+        return entity(stabilization, space, "cell", c)
+    pot = entity(op_potential, space, "cell", c)
     J = _local_interpolation(space, c, pot.target)
     R = np.eye(len(pot.dofs)) - J @ pot.matrix
-    return LocalBilinearForm(("cell", c), pot.dofs,
-                             R.T @ component_gram(space, c) @ R)
+    C = entity(component_gram, space, "cell", c).matrix
+    return Local(pot.dofs, R.T @ C @ R)
 
 
 def _l2_product(space, c, variant):
     """Potential Gram plus the stabilization of one variant."""
     if variant == "trace" or space.which == "l2":
-        return l2_product(space, c)
-    pot = op_potential(space, c)
+        return entity(l2_product, space, "cell", c)
+    pot = entity(op_potential, space, "cell", c)
     S = _stabilization(space, c, variant).matrix
-    return LocalBilinearForm(("cell", c), pot.dofs, pot.matrix.T @ pot.matrix + S)
+    return Local(pot.dofs, pot.matrix.T @ pot.matrix + S)
 
 
 def _random_field(which, k, rng):
@@ -237,16 +238,69 @@ def test_stabilization_kernel_is_polynomial_interpolates(ctx, name, k, c, which,
     assert rank == n - kernel, (rank, n, kernel)
 
 
+def _interpolate_by_entity(space, f):
+    """Dofs of a smooth field entity by entity, with moment code of its
+    own: vertex values, then on every edge, face and cell the field (its
+    tangential component on field-space edges, its normal component on
+    flux-space faces) integrated by the entity's data rule against each
+    dof family's basis."""
+    mesh, bank, k = space.mesh, space.bank, space.k
+    degree = 2 * k + INTERP_DEGREE_MARGIN
+    out = np.zeros(space.dim)
+    if space.vertex_width:
+        out[: mesh.num_vertices] = f(mesh.vertices)
+    edge_degree = k - 1 if space.which == "grad" else k
+    for kind, count, families in (
+            ("edge", mesh.num_edges, [("scalar", edge_degree)]),
+            ("face", mesh.num_faces, space.face_families),
+            ("cell", mesh.num_cells, space.cell_families)):
+        if not getattr(space, f"{kind}_width"):
+            continue
+        for i in range(count):
+            rule = bank.rule(kind, i, degree, data=True)
+            vals = np.asarray(f(rule.points))
+            if kind == "edge" and space.which == "curl":
+                vals = vals @ mesh.edge_tangents[i]
+            elif kind == "face" and space.which == "div":
+                vals = vals @ mesh.face_normals[i]
+            moments = [integrate_products(b.eval(rule.points), vals[None],
+                                          rule.weights)[:, 0]
+                       for b in (bank.basis(fam, kind, i, l) for fam, l in families)
+                       if b.dim]
+            out[getattr(space, f"{kind}_dofs")(i)] = np.concatenate(moments)
+    return out
+
+
+@pytest.mark.parametrize("name", ["pyr", "tet", "agglo"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("which", WHICHES + ("l2",))
+def test_interpolate_matches_entity_moment_oracle(ctx, name, k, which):
+    """interpolate against the entity-by-entity oracle, whose moment code
+    shares nothing with the library's (ddrcore._moments)."""
+    space = ctx.spaces(name, k)[which]
+    if which in ("grad", "l2"):
+        f = lambda p: np.sin(p[:, 0] + 2 * p[:, 1]) * np.exp(p[:, 2])
+    else:
+        f = lambda p: np.stack([np.cos(p[:, 1]) * p[:, 2],
+                                np.sin(p[:, 0] + p[:, 2]),
+                                np.exp(p[:, 0] - p[:, 1])], axis=1)
+    got = interpolate(space, f).values
+    want = _interpolate_by_entity(space, f)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("name", ["pyr", "tet", "agglo"])
 @pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize("which", WHICHES)
 def test_entity_moments_match_interpolation_oracle(ctx, name, k, which):
     """The local interpolation of a cell potential's target equals, column
     by column, the global interpolate of each member read at the cell's
-    dofs: a second route, stacked over entity groups with the data rules."""
+    dofs: the same moment routine at the polynomial rules of the cell's
+    closure against the data rules, so it checks the local positions.
+    test_interpolate_matches_entity_moment_oracle checks the moments."""
     c = big_cell(ctx.meshes[name])
     space = ctx.spaces(name, k)[which]
-    pot = op_potential(space, c)
+    pot = entity(op_potential, space, "cell", c)
     J = _local_interpolation(space, c, pot.target)
     want = np.column_stack([
         interpolate(space, lambda pts, m=m: pot.target.eval(pts)[m]).values
@@ -267,7 +321,7 @@ def test_trace_stabilization_matches_oracle(ctx, name, k, which):
     space = ctx.spaces(name, k)[which]
     mesh, bank = space.mesh, space.bank
     v = np.random.default_rng(17).standard_normal(space.dim)
-    pot = op_potential(space, c)
+    pot = entity(op_potential, space, "cell", c)
     u = pot.apply(v)
 
     def at(basis, coeffs, pts):
@@ -283,10 +337,10 @@ def test_trace_stabilization_matches_oracle(ctx, name, k, which):
     for f in map(int, mesh.cells[c]):
         n = mesh.face_normals[f]
         if which == "grad":
-            tr = op_scalar_trace(space, f)
+            tr = entity(op_scalar_trace, space, "face", f)
             trace, rec = (lambda p: p), (tr.target, tr.apply(v))
         elif which == "curl":
-            tr = op_tangential_trace(space, f)
+            tr = entity(op_tangential_trace, space, "face", f)
             trace = lambda p: p - np.outer(p @ n, n)
             rec = (tr.target, tr.apply(v))
         else:
@@ -295,7 +349,7 @@ def test_trace_stabilization_matches_oracle(ctx, name, k, which):
         want += mesh.face_diameters[f] * sq_mismatch("face", f, trace, *rec)
     for e in map(int, mesh.cell_edges[c] if which != "div" else []):
         if which == "grad":
-            er = edge_reconstruct(space, e)
+            er = entity(edge_reconstruct, space, "edge", e)
             trace, rec = (lambda p: p), (er.target, er.apply(v))
         else:
             t = mesh.edge_tangents[e]
@@ -303,8 +357,8 @@ def test_trace_stabilization_matches_oracle(ctx, name, k, which):
             rec = (bank.scalars("edge", e, k), v[space.edge_dofs(e)])
         want += mesh.edge_lengths[e] ** 2 * sq_mismatch("edge", e, trace, *rec)
 
-    got = stabilization(space, c).apply(v, v)
-    scale = l2_product(space, c).apply(v, v)
+    got = entity(stabilization, space, "cell", c).apply(v, v)
+    scale = entity(l2_product, space, "cell", c).apply(v, v)
     assert abs(got - want) <= 1e-12 * scale, (got, want, scale)
 
 
@@ -312,16 +366,6 @@ def test_stabilization_has_no_variant(ctx):
     space = ctx.spaces("cube", 0)["curl"]
     with pytest.raises(TypeError):
         stabilization(space, 0, "trace")
-
-
-def test_local_form_apply():
-    M = np.array([[2.0, 1.0], [1.0, 3.0]])
-    form = LocalBilinearForm(("cell", 0), np.array([4, 7]), M)
-    v = np.zeros(9)
-    w = np.zeros(9)
-    v[4], v[7] = 1.0, 2.0
-    w[4], w[7] = -1.0, 1.0
-    assert form.apply(v, w) == pytest.approx(v[[4, 7]] @ M @ w[[4, 7]])
 
 
 # ----------------------------------------------------------------------
@@ -333,7 +377,7 @@ def test_local_form_apply():
 def test_component_gram_positive_definite(ctx, name, k, c, which):
     c = _cell_of(ctx, name, c)
     space = ctx.spaces(name, k)[which]
-    C = component_gram(space, c)
+    C = entity(component_gram, space, "cell", c).matrix
     eigs = la.eigvalsh(C)
     assert eigs.min() > 0, eigs.min()
 
@@ -361,8 +405,8 @@ def test_component_norm_rejects_a_wrong_length(length):
 def test_product_component_norm_equivalence(ctx, name, k, c, which):
     c = _cell_of(ctx, name, c)
     space = ctx.spaces(name, k)[which]
-    M = l2_product(space, c).matrix
-    C = component_gram(space, c)
+    M = entity(l2_product, space, "cell", c).matrix
+    C = entity(component_gram, space, "cell", c).matrix
     eigs = la.eigvalsh(0.5 * (M + M.T), C)
     assert eigs.min() > 0
     # equivalence constants grow quickly with the degree; the bound only
@@ -386,7 +430,8 @@ def test_assembled_product_matches_local_forms(ctx, name, k, which):
     v = rng.standard_normal(space.dim)
     w = rng.standard_normal(space.dim)
     direct = sum(
-        l2_product(space, c).apply(v, w) for c in range(mesh.num_cells)
+        entity(l2_product, space, "cell", c).apply(v, w)
+        for c in range(mesh.num_cells)
     )
     assert float(v @ (M @ w)) == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
@@ -442,7 +487,7 @@ def test_graph_norms_with_coefficient(ctx):
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
 def test_product_is_inner_product_random_vectors(ctx, seed):
     space = ctx.spaces("pyr", 1)["curl"]
-    form = l2_product(space, 0)
+    form = entity(l2_product, space, "cell", 0)
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(space.dim)
     v = rng.standard_normal(space.dim)

@@ -14,6 +14,8 @@ builds every identity of one cell (and of each of its faces) from the
 per-entity operators and that local interpolation.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,6 @@ from polyddr.ddrcore import (
     INTERP_DEGREE_MARGIN,
     _boundary_parts,
     _families,
-    _through,
     local_interpolation,
     make_space,
     op_potential,
@@ -40,6 +41,7 @@ from polyddr.verification import (
 )
 
 from meshes import jittered_tet_mesh
+from stacks import entity
 
 CONFIGS = [
     ("cubic", 0, (2, 4, 8)),
@@ -56,7 +58,7 @@ def _l2_error_sq_by_cells(space, op, dofs, f):
     for c in range(space.mesh.num_cells):
         rule = space.bank.rule("cell", c, 2 * space.k + INTERP_DEGREE_MARGIN,
                                data=True)
-        loc = op(space, c)
+        loc = entity(op, space, "cell", c)
         vals = np.tensordot(loc.apply(dofs), loc.target.eval(rule.points), axes=1)
         diff = (vals - f(rule.points)).reshape(len(rule.weights), -1)
         total += float(np.sum(diff ** 2 * rule.weights[:, None]))
@@ -64,7 +66,8 @@ def _l2_error_sq_by_cells(space, op, dofs, f):
 
 
 def _stabilization_sq_by_cells(space, dofs):
-    return sum(max(stabilization(space, c).apply(dofs, dofs), 0.0)
+    return sum(max(entity(stabilization, space, "cell", c).apply(dofs, dofs),
+                   0.0)
                for c in range(space.mesh.num_cells))
 
 
@@ -73,7 +76,7 @@ def _load_vector_by_cells(space, f):
     for c in range(space.mesh.num_cells):
         rule = space.bank.rule("cell", c, 2 * space.k + INTERP_DEGREE_MARGIN,
                                data=True)
-        pot = op_potential(space, c)
+        pot = entity(op_potential, space, "cell", c)
         npts = len(rule.weights)
         vals = pot.target.eval(rule.points).reshape(pot.target.dim, npts, -1)
         fv = np.asarray(f(rule.points)).reshape(npts, -1)
@@ -85,7 +88,7 @@ def _load_vector_by_cells(space, f):
 def _mean_by_cells(space, f):
     ell = np.zeros(space.dim)
     for c in range(space.mesh.num_cells):
-        pot = op_potential(space, c)
+        pot = entity(op_potential, space, "cell", c)
         ell[pot.dofs] += np.sqrt(space.mesh.cell_volumes[c]) * pot.matrix[0]
     return ell
 
@@ -217,7 +220,7 @@ def _consistency_by_cells(mesh, k, seed=0, bank=None):
             offenders[key] = entity
 
     for c in range(mesh.num_cells):
-        pots = {w: op_potential(spaces[w], c) for w in spaces}
+        pots = {w: entity(op_potential, spaces[w], "cell", c) for w in spaces}
         J = {w: interp(spaces[w], "cell", c, pots[w].target) for w in spaces}
         for which, key in (("grad", "scalar_potential"), ("curl", "field_potential")):
             pot = pots[which]
@@ -234,7 +237,7 @@ def _consistency_by_cells(mesh, k, seed=0, bank=None):
         space = spaces["curl"]
         ne = bank.subspace("cell", c, "nedelec", k + 1)
         for f in [int(x) for x in mesh.cells[c]]:
-            tr = op_tangential_trace(space, f)
+            tr = entity(op_tangential_trace, space, "face", f)
             rule = bank.rule("face", f)
             nrm = mesh.face_normals[f]
             vals = ne.eval(rule.points)
@@ -247,8 +250,10 @@ def _consistency_by_cells(mesh, k, seed=0, bank=None):
 
         for which, space in spaces.items():
             v = J[which] @ rng.standard_normal(pots[which].target.dim)
-            num = abs(float(v @ stabilization(space, c).matrix @ v))
-            den = max(float(v @ l2_product(space, c).matrix @ v), 1e-30)
+            s = entity(stabilization, space, "cell", c).matrix
+            m = entity(l2_product, space, "cell", c).matrix
+            num = abs(float(v @ s @ v))
+            den = max(float(v @ m @ v), 1e-30)
             track("stabilization_on_interpolates", num / den, ("cell", c, which))
 
     for key, value in worst.items():
@@ -282,7 +287,7 @@ def test_local_interpolation_matches_entity_oracle(name, k):
     spaces = {w: make_space(mesh, w, k, bank=bank) for w in ("grad", "curl", "div")}
     for group in bank.groups("cell"):
         for which, space in spaces.items():
-            basis = _through(space, op_potential, group).target
+            basis = op_potential(space, group).target
             _assert_close_rel(local_interpolation(space, group, basis),
                               _local_interpolation_by_entities(space, group, basis))
         rt = bank.group_basis(group, "raviart_thomas", k + 1)
@@ -320,19 +325,25 @@ def test_consistency_check_matches_cell_oracle(monkeypatch, name, k):
     _assert_reports_agree(swapped, got)
 
 
-def _corrupt(monkeypatch, build, which, kind, index, factor=1.0 + 1e-6):
-    """Scale the cached local operator of one entity in the stack that the
-    ddrcore stack function named build makes for the space which."""
-    original = getattr(ddrcore, build)
+def _corrupt(monkeypatch, name, which, kind, index, factor=1.0 + 1e-6):
+    """Scale entity index's slot, once, in the stacks that the ddrcore entry
+    point name returns for the space which, under every name that refers
+    to the entry point in polyddr and in this module."""
+    original = getattr(ddrcore, name)
+    done = {}  # id -> stack, kept alive so that ids stay unique
 
-    def corrupted(space, group, want=None):
-        out = original(space, group, want)
+    def corrupted(space, group):
+        out = original(space, group)
         owner, slot = space.bank.group(kind, index)
-        if space.which == which and owner is group:
+        if space.which == which and owner is group and id(out) not in done:
+            done[id(out)] = out
             out.matrix[slot] *= factor
         return out
 
-    monkeypatch.setattr(ddrcore, build, corrupted)
+    modules = [m for key, m in sys.modules.items() if key.startswith("polyddr.")]
+    for module in modules + [sys.modules[__name__]]:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, corrupted)
 
 
 def _failure(report, key):
@@ -345,7 +356,7 @@ def _failure(report, key):
                                        ("curl", "field_potential")])
 def test_consistency_names_the_corrupted_cell(monkeypatch, which, key):
     mesh, c = generate_tet_mesh(1), 3
-    _corrupt(monkeypatch, "_potential", which, "cell", c)
+    _corrupt(monkeypatch, "op_potential", which, "cell", c)
     for check in (check_polynomial_consistency, _consistency_by_cells):
         report = check(mesh, 1)
         assert not report.passed
@@ -355,7 +366,7 @@ def test_consistency_names_the_corrupted_cell(monkeypatch, which, key):
 def test_consistency_names_the_corrupted_face(monkeypatch):
     mesh = agglomerate_pairs(generate_cubic_mesh(2), seed=1)
     f = mesh.num_faces // 2
-    _corrupt(monkeypatch, "_tangential_trace", "curl", "face", f)
+    _corrupt(monkeypatch, "op_tangential_trace", "curl", "face", f)
     for check in (check_polynomial_consistency, _consistency_by_cells):
         report = check(mesh, 1)
         assert not report.passed
@@ -367,7 +378,7 @@ def test_consistency_fails_on_a_nan_potential(monkeypatch):
     """A NaN residual fails the report and names its cell; the per-cell
     loop's strict comparison skipped it and passed."""
     mesh, c = generate_tet_mesh(1), 2
-    _corrupt(monkeypatch, "_potential", "grad", "cell", c, np.nan)
+    _corrupt(monkeypatch, "op_potential", "grad", "cell", c, np.nan)
     report = check_polynomial_consistency(mesh, 0)
     assert not report.passed
     assert _failure(report, "scalar_potential") == (
