@@ -70,11 +70,11 @@ from .polyspaces import (
     BasisBank,
     _cross_matrix,
     dim_P,
-    integrate_products,
     space_dim,
     trace_table,
     value_blocks,
 )
+from .quadrature import QuadRule
 
 __all__ = [
     "DofSpace",
@@ -93,7 +93,6 @@ __all__ = [
     "op_div_cell",
     "op_potential",
     "global_operator",
-    "link_identities_check",
 ]
 
 COND_LIMIT = 1e12
@@ -348,13 +347,13 @@ def _families(space, kind):
 
 def _moments(space, group, sel, rule, vals):
     """Dof blocks (G', width, r) of the entities sel of one group of edges,
-    faces or cells from r values per entity at their points of the group's
-    stacked rule: vals (G', r, npts) scalar or (G', r, npts, 3) vector. The
-    field space takes the tangential component on edges and the flux space
-    the normal component on faces; every family then takes its moments from
-    one table of the core's monomials at the points, each family reading
-    its prefix."""
-    pts, weights = rule.points[sel], rule.weights[sel]
+    faces or cells from r values per entity at the points of rule, a
+    stacked rule over those entities: vals (G', r, npts) scalar or (G', r,
+    npts, 3) vector. The field space takes the tangential component on
+    edges and the flux space the normal component on faces; every family
+    then takes its moments from one table of the core's monomials at the
+    points, each family reading its prefix."""
+    pts, weights = rule.points, rule.weights
     d = {("edge", "curl"): space.mesh.edge_tangents,
          ("face", "div"): space.mesh.face_normals}.get((group.kind, space.which))
     if d is not None:
@@ -393,10 +392,13 @@ def local_interpolation(space, group, basis, slots=None):
         for p in range(ents.shape[1] if width else 0):
             sub, sel = bank.locate(kind, ents[:, p])
             rule = bank.group_rule(sub)
-            J.append(np.concatenate([
-                _moments(space, sub, sel[sl], rule,
-                         basis.eval(rule.points[sel[sl]], sl))
-                for sl in value_blocks(len(slots), basis.dim * rule.points[0].size)]))
+            blocks = []
+            for sl in value_blocks(len(slots), basis.dim * rule.points[0].size):
+                part = QuadRule(rule.points[sel[sl]], rule.weights[sel[sl]],
+                                rule.exactness_degree)
+                blocks.append(_moments(space, sub, sel[sl], part,
+                                       basis.eval(part.points, sl)))
+            J.append(np.concatenate(blocks))
     return np.concatenate(J, axis=1)
 
 
@@ -404,8 +406,9 @@ def interpolate(space, f, degree=None):
     """Degrees of freedom of a smooth field: point values on vertices for
     the scalar space, orthonormal-basis moments (_moments) everywhere else,
     stacked over each entity group and evaluated block by block of its
-    entities (polyspaces.value_blocks). The default quadrature adds a margin
-    over the space degree for non-polynomial fields."""
+    entities, each block on its own data rule (BasisBank.data_blocks). The
+    default quadrature adds a margin over the space degree for
+    non-polynomial fields."""
     mesh, bank = space.mesh, space.bank
     if degree is None:
         degree = 2 * space.k + INTERP_DEGREE_MARGIN
@@ -416,9 +419,8 @@ def interpolate(space, f, degree=None):
         if not getattr(space, f"{kind}_width"):
             continue
         for group in bank.groups(kind):
-            rule = bank.group_rule(group, degree, data=True)
-            for sl in value_blocks(*rule.weights.shape):
-                pts = rule.points[sl]
+            for sl, rule in bank.data_blocks(group, degree):
+                pts = rule.points
                 fv = np.asarray(f(pts.reshape(-1, 3)))
                 fv = fv.reshape((len(pts), 1) + pts.shape[1:2] + fv.shape[1:])
                 vals[space._blocks(kind, group.ids[sl, None])] = _moments(
@@ -428,10 +430,6 @@ def interpolate(space, f, degree=None):
 
 # ----------------------------------------------------------------------
 # integration by parts
-
-
-def _positions(idx):
-    return {int(g): i for i, g in enumerate(idx)}
 
 
 def _columns(idx, dofs):
@@ -817,109 +815,3 @@ def global_operator(space_in, space_out):
         (vals, (rows, cols)), shape=(space_out.dim, space_in.dim)
     )
     return mat.tocsr()
-
-
-def local_complex_matrix(space_in, space_out, c):
-    """Cell-local matrix of the discrete differential: output dofs of the
-    cell and its boundary in local order versus input local dofs."""
-    mesh, bank = space_in.mesh, space_in.bank
-    idx_out, _ = space_out.local_dofs("cell", c)
-    idx_in, _ = space_in.local_dofs("cell", c)
-    pos_out = _positions(idx_out)
-    pos_in = _positions(idx_in)
-    M = np.zeros((len(idx_out), len(idx_in)))
-    entities = {
-        "edge": mesh.cell_edges[c].tolist() if space_out.edge_width else [],
-        "face": mesh.cells[c].tolist(),
-        "cell": [c],
-    }
-    for kind, group, out_rows, dofs, matrix in _complex_pieces(space_in,
-                                                               space_out):
-        for j in entities[kind]:
-            owner, slot = bank.group(kind, j)
-            if owner is group:
-                r = [pos_out[g] for g in out_rows[slot].tolist()]
-                ci = [pos_in[g] for g in dofs[slot].tolist()]
-                M[np.ix_(r, ci)] = matrix[slot]
-    return M
-
-
-# ----------------------------------------------------------------------
-# local identities
-
-
-def link_identities_check(space_grad, space_curl, space_div, c):
-    """Residuals of the exact-sequence identities on one cell.
-
-    Returns a dict of maximum absolute residuals: the two integration by
-    parts links between face and cell operators, the composition of each
-    potential with the preceding discrete differential, and the vanishing
-    of composed differentials on the cell.
-    """
-    mesh = space_grad.mesh
-    k = space_grad.k
-    bank = space_grad.bank
-    rule = bank.rule("cell", c)
-    out = {}
-
-    def at(op, space, kind, i):
-        """(dofs, target, matrix) of entity i in its group's stack."""
-        group, slot = bank.group(kind, i)
-        ops = op(space, group)
-        return ops.dofs[slot], ops.target.take(slot), ops.matrix[slot]
-
-    dofs, target, gc = at(op_grad_cell, space_grad, "cell", c)
-    pos_g = _positions(dofs)
-    ne = bank.subspace("cell", c, "nedelec", k + 1)
-    X = integrate_products(
-        ne.curl(rule.points), target.eval(rule.points), rule.weights,
-    )
-    A = X @ gc
-    for fi, f in enumerate(mesh.cells[c]):
-        f = int(f)
-        dofs, target, gf = at(op_grad_face, space_grad, "face", f)
-        frule = bank.rule("face", f)
-        n = mesh.face_normals[f]
-        wtf = mesh.cell_face_signs[c][fi]
-        zxn = np.cross(ne.eval(frule.points), n[None, None, :])
-        T = integrate_products(
-            zxn, target.eval(frule.points), frule.weights,
-        )
-        cols = [pos_g[int(g)] for g in dofs]
-        A[:, cols] += wtf * (T @ gf)
-    out["grad_link"] = float(np.abs(A).max()) if A.size else 0.0
-
-    dofs, target, ct = at(op_curl_cell, space_curl, "cell", c)
-    pos_c = _positions(dofs)
-    sb = bank.scalars("cell", c, k + 1)
-    X = integrate_products(
-        sb.grad(rule.points), target.eval(rule.points), rule.weights,
-    )
-    A = X @ ct
-    for fi, f in enumerate(mesh.cells[c]):
-        f = int(f)
-        dofs, target, cf = at(op_curl_face, space_curl, "face", f)
-        frule = bank.rule("face", f)
-        wtf = mesh.cell_face_signs[c][fi]
-        T = integrate_products(
-            sb.eval(frule.points), target.eval(frule.points), frule.weights,
-        )
-        cols = [pos_c[int(g)] for g in dofs]
-        A[:, cols] -= wtf * (T @ cf)
-    out["curl_link"] = float(np.abs(A).max()) if A.size else 0.0
-
-    uG = local_complex_matrix(space_grad, space_curl, c)
-    uC = local_complex_matrix(space_curl, space_div, c)
-    pc = at(op_potential, space_curl, "cell", c)[2]
-    pd = at(op_potential, space_div, "cell", c)[2]
-    dt = at(op_div_cell, space_div, "cell", c)[2]
-
-    out["field_potential_of_gradient"] = float(
-        np.abs(pc @ uG - gc).max()
-    )
-    out["flux_potential_of_curl"] = float(
-        np.abs(pd @ uC - ct).max()
-    )
-    out["curl_of_gradient"] = float(np.abs(ct @ uG).max())
-    out["div_of_curl"] = float(np.abs(dt @ uC).max())
-    return out

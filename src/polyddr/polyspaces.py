@@ -66,7 +66,7 @@ import math
 import numpy as np
 
 from .mesh import _groups
-from .quadrature import QuadRule, entity_rule, vertex_fans
+from .quadrature import QuadRule, data_rule_size, entity_rule, vertex_fans
 
 __all__ = [
     "PolyBasis",
@@ -675,7 +675,7 @@ def subspace_basis(mesh, kind, index, family, l, core=None, rule=None):
 # projections, recovery, diagnostics
 
 
-def l2_project(basis, f, rule=None):
+def l2_project(basis, f, rule=None, sel=None):
     """Coefficients of the L2 projection of a field onto the basis.
 
     f is a callable on an (npts, 3) array of points returning (npts,) for
@@ -684,7 +684,8 @@ def l2_project(basis, f, rule=None):
     (members are tangent). Without a rule, the basis' own polynomial rule
     is used. A group's stacked basis with a stacked rule gives the
     coefficients of every entity, (G, dim), evaluating f block by block of
-    entities (value_blocks).
+    entities (value_blocks); a rule over the entities sel of the stack
+    (all by default) gives theirs, (G', dim).
     """
     if rule is None:
         rule = basis._core.rule
@@ -694,6 +695,7 @@ def l2_project(basis, f, rule=None):
     shape = (3,) if basis.value_dim > 1 else ()
     if not callable(f):
         given = np.asarray(f, dtype=float).reshape(pts.shape[:2] + shape)
+    rows = None if sel is None else np.arange(len(basis._Ws))[sel]
     moments = []
     for sl in value_blocks(*weights.shape):
         if callable(f):
@@ -701,10 +703,11 @@ def l2_project(basis, f, rule=None):
             vals = vals.reshape(pts[sl].shape[:2] + shape)
         else:
             vals = given[sl]
-        moments.append(basis.moments(pts[sl], vals[:, None], weights[sl], sl)[..., 0])
+        moments.append(basis.moments(pts[sl], vals[:, None], weights[sl],
+                                     sl if rows is None else rows[sl])[..., 0])
     moments = np.concatenate(moments)
     if not basis.orthonormal:
-        W = basis._Ws
+        W = basis._Ws if rows is None else basis._Ws[rows]
         moments = np.linalg.solve(W @ W.transpose(0, 2, 1), moments[..., None])[..., 0]
     return moments[0] if single else moments
 
@@ -858,14 +861,16 @@ class BasisBank:
     largest spaces the discrete operators touch are the degree-(k+2)
     radial complements used by the trace and potential systems. Default
     rules integrate degree 2k+4 on faces/cells and 2k+2 on edges exactly,
-    which covers every product of two represented polynomials. Rules are
-    cached per (kind, index, degree, data): data=True selects the
-    centroid-fan rule for non-polynomial data, the default the vertex-fan
-    rule for polynomials (see quadrature).
+    which covers every product of two represented polynomials.
 
     Everything is built per entity group (see EntityGroup): the first
     request for one entity builds the stacked rule, core or basis of its
-    whole group, and the per-entity objects are views into it.
+    whole group, and the per-entity objects are views into it. The
+    polynomial rules (vertex fans, see quadrature) are cached per (kind,
+    group, degree). Data rules (centroid fans, for non-polynomial data) are
+    read once, block by block, so they are not cached: data_blocks builds
+    each block's rule as it is used, and rule(..., data=True) builds and
+    caches one entity's rule alone.
     """
 
     def __init__(self, mesh, k):
@@ -918,24 +923,38 @@ class BasisBank:
             return 2 * self.k + (2 if kind == "edge" else 4)
         return degree
 
-    def group_rule(self, group, degree=None, data=False):
-        """The stacked rule of a group, (G, n, 3) points."""
-        key = (group.kind, group.gid, self._degree(group.kind, degree), data)
+    def group_rule(self, group, degree=None):
+        """The stacked polynomial rule of a group, (G, n, 3) points."""
+        key = (group.kind, group.gid, self._degree(group.kind, degree))
         out = self._group_rules.get(key)
         if out is None:
             out = self._group_rules[key] = entity_rule(
-                self.mesh, group.kind, group.ids, key[2], data=data)
+                self.mesh, group.kind, group.ids, key[2])
         return out
 
+    def data_blocks(self, group, degree):
+        """(sl, rule) per value block of a group (value_blocks): the data
+        rule of the entities group.ids[sl], built when its block is reached
+        and kept by no cache, so no data rule of a whole group is held."""
+        mesh, kind = self.mesh, group.kind
+        size = data_rule_size(mesh, kind, group.ids[0], degree)
+        for sl in value_blocks(len(group), size):
+            yield sl, entity_rule(mesh, kind, group.ids[sl], degree, data=True)
+
     def rule(self, kind, index, degree=None, data=False):
+        """One entity's rule: a view into its group's polynomial rule, or
+        with data=True its data rule, built for it alone."""
         degree = self._degree(kind, degree)
         key = (kind, index, degree, data)
         out = self._rules.get(key)
         if out is None:
-            group, slot = self.group(kind, index)
-            stack = self.group_rule(group, degree, data)
-            out = self._rules[key] = QuadRule(stack.points[slot],
-                                              stack.weights[slot], degree)
+            if data:
+                out = entity_rule(self.mesh, kind, index, degree, data=True)
+            else:
+                group, slot = self.group(kind, index)
+                stack = self.group_rule(group, degree)
+                out = QuadRule(stack.points[slot], stack.weights[slot], degree)
+            self._rules[key] = out
         return out
 
     def group_core(self, group):

@@ -246,7 +246,9 @@ def graph_norms(space_curl, space_div, space_l2, field_vals, flux_vals,
                 mu=None):
     """Graph norms of a field/flux pair: the field norm adds the flux
     norm of its discrete curl, the flux norm adds the plain L2 norm of
-    its discrete divergence."""
+    its discrete divergence. Column stacks (n, m) of fields and fluxes
+    give the m pairs of norms as two (m,) arrays, from one assembly of the
+    matrices; each column takes the arithmetic of a single pair."""
     if hasattr(field_vals, "values"):
         field_vals = field_vals.values
     if hasattr(flux_vals, "values"):
@@ -259,11 +261,18 @@ def graph_norms(space_curl, space_div, space_l2, field_vals, flux_vals,
     uC = global_operator(space_curl, space_div)
     D = global_operator(space_div, space_l2)
 
-    ch = uC @ field_vals
-    field_sq = float(field_vals @ (Mc @ field_vals)) + float(ch @ (Md @ ch))
-    dv = D @ flux_vals
-    flux_sq = float(flux_vals @ (Md @ flux_vals)) + float(dv @ dv)
-    return np.sqrt(field_sq), np.sqrt(flux_sq)
+    norms = []
+    for field, flux in zip(np.atleast_2d(np.transpose(field_vals)),
+                           np.atleast_2d(np.transpose(flux_vals))):
+        field, flux = np.ascontiguousarray(field), np.ascontiguousarray(flux)
+        ch = uC @ field
+        field_sq = float(field @ (Mc @ field)) + float(ch @ (Md @ ch))
+        dv = D @ flux
+        flux_sq = float(flux @ (Md @ flux)) + float(dv @ dv)
+        norms.append((np.sqrt(field_sq), np.sqrt(flux_sq)))
+    if np.ndim(field_vals) == 1:
+        return norms[0]
+    return tuple(np.array(n) for n in zip(*norms))
 
 
 # ----------------------------------------------------------------------
@@ -275,14 +284,17 @@ def load_vector(space, f):
     potential reconstruction of dof i's basis vector, summed over cells.
     f is a callable on (npts, 3) points, scalar for the scalar space and a
     3-vector otherwise, integrated by the data rule of degree 2k +
-    INTERP_DEGREE_MARGIN; one stacked projection and scatter per group."""
+    INTERP_DEGREE_MARGIN, built one block of cells at a time
+    (BasisBank.data_blocks); one stacked projection per block and one
+    scatter per group."""
     bank = space.bank
     degree = 2 * space.k + INTERP_DEGREE_MARGIN
     out = np.zeros(space.dim)
     for group in bank.groups("cell"):
-        rule = bank.group_rule(group, degree, data=True)
         pot = op_potential(space, group)
-        moments = l2_project(pot.target, f, rule=rule)
+        moments = np.concatenate([
+            l2_project(pot.target, f, rule=rule, sel=sl)
+            for sl, rule in bank.data_blocks(group, degree)])
         load = (pot.matrix.transpose(0, 2, 1) @ moments[..., None])[..., 0]
         out += np.bincount(pot.dofs.ravel(), load.ravel(), len(out))
     return out

@@ -37,7 +37,11 @@ of the entities of one mesh group with fans of one size, and the centroid
 fans as the mesh's own group stacks. A rule may also be asked for a
 sequence of entities whose fans have one size (an entity group, see
 polyspaces.BasisBank): its fans are gathered from those stacks, and it is
-one stacked array over them, equal bit for bit to the per-entity rules.
+one stacked array over them, equal bit for bit to the per-entity rules, so
+a rule over part of a group equals that part of the group's rule. Data
+rules are built that way, one block of a group's entities at a time
+(BasisBank.data_blocks), and are not kept; data_rule_size gives a data
+rule's points per entity without building it, which sets the blocks.
 """
 
 import functools
@@ -338,6 +342,16 @@ def cell_rule(mesh, ids, degree, data=False):
     pts = p0[:, :, None, :] + ref @ d
     wts = vol6[:, :, None] * wref[None, None, :]
     return pts.reshape(len(ids), -1, 3), wts.reshape(len(ids), -1)
+
+
+def data_rule_size(mesh, kind, index, degree):
+    """Points of the data rule entity_rule(mesh, kind, index, degree,
+    data=True), read off the entity's centroid fan and the reference rule
+    without building it."""
+    if kind == "edge":
+        return len(_gauss01(max(1, (degree + 2) // 2))[1])
+    ref = _triangle_ref(degree) if kind == "face" else _tet_ref(degree)
+    return int(_centroid_fans(mesh, kind).size[index]) * len(ref[1])
 
 
 def entity_rule(mesh, kind, index, degree, data=False):

@@ -218,10 +218,9 @@ def error_norms(problem, field_vals, potential_vals):
     ref_f = interpolate(sc, problem.exact_field).values
     ref_p = interpolate(sd, problem.exact_vector_potential).values
 
-    e_curl, e_div = graph_norms(
-        sc, sd, sl, field_vals - ref_f, potential_vals - ref_p, mu=problem.mu
-    )
-    n_curl, n_div = graph_norms(sc, sd, sl, ref_f, ref_p, mu=problem.mu)
+    (e_curl, n_curl), (e_div, n_div) = graph_norms(
+        sc, sd, sl, np.column_stack([field_vals - ref_f, ref_f]),
+        np.column_stack([potential_vals - ref_p, ref_p]), mu=problem.mu)
     num = np.hypot(e_curl, e_div)
     den = max(np.hypot(n_curl, n_div), 1e-300)
     return float(e_curl), float(e_div), float(num / den)

@@ -555,20 +555,20 @@ def _l2_error_sq(space, op, dofs, f):
     """Squared L2 distance over the mesh between the cell polynomials of
     op (op_potential, op_curl_cell, ...) applied to the dof vector dofs and
     the field f, by the data rule of degree 2k + INTERP_DEGREE_MARGIN:
-    stacked over cell groups and evaluated block by block of cells."""
+    stacked over cell groups and evaluated block by block of cells, each
+    block on its own data rule (BasisBank.data_blocks)."""
     bank = space.bank
     degree = 2 * space.k + INTERP_DEGREE_MARGIN
     total = 0.0
     for group in bank.groups("cell"):
-        rule = bank.group_rule(group, degree, data=True)
         ops = op(space, group)
         u = (ops.matrix @ dofs[ops.dofs][..., None])[..., 0]
-        for sl in value_blocks(*rule.weights.shape):
-            pts = rule.points[sl]
+        for sl, rule in bank.data_blocks(group, degree):
+            pts = rule.points
             diff = np.einsum("gm,gm...->g...", u[sl], ops.target.eval(pts, sl))
             diff -= np.asarray(f(pts.reshape(-1, 3))).reshape(diff.shape)
             sq = diff ** 2 if diff.ndim == 2 else np.sum(diff ** 2, axis=2)
-            total += float(np.sum(sq * rule.weights[sl]))
+            total += float(np.sum(sq * rule.weights))
     return total
 
 

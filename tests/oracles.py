@@ -5,13 +5,27 @@ package: polynomial calculus runs on exponent dictionaries, integrals come
 from the closed-form Dirichlet moments of reference simplices after an
 affine pullback done by coefficient arithmetic, and a few spot checks
 validate this module itself against sympy. None of it touches the package's
-quadrature or orthonormalization code.
+quadrature or orthonormalization code, except the cell-local views of the
+complex at the end (local_complex_matrix, link_identities_check): they read
+one cell out of the package's group stacks and check the identities that
+link them entity by entity, a route the package itself no longer takes.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from polyddr.ddrcore import (
+    _complex_pieces,
+    op_curl_cell,
+    op_curl_face,
+    op_div_cell,
+    op_grad_cell,
+    op_grad_face,
+    op_potential,
+)
+from polyddr.polyspaces import integrate_products
 
 
 class Poly3:
@@ -307,3 +321,113 @@ def count_monomials(l, d):
         for exp in itertools.product(range(l + 1), repeat=d)
         if sum(exp) <= l
     )
+
+
+# ----------------------------------------------------------------------
+# cell-local views of the complex
+
+
+def _positions(idx):
+    return {int(g): i for i, g in enumerate(idx)}
+
+
+def local_complex_matrix(space_in, space_out, c):
+    """Cell-local matrix of the discrete differential: output dofs of the
+    cell and its boundary in local order versus input local dofs."""
+    mesh, bank = space_in.mesh, space_in.bank
+    idx_out, _ = space_out.local_dofs("cell", c)
+    idx_in, _ = space_in.local_dofs("cell", c)
+    pos_out = _positions(idx_out)
+    pos_in = _positions(idx_in)
+    M = np.zeros((len(idx_out), len(idx_in)))
+    entities = {
+        "edge": mesh.cell_edges[c].tolist() if space_out.edge_width else [],
+        "face": mesh.cells[c].tolist(),
+        "cell": [c],
+    }
+    for kind, group, out_rows, dofs, matrix in _complex_pieces(space_in,
+                                                               space_out):
+        for j in entities[kind]:
+            owner, slot = bank.group(kind, j)
+            if owner is group:
+                r = [pos_out[g] for g in out_rows[slot].tolist()]
+                ci = [pos_in[g] for g in dofs[slot].tolist()]
+                M[np.ix_(r, ci)] = matrix[slot]
+    return M
+
+
+def link_identities_check(space_grad, space_curl, space_div, c):
+    """Residuals of the exact-sequence identities on one cell.
+
+    Returns a dict of maximum absolute residuals: the two integration by
+    parts links between face and cell operators, the composition of each
+    potential with the preceding discrete differential, and the vanishing
+    of composed differentials on the cell.
+    """
+    mesh = space_grad.mesh
+    k = space_grad.k
+    bank = space_grad.bank
+    rule = bank.rule("cell", c)
+    out = {}
+
+    def at(op, space, kind, i):
+        """(dofs, target, matrix) of entity i in its group's stack."""
+        group, slot = bank.group(kind, i)
+        ops = op(space, group)
+        return ops.dofs[slot], ops.target.take(slot), ops.matrix[slot]
+
+    dofs, target, gc = at(op_grad_cell, space_grad, "cell", c)
+    pos_g = _positions(dofs)
+    ne = bank.subspace("cell", c, "nedelec", k + 1)
+    X = integrate_products(
+        ne.curl(rule.points), target.eval(rule.points), rule.weights,
+    )
+    A = X @ gc
+    for fi, f in enumerate(mesh.cells[c]):
+        f = int(f)
+        dofs, target, gf = at(op_grad_face, space_grad, "face", f)
+        frule = bank.rule("face", f)
+        n = mesh.face_normals[f]
+        wtf = mesh.cell_face_signs[c][fi]
+        zxn = np.cross(ne.eval(frule.points), n[None, None, :])
+        T = integrate_products(
+            zxn, target.eval(frule.points), frule.weights,
+        )
+        cols = [pos_g[int(g)] for g in dofs]
+        A[:, cols] += wtf * (T @ gf)
+    out["grad_link"] = float(np.abs(A).max()) if A.size else 0.0
+
+    dofs, target, ct = at(op_curl_cell, space_curl, "cell", c)
+    pos_c = _positions(dofs)
+    sb = bank.scalars("cell", c, k + 1)
+    X = integrate_products(
+        sb.grad(rule.points), target.eval(rule.points), rule.weights,
+    )
+    A = X @ ct
+    for fi, f in enumerate(mesh.cells[c]):
+        f = int(f)
+        dofs, target, cf = at(op_curl_face, space_curl, "face", f)
+        frule = bank.rule("face", f)
+        wtf = mesh.cell_face_signs[c][fi]
+        T = integrate_products(
+            sb.eval(frule.points), target.eval(frule.points), frule.weights,
+        )
+        cols = [pos_c[int(g)] for g in dofs]
+        A[:, cols] -= wtf * (T @ cf)
+    out["curl_link"] = float(np.abs(A).max()) if A.size else 0.0
+
+    uG = local_complex_matrix(space_grad, space_curl, c)
+    uC = local_complex_matrix(space_curl, space_div, c)
+    pc = at(op_potential, space_curl, "cell", c)[2]
+    pd = at(op_potential, space_div, "cell", c)[2]
+    dt = at(op_div_cell, space_div, "cell", c)[2]
+
+    out["field_potential_of_gradient"] = float(
+        np.abs(pc @ uG - gc).max()
+    )
+    out["flux_potential_of_curl"] = float(
+        np.abs(pd @ uC - ct).max()
+    )
+    out["curl_of_gradient"] = float(np.abs(ct @ uG).max())
+    out["div_of_curl"] = float(np.abs(dt @ uC).max())
+    return out

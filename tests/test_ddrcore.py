@@ -24,11 +24,9 @@ from polyddr.ddrcore import (
     op_div_cell,
     op_potential,
     global_operator,
-    local_complex_matrix,
-    link_identities_check,
 )
 
-from oracles import Poly3, VecPoly3
+from oracles import Poly3, VecPoly3, link_identities_check, local_complex_matrix
 from stacks import entity
 
 

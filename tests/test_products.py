@@ -458,6 +458,21 @@ def test_graph_norms_drop_to_plain_norms_on_complex_images(ctx, name, k):
     assert ga == pytest.approx(np.sqrt(A @ (Md @ A)), rel=1e-10)
 
 
+def test_graph_norms_of_column_stacks_match_single_pairs(ctx):
+    sp = ctx.spaces("agglo", 1)
+    rng = np.random.default_rng(11)
+    H = rng.standard_normal((sp["curl"].dim, 3))
+    A = rng.standard_normal((sp["div"].dim, 3))
+    mu = 1.0 + rng.random(ctx.meshes["agglo"].num_cells)
+    gf, ga = graph_norms(sp["curl"], sp["div"], sp["l2"], H, A, mu=mu)
+    assert gf.shape == ga.shape == (3,)
+    for j in range(3):
+        f1, a1 = graph_norms(sp["curl"], sp["div"], sp["l2"], H[:, j], A[:, j],
+                             mu=mu)
+        assert gf[j] == pytest.approx(f1, rel=1e-12)
+        assert ga[j] == pytest.approx(a1, rel=1e-12)
+
+
 def test_graph_norms_with_coefficient(ctx):
     sp = ctx.spaces("tet", 0)
     mesh = ctx.meshes["tet"]

@@ -13,6 +13,7 @@ from polyddr.quadrature import (
     _gauss01,
     _tet_ref,
     _triangle_ref,
+    data_rule_size,
     entity_rule,
     integrate,
 )
@@ -330,8 +331,10 @@ def test_data_rules_are_the_centroid_fan_rules(name):
                 pts, wts = _centroid_fan_rule(m, kind, i, degree)
                 assert np.array_equal(rule.points, pts)
                 assert np.array_equal(rule.weights, wts)
+                assert data_rule_size(m, kind, i, degree) == len(rule)
     e = entity_rule(m, "edge", 0, 5, data=True)
     assert np.array_equal(e.points, entity_rule(m, "edge", 0, 5).points)
+    assert data_rule_size(m, "edge", 0, 5) == len(e)
 
 
 @pytest.mark.parametrize("name", ["tet1", "agglo2", "hull", "pentagram"])

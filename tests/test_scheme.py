@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg as la
 import sympy as sp
 
+from polyddr import products
 from polyddr.mesh import generate_cubic_mesh, generate_tet_mesh
 from polyddr.ddrcore import interpolate, global_operator
 from polyddr.scheme import (
@@ -247,6 +248,21 @@ def test_error_norms_zero_on_interpolates(small_system):
     vp = interpolate(sd, problem.exact_vector_potential).values
     e_curl, e_div, e_rel = error_norms(problem, vf, vp)
     assert e_curl < 1e-12 and e_div < 1e-12 and e_rel < 1e-12
+
+
+def test_error_norms_assembles_each_matrix_once(monkeypatch):
+    """One graph_norms call serves the error and the reference, so each of
+    the two products and the two differentials is assembled once."""
+    problem = manufactured_problem(generate_tet_mesh(1), 1)
+    field, potential = solve(assemble(problem))
+    calls = []
+    for name in ("assemble_product", "global_operator"):
+        def counted(*args, _name=name, _fn=getattr(products, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(products, name, counted)
+    error_norms(problem, field, potential)
+    assert sorted(calls) == ["assemble_product"] * 2 + ["global_operator"] * 2
 
 
 def test_error_decreases_under_refinement():
