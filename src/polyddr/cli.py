@@ -250,6 +250,7 @@ def cmd_solve(args):
     print(f"dim_xdiv = {sd.dim}")
     print(f"system dim = {sc.dim + sd.dim}")
     print(f"residual = {system.residual:.3e}")
+    print(f"lu_nnz = {system.lu_nnz}")
     payload = {
         "dim_xcurl": sc.dim,
         "dim_xdiv": sd.dim,

@@ -241,20 +241,6 @@ class DofSpace:
         self._cache = {}
         self.worst_cond = {}
 
-    # -- global index helpers ---------------------------------------------
-
-    def edge_dofs(self, e):
-        w = self.edge_width
-        return np.arange(self.edge_start + e * w, self.edge_start + (e + 1) * w)
-
-    def face_dofs(self, f):
-        w = self.face_width
-        return np.arange(self.face_start + f * w, self.face_start + (f + 1) * w)
-
-    def cell_dofs(self, c):
-        w = self.cell_width
-        return np.arange(self.cell_start + c * w, self.cell_start + (c + 1) * w)
-
     def _blocks(self, kind, ents, offset=0, width=None):
         """Global dofs (G, np * width) of the entities ents (G, np) of one
         kind: each entity's block, or its width entries from offset."""
@@ -314,12 +300,6 @@ class DofSpace:
                     n += width
             out = self._cache[key] = self.group_dofs(group)[slot], layout
         return out
-
-    def sub_slice(self, layout, kind, index, i):
-        """Local slice of one family block inside an entity's block."""
-        base = layout[(kind, index)]
-        offs = self._face_offsets if kind == "face" else self._cell_offsets
-        return slice(base.start + offs[i], base.start + offs[i + 1])
 
     def _own_slice(self, group, i):
         """Local slice of family block i of the entity's own dofs, the

@@ -527,20 +527,6 @@ class Mesh:
         """Largest cell diameter."""
         return float(self.cell_diameters.max())
 
-    def shape_regularity(self):
-        """Per-cell min over fan tetrahedra of inradius / h_T (diagnostic)."""
-        out = np.empty(self.num_cells)
-        for g in self.cell_groups:
-            tets = g.cell_fans
-            vols = g.cell_fan_vol6 / 6.0
-            areas = np.zeros(vols.shape)
-            for i, j, k in ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)):
-                cr = _cross(tets[:, :, j] - tets[:, :, i],
-                            tets[:, :, k] - tets[:, :, i])
-                areas += 0.5 * np.linalg.norm(cr, axis=-1)
-            out[g.ids] = (3.0 * vols / areas).min(axis=1) / self.cell_diameters[g.ids]
-        return out
-
     def to_dict(self):
         """JSON-serializable mesh description (edges are derived on load)."""
         return {

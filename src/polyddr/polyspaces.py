@@ -81,7 +81,6 @@ __all__ = [
     "trace_table",
     "recovery",
     "projection_overlap",
-    "isomorphism_matrix",
     "BasisBank",
 ]
 
@@ -748,40 +747,6 @@ def projection_overlap(basis_s, basis_sc):
     if cross.size == 0:
         return 0.0
     return float(np.linalg.norm(cross, 2))
-
-
-def isomorphism_matrix(mesh, kind, index, which, l):
-    """Matrix of one of the bijective differential maps between subspaces.
-
-    which: "face_rot"  rotated gradient, zero-mean scalars(l) -> curl_image(l-1)
-           "face_div"  in-plane divergence, curl_complement(l) -> scalars(l-1)
-           "cell_div"  divergence, curl_complement(l) -> scalars(l-1)
-           "cell_curl" curl, grad_complement(l) -> curl_image(l-1)
-    Rows are target coefficients, columns source members; square and
-    invertible whenever the mesh entity is sound.
-    """
-    rule = entity_rule(mesh, kind, index, 2 * max(l, 1))
-    core = _make_core(mesh, kind, index, l + 1, rule)
-    if which == "face_rot":
-        src = subspace_basis(mesh, "face", index, "zero_mean", l, core=core,
-                             rule=rule)
-        tgt = subspace_basis(mesh, "face", index, "curl_image", l - 1,
-                             core=core, rule=rule)
-        vals = src.grad(rule.points) @ _cross_matrix(mesh.face_normals[index])
-    elif which in ("face_div", "cell_div"):
-        src = subspace_basis(mesh, kind, index, "curl_complement", l,
-                             core=core, rule=rule)
-        tgt = scalar_basis(mesh, kind, index, l - 1, core=core)
-        vals = src.div(rule.points)
-    elif which == "cell_curl":
-        src = subspace_basis(mesh, "cell", index, "grad_complement", l,
-                             core=core, rule=rule)
-        tgt = subspace_basis(mesh, "cell", index, "curl_image", l - 1,
-                             core=core, rule=rule)
-        vals = src.curl(rule.points)
-    else:
-        raise ValueError(f"unknown map {which!r}")
-    return integrate_products(tgt.eval(rule.points), vals, rule.weights)
 
 
 # ----------------------------------------------------------------------

@@ -5,10 +5,12 @@ package: polynomial calculus runs on exponent dictionaries, integrals come
 from the closed-form Dirichlet moments of reference simplices after an
 affine pullback done by coefficient arithmetic, and a few spot checks
 validate this module itself against sympy. None of it touches the package's
-quadrature or orthonormalization code, except the cell-local views of the
-complex at the end (local_complex_matrix, link_identities_check): they read
-one cell out of the package's group stacks and check the identities that
-link them entity by entity, a route the package itself no longer takes.
+quadrature or orthonormalization code, except the package views at the
+end. The cell-local views of the complex (local_complex_matrix,
+link_identities_check) read one cell out of the package's group stacks and
+check the identities that link them entity by entity, a route the package
+itself no longer takes. isomorphism_matrix and shape_regularity are
+diagnostics on the package's bases and fans that only the tests read.
 """
 
 import itertools
@@ -25,7 +27,15 @@ from polyddr.ddrcore import (
     op_grad_face,
     op_potential,
 )
-from polyddr.polyspaces import integrate_products
+from polyddr.mesh import _cross
+from polyddr.polyspaces import (
+    _cross_matrix,
+    _make_core,
+    integrate_products,
+    scalar_basis,
+    subspace_basis,
+)
+from polyddr.quadrature import entity_rule
 
 
 class Poly3:
@@ -430,4 +440,53 @@ def link_identities_check(space_grad, space_curl, space_div, c):
     )
     out["curl_of_gradient"] = float(np.abs(ct @ uG).max())
     out["div_of_curl"] = float(np.abs(dt @ uC).max())
+    return out
+
+
+def isomorphism_matrix(mesh, kind, index, which, l):
+    """Matrix of one of the bijective differential maps between subspaces.
+
+    which: "face_rot"  rotated gradient, zero-mean scalars(l) -> curl_image(l-1)
+           "face_div"  in-plane divergence, curl_complement(l) -> scalars(l-1)
+           "cell_div"  divergence, curl_complement(l) -> scalars(l-1)
+           "cell_curl" curl, grad_complement(l) -> curl_image(l-1)
+    Rows are target coefficients, columns source members; square and
+    invertible whenever the mesh entity is sound.
+    """
+    rule = entity_rule(mesh, kind, index, 2 * max(l, 1))
+    core = _make_core(mesh, kind, index, l + 1, rule)
+    if which == "face_rot":
+        src = subspace_basis(mesh, "face", index, "zero_mean", l, core=core,
+                             rule=rule)
+        tgt = subspace_basis(mesh, "face", index, "curl_image", l - 1,
+                             core=core, rule=rule)
+        vals = src.grad(rule.points) @ _cross_matrix(mesh.face_normals[index])
+    elif which in ("face_div", "cell_div"):
+        src = subspace_basis(mesh, kind, index, "curl_complement", l,
+                             core=core, rule=rule)
+        tgt = scalar_basis(mesh, kind, index, l - 1, core=core)
+        vals = src.div(rule.points)
+    elif which == "cell_curl":
+        src = subspace_basis(mesh, "cell", index, "grad_complement", l,
+                             core=core, rule=rule)
+        tgt = subspace_basis(mesh, "cell", index, "curl_image", l - 1,
+                             core=core, rule=rule)
+        vals = src.curl(rule.points)
+    else:
+        raise ValueError(f"unknown map {which!r}")
+    return integrate_products(tgt.eval(rule.points), vals, rule.weights)
+
+
+def shape_regularity(mesh):
+    """Per-cell min over fan tetrahedra of inradius / h_T (diagnostic)."""
+    out = np.empty(mesh.num_cells)
+    for g in mesh.cell_groups:
+        tets = g.cell_fans
+        vols = g.cell_fan_vol6 / 6.0
+        areas = np.zeros(vols.shape)
+        for i, j, k in ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)):
+            cr = _cross(tets[:, :, j] - tets[:, :, i],
+                        tets[:, :, k] - tets[:, :, i])
+            areas += 0.5 * np.linalg.norm(cr, axis=-1)
+        out[g.ids] = (3.0 * vols / areas).min(axis=1) / mesh.cell_diameters[g.ids]
     return out

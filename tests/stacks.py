@@ -1,4 +1,5 @@
-"""One entity's slot of a group stack, for tests written per entity."""
+"""One entity's slot of a group stack and the global and local dof
+indices of one entity, for tests written per entity."""
 
 import numpy as np
 
@@ -31,3 +32,17 @@ def entity(op, space, kind, i):
     return Local(stack.dofs[slot], stack.matrix[slot],
                  None if target is None else target.take(slot),
                  space.local_dofs(kind, i)[1])
+
+
+def own_dofs(space, kind, i):
+    """Global indices of the dofs entity i of one kind carries itself."""
+    start = getattr(space, f"{kind}_start")
+    w = getattr(space, f"{kind}_width")
+    return np.arange(start + i * w, start + (i + 1) * w)
+
+
+def sub_slice(space, layout, kind, index, i):
+    """Local slice of one family block inside an entity's block."""
+    base = layout[(kind, index)]
+    offs = space._face_offsets if kind == "face" else space._cell_offsets
+    return slice(base.start + offs[i], base.start + offs[i + 1])

@@ -164,8 +164,10 @@ def test_solve_reports_dimensions_and_errors(capsys, tmp_path):
     assert "system dim = 90" in stdout
     assert "err_hcurl_hdiv_rel" in stdout
     assert "setup" in stdout and "assemble" in stdout and "solve" in stdout
+    assert re.search(r"^lu_nnz = [1-9][0-9]*$", stdout, re.M)
     payload = json.loads(out.read_text())
     assert payload["system_dim"] == 90
+    assert "lu_nnz" not in payload
     assert payload["residual"] < 1e-10
     assert 0 < payload["errors"]["err_hcurl_hdiv_rel"] < 2
 

@@ -27,7 +27,7 @@ from polyddr.ddrcore import (
 )
 
 from oracles import Poly3, VecPoly3, link_identities_check, local_complex_matrix
-from stacks import entity
+from stacks import entity, own_dofs, sub_slice
 
 
 def pyramid_mesh():
@@ -328,7 +328,7 @@ def test_field_potential_keeps_complement_moments(ctx, name, k):
         return
     proj = cc.coeff_matrix() @ pc.matrix
     want = np.zeros_like(proj)
-    want[:, scu.sub_slice(pc.layout, "cell", c, 1)] = np.eye(cc.dim)
+    want[:, sub_slice(scu, pc.layout, "cell", c, 1)] = np.eye(cc.dim)
     assert np.abs(proj - want).max() < 1e-11
 
 
@@ -429,7 +429,7 @@ def test_flux_potential_keeps_complement_moments(ctx, name, k):
         return
     proj = cg.coeff_matrix() @ pd.matrix
     want = np.zeros_like(proj)
-    want[:, sd.sub_slice(pd.layout, "cell", c, 1)] = np.eye(cg.dim)
+    want[:, sub_slice(sd, pd.layout, "cell", c, 1)] = np.eye(cg.dim)
     assert np.abs(proj - want).max() < 1e-11
 
 
@@ -469,7 +469,7 @@ def test_face_rotation_kills_gradients(ctx, name, k):
             continue
         W = np.zeros((b.dim, gf.target.dim))
         W[:, : b.coeff_matrix().shape[1]] = b.coeff_matrix()
-        sl = scu.sub_slice(lay_c, "face", f, i)
+        sl = sub_slice(scu, lay_c, "face", f, i)
         M[sl] = W @ gf.matrix
 
     cf = entity(op_curl_face, scu, "face", f)
@@ -781,7 +781,7 @@ def test_interpolate_l2_space_is_projection(ctx):
     qi = interpolate(sl, lambda p: q.eval(p))
     b = sl.bank.scalars("cell", 0, 2)
     rule = sl.bank.rule("cell", 0, 8)
-    got = qi.values[sl.cell_dofs(0)] @ b.eval(rule.points)
+    got = qi.values[own_dofs(sl, "cell", 0)] @ b.eval(rule.points)
     assert np.abs(got - q.eval(rule.points)).max() < 1e-11
 
 

@@ -14,6 +14,8 @@ from polyddr.mesh import (
     agglomerate_pairs,
 )
 
+from oracles import shape_regularity
+
 
 def unit_cube_mesh():
     return generate_cubic_mesh(1)
@@ -383,7 +385,7 @@ def test_random_convex_polyhedron_valid(seed):
     faces = [[remap[int(v)] for v in tri] for tri in hull.simplices]
     m = Mesh(verts, faces, [list(range(len(faces)))])
     assert m.cell_volumes[0] == pytest.approx(hull.volume, rel=1e-10)
-    assert m.shape_regularity()[0] > 0
+    assert shape_regularity(m)[0] > 0
 
 
 def test_face_geometry_matches_the_np_cross_formulas():

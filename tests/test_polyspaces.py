@@ -18,11 +18,16 @@ from polyddr.polyspaces import (
     l2_project,
     recovery,
     projection_overlap,
-    isomorphism_matrix,
 )
 
 import oracles
-from oracles import Poly3, VecPoly3, integrate_poly_cell, count_monomials
+from oracles import (
+    Poly3,
+    VecPoly3,
+    count_monomials,
+    integrate_poly_cell,
+    isomorphism_matrix,
+)
 
 
 def pyramid_mesh():

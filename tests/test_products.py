@@ -30,7 +30,7 @@ from polyddr.products import (
 )
 
 from oracles import Poly3, VecPoly3, integrate_poly_cell
-from stacks import Local, entity
+from stacks import Local, entity, own_dofs
 
 
 def pyramid_mesh():
@@ -267,7 +267,7 @@ def _interpolate_by_entity(space, f):
                                           rule.weights)[:, 0]
                        for b in (bank.basis(fam, kind, i, l) for fam, l in families)
                        if b.dim]
-            out[getattr(space, f"{kind}_dofs")(i)] = np.concatenate(moments)
+            out[own_dofs(space, kind, i)] = np.concatenate(moments)
     return out
 
 
@@ -345,7 +345,7 @@ def test_trace_stabilization_matches_oracle(ctx, name, k, which):
             rec = (tr.target, tr.apply(v))
         else:
             trace = lambda p: p @ n
-            rec = (bank.scalars("face", f, k), v[space.face_dofs(f)])
+            rec = (bank.scalars("face", f, k), v[own_dofs(space, "face", f)])
         want += mesh.face_diameters[f] * sq_mismatch("face", f, trace, *rec)
     for e in map(int, mesh.cell_edges[c] if which != "div" else []):
         if which == "grad":
@@ -354,7 +354,7 @@ def test_trace_stabilization_matches_oracle(ctx, name, k, which):
         else:
             t = mesh.edge_tangents[e]
             trace = lambda p: p @ t
-            rec = (bank.scalars("edge", e, k), v[space.edge_dofs(e)])
+            rec = (bank.scalars("edge", e, k), v[own_dofs(space, "edge", e)])
         want += mesh.edge_lengths[e] ** 2 * sq_mismatch("edge", e, trace, *rec)
 
     got = entity(stabilization, space, "cell", c).apply(v, v)
