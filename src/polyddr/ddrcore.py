@@ -282,25 +282,6 @@ class DofSpace:
                  self._local_parts(group)], axis=1)
         return out
 
-    def local_dofs(self, kind, index):
-        """Global indices of the dofs an entity's operators read, with a
-        layout dict mapping ("vertex"|"edge"|"face"|"cell", id) to the
-        local slice."""
-        key = ("local_dofs", kind, index)
-        out = self._cache.get(key)
-        if out is None:
-            if kind not in ("edge", "face", "cell"):
-                raise ValueError(f"unknown entity kind {kind!r}")
-            group, slot = self.bank.group(kind, index)
-            layout = {}
-            n = 0
-            for part, ents, width in self._local_parts(group):
-                for j in ents[slot].tolist():
-                    layout[(part, j)] = slice(n, n + width)
-                    n += width
-            out = self._cache[key] = self.group_dofs(group)[slot], layout
-        return out
-
     def _own_slice(self, group, i):
         """Local slice of family block i of the entity's own dofs, the
         same for every entity of the group."""

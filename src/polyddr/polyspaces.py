@@ -13,9 +13,13 @@ to roundoff.
 Vector spaces are spanned by scalar members times frame axes (tangent axes
 on faces, Cartesian axes on cells) and inherit the prefix property. The
 differential-image and Koszul-complement subspaces are represented by
-coefficient matrices W over that orthonormal vector basis, obtained by a
-rank-revealing SVD of their natural generating sets; a rank different from
-the closed-form dimension is a hard error.
+coefficient matrices W over that orthonormal vector basis, built from
+coefficients by one fixed rule with no quadrature point (subspace_basis):
+Gram-Schmidt, as a positive-diagonal QR, of the coordinates of a natural
+generating set seeded with the orthonormal scalars, keeping the generators
+chosen once per (family, degree, dimension), so the basis is a continuous
+function of the geometry. A rank different from the closed-form dimension
+is a hard error.
 
 Every basis, whatever its kind, is stored the same way: one coefficient
 array over its entity's scaled monomials, (dim, nm) for scalar spaces and
@@ -39,8 +43,8 @@ All of it is stacked over entity groups: the faces or cells whose local
 arrays have equal shapes (face valence and rule fan size; for cells the
 face valences and fan sizes in local order, the edge and vertex counts and
 the cell fan size; all edges form one group). Rules, cores and bases carry
-a leading group axis, and the QR factorizations, SVDs and tabulations run
-as numpy stacks over it. BasisBank builds the whole group on the first
+a leading group axis, and the QR factorizations and tabulations run as
+numpy stacks over it. BasisBank builds the whole group on the first
 request for one of its entities; the per-entity objects it returns are
 views (take) into the stacks, and a basis built alone is a stack of one.
 
@@ -84,11 +88,9 @@ __all__ = [
     "BasisBank",
 ]
 
-DROP_TOL = 1e-8
-
 # Bound on the values one block of stacked work at many points holds: a
-# field at data-rule points or generating sets. It bounds the temporaries,
-# whose size would otherwise grow with the group.
+# field at data-rule points. It bounds the temporaries, whose size would
+# otherwise grow with the group.
 BLOCK_VALUES = 32768
 
 
@@ -148,9 +150,11 @@ def space_dim(family, l, d):
 @functools.cache
 def _monomial_tables(L, d):
     """Graded exponents of the scaled monomials of degree <= L in d
-    variables, (nm, d), and the matrices of d/dxi_a in the monomial basis,
+    variables, (nm, d); the matrices of d/dxi_a in the monomial basis,
     (d, nm, dim P^{L-1}): monomial i differentiates to D[a, i] over the
-    lower-degree prefix.  Both depend on (L, d) only and are read-only."""
+    lower-degree prefix; and the matrices of multiplication by xi_a, (d,
+    dim P^{L-1}, nm): monomial j of the prefix times xi_a is X[a, j], an
+    index shift.  All depend on (L, d) only and are read-only."""
     exps = []
     for deg in range(L + 1):
         block = [
@@ -166,10 +170,11 @@ def _monomial_tables(L, d):
             if e[a]:
                 lowered = e[:a] + (e[a] - 1,) + e[a + 1 :]
                 D[a, i, index[lowered]] = e[a]
+    X = (D != 0).transpose(0, 2, 1).astype(float)
     exps = np.array(exps, dtype=int).reshape(len(exps), d)
-    for a in (exps, D):
+    for a in (exps, D, X):
         a.flags.writeable = False
-    return exps, D
+    return exps, D, X
 
 
 def integrate_products(A, B, weights):
@@ -210,7 +215,7 @@ class _ScalarCore:
         self.x0, self.h, self.frame = x0, h, frame
         self.L = L
         self.d = frame.shape[1]
-        self.exps, self._D = _monomial_tables(L, self.d)
+        self.exps, self._D, _ = _monomial_tables(L, self.d)
         self.rule = rule
         self._views = {}
         G, nm = len(x0), len(self.exps)
@@ -232,26 +237,20 @@ class _ScalarCore:
         self.R = R
         self.coeffs = np.linalg.inv(R).transpose(0, 2, 1)
 
-    def part(self, sl):
-        """The entities sl (a slice) of the stack, with their rule."""
-        out = object.__new__(_ScalarCore)
-        out.x0, out.h, out.frame = self.x0[sl], self.h[sl], self.frame[sl]
-        out.L, out.d, out.exps, out._D = self.L, self.d, self.exps, self._D
-        out.R, out.coeffs = self.R[sl], self.coeffs[sl]
-        G = len(self.x0)
-        out.rule = QuadRule(self.rule.points.reshape(G, -1, 3)[sl],
-                            self.rule.weights.reshape(G, -1)[sl],
-                            self.rule.exactness_degree)
-        out._views = {}
-        return out
-
     def take(self, g):
         """Entity g of the stack as a stack of one, with its own rule."""
         out = self._views.get(g)
         if out is None:
-            out = self._views[g] = self.part(slice(g, g + 1))
-            out.rule = QuadRule(out.rule.points[0], out.rule.weights[0],
-                                out.rule.exactness_degree)
+            sl = slice(g, g + 1)
+            out = self._views[g] = object.__new__(_ScalarCore)
+            out.x0, out.h, out.frame = self.x0[sl], self.h[sl], self.frame[sl]
+            out.L, out.d, out.exps, out._D = self.L, self.d, self.exps, self._D
+            out.R, out.coeffs = self.R[sl], self.coeffs[sl]
+            G = len(self.x0)
+            out.rule = QuadRule(self.rule.points.reshape(G, -1, 3)[g],
+                                self.rule.weights.reshape(G, -1)[g],
+                                self.rule.exactness_degree)
+            out._views = {}
         return out
 
     def _monomials(self, pts, n, sel=None):
@@ -500,10 +499,6 @@ class PolyBasis:
         """Coefficients over the orthonormal parent basis (dim x width)."""
         return self._W
 
-    def gram(self):
-        """Exact L2 Gram matrix from coefficient space."""
-        return self._W @ self._W.T
-
 
 # ----------------------------------------------------------------------
 # construction
@@ -561,48 +556,70 @@ def vector_basis(mesh, kind, index, l, core=None):
                      _identity(len(ids), dim_P(l, core.d) * core.d), core.frame)
 
 
-def _subspace_generators(mesh, kind, ids, family, l, core, pts):
-    """Values of the natural generating sets at stacked points (G, npts, 3),
-    yielded as blocks (G, n, npts, 3): generator (m, b) is member m of
-    block b. On cells, b runs over the axes e_b the generators are crossed
-    with, so that one axis is held at a time."""
-    G = len(ids)
-    if family.endswith("image"):
-        n = dim_P(l + 1, core.d)
-        g = _tabulate(core, core.gradient(core.coeffs[:, :n, :n]), pts)
-        if family == "grad_image":
-            yield g[:, 1:]  # the constant member has no gradient
-        elif kind == "face":
-            yield g[:, 1:] @ _cross_matrix(mesh.face_normals[ids])[:, None]
-        else:
-            for K in _AXIS_CROSS:  # grad s_m x e_b
-                yield g @ K
-        return
-    n = dim_P(l - 1, core.d)
-    if n == 0:
-        yield np.zeros((G, 0, pts.shape[1], 3))
-        return
-    s = _tabulate(core, core.coeffs[:, :n, :n], pts)
-    r = pts - core.x0[:, None, :]
-    if family == "curl_complement":
-        yield s[..., None] * r[:, None]
-    elif family != "grad_complement":
-        raise ValueError(f"unknown vector family {family!r}")
-    elif kind == "face":
-        rot = -(r @ _cross_matrix(mesh.face_normals[ids]))  # n x r
-        yield s[..., None] * rot[:, None]
-    else:
-        for K in _AXIS_CROSS:  # s_m (r x e_b)
-            yield s[..., None] * (r @ K)[:, None]
+def _generators(family, l, d, S):
+    """The generating set of a family of degree l, seeded with a graded
+    prefix of the scalars S (G, >= n, >= n) over the scaled monomials:
+    monomial coefficients (G, m, d, dim P^l) in frame components.  Image
+    families differentiate the seeds of degree <= l+1 but the constant,
+    complements multiply the seeds of degree <= l-1 by the Koszul field
+    xi; faces then rotate, (c0, c1) -> (-c1, c0), and cells cross with each
+    axis e_b, generator (m, b) in row 3m + b.  The entity's scale h is left
+    out: one positive factor common to every generator."""
+    image = family.endswith("image")
+    n = dim_P(l + 1 if image else l - 1, d)
+    _, D, X = _monomial_tables(l + 1 if image else l, d)
+    S = S[:, 1 if image else 0 : n, :n]
+    C = np.tensordot(S, D if image else X, axes=(-1, 1))
+    if family in ("grad_image", "curl_complement"):
+        return C
+    if d == 2:
+        return np.stack([-C[:, :, 1], C[:, :, 0]], axis=2)
+    C = _AXIS_CROSS.transpose(0, 2, 1) @ C[:, :, None]
+    return C.reshape(len(C), -1, 3, C.shape[-1])
 
 
-def subspace_basis(mesh, kind, index, family, l, core=None, rule=None):
+def _kept_rows(T):
+    """Rows of T (n, w) outside the span of the rows before them: by
+    Gram-Schmidt with one reorthogonalization, a row whose residual
+    exceeds 1e-8 of its norm."""
+    keep, Q = [], np.zeros((0, T.shape[1]))
+    for i, t in enumerate(T):
+        r = t - (t @ Q.T) @ Q
+        r -= (r @ Q.T) @ Q
+        if np.linalg.norm(r) > 1e-8 * np.linalg.norm(t):
+            keep.append(i)
+            Q = np.vstack([Q, r / np.linalg.norm(r)])
+    return np.array(keep, dtype=int)
+
+
+@functools.cache
+def _independent(family, l, d):
+    """Rows of the generating set of a family the fixed rule keeps: the
+    kept rows (_kept_rows) of the table seeded with the monomials.  That
+    table has small integer entries and depends on (family, l, d) alone,
+    so the choice is the same on every entity; and orthonormal seeds of a
+    graded basis are lower triangular over the monomials, so every prefix
+    of their rows spans what the same prefix of the monomial rows spans,
+    and the kept rows are a basis.  Read-only."""
+    T = _generators(family, l, d, np.eye(dim_P(l + 1, d))[None])[0]
+    keep = _kept_rows(T.reshape(len(T), d * dim_P(l, d)))
+    keep.flags.writeable = False
+    return keep
+
+
+def subspace_basis(mesh, kind, index, family, l, core=None):
     """Orthonormal basis of one subspace family (or a trimmed concatenation)
-    on one entity; for a sequence of ids (with their group core and rule),
-    the stack over them.
+    on one entity; for a sequence of ids (with their group core), the stack
+    over them.
 
     The basis is expressed over the orthonormal full-vector basis of the
-    same degree, so its coefficient rows are exactly its L2 geometry.
+    same degree, so its coefficient rows are exactly its L2 geometry.  The
+    generators _generators seeds with the core's orthonormal scalars and
+    _independent keeps (the same on every entity) get their coordinates
+    C R^T from the core, exact as their degree is l; W is Q^T of the
+    unpivoted QR of those rows in order, R's diagonal made positive (the
+    basis Gram-Schmidt gives).  A diagonal entry of R at most 1e-8 of its
+    generator's norm is a rank error.
     """
     if kind == "edge":
         raise ValueError("subspace bases live on faces and cells")
@@ -611,9 +628,7 @@ def subspace_basis(mesh, kind, index, family, l, core=None, rule=None):
     # generators need scalar degree l+1 for the image families
     need_L = l + 1 if family.endswith("image") else max(l, 0)
     if core is None or core.L < need_L:
-        core = _make_core(mesh, kind, index, need_L, rule)
-    if rule is None:
-        rule = core.rule
+        core = _make_core(mesh, kind, index, need_L)
     ids = _ids(index)
     G, d = len(ids), core.d
 
@@ -627,10 +642,8 @@ def subspace_basis(mesh, kind, index, family, l, core=None, rule=None):
     width = dim_P(l, d) * d
     if family in ("nedelec", "raviart_thomas"):
         sub = "grad" if family == "nedelec" else "curl"
-        lo = subspace_basis(mesh, kind, index, f"{sub}_image", l - 1,
-                            core=core, rule=rule)
-        hi = subspace_basis(mesh, kind, index, f"{sub}_complement", l,
-                            core=core, rule=rule)
+        lo = subspace_basis(mesh, kind, index, f"{sub}_image", l - 1, core=core)
+        hi = subspace_basis(mesh, kind, index, f"{sub}_complement", l, core=core)
         W = np.zeros((G, lo.dim + hi.dim, width))
         W[:, : lo.dim, : lo._Ws.shape[2]] = lo._Ws
         W[:, lo.dim :] = hi._Ws
@@ -640,34 +653,19 @@ def subspace_basis(mesh, kind, index, family, l, core=None, rule=None):
     if dim == 0:
         return PolyBasis(kind, ids, family, l, core, np.zeros((G, 0, width)),
                          axes)
-    # moments against the parent members s_m * axes[a], in (m, a) order,
-    # without tabulating the parent vector basis, block by block of entities
-    pts = rule.points.reshape(G, -1, 3)
-    weights = rule.weights.reshape(G, 1, 1, -1)
-    axes_t = axes.transpose(0, 2, 1)[:, None]
-    ns = width // d
-    members = dim_P(l + 1 if family.endswith("image") else l - 1, d)
-    moments = []
-    for sl in value_blocks(G, members * pts.shape[1]):
-        part = core.part(sl)
-        S = _tabulate(part, part.coeffs[:, :ns, :ns], pts[sl])[:, None] * weights[sl]
-        moments.append(np.stack(
-            [(S @ gens) @ axes_t[sl] for gens in
-             _subspace_generators(mesh, kind, ids[sl], family, l, part, pts[sl])],
-            axis=2))
-    moments = np.concatenate(moments).reshape(G, -1, width)
-    U, sing, Vt = np.linalg.svd(moments, full_matrices=False)
-    if sing.shape[1]:
-        rank = (sing >= DROP_TOL * sing[:, :1]).sum(axis=1)
-    else:
-        rank = np.zeros(G, dtype=int)
+    C = _generators(family, l, d, core.coeffs)[:, _independent(family, l, d)]
+    A = core.coords(C, dim_P(l, d)).swapaxes(-1, -2).reshape(G, -1, width)
+    Q, R = np.linalg.qr(A.swapaxes(-1, -2))
+    diag = np.diagonal(R, axis1=1, axis2=2)
+    rank = (np.abs(diag) > 1e-8 * np.linalg.norm(A, axis=2)).sum(axis=1)
     bad = np.flatnonzero(rank != dim)
     if len(bad):
         raise ValueError(
             f"rank of {family} generators on {kind} {ids[bad[0]]} is "
-            f"{rank[bad[0]]}, expected {dim}"
+            f"{len(_kept_rows(A[bad[0]]))}, expected {dim}"
         )
-    return PolyBasis(kind, ids, family, l, core, Vt[:, :dim].copy(), axes)
+    return PolyBasis(kind, ids, family, l, core,
+                     (Q * np.sign(diag)[:, None]).swapaxes(-1, -2), axes)
 
 
 # ----------------------------------------------------------------------
@@ -834,8 +832,7 @@ class BasisBank:
     polynomial rules (vertex fans, see quadrature) are cached per (kind,
     group, degree). Data rules (centroid fans, for non-polynomial data) are
     read once, block by block, so they are not cached: data_blocks builds
-    each block's rule as it is used, and rule(..., data=True) builds and
-    caches one entity's rule alone.
+    each block's rule as it is used.
     """
 
     def __init__(self, mesh, k):
@@ -906,20 +903,16 @@ class BasisBank:
         for sl in value_blocks(len(group), size):
             yield sl, entity_rule(mesh, kind, group.ids[sl], degree, data=True)
 
-    def rule(self, kind, index, degree=None, data=False):
-        """One entity's rule: a view into its group's polynomial rule, or
-        with data=True its data rule, built for it alone."""
+    def rule(self, kind, index, degree=None):
+        """One entity's polynomial rule: a view into its group's."""
         degree = self._degree(kind, degree)
-        key = (kind, index, degree, data)
+        key = (kind, index, degree)
         out = self._rules.get(key)
         if out is None:
-            if data:
-                out = entity_rule(self.mesh, kind, index, degree, data=True)
-            else:
-                group, slot = self.group(kind, index)
-                stack = self.group_rule(group, degree)
-                out = QuadRule(stack.points[slot], stack.weights[slot], degree)
-            self._rules[key] = out
+            group, slot = self.group(kind, index)
+            stack = self.group_rule(group, degree)
+            out = self._rules[key] = QuadRule(stack.points[slot],
+                                              stack.weights[slot], degree)
         return out
 
     def group_core(self, group):
@@ -950,8 +943,7 @@ class BasisBank:
             elif family == "vector":
                 out = vector_basis(mesh, kind, ids, l, core=core)
             else:
-                out = subspace_basis(mesh, kind, ids, family, l, core=core,
-                                     rule=self.group_rule(group))
+                out = subspace_basis(mesh, kind, ids, family, l, core=core)
             self._bases[key] = out
         return out
 
@@ -963,9 +955,6 @@ class BasisBank:
 
     def scalars(self, kind, index, l):
         return self.basis("scalar", kind, index, l)
-
-    def vectors(self, kind, index, l):
-        return self.basis("vector", kind, index, l)
 
     def subspace(self, kind, index, family, l):
         return self.basis(family, kind, index, l)

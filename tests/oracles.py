@@ -11,6 +11,8 @@ link_identities_check) read one cell out of the package's group stacks and
 check the identities that link them entity by entity, a route the package
 itself no longer takes. isomorphism_matrix and shape_regularity are
 diagnostics on the package's bases and fans that only the tests read.
+svd_subspace_basis builds the subspace bases by a second route, from
+tabulated generators and an SVD, where the package uses coefficients alone.
 """
 
 import itertools
@@ -34,8 +36,11 @@ from polyddr.polyspaces import (
     integrate_products,
     scalar_basis,
     subspace_basis,
+    vector_basis,
 )
 from polyddr.quadrature import entity_rule
+
+from stacks import local_dofs
 
 
 class Poly3:
@@ -345,8 +350,8 @@ def local_complex_matrix(space_in, space_out, c):
     """Cell-local matrix of the discrete differential: output dofs of the
     cell and its boundary in local order versus input local dofs."""
     mesh, bank = space_in.mesh, space_in.bank
-    idx_out, _ = space_out.local_dofs("cell", c)
-    idx_in, _ = space_in.local_dofs("cell", c)
+    idx_out, _ = local_dofs(space_out, "cell", c)
+    idx_in, _ = local_dofs(space_in, "cell", c)
     pos_out = _positions(idx_out)
     pos_in = _positions(idx_in)
     M = np.zeros((len(idx_out), len(idx_in)))
@@ -456,25 +461,56 @@ def isomorphism_matrix(mesh, kind, index, which, l):
     rule = entity_rule(mesh, kind, index, 2 * max(l, 1))
     core = _make_core(mesh, kind, index, l + 1, rule)
     if which == "face_rot":
-        src = subspace_basis(mesh, "face", index, "zero_mean", l, core=core,
-                             rule=rule)
+        src = subspace_basis(mesh, "face", index, "zero_mean", l, core=core)
         tgt = subspace_basis(mesh, "face", index, "curl_image", l - 1,
-                             core=core, rule=rule)
+                             core=core)
         vals = src.grad(rule.points) @ _cross_matrix(mesh.face_normals[index])
     elif which in ("face_div", "cell_div"):
         src = subspace_basis(mesh, kind, index, "curl_complement", l,
-                             core=core, rule=rule)
+                             core=core)
         tgt = scalar_basis(mesh, kind, index, l - 1, core=core)
         vals = src.div(rule.points)
     elif which == "cell_curl":
         src = subspace_basis(mesh, "cell", index, "grad_complement", l,
-                             core=core, rule=rule)
+                             core=core)
         tgt = subspace_basis(mesh, "cell", index, "curl_image", l - 1,
-                             core=core, rule=rule)
+                             core=core)
         vals = src.curl(rule.points)
     else:
         raise ValueError(f"unknown map {which!r}")
     return integrate_products(tgt.eval(rule.points), vals, rule.weights)
+
+
+def svd_subspace_basis(mesh, kind, index, family, l):
+    """Coefficients (dim, width) of an orthonormal basis of one subspace
+    family of degree l over the package's orthonormal vector basis of that
+    degree, by values at points: the generating set is tabulated at the
+    points of a rule (gradients, rotations and crosses with np.cross, the
+    Koszul field from the points themselves), its moments against the
+    tabulated parent basis are integrated, and the basis is the leading
+    right singular vectors of that matrix, as many as the singular values
+    above 1e-8 of the largest.  Its choice within the span is arbitrary,
+    so compare projectors W^T W."""
+    rule = entity_rule(mesh, kind, index, 2 * l + 2)
+    pts = rule.points
+    parent = vector_basis(mesh, kind, index, l).eval(pts)
+    if kind == "face":
+        x0, normal = mesh.face_centroids[index], mesh.face_normals[index]
+    else:
+        x0 = mesh.cell_centroids[index]
+    if family.endswith("image"):
+        gens = scalar_basis(mesh, kind, index, l + 1).grad(pts)[1:]
+    else:
+        s = scalar_basis(mesh, kind, index, max(l - 1, 0)).eval(pts)
+        gens = s[: dim_P(l - 1, 3 if kind == "cell" else 2), :, None] * (pts - x0)
+    if family in ("curl_image", "grad_complement"):
+        gens = (np.cross(normal, gens) if kind == "face" else
+                np.concatenate([np.cross(gens, e) for e in np.eye(3)]))
+    M = np.einsum("ipx,jpx,p->ij", gens, parent, rule.weights)
+    if not M.size:
+        return np.zeros((0, len(parent)))
+    _, sing, Vt = np.linalg.svd(M)
+    return Vt[: int((sing >= 1e-8 * sing[0]).sum())]
 
 
 def shape_regularity(mesh):

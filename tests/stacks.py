@@ -4,10 +4,26 @@ indices of one entity, for tests written per entity."""
 import numpy as np
 
 
+def local_dofs(space, kind, index):
+    """Global indices of the dofs an entity's operators read, in local
+    order, with a layout dict mapping ("vertex"|"edge"|"face"|"cell", id)
+    to the local slice."""
+    if kind not in ("edge", "face", "cell"):
+        raise ValueError(f"unknown entity kind {kind!r}")
+    group, slot = space.bank.group(kind, index)
+    layout = {}
+    n = 0
+    for part, ents, width in space._local_parts(group):
+        for j in ents[slot].tolist():
+            layout[(part, j)] = slice(n, n + width)
+            n += width
+    return space.group_dofs(group)[slot], layout
+
+
 class Local:
     """One entity's local operator (with its target basis) or form (no
     target): the global dofs it reads in local order, its matrix and its
-    local layout (DofSpace.local_dofs). apply(u) maps a global dof vector
+    local layout (local_dofs). apply(u) maps a global dof vector
     through an operator; apply(u, v) evaluates a form."""
 
     def __init__(self, dofs, matrix, target=None, layout=None):
@@ -31,7 +47,7 @@ def entity(op, space, kind, i):
     target = getattr(stack, "target", None)
     return Local(stack.dofs[slot], stack.matrix[slot],
                  None if target is None else target.take(slot),
-                 space.local_dofs(kind, i)[1])
+                 local_dofs(space, kind, i)[1])
 
 
 def own_dofs(space, kind, i):

@@ -19,14 +19,14 @@ from polyddr.polyspaces import BasisBank
 from polyddr.products import component_gram, component_norm
 from polyddr.verification import mesh_family
 
-from stacks import entity
+from stacks import entity, local_dofs
 
 WHICHES = ("grad", "curl", "div", "l2")
 
 
 def _gram_by_entities(space, c):
     mesh = space.mesh
-    idx, layout = space.local_dofs("cell", c)
+    idx, layout = local_dofs(space, "cell", c)
     pos = {int(g): i for i, g in enumerate(idx)}
     C = np.zeros((len(idx), len(idx)))
     sl = layout[("cell", c)]
@@ -53,7 +53,7 @@ def _gram_by_entities(space, c):
 def _gram_matrix_by_cells(space):
     G = np.zeros((space.dim, space.dim))
     for c in range(space.mesh.num_cells):
-        idx, _ = space.local_dofs("cell", c)
+        idx, _ = local_dofs(space, "cell", c)
         G[np.ix_(idx, idx)] += _gram_by_entities(space, c)
     return sparse.csr_matrix(G)
 

@@ -27,7 +27,7 @@ from polyddr.ddrcore import (
 )
 
 from oracles import Poly3, VecPoly3, link_identities_check, local_complex_matrix
-from stacks import entity, own_dofs, sub_slice
+from stacks import entity, local_dofs, own_dofs, sub_slice
 
 
 def pyramid_mesh():
@@ -115,7 +115,7 @@ def test_local_dof_counts_tet_and_hex(ctx):
     }
     for (name, k), dims in expected.items():
         got = tuple(
-            len(s.local_dofs("cell", 0)[0]) for s in ctx.spaces(name, k)
+            len(local_dofs(s, "cell", 0)[0]) for s in ctx.spaces(name, k)
         )
         assert got == dims, (name, k, got)
 
@@ -310,7 +310,7 @@ def test_field_chain_on_trimmed_fields(ctx, name, k):
         )
         vv = field(frule.points)
         vtan = vv - np.outer(vv @ n, n)
-        vb = bank.vectors("face", f, k)
+        vb = bank.basis("vector", "face", f, k)
         coef = l2_project(vb, vtan, rule=frule)
         want = np.einsum("s,spx->px", coef, vb.eval(frule.points))
         assert np.abs(got - want).max() < 1e-9 * scale
@@ -410,7 +410,7 @@ def test_flux_potential_on_trimmed_fields(ctx, name, k):
     got = np.einsum(
         "s,spx->px", pd.apply(wi.values), pd.target.eval(rule.points)
     )
-    vb = bank.vectors("cell", c, k)
+    vb = bank.basis("vector", "cell", c, k)
     coef = l2_project(vb, field(rule.points), rule=rule)
     want = np.einsum("s,spx->px", coef, vb.eval(rule.points))
     scale = 1.0 + np.abs(want).max()
@@ -455,7 +455,7 @@ def test_face_rotation_kills_gradients(ctx, name, k):
     sg, scu, _, _ = ctx.spaces(name, k)
     f = 1
     gf = entity(op_grad_face, sg, "face", f)
-    idx_c, lay_c = scu.local_dofs("face", f)
+    idx_c, lay_c = local_dofs(scu, "face", f)
     pos = {int(g): i for i, g in enumerate(idx_c)}
     M = np.zeros((len(idx_c), len(gf.dofs)))
     for e in [int(x) for x in mesh.face_edges[f]]:
@@ -496,8 +496,8 @@ def test_local_complex_matrix_matches_global(ctx):
     sg, scu, sd, _ = ctx.spaces("pyr", 1)
     uG = global_operator(sg, scu)
     loc = local_complex_matrix(sg, scu, 0)
-    idx_out, _ = scu.local_dofs("cell", 0)
-    idx_in, _ = sg.local_dofs("cell", 0)
+    idx_out, _ = local_dofs(scu, "cell", 0)
+    idx_in, _ = local_dofs(sg, "cell", 0)
     dense = uG[np.ix_(idx_out, idx_in)].toarray()
     assert np.abs(dense - loc).max() < 1e-13
 

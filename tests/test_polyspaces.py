@@ -1,9 +1,13 @@
 """Bases of polynomial spaces: orthonormality, dimensions, decompositions,
 traces, and projection against an independent raw-monomial oracle."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from polyddr import polyspaces
+from polyddr.ddrcore import global_operator, make_space
 from polyddr.mesh import Mesh, generate_cubic_mesh, generate_tet_mesh, agglomerate_pairs
 from polyddr.quadrature import entity_rule, integrate
 from polyddr.polyspaces import (
@@ -19,6 +23,7 @@ from polyddr.polyspaces import (
     recovery,
     projection_overlap,
 )
+from polyddr.products import assemble_product
 
 import oracles
 from oracles import (
@@ -148,7 +153,8 @@ def test_subspace_gram_identity(meshes, name, kind, idx, fam):
     V = b.eval(rule.points)
     G = np.einsum("ipx,jpx,p->ij", V, V, rule.weights)
     assert np.abs(G - np.eye(b.dim)).max() < 1e-10
-    assert np.abs(b.gram() - np.eye(b.dim)).max() < 1e-12
+    W = b.coeff_matrix()
+    assert np.abs(W @ W.T - np.eye(b.dim)).max() < 1e-12
 
 
 def test_first_member_is_normalized_constant(meshes):
@@ -179,7 +185,8 @@ def test_trimmed_gram_matches_quadrature(meshes):
         rule = entity_rule(mesh, "cell", 0, 8)
         V = b.eval(rule.points)
         G = np.einsum("ipx,jpx,p->ij", V, V, rule.weights)
-        assert np.abs(G - b.gram()).max() < 1e-10
+        W = b.coeff_matrix()
+        assert np.abs(G - W @ W.T).max() < 1e-10
 
 
 # ----------------------------------------------------------------------
@@ -568,6 +575,19 @@ def test_bank_caches_and_matches_standalone(meshes):
     Pb[:, : Wb.shape[1]] = Wb
     assert np.abs(Pa.T @ Pa - Pb.T @ Pb).max() < 1e-9
 
+    # one fixed rule: on a cube cell and a square face, where the moments
+    # of the generators have equal singular values, the group basis of the
+    # bank (its own core and rule) is the standalone basis entry by entry
+    mesh = meshes["cube"]
+    bank = BasisBank(mesh, 1)
+    for kind in ("cell", "face"):
+        for fam in VEC_FAMILIES:
+            for l in (0, 1, 2):
+                Wa = bank.subspace(kind, 0, fam, l).coeff_matrix()
+                Wb = subspace_basis(mesh, kind, 0, fam, l).coeff_matrix()
+                assert Wa.shape == Wb.shape
+                assert np.abs(Wa - Wb).max(initial=0.0) < 1e-12
+
 
 def test_bank_rule_cache_degrees(meshes):
     mesh = meshes["cube"]
@@ -577,10 +597,10 @@ def test_bank_rule_cache_degrees(meshes):
     r2 = bank.rule("cell", 0, 10)
     assert r2.exactness_degree >= 10
     assert bank.rule("cell", 0) is r1
-    # the rule kind is part of the key: data rules stay on the centroid fan
-    r3 = bank.rule("cell", 0, 10, data=True)
-    assert r3 is not r2 and len(r3) == 4 * len(r2)
-    assert bank.rule("cell", 0, 10, data=True) is r3
+    # the bank holds polynomial rules only: data rules stay on the centroid
+    # fan, four times the points of the vertex fan on a cube
+    r3 = entity_rule(mesh, "cell", 0, 10, data=True)
+    assert len(r3) == 4 * len(r2)
 
 
 def test_degenerate_entity_raises():
@@ -621,3 +641,125 @@ def test_integrate_products_matches_einsum(rows, vector):
     got = integrate_products(A, B, w)
     assert got.shape == rows
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+# ----------------------------------------------------------------------
+# the fixed rule: bases from coefficients, the same choice on every entity
+
+
+def _exact_independent(T):
+    """Rows of an integer table outside the span of the rows before them,
+    by Gaussian elimination in rational arithmetic."""
+    pivots, keep = {}, []
+    for i, t in enumerate(T):
+        r = [Fraction(int(x)) for x in t]
+        for c, p in pivots.items():
+            if r[c]:
+                f = r[c] / p[c]
+                r = [a - f * b for a, b in zip(r, p)]
+        lead = next((c for c, x in enumerate(r) if x), None)
+        if lead is not None:
+            pivots[lead] = r
+            keep.append(i)
+    return keep
+
+
+@pytest.mark.parametrize("fam", VEC_FAMILIES)
+@pytest.mark.parametrize("d", [2, 3])
+def test_kept_generators_are_the_exact_prefix_rank_rule(fam, d):
+    """With monomial seeds the generating sets are integer tables; the kept
+    rows are those that raise the exact rank of their prefix, as many as
+    the closed-form dimension."""
+    for l in range(6):
+        n = dim_P(l + 1 if fam.endswith("image") else l - 1, d)
+        T = polyspaces._generators(fam, l, d, np.eye(n)[None])[0]
+        T = T.reshape(len(T), d * dim_P(l, d))
+        assert np.array_equal(T, np.round(T))
+        keep = polyspaces._independent(fam, l, d)
+        assert keep.tolist() == _exact_independent(T)
+        assert len(keep) == space_dim(fam, l, d)
+
+
+ORACLE_ENTITIES = [
+    ("cube", "face"), ("cube", "cell"), ("tet", "face"), ("tet", "cell"),
+    ("pyr", "face"), ("pyr", "cell"), ("agglo", "face"), ("agglo", "cell"),
+]
+
+
+@pytest.mark.parametrize("name,kind", ORACLE_ENTITIES)
+@pytest.mark.parametrize("k", range(5))
+def test_bases_span_the_svd_oracle(meshes, name, kind, k):
+    """Every family at every degree a degree-k bank builds spans what the
+    tabulate-and-SVD oracle spans, and its rows are orthonormal."""
+    mesh = meshes[name]
+    c = big_cell(mesh)
+    indices = [c] if kind == "cell" else [int(f) for f in mesh.cells[c][[0, -1]]]
+    bank = BasisBank(mesh, k)
+    for index in indices:
+        for fam in VEC_FAMILIES:
+            for l in range(k + 2):
+                W = bank.subspace(kind, index, fam, l).coeff_matrix()
+                ref = oracles.svd_subspace_basis(mesh, kind, index, fam, l)
+                assert W.shape == ref.shape
+                assert np.abs(W.T @ W - ref.T @ ref).max(initial=0.0) < 1e-12
+                assert np.abs(W @ W.T - np.eye(len(W))).max(initial=0.0) < 1e-12
+
+
+def test_subspace_basis_on_a_core_uses_no_points(meshes, monkeypatch):
+    """Given a core, every family is built from coefficients: no rule is
+    made and nothing is tabulated."""
+    mesh = meshes["pyr"]
+    cores = {kind: _make_core(mesh, kind, 0, 4) for kind in ("face", "cell")}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("subspace_basis used quadrature points")
+
+    monkeypatch.setattr(polyspaces, "entity_rule", forbidden)
+    monkeypatch.setattr(polyspaces, "_tabulate", forbidden)
+    for kind, core in cores.items():
+        for fam in polyspaces.FAMILIES:
+            for l in range(4):
+                b = subspace_basis(mesh, kind, 0, fam, l, core=core)
+                assert b.dim == space_dim(fam, l, core.d)
+
+
+@pytest.mark.parametrize("kind,fam,l", [("cell", "curl_image", 1),
+                                        ("face", "grad_complement", 3)])
+def test_rank_guard_names_family_entity_and_rank(meshes, monkeypatch, kind,
+                                                 fam, l):
+    """A dependent kept generator (here the first one repeated in place of
+    the last) is a rank error naming the family, the entity, the rank
+    found and the dimension expected."""
+    mesh = meshes["pyr"]
+    keep = polyspaces._independent(fam, l, 3 if kind == "cell" else 2)
+    monkeypatch.setattr(polyspaces, "_independent",
+                        lambda *args: np.r_[keep[:1], keep[:-1]])
+    dim = len(keep)
+    with pytest.raises(ValueError, match=f"^rank of {fam} generators on "
+                       f"{kind} 0 is {dim - 1}, expected {dim}$"):
+        subspace_basis(mesh, kind, 0, fam, l)
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (3, 1)])
+def test_operators_are_canonical_under_a_one_ulp_shift(n, k):
+    """Moving one interior vertex of a cube mesh by one ulp moves the
+    global differentials and the assembled products by roundoff only: the
+    bases are a continuous function of the geometry, also on the cubes and
+    squares where the generators' moments have equal singular values."""
+    data = generate_cubic_mesh(n).to_dict()
+    vertices = np.array(data["vertices"])
+    v = np.flatnonzero(((vertices > 0) & (vertices < 1)).all(axis=1))[0]
+    shifted = vertices.copy()
+    shifted[v, 0] = np.nextafter(shifted[v, 0], np.inf)
+
+    def matrices(vertices):
+        mesh = Mesh(vertices, data["faces"], data["cells"])
+        bank = BasisBank(mesh, k)
+        grad, curl, div = (make_space(mesh, which, k, bank=bank)
+                           for which in ("grad", "curl", "div"))
+        return [global_operator(grad, curl), global_operator(curl, div),
+                assemble_product(curl), assemble_product(div)]
+
+    for a, b in zip(matrices(vertices), matrices(shifted)):
+        a, b = a.toarray(), b.toarray()
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()

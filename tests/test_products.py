@@ -28,6 +28,7 @@ from polyddr.products import (
     assemble_product,
     graph_norms,
 )
+from polyddr.quadrature import entity_rule
 
 from oracles import Poly3, VecPoly3, integrate_poly_cell
 from stacks import Local, entity, own_dofs
@@ -257,7 +258,7 @@ def _interpolate_by_entity(space, f):
         if not getattr(space, f"{kind}_width"):
             continue
         for i in range(count):
-            rule = bank.rule(kind, i, degree, data=True)
+            rule = entity_rule(mesh, kind, i, degree, data=True)
             vals = np.asarray(f(rule.points))
             if kind == "edge" and space.which == "curl":
                 vals = vals @ mesh.edge_tangents[i]

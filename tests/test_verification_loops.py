@@ -33,6 +33,7 @@ from polyddr.ddrcore import (
 from polyddr.mesh import agglomerate_pairs, generate_cubic_mesh, generate_tet_mesh
 from polyddr.polyspaces import BasisBank, integrate_products
 from polyddr.products import l2_product, stabilization
+from polyddr.quadrature import entity_rule
 from polyddr.verification import (
     CheckReport,
     check_adjoint_decay,
@@ -41,7 +42,7 @@ from polyddr.verification import (
 )
 
 from meshes import jittered_tet_mesh
-from stacks import entity
+from stacks import entity, local_dofs
 
 CONFIGS = [
     ("cubic", 0, (2, 4, 8)),
@@ -56,8 +57,8 @@ IDS = [f"{fam}-k{k}" for fam, k, _ in CONFIGS]
 def _l2_error_sq_by_cells(space, op, dofs, f):
     total = 0.0
     for c in range(space.mesh.num_cells):
-        rule = space.bank.rule("cell", c, 2 * space.k + INTERP_DEGREE_MARGIN,
-                               data=True)
+        rule = entity_rule(space.mesh, "cell", c,
+                           2 * space.k + INTERP_DEGREE_MARGIN, data=True)
         loc = entity(op, space, "cell", c)
         vals = np.tensordot(loc.apply(dofs), loc.target.eval(rule.points), axes=1)
         diff = (vals - f(rule.points)).reshape(len(rule.weights), -1)
@@ -74,8 +75,8 @@ def _stabilization_sq_by_cells(space, dofs):
 def _load_vector_by_cells(space, f):
     out = np.zeros(space.dim)
     for c in range(space.mesh.num_cells):
-        rule = space.bank.rule("cell", c, 2 * space.k + INTERP_DEGREE_MARGIN,
-                               data=True)
+        rule = entity_rule(space.mesh, "cell", c,
+                           2 * space.k + INTERP_DEGREE_MARGIN, data=True)
         pot = entity(op_potential, space, "cell", c)
         npts = len(rule.weights)
         vals = pot.target.eval(rule.points).reshape(pot.target.dim, npts, -1)
@@ -171,7 +172,7 @@ def _local_interpolation_by_entity(space, kind, index, basis):
     normal on flux-space faces, against the tabulated family bases at its
     entity's polynomial rule."""
     mesh, bank = space.mesh, space.bank
-    idx, layout = space.local_dofs(kind, index)
+    idx, layout = local_dofs(space, kind, index)
     J = np.zeros((len(idx), basis.dim))
     for (ent, i), sl in layout.items():
         if sl.start == sl.stop:
