@@ -138,7 +138,7 @@ def _run_suite(suite, mesh, family, k, levels, seed):
             check_primal_consistency(family, k, levels, seed=seed),
         ]
     if suite == "traces":
-        return [check_traces(mesh, max_degree=3, seed=seed)]
+        return [check_traces(mesh, max_degree=3)]
     if suite == "recovery":
         return [check_recovery(mesh, max_degree=3, seed=seed)]
     if suite == "poincare":

@@ -55,9 +55,12 @@ as one stack; one above condition number 1e12 aborts with a message naming
 the operator, the group's worst entity and its condition number, and the
 worst condition number per operator is kept in DofSpace.worst_cond.
 
-`interpolate` (a smooth field at the data rules) and `local_interpolation`
-(a stacked polynomial basis on the closures of a face or cell group, at
-the polynomial rules) share one moment routine, `_moments`.
+`interpolate` takes the moments of a smooth field from its values at the
+data rules (`_moments`). `local_interpolation` (a stacked polynomial basis
+on the closures of a face or cell group) pairs polynomials in coefficient
+space through the trace tables, as the boundary terms do; only vertex
+values are taken at points. The two routes share no moment code, so the
+tests can hold each against the other.
 """
 
 import functools
@@ -72,9 +75,7 @@ from .polyspaces import (
     dim_P,
     space_dim,
     trace_table,
-    value_blocks,
 )
-from .quadrature import QuadRule
 
 __all__ = [
     "DofSpace",
@@ -308,10 +309,10 @@ def _families(space, kind):
 
 def _moments(space, group, sel, rule, vals):
     """Dof blocks (G', width, r) of the entities sel of one group of edges,
-    faces or cells from r values per entity at the points of rule, a
-    stacked rule over those entities: vals (G', r, npts) scalar or (G', r,
-    npts, 3) vector. The field space takes the tangential component on
-    edges and the flux space the normal component on faces; every family
+    faces or cells from r values per entity of a field at the points of a
+    data rule stacked over those entities: vals (G', r, npts) scalar or
+    (G', r, npts, 3) vector. The field space takes the tangential component
+    on edges and the flux space the normal component on faces; every family
     then takes its moments from one table of the core's monomials at the
     points, each family reading its prefix."""
     pts, weights = rule.points, rule.weights
@@ -334,32 +335,38 @@ def local_interpolation(space, group, basis, slots=None):
     of entity g the local dof vector (group_dofs order) of member j.
 
     Vertex blocks are the members' values. Every other block, at each local
-    position (edges, faces, the entity itself), comes from _moments at the
-    polynomial rule of the sub-entities there, exact for the members of the
-    local potentials' targets; every dof basis is orthonormal, so the
-    moments are L2 projection coefficients.
+    position (edges, faces, the entity itself), pairs polynomials in
+    coefficient space: the members, their tangential component on
+    field-space edges and normal component on flux-space faces, meet the
+    sub-entities' orthonormal members through the trace table of that
+    position (polyspaces.trace_table, at the sub-entities' polynomial
+    rule), and the family bases there through their coordinates. Every dof
+    basis is orthonormal, so the moments are L2 projection coefficients.
     """
-    bank = space.bank
+    mesh, bank = space.mesh, space.bank
     slots = np.arange(len(group)) if slots is None else np.asarray(slots)
     J = []
     for kind, ents, width in space._local_parts(group):
         ents = ents[slots]
         if kind == "vertex":
-            pts = space.mesh.vertices[ents]
-            J.append(np.concatenate([
-                basis.eval(pts[sl], sl).transpose(0, 2, 1)
-                for sl in value_blocks(len(slots), basis.dim * ents.shape[1])]))
+            J.append(basis.eval(mesh.vertices[ents]).transpose(0, 2, 1))
             continue
+        d = {("edge", "curl"): mesh.edge_tangents,
+             ("face", "div"): mesh.face_normals}.get((kind, space.which))
         for p in range(ents.shape[1] if width else 0):
             sub, sel = bank.locate(kind, ents[:, p])
-            rule = bank.group_rule(sub)
-            blocks = []
-            for sl in value_blocks(len(slots), basis.dim * rule.points[0].size):
-                part = QuadRule(rule.points[sel[sl]], rule.weights[sel[sl]],
-                                rule.exactness_degree)
-                blocks.append(_moments(space, sub, sel[sl], part,
-                                       basis.eval(part.points, sl)))
-            J.append(np.concatenate(blocks))
+            C = basis._Cs
+            if d is not None:
+                C = (d[ents[:, p]][:, None, None, :] @ C)[:, :, 0]
+            fams = [b for b in (bank.group_basis(sub, fam, l)
+                                for fam, l in _families(space, kind)) if b.dim]
+            core, k = bank.group_core(sub), max(b._Cs.shape[-1] for b in fams)
+            T = trace_table(basis._core, core, sel, bank.group_rule(sub),
+                            C.shape[-1], k, "local interpolation")
+            V = C @ (T if C.ndim == 3 else T[:, None])
+            V = V.reshape(len(V), V.shape[1], -1).transpose(0, 2, 1)
+            J.extend(core.coords(b._Cs[sel], k, sel).reshape(len(V), b.dim, -1)
+                     @ V for b in fams)
     return np.concatenate(J, axis=1)
 
 
@@ -435,21 +442,20 @@ def _boundary_parts(space, group):
         yield parts[:, p], subgroup, slots, group.signs[:, p], normals[:, p]
 
 
-def _trace_coords(C, core, rec, slots, rule, what, to_scalar, to_vector,
+def _trace_coords(basis, tgt, slots, rule, what, to_scalar, to_vector,
                   norm=False):
-    """Traces on one boundary part per entity of the polynomials with
-    monomial coefficients C (G, m, [3,] n) on core's entities, and the
-    boundary reconstructions rec there (the sub-entities slots of rec's
-    stack), both as coordinates (G, ., [3,] k) over the orthonormal members
-    spanning rec's targets: the trace table (polyspaces.trace_table, with
-    the part's rule, checked for exactness under the operator name what)
-    applied to C, and C' R^T for the targets.  A vector trace meets a
-    scalar target through its component along to_scalar (G, 3) and a
-    vector target through the matrices to_vector (G, 3, 3) applied to its
-    values, both on the component axis."""
-    tgt = rec.target
-    sub, k = tgt._core, tgt._Cs.shape[-1]
-    T = trace_table(core, sub, slots, rule, C.shape[-1], k, what, norm)
+    """Traces on one boundary part per entity of the members of a stacked
+    basis (G, m members), and the members of the target basis tgt there
+    (the sub-entities slots of tgt's stack), both as coordinates (G, ., [3,]
+    k) over the orthonormal members spanning tgt: the trace table
+    (polyspaces.trace_table, with the part's rule, checked for exactness
+    under the operator name what) applied to the basis' coefficients, and
+    C' R^T for the targets.  A vector trace meets a scalar target through
+    its component along to_scalar (G, 3) and a vector target through the
+    matrices to_vector (G, 3, 3) applied to its values, both on the
+    component axis."""
+    C, sub, k = basis._Cs, tgt._core, tgt._Cs.shape[-1]
+    T = trace_table(basis._core, sub, slots, rule, C.shape[-1], k, what, norm)
     V = C @ (T if C.ndim == 3 else T[:, None])
     if V.ndim == 4:
         if tgt._Cs.ndim == 4:
@@ -477,7 +483,7 @@ def _add_boundary_term(space, group, M, idx, tests, trace, what, sign=1.0,
     blocks, dofs = [], []
     for _, subgroup, slots, omega, n in _boundary_parts(space, group):
         rec = trace(space, subgroup)
-        V, W = _trace_coords(tests._Cs, tests._core, rec, slots,
+        V, W = _trace_coords(tests, rec.target, slots,
                              space.bank.group_rule(subgroup, degree), what,
                              n, _cross_matrix(n))
         G, m = V.shape[:2]

@@ -143,8 +143,6 @@ class Mesh:
     faces : sequence of vertex-index loops, one per face. Loops are stored
         as given; their order fixes the face normal.
     cells : sequence of face-index lists, one per cell.
-    validate : skip the geometric validation when False. Only tests use
-        this, to build deliberately corrupted meshes as negative controls.
 
     face_groups and cell_groups hold the entities of one shape: each group
     has the ids (ascending) and, under the name of each per-entity
@@ -158,7 +156,7 @@ class Mesh:
     _CELL_ARRAYS = ("cells", "cell_vertices", "cell_edges", "cell_face_signs",
                     "cell_fans", "cell_fan_vol6")
 
-    def __init__(self, vertices, faces, cells, validate=True):
+    def __init__(self, vertices, faces, cells):
         vertices = np.asarray(vertices, dtype=float)
         if vertices.ndim != 2 or vertices.shape[1] != 3:
             raise MeshError("vertices must be an (n, 3) array")
@@ -173,8 +171,7 @@ class Mesh:
         self._build_edges()
         self._build_face_geometry()
         self._build_cell_geometry()
-        if validate:
-            self._validate()
+        self._validate()
         self._freeze()
 
     # ------------------------------------------------------------------

@@ -27,17 +27,17 @@ array over its entity's scaled monomials, (dim, nm) for scalar spaces and
 the orthonormalization coefficients. Gradient, divergence and curl arrays
 follow from a monomial derivative table, so values and derivatives are
 each one matrix product against one table of coordinate powers built by
-cumulative products. integrate_products turns two tabulations into the
-matrix of their integrals with one weighted matrix product. Two
-polynomials on the same core need no tabulation at all: with R the QR
-factor of the core, C R^T are orthonormal coordinates (_ScalarCore.coords),
-and the integral of a product is their dot product (_ScalarCore.inner).
-A polynomial on an entity meets one on a boundary part (an edge of a face,
-a face of a cell) through the trace table of that position (trace_table):
-the integrals over the part of the entity's monomials against the part's
-orthonormal members, taken once with the part's rule. C T are then the
-coordinates of the trace, exact when the rule integrates the degree of the
-polynomial plus that of the members.
+cumulative products. Two polynomials are never integrated from their
+values: on the same core, with R the QR factor of the core, C R^T are
+orthonormal coordinates (_ScalarCore.coords), and the integral of a
+product is their dot product (_ScalarCore.inner). A polynomial on an
+entity meets one on a sub-entity (an edge of a face or cell, a face of a
+cell, or the entity itself) through the trace table of that position
+(trace_table): the integrals over the part of the entity's monomials
+against the part's orthonormal members, taken once with the part's rule.
+C T are then the coordinates of the trace, exact when the rule integrates
+the degree of the polynomial plus that of the members. Only
+non-polynomial data, and the values at vertices, are taken at points.
 
 All of it is stacked over entity groups: the faces or cells whose local
 arrays have equal shapes (face valence and rule fan size; for cells the
@@ -81,7 +81,6 @@ __all__ = [
     "subspace_basis",
     "l2_project",
     "value_blocks",
-    "integrate_products",
     "trace_table",
     "recovery",
     "projection_overlap",
@@ -175,27 +174,6 @@ def _monomial_tables(L, d):
     for a in (exps, D, X):
         a.flags.writeable = False
     return exps, D, X
-
-
-def integrate_products(A, B, weights):
-    """Matrix of the integrals of A_i . B_j from tabulations at rule points.
-
-    A is (m, npts) or (m, npts, 3) and B the same kind with n rows; the
-    result is (m, n).  Over a group of entities, A, B and the weights carry
-    one more leading axis and the result is (G, m, n).  One matmul: the
-    weights go on the operand with fewer rows, so the weighted copy stays
-    small.
-    """
-    b = weights.ndim - 1
-    w = weights[..., None, :] if A.ndim == b + 2 else weights[..., None, :, None]
-    m, n = A.shape[b], B.shape[b]
-    if m <= n:
-        A = A * w
-    else:
-        B = B * w
-    lead = A.shape[:b]
-    cols = math.prod(A.shape[b + 1 :])
-    return A.reshape(lead + (m, cols)) @ B.reshape(lead + (n, cols)).swapaxes(-1, -2)
 
 
 class _ScalarCore:
@@ -308,9 +286,10 @@ class _ScalarCore:
 
 
 def trace_table(core, sub, slots, rule, n, k, what, norm=False):
-    """Trace table of a stack of entities at one boundary position, (G, n, k).
+    """Trace table of a stack of entities at one local position (a boundary
+    part, or the entity itself), (G, n, k).
 
-    Entry (g, i, j) is the integral over boundary part g of the first n
+    Entry (g, i, j) is the integral over part g of the first n
     scaled monomials of core's entity g against the first k orthonormal
     members of the part's core sub (its entities slots), with the part's
     stacked rule: the monomials restricted to the part, in the part's

@@ -119,7 +119,7 @@ def _stab_trace(space, group, face_trace, edge_trace=None):
             subgroup, slots = bank.locate(kind, j)
             rec = trace(space, subgroup)
             d = mesh.face_normals[j] if kind == "face" else mesh.edge_tangents[j]
-            V, W = _trace_coords(pot.target._Cs, pot.target._core, rec, slots,
+            V, W = _trace_coords(pot.target, rec.target, slots,
                                  bank.group_rule(subgroup), what, d,
                                  np.eye(3) - d[:, :, None] * d[:, None, :],
                                  norm=True)

@@ -18,7 +18,12 @@ constraint are load vectors (products.load_vector) paired with dof
 vectors; the Poincaré constants' component Grams are scatters of the
 stacked cell Grams (products.component_gram). Polynomial consistency
 compares each cell group's stacked local operators with the stacked local
-interpolation of their targets (ddrcore.local_interpolation).
+interpolation of their targets (ddrcore.local_interpolation), and the
+trace checks run over the (cell, face) and (cell, edge) pairs of each cell
+group. Both pair polynomials on sub-entities in coefficient space, through
+the trace tables (ddrcore._trace_coords), as the operators do: only
+non-polynomial fields (the primal errors, the load vectors) and vertex
+values are taken at points.
 """
 
 import json
@@ -28,9 +33,10 @@ import numpy as np
 import scipy.linalg as la
 
 from .mesh import generate_cubic_mesh, generate_tet_mesh, agglomerate_pairs
-from .polyspaces import BasisBank, dim_P, integrate_products, l2_project, value_blocks
+from .polyspaces import BasisBank, _cross_matrix, dim_P
 from .ddrcore import (
     _boundary_parts,
+    _trace_coords,
     make_space,
     interpolate,
     local_interpolation,
@@ -380,19 +386,15 @@ def check_polynomial_consistency(mesh, k, seed=0, bank=None):
 
         space = spaces["curl"]
         ne = bank.group_basis(group, "nedelec", k + 1)
-        for p, (_, sub, slots, _, nrm) in enumerate(_boundary_parts(space, group)):
+        for p, (_, sub, slots, _, n) in enumerate(_boundary_parts(space, group)):
             tr = op_tangential_trace(space, sub)
-            rule = bank.group_rule(sub)
-            proj = []
-            for sl in value_blocks(len(group), ne.dim * rule.points[0].size):
-                pts, n = rule.points[slots[sl]], nrm[sl, None, None, :]
-                vals = ne.eval(pts, sl)
-                tang = vals - (vals * n).sum(axis=3, keepdims=True) * n
-                proj.append(integrate_products(tr.target.eval(pts, slots[sl]),
-                                               tang, rule.weights[slots[sl]]))
+            V, W = _trace_coords(ne, tr.target, slots, bank.group_rule(sub),
+                                 "tangential trace consistency", n,
+                                 np.eye(3) - n[:, :, None] * n[:, None, :])
+            G = len(V)
+            proj = W.reshape(G, W.shape[1], -1) @ V.reshape(G, ne.dim, -1).transpose(0, 2, 1)
             resid["tangential_trace_trimmed"][ids, p] = _mismatch(
-                tr.matrix[slots] @ local_interpolation(space, sub, ne, slots),
-                np.concatenate(proj))
+                tr.matrix[slots] @ local_interpolation(space, sub, ne, slots), proj)
 
         for j, (which, space) in enumerate(spaces.items()):
             v = (J[which] @ draws[j][ids, :, None])[..., 0]
@@ -416,83 +418,59 @@ def check_polynomial_consistency(mesh, k, seed=0, bank=None):
 # trimmed-space traces and recovery
 
 
-def check_traces(mesh, max_degree=3, seed=0):
+def check_traces(mesh, max_degree=3):
     """Face and edge traces of trimmed-space fields land in the expected
-    lower-dimensional polynomial spaces on every entity."""
+    lower-dimensional polynomial spaces, on every (cell, face) and (cell,
+    edge) pair.
+
+    Traces are orthonormal coordinates on the face or edge, taken in
+    coefficient space at each boundary position of each cell group
+    (ddrcore._trace_coords), exact for every member. For degree l the
+    normal trace of the cell Raviart-Thomas space and the tangential edge
+    trace of the cell Nedelec space must lie in the degree-(l-1) scalars,
+    and the rotated face trace v x n of the Nedelec space in the face
+    Raviart-Thomas space: each residual is the norm of the coordinates
+    outside that span (an orthonormal basis of it by a QR), relative to
+    the norm of the whole trace, as Frobenius norms over all members, and
+    names the worst (entity, l)."""
     report = CheckReport(f"traces(max_degree={max_degree})")
     bank = BasisBank(mesh, max_degree)
-    rng = np.random.default_rng(seed)
-    worst_face_rot = 0.0
-    worst_face_normal = 0.0
-    worst_edge = 0.0
-    offender = {}
-
-    for f in range(mesh.num_faces):
-        c = int(mesh.face_cells[f][0])
-        nrm = mesh.face_normals[f]
-        rule = bank.rule("face", f)
-        for l in range(1, max_degree + 1):
-            ne = bank.subspace("cell", c, "nedelec", l)
-            rt3 = bank.subspace("cell", c, "raviart_thomas", l)
-
-            a = rng.standard_normal(ne.dim)
-            vals = np.einsum("s,spx->px", a, ne.eval(rule.points))
-            crossed = np.cross(vals, nrm)
-            rt2 = bank.subspace("face", f, "raviart_thomas", l)
-            coeffs = l2_project(rt2, crossed, rule=rule)
-            resid_vals = crossed - np.einsum("s,spx->px", coeffs, rt2.eval(rule.points))
-            num = np.sqrt(np.einsum("px,px,p->", resid_vals, resid_vals, rule.weights))
-            den = max(
-                np.sqrt(np.einsum("px,px,p->", crossed, crossed, rule.weights)), 1e-30
-            )
-            if num / den > worst_face_rot:
-                worst_face_rot = num / den
-                offender["face_rotated_trace"] = (f, l)
-
-            b = rng.standard_normal(rt3.dim)
-            wn = np.einsum("s,spx,x->p", b, rt3.eval(rule.points), nrm)
-            fb = bank.scalars("face", f, l - 1)
-            cf = np.einsum("mp,p,p->m", fb.eval(rule.points), wn, rule.weights)
-            resid_vals = wn - cf @ fb.eval(rule.points)
-            num = np.sqrt(np.einsum("p,p,p->", resid_vals, resid_vals, rule.weights))
-            den = max(np.sqrt(np.einsum("p,p,p->", wn, wn, rule.weights)), 1e-30)
-            if num / den > worst_face_normal:
-                worst_face_normal = num / den
-                offender["face_normal_trace"] = (f, l)
-
-    # the lowest-index cell holding each edge: later writes win, so go down
-    edge_cell = np.full(mesh.num_edges, -1)
-    for c in reversed(range(mesh.num_cells)):
-        edge_cell[mesh.cell_edges[c]] = c
-    for e in range(mesh.num_edges):
-        c = int(edge_cell[e])
-        t = mesh.edge_tangents[e]
-        rule = bank.rule("edge", e)
-        for l in range(1, max_degree + 1):
-            ne = bank.subspace("cell", c, "nedelec", l)
-            a = rng.standard_normal(ne.dim)
-            vt = np.einsum("s,spx,x->p", a, ne.eval(rule.points), t)
-            eb = bank.scalars("edge", e, l - 1)
-            ce = np.einsum("mp,p,p->m", eb.eval(rule.points), vt, rule.weights)
-            resid_vals = vt - ce @ eb.eval(rule.points)
-            num = np.sqrt(np.sum(resid_vals ** 2 * rule.weights))
-            den = max(np.sqrt(np.sum(vt ** 2 * rule.weights)), 1e-30)
-            if num / den > worst_edge:
-                worst_edge = num / den
-                offender["edge_tangential_trace"] = (e, l)
-
-    report.gate_below(
-        "face_rotated_trace_resid", worst_face_rot, 1e-9,
-        context=str(offender.get("face_rotated_trace", "")),
-    )
-    report.gate_below(
-        "face_normal_trace_resid", worst_face_normal, 1e-9,
-        context=str(offender.get("face_normal_trace", "")),
-    )
-    report.gate_below(
-        "edge_tangential_trace_resid", worst_edge, 1e-9,
-        context=str(offender.get("edge_tangential_trace", "")),
-    )
+    keys = ("face_rotated_trace", "face_normal_trace", "edge_tangential_trace")
+    worst, offender = dict.fromkeys(keys, 0.0), {}
+    for group in bank.groups("cell"):
+        for kind, parts in (("face", group.faces), ("edge", group.edges)):
+            for ents in parts.T:
+                sub, slots = bank.locate(kind, ents)
+                rule = bank.group_rule(sub)
+                if kind == "face":
+                    n = mesh.face_normals[ents]
+                    checks = (("face_normal_trace", "raviart_thomas", "scalar", n, None),
+                              ("face_rotated_trace", "nedelec", "raviart_thomas",
+                               None, _cross_matrix(n)))
+                else:
+                    checks = (("edge_tangential_trace", "nedelec", "scalar",
+                               mesh.edge_tangents[ents], None),)
+                for l in range(1, max_degree + 1):
+                    for key, family, target, to_scalar, to_vector in checks:
+                        tgt = bank.group_basis(sub, target, l)
+                        V, W = _trace_coords(bank.group_basis(group, family, l), tgt,
+                                             slots, rule, "trace check", to_scalar,
+                                             to_vector, norm=True)
+                        if target == "scalar":
+                            W = W[:, : dim_P(l - 1, tgt._core.d)]
+                        Q = np.linalg.qr(W.reshape(len(W), W.shape[1], -1)
+                                         .transpose(0, 2, 1))[0]
+                        V = V.reshape(len(V), V.shape[1], -1)
+                        resid = np.linalg.norm(
+                            V - V @ Q @ Q.transpose(0, 2, 1), axis=(1, 2)
+                        ) / np.maximum(np.linalg.norm(V, axis=(1, 2)), 1e-30)
+                        g = int(np.argmax(resid))
+                        if resid[g] > worst[key]:
+                            worst[key] = float(resid[g])
+                            offender[key] = (int(ents[g]), l)
+    for key in keys:
+        report.gate_below(f"{key}_resid", worst[key], 1e-9,
+                          context=str(offender.get(key, "")))
     return report
 
 

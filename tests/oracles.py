@@ -13,6 +13,12 @@ itself no longer takes. isomorphism_matrix and shape_regularity are
 diagnostics on the package's bases and fans that only the tests read.
 svd_subspace_basis builds the subspace bases by a second route, from
 tabulated generators and an SVD, where the package uses coefficients alone.
+integrate_products integrates products of tabulations at rule points, the
+route the package's coefficient-space pairings replaced, and
+check_traces_by_points runs the trace check that way: random members of
+the trimmed cell spaces tabulated at each face's and edge's rule,
+projected by quadrature, for the first cell of each face and the
+lowest-index cell of each edge.
 """
 
 import itertools
@@ -31,16 +37,39 @@ from polyddr.ddrcore import (
 )
 from polyddr.mesh import _cross
 from polyddr.polyspaces import (
+    BasisBank,
     _cross_matrix,
     _make_core,
-    integrate_products,
     scalar_basis,
+    l2_project,
     subspace_basis,
     vector_basis,
 )
 from polyddr.quadrature import entity_rule
+from polyddr.verification import CheckReport
 
 from stacks import local_dofs
+
+
+def integrate_products(A, B, weights):
+    """Matrix of the integrals of A_i . B_j from tabulations at rule points.
+
+    A is (m, npts) or (m, npts, 3) and B the same kind with n rows; the
+    result is (m, n).  Over a group of entities, A, B and the weights carry
+    one more leading axis and the result is (G, m, n).  One matmul: the
+    weights go on the operand with fewer rows, so the weighted copy stays
+    small.
+    """
+    b = weights.ndim - 1
+    w = weights[..., None, :] if A.ndim == b + 2 else weights[..., None, :, None]
+    m, n = A.shape[b], B.shape[b]
+    if m <= n:
+        A = A * w
+    else:
+        B = B * w
+    lead = A.shape[:b]
+    cols = math.prod(A.shape[b + 1 :])
+    return A.reshape(lead + (m, cols)) @ B.reshape(lead + (n, cols)).swapaxes(-1, -2)
 
 
 class Poly3:
@@ -526,3 +555,85 @@ def shape_regularity(mesh):
             areas += 0.5 * np.linalg.norm(cr, axis=-1)
         out[g.ids] = (3.0 * vols / areas).min(axis=1) / mesh.cell_diameters[g.ids]
     return out
+
+
+def check_traces_by_points(mesh, max_degree=3, seed=0):
+    """verification.check_traces by values at rule points: one random
+    member of each trimmed cell space per (entity, l), its trace projected
+    onto the face or edge space by quadrature, and the relative L2 norm of
+    the remainder."""
+    report = CheckReport(f"traces(max_degree={max_degree})")
+    bank = BasisBank(mesh, max_degree)
+    rng = np.random.default_rng(seed)
+    worst_face_rot = 0.0
+    worst_face_normal = 0.0
+    worst_edge = 0.0
+    offender = {}
+
+    for f in range(mesh.num_faces):
+        c = int(mesh.face_cells[f][0])
+        nrm = mesh.face_normals[f]
+        rule = bank.rule("face", f)
+        for l in range(1, max_degree + 1):
+            ne = bank.subspace("cell", c, "nedelec", l)
+            rt3 = bank.subspace("cell", c, "raviart_thomas", l)
+
+            a = rng.standard_normal(ne.dim)
+            vals = np.einsum("s,spx->px", a, ne.eval(rule.points))
+            crossed = np.cross(vals, nrm)
+            rt2 = bank.subspace("face", f, "raviart_thomas", l)
+            coeffs = l2_project(rt2, crossed, rule=rule)
+            resid_vals = crossed - np.einsum("s,spx->px", coeffs, rt2.eval(rule.points))
+            num = np.sqrt(np.einsum("px,px,p->", resid_vals, resid_vals, rule.weights))
+            den = max(
+                np.sqrt(np.einsum("px,px,p->", crossed, crossed, rule.weights)), 1e-30
+            )
+            if num / den > worst_face_rot:
+                worst_face_rot = num / den
+                offender["face_rotated_trace"] = (f, l)
+
+            b = rng.standard_normal(rt3.dim)
+            wn = np.einsum("s,spx,x->p", b, rt3.eval(rule.points), nrm)
+            fb = bank.scalars("face", f, l - 1)
+            cf = np.einsum("mp,p,p->m", fb.eval(rule.points), wn, rule.weights)
+            resid_vals = wn - cf @ fb.eval(rule.points)
+            num = np.sqrt(np.einsum("p,p,p->", resid_vals, resid_vals, rule.weights))
+            den = max(np.sqrt(np.einsum("p,p,p->", wn, wn, rule.weights)), 1e-30)
+            if num / den > worst_face_normal:
+                worst_face_normal = num / den
+                offender["face_normal_trace"] = (f, l)
+
+    # the lowest-index cell holding each edge: later writes win, so go down
+    edge_cell = np.full(mesh.num_edges, -1)
+    for c in reversed(range(mesh.num_cells)):
+        edge_cell[mesh.cell_edges[c]] = c
+    for e in range(mesh.num_edges):
+        c = int(edge_cell[e])
+        t = mesh.edge_tangents[e]
+        rule = bank.rule("edge", e)
+        for l in range(1, max_degree + 1):
+            ne = bank.subspace("cell", c, "nedelec", l)
+            a = rng.standard_normal(ne.dim)
+            vt = np.einsum("s,spx,x->p", a, ne.eval(rule.points), t)
+            eb = bank.scalars("edge", e, l - 1)
+            ce = np.einsum("mp,p,p->m", eb.eval(rule.points), vt, rule.weights)
+            resid_vals = vt - ce @ eb.eval(rule.points)
+            num = np.sqrt(np.sum(resid_vals ** 2 * rule.weights))
+            den = max(np.sqrt(np.sum(vt ** 2 * rule.weights)), 1e-30)
+            if num / den > worst_edge:
+                worst_edge = num / den
+                offender["edge_tangential_trace"] = (e, l)
+
+    report.gate_below(
+        "face_rotated_trace_resid", worst_face_rot, 1e-9,
+        context=str(offender.get("face_rotated_trace", "")),
+    )
+    report.gate_below(
+        "face_normal_trace_resid", worst_face_normal, 1e-9,
+        context=str(offender.get("face_normal_trace", "")),
+    )
+    report.gate_below(
+        "edge_tangential_trace_resid", worst_edge, 1e-9,
+        context=str(offender.get("edge_tangential_trace", "")),
+    )
+    return report

@@ -33,12 +33,12 @@ from polyddr.polyspaces import (
     PolyBasis,
     _cross_matrix,
     dim_P,
-    integrate_products,
     trace_table,
 )
 from polyddr.products import _Forms, l2_product, stabilization
 
 from meshes import jittered_tet_mesh
+from oracles import integrate_products
 from stacks import entity
 
 

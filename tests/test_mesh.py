@@ -196,15 +196,6 @@ def test_unused_vertex_rejected():
         Mesh(verts, [f.tolist() for f in m.faces], [c.tolist() for c in m.cells])
 
 
-def test_validate_false_accepts_corrupted():
-    # the testing hook used to build negative controls downstream
-    m = unit_cube_mesh()
-    verts = m.vertices.copy()
-    verts[0, 0] += 1e-3
-    Mesh(verts, [f.tolist() for f in m.faces], [c.tolist() for c in m.cells],
-         validate=False)
-
-
 def _cube_data():
     m = generate_cubic_mesh(1)
     faces = [f.tolist() for f in m.faces]

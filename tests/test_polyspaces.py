@@ -14,7 +14,6 @@ from polyddr.polyspaces import (
     BasisBank,
     _make_core,
     dim_P,
-    integrate_products,
     space_dim,
     scalar_basis,
     vector_basis,
@@ -31,6 +30,7 @@ from oracles import (
     VecPoly3,
     count_monomials,
     integrate_poly_cell,
+    integrate_products,
     isomorphism_matrix,
 )
 

@@ -8,7 +8,7 @@ import scipy.linalg as la
 from hypothesis import given, settings, strategies as st
 
 from polyddr.mesh import Mesh, generate_cubic_mesh, generate_tet_mesh, agglomerate_pairs
-from polyddr.polyspaces import BasisBank, dim_P, integrate_products
+from polyddr.polyspaces import BasisBank, dim_P
 from polyddr.ddrcore import (
     INTERP_DEGREE_MARGIN,
     make_space,
@@ -30,7 +30,7 @@ from polyddr.products import (
 )
 from polyddr.quadrature import entity_rule
 
-from oracles import Poly3, VecPoly3, integrate_poly_cell
+from oracles import Poly3, VecPoly3, integrate_poly_cell, integrate_products
 from stacks import Local, entity, own_dofs
 
 
@@ -296,8 +296,8 @@ def test_interpolate_matches_entity_moment_oracle(ctx, name, k, which):
 def test_entity_moments_match_interpolation_oracle(ctx, name, k, which):
     """The local interpolation of a cell potential's target equals, column
     by column, the global interpolate of each member read at the cell's
-    dofs: the same moment routine at the polynomial rules of the cell's
-    closure against the data rules, so it checks the local positions.
+    dofs: trace-table pairings in coefficient space against moments at the
+    data rules, two routes that share no moment code.
     test_interpolate_matches_entity_moment_oracle checks the moments."""
     c = big_cell(ctx.meshes[name])
     space = ctx.spaces(name, k)[which]

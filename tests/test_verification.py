@@ -4,6 +4,7 @@ constants, and one corrupted-input negative control per check."""
 
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from polyddr.mesh import (
     generate_tet_mesh,
     agglomerate_pairs,
 )
-from polyddr.polyspaces import BasisBank, recovery
+from polyddr.polyspaces import BasisBank, PolyBasis, recovery
 import polyddr.verification as ver
 from polyddr.verification import (
     CheckReport,
@@ -33,6 +34,7 @@ from polyddr.verification import (
 )
 
 from meshes import jittered_tet_mesh
+from oracles import check_traces_by_points
 
 
 def pyramid_mesh():
@@ -260,7 +262,9 @@ def test_traces_pass_on_pyramid():
     assert rep.passed, rep.lines()
 
 
-def test_traces_fail_on_non_planar_face():
+def non_planar_pyramid(monkeypatch):
+    """A pyramid whose base is lifted at one corner: Mesh would reject the
+    non-planar face, so validation is patched out for its construction."""
     verts = np.array(
         [
             [0.0, 0.0, 0.0],
@@ -271,9 +275,83 @@ def test_traces_fail_on_non_planar_face():
         ]
     )
     faces = [[0, 3, 2, 1], [0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]
-    mesh = Mesh(verts, faces, [[0, 1, 2, 3, 4]], validate=False)
+    with monkeypatch.context() as m:
+        m.setattr(Mesh, "_validate", lambda self: None)
+        return Mesh(verts, faces, [[0, 1, 2, 3, 4]])
+
+
+def _failed(report):
+    return {line.split(" =")[0] for line in report.failures}
+
+
+def test_traces_fail_on_non_planar_face(monkeypatch):
+    mesh = non_planar_pyramid(monkeypatch)
     rep = check_traces(mesh, max_degree=2)
     assert not rep.passed
+    assert _failed(rep) == _failed(check_traces_by_points(mesh, max_degree=2)) == {
+        "face_rotated_trace_resid", "face_normal_trace_resid"}
+
+
+TRACE_MESHES = {
+    "pyr": pyramid_mesh,
+    "agglo2": lambda: agglomerate_pairs(generate_cubic_mesh(2), seed=0),
+    "tet1": lambda: generate_tet_mesh(1),
+    "cubic2": lambda: generate_cubic_mesh(2),
+    "jittered-tet2": lambda: jittered_tet_mesh(2, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_MESHES))
+def test_traces_pass_with_the_point_oracle(name):
+    mesh = TRACE_MESHES[name]()
+    for check in (check_traces, check_traces_by_points):
+        rep = check(mesh, max_degree=3)
+        assert rep.passed, (check.__name__, rep.lines())
+
+
+@pytest.mark.parametrize("family,failing", [
+    ("nedelec", {"face_rotated_trace_resid", "edge_tangential_trace_resid"}),
+    ("raviart_thomas", {"face_normal_trace_resid"}),
+])
+def test_traces_fail_on_full_vector_cell_spaces(monkeypatch, family, failing):
+    """A cell trimmed family swapped for the full vector space of its
+    degree, whose traces leave the face and edge spaces: the quantities
+    that read the family fail and name a face or edge and a degree."""
+    original = BasisBank.group_basis
+
+    def swapped(self, group, fam, l):
+        if group.kind == "cell" and fam == family:
+            fam = "vector"
+        return original(self, group, fam, l)
+
+    monkeypatch.setattr(BasisBank, "group_basis", swapped)
+    mesh = pyramid_mesh()
+    for check in (check_traces, check_traces_by_points):
+        rep = check(mesh, max_degree=2)
+        assert _failed(rep) == failing, (check.__name__, rep.failures)
+        for line in rep.failures:
+            entity, l = map(int, re.search(r"\(\((\d+), (\d+)\)\)$", line).groups())
+            kind = "edge" if line.startswith("edge") else "face"
+            assert entity < getattr(mesh, f"num_{kind}s") and 1 <= l <= 2, line
+
+
+def test_polynomials_are_tabulated_only_at_vertices(monkeypatch):
+    """The consistency and trace checks pair polynomials in coefficient
+    space: every point any basis is evaluated at is a mesh vertex."""
+    mesh = generate_tet_mesh(1)
+    original = PolyBasis.eval
+    seen = []
+
+    def spy(self, pts, sel=None):
+        seen.append(np.asarray(pts).reshape(-1, 3))
+        return original(self, pts, sel)
+
+    monkeypatch.setattr(PolyBasis, "eval", spy)
+    assert check_polynomial_consistency(mesh, 3).passed
+    assert check_traces(mesh, max_degree=3).passed
+    assert seen
+    for pts in seen:
+        assert (pts[:, None] == mesh.vertices[None]).all(axis=2).any(axis=1).all()
 
 
 def test_recovery_passes_on_pyramid():

@@ -31,7 +31,7 @@ from polyddr.ddrcore import (
     op_tangential_trace,
 )
 from polyddr.mesh import agglomerate_pairs, generate_cubic_mesh, generate_tet_mesh
-from polyddr.polyspaces import BasisBank, integrate_products
+from polyddr.polyspaces import BasisBank
 from polyddr.products import l2_product, stabilization
 from polyddr.quadrature import entity_rule
 from polyddr.verification import (
@@ -42,6 +42,7 @@ from polyddr.verification import (
 )
 
 from meshes import jittered_tet_mesh
+from oracles import integrate_products
 from stacks import entity, local_dofs
 
 CONFIGS = [
