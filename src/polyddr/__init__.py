@@ -24,7 +24,6 @@ from .polyspaces import (
     subspace_basis,
     l2_project,
     recovery,
-    projection_overlap,
 )
 from .ddrcore import (
     DofSpace,
@@ -80,7 +79,6 @@ __all__ = [
     "subspace_basis",
     "l2_project",
     "recovery",
-    "projection_overlap",
     "DofSpace",
     "DofVector",
     "make_space",

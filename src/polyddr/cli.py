@@ -201,14 +201,8 @@ def cmd_converge(args):
                 return 1
             _, _, e_rel = error_norms(problem, field, potential)
             sc, sd, _ = problem.spaces()
-            if prev is None:
-                rate = ""
-            elif args.family == "cubic":
-                rate = f"{np.log2(prev[1] / e_rel):.6f}"
-            else:
-                rate = (
-                    f"{np.log(prev[1] / e_rel) / np.log(prev[0] / mesh.h):.6f}"
-                )
+            rate = "" if prev is None else (
+                f"{np.log(prev[1] / e_rel) / np.log(prev[0] / mesh.h):.6f}")
             lines.append(
                 f"{args.family},{n},{mesh.h!r},{mesh.num_cells},"
                 f"{sc.dim},{sd.dim},{e_rel!r},{rate}"

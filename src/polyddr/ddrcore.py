@@ -1,19 +1,15 @@
 """Discrete counterparts of the gradient, curl, and divergence.
 
-Four degree-k spaces are attached to a polyhedral mesh:
-
-- "grad": one value per vertex, moments of degree k-1 on edges, faces,
-  and cells (the discrete scalar potential space);
-- "curl": tangential moments of degree k on edges, rotational-image and
-  radial-complement moments on faces and cells (the discrete field space);
-- "div":  normal moments of degree k on faces, gradient-image and radial
-  complement moments on cells (the discrete flux space);
-- "l2":   moments of degree k on cells.
+Four degree-k spaces are attached to a polyhedral mesh: "grad" (discrete
+scalar potentials), "curl" (fields), "div" (fluxes) and "l2" (cell
+moments). LAYOUT is their one description: the moment families each space
+carries on vertices, edges, faces and cells, in dof order.
 
 All moment degrees of freedom are coefficients over the orthonormal bases
 of polyspaces, so projections and restrictions are plain matrix algebra.
-Global numbering is vertices, then edges, then faces, then cells; inside
-one entity the image block precedes the complement block.
+Global numbering is vertices, then edges, then faces, then cells, and
+inside one entity the LAYOUT order; DofSpace derives it in one loop over
+the entity kinds.
 
 Each reconstruction operator maps the degrees of freedom attached to an
 entity and its boundary to a polynomial on the entity. Edge gradients come
@@ -72,7 +68,6 @@ from scipy import sparse
 from .polyspaces import (
     BasisBank,
     _cross_matrix,
-    dim_P,
     space_dim,
     trace_table,
 )
@@ -98,6 +93,21 @@ __all__ = [
 
 COND_LIMIT = 1e12
 INTERP_DEGREE_MARGIN = 6
+
+KINDS = ("vertex", "edge", "face", "cell")
+
+# The moment families (family, degree - k) of each degree-k space on each
+# entity kind, in dof order; a vertex's "scalar" family is its value.
+LAYOUT = {
+    "grad": {"vertex": (("scalar", 0),), "edge": (("scalar", -1),),
+             "face": (("scalar", -1),), "cell": (("scalar", -1),)},
+    "curl": {"vertex": (), "edge": (("scalar", 0),),
+             "face": (("curl_image", -1), ("curl_complement", 0)),
+             "cell": (("curl_image", -1), ("curl_complement", 0))},
+    "div": {"vertex": (), "edge": (), "face": (("scalar", 0),),
+            "cell": (("grad_image", -1), ("grad_complement", 0))},
+    "l2": {"vertex": (), "edge": (), "face": (), "cell": (("scalar", 0),)},
+}
 
 
 def _solve_guarded(space, A, B, what, group):
@@ -168,7 +178,10 @@ class DofVector:
 
 
 class DofSpace:
-    """Layout of one discrete space's degrees of freedom on a mesh.
+    """Layout of one discrete space's degrees of freedom on a mesh, derived
+    from LAYOUT: per entity kind, families (family, degree) in dof order,
+    offsets of the family blocks inside an entity's block, width of that
+    block, and start, the global index of the kind's first dof.
 
     worst_cond maps the label of each guarded local solve ("edge
     reconstruction", "scalar face trace", ...) to the largest condition
@@ -177,82 +190,33 @@ class DofSpace:
     def __init__(self, mesh, which, k, bank=None):
         if k < 0:
             raise ValueError("degree must be >= 0")
-        if which not in ("grad", "curl", "div", "l2"):
+        if which not in LAYOUT:
             raise ValueError(f"unknown space kind {which!r}")
         self.mesh = mesh
         self.which = which
         self.k = k
         self.bank = bank if bank is not None else BasisBank(mesh, k)
-
-        if which == "grad":
-            self.vertex_width = 1
-            self.edge_width = dim_P(k - 1, 1)
-            self.face_families = (("scalar", k - 1),)
-            self.cell_families = (("scalar", k - 1),)
-        elif which == "curl":
-            self.vertex_width = 0
-            self.edge_width = dim_P(k, 1)
-            self.face_families = (
-                ("curl_image", k - 1),
-                ("curl_complement", k),
-            )
-            self.cell_families = (
-                ("curl_image", k - 1),
-                ("curl_complement", k),
-            )
-        elif which == "div":
-            self.vertex_width = 0
-            self.edge_width = 0
-            self.face_families = (("scalar", k),)
-            self.cell_families = (
-                ("grad_image", k - 1),
-                ("grad_complement", k),
-            )
-        else:
-            self.vertex_width = 0
-            self.edge_width = 0
-            self.face_families = ()
-            self.cell_families = (("scalar", k),)
-
-        def block_dim(fam, l, d):
-            return dim_P(l, d) if fam == "scalar" else space_dim(fam, l, d)
-
-        self._face_dims = tuple(
-            block_dim(f, l, 2) for f, l in self.face_families
-        )
-        self._cell_dims = tuple(
-            block_dim(f, l, 3) for f, l in self.cell_families
-        )
-        self.face_width = sum(self._face_dims)
-        self.cell_width = sum(self._cell_dims)
-        self._face_offsets = np.concatenate(
-            [[0], np.cumsum(self._face_dims)]
-        ).astype(int)
-        self._cell_offsets = np.concatenate(
-            [[0], np.cumsum(self._cell_dims)]
-        ).astype(int)
-
-        nv, ne = mesh.num_vertices, mesh.num_edges
-        nf, nc = mesh.num_faces, mesh.num_cells
-        self.vertex_start = 0
-        self.edge_start = nv * self.vertex_width
-        self.face_start = self.edge_start + ne * self.edge_width
-        self.cell_start = self.face_start + nf * self.face_width
-        self.dim = self.cell_start + nc * self.cell_width
+        self.families, self.offsets, self.width, self.start = {}, {}, {}, {}
+        counts = (mesh.num_vertices, mesh.num_edges, mesh.num_faces,
+                  mesh.num_cells)
+        self.dim = 0
+        for d, (kind, count) in enumerate(zip(KINDS, counts)):
+            fams = tuple((fam, k + l) for fam, l in LAYOUT[which][kind])
+            offsets = np.cumsum([0] + [space_dim(f, l, d) for f, l in fams])
+            self.families[kind], self.offsets[kind] = fams, offsets
+            self.width[kind] = int(offsets[-1])
+            self.start[kind] = self.dim
+            self.dim += count * self.width[kind]
         self._cache = {}
         self.worst_cond = {}
 
     def _blocks(self, kind, ents, offset=0, width=None):
         """Global dofs (G, np * width) of the entities ents (G, np) of one
         kind: each entity's block, or its width entries from offset."""
-        start, full = {
-            "vertex": (self.vertex_start, self.vertex_width),
-            "edge": (self.edge_start, self.edge_width),
-            "face": (self.face_start, self.face_width),
-            "cell": (self.cell_start, self.cell_width),
-        }[kind]
+        full = self.width[kind]
         width = full if width is None else width
-        out = start + offset + ents[..., None] * full + np.arange(width)
+        out = (self.start[kind] + offset + ents[..., None] * full
+               + np.arange(width))
         return out.reshape(len(ents), -1)
 
     # -- local (entity plus boundary) collections --------------------------
@@ -262,15 +226,14 @@ class DofSpace:
         operators read, in local order: vertices, edges and faces of its
         boundary that carry dofs, then the entity itself."""
         kind = group.kind
-        parts = [("vertex", group.vertices, self.vertex_width)]
+        parts = [("vertex", group.vertices)]
         if kind in ("face", "cell"):
-            parts.append(("edge", group.edges, self.edge_width))
+            parts.append(("edge", group.edges))
         if kind == "cell":
-            parts.append(("face", group.faces, self.face_width))
-        own = [p for p in parts if p[2]]
-        own.append((kind, group.ids[:, None],
-                    getattr(self, f"{kind}_width")))
-        return own
+            parts.append(("face", group.faces))
+        parts.append((kind, group.ids[:, None]))
+        return [(p, ents, self.width[p]) for p, ents in parts
+                if self.width[p] or p == kind]
 
     def group_dofs(self, group):
         """Global indices (G, n) of the dofs each entity of a group reads,
@@ -286,10 +249,9 @@ class DofSpace:
     def _own_slice(self, group, i):
         """Local slice of family block i of the entity's own dofs, the
         same for every entity of the group."""
-        n = self.group_dofs(group).shape[1]
-        width = self.face_width if group.kind == "face" else self.cell_width
-        offs = self._face_offsets if group.kind == "face" else self._cell_offsets
-        return slice(n - width + offs[i], n - width + offs[i + 1])
+        base = self.group_dofs(group).shape[1] - self.width[group.kind]
+        offs = self.offsets[group.kind]
+        return slice(base + offs[i], base + offs[i + 1])
 
 
 def make_space(mesh, which, k, bank=None):
@@ -301,27 +263,27 @@ def make_space(mesh, which, k, bank=None):
 # interpolation
 
 
-def _families(space, kind):
-    if kind == "edge":
-        return (("scalar", space.k - 1 if space.which == "grad" else space.k),)
-    return space.face_families if kind == "face" else space.cell_families
+def _component(space, kind):
+    """Unit vectors, one per entity of one kind, along which the space's
+    dofs there take a vector field's component: the tangents on field-space
+    edges, the normals on flux-space faces; None elsewhere."""
+    return {("edge", "curl"): space.mesh.edge_tangents,
+            ("face", "div"): space.mesh.face_normals}.get((kind, space.which))
 
 
 def _moments(space, group, sel, rule, vals):
     """Dof blocks (G', width, r) of the entities sel of one group of edges,
     faces or cells from r values per entity of a field at the points of a
     data rule stacked over those entities: vals (G', r, npts) scalar or
-    (G', r, npts, 3) vector. The field space takes the tangential component
-    on edges and the flux space the normal component on faces; every family
-    then takes its moments from one table of the core's monomials at the
-    points, each family reading its prefix."""
+    (G', r, npts, 3) vector, reduced to its component where the space
+    takes one (_component). Every family takes its moments from one table
+    of the core's monomials at the points, each reading its prefix."""
     pts, weights = rule.points, rule.weights
-    d = {("edge", "curl"): space.mesh.edge_tangents,
-         ("face", "div"): space.mesh.face_normals}.get((group.kind, space.which))
+    d = _component(space, group.kind)
     if d is not None:
         vals = (vals @ d[group.ids[sel]][:, None, :, None])[..., 0]
     bases = [b for b in (space.bank.group_basis(group, fam, l)
-                         for fam, l in _families(space, group.kind)) if b.dim]
+                         for fam, l in space.families[group.kind]) if b.dim]
     M = space.bank.group_core(group)._monomials(
         pts, max(b._Cs.shape[-1] for b in bases), sel)
     return np.concatenate([b.moments(pts, vals, weights, sel, M)
@@ -336,11 +298,11 @@ def local_interpolation(space, group, basis, slots=None):
 
     Vertex blocks are the members' values. Every other block, at each local
     position (edges, faces, the entity itself), pairs polynomials in
-    coefficient space: the members, their tangential component on
-    field-space edges and normal component on flux-space faces, meet the
-    sub-entities' orthonormal members through the trace table of that
-    position (polyspaces.trace_table, at the sub-entities' polynomial
-    rule), and the family bases there through their coordinates. Every dof
+    coefficient space: the members, or their component where the space
+    takes one (_component), meet the sub-entities' orthonormal members
+    through the trace table of that position (polyspaces.trace_table, at
+    the sub-entities' polynomial rule), and the family bases there through
+    their coordinates. Every dof
     basis is orthonormal, so the moments are L2 projection coefficients.
     """
     mesh, bank = space.mesh, space.bank
@@ -351,15 +313,14 @@ def local_interpolation(space, group, basis, slots=None):
         if kind == "vertex":
             J.append(basis.eval(mesh.vertices[ents]).transpose(0, 2, 1))
             continue
-        d = {("edge", "curl"): mesh.edge_tangents,
-             ("face", "div"): mesh.face_normals}.get((kind, space.which))
+        d = _component(space, kind)
         for p in range(ents.shape[1] if width else 0):
             sub, sel = bank.locate(kind, ents[:, p])
             C = basis._Cs
             if d is not None:
                 C = (d[ents[:, p]][:, None, None, :] @ C)[:, :, 0]
             fams = [b for b in (bank.group_basis(sub, fam, l)
-                                for fam, l in _families(space, kind)) if b.dim]
+                                for fam, l in space.families[kind]) if b.dim]
             core, k = bank.group_core(sub), max(b._Cs.shape[-1] for b in fams)
             T = trace_table(basis._core, core, sel, bank.group_rule(sub),
                             C.shape[-1], k, "local interpolation")
@@ -381,10 +342,10 @@ def interpolate(space, f, degree=None):
     if degree is None:
         degree = 2 * space.k + INTERP_DEGREE_MARGIN
     vals = np.zeros(space.dim)
-    if space.vertex_width:
+    if space.width["vertex"]:
         vals[: mesh.num_vertices] = f(mesh.vertices)
     for kind in ("edge", "face", "cell"):
-        if not getattr(space, f"{kind}_width"):
+        if not space.width[kind]:
             continue
         for group in bank.groups(kind):
             for sl, rule in bank.data_blocks(group, degree):
@@ -568,7 +529,7 @@ def _differential(space, group, tgt, adjoint, sign, trace, trace_sign, what):
     names the operator."""
     idx = space.group_dofs(group)
     M = np.zeros((len(group), tgt.dim, idx.shape[1]))
-    fam, l = _families(space, group.kind)[0]
+    fam, l = space.families[group.kind][0]
     first = space.bank.group_basis(group, fam, l)
     if first.dim:
         M[:, :, space._own_slice(group, 0)] = sign * tgt._core.inner(
@@ -749,15 +710,14 @@ def _complex_pieces(space_in, space_out):
                 out.append((kind, group, space_out._blocks(kind, ids),
                             ops.dofs, ops.matrix))
                 continue
-            start = 0
-            for fam, l in _families(space_out, kind):
+            for (fam, l), start in zip(space_out.families[kind],
+                                       space_out.offsets[kind]):
                 b = space_out.bank.group_basis(group, fam, l)
                 if b.dim:
                     W = _pad_cols(b._Ws, ops.target.dim)
                     out.append((kind, group,
                                 space_out._blocks(kind, ids, start, b.dim),
                                 ops.dofs, W @ ops.matrix))
-                start += b.dim
     space_in._cache[key] = out
     return out
 

@@ -83,7 +83,6 @@ __all__ = [
     "value_blocks",
     "trace_table",
     "recovery",
-    "projection_overlap",
     "BasisBank",
 ]
 
@@ -120,7 +119,10 @@ def dim_P(l, d):
 
 
 def space_dim(family, l, d):
-    """Closed-form dimension of a subspace family on a d-entity (d=2,3)."""
+    """Closed-form dimension of a family on a d-entity: "scalar" for any d
+    (a vertex, d=0, holds one value), a subspace family for d=2,3."""
+    if family == "scalar":
+        return dim_P(l, d)
     if family == "zero_mean":
         return max(dim_P(l, d) - 1, 0)
     if family == "grad_image":
@@ -648,7 +650,7 @@ def subspace_basis(mesh, kind, index, family, l, core=None):
 
 
 # ----------------------------------------------------------------------
-# projections, recovery, diagnostics
+# projections and recovery
 
 
 def l2_project(basis, f, rule=None, sel=None):
@@ -689,41 +691,30 @@ def l2_project(basis, f, rule=None, sel=None):
 
 
 def recovery(basis_s, basis_sc, b, c):
-    """Reconstruct a full vector polynomial from its two projections.
+    """Reconstruct full vector polynomials from their two projections.
 
-    basis_s, basis_sc: complementary subspaces of the same full vector
-    space (an image family and its Koszul complement, same entity, same
-    degree). Returns coefficients over the orthonormal full vector basis of
-    the unique field whose projections on the pair are (b, c).
+    basis_s, basis_sc: stacks of complementary subspaces of the same full
+    vector space (an image family and its Koszul complement, same group,
+    same degree); b (G, basis_s.dim) and c (G, basis_sc.dim) the
+    projections. Returns the coefficients (G, width) over the orthonormal
+    full vector basis of the fields whose projections on the pair are
+    (b, c), and the condition numbers (G,) of the pairs. A dependent pair
+    (condition number not below 1/eps) determines no field: its
+    coefficients are NaN.
     """
-    Ws = basis_s.coeff_matrix()
-    Wc = basis_sc.coeff_matrix()
-    width = max(Ws.shape[1], Wc.shape[1])
-    M = np.zeros((Ws.shape[0] + Wc.shape[0], width))
-    M[: Ws.shape[0], : Ws.shape[1]] = Ws
-    M[Ws.shape[0] :, : Wc.shape[1]] = Wc
-    if M.shape[0] != width:
+    Ws, Wc = basis_s._Ws, basis_sc._Ws
+    width = max(Ws.shape[2], Wc.shape[2])
+    M = np.zeros((len(Ws), Ws.shape[1] + Wc.shape[1], width))
+    M[:, : Ws.shape[1], : Ws.shape[2]] = Ws
+    M[:, Ws.shape[1]:, : Wc.shape[2]] = Wc
+    if M.shape[1] != width:
         raise ValueError("subspace dimensions do not add up to the full space")
-    return np.linalg.solve(M, np.concatenate([b, c]))
-
-
-def projection_overlap(basis_s, basis_sc):
-    """Largest singular value of the cross-Gram of two complement spaces.
-
-    Strictly below 1 exactly when the direct sum is stable; reported as a
-    per-entity diagnostic.
-    """
-    Ws = basis_s.coeff_matrix()
-    Wc = basis_sc.coeff_matrix()
-    width = max(Ws.shape[1], Wc.shape[1])
-    A = np.zeros((Ws.shape[0], width))
-    A[:, : Ws.shape[1]] = Ws
-    B = np.zeros((Wc.shape[0], width))
-    B[:, : Wc.shape[1]] = Wc
-    cross = A @ B.T
-    if cross.size == 0:
-        return 0.0
-    return float(np.linalg.norm(cross, 2))
+    cond = np.linalg.cond(M)
+    ok = cond < 1 / np.finfo(float).eps
+    out = np.full((len(M), width), np.nan)
+    rhs = np.concatenate([b, c], axis=1)
+    out[ok] = np.linalg.solve(M[ok], rhs[ok, :, None])[..., 0]
+    return out, cond
 
 
 # ----------------------------------------------------------------------

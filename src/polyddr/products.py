@@ -137,7 +137,7 @@ def stabilization(space, group):
     stabilization, which penalizes potential-versus-boundary-reconstruction
     mismatches and vanishes when the potential reproduces the data."""
     if space.which == "l2":
-        w = space.cell_width
+        w = space.width["cell"]
         return _Forms(space.group_dofs(group), np.zeros((len(group), w, w)))
     if space.which == "grad":
         return _stab_trace(space, group, op_scalar_trace, edge_reconstruct)
@@ -152,7 +152,7 @@ def l2_product(space, group):
     stabilization (orthonormal potential targets make the Gram a plain
     matrix product). The moment space's product is the identity."""
     if space.which == "l2":
-        w = space.cell_width
+        w = space.width["cell"]
         return _Forms(space.group_dofs(group),
                       np.broadcast_to(np.eye(w), (len(group), w, w)))
     stab = stabilization(space, group)

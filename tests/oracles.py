@@ -9,7 +9,9 @@ quadrature or orthonormalization code, except the package views at the
 end. The cell-local views of the complex (local_complex_matrix,
 link_identities_check) read one cell out of the package's group stacks and
 check the identities that link them entity by entity, a route the package
-itself no longer takes. isomorphism_matrix and shape_regularity are
+itself no longer takes. layout_by_branches numbers the dofs by the
+per-space branches that came before the package's layout table
+(ddrcore.LAYOUT). isomorphism_matrix and shape_regularity are
 diagnostics on the package's bases and fans that only the tests read.
 svd_subspace_basis builds the subspace bases by a second route, from
 tabulated generators and an SVD, where the package uses coefficients alone.
@@ -23,6 +25,7 @@ lowest-index cell of each edge.
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -42,6 +45,7 @@ from polyddr.polyspaces import (
     _make_core,
     scalar_basis,
     l2_project,
+    space_dim,
     subspace_basis,
     vector_basis,
 )
@@ -385,7 +389,7 @@ def local_complex_matrix(space_in, space_out, c):
     pos_in = _positions(idx_in)
     M = np.zeros((len(idx_out), len(idx_in)))
     entities = {
-        "edge": mesh.cell_edges[c].tolist() if space_out.edge_width else [],
+        "edge": mesh.cell_edges[c].tolist() if space_out.width["edge"] else [],
         "face": mesh.cells[c].tolist(),
         "cell": [c],
     }
@@ -637,3 +641,64 @@ def check_traces_by_points(mesh, max_degree=3, seed=0):
         context=str(offender.get("edge_tangential_trace", "")),
     )
     return report
+
+
+def layout_by_branches(mesh, which, k):
+    """The dof layout of one space by per-space branches: families,
+    offsets, width and start per entity kind, dim, and group_dofs(group),
+    the global dofs each entity of a group reads in local order. The
+    vertex family is the value, a degree-k scalar on a point; vertex and
+    edge offsets are [0, width], or [0] on a kind with no family."""
+    if which == "grad":
+        vertex_width, edge_width = 1, dim_P(k - 1, 1)
+        face = cell = (("scalar", k - 1),)
+    elif which == "curl":
+        vertex_width, edge_width = 0, dim_P(k, 1)
+        face = cell = (("curl_image", k - 1), ("curl_complement", k))
+    elif which == "div":
+        vertex_width, edge_width = 0, 0
+        face = (("scalar", k),)
+        cell = (("grad_image", k - 1), ("grad_complement", k))
+    else:
+        vertex_width, edge_width = 0, 0
+        face, cell = (), (("scalar", k),)
+
+    def block_dim(fam, l, d):
+        return dim_P(l, d) if fam == "scalar" else space_dim(fam, l, d)
+
+    face_dims = [block_dim(f, l, 2) for f, l in face]
+    cell_dims = [block_dim(f, l, 3) for f, l in cell]
+    edge = (("scalar", k - 1 if which == "grad" else k),)
+    families = {"vertex": (("scalar", k),) if which == "grad" else (),
+                "edge": edge if which in ("grad", "curl") else (),
+                "face": face, "cell": cell}
+    offsets = {"vertex": [0, vertex_width][:1 + len(families["vertex"])],
+               "edge": [0, edge_width][:1 + len(families["edge"])],
+               "face": [0] + list(itertools.accumulate(face_dims)),
+               "cell": [0] + list(itertools.accumulate(cell_dims))}
+    width = {"vertex": vertex_width, "edge": edge_width,
+             "face": sum(face_dims), "cell": sum(cell_dims)}
+    start = {"vertex": 0}
+    start["edge"] = mesh.num_vertices * width["vertex"]
+    start["face"] = start["edge"] + mesh.num_edges * width["edge"]
+    start["cell"] = start["face"] + mesh.num_faces * width["face"]
+    dim = start["cell"] + mesh.num_cells * width["cell"]
+
+    def blocks(kind, ents):
+        w = width[kind]
+        out = start[kind] + ents[..., None] * w + np.arange(w)
+        return out.reshape(len(ents), -1)
+
+    def group_dofs(group):
+        kind = group.kind
+        parts = [("vertex", group.vertices)]
+        if kind in ("face", "cell"):
+            parts.append(("edge", group.edges))
+        if kind == "cell":
+            parts.append(("face", group.faces))
+        own = [(p, ents) for p, ents in parts if width[p]]
+        own.append((kind, group.ids[:, None]))
+        return np.concatenate([blocks(p, ents) for p, ents in own], axis=1)
+
+    return SimpleNamespace(families=families, offsets=offsets, width=width,
+                           start=start, dim=dim, group_dofs=group_dofs)

@@ -52,13 +52,12 @@ def entity(op, space, kind, i):
 
 def own_dofs(space, kind, i):
     """Global indices of the dofs entity i of one kind carries itself."""
-    start = getattr(space, f"{kind}_start")
-    w = getattr(space, f"{kind}_width")
+    start, w = space.start[kind], space.width[kind]
     return np.arange(start + i * w, start + (i + 1) * w)
 
 
 def sub_slice(space, layout, kind, index, i):
     """Local slice of one family block inside an entity's block."""
     base = layout[(kind, index)]
-    offs = space._face_offsets if kind == "face" else space._cell_offsets
+    offs = space.offsets[kind]
     return slice(base.start + offs[i], base.start + offs[i + 1])

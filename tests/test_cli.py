@@ -205,6 +205,19 @@ def test_converge_writes_csv_with_rates(capsys, tmp_path):
     assert float(second[6]) < float(first[6])
 
 
+def test_converge_rate_on_non_doubling_levels(tmp_path):
+    # the pairwise rate divides by log(h_prev / h), not log 2
+    out = tmp_path / "conv.csv"
+    code = main(["converge", "--family", "cubic", "--degrees", "0",
+                 "--levels", "2,3", "--out", str(out)])
+    assert code == 0
+    first, second = (line.split(",") for line in
+                     out.read_text().strip().split("\n")[1:])
+    want = (np.log(float(first[6]) / float(second[6]))
+            / np.log(float(first[2]) / float(second[2])))
+    assert second[-1] == f"{want:.6f}"
+
+
 def test_converge_cartesian_row_count(tmp_path):
     out = tmp_path / "conv.csv"
     code = main([

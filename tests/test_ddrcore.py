@@ -26,7 +26,8 @@ from polyddr.ddrcore import (
     global_operator,
 )
 
-from oracles import Poly3, VecPoly3, link_identities_check, local_complex_matrix
+from oracles import (Poly3, VecPoly3, layout_by_branches, link_identities_check,
+                     local_complex_matrix)
 from stacks import entity, local_dofs, own_dofs, sub_slice
 
 
@@ -118,6 +119,43 @@ def test_local_dof_counts_tet_and_hex(ctx):
             len(local_dofs(s, "cell", 0)[0]) for s in ctx.spaces(name, k)
         )
         assert got == dims, (name, k, got)
+
+
+def test_local_dof_counts_tet_and_hex_at_k3_k4():
+    # the closed-form counts past criterion 1's k <= 2
+    expected = {
+        ("tet", 3): (56, 120, 85, 20),
+        ("tet", 4): (88, 196, 144, 35),
+        ("cube", 3): (90, 174, 105, 20),
+        ("cube", 4): (136, 274, 174, 35),
+    }
+    for (name, k), dims in expected.items():
+        mesh = MESHES[name]()
+        got = tuple(len(local_dofs(make_space(mesh, w, k), "cell", 0)[0])
+                    for w in ("grad", "curl", "div", "l2"))
+        assert got == dims, (name, k, got)
+
+
+@pytest.mark.parametrize("name", ["cubic2", "tet2", "agglo2", "pyr"])
+def test_layout_matches_branch_oracle(name):
+    mesh = {"cubic2": lambda: generate_cubic_mesh(2),
+            "tet2": lambda: generate_tet_mesh(2),
+            "agglo2": MESHES["agglo"], "pyr": pyramid_mesh}[name]()
+    for k in range(5):
+        bank = BasisBank(mesh, k)
+        for which in ("grad", "curl", "div", "l2"):
+            space = make_space(mesh, which, k, bank=bank)
+            want = layout_by_branches(mesh, which, k)
+            assert space.families == want.families, (which, k)
+            assert {kind: [int(o) for o in offs] for kind, offs in
+                    space.offsets.items()} == want.offsets, (which, k)
+            assert space.width == want.width, (which, k)
+            assert space.start == want.start, (which, k)
+            assert space.dim == want.dim, (which, k)
+            for kind in ("edge", "face", "cell"):
+                for group in bank.groups(kind):
+                    assert np.array_equal(space.group_dofs(group),
+                                          want.group_dofs(group))
 
 
 def test_global_dims_closed_form(ctx):
@@ -463,7 +501,7 @@ def test_face_rotation_kills_gradients(ctx, name, k):
         cols = [list(gf.dofs).index(g) for g in ge.dofs]
         M[np.ix_(range(*lay_c[("edge", e)].indices(len(idx_c))), cols)] = ge.matrix
     bank = scu.bank
-    for i, (fam, l) in enumerate(scu.face_families):
+    for i, (fam, l) in enumerate(scu.families["face"]):
         b = bank.subspace("face", f, fam, l)
         if b.dim == 0:
             continue

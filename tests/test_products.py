@@ -248,14 +248,11 @@ def _interpolate_by_entity(space, f):
     mesh, bank, k = space.mesh, space.bank, space.k
     degree = 2 * k + INTERP_DEGREE_MARGIN
     out = np.zeros(space.dim)
-    if space.vertex_width:
+    if space.width["vertex"]:
         out[: mesh.num_vertices] = f(mesh.vertices)
-    edge_degree = k - 1 if space.which == "grad" else k
-    for kind, count, families in (
-            ("edge", mesh.num_edges, [("scalar", edge_degree)]),
-            ("face", mesh.num_faces, space.face_families),
-            ("cell", mesh.num_cells, space.cell_families)):
-        if not getattr(space, f"{kind}_width"):
+    for kind, count in (("edge", mesh.num_edges), ("face", mesh.num_faces),
+                        ("cell", mesh.num_cells)):
+        if not space.width[kind]:
             continue
         for i in range(count):
             rule = entity_rule(mesh, kind, i, degree, data=True)
@@ -266,7 +263,8 @@ def _interpolate_by_entity(space, f):
                 vals = vals @ mesh.face_normals[i]
             moments = [integrate_products(b.eval(rule.points), vals[None],
                                           rule.weights)[:, 0]
-                       for b in (bank.basis(fam, kind, i, l) for fam, l in families)
+                       for b in (bank.basis(fam, kind, i, l)
+                                 for fam, l in space.families[kind])
                        if b.dim]
             out[own_dofs(space, kind, i)] = np.concatenate(moments)
     return out

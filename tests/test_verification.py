@@ -371,9 +371,29 @@ def test_recovery_residual_detects_corrupted_projection():
     corrupted = complement_part + 1e-3 * np.abs(complement_part).max() * (
         rng.standard_normal(complement_part.shape)
     )
-    back = recovery(bs, bc, image_part, corrupted)
+    back = recovery(bs, bc, image_part[None], corrupted[None])[0][0]
     resid = np.abs(back - coeffs).max() / np.abs(coeffs).max()
     assert resid > 1e-9
+
+
+def test_recovery_fails_its_report_on_a_dependent_pair(monkeypatch):
+    # a cell complement sharing a member with its image makes the pair
+    # dependent: the report fails, naming the pair and its condition number
+    build = BasisBank.group_basis
+
+    def dependent(self, group, family, l):
+        out = build(self, group, family, l)
+        if (group.kind, family, l) == ("cell", "grad_complement", 2):
+            out = copy.copy(out)
+            out._Ws = out._Ws.copy()
+            out._Ws[:, 0] = build(self, group, "grad_image", l)._Ws[:, 0]
+        return out
+
+    monkeypatch.setattr(BasisBank, "group_basis", dependent)
+    rep = check_recovery(generate_cubic_mesh(1), max_degree=3)
+    assert not rep.passed
+    assert rep.metrics["recovery_resid"] == np.inf
+    assert "('cell', 0, 'grad_image', 2), condition number" in rep.failures[0]
 
 
 # ----------------------------------------------------------------------

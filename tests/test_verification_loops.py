@@ -24,7 +24,6 @@ from polyddr import ddrcore
 from polyddr.ddrcore import (
     INTERP_DEGREE_MARGIN,
     _boundary_parts,
-    _families,
     local_interpolation,
     make_space,
     op_potential,
@@ -190,7 +189,7 @@ def _local_interpolation_by_entity(space, kind, index, basis):
         J[sl] = np.concatenate([
             integrate_products(b.eval(rule.points), vals, rule.weights)
             for b in (bank.basis(fam, ent, i, l)
-                      for fam, l in _families(space, ent)) if b.dim])
+                      for fam, l in space.families[ent]) if b.dim])
     return J
 
 
