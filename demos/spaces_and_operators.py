@@ -64,6 +64,19 @@ def main():
         f"from {pot.matrix.shape[2]} local dofs"
     )
 
+    # Rules, cores and bases are stacked over the group as well; the
+    # potential's target at the group's rule points, read at cell 0's slot.
+    bank = spaces["grad"].bank
+    rule = bank.group_rule(group)
+    values = pot.target.eval(rule.points, [slot])[0]
+    core = bank.core(group)
+    same = bank.group_basis(group, "scalar", k + 1) is pot.target
+    print(
+        f"its target: degree {pot.target.degree} on a degree-{core.L} core, "
+        f"{values.shape[0]} members at {values.shape[1]} rule points "
+        f"(the bank's degree-{k + 1} scalars: {same})"
+    )
+
     # The stabilized product gives a positive definite Gram matrix.
     M = polyddr.assemble_product(spaces["curl"])
     energy = float(v_h.values @ (M @ v_h.values))

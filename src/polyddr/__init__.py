@@ -15,7 +15,7 @@ from .mesh import (
     generate_tet_mesh,
     agglomerate_pairs,
 )
-from .quadrature import QuadRule, entity_rule, integrate
+from .quadrature import QuadRule, entity_rule
 from .polyspaces import (
     PolyBasis,
     BasisBank,
@@ -71,7 +71,6 @@ __all__ = [
     "agglomerate_pairs",
     "QuadRule",
     "entity_rule",
-    "integrate",
     "PolyBasis",
     "BasisBank",
     "scalar_basis",

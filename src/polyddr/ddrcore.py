@@ -181,7 +181,9 @@ class DofSpace:
     """Layout of one discrete space's degrees of freedom on a mesh, derived
     from LAYOUT: per entity kind, families (family, degree) in dof order,
     offsets of the family blocks inside an entity's block, width of that
-    block, and start, the global index of the kind's first dof.
+    block, and start, the global index of the kind's first dof. A bank
+    given to share stacks between spaces must be built for the same mesh
+    object and degree.
 
     worst_cond maps the label of each guarded local solve ("edge
     reconstruction", "scalar face trace", ...) to the largest condition
@@ -195,7 +197,15 @@ class DofSpace:
         self.mesh = mesh
         self.which = which
         self.k = k
-        self.bank = bank if bank is not None else BasisBank(mesh, k)
+        if bank is None:
+            bank = BasisBank(mesh, k)
+        if bank.mesh is not mesh or bank.k != k:
+            raise ValueError(
+                f"the basis bank is built for degree {bank.k} on mesh "
+                f"{id(bank.mesh):#x} ({bank.mesh.num_cells} cells), the {which} "
+                f"space for degree {k} on mesh {id(mesh):#x} "
+                f"({mesh.num_cells} cells)")
+        self.bank = bank
         self.families, self.offsets, self.width, self.start = {}, {}, {}, {}
         counts = (mesh.num_vertices, mesh.num_edges, mesh.num_faces,
                   mesh.num_cells)
@@ -284,7 +294,7 @@ def _moments(space, group, sel, rule, vals):
         vals = (vals @ d[group.ids[sel]][:, None, :, None])[..., 0]
     bases = [b for b in (space.bank.group_basis(group, fam, l)
                          for fam, l in space.families[group.kind]) if b.dim]
-    M = space.bank.group_core(group)._monomials(
+    M = space.bank.core(group)._monomials(
         pts, max(b._Cs.shape[-1] for b in bases), sel)
     return np.concatenate([b.moments(pts, vals, weights, sel, M)
                            for b in bases], axis=1)
@@ -321,7 +331,7 @@ def local_interpolation(space, group, basis, slots=None):
                 C = (d[ents[:, p]][:, None, None, :] @ C)[:, :, 0]
             fams = [b for b in (bank.group_basis(sub, fam, l)
                                 for fam, l in space.families[kind]) if b.dim]
-            core, k = bank.group_core(sub), max(b._Cs.shape[-1] for b in fams)
+            core, k = bank.core(sub), max(b._Cs.shape[-1] for b in fams)
             T = trace_table(basis._core, core, sel, bank.group_rule(sub),
                             C.shape[-1], k, "local interpolation")
             V = C @ (T if C.ndim == 3 else T[:, None])

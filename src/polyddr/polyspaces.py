@@ -42,11 +42,12 @@ non-polynomial data, and the values at vertices, are taken at points.
 All of it is stacked over entity groups: the faces or cells whose local
 arrays have equal shapes (face valence and rule fan size; for cells the
 face valences and fan sizes in local order, the edge and vertex counts and
-the cell fan size; all edges form one group). Rules, cores and bases carry
-a leading group axis, and the QR factorizations and tabulations run as
-numpy stacks over it. BasisBank builds the whole group on the first
-request for one of its entities; the per-entity objects it returns are
-views (take) into the stacks, and a basis built alone is a stack of one.
+the cell fan size; all edges form one group). Rules, cores and bases
+always carry a leading stack axis, and the QR factorizations and
+tabulations run as numpy stacks over it. BasisBank builds each object for
+a whole group; a basis built by the constructors below is a stack over the
+ids they are given, a stack of one for one id. Entity i of a group is slot
+BasisBank.group(kind, i)[1] of each stack.
 
 Families (naming by what the space is, not by any symbol):
 - "grad_image":       gradients of scalars of degree l+1
@@ -70,7 +71,7 @@ import math
 import numpy as np
 
 from .mesh import _groups
-from .quadrature import QuadRule, data_rule_size, entity_rule, vertex_fans
+from .quadrature import data_rule_size, entity_rule, vertex_fans
 
 __all__ = [
     "PolyBasis",
@@ -186,9 +187,8 @@ class _ScalarCore:
     Householder QR of the sqrt(weight)-scaled monomial matrix at the rule
     points, and the orthonormalization coefficients R^{-T} are lower
     triangular (member i uses monomials 0..i), so a prefix of members
-    needs only a prefix of the monomials.  The rule has one entity's points
-    (n, 3) for a core built alone, stacked points (G, n, 3) for a group.
-    take(g) views entity g as a stack of one.
+    needs only a prefix of the monomials.  The rule is stacked, (G, n, 3)
+    points, and is not kept.
     """
 
     def __init__(self, x0, h, frame, L, rule):
@@ -196,15 +196,12 @@ class _ScalarCore:
         self.L = L
         self.d = frame.shape[1]
         self.exps, self._D, _ = _monomial_tables(L, self.d)
-        self.rule = rule
-        self._views = {}
-        G, nm = len(x0), len(self.exps)
+        nm = len(self.exps)
 
         # Householder QR of the sqrt(w)-weighted monomial matrices: columns
         # of A R^{-1} are orthonormal, so the members have coefficients R^{-T}.
-        w = rule.weights.reshape(G, -1)
-        A = self._monomials(rule.points.reshape(G, -1, 3), nm)
-        A = (A * np.sqrt(w)[:, None, :]).transpose(0, 2, 1)
+        A = self._monomials(rule.points, nm)
+        A = (A * np.sqrt(rule.weights)[:, None, :]).transpose(0, 2, 1)
         R = np.linalg.qr(A, mode="r")
         diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
         base = np.linalg.norm(A, axis=1)
@@ -216,22 +213,6 @@ class _ScalarCore:
         R *= np.sign(np.diagonal(R, axis1=1, axis2=2))[..., None]
         self.R = R
         self.coeffs = np.linalg.inv(R).transpose(0, 2, 1)
-
-    def take(self, g):
-        """Entity g of the stack as a stack of one, with its own rule."""
-        out = self._views.get(g)
-        if out is None:
-            sl = slice(g, g + 1)
-            out = self._views[g] = object.__new__(_ScalarCore)
-            out.x0, out.h, out.frame = self.x0[sl], self.h[sl], self.frame[sl]
-            out.L, out.d, out.exps, out._D = self.L, self.d, self.exps, self._D
-            out.R, out.coeffs = self.R[sl], self.coeffs[sl]
-            G = len(self.x0)
-            out.rule = QuadRule(self.rule.points.reshape(G, -1, 3)[g],
-                                self.rule.weights.reshape(G, -1)[g],
-                                self.rule.exactness_degree)
-            out._views = {}
-        return out
 
     def _monomials(self, pts, n, sel=None):
         """The first n scaled monomials at stacked points (G, npts, 3) of
@@ -321,20 +302,17 @@ def _tabulate(core, C, pts, sel=None):
     """Values at stacked points (G, npts, 3) of the polynomials with
     monomial coefficients C over the core's entities (those in sel):
     (G, m, npts) for scalar rows C (G, m, n), (G, m, npts, 3) for vector
-    rows C (G, m, 3, n) in global components; at the points (npts, 3) of a
-    stack of one, without the stack axis.  One matmul."""
+    rows C (G, m, 3, n) in global components.  One matmul."""
+    if np.ndim(pts) != 3:
+        raise ValueError(f"points of shape {np.shape(pts)} are not stacked; "
+                         f"pass (G, npts, 3)")
     C = C if sel is None else C[sel]
-    single = np.ndim(pts) < 3
-    if single and len(C) != 1:
-        raise ValueError(f"points (npts, 3) name no entity of a stack of "
-                         f"{len(C)}; pass stacked points (G, npts, 3)")
-    M = core._monomials(np.atleast_2d(pts)[None] if single else pts,
-                        C.shape[-1], sel)
+    M = core._monomials(pts, C.shape[-1], sel)
     G, n = len(C), C.shape[-1]
     V = C.reshape(G, math.prod(C.shape[1:-1]), n) @ M
     if C.ndim == 4:
         V = V.reshape(G, C.shape[1], 3, M.shape[-1]).transpose(0, 1, 3, 2)
-    return V[0] if single else V
+    return V
 
 
 def _cross_matrix(v):
@@ -354,8 +332,7 @@ _AXIS_CROSS.flags.writeable = False
 
 
 class PolyBasis:
-    """Basis of a polynomial space on a mesh entity, or stacked over the
-    entities ids of a group.
+    """Basis of a polynomial space stacked over the entities ids.
 
     Every basis is one coefficient array over the scaled monomials of its
     entity's core: (dim, nm) for scalar spaces and (dim, 3, nm) in global
@@ -365,10 +342,10 @@ class PolyBasis:
     s_m, or the vector members s_m times frame axis a in (m, a) order), and
     the core's orthonormalization coefficients.  The grad, div and curl
     arrays are derived on first use from the core's monomial derivative
-    table.  take(g) views entity g of a stack as a stack of one.
+    table.
 
     eval is the one tabulation method, and grad, div and curl tabulate
-    derivatives; members of face spaces are tangent fields expressed in
+    derivatives, all at stacked points (G, npts, 3); members of face spaces are tangent fields expressed in
     global coordinates (value_dim 2 says tangent-plane, the evaluation is
     still a 3-vector). All kinds except the concatenated trimmed spaces
     ("nedelec", "raviart_thomas") are L2-orthonormal on their entity.
@@ -385,7 +362,6 @@ class PolyBasis:
         self.dim = W.shape[1]
         self.orthonormal = orthonormal
         self.value_dim = 1 if axes is None else axes.shape[1]
-        self._views = {}
         ns = W.shape[2] // self.value_dim
         S = core.coeffs[:, :ns, :ns]
         if axes is None:
@@ -395,25 +371,6 @@ class PolyBasis:
         else:
             Wam = W.reshape(len(W), self.dim, ns, len(axes[0])).transpose(0, 1, 3, 2)
             self._Cs = axes.transpose(0, 2, 1)[:, None] @ (Wam @ S[:, None])
-
-    def take(self, g):
-        """Entity g of the stack as a stack of one."""
-        out = self._views.get(g)
-        if out is None:
-            out = object.__new__(PolyBasis)
-            for name in ("entity_kind", "kind", "degree", "dim", "orthonormal",
-                         "value_dim"):
-                setattr(out, name, getattr(self, name))
-            sl = slice(g, g + 1)
-            out.ids, out._Ws, out._Cs = self.ids[sl], self._Ws[sl], self._Cs[sl]
-            out._core = self._core.take(g)
-            out._views = {}
-            self._views[g] = out
-        return out
-
-    @property
-    def _W(self):
-        return self._Ws[0]
 
     @functools.cached_property
     def _grad_map(self):
@@ -451,34 +408,29 @@ class PolyBasis:
         return C.reshape(G, self.dim, -1) @ F
 
     def eval(self, pts, sel=None):
-        """Member values at the points (npts, 3) of a stack of one, (dim,
-        npts[, 3]), or at stacked points (G', npts, 3) of the entities sel
-        of the stack (all by default), (G', dim, npts[, 3]); (npts, 3)
-        points on a larger stack raise a ValueError."""
+        """Member values at stacked points (G', npts, 3) of the entities sel
+        of the stack (all by default), (G', dim, npts[, 3]); unstacked
+        points raise a ValueError."""
         return _tabulate(self._core, self._Cs, pts, sel)
 
-    def grad(self, pts):
+    def grad(self, pts, sel=None):
         """Member gradients (scalar spaces only), points as in eval."""
         if self.value_dim != 1:
             raise ValueError("grad is defined for scalar bases")
-        return _tabulate(self._core, self._grad_map, pts)
+        return _tabulate(self._core, self._grad_map, pts, sel)
 
-    def div(self, pts):
+    def div(self, pts, sel=None):
         """Member divergences; on faces this is the in-plane divergence.
         Points as in eval."""
         if self.value_dim == 1:
             raise ValueError("div is defined for vector bases")
-        return _tabulate(self._core, self._div_map, pts)
+        return _tabulate(self._core, self._div_map, pts, sel)
 
-    def curl(self, pts):
+    def curl(self, pts, sel=None):
         """Member curls (cell vector spaces only), points as in eval."""
         if self.value_dim != 3:
             raise ValueError("curl is defined for cell vector bases")
-        return _tabulate(self._core, self._curl_map, pts)
-
-    def coeff_matrix(self):
-        """Coefficients over the orthonormal parent basis (dim x width)."""
-        return self._W
+        return _tabulate(self._core, self._curl_map, pts, sel)
 
 
 # ----------------------------------------------------------------------
@@ -503,8 +455,8 @@ def _ids(index):
 
 
 def _make_core(mesh, kind, index, L, rule=None):
-    """Core of degree L on one entity (index an id) or stacked over the
-    entities of a group (index a sequence of ids)."""
+    """Core of degree L stacked over the entities index (an id or a
+    sequence of ids), on the stacked rule given or its own of degree 2L."""
     x0, h, frame = _entity_frame(mesh, kind, _ids(index))
     if rule is None:
         rule = entity_rule(mesh, kind, index, max(2 * L, 0))
@@ -516,8 +468,8 @@ def _identity(G, n):
 
 
 def scalar_basis(mesh, kind, index, l, core=None):
-    """Orthonormal basis of scalars of degree <= l on one entity; for a
-    sequence of ids (with their group core), the stack over them."""
+    """Orthonormal bases of scalars of degree <= l stacked over the entities
+    index (an id or a sequence of ids; a given core is theirs)."""
     if core is None:
         core = _make_core(mesh, kind, index, max(l, 0))
     ids = _ids(index)
@@ -589,9 +541,8 @@ def _independent(family, l, d):
 
 
 def subspace_basis(mesh, kind, index, family, l, core=None):
-    """Orthonormal basis of one subspace family (or a trimmed concatenation)
-    on one entity; for a sequence of ids (with their group core), the stack
-    over them.
+    """Orthonormal bases of one subspace family (or a trimmed
+    concatenation) stacked as scalar_basis.
 
     The basis is expressed over the orthonormal full-vector basis of the
     same degree, so its coefficient rows are exactly its L2 geometry.  The
@@ -653,41 +604,24 @@ def subspace_basis(mesh, kind, index, family, l, core=None):
 # projections and recovery
 
 
-def l2_project(basis, f, rule=None, sel=None):
-    """Coefficients of the L2 projection of a field onto the basis.
+def l2_project(basis, f, rule, sel=None):
+    """Coefficients (G', dim) of the L2 projections of a field onto an
+    orthonormal stacked basis, on the entities sel of the stack (all by
+    default) by a rule stacked over them.
 
     f is a callable on an (npts, 3) array of points returning (npts,) for
-    scalar bases or (npts, 3) for vector bases, or those values; 3-vector
-    fields over faces are projected onto the tangent plane implicitly
-    (members are tangent). Without a rule, the basis' own polynomial rule
-    is used. A group's stacked basis with a stacked rule gives the
-    coefficients of every entity, (G, dim), evaluating f block by block of
-    entities (value_blocks); a rule over the entities sel of the stack
-    (all by default) gives theirs, (G', dim).
+    scalar bases or (npts, 3) for vector bases; 3-vector fields over faces
+    are projected onto the tangent plane implicitly (members are tangent).
+    The projection is the members' moments, so a basis that is not
+    orthonormal ("nedelec", "raviart_thomas") raises a ValueError.
     """
-    if rule is None:
-        rule = basis._core.rule
-    single = rule.points.ndim == 2
-    pts = rule.points[None] if single else rule.points
-    weights = rule.weights[None] if single else rule.weights
-    shape = (3,) if basis.value_dim > 1 else ()
-    if not callable(f):
-        given = np.asarray(f, dtype=float).reshape(pts.shape[:2] + shape)
-    rows = None if sel is None else np.arange(len(basis._Ws))[sel]
-    moments = []
-    for sl in value_blocks(*weights.shape):
-        if callable(f):
-            vals = np.asarray(f(pts[sl].reshape(-1, 3)), dtype=float)
-            vals = vals.reshape(pts[sl].shape[:2] + shape)
-        else:
-            vals = given[sl]
-        moments.append(basis.moments(pts[sl], vals[:, None], weights[sl],
-                                     sl if rows is None else rows[sl])[..., 0])
-    moments = np.concatenate(moments)
     if not basis.orthonormal:
-        W = basis._Ws if rows is None else basis._Ws[rows]
-        moments = np.linalg.solve(W @ W.transpose(0, 2, 1), moments[..., None])[..., 0]
-    return moments[0] if single else moments
+        raise ValueError(f"l2_project needs an orthonormal basis, not "
+                         f"{basis.kind!r}")
+    pts = rule.points
+    vals = np.asarray(f(pts.reshape(-1, 3)), dtype=float)
+    vals = vals.reshape(pts.shape[:2] + ((3,) if basis.value_dim > 1 else ()))
+    return basis.moments(pts, vals[:, None], rule.weights, sel)[..., 0]
 
 
 def recovery(basis_s, basis_sc, b, c):
@@ -788,7 +722,8 @@ class EntityGroup:
 
 
 class BasisBank:
-    """Per-mesh cache of quadrature rules, cores, and bases for one degree.
+    """Per-mesh cache of stacked quadrature rules, cores, and bases for one
+    degree, one of each per entity group.
 
     Core scalar degree is k+1 on edges and k+2 on faces and cells: the
     largest spaces the discrete operators touch are the degree-(k+2)
@@ -796,13 +731,13 @@ class BasisBank:
     rules integrate degree 2k+4 on faces/cells and 2k+2 on edges exactly,
     which covers every product of two represented polynomials.
 
-    Everything is built per entity group (see EntityGroup): the first
-    request for one entity builds the stacked rule, core or basis of its
-    whole group, and the per-entity objects are views into it. The
-    polynomial rules (vertex fans, see quadrature) are cached per (kind,
-    group, degree). Data rules (centroid fans, for non-polynomial data) are
-    read once, block by block, so they are not cached: data_blocks builds
-    each block's rule as it is used.
+    Everything is built per entity group (see EntityGroup) and asked for
+    by its group: group_rule, core and group_basis return stacks, and
+    entity i is slot group(kind, i)[1] of each. The polynomial rules
+    (vertex fans, see quadrature) are cached per (kind, group, degree).
+    Data rules (centroid fans, for non-polynomial data) are read once,
+    block by block, so they are not cached: data_blocks builds each
+    block's rule as it is used.
     """
 
     def __init__(self, mesh, k):
@@ -812,7 +747,6 @@ class BasisBank:
         self.k = k
         self._tables = {}
         self._group_rules = {}
-        self._rules = {}
         self._cores = {}
         self._bases = {}
 
@@ -873,19 +807,9 @@ class BasisBank:
         for sl in value_blocks(len(group), size):
             yield sl, entity_rule(mesh, kind, group.ids[sl], degree, data=True)
 
-    def rule(self, kind, index, degree=None):
-        """One entity's polynomial rule: a view into its group's."""
-        degree = self._degree(kind, degree)
-        key = (kind, index, degree)
-        out = self._rules.get(key)
-        if out is None:
-            group, slot = self.group(kind, index)
-            stack = self.group_rule(group, degree)
-            out = self._rules[key] = QuadRule(stack.points[slot],
-                                              stack.weights[slot], degree)
-        return out
-
-    def group_core(self, group):
+    def core(self, group):
+        """The stacked scalar core of a group, of degree k+1 on edges and
+        k+2 on faces and cells, on the group's default rule."""
         key = (group.kind, group.gid)
         out = self._cores.get(key)
         if out is None:
@@ -893,10 +817,6 @@ class BasisBank:
             out = self._cores[key] = _make_core(
                 self.mesh, group.kind, group.ids, L, rule=self.group_rule(group))
         return out
-
-    def core(self, kind, index):
-        group, slot = self.group(kind, index)
-        return self.group_core(group).take(slot)
 
     # -- bases ---------------------------------------------------------------
 
@@ -907,7 +827,7 @@ class BasisBank:
         out = self._bases.get(key)
         if out is None:
             mesh, kind, ids = self.mesh, group.kind, group.ids
-            core = self.group_core(group)
+            core = self.core(group)
             if family == "scalar":
                 out = scalar_basis(mesh, kind, ids, l, core=core)
             elif family == "vector":
@@ -916,15 +836,3 @@ class BasisBank:
                 out = subspace_basis(mesh, kind, ids, family, l, core=core)
             self._bases[key] = out
         return out
-
-    def basis(self, family, kind, index, l):
-        """One entity's basis: family "scalar", "vector" or a subspace
-        family."""
-        group, slot = self.group(kind, index)
-        return self.group_basis(group, family, l).take(slot)
-
-    def scalars(self, kind, index, l):
-        return self.basis("scalar", kind, index, l)
-
-    def subspace(self, kind, index, family, l):
-        return self.basis(family, kind, index, l)

@@ -75,6 +75,24 @@ __all__ = [
 ]
 
 
+def _cell_coefficients(mesh, values, what):
+    """A per-cell coefficient as an array (num_cells,): a scalar
+    broadcasts; any other shape, a non-finite value or one not above 0
+    raises a ValueError naming what."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 0:
+        values = np.full(mesh.num_cells, float(values))
+    if values.shape != (mesh.num_cells,):
+        raise ValueError(f"{what} must be scalar or per-cell")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(
+            f"{what} of cell {bad[0]} is not finite ({values[bad[0]]})")
+    if not np.all(values > 0):
+        raise ValueError(f"{what} must be strictly positive")
+    return values
+
+
 # The local forms of one cell group, stacked: dofs (G, n) global indices
 # in local order, matrix (G, n, n).
 _Forms = namedtuple("_Forms", "dofs matrix")
@@ -217,14 +235,16 @@ def component_norm(space, values):
 
 def _assemble(space, op, coeff=None):
     """Global sparse matrix of the local forms op(space, group), optionally
-    scaled by a per-cell scalar coefficient; one scatter block per cell
-    group."""
+    scaled by a per-cell scalar coefficient (_cell_coefficients); one
+    scatter block per cell group."""
+    if coeff is not None:
+        coeff = _cell_coefficients(space.mesh, coeff, "coefficient")
     rows, cols, vals = [], [], []
     for group in space.bank.groups("cell"):
         form = op(space, group)
         dofs, M = form.dofs, form.matrix
         if coeff is not None:
-            M = np.asarray(coeff)[group.ids][:, None, None] * M
+            M = coeff[group.ids][:, None, None] * M
         n = dofs.shape[1]
         rows.append(np.repeat(dofs, n, axis=1).ravel())
         cols.append(np.tile(dofs, (1, n)).ravel())
@@ -238,7 +258,7 @@ def _assemble(space, op, coeff=None):
 
 def assemble_product(space, coeff=None):
     """Global sparse matrix of the stabilized product, optionally with a
-    per-cell scalar coefficient."""
+    positive coefficient per cell (a scalar is broadcast)."""
     return _assemble(space, l2_product, coeff)
 
 
@@ -248,15 +268,14 @@ def graph_norms(space_curl, space_div, space_l2, field_vals, flux_vals,
     norm of its discrete curl, the flux norm adds the plain L2 norm of
     its discrete divergence. Column stacks (n, m) of fields and fluxes
     give the m pairs of norms as two (m,) arrays, from one assembly of the
-    matrices; each column takes the arithmetic of a single pair."""
+    matrices; each column takes the arithmetic of a single pair. mu weighs
+    the field product as assemble_product's coeff."""
     if hasattr(field_vals, "values"):
         field_vals = field_vals.values
     if hasattr(flux_vals, "values"):
         flux_vals = flux_vals.values
-    mesh = space_curl.mesh
-    mu_arr = np.ones(mesh.num_cells) if mu is None else np.asarray(mu)
 
-    Mc = assemble_product(space_curl, coeff=mu_arr)
+    Mc = assemble_product(space_curl, coeff=mu)
     Md = assemble_product(space_div)
     uC = global_operator(space_curl, space_div)
     D = global_operator(space_div, space_l2)

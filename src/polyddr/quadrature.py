@@ -34,13 +34,13 @@ valence, or per candidate apex over all cells of one shape, each taking
 the first candidate that qualifies, with the arithmetic of the one-entity
 search, so the fans are the same bit for bit. The fans are kept as stacks
 of the entities of one mesh group with fans of one size, and the centroid
-fans as the mesh's own group stacks. A rule may also be asked for a
-sequence of entities whose fans have one size (an entity group, see
-polyspaces.BasisBank): its fans are gathered from those stacks, and it is
-one stacked array over them, equal bit for bit to the per-entity rules, so
-a rule over part of a group equals that part of the group's rule. Data
-rules are built that way, one block of a group's entities at a time
-(BasisBank.data_blocks), and are not kept; data_rule_size gives a data
+fans as the mesh's own group stacks. Every rule is stacked over a sequence
+of entities whose fans have one size (an entity group, see
+polyspaces.BasisBank, or a single entity): its fans are gathered from
+those stacks, and each entity's rows are equal bit for bit whatever stack
+holds them, so a rule over part of a group equals that part of the
+group's rule. Data rules are built one block of a group's entities at a
+time (BasisBank.data_blocks) and are not kept; data_rule_size gives a data
 rule's points per entity without building it, which sets the blocks.
 """
 
@@ -52,7 +52,7 @@ from scipy.special import roots_jacobi, roots_legendre
 
 from .mesh import SIGN_RTOL, _cross, _groups
 
-__all__ = ["QuadRule", "entity_rule", "integrate"]
+__all__ = ["QuadRule", "entity_rule"]
 
 
 def _frozen(*arrays):
@@ -62,10 +62,8 @@ def _frozen(*arrays):
 
 
 class QuadRule:
-    """Points, weights, and the guaranteed polynomial exactness degree.
-
-    A rule over one entity has points (n, 3) and weights (n,); a rule over
-    a group of entities stacks them, (G, n, 3) and (G, n). len() counts
+    """Points, weights, and the guaranteed polynomial exactness degree,
+    stacked over G entities: points (G, n, 3), weights (G, n). len() counts
     the points of all entities.
     """
 
@@ -355,14 +353,15 @@ def data_rule_size(mesh, kind, index, degree):
 
 
 def entity_rule(mesh, kind, index, degree, data=False):
-    """Quadrature rule over one entity, exact for polynomials of `degree`.
+    """Quadrature rule stacked over entities, exact for polynomials of
+    `degree`.
 
-    kind is "edge", "face", or "cell"; index is the entity id in the mesh,
-    or a sequence of ids whose fans have equal sizes, which gives one
-    stacked rule over all of them. The default rule lives on the coarsest
-    vertex fan and serves polynomial integrands. data=True gives the
-    centroid-fan rule for non-polynomial data (interpolation, load
-    vectors, errors against smooth fields); edges have one rule either way.
+    kind is "edge", "face", or "cell"; index is a sequence of entity ids
+    whose fans have equal sizes (an id gives a stack of one). The default
+    rule lives on the coarsest vertex fan and serves polynomial integrands.
+    data=True gives the centroid-fan rule for non-polynomial data
+    (interpolation, load vectors, errors against smooth fields); edges have
+    one rule either way.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
@@ -375,12 +374,4 @@ def entity_rule(mesh, kind, index, degree, data=False):
         pts, wts = cell_rule(mesh, ids, degree, data)
     else:
         raise ValueError(f"unknown entity kind {kind!r}")
-    if np.ndim(index) == 0:
-        pts, wts = pts[0], wts[0]
     return QuadRule(pts, wts, degree)
-
-
-def integrate(rule, f):
-    """Integrate a pointwise-evaluable scalar field with the given rule."""
-    vals = f(rule.points)
-    return float(rule.weights @ np.asarray(vals, dtype=float))

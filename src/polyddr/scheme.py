@@ -28,7 +28,12 @@ from .ddrcore import (
     interpolate,
     global_operator,
 )
-from .products import assemble_product, graph_norms, load_vector
+from .products import (
+    _cell_coefficients,
+    assemble_product,
+    graph_norms,
+    load_vector,
+)
 
 __all__ = [
     "MagnetostaticsProblem",
@@ -53,20 +58,8 @@ class MagnetostaticsProblem:
                  exact_field=None, exact_vector_potential=None):
         self.mesh = mesh
         self.degree = degree
-        if mu is None:
-            mu = 1.0
-        mu = np.asarray(mu, dtype=float)
-        if mu.ndim == 0:
-            mu = np.full(mesh.num_cells, float(mu))
-        if mu.shape != (mesh.num_cells,):
-            raise ValueError("permeability must be scalar or per-cell")
-        bad = np.flatnonzero(~np.isfinite(mu))
-        if bad.size:
-            raise ValueError(
-                f"permeability of cell {bad[0]} is not finite ({mu[bad[0]]})")
-        if not np.all(mu > 0):
-            raise ValueError("permeability must be strictly positive")
-        self.mu = mu
+        self.mu = _cell_coefficients(mesh, 1.0 if mu is None else mu,
+                                    "permeability")
         self.source = source
         self.exact_field = exact_field
         self.exact_vector_potential = exact_vector_potential

@@ -5,7 +5,7 @@ package: polynomial calculus runs on exponent dictionaries, integrals come
 from the closed-form Dirichlet moments of reference simplices after an
 affine pullback done by coefficient arithmetic, and a few spot checks
 validate this module itself against sympy. None of it touches the package's
-quadrature or orthonormalization code, except the package views at the
+quadrature or orthonormalization code, except the package stacks at the
 end. The cell-local views of the complex (local_complex_matrix,
 link_identities_check) read one cell out of the package's group stacks and
 check the identities that link them entity by entity, a route the package
@@ -44,7 +44,6 @@ from polyddr.polyspaces import (
     _cross_matrix,
     _make_core,
     scalar_basis,
-    l2_project,
     space_dim,
     subspace_basis,
     vector_basis,
@@ -52,7 +51,7 @@ from polyddr.polyspaces import (
 from polyddr.quadrature import entity_rule
 from polyddr.verification import CheckReport
 
-from stacks import local_dofs
+from stacks import basis_of, local_dofs, rule_of
 
 
 def integrate_products(A, B, weights):
@@ -415,31 +414,33 @@ def link_identities_check(space_grad, space_curl, space_div, c):
     mesh = space_grad.mesh
     k = space_grad.k
     bank = space_grad.bank
-    rule = bank.rule("cell", c)
+    rule = rule_of(bank, "cell", c)
     out = {}
 
     def at(op, space, kind, i):
-        """(dofs, target, matrix) of entity i in its group's stack."""
+        """(dofs, target, matrix) of entity i in its group's stack, target
+        tabulating its target basis at the points of a rule stack of one."""
         group, slot = bank.group(kind, i)
         ops = op(space, group)
-        return ops.dofs[slot], ops.target.take(slot), ops.matrix[slot]
+        return (ops.dofs[slot], lambda pts: ops.target.eval(pts, [slot])[0],
+                ops.matrix[slot])
 
     dofs, target, gc = at(op_grad_cell, space_grad, "cell", c)
     pos_g = _positions(dofs)
-    ne = bank.subspace("cell", c, "nedelec", k + 1)
+    ne, sel = basis_of(bank, "nedelec", "cell", c, k + 1)
     X = integrate_products(
-        ne.curl(rule.points), target.eval(rule.points), rule.weights,
+        ne.curl(rule.points, sel)[0], target(rule.points), rule.weights[0],
     )
     A = X @ gc
     for fi, f in enumerate(mesh.cells[c]):
         f = int(f)
         dofs, target, gf = at(op_grad_face, space_grad, "face", f)
-        frule = bank.rule("face", f)
+        frule = rule_of(bank, "face", f)
         n = mesh.face_normals[f]
         wtf = mesh.cell_face_signs[c][fi]
-        zxn = np.cross(ne.eval(frule.points), n[None, None, :])
+        zxn = np.cross(ne.eval(frule.points, sel)[0], n[None, None, :])
         T = integrate_products(
-            zxn, target.eval(frule.points), frule.weights,
+            zxn, target(frule.points), frule.weights[0],
         )
         cols = [pos_g[int(g)] for g in dofs]
         A[:, cols] += wtf * (T @ gf)
@@ -447,18 +448,19 @@ def link_identities_check(space_grad, space_curl, space_div, c):
 
     dofs, target, ct = at(op_curl_cell, space_curl, "cell", c)
     pos_c = _positions(dofs)
-    sb = bank.scalars("cell", c, k + 1)
+    sb, sel = basis_of(bank, "scalar", "cell", c, k + 1)
     X = integrate_products(
-        sb.grad(rule.points), target.eval(rule.points), rule.weights,
+        sb.grad(rule.points, sel)[0], target(rule.points), rule.weights[0],
     )
     A = X @ ct
     for fi, f in enumerate(mesh.cells[c]):
         f = int(f)
         dofs, target, cf = at(op_curl_face, space_curl, "face", f)
-        frule = bank.rule("face", f)
+        frule = rule_of(bank, "face", f)
         wtf = mesh.cell_face_signs[c][fi]
         T = integrate_products(
-            sb.eval(frule.points), target.eval(frule.points), frule.weights,
+            sb.eval(frule.points, sel)[0], target(frule.points),
+            frule.weights[0],
         )
         cols = [pos_c[int(g)] for g in dofs]
         A[:, cols] -= wtf * (T @ cf)
@@ -491,27 +493,29 @@ def isomorphism_matrix(mesh, kind, index, which, l):
     Rows are target coefficients, columns source members; square and
     invertible whenever the mesh entity is sound.
     """
-    rule = entity_rule(mesh, kind, index, 2 * max(l, 1))
-    core = _make_core(mesh, kind, index, l + 1, rule)
+    ids = [index]
+    rule = entity_rule(mesh, kind, ids, 2 * max(l, 1))
+    core = _make_core(mesh, kind, ids, l + 1, rule)
     if which == "face_rot":
-        src = subspace_basis(mesh, "face", index, "zero_mean", l, core=core)
-        tgt = subspace_basis(mesh, "face", index, "curl_image", l - 1,
+        src = subspace_basis(mesh, "face", ids, "zero_mean", l, core=core)
+        tgt = subspace_basis(mesh, "face", ids, "curl_image", l - 1,
                              core=core)
-        vals = src.grad(rule.points) @ _cross_matrix(mesh.face_normals[index])
+        vals = (src.grad(rule.points)[0]
+                @ _cross_matrix(mesh.face_normals[index]))
     elif which in ("face_div", "cell_div"):
-        src = subspace_basis(mesh, kind, index, "curl_complement", l,
+        src = subspace_basis(mesh, kind, ids, "curl_complement", l,
                              core=core)
-        tgt = scalar_basis(mesh, kind, index, l - 1, core=core)
-        vals = src.div(rule.points)
+        tgt = scalar_basis(mesh, kind, ids, l - 1, core=core)
+        vals = src.div(rule.points)[0]
     elif which == "cell_curl":
-        src = subspace_basis(mesh, "cell", index, "grad_complement", l,
+        src = subspace_basis(mesh, "cell", ids, "grad_complement", l,
                              core=core)
-        tgt = subspace_basis(mesh, "cell", index, "curl_image", l - 1,
+        tgt = subspace_basis(mesh, "cell", ids, "curl_image", l - 1,
                              core=core)
-        vals = src.curl(rule.points)
+        vals = src.curl(rule.points)[0]
     else:
         raise ValueError(f"unknown map {which!r}")
-    return integrate_products(tgt.eval(rule.points), vals, rule.weights)
+    return integrate_products(tgt.eval(rule.points)[0], vals, rule.weights[0])
 
 
 def svd_subspace_basis(mesh, kind, index, family, l):
@@ -524,22 +528,23 @@ def svd_subspace_basis(mesh, kind, index, family, l):
     right singular vectors of that matrix, as many as the singular values
     above 1e-8 of the largest.  Its choice within the span is arbitrary,
     so compare projectors W^T W."""
-    rule = entity_rule(mesh, kind, index, 2 * l + 2)
-    pts = rule.points
-    parent = vector_basis(mesh, kind, index, l).eval(pts)
+    ids = [index]
+    rule = entity_rule(mesh, kind, ids, 2 * l + 2)
+    pts = rule.points[0]
+    parent = vector_basis(mesh, kind, ids, l).eval(rule.points)[0]
     if kind == "face":
         x0, normal = mesh.face_centroids[index], mesh.face_normals[index]
     else:
         x0 = mesh.cell_centroids[index]
     if family.endswith("image"):
-        gens = scalar_basis(mesh, kind, index, l + 1).grad(pts)[1:]
+        gens = scalar_basis(mesh, kind, ids, l + 1).grad(rule.points)[0][1:]
     else:
-        s = scalar_basis(mesh, kind, index, max(l - 1, 0)).eval(pts)
+        s = scalar_basis(mesh, kind, ids, max(l - 1, 0)).eval(rule.points)[0]
         gens = s[: dim_P(l - 1, 3 if kind == "cell" else 2), :, None] * (pts - x0)
     if family in ("curl_image", "grad_complement"):
         gens = (np.cross(normal, gens) if kind == "face" else
                 np.concatenate([np.cross(gens, e) for e in np.eye(3)]))
-    M = np.einsum("ipx,jpx,p->ij", gens, parent, rule.weights)
+    M = np.einsum("ipx,jpx,p->ij", gens, parent, rule.weights[0])
     if not M.size:
         return np.zeros((0, len(parent)))
     _, sing, Vt = np.linalg.svd(M)
@@ -577,32 +582,39 @@ def check_traces_by_points(mesh, max_degree=3, seed=0):
     for f in range(mesh.num_faces):
         c = int(mesh.face_cells[f][0])
         nrm = mesh.face_normals[f]
-        rule = bank.rule("face", f)
+        rule = rule_of(bank, "face", f)
+        pts, weights = rule.points, rule.weights[0]
         for l in range(1, max_degree + 1):
-            ne = bank.subspace("cell", c, "nedelec", l)
-            rt3 = bank.subspace("cell", c, "raviart_thomas", l)
+            ne, cs = basis_of(bank, "nedelec", "cell", c, l)
+            rt3, _ = basis_of(bank, "raviart_thomas", "cell", c, l)
 
             a = rng.standard_normal(ne.dim)
-            vals = np.einsum("s,spx->px", a, ne.eval(rule.points))
+            vals = np.einsum("s,spx->px", a, ne.eval(pts, cs)[0])
             crossed = np.cross(vals, nrm)
-            rt2 = bank.subspace("face", f, "raviart_thomas", l)
-            coeffs = l2_project(rt2, crossed, rule=rule)
-            resid_vals = crossed - np.einsum("s,spx->px", coeffs, rt2.eval(rule.points))
-            num = np.sqrt(np.einsum("px,px,p->", resid_vals, resid_vals, rule.weights))
+            # L2 projection onto the trimmed (not orthonormal) face space:
+            # the members' moments, solved against their Gram W W^T
+            rt2, fs = basis_of(bank, "raviart_thomas", "face", f, l)
+            m = rt2.moments(pts, crossed[None, None], rule.weights, fs)[..., 0]
+            W = rt2._Ws[fs]
+            coeffs = np.linalg.solve(W @ W.transpose(0, 2, 1),
+                                     m[..., None])[0, :, 0]
+            resid_vals = crossed - np.einsum("s,spx->px", coeffs,
+                                             rt2.eval(pts, fs)[0])
+            num = np.sqrt(np.einsum("px,px,p->", resid_vals, resid_vals, weights))
             den = max(
-                np.sqrt(np.einsum("px,px,p->", crossed, crossed, rule.weights)), 1e-30
+                np.sqrt(np.einsum("px,px,p->", crossed, crossed, weights)), 1e-30
             )
             if num / den > worst_face_rot:
                 worst_face_rot = num / den
                 offender["face_rotated_trace"] = (f, l)
 
             b = rng.standard_normal(rt3.dim)
-            wn = np.einsum("s,spx,x->p", b, rt3.eval(rule.points), nrm)
-            fb = bank.scalars("face", f, l - 1)
-            cf = np.einsum("mp,p,p->m", fb.eval(rule.points), wn, rule.weights)
-            resid_vals = wn - cf @ fb.eval(rule.points)
-            num = np.sqrt(np.einsum("p,p,p->", resid_vals, resid_vals, rule.weights))
-            den = max(np.sqrt(np.einsum("p,p,p->", wn, wn, rule.weights)), 1e-30)
+            wn = np.einsum("s,spx,x->p", b, rt3.eval(pts, cs)[0], nrm)
+            fb, fs = basis_of(bank, "scalar", "face", f, l - 1)
+            cf = np.einsum("mp,p,p->m", fb.eval(pts, fs)[0], wn, weights)
+            resid_vals = wn - cf @ fb.eval(pts, fs)[0]
+            num = np.sqrt(np.einsum("p,p,p->", resid_vals, resid_vals, weights))
+            den = max(np.sqrt(np.einsum("p,p,p->", wn, wn, weights)), 1e-30)
             if num / den > worst_face_normal:
                 worst_face_normal = num / den
                 offender["face_normal_trace"] = (f, l)
@@ -614,16 +626,17 @@ def check_traces_by_points(mesh, max_degree=3, seed=0):
     for e in range(mesh.num_edges):
         c = int(edge_cell[e])
         t = mesh.edge_tangents[e]
-        rule = bank.rule("edge", e)
+        rule = rule_of(bank, "edge", e)
+        pts, weights = rule.points, rule.weights[0]
         for l in range(1, max_degree + 1):
-            ne = bank.subspace("cell", c, "nedelec", l)
+            ne, cs = basis_of(bank, "nedelec", "cell", c, l)
             a = rng.standard_normal(ne.dim)
-            vt = np.einsum("s,spx,x->p", a, ne.eval(rule.points), t)
-            eb = bank.scalars("edge", e, l - 1)
-            ce = np.einsum("mp,p,p->m", eb.eval(rule.points), vt, rule.weights)
-            resid_vals = vt - ce @ eb.eval(rule.points)
-            num = np.sqrt(np.sum(resid_vals ** 2 * rule.weights))
-            den = max(np.sqrt(np.sum(vt ** 2 * rule.weights)), 1e-30)
+            vt = np.einsum("s,spx,x->p", a, ne.eval(pts, cs)[0], t)
+            eb, es = basis_of(bank, "scalar", "edge", e, l - 1)
+            ce = np.einsum("mp,p,p->m", eb.eval(pts, es)[0], vt, weights)
+            resid_vals = vt - ce @ eb.eval(pts, es)[0]
+            num = np.sqrt(np.sum(resid_vals ** 2 * weights))
+            den = max(np.sqrt(np.sum(vt ** 2 * weights)), 1e-30)
             if num / den > worst_edge:
                 worst_edge = num / den
                 offender["edge_tangential_trace"] = (e, l)

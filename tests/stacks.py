@@ -1,7 +1,15 @@
 """One entity's slot of a group stack and the global and local dof
-indices of one entity, for tests written per entity."""
+indices of one entity, for tests written per entity.
+
+Entity i of a group is slot bank.group(kind, i)[1] of every stack.  A
+test reads it by indexing the stack's arrays, and tabulates its members
+with the stacked basis and the selector [slot] at a rule stack of one
+(rule_of): basis.eval(rule.points, [slot])[0].
+"""
 
 import numpy as np
+
+from polyddr.quadrature import QuadRule
 
 
 def local_dofs(space, kind, index):
@@ -20,17 +28,35 @@ def local_dofs(space, kind, index):
     return space.group_dofs(group)[slot], layout
 
 
-class Local:
-    """One entity's local operator (with its target basis) or form (no
-    target): the global dofs it reads in local order, its matrix and its
-    local layout (local_dofs). apply(u) maps a global dof vector
-    through an operator; apply(u, v) evaluates a form."""
+def rule_of(bank, kind, i, degree=None):
+    """Entity i's rows of its group's polynomial rule (the bank's default
+    degree unless given), as a rule stack of one."""
+    group, slot = bank.group(kind, i)
+    rule = bank.group_rule(group, degree)
+    return QuadRule(rule.points[[slot]], rule.weights[[slot]],
+                    rule.exactness_degree)
 
-    def __init__(self, dofs, matrix, target=None, layout=None):
+
+def basis_of(bank, family, kind, i, l):
+    """(stack, sel): the group basis holding entity i and the selector
+    [slot] of entity i in it."""
+    group, slot = bank.group(kind, i)
+    return bank.group_basis(group, family, l), [slot]
+
+
+class Local:
+    """One entity's local operator (with its group's target basis and the
+    selector [slot] of the entity there) or form (no target): the global
+    dofs it reads in local order, its matrix and its local layout
+    (local_dofs). apply(u) maps a global dof vector through an operator;
+    apply(u, v) evaluates a form."""
+
+    def __init__(self, dofs, matrix, target=None, layout=None, sel=None):
         self.dofs = dofs
         self.matrix = matrix
         self.target = target
         self.layout = layout
+        self.sel = sel
 
     def apply(self, u, v=None):
         u = np.asarray(u)[self.dofs]
@@ -44,10 +70,9 @@ def entity(op, space, kind, i):
     group) of its group."""
     group, slot = space.bank.group(kind, i)
     stack = op(space, group)
-    target = getattr(stack, "target", None)
     return Local(stack.dofs[slot], stack.matrix[slot],
-                 None if target is None else target.take(slot),
-                 local_dofs(space, kind, i)[1])
+                 getattr(stack, "target", None), local_dofs(space, kind, i)[1],
+                 [slot])
 
 
 def own_dofs(space, kind, i):

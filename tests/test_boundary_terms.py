@@ -213,9 +213,9 @@ def test_trace_norm_needs_the_trace_in_the_member_span():
     mesh = generate_tet_mesh(1)
     bank = BasisBank(mesh, 1)
     group = bank.groups("cell")[0]
-    core = bank.group_core(group)
+    core = bank.core(group)
     subgroup, slots = bank.locate("face", group.faces[:, 0])
-    sub, rule = bank.group_core(subgroup), bank.group_rule(subgroup)
+    sub, rule = bank.core(subgroup), bank.group_rule(subgroup)
     n, k = dim_P(2, 3), dim_P(1, 2)
     T = trace_table(core, sub, slots, rule, n, k, "probe")
     assert T.shape == (len(group), n, k)

@@ -99,9 +99,6 @@ def test_bank_holds_no_data_rule_after_error_norms(mesh, k):
     for (kind, gid, degree, *_), rule in bank._group_rules.items():
         poly = entity_rule(mesh, kind, bank.groups(kind)[gid].ids, degree)
         assert np.array_equal(rule.points, poly.points), (kind, gid, degree)
-    for (kind, index, degree, *_), rule in bank._rules.items():
-        poly = entity_rule(mesh, kind, index, degree)
-        assert np.array_equal(rule.points, poly.points), (kind, index, degree)
 
 
 def test_load_vector_peak_stays_below_the_whole_cell_data_rule():

@@ -28,7 +28,7 @@ from polyddr.ddrcore import (
 
 from oracles import (Poly3, VecPoly3, layout_by_branches, link_identities_check,
                      local_complex_matrix)
-from stacks import entity, local_dofs, own_dofs, sub_slice
+from stacks import basis_of, entity, local_dofs, own_dofs, rule_of, sub_slice
 
 
 def pyramid_mesh():
@@ -204,38 +204,41 @@ def test_scalar_chain_consistency(ctx, name, k, c):
 
     for e in mesh.cell_edges[c][:4]:
         e = int(e)
-        rule = bank.rule("edge", e, 2 * k + 6)
+        rule = rule_of(bank, "edge", e, 2 * k + 6)
+        pts = rule.points[0]
         t = mesh.edge_tangents[e]
         rec = entity(edge_reconstruct, sg, "edge", e)
-        got = rec.apply(qi.values) @ rec.target.eval(rule.points)
-        assert np.abs(got - q.eval(rule.points)).max() < 1e-11 * scale
+        got = rec.apply(qi.values) @ rec.target.eval(rule.points, rec.sel)[0]
+        assert np.abs(got - q.eval(pts)).max() < 1e-11 * scale
         ge = entity(op_grad_edge, sg, "edge", e)
-        got = ge.apply(qi.values) @ ge.target.eval(rule.points)
-        assert np.abs(got - gq.eval(rule.points) @ t).max() < 1e-11 * scale
+        got = ge.apply(qi.values) @ ge.target.eval(rule.points, ge.sel)[0]
+        assert np.abs(got - gq.eval(pts) @ t).max() < 1e-11 * scale
 
     for f in [int(x) for x in mesh.cells[c][:4]]:
-        rule = bank.rule("face", f, 2 * k + 6)
+        rule = rule_of(bank, "face", f, 2 * k + 6)
+        pts = rule.points[0]
         n = mesh.face_normals[f]
-        gv = gq.eval(rule.points)
+        gv = gq.eval(pts)
         gtan = gv - np.outer(gv @ n, n)
         gf = entity(op_grad_face, sg, "face", f)
         got = np.einsum(
-            "s,spx->px", gf.apply(qi.values), gf.target.eval(rule.points)
+            "s,spx->px", gf.apply(qi.values), gf.target.eval(rule.points, gf.sel)[0]
         )
         assert np.abs(got - gtan).max() < 1e-10 * scale
         tr = entity(op_scalar_trace, sg, "face", f)
-        got = tr.apply(qi.values) @ tr.target.eval(rule.points)
-        assert np.abs(got - q.eval(rule.points)).max() < 1e-10 * scale
+        got = tr.apply(qi.values) @ tr.target.eval(rule.points, tr.sel)[0]
+        assert np.abs(got - q.eval(pts)).max() < 1e-10 * scale
 
-    rule = bank.rule("cell", c, 2 * k + 6)
+    rule = rule_of(bank, "cell", c, 2 * k + 6)
+    pts = rule.points[0]
     gc = entity(op_grad_cell, sg, "cell", c)
     got = np.einsum(
-        "s,spx->px", gc.apply(qi.values), gc.target.eval(rule.points)
+        "s,spx->px", gc.apply(qi.values), gc.target.eval(rule.points, gc.sel)[0]
     )
-    assert np.abs(got - gq.eval(rule.points)).max() < 1e-10 * scale
+    assert np.abs(got - gq.eval(pts)).max() < 1e-10 * scale
     pg = entity(op_potential, sg, "cell", c)
-    got = pg.apply(qi.values) @ pg.target.eval(rule.points)
-    assert np.abs(got - q.eval(rule.points)).max() < 1e-10 * scale
+    got = pg.apply(qi.values) @ pg.target.eval(rule.points, pg.sel)[0]
+    assert np.abs(got - q.eval(pts)).max() < 1e-10 * scale
 
 
 @pytest.mark.parametrize("name,k", [("pyr", 0), ("pyr", 1), ("pyr", 2), ("agglo", 1)])
@@ -286,34 +289,36 @@ def test_field_chain_consistency(ctx, name, k, c):
     )
 
     for f in [int(x) for x in mesh.cells[c][:4]]:
-        rule = bank.rule("face", f, 2 * k + 6)
+        rule = rule_of(bank, "face", f, 2 * k + 6)
+        pts = rule.points[0]
         n = mesh.face_normals[f]
         # face rotation of the tangential part equals the normal
         # component of the curl
         cf = entity(op_curl_face, scu, "face", f)
-        got = cf.apply(vi.values) @ cf.target.eval(rule.points)
-        want = cv.eval(rule.points) @ n
+        got = cf.apply(vi.values) @ cf.target.eval(rule.points, cf.sel)[0]
+        want = cv.eval(pts) @ n
         assert np.abs(got - want).max() < 1e-10 * scale
         # tangential trace reproduces the tangential part
         gt = entity(op_tangential_trace, scu, "face", f)
         got = np.einsum(
-            "s,spx->px", gt.apply(vi.values), gt.target.eval(rule.points)
+            "s,spx->px", gt.apply(vi.values), gt.target.eval(rule.points, gt.sel)[0]
         )
-        vv = v.eval(rule.points)
+        vv = v.eval(pts)
         vtan = vv - np.outer(vv @ n, n)
         assert np.abs(got - vtan).max() < 1e-10 * scale
 
-    rule = bank.rule("cell", c, 2 * k + 6)
+    rule = rule_of(bank, "cell", c, 2 * k + 6)
+    pts = rule.points[0]
     ct = entity(op_curl_cell, scu, "cell", c)
     got = np.einsum(
-        "s,spx->px", ct.apply(vi.values), ct.target.eval(rule.points)
+        "s,spx->px", ct.apply(vi.values), ct.target.eval(rule.points, ct.sel)[0]
     )
-    assert np.abs(got - cv.eval(rule.points)).max() < 1e-10 * scale
+    assert np.abs(got - cv.eval(pts)).max() < 1e-10 * scale
     pc = entity(op_potential, scu, "cell", c)
     got = np.einsum(
-        "s,spx->px", pc.apply(vi.values), pc.target.eval(rule.points)
+        "s,spx->px", pc.apply(vi.values), pc.target.eval(rule.points, pc.sel)[0]
     )
-    assert np.abs(got - v.eval(rule.points)).max() < 1e-10 * scale
+    assert np.abs(got - v.eval(pts)).max() < 1e-10 * scale
 
 
 @pytest.mark.parametrize("name,k", [("cube", 0), ("cube", 1), ("pyr", 1), ("pyr", 2)])
@@ -323,34 +328,32 @@ def test_field_chain_on_trimmed_fields(ctx, name, k):
     c = 0
     _, scu, _, _ = ctx.spaces(name, k)
     bank = scu.bank
-    ne = bank.subspace("cell", c, "nedelec", k + 1)
+    ne, sel = basis_of(bank, "nedelec", "cell", c, k + 1)
     rng = np.random.default_rng(77)
     a = rng.standard_normal(ne.dim)
 
-    field = lambda p: np.einsum("s,spx->px", a, ne.eval(p))
+    field = lambda p: np.einsum("s,spx->px", a, ne.eval(p[None], sel)[0])
     vi = interpolate(scu, field)
 
-    rule = bank.rule("cell", c, 2 * k + 6)
+    rule = rule_of(bank, "cell", c, 2 * k + 6)
     ct = entity(op_curl_cell, scu, "cell", c)
     got = np.einsum(
-        "s,spx->px", ct.apply(vi.values), ct.target.eval(rule.points)
+        "s,spx->px", ct.apply(vi.values), ct.target.eval(rule.points, ct.sel)[0]
     )
-    want = np.einsum("s,spx->px", a, ne.curl(rule.points))
+    want = np.einsum("s,spx->px", a, ne.curl(rule.points, sel)[0])
     scale = 1.0 + np.abs(want).max()
     assert np.abs(got - want).max() < 1e-10 * scale
 
     for f in [int(x) for x in mesh.cells[c][:3]]:
-        frule = bank.rule("face", f, 2 * k + 6)
+        frule = rule_of(bank, "face", f, 2 * k + 6)
         n = mesh.face_normals[f]
         gt = entity(op_tangential_trace, scu, "face", f)
         got = np.einsum(
-            "s,spx->px", gt.apply(vi.values), gt.target.eval(frule.points)
+            "s,spx->px", gt.apply(vi.values), gt.target.eval(frule.points, gt.sel)[0]
         )
-        vv = field(frule.points)
-        vtan = vv - np.outer(vv @ n, n)
-        vb = bank.basis("vector", "face", f, k)
-        coef = l2_project(vb, vtan, rule=frule)
-        want = np.einsum("s,spx->px", coef, vb.eval(frule.points))
+        vb, fs = basis_of(bank, "vector", "face", f, k)
+        coef = l2_project(vb, field, frule, fs)[0]
+        want = np.einsum("s,spx->px", coef, vb.eval(frule.points, fs)[0])
         assert np.abs(got - want).max() < 1e-9 * scale
 
 
@@ -361,10 +364,10 @@ def test_field_potential_keeps_complement_moments(ctx, name, k):
     _, scu, _, _ = ctx.spaces(name, k)
     bank = scu.bank
     pc = entity(op_potential, scu, "cell", c)
-    cc = bank.subspace("cell", c, "curl_complement", k)
+    cc, sel = basis_of(bank, "curl_complement", "cell", c, k)
     if cc.dim == 0:
         return
-    proj = cc.coeff_matrix() @ pc.matrix
+    proj = cc._Ws[sel][0] @ pc.matrix
     want = np.zeros_like(proj)
     want[:, sub_slice(scu, pc.layout, "cell", c, 1)] = np.eye(cc.dim)
     assert np.abs(proj - want).max() < 1e-11
@@ -378,27 +381,28 @@ def test_field_potential_parts_extension(ctx, name, k):
     c = big_cell(mesh) if name == "agglo" else 0
     _, scu, _, _ = ctx.spaces(name, k)
     bank = scu.bank
-    rule = bank.rule("cell", c)
-    ne = bank.subspace("cell", c, "nedelec", k + 1)
+    rule = rule_of(bank, "cell", c)
+    ne, sel = basis_of(bank, "nedelec", "cell", c, k + 1)
     pc = entity(op_potential, scu, "cell", c)
     ct = entity(op_curl_cell, scu, "cell", c)
     pos = {int(g): i for i, g in enumerate(pc.dofs)}
 
     X1 = np.einsum(
-        "ipx,mpx,p->im", ne.curl(rule.points), pc.target.eval(rule.points),
-        rule.weights,
+        "ipx,mpx,p->im", ne.curl(rule.points, sel)[0],
+        pc.target.eval(rule.points, pc.sel)[0], rule.weights[0],
     )
     lhs = X1 @ pc.matrix
-    rhs = ne.coeff_matrix()[:, : ct.target.dim] @ ct.matrix
+    rhs = ne._Ws[sel][0][:, : ct.target.dim] @ ct.matrix
     for fi, f in enumerate(mesh.cells[c]):
         f = int(f)
         gt = entity(op_tangential_trace, scu, "face", f)
-        frule = bank.rule("face", f)
+        frule = rule_of(bank, "face", f)
         n = mesh.face_normals[f]
         wtf = mesh.cell_face_signs[c][fi]
-        zxn = np.cross(ne.eval(frule.points), n[None, None, :])
+        zxn = np.cross(ne.eval(frule.points, sel)[0], n[None, None, :])
         T = np.einsum(
-            "ipx,mpx,p->im", zxn, gt.target.eval(frule.points), frule.weights
+            "ipx,mpx,p->im", zxn, gt.target.eval(frule.points, gt.sel)[0],
+            frule.weights[0]
         )
         cols = [pos[int(g)] for g in gt.dofs]
         rhs[:, cols] -= wtf * (T @ gt.matrix)
@@ -423,11 +427,12 @@ def test_flux_chain_consistency(ctx, name, k, c):
         abs(co) for comp in w.comps for co in comp.coeffs.values()
     )
 
-    rule = bank.rule("cell", c, 2 * k + 6)
+    rule = rule_of(bank, "cell", c, 2 * k + 6)
     dt = entity(op_div_cell, sd, "cell", c)
-    got = dt.apply(wi.values) @ dt.target.eval(rule.points)
-    sb = bank.scalars("cell", c, k)
-    want = l2_project(sb, lambda p: dw.eval(p), rule=rule) @ sb.eval(rule.points)
+    got = dt.apply(wi.values) @ dt.target.eval(rule.points, dt.sel)[0]
+    sb, sel = basis_of(bank, "scalar", "cell", c, k)
+    want = (l2_project(sb, lambda p: dw.eval(p), rule, sel)[0]
+            @ sb.eval(rule.points, sel)[0])
     assert np.abs(got - want).max() < 1e-10 * scale
 
 
@@ -437,20 +442,20 @@ def test_flux_potential_on_trimmed_fields(ctx, name, k):
     c = big_cell(mesh) if name == "agglo" else 0
     _, _, sd, _ = ctx.spaces(name, k)
     bank = sd.bank
-    rt = bank.subspace("cell", c, "raviart_thomas", k + 1)
+    rt, rs = basis_of(bank, "raviart_thomas", "cell", c, k + 1)
     rng = np.random.default_rng(88)
     a = rng.standard_normal(rt.dim)
-    field = lambda p: np.einsum("s,spx->px", a, rt.eval(p))
+    field = lambda p: np.einsum("s,spx->px", a, rt.eval(p[None], rs)[0])
     wi = interpolate(sd, field)
 
-    rule = bank.rule("cell", c, 2 * k + 6)
+    rule = rule_of(bank, "cell", c, 2 * k + 6)
     pd = entity(op_potential, sd, "cell", c)
     got = np.einsum(
-        "s,spx->px", pd.apply(wi.values), pd.target.eval(rule.points)
+        "s,spx->px", pd.apply(wi.values), pd.target.eval(rule.points, pd.sel)[0]
     )
-    vb = bank.basis("vector", "cell", c, k)
-    coef = l2_project(vb, field(rule.points), rule=rule)
-    want = np.einsum("s,spx->px", coef, vb.eval(rule.points))
+    vb, sel = basis_of(bank, "vector", "cell", c, k)
+    coef = l2_project(vb, field, rule, sel)[0]
+    want = np.einsum("s,spx->px", coef, vb.eval(rule.points, sel)[0])
     scale = 1.0 + np.abs(want).max()
     assert np.abs(got - want).max() < 1e-9 * scale
 
@@ -462,10 +467,10 @@ def test_flux_potential_keeps_complement_moments(ctx, name, k):
     _, _, sd, _ = ctx.spaces(name, k)
     bank = sd.bank
     pd = entity(op_potential, sd, "cell", c)
-    cg = bank.subspace("cell", c, "grad_complement", k)
+    cg, sel = basis_of(bank, "grad_complement", "cell", c, k)
     if cg.dim == 0:
         return
-    proj = cg.coeff_matrix() @ pd.matrix
+    proj = cg._Ws[sel][0] @ pd.matrix
     want = np.zeros_like(proj)
     want[:, sub_slice(sd, pd.layout, "cell", c, 1)] = np.eye(cg.dim)
     assert np.abs(proj - want).max() < 1e-11
@@ -502,11 +507,11 @@ def test_face_rotation_kills_gradients(ctx, name, k):
         M[np.ix_(range(*lay_c[("edge", e)].indices(len(idx_c))), cols)] = ge.matrix
     bank = scu.bank
     for i, (fam, l) in enumerate(scu.families["face"]):
-        b = bank.subspace("face", f, fam, l)
+        b, sel = basis_of(bank, fam, "face", f, l)
         if b.dim == 0:
             continue
         W = np.zeros((b.dim, gf.target.dim))
-        W[:, : b.coeff_matrix().shape[1]] = b.coeff_matrix()
+        W[:, : b._Ws.shape[2]] = b._Ws[sel][0]
         sl = sub_slice(scu, lay_c, "face", f, i)
         M[sl] = W @ gf.matrix
 
@@ -698,7 +703,8 @@ def _edge_reconstruction_conds(space):
     mesh, k = space.mesh, space.k
     conds = []
     for e in range(mesh.num_edges):
-        V = space.bank.scalars("edge", e, k + 1).eval(mesh.vertices[mesh.edges[e]])
+        b, sel = basis_of(space.bank, "scalar", "edge", e, k + 1)
+        V = b.eval(mesh.vertices[mesh.edges[[e]]], sel)[0]
         M = np.zeros((k + 2, k + 2))
         M[:2] = V.T
         M[2 + np.arange(k), np.arange(k)] = 1.0
@@ -817,10 +823,32 @@ def test_interpolate_l2_space_is_projection(ctx):
     rng = np.random.default_rng(41)
     q = Poly3.random(rng, 2)
     qi = interpolate(sl, lambda p: q.eval(p))
-    b = sl.bank.scalars("cell", 0, 2)
-    rule = sl.bank.rule("cell", 0, 8)
-    got = qi.values[own_dofs(sl, "cell", 0)] @ b.eval(rule.points)
-    assert np.abs(got - q.eval(rule.points)).max() < 1e-11
+    b, sel = basis_of(sl.bank, "scalar", "cell", 0, 2)
+    rule = rule_of(sl.bank, "cell", 0, 8)
+    got = qi.values[own_dofs(sl, "cell", 0)] @ b.eval(rule.points, sel)[0]
+    assert np.abs(got - q.eval(rule.points[0])).max() < 1e-11
+
+
+@pytest.mark.parametrize("case", ["another mesh", "a larger mesh",
+                                  "another degree"])
+def test_space_rejects_a_bank_of_another_mesh_or_degree(case):
+    """A bank serves only the mesh and degree it is built for: one built
+    for an equal mesh scaled by 2 gave a wrong product silently, one of a
+    larger mesh an IndexError deep in the boundary loop. The error names
+    both."""
+    mesh = generate_cubic_mesh(2)
+    data = mesh.to_dict()
+    scaled = Mesh(2 * np.array(data["vertices"]), data["faces"], data["cells"])
+    bank = {"another mesh": BasisBank(mesh, 0),
+            "a larger mesh": BasisBank(generate_cubic_mesh(3), 0),
+            "another degree": BasisBank(scaled, 1)}[case]
+    with pytest.raises(ValueError) as err:
+        make_space(scaled, "div", 0, bank=bank)
+    msg = str(err.value)
+    assert msg == (f"the basis bank is built for degree {bank.k} on mesh "
+                   f"{id(bank.mesh):#x} ({bank.mesh.num_cells} cells), the div "
+                   f"space for degree 0 on mesh {id(scaled):#x} (8 cells)"), msg
+    assert make_space(scaled, "div", 0, bank=BasisBank(scaled, 0)).dim
 
 
 def test_dof_vector_shape_guard(ctx):

@@ -31,7 +31,7 @@ from polyddr.products import (
 from polyddr.quadrature import entity_rule
 
 from oracles import Poly3, VecPoly3, integrate_poly_cell, integrate_products
-from stacks import Local, entity, own_dofs
+from stacks import Local, basis_of, entity, own_dofs, rule_of
 
 
 def pyramid_mesh():
@@ -108,9 +108,10 @@ def _cell_of(ctx, name, c):
 
 
 def _local_interpolation(space, c, basis):
-    """The library's stacked local interpolation of one cell's basis."""
+    """The library's stacked local interpolation of a basis stacked over
+    the group of cell c, read at cell c."""
     group, slot = space.bank.group("cell", c)
-    return local_interpolation(space, group, basis, [slot])[0]
+    return local_interpolation(space, group, basis)[slot]
 
 
 def _stabilization(space, c, variant):
@@ -255,16 +256,16 @@ def _interpolate_by_entity(space, f):
         if not space.width[kind]:
             continue
         for i in range(count):
-            rule = entity_rule(mesh, kind, i, degree, data=True)
-            vals = np.asarray(f(rule.points))
+            rule = entity_rule(mesh, kind, [i], degree, data=True)
+            vals = np.asarray(f(rule.points[0]))
             if kind == "edge" and space.which == "curl":
                 vals = vals @ mesh.edge_tangents[i]
             elif kind == "face" and space.which == "div":
                 vals = vals @ mesh.face_normals[i]
-            moments = [integrate_products(b.eval(rule.points), vals[None],
-                                          rule.weights)[:, 0]
-                       for b in (bank.basis(fam, kind, i, l)
-                                 for fam, l in space.families[kind])
+            moments = [integrate_products(b.eval(rule.points, sel)[0],
+                                          vals[None], rule.weights[0])[:, 0]
+                       for b, sel in (basis_of(bank, fam, kind, i, l)
+                                      for fam, l in space.families[kind])
                        if b.dim]
             out[own_dofs(space, kind, i)] = np.concatenate(moments)
     return out
@@ -302,7 +303,8 @@ def test_entity_moments_match_interpolation_oracle(ctx, name, k, which):
     pot = entity(op_potential, space, "cell", c)
     J = _local_interpolation(space, c, pot.target)
     want = np.column_stack([
-        interpolate(space, lambda pts, m=m: pot.target.eval(pts)[m]).values
+        interpolate(space, lambda pts, m=m: pot.target.eval(
+            pts[None], pot.sel)[0, m]).values
         for m in range(pot.target.dim)])[pot.dofs]
     assert np.abs(J - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -323,37 +325,40 @@ def test_trace_stabilization_matches_oracle(ctx, name, k, which):
     pot = entity(op_potential, space, "cell", c)
     u = pot.apply(v)
 
-    def at(basis, coeffs, pts):
-        return np.tensordot(coeffs, basis.eval(pts), axes=1)
+    def at(basis, sel, coeffs, pts):
+        return np.tensordot(coeffs, basis.eval(pts, sel)[0], axes=1)
 
-    def sq_mismatch(kind, j, trace, basis, coeffs):
-        rule = bank.rule(kind, j)
-        d = trace(at(pot.target, u, rule.points)) - at(basis, coeffs, rule.points)
-        return float(np.sum(d.reshape(len(rule.weights), -1) ** 2, axis=1)
-                     @ rule.weights)
+    def sq_mismatch(kind, j, trace, basis, sel, coeffs):
+        rule = rule_of(bank, kind, j)
+        d = (trace(at(pot.target, pot.sel, u, rule.points))
+             - at(basis, sel, coeffs, rule.points))
+        return float(np.sum(d.reshape(rule.weights.shape[1], -1) ** 2, axis=1)
+                     @ rule.weights[0])
 
     want = 0.0
     for f in map(int, mesh.cells[c]):
         n = mesh.face_normals[f]
         if which == "grad":
             tr = entity(op_scalar_trace, space, "face", f)
-            trace, rec = (lambda p: p), (tr.target, tr.apply(v))
+            trace, rec = (lambda p: p), (tr.target, tr.sel, tr.apply(v))
         elif which == "curl":
             tr = entity(op_tangential_trace, space, "face", f)
             trace = lambda p: p - np.outer(p @ n, n)
-            rec = (tr.target, tr.apply(v))
+            rec = (tr.target, tr.sel, tr.apply(v))
         else:
             trace = lambda p: p @ n
-            rec = (bank.scalars("face", f, k), v[own_dofs(space, "face", f)])
+            rec = (*basis_of(bank, "scalar", "face", f, k),
+                   v[own_dofs(space, "face", f)])
         want += mesh.face_diameters[f] * sq_mismatch("face", f, trace, *rec)
     for e in map(int, mesh.cell_edges[c] if which != "div" else []):
         if which == "grad":
             er = entity(edge_reconstruct, space, "edge", e)
-            trace, rec = (lambda p: p), (er.target, er.apply(v))
+            trace, rec = (lambda p: p), (er.target, er.sel, er.apply(v))
         else:
             t = mesh.edge_tangents[e]
             trace = lambda p: p @ t
-            rec = (bank.scalars("edge", e, k), v[own_dofs(space, "edge", e)])
+            rec = (*basis_of(bank, "scalar", "edge", e, k),
+                   v[own_dofs(space, "edge", e)])
         want += mesh.edge_lengths[e] ** 2 * sq_mismatch("edge", e, trace, *rec)
 
     got = entity(stabilization, space, "cell", c).apply(v, v)
@@ -491,6 +496,33 @@ def test_graph_norms_with_coefficient(ctx):
     want_a = np.sqrt(A @ (Md @ A) + dv @ dv)
     assert gf == pytest.approx(want_f, rel=1e-12)
     assert ga == pytest.approx(want_a, rel=1e-12)
+
+
+def test_scalar_coefficient_broadcasts_over_cells(ctx):
+    space = ctx.spaces("agglo", 0)["curl"]
+    want = 2.0 * assemble_product(space).toarray()
+    assert np.array_equal(assemble_product(space, coeff=2.0).toarray(), want)
+    mu = np.full(ctx.meshes["agglo"].num_cells, 2.0)
+    assert np.array_equal(assemble_product(space, coeff=mu).toarray(), want)
+
+
+@pytest.mark.parametrize("bad,message", [
+    (np.ones(2), r"^coefficient must be scalar or per-cell$"),
+    (np.ones((1, 1)), r"^coefficient must be scalar or per-cell$"),
+    (np.nan, r"^coefficient of cell 0 is not finite \(nan\)$"),
+    (0.0, r"^coefficient must be strictly positive$"),
+])
+def test_product_coefficient_is_validated(bad, message):
+    """assemble_product(coeff=) and graph_norms(mu=) check a coefficient as
+    MagnetostaticsProblem checks the permeability: an array of another
+    length was indexed silently, a NaN went into the matrix."""
+    mesh = generate_cubic_mesh(1)
+    sp = {w: make_space(mesh, w, 0) for w in ("curl", "div", "l2")}
+    with pytest.raises(ValueError, match=message):
+        assemble_product(sp["curl"], coeff=bad)
+    with pytest.raises(ValueError, match=message):
+        graph_norms(sp["curl"], sp["div"], sp["l2"], np.ones(sp["curl"].dim),
+                    np.ones(sp["div"].dim), mu=bad)
 
 
 # ----------------------------------------------------------------------

@@ -15,8 +15,13 @@ from polyddr.quadrature import (
     _triangle_ref,
     data_rule_size,
     entity_rule,
-    integrate,
 )
+
+
+def integrate(rule, f):
+    """Integral of a pointwise-evaluable scalar field by a rule stack of
+    one."""
+    return float(rule.weights[0] @ np.asarray(f(rule.points[0]), dtype=float))
 
 
 def test_oracle_against_sympy():
@@ -187,6 +192,18 @@ def test_invalid_inputs():
         entity_rule(m, "volume", 0, 2)
 
 
+def test_every_rule_is_stacked():
+    """An id gives a rule stack of one, equal to its row of a longer
+    stack; no call returns unstacked points."""
+    m = generate_tet_mesh(1)
+    for kind in ("edge", "face", "cell"):
+        one = entity_rule(m, kind, 2, 3)
+        assert one.points.ndim == 3 and len(one.points) == 1
+        stack = entity_rule(m, kind, [0, 2], 3)
+        assert np.array_equal(stack.points[1], one.points[0])
+        assert np.array_equal(stack.weights[1:], one.weights)
+
+
 def test_rule_immutable():
     m = generate_cubic_mesh(1)
     r = entity_rule(m, "cell", 0, 2)
@@ -311,8 +328,8 @@ def test_no_valid_vertex_fan_falls_back_to_the_centroid_fan(degree):
                             ("cell", 0, oracles.integrate_poly_cell)):
         rule = entity_rule(m, kind, i, degree)
         pts, wts = _centroid_fan_rule(m, kind, i, degree)
-        assert np.array_equal(rule.points, pts)
-        assert np.array_equal(rule.weights, wts)
+        assert np.array_equal(rule.points[0], pts)
+        assert np.array_equal(rule.weights[0], wts)
         p = oracles.Poly3.random(rng, degree)
         got = integrate(rule, lambda q: p.eval(q))
         assert got == pytest.approx(oracle(p, m, i), rel=1e-12, abs=1e-14)
@@ -329,8 +346,8 @@ def test_data_rules_are_the_centroid_fan_rules(name):
             for i in range(count):
                 rule = entity_rule(m, kind, i, degree, data=True)
                 pts, wts = _centroid_fan_rule(m, kind, i, degree)
-                assert np.array_equal(rule.points, pts)
-                assert np.array_equal(rule.weights, wts)
+                assert np.array_equal(rule.points[0], pts)
+                assert np.array_equal(rule.weights[0], wts)
                 assert data_rule_size(m, kind, i, degree) == len(rule)
     e = entity_rule(m, "edge", 0, 5, data=True)
     assert np.array_equal(e.points, entity_rule(m, "edge", 0, 5).points)
@@ -359,8 +376,8 @@ def test_fans_are_searched_once_and_stacked_rules_are_bitwise(monkeypatch, name)
             for same in sizes.values():
                 stack = entity_rule(m, kind, [i for i, _ in same], degree)
                 for g, (_, rule) in enumerate(same):
-                    assert np.array_equal(stack.points[g], rule.points)
-                    assert np.array_equal(stack.weights[g], rule.weights)
+                    assert np.array_equal(stack.points[g], rule.points[0])
+                    assert np.array_equal(stack.weights[g], rule.weights[0])
     # one search per mesh entity group, for all degrees
     assert calls == {"_face_fan": len(m.face_groups),
                      "_cell_fan": len(m.cell_groups)}

@@ -362,12 +362,13 @@ def test_recovery_passes_on_pyramid():
 
 def test_recovery_residual_detects_corrupted_projection():
     bank = BasisBank(pyramid_mesh(), 2)
-    bs = bank.subspace("cell", 0, "grad_image", 2)
-    bc = bank.subspace("cell", 0, "grad_complement", 2)
+    (group,) = bank.groups("cell")
+    bs = bank.group_basis(group, "grad_image", 2)
+    bc = bank.group_basis(group, "grad_complement", 2)
     rng = np.random.default_rng(1)
     coeffs = rng.standard_normal(bs.dim + bc.dim)
-    image_part = bs.coeff_matrix() @ coeffs
-    complement_part = bc.coeff_matrix() @ coeffs
+    image_part = bs._Ws[0] @ coeffs
+    complement_part = bc._Ws[0] @ coeffs
     corrupted = complement_part + 1e-3 * np.abs(complement_part).max() * (
         rng.standard_normal(complement_part.shape)
     )

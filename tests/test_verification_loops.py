@@ -42,7 +42,7 @@ from polyddr.verification import (
 
 from meshes import jittered_tet_mesh
 from oracles import integrate_products
-from stacks import entity, local_dofs
+from stacks import basis_of, entity, local_dofs, rule_of
 
 CONFIGS = [
     ("cubic", 0, (2, 4, 8)),
@@ -57,12 +57,14 @@ IDS = [f"{fam}-k{k}" for fam, k, _ in CONFIGS]
 def _l2_error_sq_by_cells(space, op, dofs, f):
     total = 0.0
     for c in range(space.mesh.num_cells):
-        rule = entity_rule(space.mesh, "cell", c,
+        rule = entity_rule(space.mesh, "cell", [c],
                            2 * space.k + INTERP_DEGREE_MARGIN, data=True)
+        pts, weights = rule.points[0], rule.weights[0]
         loc = entity(op, space, "cell", c)
-        vals = np.tensordot(loc.apply(dofs), loc.target.eval(rule.points), axes=1)
-        diff = (vals - f(rule.points)).reshape(len(rule.weights), -1)
-        total += float(np.sum(diff ** 2 * rule.weights[:, None]))
+        vals = np.tensordot(loc.apply(dofs),
+                            loc.target.eval(rule.points, loc.sel)[0], axes=1)
+        diff = (vals - f(pts)).reshape(len(weights), -1)
+        total += float(np.sum(diff ** 2 * weights[:, None]))
     return total
 
 
@@ -75,13 +77,15 @@ def _stabilization_sq_by_cells(space, dofs):
 def _load_vector_by_cells(space, f):
     out = np.zeros(space.dim)
     for c in range(space.mesh.num_cells):
-        rule = entity_rule(space.mesh, "cell", c,
+        rule = entity_rule(space.mesh, "cell", [c],
                            2 * space.k + INTERP_DEGREE_MARGIN, data=True)
+        pts, weights = rule.points[0], rule.weights[0]
         pot = entity(op_potential, space, "cell", c)
-        npts = len(rule.weights)
-        vals = pot.target.eval(rule.points).reshape(pot.target.dim, npts, -1)
-        fv = np.asarray(f(rule.points)).reshape(npts, -1)
-        moments = np.einsum("mpx,px,p->m", vals, fv, rule.weights)
+        npts = len(weights)
+        vals = pot.target.eval(rule.points, pot.sel)[0].reshape(
+            pot.target.dim, npts, -1)
+        fv = np.asarray(f(pts)).reshape(npts, -1)
+        moments = np.einsum("mpx,px,p->m", vals, fv, weights)
         out[pot.dofs] += pot.matrix.T @ moments
     return out
 
@@ -165,12 +169,13 @@ def test_rate_checks_reject_fewer_than_two_levels(check, levels):
 # polynomial consistency
 
 
-def _local_interpolation_by_entity(space, kind, index, basis):
-    """Local interpolation of a polynomial basis on one face or cell:
-    column j is the local dof vector (local_dofs order) of member j. Each
-    block integrates the member values, tangential on field-space edges and
-    normal on flux-space faces, against the tabulated family bases at its
-    entity's polynomial rule."""
+def _local_interpolation_by_entity(space, kind, index, basis, sel):
+    """Local interpolation on one face or cell of the polynomial basis
+    stacked entity sel ([slot]) of the stack basis: column j is the local
+    dof vector (local_dofs order) of member j. Each block integrates the
+    member values, tangential on field-space edges and normal on flux-space
+    faces, against the tabulated family bases at its entity's polynomial
+    rule."""
     mesh, bank = space.mesh, space.bank
     idx, layout = local_dofs(space, kind, index)
     J = np.zeros((len(idx), basis.dim))
@@ -178,18 +183,19 @@ def _local_interpolation_by_entity(space, kind, index, basis):
         if sl.start == sl.stop:
             continue
         if ent == "vertex":
-            J[sl] = basis.eval(mesh.vertices[[i]]).T
+            J[sl] = basis.eval(mesh.vertices[[i]][None], sel)[0].T
             continue
-        rule = bank.rule(ent, i)
-        vals = basis.eval(rule.points)
+        rule = rule_of(bank, ent, i)
+        vals = basis.eval(rule.points, sel)[0]
         if ent == "edge" and space.which == "curl":
             vals = vals @ mesh.edge_tangents[i]
         elif ent == "face" and space.which == "div":
             vals = vals @ mesh.face_normals[i]
         J[sl] = np.concatenate([
-            integrate_products(b.eval(rule.points), vals, rule.weights)
-            for b in (bank.basis(fam, ent, i, l)
-                      for fam, l in space.families[ent]) if b.dim])
+            integrate_products(b.eval(rule.points, bs)[0], vals,
+                               rule.weights[0])
+            for b, bs in (basis_of(bank, fam, ent, i, l)
+                          for fam, l in space.families[ent]) if b.dim])
     return J
 
 
@@ -198,7 +204,7 @@ def _local_interpolation_by_entities(space, group, basis, slots=None):
     slots = range(len(group)) if slots is None else slots
     return np.stack([
         _local_interpolation_by_entity(space, group.kind, int(group.ids[s]),
-                                       basis.take(g))
+                                       basis, [g])
         for g, s in enumerate(slots)])
 
 
@@ -222,30 +228,33 @@ def _consistency_by_cells(mesh, k, seed=0, bank=None):
 
     for c in range(mesh.num_cells):
         pots = {w: entity(op_potential, spaces[w], "cell", c) for w in spaces}
-        J = {w: interp(spaces[w], "cell", c, pots[w].target) for w in spaces}
+        J = {w: interp(spaces[w], "cell", c, pots[w].target, pots[w].sel)
+             for w in spaces}
         for which, key in (("grad", "scalar_potential"), ("curl", "field_potential")):
             pot = pots[which]
             resid = np.abs(pot.matrix @ J[which] - np.eye(pot.target.dim)).max()
             track(key, resid, ("cell", c))
 
         pot = pots["div"]
-        rt = bank.subspace("cell", c, "raviart_thomas", k + 1)
-        proj = rt.coeff_matrix()[:, : pot.target.dim].T
-        resid = np.abs(pot.matrix @ interp(spaces["div"], "cell", c, rt) - proj).max()
+        rt, rs = basis_of(bank, "raviart_thomas", "cell", c, k + 1)
+        proj = rt._Ws[rs][0][:, : pot.target.dim].T
+        resid = np.abs(pot.matrix @ interp(spaces["div"], "cell", c, rt, rs)
+                       - proj).max()
         track("flux_potential_trimmed", resid / max(np.abs(proj).max(), 1e-30),
               ("cell", c))
 
         space = spaces["curl"]
-        ne = bank.subspace("cell", c, "nedelec", k + 1)
+        ne, ns = basis_of(bank, "nedelec", "cell", c, k + 1)
         for f in [int(x) for x in mesh.cells[c]]:
             tr = entity(op_tangential_trace, space, "face", f)
-            rule = bank.rule("face", f)
+            rule = rule_of(bank, "face", f)
             nrm = mesh.face_normals[f]
-            vals = ne.eval(rule.points)
+            vals = ne.eval(rule.points, ns)[0]
             tang = vals - (vals @ nrm)[:, :, None] * nrm
-            proj = integrate_products(tr.target.eval(rule.points), tang,
-                                      rule.weights)
-            resid = np.abs(tr.matrix @ interp(space, "face", f, ne) - proj).max()
+            proj = integrate_products(tr.target.eval(rule.points, tr.sel)[0],
+                                      tang, rule.weights[0])
+            resid = np.abs(tr.matrix @ interp(space, "face", f, ne, ns)
+                           - proj).max()
             track("tangential_trace_trimmed",
                   resid / max(np.abs(proj).max(), 1e-30), ("face", f))
 
