@@ -8,9 +8,9 @@ with the pair number as the seed; the side that runs first alternates from
 pair to pair, so that drift of the host falls on both sides alike.  The
 end-to-end metrics come from the last line of each run.  For every
 workload the script prints each pair's values, then per metric the medians
-of both sides, the parent's quartiles, the number of pairs in which the
-change is better, and a verdict against the bound in the change's
-BENCHMARK.json:
+of both sides, the parent's quartiles, the median and quartiles of the
+per-pair ratios change/parent, the number of pairs in which the change is
+better, and a verdict against the bound in the change's BENCHMARK.json:
 
 - "worse": the change's median is worse than the parent's by more than
   the bound, a share of the parent's median;
@@ -76,6 +76,14 @@ def verdict(parent, change, bound, lower_better):
     return word, better, (q1, q3)
 
 
+def ratio_quartiles(parent, change):
+    """(first quartile, median, third quartile) of the per-pair ratios
+    change/parent.  A ratio compares two runs made side by side, so drift
+    of the host between pairs, which moves both sides alike, cancels."""
+    ratios = np.asarray(change) / np.asarray(parent)
+    return tuple(np.percentile(ratios, [25, 50, 75]))
+
+
 def main(argv=None):
     args = parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -107,10 +115,12 @@ def main(argv=None):
                 continue
             word, better, (q1, q3) = verdict(parent, change, m["bound"],
                                              m["better"] == "lower")
+            r1, r2, r3 = ratio_quartiles(parent, change)
             print(f"  {m['name']}: parent median {np.median(parent):.4g} "
                   f"(quartiles {q1:.4g} to {q3:.4g}), change median "
-                  f"{np.median(change):.4g}, change better in {better} of "
-                  f"{len(parent)}, bound {m['bound']:g}: {word}")
+                  f"{np.median(change):.4g}, ratio change/parent median "
+                  f"{r2:.4f} (quartiles {r1:.4f} to {r3:.4f}), change better "
+                  f"in {better} of {len(parent)}, bound {m['bound']:g}: {word}")
     return 0 if ok else 1
 
 

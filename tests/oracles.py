@@ -20,7 +20,9 @@ route the package's coefficient-space pairings replaced, and
 check_traces_by_points runs the trace check that way: random members of
 the trimmed cell spaces tabulated at each face's and edge's rule,
 projected by quadrature, for the first cell of each face and the
-lowest-index cell of each edge.
+lowest-index cell of each edge. monomials_full_map tabulates a core's
+scaled monomials with no shortcut, the reference the package's
+_ScalarCore._monomials must match bit for bit.
 """
 
 import itertools
@@ -715,3 +717,25 @@ def layout_by_branches(mesh, which, k):
 
     return SimpleNamespace(families=families, offsets=offsets, width=width,
                            start=start, dim=dim, group_dofs=group_dofs)
+
+
+def monomials_full_map(core, pts, n, sel=None):
+    """The first n scaled monomials of a core at stacked points, (G, n,
+    npts), as the package tabulated them before it skipped work: every
+    request maps the points to local coordinates through the transposed
+    frame view and builds the power table from there, even for n <= 1."""
+    x0, frame, h = core.x0, core.frame, core.h
+    if sel is not None:
+        x0, frame, h = x0[sel], frame[sel], h[sel]
+    xi = ((pts - x0[:, None, :]) @ frame.transpose(0, 2, 1)) / h[:, None, None]
+    xi = xi.transpose(0, 2, 1)
+    exps = core.exps[:n]
+    top = int(exps[-1].sum()) if n else 0  # graded order
+    P = np.empty((top + 1,) + xi.shape)
+    P[0] = 1.0
+    for e in range(top):
+        np.multiply(P[e], xi, out=P[e + 1])
+    out = P[exps[:, 0], :, 0]
+    for a in range(1, core.d):
+        out *= P[exps[:, a], :, a]
+    return out.transpose(1, 0, 2)

@@ -36,6 +36,7 @@ from polyddr.polyspaces import (
     trace_table,
 )
 from polyddr.products import _Forms, l2_product, stabilization
+from polyddr.verification import check_polynomial_consistency
 
 from meshes import jittered_tet_mesh
 from oracles import integrate_products
@@ -224,3 +225,52 @@ def test_trace_norm_needs_the_trace_in_the_member_span():
     assert str(err.value) == (
         "probe: traces of degree 2 against degree-1 members need degree "
         "2 <= 1 and a rule exact to degree 3; the rule is exact to degree 6")
+
+
+def _trace_tables(bank):
+    """The trace tables cached on the cores of a bank and of its bases."""
+    cores = {id(c): c for c in [*bank._cores.values(),
+                                *(b._core for b in bank._bases.values())]}
+    return [T for c in cores.values() for T in c._traces.values()]
+
+
+def test_trace_tables_are_cached_per_exact_key():
+    """A repeated request returns the cached, read-only table; another
+    (n, k), rule degree, position or bank builds a table of its own."""
+    mesh = generate_tet_mesh(1)
+
+    def request(bank, p=0, degree=None, n=dim_P(2, 3), k=dim_P(1, 2)):
+        group = bank.groups("cell")[0]
+        subgroup, slots = bank.locate("face", group.faces[:, p])
+        return trace_table(bank.core(group), bank.core(subgroup), slots,
+                           bank.group_rule(subgroup, degree), n, k, "probe")
+
+    bank = BasisBank(mesh, 1)
+    T = request(bank)
+    assert request(bank) is T and not T.flags.writeable
+    others = [request(bank, n=dim_P(1, 3)), request(bank, k=dim_P(0, 2)),
+              request(bank, degree=8), request(bank, p=1),
+              request(BasisBank(mesh, 1))]
+    assert len({id(A) for A in [T, *others]}) == 6
+    assert len(_trace_tables(bank)) == 5
+    assert np.array_equal(others[-1], T)
+    assert others[0].shape == (len(T), dim_P(1, 3), T.shape[2])
+    assert others[1].shape == T.shape[:2] + (1,)
+
+
+def test_consistency_check_builds_each_trace_table_once(monkeypatch):
+    """The k=3 polynomial consistency check on generate_tet_mesh(1) asks
+    for 112 trace tables of 63 distinct keys and builds 63: the answers,
+    all kept alive, are 63 distinct arrays, the ones the bank caches."""
+    answers = []
+
+    def counted(*args, **kwargs):
+        answers.append(trace_table(*args, **kwargs))
+        return answers[-1]
+
+    monkeypatch.setattr(ddrcore, "trace_table", counted)
+    bank = BasisBank(generate_tet_mesh(1), 3)
+    assert check_polynomial_consistency(bank.mesh, 3, bank=bank).passed
+    built = {id(T) for T in answers}
+    assert (len(answers), len(built)) == (112, 63)
+    assert built == {id(T) for T in _trace_tables(bank)}

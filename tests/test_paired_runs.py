@@ -1,11 +1,25 @@
 """Smoke test of scripts/paired_runs.py: both sides are this checkout,
-two pairs of one iteration each on the fastest workload."""
+two pairs of one iteration each on the fastest workload; and its per-pair
+ratio summary on fixed values."""
 
+import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 REPO = Path(__file__).resolve().parents[1]
+RATIO = re.compile(r"ratio change/parent median (\S+) \(quartiles (\S+) to (\S+)\)")
+
+
+def _script():
+    spec = importlib.util.spec_from_file_location(
+        "paired_runs", REPO / "scripts" / "paired_runs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_paired_runs_smoke():
@@ -22,3 +36,15 @@ def test_paired_runs_smoke():
     for name in ("setup_s", "solve_s", "run_s", "peak_mem_mb"):
         summary = [line for line in lines if line.startswith(f"  {name}: ")]
         assert len(summary) == 1 and "of 2, bound" in summary[0], lines
+        q1, median, q3 = map(float, RATIO.search(summary[0]).group(2, 1, 3))
+        assert 0 < q1 <= median <= q3
+
+
+def test_ratio_quartiles_pair_the_runs():
+    """Ratios are taken pair by pair: a host whose speed drifts from pair
+    to pair, on both sides alike, leaves every ratio at 0.8."""
+    ratio_quartiles = _script().ratio_quartiles
+    parent = np.array([1.0, 2.0, 4.0, 8.0])
+    assert np.allclose(ratio_quartiles(parent, 0.8 * parent), 0.8)
+    q1, median, q3 = ratio_quartiles([1.0] * 4, [0.5, 1.0, 1.5, 2.0])
+    assert (q1, median, q3) == (0.875, 1.25, 1.625)

@@ -24,6 +24,7 @@ from polyddr.polyspaces import (
 from polyddr.products import assemble_product
 
 import oracles
+from meshes import jittered_tet_mesh
 from oracles import (
     Poly3,
     VecPoly3,
@@ -656,6 +657,42 @@ def test_integrate_products_matches_einsum(rows, vector):
     got = integrate_products(A, B, w)
     assert got.shape == rows
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+MONOMIAL_MESHES = {
+    "cubic2": lambda: generate_cubic_mesh(2),
+    "tet2": lambda: generate_tet_mesh(2),
+    "jittered-tet2": lambda: jittered_tet_mesh(2, 5),
+    "agglo2": lambda: agglomerate_pairs(generate_cubic_mesh(2), seed=0),
+}
+
+
+@pytest.mark.parametrize("name", MONOMIAL_MESHES)
+@pytest.mark.parametrize("k", range(4))
+def test_monomials_match_the_full_map_oracle(name, k):
+    """Every prefix of the monomials of every edge, face and cell core, on
+    the whole stack and on a strict subset of it, is bit for bit what the
+    full coordinate map gives."""
+    bank = BasisBank(MONOMIAL_MESHES[name](), k)
+    for kind in ("edge", "face", "cell"):
+        for group in bank.groups(kind):
+            core, pts = bank.core(group), bank.group_rule(group).points
+            sel = np.arange(len(group))[1::2]
+            for n in range(len(core.exps) + 1):
+                for s, p in ((None, pts), (sel, pts[sel])):
+                    assert np.array_equal(core._monomials(p, n, s),
+                                          oracles.monomials_full_map(core, p, n, s))
+
+
+def test_constant_monomials_skip_the_coordinate_map(meshes):
+    """n <= 1 asks for the constant alone: ones, whatever the frame."""
+    mesh = meshes["cube"]
+    core = _make_core(mesh, "face", [0, 1, 2], 2)
+    pts = entity_rule(mesh, "face", [0, 1, 2], 4).points
+    core.frame = np.full_like(core.frame, np.nan)
+    assert np.array_equal(core._monomials(pts, 1), np.ones((3, 1, pts.shape[1])))
+    assert core._monomials(pts, 0).shape == (3, 0, pts.shape[1])
+    assert np.isnan(core._monomials(pts, 2)[:, 1:]).all()
 
 
 # ----------------------------------------------------------------------
