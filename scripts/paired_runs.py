@@ -18,6 +18,12 @@ better, and a verdict against the bound in the change's BENCHMARK.json:
   its median is better by more than the parent's interquartile range;
 - "same" otherwise.
 
+After the metrics comes an informational row, `finish`: run_s - solve_s
+of each run, the work after the solve (the error norms, on the solve
+workloads), with the same medians, quartiles, ratios and pairs won and no
+verdict.  It separates that work from the solve, whose time on `hex_k1`
+switches between two modes from run to run.
+
 Without --workload every workload of BENCHMARK.json runs.  The exit code
 is 1 if any run fails or reports `"correct": false`, else 0.
 """
@@ -76,6 +82,11 @@ def verdict(parent, change, bound, lower_better):
     return word, better, (q1, q3)
 
 
+def finish(values):
+    """run_s - solve_s of each run of one side, given its metric values."""
+    return list(np.subtract(values["run_s"], values["solve_s"]))
+
+
 def ratio_quartiles(parent, change):
     """(first quartile, median, third quartile) of the per-pair ratios
     change/parent.  A ratio compares two runs made side by side, so drift
@@ -109,18 +120,23 @@ def main(argv=None):
                     values[side][m["name"]].append(value)
                 cells.append(f"{m['name']} {got[0]:.4g} -> {got[1]:.4g}")
             print(f"  pair {pair} (first: {order[0]}): " + ", ".join(cells))
-        for m in metrics:
-            parent, change = values["parent"][m["name"]], values["change"][m["name"]]
-            if not parent:
-                continue
-            word, better, (q1, q3) = verdict(parent, change, m["bound"],
-                                             m["better"] == "lower")
+        if not values["parent"]["run_s"]:
+            continue
+        rows = [(m["name"], values["parent"][m["name"]],
+                 values["change"][m["name"]], m) for m in metrics]
+        rows.append(("finish", finish(values["parent"]),
+                     finish(values["change"]), None))
+        for name, parent, change, m in rows:
+            lower_better = m is None or m["better"] == "lower"
+            word, better, (q1, q3) = verdict(
+                parent, change, m["bound"] if m else np.inf, lower_better)
             r1, r2, r3 = ratio_quartiles(parent, change)
-            print(f"  {m['name']}: parent median {np.median(parent):.4g} "
+            tail = f", bound {m['bound']:g}: {word}" if m else " (informational)"
+            print(f"  {name}: parent median {np.median(parent):.4g} "
                   f"(quartiles {q1:.4g} to {q3:.4g}), change median "
                   f"{np.median(change):.4g}, ratio change/parent median "
                   f"{r2:.4f} (quartiles {r1:.4f} to {r3:.4f}), change better "
-                  f"in {better} of {len(parent)}, bound {m['bound']:g}: {word}")
+                  f"in {better} of {len(parent)}{tail}")
     return 0 if ok else 1
 
 

@@ -51,12 +51,13 @@ as one stack; one above condition number 1e12 aborts with a message naming
 the operator, the group's worst entity and its condition number, and the
 worst condition number per operator is kept in DofSpace.worst_cond.
 
-`interpolate` takes the moments of a smooth field from its values at the
-data rules (`_moments`). `local_interpolation` (a stacked polynomial basis
-on the closures of a face or cell group) pairs polynomials in coefficient
-space through the trace tables, as the boundary terms do; only vertex
-values are taken at points. The two routes share no moment code, so the
-tests can hold each against the other.
+`interpolate` takes the moments of smooth fields from their values at the
+data rules (`_moments`), one pass over the rules for several fields.
+`local_interpolation` (a stacked polynomial basis on the closures of a
+face or cell group) pairs polynomials in coefficient space through the
+trace tables, as the boundary terms do; only vertex values are taken at
+points. The two routes share no moment code, so the tests can hold each
+against the other.
 """
 
 import functools
@@ -281,23 +282,28 @@ def _component(space, kind):
             ("face", "div"): space.mesh.face_normals}.get((kind, space.which))
 
 
-def _moments(space, group, sel, rule, vals):
+def _family_bases(space, group):
+    """The nonempty stacked bases of the space's dof families on a group,
+    in dof order."""
+    return [b for b in (space.bank.group_basis(group, fam, l)
+                        for fam, l in space.families[group.kind]) if b.dim]
+
+
+def _moments(space, group, sel, rule, vals, monomials):
     """Dof blocks (G', width, r) of the entities sel of one group of edges,
     faces or cells from r values per entity of a field at the points of a
     data rule stacked over those entities: vals (G', r, npts) scalar or
     (G', r, npts, 3) vector, reduced to its component where the space
-    takes one (_component). Every family takes its moments from one table
-    of the core's monomials at the points, each reading its prefix."""
-    pts, weights = rule.points, rule.weights
+    takes one (_component). Every family takes its moments from
+    monomials, a table (G', n, npts) of the core's first n scaled
+    monomials at the points, n at least the widest family's, each family
+    reading its prefix."""
     d = _component(space, group.kind)
     if d is not None:
         vals = (vals @ d[group.ids[sel]][:, None, :, None])[..., 0]
-    bases = [b for b in (space.bank.group_basis(group, fam, l)
-                         for fam, l in space.families[group.kind]) if b.dim]
-    M = space.bank.core(group)._monomials(
-        pts, max(b._Cs.shape[-1] for b in bases), sel)
-    return np.concatenate([b.moments(pts, vals, weights, sel, M)
-                           for b in bases], axis=1)
+    return np.concatenate([b.moments(rule.points, vals, rule.weights, sel,
+                                     monomials)
+                           for b in _family_bases(space, group)], axis=1)
 
 
 def local_interpolation(space, group, basis, slots=None):
@@ -329,8 +335,7 @@ def local_interpolation(space, group, basis, slots=None):
             C = basis._Cs
             if d is not None:
                 C = (d[ents[:, p]][:, None, None, :] @ C)[:, :, 0]
-            fams = [b for b in (bank.group_basis(sub, fam, l)
-                                for fam, l in space.families[kind]) if b.dim]
+            fams = _family_bases(space, sub)
             core, k = bank.core(sub), max(b._Cs.shape[-1] for b in fams)
             T = trace_table(basis._core, core, sel, bank.group_rule(sub),
                             C.shape[-1], k, "local interpolation")
@@ -347,24 +352,49 @@ def interpolate(space, f, degree=None):
     stacked over each entity group and evaluated block by block of its
     entities, each block on its own data rule (BasisBank.data_blocks). The
     default quadrature adds a margin over the space degree for
-    non-polynomial fields."""
-    mesh, bank = space.mesh, space.bank
+    non-polynomial fields.
+
+    Several fields are interpolated in one pass when space and f are
+    equal-length tuples: spaces on one basis bank (a space may repeat),
+    field i into space i, returning a tuple of DofVectors. Each data block
+    then builds its rule once and tabulates the core's monomials there
+    once, as far as the widest family of any of the spaces; every moment
+    reads a prefix of that table, so each result is bit for bit the one of
+    a call with its field alone."""
+    several = isinstance(space, tuple)
+    spaces, fields = (space, f) if several else ((space,), (f,))
+    if several != isinstance(f, tuple) or len(fields) != len(spaces) or not spaces:
+        raise ValueError("interpolate takes one space and one field, or "
+                         "equal-length nonempty tuples of both")
+    bank = spaces[0].bank
+    if any(s.bank is not bank for s in spaces):
+        raise ValueError("spaces interpolated in one pass must share one "
+                         "basis bank")
+    mesh = bank.mesh
     if degree is None:
-        degree = 2 * space.k + INTERP_DEGREE_MARGIN
-    vals = np.zeros(space.dim)
-    if space.width["vertex"]:
-        vals[: mesh.num_vertices] = f(mesh.vertices)
+        degree = 2 * bank.k + INTERP_DEGREE_MARGIN
+    jobs = [(s, fn, np.zeros(s.dim)) for s, fn in zip(spaces, fields)]
+    for s, fn, vals in jobs:
+        if s.width["vertex"]:
+            vals[: mesh.num_vertices] = fn(mesh.vertices)
     for kind in ("edge", "face", "cell"):
-        if not space.width[kind]:
+        users = [job for job in jobs if job[0].width[kind]]
+        if not users:
             continue
         for group in bank.groups(kind):
+            n = max(b._Cs.shape[-1] for s, _, _ in users
+                    for b in _family_bases(s, group))
             for sl, rule in bank.data_blocks(group, degree):
                 pts = rule.points
-                fv = np.asarray(f(pts.reshape(-1, 3)))
-                fv = fv.reshape((len(pts), 1) + pts.shape[1:2] + fv.shape[1:])
-                vals[space._blocks(kind, group.ids[sl, None])] = _moments(
-                    space, group, sl, rule, fv)[..., 0]
-    return DofVector(space, vals)
+                M = bank.core(group)._monomials(pts, n, sl)
+                for s, fn, vals in users:
+                    fv = np.asarray(fn(pts.reshape(-1, 3)))
+                    fv = fv.reshape((len(pts), 1) + pts.shape[1:2]
+                                    + fv.shape[1:])
+                    vals[s._blocks(kind, group.ids[sl, None])] = _moments(
+                        s, group, sl, rule, fv, M)[..., 0]
+    out = tuple(DofVector(s, vals) for s, _, vals in jobs)
+    return out if several else out[0]
 
 
 # ----------------------------------------------------------------------

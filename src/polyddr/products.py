@@ -28,7 +28,9 @@ the diameters of the cell's two faces holding them; the scalar space
 measures edges through the reconstructed edge polynomial). Cellwise they
 define the broken norms used in the stability and convergence diagnostics
 and the Poincaré constants; their Gram matrices are group stacks like the
-products, assembled by the same scatter.
+products, assembled by the same scatter. Norms of given vectors (the
+component norm, the graph norms) are sums of the local forms over the
+cells, with no global matrix.
 
 Local forms are group stacks like the operators of ddrcore: each entry
 point (stabilization, l2_product, component_gram) takes (space, cell
@@ -224,9 +226,10 @@ def component_gram(space, group):
 
 
 def component_norm(space, values):
-    """Broken component norm of a dof vector over the whole mesh."""
+    """Broken component norm of a dof vector over the whole mesh, summed
+    cell group by cell group from the component Grams (_form_sums)."""
     v = DofVector(space, getattr(values, "values", values)).values
-    return np.sqrt(float(v @ (_assemble(space, component_gram) @ v)))
+    return np.sqrt(float(_form_sums(space, component_gram, v[:, None])[0]))
 
 
 # ----------------------------------------------------------------------
@@ -262,36 +265,47 @@ def assemble_product(space, coeff=None):
     return _assemble(space, l2_product, coeff)
 
 
+def _form_sums(space, op, V, coeff=None):
+    """v^T A v for each column v of V (space.dim, m), A the global matrix
+    of the local forms op(space, group) (as _assemble would build it, each
+    cell's form scaled by coeff, an array (num_cells,), when given),
+    without building A: every cell's v_c^T A_c v_c, summed group by
+    group. (m,)."""
+    out = np.zeros(V.shape[1])
+    for group in space.bank.groups("cell"):
+        form = op(space, group)
+        x = V[form.dofs]
+        q = (x * (form.matrix @ x)).sum(axis=1)
+        if coeff is not None:
+            q *= coeff[group.ids][:, None]
+        out += q.sum(axis=0)
+    return out
+
+
 def graph_norms(space_curl, space_div, space_l2, field_vals, flux_vals,
                 mu=None):
     """Graph norms of a field/flux pair: the field norm adds the flux
     norm of its discrete curl, the flux norm adds the plain L2 norm of
     its discrete divergence. Column stacks (n, m) of fields and fluxes
-    give the m pairs of norms as two (m,) arrays, from one assembly of the
-    matrices; each column takes the arithmetic of a single pair. mu weighs
-    the field product as assemble_product's coeff."""
-    if hasattr(field_vals, "values"):
-        field_vals = field_vals.values
-    if hasattr(flux_vals, "values"):
-        flux_vals = flux_vals.values
+    give the m pairs of norms as two (m,) arrays. mu weighs the field
+    product per cell as assemble_product's coeff.
 
-    Mc = assemble_product(space_curl, coeff=mu)
-    Md = assemble_product(space_div)
-    uC = global_operator(space_curl, space_div)
-    D = global_operator(space_div, space_l2)
-
-    norms = []
-    for field, flux in zip(np.atleast_2d(np.transpose(field_vals)),
-                           np.atleast_2d(np.transpose(flux_vals))):
-        field, flux = np.ascontiguousarray(field), np.ascontiguousarray(flux)
-        ch = uC @ field
-        field_sq = float(field @ (Mc @ field)) + float(ch @ (Md @ ch))
-        dv = D @ flux
-        flux_sq = float(flux @ (Md @ flux)) + float(dv @ dv)
-        norms.append((np.sqrt(field_sq), np.sqrt(flux_sq)))
-    if np.ndim(field_vals) == 1:
-        return norms[0]
-    return tuple(np.array(n) for n in zip(*norms))
+    The products are taken from the cached local forms (l2_product), cell
+    group by cell group (_form_sums), so no product matrix is assembled;
+    the two differentials are global_operator's matrices."""
+    H, A = (np.asarray(getattr(v, "values", v), dtype=float)
+            for v in (field_vals, flux_vals))
+    if mu is not None:
+        mu = _cell_coefficients(space_curl.mesh, mu, "coefficient")
+    single = H.ndim == 1
+    H, A = H.reshape(len(H), -1), A.reshape(len(A), -1)
+    curl = global_operator(space_curl, space_div) @ H
+    div = global_operator(space_div, space_l2) @ A
+    field_sq = (_form_sums(space_curl, l2_product, H, mu)
+                + _form_sums(space_div, l2_product, curl))
+    flux_sq = _form_sums(space_div, l2_product, A) + (div * div).sum(axis=0)
+    norms = np.sqrt(field_sq), np.sqrt(flux_sq)
+    return tuple(n[0] for n in norms) if single else norms
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,9 @@ the trimmed cell spaces tabulated at each face's and edge's rule,
 projected by quadrature, for the first cell of each face and the
 lowest-index cell of each edge. monomials_full_map tabulates a core's
 scaled monomials with no shortcut, the reference the package's
-_ScalarCore._monomials must match bit for bit.
+_ScalarCore._monomials must match bit for bit. graph_norms_by_assembly and
+component_norm_by_assembly take norms through the assembled global
+matrices, where the package sums the local forms cell group by cell group.
 """
 
 import itertools
@@ -39,6 +41,7 @@ from polyddr.ddrcore import (
     op_grad_cell,
     op_grad_face,
     op_potential,
+    global_operator,
 )
 from polyddr.mesh import _cross
 from polyddr.polyspaces import (
@@ -50,6 +53,7 @@ from polyddr.polyspaces import (
     subspace_basis,
     vector_basis,
 )
+from polyddr.products import _assemble, assemble_product, component_gram
 from polyddr.quadrature import entity_rule
 from polyddr.verification import CheckReport
 
@@ -739,3 +743,23 @@ def monomials_full_map(core, pts, n, sel=None):
     for a in range(1, core.d):
         out *= P[exps[:, a], :, a]
     return out.transpose(1, 0, 2)
+
+
+def graph_norms_by_assembly(space_curl, space_div, space_l2, H, A, mu=None):
+    """Graph norms of the columns of H (field dofs, m columns) and A (flux
+    dofs), two (m,) arrays, from the assembled matrices: the field
+    product (weighted by mu) and the flux product by assemble_product, the
+    curl and divergence by global_operator."""
+    H, A = (np.reshape(v, (len(v), -1)) for v in (H, A))
+    Mc = assemble_product(space_curl, coeff=mu)
+    Md = assemble_product(space_div)
+    ch = global_operator(space_curl, space_div) @ H
+    dv = global_operator(space_div, space_l2) @ A
+    field_sq = np.sum(H * (Mc @ H), axis=0) + np.sum(ch * (Md @ ch), axis=0)
+    flux_sq = np.sum(A * (Md @ A), axis=0) + np.sum(dv * dv, axis=0)
+    return np.sqrt(field_sq), np.sqrt(flux_sq)
+
+
+def component_norm_by_assembly(space, v):
+    """Component norm of a dof vector from the assembled component Gram."""
+    return np.sqrt(v @ (_assemble(space, component_gram) @ v))

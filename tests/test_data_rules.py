@@ -6,8 +6,14 @@ at a time by BasisBank.data_blocks. The oracle here builds the whole
 group's data rule at once and hands out its value blocks, as a cached rule
 would; every result must be bit for bit the same. The memory tests check
 that no data rule outlives its block.
+
+Several fields interpolated in one call share each block's rule and its
+monomial table: the results must be bit for bit those of separate calls,
+and error_norms must build each data rule, and tabulate monomials on it,
+once per block.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -22,9 +28,10 @@ from polyddr.ddrcore import (
     op_potential,
 )
 from polyddr.mesh import agglomerate_pairs, generate_cubic_mesh, generate_tet_mesh
-from polyddr.polyspaces import BasisBank, value_blocks
+import polyddr.polyspaces as polyspaces
+from polyddr.polyspaces import BasisBank, _ScalarCore, value_blocks
 from polyddr.products import load_vector
-from polyddr.quadrature import QuadRule, entity_rule
+from polyddr.quadrature import QuadRule, data_rule_size, entity_rule
 from polyddr.scheme import manufactured_solution
 from polyddr.verification import TrigScalar, TrigVector, _l2_error_sq
 
@@ -36,6 +43,7 @@ MESHES = {
     "agglo2": lambda: agglomerate_pairs(generate_cubic_mesh(2), seed=1),
     "jittered-tet2": lambda: jittered_tet_mesh(2, 1),
 }
+WHICHES = ("grad", "curl", "div", "l2")
 
 
 def _whole_group_blocks(bank, group, degree, counts):
@@ -115,4 +123,109 @@ def test_load_vector_peak_stays_below_the_whole_cell_data_rule():
         tracemalloc.stop()
     whole = entity_rule(mesh, "cell", np.arange(mesh.num_cells),
                         2 * space.k + INTERP_DEGREE_MARGIN, data=True)
+    assert peak < whole.points.nbytes + whole.weights.nbytes
+
+
+# ----------------------------------------------------------------------
+# several fields in one pass
+
+
+ONE_PASS_MESHES = {
+    "cubic2": lambda: generate_cubic_mesh(2),
+    "tet2": lambda: generate_tet_mesh(2),
+    "jittered-tet2": lambda: jittered_tet_mesh(2, 1),
+    "agglo2": lambda: agglomerate_pairs(generate_cubic_mesh(2), seed=1),
+}
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("name", list(ONE_PASS_MESHES))
+def test_tuple_interpolation_matches_separate_calls(name, k):
+    """Every pair of the four spaces, a space with itself included, in one
+    call against two calls; the second slot takes other fields than the
+    first, so a swapped or shared result shows."""
+    mesh = ONE_PASS_MESHES[name]()
+    rng = np.random.default_rng(8)
+    scalars = (TrigScalar.random(rng).eval, TrigScalar.random(rng).eval)
+    vectors = (TrigVector.random(rng).eval, TrigVector.random(rng).eval)
+    bank = BasisBank(mesh, k)
+    spaces = {w: make_space(mesh, w, k, bank=bank) for w in WHICHES}
+
+    def field(which, slot):
+        return (scalars if which in ("grad", "l2") else vectors)[slot]
+
+    alone = {(w, slot): interpolate(spaces[w], field(w, slot)).values
+             for w in WHICHES for slot in (0, 1)}
+    for a, b in itertools.combinations_with_replacement(WHICHES, 2):
+        got = interpolate((spaces[a], spaces[b]), (field(a, 0), field(b, 1)))
+        assert [v.space for v in got] == [spaces[a], spaces[b]]
+        assert np.array_equal(got[0].values, alone[a, 0]), (a, b)
+        assert np.array_equal(got[1].values, alone[b, 1]), (a, b)
+
+
+def test_tuple_interpolation_rejects_mismatched_arguments():
+    mesh = generate_cubic_mesh(1)
+    curl, div = (make_space(mesh, w, 0) for w in ("curl", "div"))
+    f = manufactured_solution()["field"]
+    for space, fields in (((curl,), (f, f)), ((curl,), f), (curl, (f,)),
+                          ((), ())):
+        with pytest.raises(ValueError, match="equal-length"):
+            interpolate(space, fields)
+    with pytest.raises(ValueError, match="share one basis bank"):
+        interpolate((curl, div), (f, f))
+
+
+@pytest.mark.parametrize("mesh, k", [
+    (lambda: jittered_tet_mesh(2, 1), 0),
+    (lambda: generate_cubic_mesh(2), 1),
+], ids=["jittered-tet2-k0", "cubic2-k1"])
+def test_error_norms_builds_each_data_rule_once(monkeypatch, mesh, k):
+    """One error_norms call builds one data rule per data block of the
+    field and flux spaces and tabulates the monomials at its points once."""
+    mesh = mesh()
+    problem = polyddr.manufactured_problem(mesh, k)
+    field, potential = polyddr.solve(polyddr.assemble(problem))
+    sc, sd, _ = problem.spaces()
+    bank, degree = sc.bank, 2 * k + INTERP_DEGREE_MARGIN
+    blocks = sum(
+        len(value_blocks(len(g), data_rule_size(mesh, kind, g.ids[0], degree)))
+        for kind in ("edge", "face", "cell") if sc.width[kind] or sd.width[kind]
+        for g in bank.groups(kind))
+
+    rules, tables = [], []
+    build, tabulate = polyspaces.entity_rule, _ScalarCore._monomials
+
+    def counted_rule(*args, **kwargs):
+        rule = build(*args, **kwargs)
+        if kwargs.get("data"):
+            rules.append(rule.points)
+        return rule
+
+    def counted_monomials(core, pts, *args, **kwargs):
+        if any(pts is p for p in rules):
+            tables.append(id(pts))
+        return tabulate(core, pts, *args, **kwargs)
+
+    monkeypatch.setattr(polyspaces, "entity_rule", counted_rule)
+    monkeypatch.setattr(_ScalarCore, "_monomials", counted_monomials)
+    polyddr.error_norms(problem, field, potential)
+    assert len(rules) == blocks
+    assert len(tables) == len(set(tables)) == blocks
+
+
+def test_two_field_interpolation_peak_stays_below_the_whole_cell_data_rule():
+    mesh = jittered_tet_mesh(4, 0)
+    bank = BasisBank(mesh, 1)
+    spaces = tuple(make_space(mesh, w, 1, bank=bank) for w in ("curl", "div"))
+    fields = manufactured_solution()
+    fields = (fields["field"], fields["vector_potential"])
+    interpolate(spaces, fields)  # the bases and cores, which the bank keeps
+    tracemalloc.start()
+    try:
+        interpolate(spaces, fields)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    whole = entity_rule(mesh, "cell", np.arange(mesh.num_cells),
+                        2 * bank.k + INTERP_DEGREE_MARGIN, data=True)
     assert peak < whole.points.nbytes + whole.weights.nbytes

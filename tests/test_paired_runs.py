@@ -1,6 +1,6 @@
 """Smoke test of scripts/paired_runs.py: both sides are this checkout,
 two pairs of one iteration each on the fastest workload; and its per-pair
-ratio summary on fixed values."""
+ratio summary and finish row on fixed values."""
 
 import importlib.util
 import re
@@ -38,6 +38,9 @@ def test_paired_runs_smoke():
         assert len(summary) == 1 and "of 2, bound" in summary[0], lines
         q1, median, q3 = map(float, RATIO.search(summary[0]).group(2, 1, 3))
         assert 0 < q1 <= median <= q3
+    finish = [line for line in lines if line.startswith("  finish: ")]
+    assert len(finish) == 1 and finish[0].endswith("of 2 (informational)"), lines
+    assert RATIO.search(finish[0]) and "bound" not in finish[0]
 
 
 def test_ratio_quartiles_pair_the_runs():
@@ -48,3 +51,16 @@ def test_ratio_quartiles_pair_the_runs():
     assert np.allclose(ratio_quartiles(parent, 0.8 * parent), 0.8)
     q1, median, q3 = ratio_quartiles([1.0] * 4, [0.5, 1.0, 1.5, 2.0])
     assert (q1, median, q3) == (0.875, 1.25, 1.625)
+
+
+def test_finish_is_run_minus_solve_per_run():
+    """The finish row pairs each run's run_s with its own solve_s: a change
+    that only speeds up the work after the solve reads a finish ratio of
+    0.5 in every pair, though its solve_s varies from run to run."""
+    script = _script()
+    parent = {"solve_s": [1.0, 3.0, 2.0], "run_s": [1.5, 3.4, 2.3]}
+    change = {"solve_s": [3.0, 1.0, 2.0], "run_s": [3.25, 1.2, 2.15]}
+    assert np.allclose(script.finish(parent), [0.5, 0.4, 0.3])
+    assert np.allclose(script.finish(change), [0.25, 0.2, 0.15])
+    assert np.allclose(script.ratio_quartiles(script.finish(parent),
+                                              script.finish(change)), 0.5)

@@ -30,7 +30,14 @@ from polyddr.products import (
 )
 from polyddr.quadrature import entity_rule
 
-from oracles import Poly3, VecPoly3, integrate_poly_cell, integrate_products
+from oracles import (
+    Poly3,
+    VecPoly3,
+    component_norm_by_assembly,
+    graph_norms_by_assembly,
+    integrate_poly_cell,
+    integrate_products,
+)
 from stacks import Local, basis_of, entity, own_dofs, rule_of
 
 
@@ -496,6 +503,31 @@ def test_graph_norms_with_coefficient(ctx):
     want_a = np.sqrt(A @ (Md @ A) + dv @ dv)
     assert gf == pytest.approx(want_f, rel=1e-12)
     assert ga == pytest.approx(want_a, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("name", ["cube", "tet", "pyr", "agglo"])
+def test_norms_from_local_forms_match_assembled_matrices(ctx, name, k):
+    """graph_norms and component_norm sum the local forms; the oracle
+    assembles the global matrices. Per-cell mu spans 1e-3 to 1e3, and the
+    graph norms take a column stack whose columns differ in scale."""
+    sp = ctx.spaces(name, k)
+    rng = np.random.default_rng(17)
+    ncells = ctx.meshes[name].num_cells
+    mu = 10.0 ** np.linspace(-3.0, 3.0, ncells)[rng.permutation(ncells)]
+    scale = 10.0 ** np.arange(-2.0, 3.0)
+    H = rng.standard_normal((sp["curl"].dim, len(scale))) * scale
+    A = rng.standard_normal((sp["div"].dim, len(scale))) * scale
+    for coeff in (None, mu):
+        got = graph_norms(sp["curl"], sp["div"], sp["l2"], H, A, mu=coeff)
+        want = graph_norms_by_assembly(sp["curl"], sp["div"], sp["l2"], H, A,
+                                       mu=coeff)
+        for g, w in zip(got, want):
+            assert np.all(np.abs(g - w) <= 1e-13 * w), (coeff is None, g, w)
+    for space in sp.values():
+        v = rng.standard_normal(space.dim)
+        got, want = component_norm(space, v), component_norm_by_assembly(space, v)
+        assert abs(got - want) <= 1e-13 * want, (space.which, got, want)
 
 
 def test_scalar_coefficient_broadcasts_over_cells(ctx):

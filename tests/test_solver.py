@@ -62,8 +62,8 @@ def test_refinement_step_tightens_the_residual():
     (lambda: jittered_tet_mesh(2, 0), 2),
 ], ids=["cubic4-k1", "jittered-tet2-k2"])
 def test_fill_is_at_most_six_tenths_of_the_default_lu(mesh, k):
-    """Stored factor entries: 724,860 against 1,273,214 on cubic:4 k=1,
-    764,480 against 2,404,772 on the jittered tet:2 k=2."""
+    """Stored factor entries: 669,926 against 1,124,289 on cubic:4 k=1,
+    656,660 against 2,139,164 on the jittered tet:2 k=2."""
     system = assemble(manufactured_problem(mesh(), k))
     assert system.lu_nnz is None
     solve(system)
