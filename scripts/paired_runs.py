@@ -18,6 +18,13 @@ better, and a verdict against the bound in the change's BENCHMARK.json:
   its median is better by more than the parent's interquartile range;
 - "same" otherwise.
 
+After the ratio quartiles each row gives the order effect, for
+information only: the median ratio change/parent of the pairs in which
+the change ran first, next to that of the pairs in which the parent ran
+first.  On a shared host the side that runs first can read up to a
+quarter slower or faster than the other; a gap between the two medians
+shows that effect.  The verdict does not read it.
+
 After the metrics comes an informational row, `finish`: run_s - solve_s
 of each run, the work after the solve (the error norms, on the solve
 workloads), with the same medians, quartiles, ratios and pairs won and no
@@ -95,6 +102,16 @@ def ratio_quartiles(parent, change):
     return tuple(np.percentile(ratios, [25, 50, 75]))
 
 
+def order_ratios(parent, change, firsts):
+    """Median ratio change/parent over the pairs in which the change ran
+    first, and over those in which the parent did (nan if none)."""
+    ratios = np.asarray(change) / np.asarray(parent)
+    firsts = np.asarray(firsts)
+    return tuple(float(np.median(ratios[firsts == side]))
+                 if np.any(firsts == side) else float("nan")
+                 for side in ("change", "parent"))
+
+
 def main(argv=None):
     args = parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -104,6 +121,7 @@ def main(argv=None):
     ok = True
     for workload in workloads:
         values = {side: {m["name"]: [] for m in metrics} for side in sides}
+        firsts = []
         print(f"{workload}: {args.pairs} pairs of {args.seconds:g} s")
         for pair in range(args.pairs):
             order = list(sides) if pair % 2 == 0 else list(sides)[::-1]
@@ -112,6 +130,7 @@ def main(argv=None):
             if not all(r and r["correct"] for r in results.values()):
                 ok = False
                 continue
+            firsts.append(order[0])
             cells = []
             for m in metrics:
                 got = [results[side]["metrics"][m["name"]]["value"]
@@ -131,12 +150,15 @@ def main(argv=None):
             word, better, (q1, q3) = verdict(
                 parent, change, m["bound"] if m else np.inf, lower_better)
             r1, r2, r3 = ratio_quartiles(parent, change)
+            c_first, p_first = order_ratios(parent, change, firsts)
             tail = f", bound {m['bound']:g}: {word}" if m else " (informational)"
             print(f"  {name}: parent median {np.median(parent):.4g} "
                   f"(quartiles {q1:.4g} to {q3:.4g}), change median "
                   f"{np.median(change):.4g}, ratio change/parent median "
-                  f"{r2:.4f} (quartiles {r1:.4f} to {r3:.4f}), change better "
-                  f"in {better} of {len(parent)}{tail}")
+                  f"{r2:.4f} (quartiles {r1:.4f} to {r3:.4f}), by order "
+                  f"{c_first:.4f} with change first and {p_first:.4f} with "
+                  f"parent first, change better in {better} of "
+                  f"{len(parent)}{tail}")
     return 0 if ok else 1
 
 

@@ -24,9 +24,10 @@ check are one expression per group, written with the arithmetic of one
 entity (a vector norm as sqrt(v . v) through matmul, sums and means along
 the entity's own axis), so each array equals bit for bit what an
 entity-by-entity loop gives. The per-entity tuples (faces, face_fans,
-cell_vertices, ...) are read-only row views of the frozen group stacks. A
-rejection names the first failing entity and check in the order: faces
-(planarity, star shape, edge signs), then cells, then interior faces.
+cell_vertices, ...) are read-only row views of the frozen group stacks,
+built on first read. A rejection names the first failing entity and check
+in the order: faces (planarity, star shape, edge signs), then cells, then
+interior faces.
 """
 
 import itertools
@@ -75,15 +76,20 @@ def _dots(a, b):
 
 
 def _diameters(points):
-    # max pairwise distance over the (..., n, 3) points of each entity;
-    # entities are small so the N^2 cost is fine
-    diff = points[..., :, None, :] - points[..., None, :, :]
-    return np.sqrt((diff**2).sum(axis=-1)).max(axis=(-2, -1))
+    # max pairwise distance over the (..., n, 3) points of each entity,
+    # one difference per pair; sqrt is monotone, so it is taken of the
+    # largest squared distance
+    i, j = np.array([*itertools.combinations(range(points.shape[-2]), 2)]).T
+    diff = points[..., i, :] - points[..., j, :]
+    return np.sqrt((diff**2).sum(axis=-1).max(axis=-1))
 
 
 def _ragged(lists):
     """One flat int array of a sequence of index lists, and the offsets
     (n + 1,) of the lists in it."""
+    if isinstance(lists, np.ndarray) and lists.ndim == 2:
+        n, m = lists.shape
+        return lists.astype(int).ravel(), np.arange(0, n * m + 1, m)
     lists = list(lists)
     offsets = np.zeros(len(lists) + 1, dtype=int)
     np.cumsum(np.fromiter(map(len, lists), dtype=int, count=len(lists)),
@@ -93,6 +99,15 @@ def _ragged(lists):
     return flat, offsets
 
 
+def _lists(flat, offsets):
+    """The index lists of a flat array and its offsets, as Python lists."""
+    lens = np.diff(offsets)
+    if (lens == lens[0]).all():
+        return flat.reshape(len(lens), -1).tolist()
+    flat, offsets = flat.tolist(), offsets.tolist()
+    return [flat[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+
+
 def _spans(offsets, ids):
     """Flat positions of the lists ids, concatenated in order."""
     starts = offsets[ids]
@@ -100,13 +115,19 @@ def _spans(offsets, ids):
     return np.repeat(starts + lens - np.cumsum(lens), lens) + np.arange(lens.sum())
 
 
+def _row_runs(keys):
+    """The stable lexicographic order of the rows of the (n, k) int matrix
+    keys, and the positions in it where a new distinct row starts."""
+    order = np.lexsort(keys.T[::-1])
+    sk = keys[order]
+    return order, np.flatnonzero(np.r_[True, (sk[1:] != sk[:-1]).any(axis=1)])
+
+
 def _groups(keys):
     """(key, ids) of the rows of the (n, k) key matrix grouped by equal
     rows, keys ascending and ids ascending in each group."""
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    bounds = np.cumsum(np.bincount(inverse, minlength=len(uniq)))[:-1]
-    return list(zip(uniq.tolist(), np.split(order, bounds)))
+    order, starts = _row_runs(keys)
+    return list(zip(keys[order[starts]].tolist(), np.split(order, starts[1:])))
 
 
 def _list_faults(flat, offsets, bound):
@@ -134,6 +155,26 @@ def _raise_first(*checks):
         raise MeshError(checks[int(np.argmax(faults[:, i]))][1](i))
 
 
+class _Rows:
+    """A per-entity attribute of Mesh (faces, cell_fans, ...): the tuple of
+    read-only row views of the group stacks, entity by entity, built on
+    first read. An instance attribute of the same name shadows it."""
+
+    def __init__(self, name, groups):
+        self.name, self.groups = name, groups
+
+    def __get__(self, mesh, owner=None):
+        if mesh is None:
+            return self
+        if self.name not in mesh._row_tuples:
+            groups = getattr(mesh, self.groups)
+            rows = [row for g in groups for row in getattr(g, self.name)]
+            ids = np.concatenate([g.ids for g in groups])
+            mesh._row_tuples[self.name] = tuple(map(rows.__getitem__,
+                                                    np.argsort(ids).tolist()))
+        return mesh._row_tuples[self.name]
+
+
 class Mesh:
     """Immutable polyhedral mesh.
 
@@ -148,13 +189,18 @@ class Mesh:
     has the ids (ascending) and, under the name of each per-entity
     attribute (faces, face_fans, ...; cells, cell_vertices, ...), the
     read-only stack of its rows; a cell group also has the valences of its
-    faces in local order. The per-entity tuples are views of the stacks.
+    faces in local order. The per-entity tuples are views of the stacks,
+    built on first read.
     """
 
     _FACE_ARRAYS = ("faces", "face_edges", "face_edge_signs",
                     "face_edge_normals", "face_fans", "face_fan_area2")
     _CELL_ARRAYS = ("cells", "cell_vertices", "cell_edges", "cell_face_signs",
                     "cell_fans", "cell_fan_vol6")
+    (faces, face_edges, face_edge_signs, face_edge_normals, face_fans,
+     face_fan_area2) = (_Rows(name, "face_groups") for name in _FACE_ARRAYS)
+    (cells, cell_vertices, cell_edges, cell_face_signs, cell_fans,
+     cell_fan_vol6) = (_Rows(name, "cell_groups") for name in _CELL_ARRAYS)
 
     def __init__(self, vertices, faces, cells):
         vertices = np.asarray(vertices, dtype=float)
@@ -169,6 +215,9 @@ class Mesh:
         self._cell_faces, self._cell_offsets = _ragged(cells)
         self._check_indices()
         self._build_edges()
+        # the builders queue their checks, each a tuple of (fault per
+        # entity, describe) in check order, for _validate to raise
+        self._checks = []
         self._build_face_geometry()
         self._build_cell_geometry()
         self._validate()
@@ -202,7 +251,7 @@ class Mesh:
         # each loop position's vertex pair with the next one, sorted; the
         # sorted unique pairs are the edges
         loops, off = self._loops, self._loop_offsets
-        nxt = np.arange(1, len(loops) + 1)
+        nxt = self._loop_next = np.arange(1, len(loops) + 1)
         nxt[off[1:] - 1] = off[:-1]
         nv = len(self.vertices)
         lo = np.minimum(loops, loops[nxt])
@@ -221,25 +270,27 @@ class Mesh:
         )
 
     def _build_face_geometry(self):
+        """Face groups, geometry, fans and edge signs; queues the face
+        checks (planarity, star shape, edge signs)."""
         off = self._loop_offsets
-        valence = np.diff(off)
-        nf = len(valence)
+        nf = len(off) - 1
         self.face_groups = []
         self._face_group_of = {}
         self._face_slot = np.empty(nf, dtype=int)
-        for (n,), ids in _groups(valence[:, None]):
+        # Newell's formula: sum of cross products around the loop gives
+        # twice the area vector, oriented by the loop direction
+        nvec = np.empty((nf, 3))
+        parts = []
+        for (n,), ids in _groups(np.diff(off)[:, None]):
             cols = off[ids, None] + np.arange(n)
             g = SimpleNamespace(ids=ids, faces=self._loops[cols])
             self._face_slot[ids] = np.arange(len(ids))
             self._face_group_of[n] = g
             self.face_groups.append(g)
-
-        # Newell's formula: sum of cross products around the loop gives
-        # twice the area vector, oriented by the loop direction
-        nvec = np.empty((nf, 3))
-        for g in self.face_groups:
             pts = self.vertices[g.faces]
-            nvec[g.ids] = _cross(pts, np.roll(pts, -1, axis=1)).sum(axis=1)
+            nxt = np.roll(pts, -1, axis=1)
+            nvec[ids] = _cross(pts, nxt).sum(axis=1)
+            parts.append((g, cols, pts, nxt))
         nrm = np.sqrt(_dots(nvec, nvec))
         _raise_first((nrm <= 0, "face {} has zero area vector".format))
         n = self.face_normals = nvec / nrm[:, None]
@@ -254,38 +305,46 @@ class Mesh:
         self.face_centroids = np.empty((nf, 3))
         self.face_diameters = np.empty(nf)
         self.face_areas = np.empty(nf)
-        for g in self.face_groups:
-            pts = self.vertices[g.faces]
-            nxt = np.roll(pts, -1, axis=1)
+        self._loop_edge_signs = np.empty(len(self._loops), dtype=int)
+        offset = np.empty(nf)
+        star = np.empty(nf, dtype=bool)
+        edge_dot = np.empty(nf)
+        for g, cols, pts, nxt in parts:
             xf = pts.mean(axis=1)
             self.face_centroids[g.ids] = xf
-            self.face_diameters[g.ids] = _diameters(pts)
-            tri = np.empty(pts.shape[:2] + (3, 3))
-            tri[:, :, 0] = xf[:, None]
-            tri[:, :, 1] = pts
-            tri[:, :, 2] = nxt
-            g.face_fans = tri
-            # doubled fan-triangle areas, positive for a star-shaped face
+            h = self.face_diameters[g.ids] = _diameters(pts)
+            g.face_fans = np.stack(
+                [np.broadcast_to(xf[:, None], pts.shape), pts, nxt], axis=2)
+            # doubled fan-triangle areas, positive for a star-shaped face,
+            # and the vertex offsets from the plane through x_F
             xf = xf[:, None]
-            g.face_fan_area2 = (_cross(pts - xf, nxt - xf) @ n[g.ids, :, None])[..., 0]
+            ng = n[g.ids, :, None]
+            g.face_fan_area2 = (_cross(pts - xf, nxt - xf) @ ng)[..., 0]
             self.face_areas[g.ids] = 0.5 * g.face_fan_area2.sum(axis=1)
+            offset[g.ids] = np.abs((pts - xf) @ ng).max(axis=(1, 2))
+            star[g.ids] = g.face_fan_area2.min(axis=1) <= SIGN_RTOL * h * h
 
-        # edge normals and signs at every loop position
-        owner = np.repeat(np.arange(nf), valence)
-        nfe = _cross(n[owner], self.edge_tangents[self._loop_edges])
-        mids = self.edge_midpoints[self._loop_edges]
-        self._loop_edge_dots = ((mids - self.face_centroids[owner]) * nfe).sum(axis=1)
-        signs = np.sign(self._loop_edge_dots).astype(int)
-        for g in self.face_groups:
-            cols = off[g.ids, None] + np.arange(g.faces.shape[1])
+            # edge normals and signs at every loop position
             g.face_edges = self._loop_edges[cols]
-            g.face_edge_normals = nfe[cols]
-            g.face_edge_signs = signs[cols]
-        self._loop_edge_signs = signs
+            nfe = g.face_edge_normals = _cross(
+                n[g.ids, None], self.edge_tangents[g.face_edges])
+            dots = ((self.edge_midpoints[g.face_edges] - xf) * nfe).sum(axis=2)
+            g.face_edge_signs = np.sign(dots).astype(int)
+            self._loop_edge_signs[cols] = g.face_edge_signs
+            edge_dot[g.ids] = np.abs(dots).min(axis=1)
+        h = self.face_diameters
+        self._checks.append((
+            (offset > PLANARITY_RTOL * h, lambda f: (
+                f"face {f} is non-planar: offset {offset[f]:.3e} "
+                f"exceeds {PLANARITY_RTOL:.0e} * h_F")),
+            (star, "face {} is not star-shaped w.r.t. x_F".format),
+            (edge_dot <= SIGN_RTOL * h,
+             "face {}: ambiguous edge orientation sign".format),
+        ))
 
     def _rows(self, group, slots, name, ids):
         given = self.__dict__.get(name)
-        if given is not None and given is not self._row_tuples[name]:
+        if given is not None:
             # a per-entity attribute assigned after construction (a test
             # corrupting orientation data) is read as assigned
             return np.array([given[i] for i in ids])
@@ -305,6 +364,8 @@ class Mesh:
         return self._rows(g, self._cell_slot[ids], name, ids)
 
     def _build_cell_geometry(self):
+        """Cell groups, geometry and fans, and face_cells; queues the cell
+        checks and the interior-face check."""
         cf, coff = self._cell_faces, self._cell_offsets
         nc, nf, nv = len(coff) - 1, len(self._face_slot), len(self.vertices)
         valence = np.diff(self._loop_offsets)
@@ -321,9 +382,9 @@ class Mesh:
         if len(third):
             raise MeshError(
                 f"face {cf[third.min()]} belongs to more than two cells")
-        self._face_uses = -np.ones((nf, 2), dtype=int)
-        self._face_uses[face, rank] = order
-        face_cells = np.where(self._face_uses < 0, -1, owner[self._face_uses])
+        uses = -np.ones((nf, 2), dtype=int)
+        uses[face, rank] = order
+        face_cells = np.where(uses < 0, -1, owner[uses])
 
         # the vertex and edge ids (sorted, unique) at the loop positions of
         # each cell's faces
@@ -333,122 +394,90 @@ class Mesh:
         for name, ids, count in (("cell_vertices", self._loops, nv),
                                  ("cell_edges", self._loop_edges,
                                   len(self.edges))):
-            keys = np.unique(pos_owner * count + ids[pos])
-            incident[name] = (keys % count,
-                              np.bincount(keys // count, minlength=nc))
+            keys = np.sort(pos_owner * count + ids[pos])
+            keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
+            counts = np.bincount(keys // count, minlength=nc)
+            incident[name] = (keys % count, np.cumsum(counts) - counts, counts)
 
         # cells of one shape: face count, vertex and edge counts, and the
         # face valences in local order
         shape = np.zeros((nc, 3 + nfaces.max(initial=0)), dtype=int)
         shape[:, 0] = nfaces
-        shape[:, 1] = incident["cell_vertices"][1]
-        shape[:, 2] = incident["cell_edges"][1]
+        shape[:, 1] = incident["cell_vertices"][2]
+        shape[:, 2] = incident["cell_edges"][2]
         shape[owner, 3 + np.arange(len(cf)) - coff[owner]] = valence[cf]
         self.cell_groups = []
         self._cell_group_of = np.empty(nc, dtype=int)
         self._cell_slot = np.empty(nc, dtype=int)
+        self.cell_centroids = np.empty((nc, 3))
+        self.cell_volumes = np.empty(nc)
+        self.cell_diameters = np.empty(nc)
+        faults = np.zeros((5, nc), dtype=bool)
+        bad_edge = np.empty(nc, dtype=int)
+        bad_uses = np.empty(nc, dtype=int)
+        face_signs = np.empty(len(cf), dtype=int)
         for key, ids in _groups(shape):
             self._cell_group_of[ids] = len(self.cell_groups)
             self._cell_slot[ids] = np.arange(len(ids))
             m = key[0]
             g = SimpleNamespace(ids=ids, valences=key[3:3 + m],
                                 cells=cf[coff[ids, None] + np.arange(m)])
-            for i, (name, (flat, counts)) in enumerate(incident.items()):
-                first = np.cumsum(counts) - counts
+            for i, (name, (flat, first, _)) in enumerate(incident.items()):
                 setattr(g, name, flat[first[ids, None] + np.arange(key[1 + i])])
             self.cell_groups.append(g)
 
-        self.cell_centroids = np.empty((nc, 3))
-        self.cell_volumes = np.empty(nc)
-        self.cell_diameters = np.empty(nc)
-        for g in self.cell_groups:
             pts = self.vertices[g.cell_vertices]
             xt = pts.mean(axis=1)
-            self.cell_centroids[g.ids] = xt
-            self.cell_diameters[g.ids] = _diameters(pts)
+            self.cell_centroids[ids] = xt
+            h = self.cell_diameters[ids] = _diameters(pts)
+            normals = self.face_normals[g.cells]
             dots = ((self.face_centroids[g.cells] - xt[:, None])
-                    * self.face_normals[g.cells]).sum(axis=2)
-            g.cell_face_signs = np.sign(dots).astype(int)
+                    * normals).sum(axis=2)
+            signs = g.cell_face_signs = np.sign(dots).astype(int)
 
             # fan tetrahedra (x_T, x_F, a, b) over each face's fan
-            # triangles, with (a, b) ordered so the tet volume is positive
-            # for outward oriented faces
-            tets = np.empty((len(g.ids), sum(g.valences), 4, 3))
-            tets[:, :, 0] = xt[:, None]
-            at = 0
-            for j, n in enumerate(g.valences):
-                tri = self.face_rows("face_fans", g.cells[:, j])
-                flip = (g.cell_face_signs[:, j] < 0)[:, None, None, None]
-                tets[:, at:at + n, 1:] = np.where(flip, tri[:, :, [0, 2, 1]], tri)
-                at += n
-            g.cell_fans = tets
+            # triangles (x_F, a, b), with (a, b) the loop edge reversed on
+            # inward oriented faces, so the tet volume is positive
+            at = _spans(self._loop_offsets, g.cells.ravel()).reshape(len(ids), -1)
+            use = np.repeat(signs, g.valences, axis=1)
+            a, b = self._loops[at], self._loops[self._loop_next[at]]
+            xf = self.face_centroids[np.repeat(g.cells, g.valences, axis=1)]
+            tets = g.cell_fans = np.stack(
+                [np.broadcast_to(xt[:, None], xf.shape), xf,
+                 self.vertices[np.where(use < 0, b, a)],
+                 self.vertices[np.where(use < 0, a, b)]], axis=2)
             # six times the fan-tet volumes, positive for a star-shaped cell
             g.cell_fan_vol6 = np.linalg.det(tets[:, :, 1:] - tets[:, :, :1])
-            self.cell_volumes[g.ids] = (g.cell_fan_vol6 / 6.0).sum(axis=1)
-        self.face_cells = face_cells
-        self.boundary_faces = np.flatnonzero(face_cells[:, 1] < 0)
+            vol = g.cell_fan_vol6 / 6.0
+            self.cell_volumes[ids] = vol.sum(axis=1)
 
-    def _validate(self):
-        nf = len(self._face_slot)
-        offset = np.empty(nf)
-        star = np.empty(nf, dtype=bool)
-        for g in self.face_groups:
-            pts = self.vertices[g.faces]
-            xf = self.face_centroids[g.ids, None]
-            off = np.abs((pts - xf) @ self.face_normals[g.ids, :, None])
-            offset[g.ids] = off.max(axis=(1, 2))
-            h = self.face_diameters[g.ids]
-            star[g.ids] = g.face_fan_area2.min(axis=1) <= SIGN_RTOL * h * h
-        h = self.face_diameters
-        edge_dot = np.minimum.reduceat(np.abs(self._loop_edge_dots),
-                                       self._loop_offsets[:-1])
-        _raise_first(
-            (offset > PLANARITY_RTOL * h, lambda f: (
-                f"face {f} is non-planar: offset {offset[f]:.3e} "
-                f"exceeds {PLANARITY_RTOL:.0e} * h_F")),
-            (star, "face {} is not star-shaped w.r.t. x_F".format),
-            (edge_dot <= SIGN_RTOL * h,
-             "face {}: ambiguous edge orientation sign".format),
-        )
-
-        nc = len(self.cell_diameters)
-        faults = np.zeros((5, nc), dtype=bool)
-        bad_edge = np.empty(nc, dtype=int)
-        bad_uses = np.empty(nc, dtype=int)
-        face_signs = np.empty(len(self._cell_faces), dtype=int)
-        for g in self.cell_groups:
-            h = self.cell_diameters[g.ids]
-            xt = self.cell_centroids[g.ids, None]
-            dots = ((self.face_centroids[g.cells] - xt)
-                    * self.face_normals[g.cells]).sum(axis=2)
-            faults[0, g.ids] = np.abs(dots).min(axis=1) <= SIGN_RTOL * h
-            faults[1, g.ids] = (g.cell_fan_vol6 / 6.0).min(axis=1) <= SIGN_RTOL * h**3
-
+            faults[0, ids] = np.abs(dots).min(axis=1) <= SIGN_RTOL * h
+            faults[1, ids] = vol.min(axis=1) <= SIGN_RTOL * h**3
             # closed boundary: each edge of the cell lies in exactly two of
             # its faces, and the signed edge orientations cancel. The first
             # edge (in face and loop order) to fail either decides.
-            pos = _spans(self._loop_offsets, g.cells.ravel()).reshape(len(g.ids), -1)
-            edge = self._loop_edges[pos]
-            use = (np.repeat(g.cell_face_signs, g.valences, axis=1)
-                   * self._loop_edge_signs[pos])
+            edge = self._loop_edges[at]
+            use = use * self._loop_edge_signs[at]
             same = edge[:, :, None] == edge[:, None, :]
             count = same.sum(axis=2)
             bad = (count != 2) | ((same * use[:, None, :]).sum(axis=2) != 0)
             first = np.argmax(bad, axis=1)[:, None]
             found = bad.any(axis=1)
-            bad_uses[g.ids] = uses = np.take_along_axis(count, first, axis=1)[:, 0]
-            bad_edge[g.ids] = np.take_along_axis(edge, first, axis=1)[:, 0]
-            faults[2, g.ids] = found & (uses != 2)
-            faults[3, g.ids] = found & (uses == 2)
+            bad_uses[ids] = n_uses = np.take_along_axis(count, first, axis=1)[:, 0]
+            bad_edge[ids] = np.take_along_axis(edge, first, axis=1)[:, 0]
+            faults[2, ids] = found & (n_uses != 2)
+            faults[3, ids] = found & (n_uses == 2)
 
-            flux = (g.cell_face_signs[:, :, None]
-                    * self.face_areas[g.cells, None]
-                    * self.face_normals[g.cells]).sum(axis=1)
-            faults[4, g.ids] = (np.sqrt(_dots(flux, flux))
-                                > CLOSURE_RTOL * h * h * len(g.valences))
-            face_signs[self._cell_offsets[g.ids, None]
-                       + np.arange(len(g.valences))] = g.cell_face_signs
-        _raise_first(
+            flux = (signs[:, :, None] * self.face_areas[g.cells, None]
+                    * normals).sum(axis=1)
+            faults[4, ids] = (np.sqrt(_dots(flux, flux))
+                              > CLOSURE_RTOL * h * h * m)
+            face_signs[coff[ids, None] + np.arange(m)] = signs
+        self.face_cells = face_cells
+        self.boundary_faces = np.flatnonzero(face_cells[:, 1] < 0)
+
+        signs = face_signs[uses]
+        self._checks += [(
             (faults[0], "cell {}: ambiguous face orientation sign".format),
             (faults[1], "cell {} is not star-shaped w.r.t. x_T".format),
             (faults[2], lambda c: (f"cell {c}: edge {bad_edge[c]} lies in "
@@ -456,47 +485,31 @@ class Mesh:
             (faults[3], lambda c: (f"cell {c}: inconsistent orientation at "
                                    f"edge {bad_edge[c]}")),
             (faults[4], "cell {}: boundary is not closed".format),
-        )
-
-        signs = face_signs[self._face_uses]
-        _raise_first((
-            (self._face_uses[:, 1] >= 0) & (signs.sum(axis=1) != 0),
+        ), ((
+            (uses[:, 1] >= 0) & (signs.sum(axis=1) != 0),
             "interior face {}: cells on the same side".format,
-        ))
+        ),)]
+
+    def _validate(self):
+        """Raise the first failing entity of the queued checks, faces
+        first, then cells, then interior faces."""
+        for checks in self._checks:
+            _raise_first(*checks)
+        del self._checks
 
     def _freeze(self):
-        for arr in (
-            self.vertices,
-            self.edges,
-            self.edge_tangents,
-            self.edge_lengths,
-            self.edge_midpoints,
-            self.face_centroids,
-            self.face_normals,
-            self.face_frames,
-            self.face_areas,
-            self.face_diameters,
-            self.cell_centroids,
-            self.cell_volumes,
-            self.cell_diameters,
-            self.face_cells,
-            self.boundary_faces,
-        ):
+        for arr in (self.vertices, self.edges, self.edge_tangents,
+                    self.edge_lengths, self.edge_midpoints,
+                    self.face_centroids, self.face_normals, self.face_frames,
+                    self.face_areas, self.face_diameters, self.cell_centroids,
+                    self.cell_volumes, self.cell_diameters, self.face_cells,
+                    self.boundary_faces):
             arr.flags.writeable = False
         for groups, names in ((self.face_groups, self._FACE_ARRAYS),
                               (self.cell_groups, self._CELL_ARRAYS)):
-            rows = {name: [None] * sum(len(g.ids) for g in groups)
-                    for name in names}
             for g in groups:
-                ids = g.ids.tolist()
                 for name in names:
-                    stack = getattr(g, name)
-                    stack.flags.writeable = False
-                    for i, row in zip(ids, stack):
-                        rows[name][i] = row
-            for name in names:
-                self._row_tuples[name] = tuple(rows[name])
-                setattr(self, name, self._row_tuples[name])
+                    getattr(g, name).flags.writeable = False
         self.face_groups = tuple(self.face_groups)
         self.cell_groups = tuple(self.cell_groups)
 
@@ -513,11 +526,11 @@ class Mesh:
 
     @property
     def num_faces(self):
-        return len(self.faces)
+        return len(self._loop_offsets) - 1
 
     @property
     def num_cells(self):
-        return len(self.cells)
+        return len(self._cell_offsets) - 1
 
     @property
     def h(self):
@@ -528,8 +541,8 @@ class Mesh:
         """JSON-serializable mesh description (edges are derived on load)."""
         return {
             "vertices": self.vertices.tolist(),
-            "faces": [loop.tolist() for loop in self.faces],
-            "cells": [cf.tolist() for cf in self.cells],
+            "faces": _lists(self._loops, self._loop_offsets),
+            "cells": _lists(self._cell_faces, self._cell_offsets),
         }
 
 
@@ -550,65 +563,57 @@ def load_mesh(path):
     return Mesh(data["vertices"], data["faces"], data["cells"])
 
 
-def _grid_mesh(n, subcube_cells):
+def _grid_mesh(n, template):
     """Mesh of the unit cube on the (n+1)^3 vertex grid.
 
-    subcube_cells(c) lists the cells of one subcube as lists of face loops,
-    with c(a, b, d) the vertex id of the subcube corner offset by (a, b, d)
-    in {0, 1}^3. Loops with the same vertex set are one shared face.
+    template holds the cells of one subcube, (cells, faces, valence, 3):
+    each face loop as the offsets in {0, 1}^3 of its vertices from the
+    subcube's lower corner. Subcubes run with the last axis fastest. Loops
+    with the same vertex set are one shared face, numbered and stored as
+    it first occurs.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    coords = np.linspace(0.0, 1.0, n + 1)
-    vid = lambda i, j, k: (i * (n + 1) + j) * (n + 1) + k
-    vertices = np.array(
-        [[coords[i], coords[j], coords[k]]
-         for i in range(n + 1) for j in range(n + 1) for k in range(n + 1)]
-    )
-    faces = []
-    face_ids = {}
-    cells = []
-    for i, j, k in itertools.product(range(n), repeat=3):
-        corner = lambda a, b, d: vid(i + a, j + b, k + d)
-        for loops in subcube_cells(corner):
-            cell = []
-            for loop in loops:
-                key = frozenset(loop)
-                if key not in face_ids:
-                    face_ids[key] = len(faces)
-                    faces.append(loop)
-                cell.append(face_ids[key])
-            cells.append(cell)
-    return Mesh(vertices, faces, cells)
+    m = n + 1
+    coords = np.linspace(0.0, 1.0, m)
+    vertices = np.stack(np.meshgrid(coords, coords, coords, indexing="ij"),
+                        axis=-1).reshape(-1, 3)
+    corners = np.arange(m**3).reshape(m, m, m)[:n, :n, :n].ravel()
+    loops = (corners[:, None, None, None]
+             + template @ [m * m, m, 1]).reshape(-1, template.shape[2])
+    # distinct vertex sets in key order, renumbered by their first use
+    order, starts = _row_runs(np.sort(loops, axis=1))
+    first = order[starts]
+    number = np.empty(len(first), dtype=int)
+    number[np.argsort(first)] = np.arange(len(first))
+    face = np.empty(len(loops), dtype=int)
+    face[order] = np.repeat(number, np.diff(np.r_[starts, len(order)]))
+    return Mesh(vertices, loops[np.sort(first)],
+                face.reshape(-1, template.shape[1]))
 
 
-def _hexahedron(c):
-    return [[
-        (c(0, 0, 0), c(0, 0, 1), c(0, 1, 1), c(0, 1, 0)),
-        (c(1, 0, 0), c(1, 1, 0), c(1, 1, 1), c(1, 0, 1)),
-        (c(0, 0, 0), c(1, 0, 0), c(1, 0, 1), c(0, 0, 1)),
-        (c(0, 1, 0), c(0, 1, 1), c(1, 1, 1), c(1, 1, 0)),
-        (c(0, 0, 0), c(0, 1, 0), c(1, 1, 0), c(1, 0, 0)),
-        (c(0, 0, 1), c(1, 0, 1), c(1, 1, 1), c(0, 1, 1)),
-    ]]
+# the subcube's six faces as vertex loops, normals outward
+_HEXAHEDRON = np.array([[
+    [(0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 0)],
+    [(1, 0, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1)],
+    [(0, 0, 0), (1, 0, 0), (1, 0, 1), (0, 0, 1)],
+    [(0, 1, 0), (0, 1, 1), (1, 1, 1), (1, 1, 0)],
+    [(0, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 0)],
+    [(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)],
+]])
 
-
-def _six_tetrahedra(c):
-    cells = []
-    for perm in itertools.permutations(range(3)):
-        step = [0, 0, 0]
-        ids = [c(*step)]
-        for axis in perm:
-            step[axis] += 1
-            ids.append(c(*step))
-        cells.append([(ids[0], ids[1], ids[2]), (ids[0], ids[1], ids[3]),
-                      (ids[0], ids[2], ids[3]), (ids[1], ids[2], ids[3])])
-    return cells
+# one tet per axis-step permutation: the corners visited from (0, 0, 0) to
+# (1, 1, 1) one axis at a time, and its faces as the corner triples
+_SIX_TETRAHEDRA = np.array([
+    np.cumsum([(0, 0, 0), *np.eye(3, dtype=int)[list(perm)]], axis=0)[
+        list(itertools.combinations(range(4), 3))]
+    for perm in itertools.permutations(range(3))
+])
 
 
 def generate_cubic_mesh(n):
     """Uniform n x n x n hexahedral partition of the unit cube."""
-    return _grid_mesh(n, _hexahedron)
+    return _grid_mesh(n, _HEXAHEDRON)
 
 
 def generate_tet_mesh(n):
@@ -618,7 +623,7 @@ def generate_tet_mesh(n):
     traced by the axis-step permutations, which makes neighbouring subcubes
     agree on the shared-face diagonals.
     """
-    return _grid_mesh(n, _six_tetrahedra)
+    return _grid_mesh(n, _SIX_TETRAHEDRA)
 
 
 def _merged_cell_ok(mesh, faces_a, faces_b):
@@ -633,27 +638,17 @@ def _merged_cell_ok(mesh, faces_a, faces_b):
     verts = np.unique(np.concatenate([mesh.faces[f] for f in merged]))
     xt = mesh.vertices[verts].mean(axis=0)
     h = float(_diameters(mesh.vertices[verts]))
-
-    edge_count = {}
-    for f in merged:
-        for e in mesh.face_edges[f]:
-            edge_count[int(e)] = edge_count.get(int(e), 0) + 1
-    if any(cnt != 2 for cnt in edge_count.values()):
+    edges = np.concatenate([mesh.face_edges[f] for f in merged])
+    if np.any(np.unique(edges, return_counts=True)[1] != 2):
         return None
 
     for f in merged:
         dot = (mesh.face_centroids[f] - xt) @ mesh.face_normals[f]
         if abs(dot) <= SIGN_RTOL * h:
             return None
-        sign = 1.0 if dot > 0 else -1.0
-        tri = mesh.face_fans[f]
-        if sign < 0:
-            tri = tri[:, [0, 2, 1], :]
-        apex = np.broadcast_to(xt, (len(tri), 1, 3))
-        tets = np.concatenate([apex, tri], axis=1)
-        d = tets[:, 1:] - tets[:, :1]
-        vols = np.linalg.det(d) / 6.0
-        if vols.min() <= SIGN_RTOL * h**3:
+        # fan tets (x_T, x_F, a, b), (a, b) reversed on an inward face
+        tri = mesh.face_fans[f] if dot > 0 else mesh.face_fans[f][:, [0, 2, 1]]
+        if (np.linalg.det(tri - xt) / 6.0).min() <= SIGN_RTOL * h**3:
             return None
     return merged
 

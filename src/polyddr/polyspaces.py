@@ -89,8 +89,15 @@ __all__ = [
 
 # Bound on the values one block of stacked work at many points holds: a
 # field at data-rule points. It bounds the temporaries, whose size would
-# otherwise grow with the group.
-BLOCK_VALUES = 32768
+# otherwise grow with the group. Interpolates and load vector are the same
+# bit for bit at any size (checked from 4096 to 65536 on hex_k1 and
+# tet_jitter_k0). Against 32768, 8192 keeps the temporaries nearer the
+# cache: the load vector (fresh problem, medians of 5 interleaved calls,
+# one BLAS thread) took 58 against 70 ms on hex_k1 and stayed flat on
+# tet_jitter_k0 (52 ms) and cubic:8 k=0 (144 ms); the tet_jitter_k0
+# benchmark's peak_mem_mb fell from 15.7-16.0 to 12.2-12.4 MB (3 runs
+# each).
+BLOCK_VALUES = 8192
 
 
 def value_blocks(count, size):

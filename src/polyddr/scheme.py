@@ -121,8 +121,9 @@ def solve(system):
     """Direct sparse solve; stores the solution, the relative residual
     and the LU fill on the system and returns the (field, potential)
     split. The fill is SuperLU's count of stored factor entries, explicit
-    zeros of its supernodes included: 669,926 on cubic:4 k=1, where
-    L.nnz + U.nnz is 627,952. Counting the latter would copy the factors.
+    zeros of its supernodes included: 632,166 on cubic:4 k=1 and 168,845
+    on the jittered tet:4 k=0 of the benchmark (seed 0). Counting L.nnz +
+    U.nnz instead would copy the factors.
 
     The factorization uses one fixed policy, chosen for this system:
     - SymmetricMode: the matrix is structurally symmetric, so SuperLU
@@ -133,7 +134,17 @@ def solve(system):
       divergence-free dofs, so pure diagonal pivoting (threshold 0)
       breaks down (residual 1.7e4 on cubic:2 k=0, 1.5e13 on tet:4 k=1);
       at 1e-2 and 1e-1 off-diagonal pivots spoil the ordering (L.nnz +
-      U.nnz 28.3M and 35.8M on cubic:8 k=1, against 11.7M at 1e-3).
+      U.nnz 28.3M and 35.8M on cubic:8 k=1, against 11.7M at 1e-3);
+    - relax=4: only elimination subtrees of fewer than 4 columns merge
+      into one relaxed supernode (SuperLU's default merges larger ones),
+      so fewer explicit zeros are stored. Stored fill fell from 669,926 to 632,166 on
+      cubic:4 k=1 and from 194,802 to 168,845 on the jittered tet:4 k=0,
+      and the factorization got faster (cubic:8 k=1: 1.7 to 1.3 s). With
+      the default relaxation the fill's ratio to the default LU's moved
+      from 0.588 to 0.613 across one-ulp perturbations of the cubic:4 k=1
+      matrix; with relax=4 the worst of 16 such perturbations is 0.578.
+      Keep relax below SuperLU's panel size: a sweep with relax=32 was
+      seen to make glibc abort under MALLOC_CHECK_=3.
     Against the default (COLAMD, partial pivoting) L.nnz + U.nnz fell from
     32.1M to 11.7M on cubic:8 k=1, 55.3M to 11.7M on tet:4 k=2 and
     1.12M to 0.63M on cubic:4 k=1. One step of iterative refinement with
@@ -144,7 +155,7 @@ def solve(system):
     matrix, rhs = system.matrix, system.rhs
     try:
         lu = splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3,
-                  options=dict(SymmetricMode=True))
+                  relax=4, options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise RuntimeError(f"sparse factorization failed: {exc}") from exc
     x = lu.solve(rhs)

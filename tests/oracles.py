@@ -25,6 +25,9 @@ scaled monomials with no shortcut, the reference the package's
 _ScalarCore._monomials must match bit for bit. graph_norms_by_assembly and
 component_norm_by_assembly take norms through the assembled global
 matrices, where the package sums the local forms cell group by cell group.
+grid_lists_by_loops builds the grid meshes' vertices, face loops and cells
+subcube by subcube with a dictionary of face vertex sets, the loop the
+package's array generator replaced.
 """
 
 import itertools
@@ -555,6 +558,58 @@ def svd_subspace_basis(mesh, kind, index, family, l):
         return np.zeros((0, len(parent)))
     _, sing, Vt = np.linalg.svd(M)
     return Vt[: int((sing >= 1e-8 * sing[0]).sum())]
+
+
+def _hexahedron(c):
+    return [[
+        (c(0, 0, 0), c(0, 0, 1), c(0, 1, 1), c(0, 1, 0)),
+        (c(1, 0, 0), c(1, 1, 0), c(1, 1, 1), c(1, 0, 1)),
+        (c(0, 0, 0), c(1, 0, 0), c(1, 0, 1), c(0, 0, 1)),
+        (c(0, 1, 0), c(0, 1, 1), c(1, 1, 1), c(1, 1, 0)),
+        (c(0, 0, 0), c(0, 1, 0), c(1, 1, 0), c(1, 0, 0)),
+        (c(0, 0, 1), c(1, 0, 1), c(1, 1, 1), c(0, 1, 1)),
+    ]]
+
+
+def _six_tetrahedra(c):
+    cells = []
+    for perm in itertools.permutations(range(3)):
+        step = [0, 0, 0]
+        ids = [c(*step)]
+        for axis in perm:
+            step[axis] += 1
+            ids.append(c(*step))
+        cells.append([(ids[0], ids[1], ids[2]), (ids[0], ids[1], ids[3]),
+                      (ids[0], ids[2], ids[3]), (ids[1], ids[2], ids[3])])
+    return cells
+
+
+def grid_lists_by_loops(n, kind):
+    """(vertices, faces, cells) of generate_cubic_mesh(n) (kind "cubic")
+    or generate_tet_mesh(n) (kind "tet") on the (n+1)^3 vertex grid, built
+    subcube by subcube: each subcube's cells as lists of face loops, with
+    c(a, b, d) the vertex id of the subcube corner offset by (a, b, d); a
+    loop whose vertex set was seen before is that face again."""
+    coords = np.linspace(0.0, 1.0, n + 1)
+    vid = lambda i, j, k: (i * (n + 1) + j) * (n + 1) + k
+    vertices = np.array(
+        [[coords[i], coords[j], coords[k]]
+         for i in range(n + 1) for j in range(n + 1) for k in range(n + 1)]
+    )
+    subcube_cells = {"cubic": _hexahedron, "tet": _six_tetrahedra}[kind]
+    faces, face_ids, cells = [], {}, []
+    for i, j, k in itertools.product(range(n), repeat=3):
+        corner = lambda a, b, d: vid(i + a, j + b, k + d)
+        for loops in subcube_cells(corner):
+            cell = []
+            for loop in loops:
+                key = frozenset(loop)
+                if key not in face_ids:
+                    face_ids[key] = len(faces)
+                    faces.append(list(loop))
+                cell.append(face_ids[key])
+            cells.append(cell)
+    return vertices, faces, cells
 
 
 def shape_regularity(mesh):

@@ -92,6 +92,23 @@ def test_streamed_data_rules_match_whole_group_rule(monkeypatch, name, k):
         assert max(blocks) > 1  # a group is split, so the blocks are tested
 
 
+@pytest.mark.parametrize("size", [4096, 65536])
+@pytest.mark.parametrize("name, k", [("jittered-tet2", 0), ("cubic2", 1)])
+def test_block_size_does_not_change_the_data_results(monkeypatch, size,
+                                                      name, k):
+    """BLOCK_VALUES sizes the blocks for the cache only: interpolates and
+    load vectors are the same bit for bit at any size. (An L2 error is a
+    sum over the blocks, so it moves at roundoff with their bounds.)"""
+    mesh = MESHES[name]()
+    default = _data_results(mesh, k)
+    monkeypatch.setattr(polyspaces, "BLOCK_VALUES", size)
+    resized = _data_results(mesh, k)
+    keys = [key for key in default if key[1] in ("interpolate", "load_vector")]
+    assert len(keys) == 7
+    for key in keys:
+        assert np.array_equal(default[key], resized[key]), key
+
+
 @pytest.mark.parametrize("mesh, k", [
     (lambda: jittered_tet_mesh(2, 1), 0),
     (lambda: generate_cubic_mesh(2), 1),

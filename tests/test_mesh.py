@@ -14,7 +14,8 @@ from polyddr.mesh import (
     agglomerate_pairs,
 )
 
-from oracles import shape_regularity
+from meshes import jittered_tet_mesh
+from oracles import grid_lists_by_loops, shape_regularity
 
 
 def unit_cube_mesh():
@@ -438,6 +439,9 @@ def _pentagram_prism():
 
 
 GROUPED_MESHES = {
+    "cubic3": lambda: generate_cubic_mesh(3),
+    "tet2": lambda: generate_tet_mesh(2),
+    "jittered-tet2": lambda: jittered_tet_mesh(2, 3),
     "agglo3": lambda: agglomerate_pairs(generate_cubic_mesh(3), seed=0),
     "agglo-tet2": lambda: agglomerate_pairs(generate_tet_mesh(2), seed=0),
     "pentagram": _pentagram_prism,
@@ -449,8 +453,10 @@ GROUPED_MESHES = {
 @pytest.mark.parametrize("name", sorted(GROUPED_MESHES))
 def test_entity_geometry_matches_the_per_entity_formulas(name):
     """Every stacked array equals, bit for bit, the entity-by-entity
-    formulas (np.cross, np.linalg.norm, np.unique, np.linalg.det); all
-    but the hull have several face or cell groups."""
+    formulas (np.cross, np.linalg.norm, np.unique, np.linalg.det), on the
+    generated grids (one face and one cell group each), a jittered tet
+    mesh, and meshes with several face or cell groups (all but the
+    hull)."""
     m = GROUPED_MESHES[name]()
     pairs = sorted({tuple(sorted(p)) for loop in m.faces
                     for p in zip(loop.tolist(), np.roll(loop, -1).tolist())})
@@ -534,3 +540,70 @@ def test_mesh_build_cost_does_not_grow_per_entity(monkeypatch):
         Mesh(d["vertices"], d["faces"], d["cells"])
         counts[n] = len(calls)
     assert counts[2] == counts[4] > 0
+
+
+@pytest.mark.parametrize("kind", ["cubic", "tet"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_grid_generator_matches_the_subcube_loop(kind, n):
+    """The array generator gives the loop's vertices, face loops and cells
+    exactly: faces numbered and stored as they first occur."""
+    generate = {"cubic": generate_cubic_mesh, "tet": generate_tet_mesh}[kind]
+    m = generate(n)
+    vertices, faces, cells = grid_lists_by_loops(n, kind)
+    assert m.vertices.tobytes() == vertices.tobytes()
+    data = m.to_dict()
+    assert data["faces"] == faces
+    assert data["cells"] == cells
+    assert [loop.tolist() for loop in m.faces] == faces
+    assert [cf.tolist() for cf in m.cells] == cells
+
+
+def test_grid_generator_rejects_an_empty_grid():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        generate_cubic_mesh(0)
+
+
+ROUND_TRIP_MESHES = {
+    "tet2": lambda: generate_tet_mesh(2),
+    "jittered-tet2": lambda: jittered_tet_mesh(2, 3),
+    "agglo3": lambda: agglomerate_pairs(generate_cubic_mesh(3), seed=0),
+    "house": _house_mesh,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_MESHES))
+def test_to_dict_round_trip_is_bit_for_bit(name):
+    """to_dict gives the loops and face lists as given, through JSON too,
+    and the mesh rebuilt from it has the same arrays, bit for bit."""
+    m = ROUND_TRIP_MESHES[name]()
+    data = m.to_dict()
+    assert data["faces"] == [loop.tolist() for loop in m.faces]
+    assert data["cells"] == [cf.tolist() for cf in m.cells]
+    assert all(type(i) is int for loop in data["faces"] for i in loop)
+    assert json.loads(json.dumps(data)) == data
+    m2 = Mesh(data["vertices"], data["faces"], data["cells"])
+    assert m2.to_dict() == data
+    for name in ("vertices", "edges", "edge_tangents", "face_normals",
+                 "face_frames", "face_areas", "face_centroids",
+                 "cell_centroids", "cell_volumes", "cell_diameters",
+                 "face_cells", "boundary_faces"):
+        assert getattr(m2, name).tobytes() == getattr(m, name).tobytes(), name
+    for g, g2 in zip(m.cell_groups + m.face_groups,
+                     m2.cell_groups + m2.face_groups):
+        for key, value in vars(g).items():
+            assert np.asarray(vars(g2)[key]).tobytes() == \
+                np.asarray(value).tobytes(), key
+
+
+def test_counts_and_a_solve_build_no_per_entity_tuple():
+    """The per-entity tuples are built on first read, and neither the
+    counts nor a full solve read one."""
+    from polyddr.scheme import assemble, error_norms, manufactured_problem, solve
+
+    m = jittered_tet_mesh(2, 3)
+    assert (m.num_faces, m.num_cells) == (120, 48)
+    problem = manufactured_problem(m, 1)
+    error_norms(problem, *solve(assemble(problem)))
+    assert m._row_tuples == {}
+    assert m.faces[7].base is not None and not m.faces[7].flags.writeable
+    assert set(m._row_tuples) == {"faces"}

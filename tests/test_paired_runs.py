@@ -3,6 +3,7 @@ two pairs of one iteration each on the fastest workload; and its per-pair
 ratio summary and finish row on fixed values."""
 
 import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -64,3 +65,41 @@ def test_finish_is_run_minus_solve_per_run():
     assert np.allclose(script.finish(change), [0.25, 0.2, 0.15])
     assert np.allclose(script.ratio_quartiles(script.finish(parent),
                                               script.finish(change)), 0.5)
+
+
+def test_order_effect_splits_the_pairs_by_the_side_run_first(tmp_path,
+                                                             capsys):
+    """A host on which the side that runs first reads 25% slower: the
+    change (0.9 of the parent) reads 0.9 * 1.25 in the pairs it runs
+    first and 0.9 / 1.25 in the others."""
+    script = _script()
+    sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    for path in sides.values():
+        path.mkdir()
+    (sides["change"] / "BENCHMARK.json").write_text(
+        (REPO / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in json.loads(
+        (REPO / "BENCHMARK.json").read_text())["end_to_end"]]
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append(checkout)
+        scale = (0.9 if checkout == sides["change"] else 1.0) * (
+            1.25 if len(calls) % 2 else 1.0)
+        return {"correct": True, "metrics": {
+            name: {"value": scale * (1.0 + seed) * (1 + i)}
+            for i, name in enumerate(names)}}
+
+    script.run_once = run_once
+    assert script.main([str(sides["parent"]), str(sides["change"]),
+                        "--pairs", "4", "--workload", "hex_k1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [c.name for c in calls] == ["parent", "change", "change",
+                                       "parent"] * 2
+    for name in names + ["finish"]:
+        row = [line for line in lines if line.startswith(f"  {name}: ")]
+        assert len(row) == 1, lines
+        assert "by order 1.1250 with change first and 0.7200 with parent " \
+               "first" in row[0], row[0]
+    assert script.order_ratios([1.0, 1.0], [0.5, 2.0], ["parent", "change"]) \
+        == (2.0, 0.5)
