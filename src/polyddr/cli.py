@@ -245,6 +245,10 @@ def cmd_solve(args):
     print(f"system dim = {sc.dim + sd.dim}")
     print(f"residual = {system.residual:.3e}")
     print(f"lu_nnz = {system.lu_nnz}")
+    # congruence classes against entities: the local matrices built
+    print("local shapes = " + ", ".join(
+        "{}s {}/{}".format(kind, *sc.bank.class_counts(kind))
+        for kind in ("cell", "face", "edge")))
     payload = {
         "dim_xcurl": sc.dim,
         "dim_xdiv": sd.dim,

@@ -43,10 +43,12 @@ polyspaces.BasisBank), and the group stack is the only local API: each
 entry point (edge_reconstruct, op_*) takes (space, group) and returns the
 group's `_Operators` (dofs (G, n), matrix (G, m, n), stacked target),
 built on first request and cached in the space. Entity i of a group is
-slot `bank.group(kind, i)[1]` of each array. Boundary parts at one local
-position of a group share a group of their own, so each position is one
-gathered, stacked contraction through the sub-group's entry point, and the
-group's boundary term is one bincount scatter. Square systems are solved
+slot `bank.group(kind, i)[1]` of each array. The build runs on the
+group's representative group, one entity per congruence class, and the
+group gathers its matrices by class index (`_stack`). Boundary parts at
+one local position of a group share a group of their own, so each
+position is one gathered, stacked contraction through the sub-group's
+entry point, and the group's boundary term is one bincount scatter. Square systems are solved
 as one stack; one above condition number 1e12 aborts with a message naming
 the operator, the group's worst entity and its condition number, and the
 worst condition number per operator is kept in DofSpace.worst_cond.
@@ -114,9 +116,11 @@ LAYOUT = {
 def _solve_guarded(space, A, B, what, group):
     """Solve the stacked square systems A X = B of one entity group.
 
-    Every condition number is computed; the worst one and its entity are
-    kept per label in space.worst_cond. A system above COND_LIMIT (or not
-    finite) aborts, naming the worst failing entity of the group."""
+    Builds run on representative groups (_stack), so the guard runs once
+    per congruence class, on its representative. Every condition number
+    is computed; the worst one and its entity, a class representative,
+    are kept per label in space.worst_cond. A system above COND_LIMIT (or
+    not finite) aborts, naming the worst failing representative."""
     cond = np.linalg.cond(A) if A.size else np.zeros(len(A))
     score = np.where(np.isfinite(cond), cond, np.inf)
     if len(score):
@@ -136,7 +140,13 @@ def _stack(kind):
     """Make build(space, group) the entry point of one local object on the
     entity groups of one kind: it rejects anything but such a group and
     returns the group's stack, built once per space and cached under the
-    builder's name and the kind."""
+    builder's name and the group.
+
+    build runs on representative groups only (EntityGroup.rep, one entity
+    per congruence class); any other group gathers the matrices of its
+    representative's stack by class index (_gather). Where every class is
+    a singleton the group is its own representative and nothing is
+    gathered."""
     def entry(build):
         name = build.__name__
 
@@ -147,13 +157,29 @@ def _stack(kind):
                 raise ValueError(
                     f"{name} takes a {kind} group (BasisBank.groups({kind!r})), "
                     f"not {f'a {got} group' if got else repr(group)}")
-            key = (name, kind, group.gid)
+            key = (name, group)
             out = space._cache.get(key)
             if out is None:
-                out = space._cache[key] = build(space, group)
+                out = (build(space, group) if group.rep is group else
+                       _gather(space, group, stack(space, group.rep)))
+                space._cache[key] = out
             return out
         return stack
     return entry
+
+
+def _gather(space, group, rep):
+    """The stack of a group from the stack rep of its representative
+    group: the representative's matrix for each entity's class, the
+    group's own dofs, and a target basis of the same space on the group's
+    own entities."""
+    out = rep._replace(dofs=space.group_dofs(group),
+                       matrix=rep.matrix[group.classes])
+    target = getattr(rep, "target", None)
+    if target is not None:
+        out = out._replace(target=space.bank.group_basis(
+            group, target.kind, target.degree))
+    return out
 
 
 # The local operators of one entity group, stacked: dofs (G, n) global
@@ -188,7 +214,9 @@ class DofSpace:
 
     worst_cond maps the label of each guarded local solve ("edge
     reconstruction", "scalar face trace", ...) to the largest condition
-    number met so far and its entity, (cond, index)."""
+    number met so far and its entity, (cond, index). The guard runs once
+    per congruence class, so the entity is the class representative
+    (EntityGroup.rep)."""
 
     def __init__(self, mesh, which, k, bank=None):
         if k < 0:
@@ -249,7 +277,7 @@ class DofSpace:
     def group_dofs(self, group):
         """Global indices (G, n) of the dofs each entity of a group reads,
         in local order."""
-        key = ("group_dofs", group.kind, group.gid)
+        key = ("group_dofs", group)
         out = self._cache.get(key)
         if out is None:
             out = self._cache[key] = np.concatenate(

@@ -121,7 +121,7 @@ def solve(system):
     """Direct sparse solve; stores the solution, the relative residual
     and the LU fill on the system and returns the (field, potential)
     split. The fill is SuperLU's count of stored factor entries, explicit
-    zeros of its supernodes included: 632,166 on cubic:4 k=1 and 168,845
+    zeros of its supernodes included: 620,386 on cubic:4 k=1 and 168,845
     on the jittered tet:4 k=0 of the benchmark (seed 0). Counting L.nnz +
     U.nnz instead would copy the factors.
 

@@ -532,19 +532,23 @@ def _l2_error_sq(space, op, dofs, f):
     op (op_potential, op_curl_cell, ...) applied to the dof vector dofs and
     the field f, by the data rule of degree 2k + INTERP_DEGREE_MARGIN:
     stacked over cell groups and evaluated block by block of cells, each
-    block on its own data rule (BasisBank.data_blocks)."""
+    block on its own data rule (BasisBank.data_blocks). Each cell's
+    integral is summed over its own points, and each group's cells once,
+    so the value does not depend on where the blocks end."""
     bank = space.bank
     degree = 2 * space.k + INTERP_DEGREE_MARGIN
     total = 0.0
     for group in bank.groups("cell"):
         ops = op(space, group)
         u = (ops.matrix @ dofs[ops.dofs][..., None])[..., 0]
+        cells = np.empty(len(group))
         for sl, rule in bank.data_blocks(group, degree):
             pts = rule.points
             diff = np.einsum("gm,gm...->g...", u[sl], ops.target.eval(pts, sl))
             diff -= np.asarray(f(pts.reshape(-1, 3))).reshape(diff.shape)
             sq = diff ** 2 if diff.ndim == 2 else np.sum(diff ** 2, axis=2)
-            total += float(np.sum(sq * rule.weights))
+            cells[sl] = np.sum(sq * rule.weights, axis=1)
+        total += float(np.sum(cells))
     return total
 
 

@@ -165,9 +165,16 @@ def test_solve_reports_dimensions_and_errors(capsys, tmp_path):
     assert "err_hcurl_hdiv_rel" in stdout
     assert "setup" in stdout and "assemble" in stdout and "solve" in stdout
     assert re.search(r"^lu_nnz = [1-9][0-9]*$", stdout, re.M)
+    # the congruence classes of cubic:2 against its 8 cells, 36 faces and
+    # 54 edges, on the line after lu_nnz
+    lines = stdout.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("lu_nnz"))
+    assert re.fullmatch(r"local shapes = cells 8/8, faces 6/36, edges 3/54",
+                        lines[at + 1]), lines[at + 1]
     payload = json.loads(out.read_text())
     assert payload["system_dim"] == 90
     assert "lu_nnz" not in payload
+    assert "local shapes" not in out.read_text()
     assert payload["residual"] < 1e-10
     assert 0 < payload["errors"]["err_hcurl_hdiv_rel"] < 2
 

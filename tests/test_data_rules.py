@@ -96,16 +96,14 @@ def test_streamed_data_rules_match_whole_group_rule(monkeypatch, name, k):
 @pytest.mark.parametrize("name, k", [("jittered-tet2", 0), ("cubic2", 1)])
 def test_block_size_does_not_change_the_data_results(monkeypatch, size,
                                                       name, k):
-    """BLOCK_VALUES sizes the blocks for the cache only: interpolates and
-    load vectors are the same bit for bit at any size. (An L2 error is a
-    sum over the blocks, so it moves at roundoff with their bounds.)"""
+    """BLOCK_VALUES sizes the blocks for the cache only: interpolates,
+    load vectors and L2 errors are the same bit for bit at any size."""
     mesh = MESHES[name]()
     default = _data_results(mesh, k)
     monkeypatch.setattr(polyspaces, "BLOCK_VALUES", size)
     resized = _data_results(mesh, k)
-    keys = [key for key in default if key[1] in ("interpolate", "load_vector")]
-    assert len(keys) == 7
-    for key in keys:
+    assert len(default) == 11
+    for key in default:
         assert np.array_equal(default[key], resized[key]), key
 
 
@@ -120,10 +118,18 @@ def test_bank_holds_no_data_rule_after_error_norms(mesh, k):
     polyddr.error_norms(problem, field, potential)
     bank = problem.spaces()[0].bank
     assert bank._group_rules
-    # every rule the bank holds is a polynomial (vertex-fan) rule
-    for (kind, gid, degree, *_), rule in bank._group_rules.items():
-        poly = entity_rule(mesh, kind, bank.groups(kind)[gid].ids, degree)
-        assert np.array_equal(rule.points, poly.points), (kind, gid, degree)
+    # every rule the bank holds, on a full group or on a representative
+    # group (one entity per congruence class), is a polynomial (vertex-fan)
+    # rule of that group's entities
+    for (group, degree), rule in bank._group_rules.items():
+        poly = entity_rule(mesh, group.kind, group.ids, degree)
+        assert np.array_equal(rule.points, poly.points), (group.kind, degree)
+        assert np.array_equal(rule.weights, poly.weights), (group.kind, degree)
+    reps = [g for g, _ in bank._group_rules
+            if all(g is not full for full in bank.groups(g.kind))]
+    # on the cubes (6 face classes of 36 faces) the face cores are built
+    # on representative groups; every jittered tet is a class of its own
+    assert bool(reps) == (mesh.num_cells == 8)
 
 
 def test_load_vector_peak_stays_below_the_whole_cell_data_rule():

@@ -67,8 +67,9 @@ def test_refinement_step_tightens_the_residual():
     (lambda: jittered_tet_mesh(2, 0), 2),
 ], ids=["cubic4-k1", "jittered-tet2-k2"])
 def test_fill_is_at_most_six_tenths_of_the_default_lu(mesh, k):
-    """Stored factor entries: 632,166 against 1,124,289 on cubic:4 k=1,
-    656,660 against 2,139,164 on the jittered tet:2 k=2. The default LU's
+    """Stored factor entries (scripts/fill_report.py prints them): 620,386
+    against 1,124,457 on cubic:4 k=1, 656,660 against 2,139,164 on the
+    jittered tet:2 k=2. The default LU's
     fill on cubic:4 k=1 follows the matrix's last bits: over 16 one-ulp
     perturbations of every entry it ranged from 1,093,759 to 1,130,256,
     and the ratio reached 0.578 (0.6125 before relax=4)."""
