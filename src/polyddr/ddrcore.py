@@ -12,21 +12,27 @@ inside one entity the LAYOUT order; DofSpace derives it in one loop over
 the entity kinds.
 
 Each reconstruction operator maps the degrees of freedom attached to an
-entity and its boundary to a polynomial on the entity. Edge gradients come
-from a reconstructed edge polynomial of degree k+1. Every face and cell
-operator follows one of two patterns, each built by one routine:
+entity and its boundary to a polynomial on the entity. A space has one
+boundary reconstruction per sub-entity kind, named by `_trace`: the
+degree-(k+1) edge polynomial (whose derivative is the edge gradient) and
+the scalar face trace of the scalar space, the edge values and the
+tangential face trace of the field space, the face values of the flux
+space. Its differentials (`_differentials`), its cell potential
+(POTENTIALS) and its stabilization read these alone. The lookups run at
+call time, so a wrapper rebound under a public name is entered. Every face
+and cell operator follows one of two patterns, each built by one routine:
 
 - a differential (`_differential`: face gradient and rotation, cell
   gradient, curl and divergence) is defined by integration by parts
   against its whole target space: a volume term pairing the adjoint
   derivative of the target (div, rotated grad, curl or grad) with the
-  entity's first dof family, plus the boundary term over the
+  entity's first dof family, plus the boundary term over the space's
   reconstructions on the entity's boundary;
 - a reconstruction (`_reconstruction`: scalar and tangential face traces,
   the three cell potentials) solves one small square system: derivative
   moments against radial-complement tests equal the tests against a
   differential, plus the boundary term, with complement-projection rows
-  where the reconstruction keeps the complement part of the data.
+  keeping the moments of the entity's second dof family where it has one.
 
 Both share one boundary term (`_add_boundary_term`), and no term tabulates
 a basis at points. Volume terms pair two polynomials on the entity's own
@@ -111,6 +117,8 @@ LAYOUT = {
             "cell": (("grad_image", -1), ("grad_complement", 0))},
     "l2": {"vertex": (), "edge": (), "face": (), "cell": (("scalar", 0),)},
 }
+# The spaces in complex order: the differentials map each into the next.
+SPACES = tuple(LAYOUT)
 
 
 def _solve_guarded(space, A, B, what, group):
@@ -136,11 +144,11 @@ def _solve_guarded(space, A, B, what, group):
     return np.linalg.solve(A, B)
 
 
-def _stack(kind):
+def _stack(kind, spaces):
     """Make build(space, group) the entry point of one local object on the
-    entity groups of one kind: it rejects anything but such a group and
-    returns the group's stack, built once per space and cached under the
-    builder's name and the group.
+    entity groups of one kind and the spaces named: it rejects any other
+    group or space and returns the group's stack, built once per space and
+    cached under the name of build and the group.
 
     build runs on representative groups only (EntityGroup.rep, one entity
     per congruence class); any other group gathers the matrices of its
@@ -157,6 +165,9 @@ def _stack(kind):
                 raise ValueError(
                     f"{name} takes a {kind} group (BasisBank.groups({kind!r})), "
                     f"not {f'a {got} group' if got else repr(group)}")
+            if space.which not in spaces:
+                raise ValueError(f"{name} is not defined on the {space.which} "
+                                 f"space (only on {', '.join(spaces)})")
             key = (name, group)
             out = space._cache.get(key)
             if out is None:
@@ -443,15 +454,31 @@ def _columns(idx, dofs):
 def _identity_values(space, group):
     """The entity's own dofs as the identity onto its degree-k basis: the
     boundary values of the field space on edges and of the flux space on
-    faces."""
+    faces (_trace). Nothing is built, so nothing is stacked or cached."""
     dofs = space.group_dofs(group)
     w = dofs.shape[1]
     return _Operators(dofs, np.broadcast_to(np.eye(w), (len(group), w, w)),
                       space.bank.group_basis(group, "scalar", space.k))
 
 
-_edge_values = _stack("edge")(_identity_values)
-_face_values = _stack("face")(_identity_values)
+def _trace(space, kind):
+    """The entry point of the space's one reconstruction on edges or faces
+    (None where it has none), looked up at call time: a wrapper rebound
+    under the public name, as perfbench/tracer.py rebinds it, is entered."""
+    return {("grad", "edge"): edge_reconstruct,
+            ("grad", "face"): op_scalar_trace,
+            ("curl", "edge"): _identity_values,
+            ("curl", "face"): op_tangential_trace,
+            ("div", "face"): _identity_values}.get((space.which, kind))
+
+
+def _differentials(space):
+    """The entry points of the space's differentials into the next space
+    (SPACES) by entity kind, looked up at call time like _trace."""
+    return {"grad": {"edge": op_grad_edge, "face": op_grad_face,
+                     "cell": op_grad_cell},
+            "curl": {"face": op_curl_face, "cell": op_curl_cell},
+            "div": {"cell": op_div_cell}}.get(space.which, {})
 
 
 def _boundary_parts(space, group):
@@ -494,13 +521,13 @@ def _trace_coords(basis, tgt, slots, rule, what, to_scalar, to_vector,
     return V, sub.coords(tgt._Cs[slots], k, slots)
 
 
-def _add_boundary_term(space, group, M, idx, tests, trace, what, sign=1.0,
+def _add_boundary_term(space, group, M, idx, tests, what, sign=1.0,
                        degree=None):
     """Add the boundary sum of integration by parts to the stack M in place.
 
     M (G, m, n) has columns over the global dofs idx (G, n) of the entities
     of a face or cell group. Over their edges (faces) or faces (cells),
-    with rec the boundary reconstructions trace(space, subgroup) of each
+    with rec the space's boundary reconstructions (_trace) on each
     position's sub-entity group, and omega the relative orientation, adds
     sign * omega * int (test trace) . rec to the columns of the dofs rec
     reads. The test trace is the value of a scalar test, the normal
@@ -511,7 +538,7 @@ def _add_boundary_term(space, group, M, idx, tests, trace, what, sign=1.0,
     """
     blocks, dofs = [], []
     for _, subgroup, slots, omega, n in _boundary_parts(space, group):
-        rec = trace(space, subgroup)
+        rec = _trace(space, subgroup.kind)(space, subgroup)
         V, W = _trace_coords(tests, rec.target, slots,
                              space.bank.group_rule(subgroup, degree), what,
                              n, _cross_matrix(n))
@@ -556,13 +583,11 @@ def _rotated_grad(space, group):
 # edge operators (scalar space)
 
 
-@_stack("edge")
+@_stack("edge", ("grad",))
 def edge_reconstruct(space, group):
     """Degree-(k+1) edge polynomial matching both endpoint values and the
     degree-(k-1) edge moments; the base object for edge gradients and the
     scalar stabilization."""
-    if space.which != "grad":
-        raise ValueError("edge reconstruction lives on the scalar space")
     k = space.k
     basis = space.bank.group_basis(group, "scalar", k + 1)
     V = basis.eval(space.mesh.vertices[group.vertices])
@@ -574,7 +599,7 @@ def edge_reconstruct(space, group):
     return _Operators(space.group_dofs(group), matrix, basis)
 
 
-@_stack("edge")
+@_stack("edge", ("grad",))
 def op_grad_edge(space, group):
     """Derivative of the reconstructed edge polynomial, degree k."""
     rec = edge_reconstruct(space, group)
@@ -589,12 +614,11 @@ def op_grad_edge(space, group):
 # face and cell operators
 
 
-def _differential(space, group, tgt, adjoint, sign, trace, trace_sign, what):
+def _differential(space, group, tgt, adjoint, sign, boundary_sign, what):
     """Face or cell differential with values in tgt, by parts against all
     of tgt: sign * int adjoint(tgt) . (first dof family) on the entity,
-    plus the boundary term of the reconstructions trace (sign trace_sign).
-    The volume term is a same-core product in coefficient space; what
-    names the operator."""
+    plus the boundary term (sign boundary_sign). The volume term is a
+    same-core product in coefficient space; what names the operator."""
     idx = space.group_dofs(group)
     M = np.zeros((len(group), tgt.dim, idx.shape[1]))
     fam, l = space.families[group.kind][0]
@@ -602,26 +626,28 @@ def _differential(space, group, tgt, adjoint, sign, trace, trace_sign, what):
     if first.dim:
         M[:, :, space._own_slice(group, 0)] = sign * tgt._core.inner(
             adjoint(tgt), first._Cs)
-    _add_boundary_term(space, group, M, idx, tgt, trace, what, sign=trace_sign)
+    _add_boundary_term(space, group, M, idx, tgt, what, sign=boundary_sign)
     return _Operators(idx, M, tgt)
 
 
-def _reconstruction(space, group, op, tgt, tests, derivative, sign, trace,
-                    trace_sign, what, complement=None, degree=None):
+def _reconstruction(space, group, op, tgt, tests, derivative, sign,
+                    boundary_sign, what, degree=None):
     """Polynomial tgt on the faces or cells of a group from the dofs op
     reads.
 
     Its moments int derivative(tests) . tgt equal sign * (tests against
-    op's values) plus the boundary term of trace (sign trace_sign, rules of
-    the given degree). With a complement basis, the complement moments are
-    kept from the entity's second dof family. One guarded stacked solve.
+    op's values) plus the boundary term (sign boundary_sign, rules of the
+    given degree). Where the entity carries a second dof family, a radial
+    complement, its moments are kept. One guarded stacked solve.
     """
     idx = op.dofs
     A = tests._core.inner(derivative(tests), tgt._Cs)
     R = sign * tests._Ws[:, :, : op.target.dim] @ op.matrix
-    _add_boundary_term(space, group, R, idx, tests, trace, what,
-                       sign=trace_sign, degree=degree)
-    if complement is not None:
+    _add_boundary_term(space, group, R, idx, tests, what,
+                       sign=boundary_sign, degree=degree)
+    fams = space.families[group.kind]
+    if len(fams) > 1:
+        complement = space.bank.group_basis(group, *fams[1])
         A = np.concatenate([A, complement._Ws], axis=1)
         keep = np.zeros((len(group), complement.dim, idx.shape[1]))
         keep[:, :, space._own_slice(group, 1)] = np.eye(complement.dim)
@@ -629,16 +655,16 @@ def _reconstruction(space, group, op, tgt, tests, derivative, sign, trace,
     return _Operators(idx, _solve_guarded(space, A, R, what, group), tgt)
 
 
-@_stack("face")
+@_stack("face", ("grad",))
 def op_grad_face(space, group):
     """Face gradient in the full vector space of degree k, defined by
     integration by parts against all vector polynomials."""
     return _differential(
         space, group, space.bank.group_basis(group, "vector", space.k),
-        _div, -1.0, edge_reconstruct, 1.0, "face gradient")
+        _div, -1.0, 1.0, "face gradient")
 
 
-@_stack("face")
+@_stack("face", ("grad",))
 def op_scalar_trace(space, group):
     """Degree-(k+1) scalar face reconstruction whose in-plane divergence
     moments against the radial complement reproduce the face gradient."""
@@ -646,21 +672,19 @@ def op_scalar_trace(space, group):
     return _reconstruction(
         space, group, op_grad_face(space, group),
         basis(group, "scalar", k + 1), basis(group, "curl_complement", k + 2),
-        _div, -1.0, edge_reconstruct, 1.0, "scalar face trace",
-        degree=2 * k + 4,
-    )
+        _div, -1.0, 1.0, "scalar face trace", degree=2 * k + 4)
 
 
-@_stack("face")
+@_stack("face", ("curl",))
 def op_curl_face(space, group):
     """Scalar face rotation of degree k from tangential edge values and
     the rotational-image face moments."""
     return _differential(
         space, group, space.bank.group_basis(group, "scalar", space.k),
-        _rotated_grad(space, group), 1.0, _edge_values, -1.0, "face rotation")
+        _rotated_grad(space, group), 1.0, -1.0, "face rotation")
 
 
-@_stack("face")
+@_stack("face", ("curl",))
 def op_tangential_trace(space, group):
     """Tangential face field of degree k: its rotated-gradient moments
     come from the face rotation and edge values by parts, its radial
@@ -669,71 +693,61 @@ def op_tangential_trace(space, group):
     return _reconstruction(
         space, group, op_curl_face(space, group),
         basis(group, "vector", k), basis(group, "zero_mean", k + 1),
-        _rotated_grad(space, group), 1.0, _edge_values, 1.0,
-        "tangential face trace",
-        complement=basis(group, "curl_complement", k),
-    )
+        _rotated_grad(space, group), 1.0, 1.0, "tangential face trace")
 
 
-@_stack("cell")
+@_stack("cell", ("grad",))
 def op_grad_cell(space, group):
     """Cell gradient in the full vector space of degree k, by parts
     against all vector polynomials using the scalar face traces."""
     return _differential(
         space, group, space.bank.group_basis(group, "vector", space.k),
-        _div, -1.0, op_scalar_trace, 1.0, "cell gradient")
+        _div, -1.0, 1.0, "cell gradient")
 
 
-@_stack("cell")
+@_stack("cell", ("curl",))
 def op_curl_cell(space, group):
     """Cell curl in the full vector space of degree k, by parts against
     all vector polynomials using the tangential face traces."""
     return _differential(
         space, group, space.bank.group_basis(group, "vector", space.k),
-        _curl, 1.0, op_tangential_trace, 1.0, "cell curl")
+        _curl, 1.0, 1.0, "cell curl")
 
 
-@_stack("cell")
+@_stack("cell", ("div",))
 def op_div_cell(space, group):
     """Cell divergence of degree k from normal face values and the
     gradient-image cell moments."""
     return _differential(
         space, group, space.bank.group_basis(group, "scalar", space.k),
-        _grad, -1.0, _face_values, 1.0, "cell divergence")
+        _grad, -1.0, 1.0, "cell divergence")
 
 
-@_stack("cell")
+# The cell potential of each space (op_potential), reconstructed from its
+# cell differential: target and test families (family, degree - k), test
+# derivative, signs of the differential's and of the boundary term, name.
+POTENTIALS = {
+    "grad": (("scalar", 1), ("curl_complement", 2), _div, -1.0, 1.0,
+             "scalar potential on cell"),
+    "curl": (("vector", 0), ("grad_complement", 1), _curl, 1.0, -1.0,
+             "field potential on cell"),
+    "div": (("vector", 0), ("zero_mean", 1), _grad, -1.0, 1.0,
+            "flux potential on cell"),
+}
+
+
+@_stack("cell", tuple(POTENTIALS))
 def op_potential(space, group):
-    """Cell potential reconstruction one step richer than the dofs.
-
-    Scalar space: a degree-(k+1) scalar from the cell gradient and face
-    traces. Field space: a degree-k vector whose curl moments match the
-    cell curl and whose radial complement moments are kept. Flux space:
-    a degree-k vector whose gradient moments match the cell divergence
-    and whose radial complement moments are kept.
-    """
+    """Cell potential reconstruction one step richer than the dofs
+    (POTENTIALS): a degree-(k+1) scalar, or a degree-k vector that keeps
+    the radial complement moments of the field and flux spaces."""
+    (tgt, l), (tests, m), derivative, sign, boundary_sign, what = (
+        POTENTIALS[space.which])
     k, basis = space.k, space.bank.group_basis
-    if space.which == "grad":
-        return _reconstruction(
-            space, group, op_grad_cell(space, group),
-            basis(group, "scalar", k + 1), basis(group, "curl_complement", k + 2),
-            _div, -1.0, op_scalar_trace, 1.0, "scalar potential on cell",
-        )
-    if space.which == "curl":
-        return _reconstruction(
-            space, group, op_curl_cell(space, group),
-            basis(group, "vector", k), basis(group, "grad_complement", k + 1),
-            _curl, 1.0, op_tangential_trace, -1.0, "field potential on cell",
-            complement=basis(group, "curl_complement", k),
-        )
-    if space.which == "div":
-        return _reconstruction(
-            space, group, op_div_cell(space, group),
-            basis(group, "vector", k), basis(group, "zero_mean", k + 1),
-            _grad, -1.0, _face_values, 1.0, "flux potential on cell",
-            complement=basis(group, "grad_complement", k),
-        )
-    raise ValueError("potentials live on the grad, curl, and div spaces")
+    return _reconstruction(
+        space, group, _differentials(space)["cell"](space, group),
+        basis(group, tgt, k + l), basis(group, tests, k + m), derivative,
+        sign, boundary_sign, what)
 
 
 # ----------------------------------------------------------------------
@@ -750,31 +764,22 @@ def _pad_cols(W, width):
 
 def _complex_pieces(space_in, space_out):
     """[(kind, group, output rows (G, r), dofs (G, n), matrix (G, r, n))]:
-    the discrete differential from space_in to space_out per entity group,
-    face and cell operators projected onto each nonempty family of
-    space_out. Built once per space pair, kept in space_in's cache."""
+    the differentials of space_in (_differentials) per entity group,
+    projected onto each family of space_out where it has more than the
+    degree-k scalar one. Built once per space pair, kept in space_in's."""
     key = ("complex pieces", space_out.which)
     out = space_in._cache.get(key)
     if out is not None:
         return out
     pair = (space_in.which, space_out.which)
-    bank = space_in.bank
-    plan = {
-        ("grad", "curl"): (("edge", op_grad_edge, False),
-                           ("face", op_grad_face, True),
-                           ("cell", op_grad_cell, True)),
-        ("curl", "div"): (("face", op_curl_face, False),
-                          ("cell", op_curl_cell, True)),
-        ("div", "l2"): (("cell", op_div_cell, False),),
-    }.get(pair)
-    if plan is None:
+    if pair not in zip(SPACES, SPACES[1:]):
         raise ValueError(f"no discrete differential maps {pair[0]} to {pair[1]}")
     out = []
-    for kind, op, project in plan:
-        for group in bank.groups(kind):
+    for kind, op in _differentials(space_in).items():
+        for group in space_in.bank.groups(kind):
             ops = op(space_in, group)
             ids = group.ids[:, None]
-            if not project:
+            if LAYOUT[space_out.which][kind] == (("scalar", 0),):
                 out.append((kind, group, space_out._blocks(kind, ids),
                             ops.dofs, ops.matrix))
                 continue

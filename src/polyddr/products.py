@@ -4,14 +4,15 @@ The product on each cell is the L2 product of the potential
 reconstructions plus a stabilization penalizing the mismatch between the
 potential and the boundary reconstructions. One routine (`_stab_trace`)
 builds it for every space: over the cell's faces, the face diameter times
-the squared L2 mismatch between the potential's trace and the face
-reconstruction; over the cell's edges, where the space has edge dofs, the
-squared edge length times the same on the edge. The trace is
+the squared L2 mismatch between the potential's trace and the space's face
+reconstruction; over the cell's edges, where the space has one, the
+squared edge length times the same against its edge reconstruction. The
+reconstructions are the ones the space's operators read (ddrcore._trace):
 
 - scalar space: the potential's value, against the scalar face trace and
   the reconstructed edge polynomial;
 - field space: its tangential part against the tangential face trace, its
-  tangential component against the edge polynomial;
+  tangential component against the edge values;
 - flux space: its normal component against the face values.
 
 Nothing is tabulated at points: the potential's trace is its coefficients
@@ -54,16 +55,13 @@ from .polyspaces import l2_project
 from .ddrcore import (
     DofVector,
     _columns,
-    _edge_values,
-    _face_values,
     _stack,
+    _trace,
     _trace_coords,
-    edge_reconstruct,
-    op_scalar_trace,
-    op_tangential_trace,
     op_potential,
     global_operator,
     INTERP_DEGREE_MARGIN,
+    SPACES,
 )
 
 __all__ = [
@@ -111,12 +109,12 @@ def _dof_values(matrix, V):
 # stabilizations
 
 
-def _stab_trace(space, group, face_trace, edge_trace=None):
+def _stab_trace(space, group):
     """Trace stabilization on the cells of a group: over the faces F of
     each cell, h_F times the squared L2(F) mismatch between the
-    potential's trace and the face reconstruction (the stack
-    face_trace(space, group of F)); with edge_trace, over the edges E,
-    h_E^2 times the squared L2(E) mismatch with the edge one. The trace
+    potential's trace and the space's face reconstruction
+    (ddrcore._trace); where the space has an edge reconstruction, over the
+    edges E, h_E^2 times the squared L2(E) mismatch with it. The trace
     is the value of a scalar potential, the tangential part of a vector
     one against a vector reconstruction, and its normal (face) or
     tangential (edge) component against a scalar one. The mismatches of
@@ -128,12 +126,12 @@ def _stab_trace(space, group, face_trace, edge_trace=None):
     pot = op_potential(space, group)
     G, n = pot.dofs.shape
     S = np.zeros((G, n, n))
-    parts = [("face", group.faces, face_trace, mesh.face_diameters[group.faces])]
-    if edge_trace is not None:
-        parts.append(("edge", group.edges, edge_trace,
-                      mesh.edge_lengths[group.edges] ** 2))
+    parts = [("face", group.faces, mesh.face_diameters[group.faces])]
+    if _trace(space, "edge") is not None:
+        parts.append(("edge", group.edges, mesh.edge_lengths[group.edges] ** 2))
     what = f"{space.which} space stabilization"
-    for kind, ents, trace, h in parts:
+    for kind, ents, h in parts:
+        trace = _trace(space, kind)
         for p in range(ents.shape[1]):
             j = ents[:, p]
             subgroup, slots = bank.locate(kind, j)
@@ -151,7 +149,7 @@ def _stab_trace(space, group, face_trace, edge_trace=None):
     return _Forms(pot.dofs, S)
 
 
-@_stack("cell")
+@_stack("cell", SPACES)
 def stabilization(space, group):
     """Stabilization forms on the cells of a group: the trace
     stabilization, which penalizes potential-versus-boundary-reconstruction
@@ -159,14 +157,10 @@ def stabilization(space, group):
     if space.which == "l2":
         w = space.width["cell"]
         return _Forms(space.group_dofs(group), np.zeros((len(group), w, w)))
-    if space.which == "grad":
-        return _stab_trace(space, group, op_scalar_trace, edge_reconstruct)
-    if space.which == "curl":
-        return _stab_trace(space, group, op_tangential_trace, _edge_values)
-    return _stab_trace(space, group, _face_values)
+    return _stab_trace(space, group)
 
 
-@_stack("cell")
+@_stack("cell", SPACES)
 def l2_product(space, group):
     """Stabilized L2 products on the cells of a group: potential Gram plus
     stabilization (orthonormal potential targets make the Gram a plain
@@ -185,14 +179,14 @@ def l2_product(space, group):
 # component norms
 
 
-@_stack("cell")
+@_stack("cell", SPACES)
 def component_gram(space, group):
     """Component Gram matrices of a cell group, the quadratic forms of the
     squared component norm on each cell's local dofs: the identity on the
     cell block, h_F times the identity on face blocks, and on each edge
     the weight h_E times the sum of h_F over the cell's two faces holding
-    it, applied as the identity on the field space's edge blocks and as
-    the Gram of the reconstructed edge polynomial on the scalar space."""
+    it, times the Gram R^T R of the space's edge reconstruction R
+    (ddrcore._trace), the identity on the field space's edge values."""
     mesh = space.mesh
     dofs = space.group_dofs(group)
     G, n = dofs.shape
@@ -204,15 +198,15 @@ def component_gram(space, group):
     np.add.at(hsum, (np.arange(G)[:, None], at),
               np.repeat(hf, [e.shape[1] for e in face_edges], axis=1))
     w = mesh.edge_lengths[group.edges] * hsum
-    weight = {"vertex": 0.0, "edge": w if space.which == "curl" else 0.0,
-              "face": hf, "cell": 1.0}
+    weight = {"vertex": 0.0, "edge": 0.0, "face": hf, "cell": 1.0}
     diag = np.concatenate([
         np.repeat(np.broadcast_to(weight[kind], ents.shape), width, axis=1)
         for kind, ents, width in space._local_parts(group)], axis=1)
     C = diag[:, :, None] * np.eye(n)
-    if space.which == "grad":
+    trace = _trace(space, "edge")
+    if trace is not None:
         sub, slots = space.bank.locate("edge", group.edges.ravel())
-        rec = edge_reconstruct(space, sub)
+        rec = trace(space, sub)
         R = rec.matrix[slots]
         B = w.reshape(-1, 1, 1) * (R.transpose(0, 2, 1) @ R)
         # edges share vertex dofs: bincount sums every block entry into

@@ -20,6 +20,7 @@ and the field and source follow by taking curls.
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .polyspaces import BasisBank
@@ -51,8 +52,9 @@ RESIDUAL_LIMIT = 1e-10
 class MagnetostaticsProblem:
     """Problem data: mesh, degree, per-cell permeability, source field,
     and optionally the exact field and vector potential for error
-    evaluation. Built meshes of the unit cube are contractible, which
-    the well-posedness of the scheme relies on."""
+    evaluation. The scheme is well posed on domains without cavities
+    (b2 = 0), which assemble checks; holes through the domain (b1 > 0) are
+    allowed."""
 
     def __init__(self, mesh, degree, mu=None, source=None,
                  exact_field=None, exact_vector_potential=None):
@@ -95,11 +97,41 @@ class SparseSystem:
         self.lu_nnz = None
 
 
+def _cavities(mesh):
+    """b2, the number of cavities of the meshed domain: the components of
+    its boundary (boundary faces joined through shared vertices) less the
+    components of the domain (cells joined through interior faces)."""
+    nc, nf = mesh.num_cells, mesh.num_faces
+    inner = mesh.face_cells[:, 1] >= 0
+    cells = mesh.face_cells[inner]
+    domain = sparse.coo_matrix((np.ones(len(cells)), cells.T), shape=(nc, nc))
+    faces, verts = [], []
+    for g in mesh.face_groups:
+        on = ~inner[g.ids]
+        faces.append(np.repeat(g.ids[on], g.faces.shape[1]))
+        verts.append(g.faces[on].ravel())
+    faces, verts = np.concatenate(faces), nf + np.concatenate(verts)
+    n = nf + mesh.num_vertices
+    boundary = sparse.coo_matrix((np.ones(len(faces)), (faces, verts)),
+                                 shape=(n, n))
+    labels = connected_components(boundary, directed=False)[1]
+    return (len(np.unique(labels[mesh.boundary_faces]))
+            - connected_components(domain, directed=False)[0])
+
+
 def assemble(problem, threads=None):
     """Assemble the block system [[a, -b^T], [b, c]] and the load.
 
+    A domain with cavities (b2 > 0) raises a ValueError: the system then
+    has one discrete harmonic 2-form per cavity in its kernel.
+
     threads is accepted for compatibility and ignored: all work is serial,
     one entity group after another."""
+    b2 = _cavities(problem.mesh)
+    if b2:
+        raise ValueError(
+            f"the domain encloses cavities (b2 = {b2}), so the magnetostatics "
+            "system is singular: one harmonic 2-form per cavity")
     sc, sd, sl = problem.spaces()
     a = assemble_product(sc, coeff=problem.mu)
     md = assemble_product(sd)

@@ -16,6 +16,7 @@ from polyddr import ddrcore, products
 from polyddr.ddrcore import (
     _boundary_parts,
     _columns,
+    _trace,
     edge_reconstruct,
     make_space,
     op_curl_cell,
@@ -43,13 +44,13 @@ from oracles import integrate_products
 from stacks import entity
 
 
-def _boundary_term_at_points(space, group, M, idx, tests, trace, what,
-                             sign=1.0, degree=None):
+def _boundary_term_at_points(space, group, M, idx, tests, what, sign=1.0,
+                             degree=None):
     """The boundary term of integration by parts from tabulations at the
     boundary parts' rule points."""
     blocks, dofs = [], []
     for _, subgroup, slots, omega, n in _boundary_parts(space, group):
-        rec = trace(space, subgroup)
+        rec = _trace(space, subgroup.kind)(space, subgroup)
         rule = space.bank.group_rule(subgroup, degree)
         pts = rule.points[slots]
         V = tests.eval(pts)
@@ -75,19 +76,19 @@ def _dof_values(matrix, V):
     return P.reshape(P.shape[:2] + V.shape[2:])
 
 
-def _stab_trace_at_points(space, group, face_trace, edge_trace=None):
+def _stab_trace_at_points(space, group):
     """The trace stabilization from the per-dof mismatches tabulated at the
     boundary parts' rule points."""
     mesh, bank = space.mesh, space.bank
     pot = op_potential(space, group)
     G, n = pot.dofs.shape
     S = np.zeros((G, n, n))
-    parts = [("face", group.faces, face_trace, mesh.face_diameters[group.faces])]
-    if edge_trace is not None:
-        parts.append(("edge", group.edges, edge_trace,
-                      mesh.edge_lengths[group.edges] ** 2))
+    parts = [("face", group.faces, mesh.face_diameters[group.faces])]
+    if _trace(space, "edge") is not None:
+        parts.append(("edge", group.edges, mesh.edge_lengths[group.edges] ** 2))
     vector = pot.target.value_dim > 1
-    for kind, ents, trace, h in parts:
+    for kind, ents, h in parts:
+        trace = _trace(space, kind)
         for p in range(ents.shape[1]):
             j = ents[:, p]
             subgroup, slots = bank.locate(kind, j)

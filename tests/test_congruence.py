@@ -13,8 +13,6 @@ import pytest
 
 from polyddr import polyspaces
 from polyddr.ddrcore import (
-    _edge_values,
-    _face_values,
     edge_reconstruct,
     global_operator,
     make_space,
@@ -59,12 +57,10 @@ MESHES = {
 STACKS = {
     edge_reconstruct: (("grad",), "edge"),
     op_grad_edge: (("grad",), "edge"),
-    _edge_values: (("curl",), "edge"),
     op_grad_face: (("grad",), "face"),
     op_scalar_trace: (("grad",), "face"),
     op_curl_face: (("curl",), "face"),
     op_tangential_trace: (("curl",), "face"),
-    _face_values: (("div",), "face"),
     op_grad_cell: (("grad",), "cell"),
     op_curl_cell: (("curl",), "cell"),
     op_div_cell: (("div",), "cell"),

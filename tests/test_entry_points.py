@@ -31,6 +31,24 @@ ENTRY_POINTS = [
 ]
 IDS = [name for _, name, _, _ in ENTRY_POINTS]
 
+# the spaces each entry point is defined on (the products serve all four)
+DEFINED_ON = {
+    "edge_reconstruct": ("grad",),
+    "op_grad_edge": ("grad",),
+    "op_grad_face": ("grad",),
+    "op_scalar_trace": ("grad",),
+    "op_curl_face": ("curl",),
+    "op_tangential_trace": ("curl",),
+    "op_grad_cell": ("grad",),
+    "op_curl_cell": ("curl",),
+    "op_div_cell": ("div",),
+    "op_potential": ("grad", "curl", "div"),
+}
+WRONG_SPACE = [(name, kind, which) for _, name, _, kind in ENTRY_POINTS
+               if name in DEFINED_ON
+               for which in ("grad", "curl", "div", "l2")
+               if which not in DEFINED_ON[name]]
+
 
 @pytest.mark.parametrize("module,name,which,kind", ENTRY_POINTS, ids=IDS)
 def test_entry_point_takes_a_group_of_its_kind(module, name, which, kind):
@@ -52,13 +70,35 @@ def test_entry_point_takes_a_group_of_its_kind(module, name, which, kind):
     assert stack.dofs.shape == (len(group), stack.matrix.shape[-1])
 
 
+@pytest.mark.parametrize("k", range(3))
+@pytest.mark.parametrize("name,kind,which", WRONG_SPACE,
+                         ids=[f"{n}-{w}" for n, _, w in WRONG_SPACE])
+def test_entry_point_rejects_a_space_it_is_not_defined_on(name, kind, which, k):
+    """A wrong space stops at the entry point with a message naming it and
+    the space, before any numpy call fails deep inside the build."""
+    space = make_space(generate_tet_mesh(1), which, k)
+    with pytest.raises(ValueError) as err:
+        getattr(ddrcore, name)(space, space.bank.groups(kind)[0])
+    assert str(err.value) == (
+        f"{name} is not defined on the {which} space "
+        f"(only on {', '.join(DEFINED_ON[name])})")
+
+
+def _rebind(monkeypatch, original, wrapper):
+    """Bind wrapper under every polyddr name that refers to original, as
+    the benchmark's tracer does."""
+    for key, ns in sorted(sys.modules.items()):
+        if key == "polyddr" or key.startswith("polyddr."):
+            for attr, value in list(vars(ns).items()):
+                if value is original:
+                    monkeypatch.setattr(ns, attr, wrapper)
+
+
 def test_every_entry_point_is_entered_under_its_public_name(monkeypatch):
     """Wrap each entry point under every polyddr name that refers to it,
     as the benchmark's tracer does; a stack built behind its public name
     would leave its wrapper unentered."""
     entered = set()
-    namespaces = [mod for key, mod in sorted(sys.modules.items())
-                  if key == "polyddr" or key.startswith("polyddr.")]
     for module, name, _, _ in ENTRY_POINTS:
         original = getattr(module, name)
 
@@ -66,10 +106,7 @@ def test_every_entry_point_is_entered_under_its_public_name(monkeypatch):
             entered.add(name)
             return original(*args)
 
-        for ns in namespaces:
-            for key, value in list(vars(ns).items()):
-                if value is original:
-                    monkeypatch.setattr(ns, key, wrapper)
+        _rebind(monkeypatch, original, wrapper)
 
     mesh = generate_tet_mesh(1)
     problem = polyddr.manufactured_problem(mesh, 1)
@@ -80,3 +117,35 @@ def test_every_entry_point_is_entered_under_its_public_name(monkeypatch):
     polyddr.global_operator(grad, curl)
     polyddr.component_norm(curl, np.ones(curl.dim))
     assert entered == set(IDS), set(IDS) - entered
+
+
+def test_boundary_reconstructions_are_looked_up_under_their_public_names(
+        monkeypatch):
+    """The boundary reconstructions, cell differentials and potentials are
+    reached through call-time lookups (ddrcore._trace, _differentials), so
+    a counting wrapper installed under each public name, as the benchmark's
+    tracer installs its own, is entered when fresh spaces build their
+    stabilizations, potentials and global operators. A lookup table of
+    function objects made at import would bypass the wrappers."""
+    names = ("edge_reconstruct", "op_scalar_trace", "op_tangential_trace",
+             "op_grad_cell", "op_curl_cell", "op_div_cell", "op_potential")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(ddrcore, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        _rebind(monkeypatch, original, counted)
+
+    mesh = generate_tet_mesh(1)
+    spaces = {w: make_space(mesh, w, 1) for w in ("grad", "curl", "div", "l2")}
+    for which in ("grad", "curl", "div"):
+        space = spaces[which]
+        for group in space.bank.groups("cell"):
+            products.stabilization(space, group)
+            ddrcore.op_potential(space, group)
+    for a, b in (("grad", "curl"), ("curl", "div"), ("div", "l2")):
+        polyddr.global_operator(spaces[a], spaces[b])
+    assert all(calls.values()), calls

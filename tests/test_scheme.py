@@ -20,6 +20,8 @@ from polyddr.scheme import (
     error_norms,
 )
 
+from meshes import without_cells
+
 
 # ----------------------------------------------------------------------
 # symbolic oracle for the manufactured fields
@@ -251,6 +253,26 @@ def test_non_finite_mu_names_the_cell():
     with pytest.raises(ValueError,
                        match=r"^permeability of cell 0 is not finite \(inf\)$"):
         MagnetostaticsProblem(mesh, 0, mu=np.inf)
+
+
+@pytest.mark.parametrize("make", [generate_cubic_mesh, generate_tet_mesh],
+                         ids=["cubic3", "tet3"])
+def test_a_cavity_raises_and_a_solid_torus_solves(make):
+    """Deleting the centre subcube of a 3^3 mesh encloses a cavity (b2 = 1):
+    the system has a harmonic 2-form in its kernel (smallest singular value
+    2e-16 against 29 on cubic:3 k=0), so assemble raises naming b2.
+    Deleting the centre column leaves a solid torus (b1 = 1, b2 = 0),
+    whose system is regular (smallest singular value 0.041 on cubic:3 and
+    0.013 on tet:3)."""
+    mesh = make(3)
+    central = np.abs(mesh.cell_centroids - 0.5) < 1 / 6
+    cavity = without_cells(mesh, np.flatnonzero(central.all(axis=1)))
+    with pytest.raises(ValueError, match=r"cavities \(b2 = 1\)"):
+        assemble(manufactured_problem(cavity, 0))
+    torus = without_cells(mesh, np.flatnonzero(central[:, :2].all(axis=1)))
+    system = assemble(manufactured_problem(torus, 0))
+    solve(system)
+    assert system.residual < 1e-12
 
 
 # ----------------------------------------------------------------------
