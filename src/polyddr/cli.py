@@ -127,7 +127,7 @@ def parse_mesh_spec(spec):
 # verify
 
 
-def _run_suite(suite, mesh, family, k, levels, seed):
+def _run_suite(suite, mesh, refined, family, k, levels, seed):
     if suite == "complex":
         return [check_complex(mesh, k)]
     if suite == "commutation":
@@ -142,7 +142,7 @@ def _run_suite(suite, mesh, family, k, levels, seed):
     if suite == "recovery":
         return [check_recovery(mesh, max_degree=3, seed=seed)]
     if suite == "poincare":
-        return [check_poincare(mesh, k)]
+        return [check_poincare(mesh, k, refined=refined)]
     if suite == "adjoint":
         return [check_adjoint_decay(family, k, levels, seed=seed)]
     raise ConfigError(f"unknown suite {suite!r}")
@@ -152,18 +152,14 @@ def cmd_verify(args):
     mesh, family_info = parse_mesh_spec(args.mesh)
     family = args.family or (family_info[0] if family_info else "cubic")
     selected = tuple(args.suite) if args.suite else SUITES
+    # the Poincaré suite's one refinement of a builtin mesh
+    refined = (mesh_family(family_info[0])(2 * family_info[1])
+               if family_info is not None and "poincare" in selected else None)
     reports = []
     for suite in SUITES:
-        if suite not in selected:
-            continue
-        if suite == "poincare" and family_info is not None:
-            name, n = family_info
-            refined = mesh_family(name)(2 * n)
-            reports.append(check_poincare(mesh, args.degree, refined=refined))
-            continue
-        reports.extend(
-            _run_suite(suite, mesh, family, args.degree, args.levels, args.seed)
-        )
+        if suite in selected:
+            reports.extend(_run_suite(suite, mesh, refined, family, args.degree,
+                                      args.levels, args.seed))
     for report in reports:
         print("\n".join(report.lines()))
     if args.out:
@@ -255,8 +251,11 @@ def cmd_solve(args):
         "system_dim": sc.dim + sd.dim,
         "residual": system.residual,
     }
+    stages = [("setup", t_setup), ("assemble", t_assemble), ("solve", t_solve)]
     if family_info is not None:
+        t0 = time.perf_counter()
         e_curl, e_div, e_rel = error_norms(problem, field, potential)
+        stages.append(("errors", time.perf_counter() - t0))
         print(f"err_hcurl = {e_curl!r}")
         print(f"err_hdiv = {e_div!r}")
         print(f"err_hcurl_hdiv_rel = {e_rel!r}")
@@ -265,8 +264,7 @@ def cmd_solve(args):
             "err_hdiv": e_div,
             "err_hcurl_hdiv_rel": e_rel,
         }
-    print(f"setup {t_setup:.2f} s / assemble {t_assemble:.2f} s / "
-          f"solve {t_solve:.2f} s")
+    print(" / ".join(f"{name} {t:.2f} s" for name, t in stages))
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)

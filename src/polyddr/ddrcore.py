@@ -315,10 +315,13 @@ def make_space(mesh, which, k, bank=None):
 
 def _component(space, kind):
     """Unit vectors, one per entity of one kind, along which the space's
-    dofs there take a vector field's component: the tangents on field-space
-    edges, the normals on flux-space faces; None elsewhere."""
-    return {("edge", "curl"): space.mesh.edge_tangents,
-            ("face", "div"): space.mesh.face_normals}.get((kind, space.which))
+    dofs there take a vector field's component: where the dofs are the
+    space's own boundary values (_trace gives _identity_values), the
+    tangents on edges and the normals on faces; None elsewhere."""
+    if _trace(space, kind) is _identity_values:
+        return {"edge": space.mesh.edge_tangents,
+                "face": space.mesh.face_normals}[kind]
+    return None
 
 
 def _family_bases(space, group):

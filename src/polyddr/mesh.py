@@ -27,7 +27,7 @@ entity-by-entity loop gives. The per-entity tuples (faces, face_fans,
 cell_vertices, ...) are read-only row views of the frozen group stacks,
 built on first read. A rejection names the first failing entity and check
 in the order: faces (planarity, star shape, edge signs), then cells, then
-interior faces.
+interior faces, then faces that no cell uses.
 """
 
 import itertools
@@ -365,7 +365,7 @@ class Mesh:
 
     def _build_cell_geometry(self):
         """Cell groups, geometry and fans, and face_cells; queues the cell
-        checks and the interior-face check."""
+        checks, the interior-face check and the unused-face check."""
         cf, coff = self._cell_faces, self._cell_offsets
         nc, nf, nv = len(coff) - 1, len(self._face_slot), len(self.vertices)
         valence = np.diff(self._loop_offsets)
@@ -488,11 +488,11 @@ class Mesh:
         ), ((
             (uses[:, 1] >= 0) & (signs.sum(axis=1) != 0),
             "interior face {}: cells on the same side".format,
-        ),)]
+        ),), ((uses[:, 0] < 0, "face {} belongs to no cell".format),)]
 
     def _validate(self):
         """Raise the first failing entity of the queued checks, faces
-        first, then cells, then interior faces."""
+        first, then cells, then interior faces, then faces no cell uses."""
         for checks in self._checks:
             _raise_first(*checks)
         del self._checks

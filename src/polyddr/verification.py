@@ -6,9 +6,14 @@ decay of the adjoint consistency functionals, and discrete Poincaré
 constants.
 
 Each check returns a CheckReport carrying the measured quantities, the
-tolerances used, and per-entity failure notes. Rate checks fit slopes on
-the finest consecutive pair of levels and allow a 0.3 slack under the
-expected order, since desk-scale meshes are pre-asymptotic.
+tolerances used, and per-entity failure notes. The checks iterate over
+the complex: its four spaces on one bank in SPACES order
+(_complex_spaces), the three differentials between consecutive ones
+(_complex_operators), and one report name per differential (OPERATORS).
+The two rate checks share one loop over the refinement levels
+(_rate_study), which fits slopes on the finest consecutive pair of levels;
+the primal one allows a 0.3 slack under the expected order, since
+desk-scale meshes are pre-asymptotic.
 
 Whole-mesh sums run over cell groups on the library's stacks: the primal
 L2 errors tabulate the group's polynomials at its data rule block by
@@ -35,6 +40,7 @@ import scipy.linalg as la
 from .mesh import generate_cubic_mesh, generate_tet_mesh, agglomerate_pairs
 from .polyspaces import BasisBank, _cross_matrix, dim_P, recovery
 from .ddrcore import (
+    SPACES,
     _boundary_parts,
     _trace_coords,
     make_space,
@@ -68,6 +74,8 @@ RANK_TOL = 1e-8
 SLOPE_SLACK = 0.3
 POINCARE_BOUND = 50.0
 POINCARE_RATIO = 1.5
+# The report name of each differential of the complex, in SPACES order.
+OPERATORS = ("gradient", "curl", "divergence")
 
 
 class CheckReport:
@@ -227,33 +235,36 @@ def _neg(ts):
 # complex and exactness
 
 
+def _complex_spaces(mesh, k, bank=None):
+    """The four degree-k spaces of the complex on one basis bank, in
+    SPACES order."""
+    bank = bank if bank is not None else BasisBank(mesh, k)
+    return [make_space(mesh, which, k, bank=bank) for which in SPACES]
+
+
+def _complex_operators(spaces):
+    """The global differentials between consecutive spaces of the complex,
+    in OPERATORS order."""
+    return [global_operator(a, b) for a, b in zip(spaces, spaces[1:])]
+
+
 def check_complex(mesh, k, bank=None):
     """Compositions vanish; the scalar kernel is the interpolated
     constants; rank identities of an exact sequence on a contractible
     domain (dense stage skipped above the size limit)."""
     report = CheckReport(f"complex(k={k})")
-    bank = bank if bank is not None else BasisBank(mesh, k)
-    spaces = {
-        w: make_space(mesh, w, k, bank=bank) for w in ("grad", "curl", "div", "l2")
-    }
-    uG = global_operator(spaces["grad"], spaces["curl"])
-    uC = global_operator(spaces["curl"], spaces["div"])
-    D = global_operator(spaces["div"], spaces["l2"])
+    spaces = _complex_spaces(mesh, k, bank)
+    ops = _complex_operators(spaces)
+    for key, first, then in zip(("curl_of_gradient_max", "div_of_curl_max"),
+                                ops, ops[1:]):
+        comp = then @ first
+        report.gate_below(key, np.abs(comp).max() if comp.nnz else 0.0, 1e-10)
 
-    comp1 = uC @ uG
-    comp2 = D @ uC
-    report.gate_below(
-        "curl_of_gradient_max", np.abs(comp1).max() if comp1.nnz else 0.0, 1e-10
-    )
-    report.gate_below(
-        "div_of_curl_max", np.abs(comp2).max() if comp2.nnz else 0.0, 1e-10
-    )
-
-    ones = interpolate(spaces["grad"], lambda pts: np.ones(len(pts))).values
-    resid = np.abs(uG @ ones).max() / max(np.abs(ones).max(), 1e-30)
+    ones = interpolate(spaces[0], lambda pts: np.ones(len(pts))).values
+    resid = np.abs(ops[0] @ ones).max() / max(np.abs(ones).max(), 1e-30)
     report.gate_below("gradient_of_constant_rel", resid, 1e-10)
 
-    total = sum(s.dim for s in spaces.values())
+    total = sum(s.dim for s in spaces)
     report.record("total_dofs", total)
     if total > DENSE_DOF_LIMIT:
         report.notes.append(
@@ -268,20 +279,16 @@ def check_complex(mesh, k, bank=None):
         sv = la.svdvals(dense)
         return int(np.sum(sv > RANK_TOL * max(sv[0], 1e-300)))
 
-    r_g, r_c, r_d = rank(uG), rank(uC), rank(D)
-    report.record("rank_gradient", r_g)
-    report.record("rank_curl", r_c)
-    report.record("rank_divergence", r_d)
+    ranks = [rank(op) for op in ops]
+    for name, r in zip(OPERATORS, ranks):
+        report.record(f"rank_{name}", r)
     report.gate_equal(
-        "nullity_gradient", spaces["grad"].dim - r_g, 1, "kernel must be the constants"
+        "nullity_gradient", spaces[0].dim - ranks[0], 1, "kernel must be the constants"
     )
-    report.gate_equal(
-        "rank_gradient_vs_nullity_curl", r_g, spaces["curl"].dim - r_c
-    )
-    report.gate_equal(
-        "rank_curl_vs_nullity_divergence", r_c, spaces["div"].dim - r_d
-    )
-    report.gate_equal("rank_divergence_vs_moment_dim", r_d, spaces["l2"].dim)
+    for name, after, r, space, r_after in zip(OPERATORS, OPERATORS[1:], ranks,
+                                              spaces[1:], ranks[1:]):
+        report.gate_equal(f"rank_{name}_vs_nullity_{after}", r, space.dim - r_after)
+    report.gate_equal("rank_divergence_vs_moment_dim", ranks[-1], spaces[-1].dim)
     return report
 
 
@@ -298,10 +305,7 @@ def check_commutation(mesh, k, seed=0, degree=None, bank=None):
     rules need more points to resolve the trigonometric oracle on
     coarse cells."""
     report = CheckReport(f"commutation(k={k})")
-    bank = bank if bank is not None else BasisBank(mesh, k)
-    spaces = {
-        w: make_space(mesh, w, k, bank=bank) for w in ("grad", "curl", "div", "l2")
-    }
+    spaces = _complex_spaces(mesh, k, bank)
     if degree is None:
         degree = 2 * k + 8 + max(0, math.ceil(10 * (mesh.h - 0.5)))
     report.record("quadrature_degree", degree)
@@ -309,38 +313,16 @@ def check_commutation(mesh, k, seed=0, degree=None, bank=None):
     q = TrigScalar.random(rng)
     v = TrigVector.random(rng)
     w = TrigVector.random(rng)
-
-    pairs = [
-        (
-            "gradient",
-            spaces["grad"],
-            spaces["curl"],
-            lambda pts: q.eval(pts),
-            lambda pts: q.grad().eval(pts),
-        ),
-        (
-            "curl",
-            spaces["curl"],
-            spaces["div"],
-            lambda pts: v.eval(pts),
-            lambda pts: v.curl().eval(pts),
-        ),
-        (
-            "divergence",
-            spaces["div"],
-            spaces["l2"],
-            lambda pts: w.eval(pts),
-            lambda pts: w.div().eval(pts),
-        ),
-    ]
-    # the six fields in one pass over the data rules
-    dofs = interpolate(tuple(s for p in pairs for s in p[1:3]),
-                       tuple(fn for p in pairs for fn in p[3:]), degree=degree)
-    for (name, s_in, s_out, _, _), v_in, v_out in zip(pairs, dofs[::2],
-                                                      dofs[1::2]):
-        left = global_operator(s_in, s_out) @ v_in.values
+    # each differential's field and its derivative, the six in one pass
+    # over the data rules
+    dofs = interpolate(
+        tuple(s for pair in zip(spaces, spaces[1:]) for s in pair),
+        (q.eval, q.grad().eval, v.eval, v.curl().eval, w.eval, w.div().eval),
+        degree=degree)
+    for name, op, v_in, v_out in zip(OPERATORS, _complex_operators(spaces),
+                                     dofs[::2], dofs[1::2]):
         right = v_out.values
-        rel = np.abs(left - right).max() / max(np.abs(right).max(), 1e-30)
+        rel = np.abs(op @ v_in.values - right).max() / max(np.abs(right).max(), 1e-30)
         report.gate_below(f"commutation_{name}_rel", rel, 1e-8)
     return report
 
@@ -363,8 +345,8 @@ def check_polynomial_consistency(mesh, k, seed=0, bank=None):
     All identities are checked as matrices stacked over cell groups (face
     traces per face position); a failure names the worst cell or face."""
     report = CheckReport(f"polynomial_consistency(k={k})")
-    bank = bank if bank is not None else BasisBank(mesh, k)
-    spaces = {w: make_space(mesh, w, k, bank=bank) for w in ("grad", "curl", "div")}
+    spaces = dict(zip(SPACES, _complex_spaces(mesh, k, bank)[:3]))
+    bank = spaces["grad"].bank
     nc, width = mesh.num_cells, max(g.faces.shape[1] for g in bank.groups("cell"))
     # a row per cell over its face positions or spaces, so argmax meets cells in order
     resid = {key: np.zeros((nc, n)) for key, n in (
@@ -513,11 +495,6 @@ def check_recovery(mesh, max_degree=3, seed=0):
 # rate checks
 
 
-def _require_two_levels(levels):
-    if len(levels) < 2:
-        raise ValueError(f"a rate needs at least two levels, got {tuple(levels)}")
-
-
 def _pair_slope(hs, errs):
     """Slope fitted on the finest consecutive pair; infinite when the
     finer error underflows to zero."""
@@ -525,6 +502,26 @@ def _pair_slope(hs, errs):
     if e1 <= 0:
         return np.inf
     return float(np.log(e0 / e1) / np.log(hs[-2] / hs[-1]))
+
+
+def _rate_study(report, family, k, levels, measure, least, suffix):
+    """Fill report with the rates of the series that measure(spaces) gives
+    on the complex of each level of the mesh family: per key of its dict,
+    the values (recorded as key_suffix) and the slope on the finest pair,
+    gated at no less than least[key]."""
+    if len(levels) < 2:
+        raise ValueError(f"a rate needs at least two levels, got {tuple(levels)}")
+    hs, series = [], {}
+    for n in levels:
+        mesh = mesh_family(family)(n)
+        for key, value in measure(_complex_spaces(mesh, k)).items():
+            series.setdefault(key, []).append(value)
+        hs.append(mesh.h)
+    for key, values in series.items():
+        report.record(f"{key}_{suffix}", [float(e) for e in values])
+        report.gate_at_least(f"{key}_slope", _pair_slope(hs, values), least[key],
+                             context=f"levels {tuple(levels)}")
+    return report
 
 
 def _l2_error_sq(space, op, dofs, f):
@@ -571,9 +568,7 @@ def check_primal_consistency(family, k, levels, seed=0):
     The fields are seeded random trigonometric combinations; fixed
     closed-form choices tend to have parities that cancel exactly on
     uniform meshes and would make the measured rates meaningless."""
-    _require_two_levels(levels)
     report = CheckReport(f"primal_consistency({family},k={k})")
-    build = mesh_family(family)
     rng = np.random.default_rng(seed)
     q = TrigScalar.random(rng)
     v = TrigVector.random(rng)
@@ -589,40 +584,39 @@ def check_primal_consistency(family, k, levels, seed=0):
         "stab_field": k + 1,
         "stab_flux": k + 1,
     }
-    hs = []
-    errs = {key: [] for key in expected}
-    for n in levels:
-        mesh = build(n)
-        bank = BasisBank(mesh, k)
-        sg = make_space(mesh, "grad", k, bank=bank)
-        sc = make_space(mesh, "curl", k, bank=bank)
-        sd = make_space(mesh, "div", k, bank=bank)
-        vg = interpolate(sg, q.eval).values
-        vc = interpolate(sc, v.eval).values
-        vd = interpolate(sd, w.eval).values
 
-        sq = {
-            "scalar_potential": _l2_error_sq(sg, op_potential, vg, q.eval),
-            "field_potential": _l2_error_sq(sc, op_potential, vc, v.eval),
-            "flux_potential": _l2_error_sq(sd, op_potential, vd, w.eval),
-            "cell_curl": _l2_error_sq(sc, op_curl_cell, vc, v.curl().eval),
-            "cell_divergence": _l2_error_sq(sd, op_div_cell, vd, w.div().eval),
-            "stab_scalar": _stabilization_sq(sg, vg),
-            "stab_field": _stabilization_sq(sc, vc),
-            "stab_flux": _stabilization_sq(sd, vd),
-        }
-        hs.append(mesh.h)
-        for key, value in sq.items():
-            errs[key].append(np.sqrt(value))
-
-    for key, series in errs.items():
-        slope = _pair_slope(hs, series)
-        report.record(f"{key}_errors", [float(e) for e in series])
-        report.gate_at_least(
-            f"{key}_slope", slope, expected[key] - SLOPE_SLACK,
-            context=f"levels {tuple(levels)}",
+    def measure(spaces):
+        sg, sc, sd, _ = spaces
+        vg, vc, vd = (d.values for d in interpolate((sg, sc, sd),
+                                                    (q.eval, v.eval, w.eval)))
+        sq = (
+            _l2_error_sq(sg, op_potential, vg, q.eval),
+            _l2_error_sq(sc, op_potential, vc, v.eval),
+            _l2_error_sq(sd, op_potential, vd, w.eval),
+            _l2_error_sq(sc, op_curl_cell, vc, v.curl().eval),
+            _l2_error_sq(sd, op_div_cell, vd, w.div().eval),
+            _stabilization_sq(sg, vg),
+            _stabilization_sq(sc, vc),
+            _stabilization_sq(sd, vd),
         )
-    return report
+        return {key: np.sqrt(value) for key, value in zip(expected, sq)}
+
+    return _rate_study(report, family, k, levels, measure,
+                       {key: p - SLOPE_SLACK for key, p in expected.items()},
+                       "errors")
+
+
+def _bubbled(field, derivative, pair):
+    """The field times the cube bubble b = x(1-x)y(1-y)z(1-z), and the
+    derivative of that product by the product rule: pair(grad b, field)
+    + b derivative."""
+
+    def times_b(values, pts):
+        return (_bubble_weight(pts) * values.T).T
+
+    return (lambda pts: times_b(field.eval(pts), pts),
+            lambda pts: pair(_bubble_grad(pts), field.eval(pts))
+            + times_b(derivative.eval(pts), pts))
 
 
 def _bubble_weight(pts):
@@ -652,95 +646,51 @@ def check_adjoint_decay(family, k, levels, seed=0):
     integration by parts, and the random factor avoids parity
     cancellations on uniform meshes.  The discrete argument is the
     interpolate of a plain random trigonometric field."""
-    _require_two_levels(levels)
     report = CheckReport(f"adjoint_decay({family},k={k})")
-    build = mesh_family(family)
     rng = np.random.default_rng(seed)
     disc_scalar = TrigScalar.random(rng)
     disc_vec = TrigVector.random(rng)
     smooth_v = TrigVector.random(rng)
     smooth_w = TrigVector.random(rng)
     smooth_q = TrigScalar.random(rng)
-    smooth_v_div = smooth_v.div()
-    smooth_w_curl = smooth_w.curl()
-    smooth_q_grad = smooth_q.grad()
+    v_eval, v_div = _bubbled(smooth_v, smooth_v.div(),
+                             lambda g, f: np.einsum("px,px->p", g, f))
+    w_eval, w_curl = _bubbled(smooth_w, smooth_w.curl(), np.cross)
+    q_eval, q_grad = _bubbled(smooth_q, smooth_q.grad(),
+                              lambda g, f: g * f[:, None])
+    keys = [f"adjoint_{name}" for name in OPERATORS]
 
-    def v_eval(pts):
-        return _bubble_weight(pts)[:, None] * smooth_v.eval(pts)
-
-    def v_div(pts):
-        return np.einsum(
-            "px,px->p", _bubble_grad(pts), smooth_v.eval(pts)
-        ) + _bubble_weight(pts) * smooth_v_div.eval(pts)
-
-    def w_eval(pts):
-        return _bubble_weight(pts)[:, None] * smooth_w.eval(pts)
-
-    def w_curl(pts):
-        return (
-            np.cross(_bubble_grad(pts), smooth_w.eval(pts))
-            + _bubble_weight(pts)[:, None] * smooth_w_curl.eval(pts)
-        )
-
-    def q_eval(pts):
-        return _bubble_weight(pts) * smooth_q.eval(pts)
-
-    def q_grad(pts):
-        return (
-            _bubble_grad(pts) * smooth_q.eval(pts)[:, None]
-            + _bubble_weight(pts)[:, None] * smooth_q_grad.eval(pts)
-        )
-
-    hs = []
-    vals = {"gradient": [], "curl": [], "divergence": []}
-    for n in levels:
-        mesh = build(n)
-        bank = BasisBank(mesh, k)
-        sg = make_space(mesh, "grad", k, bank=bank)
-        sc = make_space(mesh, "curl", k, bank=bank)
-        sd = make_space(mesh, "div", k, bank=bank)
-        sl = make_space(mesh, "l2", k, bank=bank)
-        uG = global_operator(sg, sc)
-        uC = global_operator(sc, sd)
-        D = global_operator(sd, sl)
+    def measure(spaces):
+        sg, sc, sd, sl = spaces
+        uG, uC, D = _complex_operators(spaces)
         Mc = assemble_product(sc)
         Md = assemble_product(sd)
+        q_dofs, v_int, v_dofs, w_int, vd_dofs, q_moments = (
+            d.values for d in interpolate(
+                (sg, sc, sc, sd, sd, sl),
+                (disc_scalar.eval, v_eval, disc_vec.eval, w_eval,
+                 disc_vec.eval, q_eval)))
 
-        q_dofs = interpolate(sg, disc_scalar.eval).values
         gq = uG @ q_dofs
-        v_int = interpolate(sc, v_eval).values
         total = float(v_int @ (Mc @ gq))
         total += float(q_dofs @ load_vector(sg, v_div))
-        denom = np.sqrt(float(gq @ (Mc @ gq)))
-        vals["gradient"].append(abs(total) / denom)
+        gradient = abs(total) / np.sqrt(float(gq @ (Mc @ gq)))
 
-        v_dofs = interpolate(sc, disc_vec.eval).values
         cv = uC @ v_dofs
-        w_int = interpolate(sd, w_eval).values
         total = float(w_int @ (Md @ cv))
         total -= float(v_dofs @ load_vector(sc, w_curl))
         denom = np.sqrt(float(v_dofs @ (Mc @ v_dofs))) + np.sqrt(
             float(cv @ (Md @ cv))
         )
-        vals["curl"].append(abs(total) / denom)
+        curl = abs(total) / denom
 
-        vd_dofs = interpolate(sd, disc_vec.eval).values
-        q_moments = interpolate(sl, q_eval).values
         total = float(q_moments @ (D @ vd_dofs))
         total += float(vd_dofs @ load_vector(sd, q_grad))
-        denom = np.sqrt(float(vd_dofs @ (Md @ vd_dofs)))
-        vals["divergence"].append(abs(total) / denom)
+        divergence = abs(total) / np.sqrt(float(vd_dofs @ (Md @ vd_dofs)))
+        return dict(zip(keys, (gradient, curl, divergence)))
 
-        hs.append(mesh.h)
-
-    for key, series in vals.items():
-        slope = _pair_slope(hs, series)
-        report.record(f"adjoint_{key}_values", [float(e) for e in series])
-        report.gate_at_least(
-            f"adjoint_{key}_slope", slope, k + 0.7,
-            context=f"levels {tuple(levels)}",
-        )
-    return report
+    return _rate_study(report, family, k, levels, measure,
+                       dict.fromkeys(keys, k + 0.7), "values")
 
 
 # ----------------------------------------------------------------------
@@ -748,45 +698,31 @@ def check_adjoint_decay(family, k, levels, seed=0):
 
 
 def _poincare_constants(mesh, k, bank=None):
-    bank = bank if bank is not None else BasisBank(mesh, k)
-    sg = make_space(mesh, "grad", k, bank=bank)
-    sc = make_space(mesh, "curl", k, bank=bank)
-    sd = make_space(mesh, "div", k, bank=bank)
-    sl = make_space(mesh, "l2", k, bank=bank)
-    total = sg.dim + sc.dim + sd.dim + sl.dim
+    spaces = _complex_spaces(mesh, k, bank)
+    total = sum(s.dim for s in spaces)
     if total > DENSE_DOF_LIMIT:
         raise ValueError(
             f"{total} dofs exceed the dense eigensolve limit {DENSE_DOF_LIMIT}"
         )
-    uG = global_operator(sg, sc).toarray()
-    uC = global_operator(sc, sd).toarray()
-    D = global_operator(sd, sl).toarray()
-    Gg, Gc, Gd = (_assemble(s, component_gram).toarray() for s in (sg, sc, sd))
-
-    # scalar space: mean of the potential vanishes
-    ell = load_vector(sg, lambda pts: np.ones(len(pts)))
-    Q = la.null_space(ell[None, :])
-    num = Q.T @ Gg @ Q
-    den = Q.T @ (uG.T @ Gc @ uG) @ Q
-    c_grad = np.sqrt(la.eigvalsh(num, den).max())
-
-    def complement_constant(op, G_in, G_out):
-        # restrict to the orthogonal complement of the kernel in the
-        # component inner product, where the operator is injective
-        U, S, Vt = la.svd(op)
-        r = int(np.sum(S > RANK_TOL * max(S[0], 1e-300)))
-        kernel = Vt[r:].T
-        if kernel.shape[1] == 0:
-            Z = np.eye(op.shape[1])
+    ops = [op.toarray() for op in _complex_operators(spaces)]
+    grams = [_assemble(s, component_gram).toarray() for s in spaces[:3]]
+    constants = []
+    for op, G_in, G_out in zip(ops, grams, grams[1:] + [np.eye(spaces[3].dim)]):
+        if not constants:
+            # scalar space: mean of the potential vanishes
+            ell = load_vector(spaces[0], lambda pts: np.ones(len(pts)))
+            Z = la.null_space(ell[None, :])
         else:
-            Z = la.null_space(kernel.T @ G_in)
+            # restrict to the orthogonal complement of the kernel in the
+            # component inner product, where the operator is injective
+            _, S, Vt = la.svd(op)
+            kernel = Vt[int(np.sum(S > RANK_TOL * max(S[0], 1e-300))):].T
+            Z = (la.null_space(kernel.T @ G_in) if kernel.shape[1]
+                 else np.eye(op.shape[1]))
         num = Z.T @ G_in @ Z
         den = Z.T @ (op.T @ G_out @ op) @ Z
-        return np.sqrt(la.eigvalsh(num, den).max())
-
-    c_curl = complement_constant(uC, Gc, Gd)
-    c_div = complement_constant(D, Gd, np.eye(sl.dim))
-    return c_grad, c_curl, c_div
+        constants.append(np.sqrt(la.eigvalsh(num, den).max()))
+    return tuple(constants)
 
 
 def check_poincare(mesh, k, refined=None):
@@ -796,25 +732,21 @@ def check_poincare(mesh, k, refined=None):
     mesh is supplied."""
     report = CheckReport(f"poincare(k={k})")
     try:
-        cg, cc, cd = _poincare_constants(mesh, k)
+        constants = _poincare_constants(mesh, k)
     except ValueError as exc:
         report.passed = False
         report.failures.append(str(exc))
         return report
-    report.gate_below("poincare_gradient", cg, POINCARE_BOUND)
-    report.gate_below("poincare_curl", cc, POINCARE_BOUND)
-    report.gate_below("poincare_divergence", cd, POINCARE_BOUND)
+    for name, c in zip(OPERATORS, constants):
+        report.gate_below(f"poincare_{name}", c, POINCARE_BOUND)
     if refined is not None:
         try:
-            rg, rc, rd = _poincare_constants(refined, k)
+            finer = _poincare_constants(refined, k)
         except ValueError as exc:
             report.passed = False
             report.failures.append(f"refined mesh: {exc}")
             return report
-        report.record("poincare_gradient_refined", rg)
-        report.record("poincare_curl_refined", rc)
-        report.record("poincare_divergence_refined", rd)
-        report.gate_below("poincare_gradient_ratio", rg / cg, POINCARE_RATIO)
-        report.gate_below("poincare_curl_ratio", rc / cc, POINCARE_RATIO)
-        report.gate_below("poincare_divergence_ratio", rd / cd, POINCARE_RATIO)
+        for name, c, r in zip(OPERATORS, constants, finer):
+            report.record(f"poincare_{name}_refined", r)
+            report.gate_below(f"poincare_{name}_ratio", r / c, POINCARE_RATIO)
     return report

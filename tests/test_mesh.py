@@ -305,6 +305,13 @@ def _corrupted(case):
         return m.vertices, faces, [m.cells[0].tolist(), column]
     if case == "face in three cells":
         return v, f, c * 3
+    if case == "face in no cell":
+        # cubic:3 without its centre column, all 108 faces kept: the
+        # column's top, bottom and two inner faces belong to no cell
+        m, faces = _grid_data(3)
+        column = {_cell_at(m, [0.5, 0.5, z]) for z in (1 / 6, 0.5, 5 / 6)}
+        return m.vertices, faces, [c.tolist() for i, c in enumerate(m.cells)
+                                   if i not in column]
     raise AssertionError(case)
 
 
@@ -328,13 +335,14 @@ CORRUPTIONS = {
     "boundary not closed": "cell 0: boundary is not closed",
     "cells on the same side": "interior face 0: cells on the same side",
     "face in three cells": "face 0 belongs to more than two cells",
+    "face in no cell": "face 57 belongs to no cell",
 }
 
 @pytest.mark.parametrize("case", CORRUPTIONS)
 def test_corrupted_mesh_rejected_with_entity(case):
     """Each MeshError branch names the first failing entity and check in
     the order faces (planarity, star shape, edge signs), cells, interior
-    faces."""
+    faces, faces no cell uses."""
     with pytest.raises(MeshError) as err:
         Mesh(*_corrupted(case))
     assert str(err.value) == CORRUPTIONS[case]
