@@ -93,6 +93,14 @@ def parse_mesh_spec(spec):
     optionally prefixed with "builtin:".  Anything else is treated as a
     path to a JSON mesh file.  Returns (mesh, family) where family is
     (name, level) for builtin specs and None for files."""
+    mesh, builtin = _load_mesh_spec(spec)
+    return mesh, builtin and builtin[:2]
+
+
+def _load_mesh_spec(spec):
+    """(mesh, builtin) of a mesh spec (parse_mesh_spec): builtin is (name,
+    level, build) for builtin specs, build the family's builder n -> mesh
+    with the spec's seed bound, and None for files."""
     explicit = spec.startswith("builtin:")
     body = spec[len("builtin:"):] if explicit else spec
     parts = body.split(":")
@@ -105,19 +113,14 @@ def parse_mesh_spec(spec):
             raise ConfigError(f"mesh spec {spec!r} has a non-integer level")
         if n < 1:
             raise ConfigError(f"mesh spec {spec!r} needs a level >= 1")
-        if parts[0] == "agglo":
-            if len(parts) > 3:
-                raise ConfigError(f"mesh spec {spec!r} has too many fields")
-            try:
-                seed = int(parts[2]) if len(parts) == 3 else 0
-            except ValueError:
-                raise ConfigError(f"mesh spec {spec!r} has a non-integer seed")
-            mesh = mesh_family(parts[0])(n, seed=seed)
-        else:
-            if len(parts) > 2:
-                raise ConfigError(f"mesh spec {spec!r} has too many fields")
-            mesh = mesh_family(parts[0])(n)
-        return mesh, (parts[0], n)
+        if len(parts) > (3 if parts[0] == "agglo" else 2):
+            raise ConfigError(f"mesh spec {spec!r} has too many fields")
+        try:
+            seed = int(parts[2]) if len(parts) == 3 else 0
+        except ValueError:
+            raise ConfigError(f"mesh spec {spec!r} has a non-integer seed")
+        build = mesh_family(parts[0], seed)
+        return build(n), (parts[0], n, build)
     if explicit:
         raise ConfigError(f"unknown builtin mesh family {parts[0]!r}")
     return load_mesh(body), None
@@ -149,12 +152,12 @@ def _run_suite(suite, mesh, refined, family, k, levels, seed):
 
 
 def cmd_verify(args):
-    mesh, family_info = parse_mesh_spec(args.mesh)
-    family = args.family or (family_info[0] if family_info else "cubic")
+    mesh, builtin = _load_mesh_spec(args.mesh)
+    family = args.family or (builtin[0] if builtin else "cubic")
     selected = tuple(args.suite) if args.suite else SUITES
     # the Poincaré suite's one refinement of a builtin mesh
-    refined = (mesh_family(family_info[0])(2 * family_info[1])
-               if family_info is not None and "poincare" in selected else None)
+    refined = (builtin[2](2 * builtin[1])
+               if builtin is not None and "poincare" in selected else None)
     reports = []
     for suite in SUITES:
         if suite in selected:
@@ -175,7 +178,7 @@ def cmd_verify(args):
 
 
 def cmd_converge(args):
-    build = mesh_family(args.family)
+    build = mesh_family(args.family, args.seed)
     lines = [
         "mesh_family,level,mesh_size_h,num_cells,dim_xcurl,dim_xdiv,"
         "err_hcurl_hdiv_rel,rate"

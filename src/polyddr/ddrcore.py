@@ -60,7 +60,8 @@ the operator, the group's worst entity and its condition number, and the
 worst condition number per operator is kept in DofSpace.worst_cond.
 
 `interpolate` takes the moments of smooth fields from their values at the
-data rules (`_moments`), one pass over the rules for several fields.
+data rules and the monomial tables there (BasisBank.data_blocks,
+`_moments`), one pass over the rules for several fields.
 `local_interpolation` (a stacked polynomial basis on the closures of a
 face or cell group) pairs polynomials in coefficient space through the
 trace tables, as the boundary terms do; only vertex values are taken at
@@ -77,6 +78,7 @@ from scipy import sparse
 from .polyspaces import (
     BasisBank,
     _cross_matrix,
+    _field_values,
     space_dim,
     trace_table,
 )
@@ -101,7 +103,6 @@ __all__ = [
 ]
 
 COND_LIMIT = 1e12
-INTERP_DEGREE_MARGIN = 6
 
 KINDS = ("vertex", "edge", "face", "cell")
 
@@ -210,9 +211,6 @@ class DofVector:
             raise ValueError("value array does not match the space dimension")
         self.space = space
         self.values = values
-
-    def copy(self):
-        return DofVector(self.space, self.values.copy())
 
 
 class DofSpace:
@@ -334,12 +332,10 @@ def _family_bases(space, group):
 def _moments(space, group, sel, rule, vals, monomials):
     """Dof blocks (G', width, r) of the entities sel of one group of edges,
     faces or cells from r values per entity of a field at the points of a
-    data rule stacked over those entities: vals (G', r, npts) scalar or
+    data block (BasisBank.data_blocks): vals (G', r, npts) scalar or
     (G', r, npts, 3) vector, reduced to its component where the space
-    takes one (_component). Every family takes its moments from
-    monomials, a table (G', n, npts) of the core's first n scaled
-    monomials at the points, n at least the widest family's, each family
-    reading its prefix."""
+    takes one (_component). Every family reads its prefix of the block's
+    monomial table, at least as wide as the widest family's."""
     d = _component(space, group.kind)
     if d is not None:
         vals = (vals @ d[group.ids[sel]][:, None, :, None])[..., 0]
@@ -392,9 +388,8 @@ def interpolate(space, f, degree=None):
     """Degrees of freedom of a smooth field: point values on vertices for
     the scalar space, orthonormal-basis moments (_moments) everywhere else,
     stacked over each entity group and evaluated block by block of its
-    entities, each block on its own data rule (BasisBank.data_blocks). The
-    default quadrature adds a margin over the space degree for
-    non-polynomial fields.
+    entities, each block on its own data rule (BasisBank.data_blocks, of
+    its default degree unless degree is given).
 
     Several fields are interpolated in one pass when space and f are
     equal-length tuples: spaces on one basis bank (a space may repeat),
@@ -413,8 +408,6 @@ def interpolate(space, f, degree=None):
         raise ValueError("spaces interpolated in one pass must share one "
                          "basis bank")
     mesh = bank.mesh
-    if degree is None:
-        degree = 2 * bank.k + INTERP_DEGREE_MARGIN
     jobs = [(s, fn, np.zeros(s.dim)) for s, fn in zip(spaces, fields)]
     for s, fn, vals in jobs:
         if s.width["vertex"]:
@@ -426,15 +419,11 @@ def interpolate(space, f, degree=None):
         for group in bank.groups(kind):
             n = max(b._Cs.shape[-1] for s, _, _ in users
                     for b in _family_bases(s, group))
-            for sl, rule in bank.data_blocks(group, degree):
-                pts = rule.points
-                M = bank.core(group)._monomials(pts, n, sl)
+            for sl, rule, M in bank.data_blocks(group, n, degree):
                 for s, fn, vals in users:
-                    fv = np.asarray(fn(pts.reshape(-1, 3)))
-                    fv = fv.reshape((len(pts), 1) + pts.shape[1:2]
-                                    + fv.shape[1:])
                     vals[s._blocks(kind, group.ids[sl, None])] = _moments(
-                        s, group, sl, rule, fv, M)[..., 0]
+                        s, group, sl, rule, _field_values(fn, rule.points),
+                        M)[..., 0]
     out = tuple(DofVector(s, vals) for s, _, vals in jobs)
     return out if several else out[0]
 
@@ -798,23 +787,25 @@ def _complex_pieces(space_in, space_out):
     return out
 
 
+def _scatter(blocks, shape):
+    """Sparse (CSR) sum of stacked local blocks: each (rows (G, r), cols
+    (G, n), values (G, r, n)) adds values[g, i, j] at (rows[g, i],
+    cols[g, j])."""
+    rows, cols, vals = [], [], []
+    for R, C, V in blocks:
+        rows.append(np.repeat(R.ravel(), C.shape[1]))
+        cols.append(np.tile(C, (1, R.shape[1])).ravel())
+        vals.append(V.ravel())
+    mat = sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=shape)
+    return mat.tocsr()
+
+
 def global_operator(space_in, space_out):
     """Sparse matrix of the discrete differential between two spaces."""
     if space_in.mesh is not space_out.mesh or space_in.k != space_out.k:
         raise ValueError("spaces must share one mesh and one degree")
-    rows, cols, vals = [], [], []
-    for _, _, out_rows, dofs, matrix in _complex_pieces(space_in, space_out):
-        r, n = out_rows.shape[1], dofs.shape[1]
-        if r == 0 or n == 0:
-            continue
-        rows.append(np.repeat(out_rows.ravel(), n))
-        cols.append(np.tile(dofs, (1, r)).ravel())
-        vals.append(matrix.ravel())
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-    mat = sparse.coo_matrix(
-        (vals, (rows, cols)), shape=(space_out.dim, space_in.dim)
-    )
-    return mat.tocsr()
+    return _scatter([(rows, dofs, matrix) for _, _, rows, dofs, matrix
+                     in _complex_pieces(space_in, space_out)],
+                    (space_out.dim, space_in.dim))

@@ -37,7 +37,9 @@ cell, or the entity itself) through the trace table of that position
 against the part's orthonormal members, taken once with the part's rule.
 C T are then the coordinates of the trace, exact when the rule integrates
 the degree of the polynomial plus that of the members. Only
-non-polynomial data, and the values at vertices, are taken at points.
+non-polynomial data, and the values at vertices, are taken at points; the
+data in one place, BasisBank.data_blocks, which sets the degree of the
+data rules and tabulates the monomials at their points.
 
 All of it is stacked over entity groups: the faces or cells whose local
 arrays have equal shapes (face valence and rule fan size; for cells the
@@ -104,6 +106,9 @@ __all__ = [
 # benchmark's peak_mem_mb fell from 15.7-16.0 to 12.2-12.4 MB (3 runs
 # each).
 BLOCK_VALUES = 8192
+
+# Degree of the data rules (BasisBank.data_blocks) above 2k.
+INTERP_DEGREE_MARGIN = 6
 
 # Quantum of the congruence-class keys (_class_key): entities of one group
 # share a class when their keys, lengths in units of the mesh size h,
@@ -363,6 +368,13 @@ def _tabulate(core, C, pts, sel=None):
     if C.ndim == 4:
         V = V.reshape(G, C.shape[1], 3, M.shape[-1]).transpose(0, 1, 3, 2)
     return V
+
+
+def _field_values(f, pts):
+    """Values (G, 1, npts[, 3]) of a field at stacked points (G, npts, 3):
+    f takes an (N, 3) array of points and returns (N,) or (N, 3)."""
+    vals = np.asarray(f(pts.reshape(-1, 3)), dtype=float)
+    return vals.reshape(pts.shape[:2] + vals.shape[1:])[:, None]
 
 
 def _cross_matrix(v):
@@ -673,9 +685,7 @@ def l2_project(basis, f, rule, sel=None):
         raise ValueError(f"l2_project needs an orthonormal basis, not "
                          f"{basis.kind!r}")
     pts = rule.points
-    vals = np.asarray(f(pts.reshape(-1, 3)), dtype=float)
-    vals = vals.reshape(pts.shape[:2] + ((3,) if basis.value_dim > 1 else ()))
-    return basis.moments(pts, vals[:, None], rule.weights, sel)[..., 0]
+    return basis.moments(pts, _field_values(f, pts), rule.weights, sel)[..., 0]
 
 
 def recovery(basis_s, basis_sc, b, c):
@@ -941,14 +951,18 @@ class BasisBank:
                 self.mesh, group.kind, group.ids, key[1])
         return out
 
-    def data_blocks(self, group, degree):
-        """(sl, rule) per value block of a group (value_blocks): the data
-        rule of the entities group.ids[sl], built when its block is reached
-        and kept by no cache, so no data rule of a whole group is held."""
+    def data_blocks(self, group, n, degree=None):
+        """(sl, rule, monomials) per value block of a group (value_blocks):
+        the data rule of the entities group.ids[sl], of degree 2k +
+        INTERP_DEGREE_MARGIN unless one is given, and the first n scaled
+        monomials of the group's core at its points, (G', n, npts)."""
         mesh, kind = self.mesh, group.kind
+        if degree is None:
+            degree = 2 * self.k + INTERP_DEGREE_MARGIN
         size = data_rule_size(mesh, kind, group.ids[0], degree)
         for sl in value_blocks(len(group), size):
-            yield sl, entity_rule(mesh, kind, group.ids[sl], degree, data=True)
+            rule = entity_rule(mesh, kind, group.ids[sl], degree, data=True)
+            yield sl, rule, self.core(group)._monomials(rule.points, n, sl)
 
     def core(self, group):
         """The stacked scalar core of a group, of degree k+1 on edges and

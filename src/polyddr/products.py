@@ -37,30 +37,29 @@ Local forms are group stacks like the operators of ddrcore: each entry
 point (stabilization, l2_product, component_gram) takes (space, cell
 group) and returns the group's `_Forms` (dofs (G, n), matrix (G, n, n)),
 built on first request and kept in the space's cache; global assembly
-scatters one stacked block per group.
+scatters one stacked block per group (ddrcore._scatter).
 
 The load vector of a field (load_vector) pairs it with the potential of
-every dof: one stacked projection by the data rule and one scatter per
-cell group. It is the scheme's source term, the smooth part of the
-adjoint consistency functionals and the mean constraint of the scalar
-Poincaré constant.
+every dof: one stacked projection per data block (BasisBank.data_blocks)
+and one scatter per cell group. It is the scheme's source term, the
+smooth part of the adjoint consistency functionals and the mean
+constraint of the scalar Poincaré constant.
 """
 
 from collections import namedtuple
 
 import numpy as np
-from scipy import sparse
 
 from .polyspaces import l2_project
 from .ddrcore import (
     DofVector,
     _columns,
+    _scatter,
     _stack,
     _trace,
     _trace_coords,
     op_potential,
     global_operator,
-    INTERP_DEGREE_MARGIN,
     SPACES,
 )
 
@@ -236,21 +235,14 @@ def _assemble(space, op, coeff=None):
     scatter block per cell group."""
     if coeff is not None:
         coeff = _cell_coefficients(space.mesh, coeff, "coefficient")
-    rows, cols, vals = [], [], []
+    blocks = []
     for group in space.bank.groups("cell"):
         form = op(space, group)
-        dofs, M = form.dofs, form.matrix
+        M = form.matrix
         if coeff is not None:
             M = coeff[group.ids][:, None, None] * M
-        n = dofs.shape[1]
-        rows.append(np.repeat(dofs, n, axis=1).ravel())
-        cols.append(np.tile(dofs, (1, n)).ravel())
-        vals.append(M.ravel())
-    mat = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space.dim, space.dim),
-    )
-    return mat.tocsr()
+        blocks.append((form.dofs, form.dofs, M))
+    return _scatter(blocks, (space.dim, space.dim))
 
 
 def assemble_product(space, coeff=None):
@@ -310,18 +302,16 @@ def load_vector(space, f):
     """Load vector of a field: entry i is the integral of f against the
     potential reconstruction of dof i's basis vector, summed over cells.
     f is a callable on (npts, 3) points, scalar for the scalar space and a
-    3-vector otherwise, integrated by the data rule of degree 2k +
-    INTERP_DEGREE_MARGIN, built one block of cells at a time
-    (BasisBank.data_blocks); one stacked projection per block and one
-    scatter per group."""
+    3-vector otherwise, integrated by the data rule, built one block of
+    cells at a time (BasisBank.data_blocks); one stacked projection per
+    block and one scatter per group."""
     bank = space.bank
-    degree = 2 * space.k + INTERP_DEGREE_MARGIN
     out = np.zeros(space.dim)
     for group in bank.groups("cell"):
         pot = op_potential(space, group)
         moments = np.concatenate([
             l2_project(pot.target, f, rule=rule, sel=sl)
-            for sl, rule in bank.data_blocks(group, degree)])
+            for sl, rule, _ in bank.data_blocks(group, 0)])
         load = (pot.matrix.transpose(0, 2, 1) @ moments[..., None])[..., 0]
         out += np.bincount(pot.dofs.ravel(), load.ravel(), len(out))
     return out

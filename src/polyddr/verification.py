@@ -16,12 +16,12 @@ the primal one allows a 0.3 slack under the expected order, since
 desk-scale meshes are pre-asymptotic.
 
 Whole-mesh sums run over cell groups on the library's stacks: the primal
-L2 errors tabulate the group's polynomials at its data rule block by
-block of cells, the stabilization seminorms sum the stacked forms, and
-the smooth parts of the adjoint functionals and the Poincaré mean
-constraint are load vectors (products.load_vector) paired with dof
-vectors; the Poincaré constants' component Grams are scatters of the
-stacked cell Grams (products.component_gram). Polynomial consistency
+L2 errors evaluate the cell polynomials on the monomial tables of the
+data blocks (BasisBank.data_blocks), the stabilization seminorms sum the
+stacked forms, the smooth parts of the adjoint functionals and the
+Poincaré mean constraint are load vectors (products.load_vector) paired
+with dof vectors, and the Poincaré constants' component Grams are
+scatters of the stacked cell Grams (products.component_gram). Polynomial consistency
 compares each cell group's stacked local operators with the stacked local
 interpolation of their targets (ddrcore.local_interpolation), and the
 trace checks run over the (cell, face) and (cell, edge) pairs of each cell
@@ -38,7 +38,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .mesh import generate_cubic_mesh, generate_tet_mesh, agglomerate_pairs
-from .polyspaces import BasisBank, _cross_matrix, dim_P, recovery
+from .polyspaces import BasisBank, _cross_matrix, _field_values, dim_P, recovery
 from .ddrcore import (
     SPACES,
     _boundary_parts,
@@ -51,7 +51,6 @@ from .ddrcore import (
     op_curl_cell,
     op_div_cell,
     global_operator,
-    INTERP_DEGREE_MARGIN,
 )
 from .products import (_assemble, assemble_product, component_gram,
                        l2_product, load_vector, stabilization)
@@ -146,14 +145,15 @@ class CheckReport:
         )
 
 
-def mesh_family(name):
-    """Mesh builder for a named refinement family."""
+def mesh_family(name, seed=0):
+    """Mesh builder n -> mesh of a named refinement family; seed picks the
+    agglomeration of the agglo family and is ignored by the others."""
     if name == "cubic":
         return generate_cubic_mesh
     if name == "tet":
         return generate_tet_mesh
     if name == "agglo":
-        return lambda n, seed=0: agglomerate_pairs(generate_cubic_mesh(n), seed=seed)
+        return lambda n: agglomerate_pairs(generate_cubic_mesh(n), seed=seed)
     raise ValueError(f"unknown mesh family {name!r}")
 
 
@@ -527,24 +527,24 @@ def _rate_study(report, family, k, levels, measure, least, suffix):
 def _l2_error_sq(space, op, dofs, f):
     """Squared L2 distance over the mesh between the cell polynomials of
     op (op_potential, op_curl_cell, ...) applied to the dof vector dofs and
-    the field f, by the data rule of degree 2k + INTERP_DEGREE_MARGIN:
-    stacked over cell groups and evaluated block by block of cells, each
-    block on its own data rule (BasisBank.data_blocks). Each cell's
-    integral is summed over its own points, and each group's cells once,
-    so the value does not depend on where the blocks end."""
+    the field f: pointwise differences on the data rules
+    (BasisBank.data_blocks), stacked over cell groups and taken block by
+    block of cells. Each cell's integral is summed over its own points,
+    and each group's cells once, so the value does not depend on where
+    the blocks end."""
     bank = space.bank
-    degree = 2 * space.k + INTERP_DEGREE_MARGIN
     total = 0.0
     for group in bank.groups("cell"):
         ops = op(space, group)
         u = (ops.matrix @ dofs[ops.dofs][..., None])[..., 0]
+        # each cell polynomial's monomial coefficients, (G, 1 or 3, n)
+        C = np.einsum("gm,gm...->g...", u, ops.target._Cs)
+        C = C.reshape(len(C), -1, C.shape[-1])
         cells = np.empty(len(group))
-        for sl, rule in bank.data_blocks(group, degree):
-            pts = rule.points
-            diff = np.einsum("gm,gm...->g...", u[sl], ops.target.eval(pts, sl))
-            diff -= np.asarray(f(pts.reshape(-1, 3))).reshape(diff.shape)
-            sq = diff ** 2 if diff.ndim == 2 else np.sum(diff ** 2, axis=2)
-            cells[sl] = np.sum(sq * rule.weights, axis=1)
+        for sl, rule, M in bank.data_blocks(group, C.shape[-1]):
+            F = _field_values(f, rule.points).reshape(len(M), -1, C.shape[1])
+            diff = (C[sl] @ M).transpose(0, 2, 1) - F
+            cells[sl] = np.sum(np.sum(diff ** 2, axis=2) * rule.weights, axis=1)
         total += float(np.sum(cells))
     return total
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import polyddr
+import polyddr.cli as cli
 from polyddr.cli import ConfigError, build_parser, main, parse_mesh_spec
 
 
@@ -150,6 +151,18 @@ def test_verify_poincare_uses_refined_builtin(capsys):
     assert "poincare_gradient_ratio" in stdout
 
 
+def test_verify_poincare_refines_with_the_spec_seed(monkeypatch):
+    """agglo:N:S is compared with the agglomeration of cubic:2N by the
+    same seed S (seeds 0 and 1 agglomerate cubic:4 into 35 and 34 cells)."""
+    seen = []
+    monkeypatch.setattr(cli, "check_poincare", lambda mesh, k, refined=None:
+                        seen.append(refined) or polyddr.CheckReport("poincare"))
+    assert main(["verify", "--mesh", "agglo:2:1", "--suite", "poincare"]) == 0
+    want = polyddr.agglomerate_pairs(polyddr.generate_cubic_mesh(4), seed=1)
+    assert len(seen) == 1
+    assert json.dumps(seen[0].to_dict()) == json.dumps(want.to_dict())
+
+
 # ----------------------------------------------------------------------
 # solve
 
@@ -213,6 +226,17 @@ def test_converge_writes_csv_with_rates(capsys, tmp_path):
     assert first[0] == "cubic" and first[1] == "2" and first[-1] == ""
     assert second[1] == "4" and float(second[-1]) > 0.5
     assert float(second[6]) < float(first[6])
+
+
+def test_converge_builds_the_agglomerates_of_its_seed(tmp_path):
+    out = tmp_path / "conv.csv"
+    assert main(["converge", "--family", "agglo", "--degrees", "0",
+                 "--levels", "2,4", "--seed", "1", "--out", str(out)]) == 0
+    cells = [int(line.split(",")[3])
+             for line in out.read_text().strip().split("\n")[1:]]
+    assert cells == [polyddr.agglomerate_pairs(polyddr.generate_cubic_mesh(n),
+                                               seed=1).num_cells
+                     for n in (2, 4)] == [4, 34]
 
 
 def test_converge_rate_on_non_doubling_levels(tmp_path):

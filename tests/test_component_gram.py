@@ -76,8 +76,8 @@ def _rel(got, want):
 GRAM_MESHES = {
     "cubic2": lambda: mesh_family("cubic")(2),
     "tet2": lambda: mesh_family("tet")(2),
-    "agglo2": lambda: mesh_family("agglo")(2, seed=1),
-    "agglo3": lambda: mesh_family("agglo")(3, seed=1),
+    "agglo2": lambda: mesh_family("agglo", seed=1)(2),
+    "agglo3": lambda: mesh_family("agglo", seed=1)(3),
 }
 
 
@@ -106,7 +106,7 @@ NORM_CASES = [
     (lambda: mesh_family("cubic")(2), 0),
     (lambda: mesh_family("cubic")(2), 1),
     (lambda: mesh_family("tet")(1), 1),
-    (lambda: mesh_family("agglo")(2, seed=1), 1),
+    (lambda: mesh_family("agglo", seed=1)(2), 1),
 ]
 NORM_IDS = ["cubic1-k0", "cubic1-k1", "cubic2-k0", "cubic2-k1", "tet1-k1",
             "agglo2-k1"]

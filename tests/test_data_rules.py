@@ -11,6 +11,10 @@ Several fields interpolated in one call share each block's rule and its
 monomial table: the results must be bit for bit those of separate calls,
 and error_norms must build each data rule, and tabulate monomials on it,
 once per block.
+
+Interpolation, the load vector and the L2 errors all read the rules and
+monomial tables of BasisBank.data_blocks: none evaluates a basis at data
+points, and all follow polyspaces.INTERP_DEGREE_MARGIN.
 """
 
 import itertools
@@ -21,7 +25,6 @@ import pytest
 
 import polyddr
 from polyddr.ddrcore import (
-    INTERP_DEGREE_MARGIN,
     interpolate,
     make_space,
     op_curl_cell,
@@ -29,7 +32,8 @@ from polyddr.ddrcore import (
 )
 from polyddr.mesh import agglomerate_pairs, generate_cubic_mesh, generate_tet_mesh
 import polyddr.polyspaces as polyspaces
-from polyddr.polyspaces import BasisBank, _ScalarCore, value_blocks
+from polyddr.polyspaces import (INTERP_DEGREE_MARGIN, BasisBank, _ScalarCore,
+                                 value_blocks)
 from polyddr.products import load_vector
 from polyddr.quadrature import QuadRule, data_rule_size, entity_rule
 from polyddr.scheme import manufactured_solution
@@ -46,14 +50,19 @@ MESHES = {
 WHICHES = ("grad", "curl", "div", "l2")
 
 
-def _whole_group_blocks(bank, group, degree, counts):
-    """Oracle for BasisBank.data_blocks: the whole group's data rule, built
-    at once, cut into its value blocks; their number goes to counts."""
+def _whole_group_blocks(bank, group, n, degree, counts):
+    """Oracle for BasisBank.data_blocks: the whole group's data rule and
+    its monomial table, built at once, cut into its value blocks; their
+    number goes to counts."""
+    if degree is None:
+        degree = 2 * bank.k + polyspaces.INTERP_DEGREE_MARGIN
     rule = entity_rule(bank.mesh, group.kind, group.ids, degree, data=True)
+    table = bank.core(group)._monomials(rule.points, n)
     blocks = value_blocks(*rule.weights.shape)
     counts.append(len(blocks))
     for sl in blocks:
-        yield sl, QuadRule(rule.points[sl], rule.weights[sl], degree)
+        yield (sl, QuadRule(rule.points[sl], rule.weights[sl], degree),
+               table[sl])
 
 
 def _data_results(mesh, k):
@@ -82,8 +91,9 @@ def test_streamed_data_rules_match_whole_group_rule(monkeypatch, name, k):
     mesh = MESHES[name]()
     streamed = _data_results(mesh, k)
     blocks = []
-    monkeypatch.setattr(BasisBank, "data_blocks", lambda bank, group, degree:
-                        _whole_group_blocks(bank, group, degree, blocks))
+    monkeypatch.setattr(BasisBank, "data_blocks",
+                        lambda bank, group, n, degree=None:
+                        _whole_group_blocks(bank, group, n, degree, blocks))
     whole = _data_results(mesh, k)
     assert streamed.keys() == whole.keys()
     for key in streamed:
@@ -252,3 +262,64 @@ def test_two_field_interpolation_peak_stays_below_the_whole_cell_data_rule():
     whole = entity_rule(mesh, "cell", np.arange(mesh.num_cells),
                         2 * bank.k + INTERP_DEGREE_MARGIN, data=True)
     assert peak < whole.points.nbytes + whole.weights.nbytes
+
+
+# ----------------------------------------------------------------------
+# one data-rule policy for every reader
+
+
+def _data_readers(mesh, k):
+    """The three readers of the data rules on one bank, each a callable
+    named: interpolation, the load vector and the L2 errors. One call of
+    each builds the local operators they use, so a later call reads only
+    the bank's data blocks."""
+    rng = np.random.default_rng(5)
+    q, v = TrigScalar.random(rng), TrigVector.random(rng)
+    bank = BasisBank(mesh, k)
+    grad, curl = (make_space(mesh, w, k, bank=bank) for w in ("grad", "curl"))
+    dofs = interpolate(curl, v.eval).values
+    readers = {
+        "interpolate": lambda: interpolate((grad, curl), (q.eval, v.eval)),
+        "load_vector": lambda: (load_vector(grad, q.eval),
+                                load_vector(curl, v.eval)),
+        "_l2_error_sq": lambda: (
+            _l2_error_sq(curl, op_potential, dofs, v.eval),
+            _l2_error_sq(curl, op_curl_cell, dofs, v.curl().eval)),
+    }
+    for read in readers.values():
+        read()
+    return readers
+
+
+def test_data_readers_evaluate_no_basis(monkeypatch):
+    """Interpolation, the load vector and the L2 errors read the monomial
+    tables of BasisBank.data_blocks: no basis is evaluated at points."""
+    readers = _data_readers(jittered_tet_mesh(2, 1), 1)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a basis was evaluated at data points")
+
+    monkeypatch.setattr(polyspaces.PolyBasis, "eval", forbidden)
+    for read in readers.values():
+        read()
+
+
+def test_margin_sets_the_data_rule_degree_of_every_reader(monkeypatch):
+    """polyspaces.INTERP_DEGREE_MARGIN is read when a data rule is built:
+    changing it changes the degree of the rules all three readers use."""
+    k, margin = 1, 2
+    readers = _data_readers(generate_cubic_mesh(2), k)
+    degrees, build = [], polyspaces.entity_rule
+
+    def spy(*args, **kwargs):
+        if kwargs.get("data"):
+            degrees.append(args[3])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(polyspaces, "entity_rule", spy)
+    monkeypatch.setattr(polyspaces, "INTERP_DEGREE_MARGIN", margin)
+    assert margin != INTERP_DEGREE_MARGIN
+    for name, read in readers.items():
+        degrees.clear()
+        read()
+        assert degrees and set(degrees) == {2 * k + margin}, name

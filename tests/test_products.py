@@ -8,9 +8,8 @@ import scipy.linalg as la
 from hypothesis import given, settings, strategies as st
 
 from polyddr.mesh import Mesh, generate_cubic_mesh, generate_tet_mesh, agglomerate_pairs
-from polyddr.polyspaces import BasisBank, dim_P
+from polyddr.polyspaces import INTERP_DEGREE_MARGIN, BasisBank, dim_P
 from polyddr.ddrcore import (
-    INTERP_DEGREE_MARGIN,
     make_space,
     interpolate,
     global_operator,

@@ -22,7 +22,6 @@ import pytest
 import polyddr.verification as ver
 from polyddr import ddrcore
 from polyddr.ddrcore import (
-    INTERP_DEGREE_MARGIN,
     _boundary_parts,
     local_interpolation,
     make_space,
@@ -30,7 +29,7 @@ from polyddr.ddrcore import (
     op_tangential_trace,
 )
 from polyddr.mesh import agglomerate_pairs, generate_cubic_mesh, generate_tet_mesh
-from polyddr.polyspaces import BasisBank
+from polyddr.polyspaces import INTERP_DEGREE_MARGIN, BasisBank
 from polyddr.products import l2_product, stabilization
 from polyddr.quadrature import entity_rule
 from polyddr.verification import (
